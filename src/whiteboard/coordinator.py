@@ -8,6 +8,11 @@ of every binding's input layers into its in box as plain wire records.
 
 Every mailbox operation in the pump is non-blocking: a busy manager makes
 a binding wait until the next round, never the whole pipeline.
+
+Managers end their reply to every batch with a `done` record, so each
+connection knows how many of its batches are still outstanding. The
+pipeline has settled when every source has been triggered, no batch is
+outstanding and the last round had nothing left to forward.
 """
 
 from __future__ import annotations
@@ -99,6 +104,8 @@ class Coordinator:
         self.bound: dict[str, _Bound] = {}
         self.rounds = 0
         self.run_state = "paused"
+        # bindings whose records could not be forwarded in the last round
+        self.backlog: list[str] = []
 
     # -- registration -----------------------------------------------------------
 
@@ -135,27 +142,30 @@ class Coordinator:
             except (BoxRemoved, WhiteboardError) as exc:
                 bound.note(f"collect failed: {exc}")
                 report.errors += 1
+        self.backlog = []
         for bound in self.bound.values():
             try:
-                self._deposit_to(bound, report)
+                forwarded = self._deposit_to(bound, report)
             except (BoxRemoved, WhiteboardError) as exc:
                 bound.note(f"deposit failed: {exc}")
                 report.errors += 1
+                forwarded = False
+            if not forwarded:
+                self.backlog.append(bound.binding.name)
         self.rounds += 1
         return report
 
     def _collect_from(self, bound: _Bound, report: PumpReport):
         layer = self.board.layers[bound.binding.output_layer]
         for _ in range(MAX_COLLECTS_PER_ROUND):
-            text = bound.conn.out_box.try_collect()
-            if text is None:
-                return
             try:
-                records = wire.parse(text, bound.conn.params.export_format)
+                records = bound.conn.try_collect()
             except ParseError as exc:
                 bound.note(f"unparseable batch: {exc}")
                 report.errors += 1
                 continue
+            if records is None:
+                return
             for record in records:
                 if isinstance(record, wire.ErrorRecord):
                     bound.note(f"component error: {record.message}")
@@ -249,25 +259,29 @@ class Coordinator:
             log.warning("dropped arc %s->%s on %s: would create a cycle",
                         origin, extremity, layer.name)
 
-    def _deposit_to(self, bound: _Bound, report: PumpReport):
+    def _deposit_to(self, bound: _Bound, report: PumpReport) -> bool:
+        """Forward what the binding has not seen yet. Returns False if
+        something was left over because its in box was busy."""
         binding = bound.binding
         if not binding.input_layers:
             # a source component gets a single empty trigger batch
             if not bound.triggered and bound.conn.try_deposit([]):
                 bound.triggered = True
-            return
+            return bound.triggered
         nodes, arcs = self._new_slice(bound)
         nodes, arcs = filter_slice(nodes, arcs, binding.filter_threshold)
         records = self._encode_slice(nodes, arcs, binding.params.import_format)
         records.extend(bound.pending_constraints)
         if not records:
-            return
-        if bound.conn.try_deposit(records):
-            bound.forwarded_nodes.update(n.id for n in nodes)
-            bound.forwarded_arcs.update(a.id for a in arcs)
-            bound.deposited += len(records)
-            report.deposited += len(records)
-            bound.pending_constraints = []
+            return True
+        if not bound.conn.try_deposit(records):
+            return False
+        bound.forwarded_nodes.update(n.id for n in nodes)
+        bound.forwarded_arcs.update(a.id for a in arcs)
+        bound.deposited += len(records)
+        report.deposited += len(records)
+        bound.pending_constraints = []
+        return True
 
     def _new_slice(self, bound: _Bound) -> tuple[list[WhiteNode], list[Arc]]:
         """Nodes not yet forwarded to this binding, plus arcs whose both
@@ -354,6 +368,8 @@ class Coordinator:
         for name, bound in self.bound.items():
             per_binding[name] = {"deposited": bound.deposited,
                                  "collected": bound.collected,
+                                 "outstanding": bound.conn.outstanding,
+                                 "done_frame": bound.conn.done_frame,
                                  "errors": list(bound.errors)}
         return {"state": self.run_state, "rounds": self.rounds,
                 "per_layer": per_layer, "per_binding": per_binding}
@@ -363,15 +379,19 @@ class Coordinator:
 
     # -- quiescence ------------------------------------------------------------------
 
-    def boxes_idle(self) -> bool:
-        """True when every connection's boxes are observably empty."""
-        for bound in self.bound.values():
-            try:
-                if bound.conn.in_box.is_full() or bound.conn.out_box.is_full():
-                    return False
-            except BoxRemoved:
-                continue
-        return True
+    def settled(self) -> bool:
+        """True once the last round left nothing to forward (every source
+        triggered, no busy in box) and every deposited batch has come back
+        with its `done` record."""
+        return self.rounds > 0 and not self.backlog and not any(
+            bound.conn.outstanding for bound in self.bound.values())
+
+    def unsettled(self) -> str:
+        """What keeps the pipeline from settling, binding by binding."""
+        parts = [f"{name} has {bound.conn.outstanding} outstanding batches"
+                 for name, bound in self.bound.items() if bound.conn.outstanding]
+        parts += [f"{name} has records left to forward" for name in self.backlog]
+        return "; ".join(parts) or "nothing"
 
     def mark_quiescent(self):
         self.run_state = "quiescent"

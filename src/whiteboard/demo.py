@@ -3,8 +3,11 @@
 For each utterance fixture the driver declares a three-layer board
 (phonemes, syntax, target words), spawns one manager process per component
 (matrix source, island parser, word-for-word translator), registers the
-bindings and pumps until the pipeline goes quiet. Layers are then sealed,
-validated and exported.
+bindings and pumps until the coordinator has settled: every batch it
+deposited has come back with its `done` record and nothing is left to
+forward. It then closes all connections at once, fails the utterance if
+any of them still held results, and seals, validates and exports the
+layers.
 
 The coordinator loop is fully non-blocking, and manager processes are
 watched for unexpected death, so a killed component turns into a
@@ -159,7 +162,7 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
             error = _pump_loop(coordinator, processes, config)
 
         if error is None:
-            _close_connections(coordinator)
+            error = _close_connections(coordinator)
     except (ManagerUnavailable, WhiteboardError) as exc:
         error = f"pipeline failed: {exc}"
     finally:
@@ -187,29 +190,23 @@ def _dead_managers(processes: dict[str, subprocess.Popen]) -> list[str]:
 
 
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
-    """Pump until the pipeline stays quiet for a full stale-lock window."""
+    """Pump until the coordinator has settled."""
     coordinator.run_state = "running"
-    quiet_window = 30 * config.sleep_time
     round_sleep = config.sleep_time / 2
     deadline = time.monotonic() + config.max_wall
-    quiet_since: float | None = None
     while True:
         dead = _dead_managers(processes)
         if dead:
             for role in dead:
                 coordinator.bound[role].note("manager process died")
             return f"manager process died: {', '.join(dead)}"
-        report = coordinator.pump()
-        now = time.monotonic()
-        if now >= deadline:
-            return f"pipeline did not settle within {config.max_wall}s"
-        if report.progress > 0 or not coordinator.boxes_idle():
-            quiet_since = None
-        elif quiet_since is None:
-            quiet_since = now
-        elif now - quiet_since >= quiet_window:
+        coordinator.pump()
+        if coordinator.settled():
             coordinator.mark_quiescent()
             return None
+        if time.monotonic() >= deadline:
+            return (f"pipeline did not settle within {config.max_wall}s: "
+                    f"{coordinator.unsettled()}")
         time.sleep(round_sleep)
 
 
@@ -234,12 +231,31 @@ def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None
     return None
 
 
-def _close_connections(coordinator: Coordinator) -> None:
-    for name, conn in coordinator.connections().items():
+def _close_connections(coordinator: Coordinator) -> str | None:
+    """Send every close request, then wait for the acknowledgments.
+
+    Once the pipeline has settled nothing may still be in flight, so
+    results handed over on close fail the utterance. A step-mode run quit
+    early has not settled, and its leftovers are only logged.
+    """
+    settled = coordinator.settled()
+    connections = coordinator.connections()
+    for conn in connections.values():
+        conn.request_close(timeout=5.0)
+    problems = []
+    for name, conn in connections.items():
         try:
-            conn.close(timeout=5.0)
+            leftovers = conn.close(timeout=5.0)
         except WhiteboardError as exc:
-            log.warning("closing %s: %s", name, exc)
+            problems.append(f"closing {name}: {exc}")
+            continue
+        if leftovers and settled:
+            problems.append(f"binding {name} handed over {len(leftovers)} "
+                            f"records on close, after the pipeline settled")
+        elif leftovers:
+            log.info("binding %s: %d records dropped on close",
+                     name, len(leftovers))
+    return "; ".join(problems) or None
 
 
 def _seal_layers(board: Whiteboard) -> str | None:

@@ -7,6 +7,12 @@ the client writes work into the in box and reads results from the out box,
 while the manager runs the opposite loops in its own process. All formats
 crossing a connection are fixed when it is opened.
 
+The manager ends its reply to every input batch with one ``(done frame)``
+record, carried by the last deposit it makes for that batch, so the client
+can count the batches still outstanding instead of guessing from silence.
+The client-side `Connection` does that counting and strips the records, so
+its callers see exactly what the component produced.
+
 A manager may be configured to deliver results piecewise in end-time order,
 which makes a batch component look incremental to its client.
 """
@@ -23,6 +29,7 @@ from . import wire
 from .errors import (
     AlreadyClosed,
     BoxRemoved,
+    DrainTimeout,
     MailboxTimeout,
     ManagerUnavailable,
     ParseError,
@@ -49,7 +56,12 @@ class ConnectionParams:
 
 
 class Connection:
-    """Client-side handle: deposit work, collect results."""
+    """Client-side handle: deposit work, collect results.
+
+    `outstanding` counts the batches deposited whose `done` record has not
+    been collected yet; `done_frame` is the highest frame those records
+    carried. Collecting strips the `done` records from what it returns.
+    """
 
     def __init__(self, conn_id: int, in_box: Mailbox, out_box: Mailbox,
                  params: ConnectionParams, request_root: Path):
@@ -59,24 +71,50 @@ class Connection:
         self.params = params
         self.request_root = request_root
         self.state = "open"
+        self.outstanding = 0
+        self.done_frame = 0
 
     def deposit(self, records, timeout: float | None = None) -> None:
         text = wire.serialize(records, self.params.import_format)
         self.in_box.deposit(text, timeout=timeout)
+        self.outstanding += 1
 
     def try_deposit(self, records) -> bool:
         text = wire.serialize(records, self.params.import_format)
-        return self.in_box.try_deposit(text)
+        if not self.in_box.try_deposit(text):
+            return False
+        self.outstanding += 1
+        return True
+
+    def _parse_results(self, text: str) -> list[wire.WireRecord]:
+        records = []
+        for record in wire.parse(text, self.params.export_format):
+            if isinstance(record, wire.DoneRecord):
+                self.outstanding -= 1
+                self.done_frame = max(self.done_frame, record.frame)
+            else:
+                records.append(record)
+        return records
 
     def collect(self, timeout: float | None = None) -> list[wire.WireRecord]:
-        return wire.parse(self.out_box.collect(timeout=timeout),
-                          self.params.export_format)
+        return self._parse_results(self.out_box.collect(timeout=timeout))
 
     def try_collect(self) -> list[wire.WireRecord] | None:
         text = self.out_box.try_collect()
         if text is None:
             return None
-        return wire.parse(text, self.params.export_format)
+        return self._parse_results(text)
+
+    def request_close(self, timeout: float | None = None) -> None:
+        """Send the close request without waiting for its acknowledgment;
+        `close` then only waits. Lets a client close many connections at
+        once."""
+        if self.state != "open":
+            raise AlreadyClosed(f"connection {self.id} already closing")
+        req_in, _ = _request_boxes(self.request_root, self.params.sleep_time)
+        req_in.deposit(wire.serialize([wire.CloseRequest(self.id)]),
+                       timeout=timeout)
+        self.state = "closing"
 
     def close(self, timeout: float | None = None) -> list[wire.WireRecord]:
         return close_connection(self, timeout=timeout)
@@ -116,11 +154,19 @@ def request_connection(request_root: Path | str, params: ConnectionParams,
 
 
 def close_connection(conn: Connection, timeout: float | None = None) -> list[wire.WireRecord]:
-    """Close a connection; drains and returns any undelivered results."""
+    """Close a connection; drains and returns any undelivered results.
+
+    Sends the close request unless `request_close` already did. Several
+    connections to one manager are closed by waiting on them in the order
+    their requests were sent, since the manager acknowledges in that order.
+    Raises `DrainTimeout` if the manager removed the out box while it still
+    held a batch.
+    """
     if conn.state == "closed":
         raise AlreadyClosed(f"connection {conn.id} already closed")
-    req_in, req_out = _request_boxes(conn.request_root, conn.params.sleep_time)
-    req_in.deposit(wire.serialize([wire.CloseRequest(conn.id)]), timeout=timeout)
+    if conn.state == "open":
+        conn.request_close(timeout=timeout)
+    _, req_out = _request_boxes(conn.request_root, conn.params.sleep_time)
     leftovers: list[wire.WireRecord] = []
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
@@ -129,7 +175,7 @@ def close_connection(conn: Connection, timeout: float | None = None) -> list[wir
         try:
             text = conn.out_box.try_collect()
             if text is not None:
-                leftovers.extend(wire.parse(text, conn.params.export_format))
+                leftovers.extend(conn._parse_results(text))
         except BoxRemoved:
             pass
         reply_text = req_out.try_collect()
@@ -142,6 +188,12 @@ def close_connection(conn: Connection, timeout: float | None = None) -> list[wir
             raise MailboxTimeout(f"no close acknowledgment for {conn.id}")
         time.sleep(conn.params.sleep_time)
     conn.state = "closed"
+    for reply in replies:
+        if (isinstance(reply, wire.ErrorRecord)
+                and reply.message.startswith("drain-timeout")):
+            raise DrainTimeout(
+                f"connection {conn.id} ({reply.message}): the manager removed "
+                f"its out box with a batch still uncollected")
     return leftovers
 
 
@@ -185,10 +237,15 @@ def partition_by_end(records) -> list[list[wire.WireRecord]]:
 
 
 def incremental_deliver(batch_result, box: Mailbox, export_format: str,
-                        sleep_time: float) -> int:
-    """Deposit a batch piecewise, one piece per writer cycle. Returns the
-    number of deposits made; an empty batch makes none."""
-    pieces = partition_by_end(batch_result)
+                        sleep_time: float, trailer=()) -> int:
+    """Deposit a batch piecewise, one piece per writer cycle, with the
+    `trailer` records appended to the last piece. Returns the number of
+    deposits made; an empty batch makes one for a non-empty trailer and
+    none otherwise."""
+    pieces = partition_by_end(batch_result) or [[]]
+    pieces[-1] = [*pieces[-1], *trailer]
+    if not pieces[-1]:
+        return 0
     for i, piece in enumerate(pieces):
         if i:
             time.sleep(sleep_time)
@@ -200,7 +257,7 @@ def incremental_deliver(batch_result, box: Mailbox, export_format: str,
 
 class _ConnectionWorker(threading.Thread):
     """Manager-side loops for one connection: read work, run the component,
-    deliver results."""
+    deliver results, and end each batch's delivery with a `done` record."""
 
     def __init__(self, manager: "_Manager", conn_id: int, params: ConnectionParams,
                  in_box: Mailbox, out_box: Mailbox):
@@ -211,6 +268,7 @@ class _ConnectionWorker(threading.Thread):
         self.in_box = in_box
         self.out_box = out_box
         self.stop_requested = threading.Event()
+        self.high_frame = 0
 
     def run(self):
         while True:
@@ -231,27 +289,40 @@ class _ConnectionWorker(threading.Thread):
         except ParseError as exc:
             self._emit([wire.ErrorRecord(f"import-parse-error {exc}")])
             return
+        self._see(records)
         try:
             outputs = list(self.manager.component(records))
         except Exception as exc:  # component faults must not kill the manager
             log.exception("component failed in %s", self.name)
             self._emit([wire.ErrorRecord(f"component-error {exc}")])
             return
+        self._see(outputs)
         try:
             if self.manager.incremental:
                 incremental_deliver(outputs, self.out_box,
                                     self.params.export_format,
-                                    self.params.sleep_time)
+                                    self.params.sleep_time,
+                                    [wire.DoneRecord(self.high_frame)])
             else:
                 self._emit(outputs)
         except BoxRemoved:
             return
         except ValueError as exc:
+            # serializing failed before the piece carrying `done` went out
             self._emit([wire.ErrorRecord(f"export-error {exc}")])
 
+    def _see(self, records):
+        """Raise the connection's high-water frame; constraints are
+        predictions, not data, and do not count."""
+        ends = [e for e in map(_end_time, records) if e is not None]
+        self.high_frame = max([self.high_frame, *ends])
+
     def _emit(self, records):
+        """Deposit the last (here: only) delivery for a batch."""
         try:
-            self.out_box.deposit(wire.serialize(records, self.params.export_format))
+            self.out_box.deposit(wire.serialize(
+                [*records, wire.DoneRecord(self.high_frame)],
+                self.params.export_format))
         except BoxRemoved:
             pass
 
@@ -314,26 +385,31 @@ class _Manager:
                 return
             worker.stop_requested.set()
             worker.join(timeout=60 * worker.params.sleep_time)
-            self._await_drained(worker.out_box)
+            drained = self._await_drained(worker.out_box)
             worker.in_box.remove()
             worker.out_box.remove()
             try:
                 worker.in_box.path.parent.rmdir()
             except OSError:
                 pass
-            self._reply([wire.CloseReply(request.conn_id)])
+            reply = [wire.CloseReply(request.conn_id)]
+            if not drained:
+                log.warning("connection %s closed with its out box uncollected",
+                            request.conn_id)
+                reply.insert(0, wire.ErrorRecord(f"drain-timeout {request.conn_id}"))
+            self._reply(reply)
 
-    def _await_drained(self, box: Mailbox, cycles: int = 60):
-        """Give the client's reader a bounded window to take the last batch."""
+    def _await_drained(self, box: Mailbox, cycles: int = 60) -> bool:
+        """Give the client's reader a bounded window to take the last
+        batch. Returns False if the batch is still there afterwards."""
         for _ in range(cycles):
             try:
                 if not box.is_full():
-                    return
+                    return True
             except BoxRemoved:
-                return
+                return True
             time.sleep(box.sleep_time)
-        else:
-            self._reply([wire.ErrorRecord("unsupported-request")])
+        return False
 
     def _reply(self, records):
         try:
@@ -349,10 +425,14 @@ def run_manager(component, request_root: Path | str, *, name: str = "manager",
 
     `component` maps a list of wire records to a list of wire records; it
     is invoked once per collected batch. Exceptions inside the component
-    become error records on the out box and the manager keeps serving. A
-    single component instance serves every connection, so stateful
-    components assume one connection per manager process (the demo runs
-    one manager per process).
+    become error records on the out box and the manager keeps serving.
+    Whatever the outcome, the last deposit made for a batch ends with a
+    `(done frame)` record; the component never produces or sees one. A
+    close request is acknowledged with `(closed conn-id)`, preceded in the
+    same reply by `(error drain-timeout_<conn-id>)` if the client left a
+    batch uncollected. A single component instance serves every
+    connection, so stateful components assume one connection per manager
+    process (the demo runs one manager per process).
     """
     _Manager(component, Path(request_root), name, incremental,
              sleep_time).serve(stop_event)

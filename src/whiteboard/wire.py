@@ -16,8 +16,11 @@ code of the connection plus arity:
 
 Control records start with a keyword token and are legal in any context:
 (open sleep import export), (opened conn-id in-path out-path),
-(close conn-id), (closed conn-id), (error message), and
-(constraint <data record>) which wraps an ordinary record.
+(close conn-id), (closed conn-id), (error message),
+(constraint <data record>) which wraps an ordinary record, and
+(done frame), which a manager appends to its last deposit for each input
+batch: the batch is finished, and frame is the highest end frame the
+connection has seen so far in its inputs and outputs.
 """
 
 from __future__ import annotations
@@ -111,10 +114,15 @@ class ConstraintRecord:
     inner: "DataRecord"
 
 
+@dataclass(frozen=True)
+class DoneRecord:
+    frame: int
+
+
 DataRecord = Union[EdgeRecord, NodeRecord, ArcRecord, InactiveEdgeRecord]
 WireRecord = Union[
     DataRecord, OpenRequest, OpenReply, CloseRequest, CloseReply,
-    ErrorRecord, ConstraintRecord,
+    ErrorRecord, ConstraintRecord, DoneRecord,
 ]
 
 # Which data record classes a format code admits.
@@ -183,6 +191,8 @@ def serialize_record(record: WireRecord) -> str:
         return f"(error {sanitize_token(record.message)})"
     if isinstance(record, ConstraintRecord):
         return f"(constraint {serialize_record(record.inner)})"
+    if isinstance(record, DoneRecord):
+        return f"(done {int(record.frame)})"
     raise TypeError(f"not a wire record: {record!r}")
 
 
@@ -198,7 +208,8 @@ def serialize(records, format_code: str | None = None) -> str:
     for record in records:
         inner = record.inner if isinstance(record, ConstraintRecord) else record
         if format_code is not None and not isinstance(
-            inner, (OpenRequest, OpenReply, CloseRequest, CloseReply, ErrorRecord)
+            inner, (OpenRequest, OpenReply, CloseRequest, CloseReply, ErrorRecord,
+                    DoneRecord)
         ):
             if not isinstance(inner, _FORMAT_RECORDS[format_code]):
                 raise ValueError(
@@ -379,6 +390,10 @@ def parse_line(line: str, lineno: int, format_code: str | None) -> WireRecord:
                                      lineno, col)
                 inner = _parse_data(fields[1][0], lineno, fields[1][1], format_code)
                 return ConstraintRecord(inner)
+            if tok == "done":
+                if len(fields) != 2:
+                    raise ParseError("done: expected 1 argument", lineno, col)
+                return DoneRecord(_want_int(fields[1], lineno, "frame"))
             raise ParseError(f"unknown record head: {tok}", lineno, col)
     return _parse_data(fields, lineno, fields[0][1], format_code)
 

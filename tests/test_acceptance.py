@@ -412,8 +412,10 @@ def test_10_wire_roundtrip_on_random_records():
                 rng.randint(0, 10**6), token(), score(), ids()),
         }
         for fmt, record in records.items():
-            [back] = wire.parse(wire.serialize([record], fmt), fmt)
-            assert back == record
-            count += 1
-    assert count == 10_000
-    ok(10, f"{count} random records of every format code round-tripped")
+            # every manager reply ends with a done record, legal in any format
+            batch = [record, wire.DoneRecord(rng.randint(0, 10**6))]
+            assert wire.parse(wire.serialize(batch, fmt), fmt) == batch
+            count += len(batch)
+    assert count == 20_000
+    ok(10, f"{count} random records of every format code, each batch "
+           f"ending in a done record, round-tripped")

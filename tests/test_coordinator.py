@@ -118,16 +118,13 @@ def test_full_pipeline_in_process(tmp_path, fixtures_dir):
     assert [(len(layer.white_nodes), len(layer.arcs))
             for layer in board.layers.values()] >= counts
 
-    # quiescence: with the finite fixture consumed, pumping settles into
-    # zero-progress rounds with every box drained
-    quiet = 0
-    deadline = time.monotonic() + 10.0
-    while quiet < 3 and time.monotonic() < deadline:
+    # quiescence: with the finite fixture consumed, the coordinator settles,
+    # and pumping on gives zero-progress rounds that stay settled
+    pump_until(coordinator, coordinator.settled)
+    for _ in range(3):
         report = coordinator.pump()
-        quiet = quiet + 1 if (report.progress == 0
-                              and coordinator.boxes_idle()) else 0
+        assert report.progress == 0 and coordinator.settled()
         time.sleep(SLEEP)
-    assert quiet == 3
 
     status = coordinator.status()
     assert status["per_layer"]["ww"]["nodes"] == 4
@@ -255,3 +252,135 @@ def test_control_pause_step_status(tmp_path):
     assert coordinator.control("resume")["state"] == "running"
     with pytest.raises(ValueError):
         coordinator.control("reverse")
+
+
+def test_settled_waits_out_a_component_slower_than_the_old_quiet_window(
+        tmp_path, fixtures_dir):
+    produced = []
+
+    def slow(records):
+        time.sleep(0.3)  # the old rule quit after 30 silent polls, 150 ms
+        out = [r for r in records if isinstance(r, wire.EdgeRecord)]
+        produced.extend(out)
+        return out
+
+    board = make_board()
+    coordinator = Coordinator(board, Thresholds(2, 2))
+    coordinator.register(ComponentBinding(
+        "source", host(tmp_path, "source",
+                       MatrixSource(fixtures_dir / "hai.mat", 3),
+                       incremental=True),
+        [], "phonemes", params("edge-v1", "edge-v1")))
+    coordinator.register(ComponentBinding(
+        "slow", host(tmp_path, "slow", slow),
+        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    slow_conn = coordinator.bound["slow"].conn
+
+    rounds_outstanding = 0
+    quiet_since, longest_quiet = None, 0.0
+    deadline = time.monotonic() + 20.0
+    while not coordinator.settled():
+        assert time.monotonic() < deadline, coordinator.unsettled()
+        report = coordinator.pump()
+        now = time.monotonic()
+        if slow_conn.outstanding:
+            rounds_outstanding += 1
+            assert not coordinator.settled()
+        if report.progress or not slow_conn.outstanding:
+            quiet_since = None
+        elif quiet_since is None:
+            quiet_since = now
+        longest_quiet = max(longest_quiet, now - (quiet_since or now))
+        time.sleep(SLEEP)
+
+    assert rounds_outstanding > 0
+    # the old quiet window would have ended the run during this silence
+    assert longest_quiet > 30 * SLEEP
+    assert produced
+    syntax = board.layers["syntax"].white_nodes.values()
+    assert ({(n.span.begin, n.span.end, n.label) for n in syntax}
+            == {(r.begin, r.end, r.phoneme) for r in produced})
+    assert len(produced) == len(board.layers["phonemes"].white_nodes)
+
+
+def test_status_shows_outstanding_batches_and_done_frame(tmp_path):
+    from whiteboard import TimeSpan
+    release = threading.Event()
+
+    def gated(records):
+        release.wait(timeout=10.0)
+        return records
+
+    board = make_board()
+    board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
+    board.layers["phonemes"].add_white_node(TimeSpan(3, 7), "a", 0.8)
+    coordinator = Coordinator(board)
+    coordinator.register(ComponentBinding(
+        "gated", host(tmp_path, "gated", gated),
+        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+
+    def lag(status):
+        return (status["per_layer"]["phonemes"]["high_water_frame"]
+                - status["per_binding"]["gated"]["done_frame"])
+
+    coordinator.pump()
+    status = coordinator.control("status")
+    assert status["per_binding"]["gated"]["outstanding"] == 1
+    assert status["per_binding"]["gated"]["done_frame"] == 0
+    assert lag(status) == 7
+    assert not coordinator.settled()
+
+    release.set()
+    pump_until(coordinator, coordinator.settled)
+    status = coordinator.control("status")
+    assert status["per_binding"]["gated"]["outstanding"] == 0
+    assert status["per_binding"]["gated"]["done_frame"] == 7
+    assert lag(status) == 0
+
+
+def test_results_handed_over_on_close_after_settling_fail_the_run(tmp_path):
+    from whiteboard import TimeSpan
+    from whiteboard.demo import _close_connections
+
+    board = make_board()
+    board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
+    coordinator = Coordinator(board)
+    coordinator.register(ComponentBinding(
+        "echo", host(tmp_path, "echo", identity_component),
+        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    pump_until(coordinator, coordinator.settled)
+    # a batch slipped past the coordinator's accounting: its reply is
+    # still in flight when the connections close
+    conn = coordinator.bound["echo"].conn
+    conn.in_box.deposit(wire.serialize([wire.EdgeRecord(3, 6, "a", 0.5)],
+                                       "edge-v1"), timeout=5.0)
+    error = _close_connections(coordinator)
+    assert error is not None
+    assert "echo" in error and "1 records" in error
+
+
+def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(tmp_path):
+    from whiteboard import TimeSpan
+    from whiteboard.demo import DemoConfig, _pump_loop
+    release = threading.Event()
+
+    def stuck(records):
+        release.wait(timeout=10.0)
+        return records
+
+    board = make_board()
+    board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
+    coordinator = Coordinator(board)
+    coordinator.register(ComponentBinding(
+        "stuck", host(tmp_path, "stuck", stuck),
+        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
+                        dictionary=tmp_path, out=tmp_path,
+                        sleep_time=SLEEP, max_wall=0.3)
+    try:
+        error = _pump_loop(coordinator, {}, config)
+    finally:
+        release.set()
+    assert error is not None
+    assert "did not settle" in error
+    assert "stuck has 1 outstanding batches" in error

@@ -1,10 +1,11 @@
 import threading
+import time
 
 import pytest
 
 from whiteboard import wire
 from whiteboard.components import identity_component
-from whiteboard.errors import AlreadyClosed, UnknownFormatCode
+from whiteboard.errors import AlreadyClosed, DrainTimeout, UnknownFormatCode
 from whiteboard.manager import (
     ConnectionParams,
     close_connection,
@@ -199,3 +200,98 @@ def test_incremental_manager_delivers_multiple_batches(tmp_path):
         for _ in range(3):
             got.extend(conn.collect(timeout=5.0))
         assert got == batch
+
+
+# -- the done record ------------------------------------------------------------
+
+def raw_replies(conn, count):
+    """The next `count` deposits on the out box, parsed but not stripped."""
+    return [wire.parse(conn.out_box.collect(timeout=5.0),
+                       conn.params.export_format) for _ in range(count)]
+
+
+def assert_nothing_more(conn):
+    time.sleep(10 * SLEEP)
+    assert conn.out_box.try_collect() is None
+
+
+def test_done_ends_a_non_incremental_reply(tmp_path):
+    with hosted_manager(tmp_path, identity_component) as root:
+        conn = request_connection(root, params())
+        conn.in_box.deposit(wire.serialize(edges(0, 4, 2), "edge-v1"))
+        [reply] = raw_replies(conn, 1)
+        assert reply == edges(0, 4, 2) + [wire.DoneRecord(5)]
+        assert_nothing_more(conn)
+
+
+def test_done_rides_on_the_last_incremental_piece(tmp_path):
+    def source(records):
+        return edges(0, 1, 2)  # three distinct end frames
+
+    with hosted_manager(tmp_path, source, incremental=True) as root:
+        conn = request_connection(root, params())
+        conn.in_box.deposit("")
+        pieces = raw_replies(conn, 3)
+        assert pieces == [edges(0), edges(1), edges(2) + [wire.DoneRecord(3)]]
+        assert_nothing_more(conn)
+
+
+def test_done_alone_answers_an_empty_output(tmp_path):
+    with hosted_manager(tmp_path, lambda records: []) as root:
+        conn = request_connection(root, params())
+        conn.in_box.deposit(wire.serialize(edges(0, 1, 2), "edge-v1"))
+        [reply] = raw_replies(conn, 1)
+        assert reply == [wire.DoneRecord(3)]  # the inputs' last end frame
+        assert_nothing_more(conn)
+
+
+def test_done_follows_a_component_error(tmp_path):
+    def broken(records):
+        raise RuntimeError("injected fault")
+
+    with hosted_manager(tmp_path, broken, incremental=True) as root:
+        conn = request_connection(root, params())
+        conn.in_box.deposit(wire.serialize(edges(6), "edge-v1"))
+        [[error, done]] = raw_replies(conn, 1)
+        assert isinstance(error, wire.ErrorRecord)
+        assert "component-error" in error.message
+        assert done == wire.DoneRecord(7)
+        assert_nothing_more(conn)
+
+
+def test_connection_counts_outstanding_batches(tmp_path):
+    release = threading.Event()
+
+    def gated(records):
+        release.wait(timeout=5.0)
+        return records
+
+    with hosted_manager(tmp_path, gated) as root:
+        conn = request_connection(root, params())
+        assert (conn.outstanding, conn.done_frame) == (0, 0)
+        conn.deposit(edges(2), timeout=5.0)
+        conn.deposit(edges(8), timeout=5.0)
+        assert conn.outstanding == 2
+        release.set()
+        assert conn.collect(timeout=5.0) == edges(2)  # done stripped
+        assert (conn.outstanding, conn.done_frame) == (1, 3)
+        assert conn.collect(timeout=5.0) == edges(8)
+        assert (conn.outstanding, conn.done_frame) == (0, 9)
+
+
+def test_close_reports_a_drain_timeout(tmp_path):
+    with hosted_manager(tmp_path, identity_component) as root:
+        conn = request_connection(root, params())
+        conn.deposit(edges(0), timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while not conn.out_box.is_full() and time.monotonic() < deadline:
+            time.sleep(SLEEP)
+        # a client that never collects: the manager waits out its drain
+        # window and removes the box with the batch still in it
+        conn.request_close(timeout=5.0)
+        while conn.out_box.exists() and time.monotonic() < deadline:
+            time.sleep(SLEEP)
+        assert not conn.out_box.exists()
+        with pytest.raises(DrainTimeout, match=f"drain-timeout_{conn.id}"):
+            conn.close(timeout=5.0)
+        assert conn.state == "closed"

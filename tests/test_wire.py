@@ -135,3 +135,19 @@ def test_arc_batches_roundtrip(records):
 @given(st.lists(inactive_records, max_size=8))
 def test_inactive_batches_roundtrip(records):
     assert roundtrip(records, "inactive-edge-v1") == records
+
+
+def test_done_record_roundtrips_in_every_format_context():
+    text = "(done 42)\n"
+    for fmt in (None, *wire.FORMAT_CODES):
+        assert wire.parse(text, fmt) == [wire.DoneRecord(42)]
+        assert wire.serialize([wire.DoneRecord(42)], fmt) == text
+    edge = wire.EdgeRecord(0, 3, "h", 0.9)
+    assert roundtrip([edge, wire.DoneRecord(3)], "edge-v1") == [
+        edge, wire.DoneRecord(3)]
+
+
+def test_done_record_needs_one_integer_frame():
+    for text in ("(done)\n", "(done 1 2)\n", "(done x)\n", "(done (1))\n"):
+        with pytest.raises(ParseError):
+            wire.parse(text, "edge-v1")
