@@ -14,7 +14,6 @@ from .board import (
     GreyNode,
     LatticePath,
     Layer,
-    LayerView,
     PackingKey,
     Reading,
     SealReport,
@@ -23,6 +22,7 @@ from .board import (
     Whiteboard,
     boards_isomorphic,
     canonical_form,
+    filter_slice,
     from_json,
     to_dot,
     to_json,
@@ -32,6 +32,7 @@ from .chart import (
     Edge,
     Grammar,
     Rule,
+    add_derivation,
     chart_from_cells,
     chart_to_lattice,
     init_chart,
@@ -39,12 +40,13 @@ from .chart import (
     load_grammar,
     select_anchor,
 )
-from .coordinator import ComponentBinding, Coordinator, PumpReport, filter_slice
+from .coordinator import ComponentBinding, Coordinator, PumpReport
 from .grid import (
     GridNode,
     PhonemeMatrix,
     RankedMatrix,
     Thresholds,
+    add_grid_node,
     grid_connected,
     grid_to_lattice,
     parse_matrix_file,
@@ -65,13 +67,14 @@ from .translate import Dictionary, DictionaryEntry, load_dictionary, translate_l
 __all__ = [
     "Arc", "Chart", "ComponentBinding", "Connection", "ConnectionParams",
     "Coordinator", "Dictionary", "DictionaryEntry", "Edge", "Grammar",
-    "GreyNode", "GridNode", "LatticePath", "Layer", "LayerView", "Mailbox",
-    "PackingKey", "PhonemeMatrix", "PumpReport", "RankedMatrix", "Reading",
-    "Rule", "SealReport", "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
-    "boards_isomorphic", "canonical_form", "chart_from_cells",
-    "chart_to_lattice", "close_connection", "filter_slice", "from_json",
-    "grid_connected", "grid_to_lattice", "incremental_deliver", "init_chart",
-    "island_parse", "load_dictionary", "load_grammar", "parse_matrix_file",
+    "GreyNode", "GridNode", "LatticePath", "Layer", "Mailbox", "PackingKey",
+    "PhonemeMatrix", "PumpReport", "RankedMatrix", "Reading", "Rule",
+    "SealReport", "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
+    "add_derivation", "add_grid_node", "boards_isomorphic", "canonical_form",
+    "chart_from_cells", "chart_to_lattice", "close_connection", "filter_slice",
+    "from_json", "grid_connected", "grid_to_lattice", "incremental_deliver",
+    "init_chart", "island_parse", "load_dictionary", "load_grammar",
+    "parse_matrix_file",
     "partition_by_end", "request_connection", "run_manager", "select_anchor",
     "to_dot", "to_json", "topk_matrices", "translate_layer", "wire",
 ]

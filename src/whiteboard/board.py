@@ -15,6 +15,7 @@ paths.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -31,6 +32,8 @@ from .errors import (
     UnreachableNode,
     WouldCreateCycle,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, order=True)
@@ -127,19 +130,6 @@ class LatticePath:
     node_ids: tuple[int, ...]
 
 
-@dataclass
-class LayerView:
-    """Score-thresholded snapshot of a layer; the layer is not modified."""
-
-    layer: str
-    nodes: list[WhiteNode]
-    arcs: list[Arc]
-
-    @property
-    def node_ids(self) -> set[int]:
-        return {n.id for n in self.nodes}
-
-
 class Layer:
     """One whiteboard layer; create through :meth:`Whiteboard.declare_layer`."""
 
@@ -156,8 +146,6 @@ class Layer:
         self._seal_report: SealReport | None = None
         self.white_nodes: dict[int, WhiteNode] = {}
         self.grey_nodes: dict[int, GreyNode] = {}
-        # reserved node kind: stored like grey nodes, never populated here
-        self.black_nodes: dict[int, GreyNode] = {}
         self.arcs: dict[int, Arc] = {}
         self._wiring_arcs: dict[int, Arc] = {}
         self._by_key: dict[PackingKey, int] = {}
@@ -233,6 +221,20 @@ class Layer:
         self._succ[origin].append(extremity)
         self._pred[extremity].append(origin)
         return arc_id
+
+    def add_arc_once(self, origin: int, extremity: int,
+                     weight: float = 0.0) -> None:
+        """Add an arc unless it is a self-loop or the pair is already
+        linked. An arc that would close a cycle is dropped with a warning,
+        so one bad hypothesis cannot stop the layer from being built."""
+        self._check_unsealed()
+        if origin == extremity or extremity in self._succ.get(origin, ()):
+            return
+        try:
+            self.add_arc(origin, extremity, weight)
+        except WouldCreateCycle:
+            log.warning("dropped arc %s->%s on %s: would create a cycle",
+                        origin, extremity, self.name)
 
     def _reaches(self, start: int, goal: int) -> bool:
         stack, seen = [start], set()
@@ -376,16 +378,6 @@ class Layer:
             return self._virtuals[node_id]
         return self.white_nodes[node_id]
 
-    def filter_view(self, threshold: float) -> LayerView:
-        """Nodes scoring at or above the threshold plus arcs among them."""
-        nodes = [n for n in self.white_nodes.values() if n.score >= threshold]
-        keep = {n.id for n in nodes}
-        arcs = [a for a in self.arcs.values()
-                if a.origin in keep and a.extremity in keep]
-        nodes.sort(key=lambda n: n.id)
-        arcs.sort(key=lambda a: a.id)
-        return LayerView(self.name, nodes, arcs)
-
     def successors(self, node_id: int) -> list[int]:
         return list(self._succ.get(node_id, ()))
 
@@ -452,6 +444,17 @@ class Whiteboard:
         if layer is None:
             raise UnknownNode(f"no white node with id {node_id}")
         return layer
+
+
+def filter_slice(nodes: list[WhiteNode], arcs: list[Arc],
+                 threshold: float | None) -> tuple[list[WhiteNode], list[Arc]]:
+    """Restrict a slice to nodes at or above the threshold and the arcs
+    among the survivors. A missing threshold is the identity."""
+    if threshold is None:
+        return nodes, arcs
+    keep_nodes = [n for n in nodes if n.score >= threshold]
+    keep = {n.id for n in keep_nodes}
+    return keep_nodes, [a for a in arcs if a.origin in keep and a.extremity in keep]
 
 
 # -- export / import ---------------------------------------------------------
@@ -544,13 +547,13 @@ def to_dot(board: Whiteboard, layer: str | None = None,
         names = [n for n in names if n == layer]
     for idx, name in enumerate(names):
         lay = board.layers[name]
-        keep = {n.id for n in lay.white_nodes.values()
-                if threshold is None or n.score >= threshold}
+        nodes, arcs = filter_slice(
+            sorted(lay.white_nodes.values(), key=lambda n: n.id),
+            sorted(lay.arcs.values(), key=lambda a: a.id), threshold)
+        keep = {n.id for n in nodes}
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f"    label={_dot_quote(name)};")
-        for n in sorted(lay.white_nodes.values(), key=lambda n: n.id):
-            if n.id not in keep:
-                continue
+        for n in nodes:
             label = f"{n.label}\\n[{n.span.begin},{n.span.end}] {n.score:.3g}"
             lines.append(f'    n{n.id} [shape=box, label="{label}"];')
         if not hide_grey:
@@ -565,10 +568,9 @@ def to_dot(board: Whiteboard, layer: str | None = None,
                     lines.append(f"    n{i} -> g{g.id} [style=dashed];")
                 for o in g.outputs:
                     lines.append(f"    g{g.id} -> n{o} [style=dashed];")
-        for a in sorted(lay.arcs.values(), key=lambda a: a.id):
-            if a.origin in keep and a.extremity in keep:
-                lines.append(
-                    f'    n{a.origin} -> n{a.extremity} [label="{a.weight:g}"];')
+        for a in arcs:
+            lines.append(
+                f'    n{a.origin} -> n{a.extremity} [label="{a.weight:g}"];')
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,9 @@ grid gap/overlap predicate at every junction; a parent's span is the hull
 of its children.
 
 Only complete (inactive) edges leave the parser; partially matched items
-stay internal.
+stay internal. :func:`add_derivation` is the one writer of a complete
+edge onto the syntactic layer, for the coordinator and for
+:func:`chart_to_lattice` alike.
 """
 
 from __future__ import annotations
@@ -313,42 +315,36 @@ def _retained_closure(edges: list[Edge]) -> list[Edge]:
     return out
 
 
-def chart_to_lattice(inactive: list[Edge], syn_layer: Layer,
-                     phon_layer: Layer | None = None) -> dict[int, int]:
-    """Write complete structures onto the syntactic layer.
+def add_derivation(layer: Layer, span: TimeSpan, category: str, score: float,
+                   children: list[int]) -> int:
+    """Write one complete structure onto the syntactic layer.
 
-    Every retained edge (including the terminal phonemes it uses) becomes a
-    packed white node; each rule instance becomes one grey node; siblings
-    get sequencing arcs. Returns the edge-id to node-id mapping.
-
-    `phon_layer` is accepted for callers that want to cross-check terminals
-    against the phoneme layer; nothing extra is created from it.
+    `children` are the ids of white nodes already on the board, in
+    order. The structure becomes a packed white node whose reading lists
+    its children as [begin, end, label]; a terminal has no children and
+    a None reading. A built structure also gets one grey node tagged
+    `category<-l1.l2...` and an arc between each pair of adjacent
+    siblings. Returns the white node's id.
     """
+    nodes = [layer.board.node(c) for c in children]
+    payload = ({"children": [[n.span.begin, n.span.end, n.label] for n in nodes]}
+               if nodes else None)
+    node_id, _ = layer.add_white_node(span, category, score, payload)
+    if nodes:
+        rule_tag = f"{category}<-" + ".".join(n.label for n in nodes)
+        layer.add_grey_node(rule_tag, tuple(children), (node_id,))
+        for left, right in zip(children, children[1:]):
+            layer.add_arc_once(left, right)
+    return node_id
+
+
+def chart_to_lattice(inactive: list[Edge], syn_layer: Layer) -> dict[int, int]:
+    """Write complete structures, and the terminal phonemes they use, onto
+    the syntactic layer through :func:`add_derivation`. Returns the
+    edge-id to node-id mapping."""
     node_of: dict[int, int] = {}
-    seen_grey: set = set()
-    seen_arc: set = set()
     for edge in _retained_closure(inactive):
-        if edge.rule is None:
-            payload = {"terminal": edge.category}
-        else:
-            payload = {
-                "rule": edge.rule.rule_id,
-                "children": [[c.span.begin, c.span.end, c.category]
-                             for c in edge.children],
-            }
-        node_id, _ = syn_layer.add_white_node(edge.span, edge.category,
-                                              edge.score, payload)
-        node_of[edge.id] = node_id
-        if edge.rule is None:
-            continue
-        inputs = tuple(node_of[c.id] for c in edge.children)
-        grey_key = (edge.rule.rule_id, inputs, node_id)
-        if grey_key not in seen_grey:
-            seen_grey.add(grey_key)
-            syn_layer.add_grey_node(edge.rule.rule_id, inputs, (node_id,))
-        for left, right in zip(edge.children, edge.children[1:]):
-            pair = (node_of[left.id], node_of[right.id])
-            if pair[0] != pair[1] and pair not in seen_arc:
-                seen_arc.add(pair)
-                syn_layer.add_arc(pair[0], pair[1])
+        node_of[edge.id] = add_derivation(
+            syn_layer, edge.span, edge.category, edge.score,
+            [node_of[c.id] for c in edge.children])
     return node_of

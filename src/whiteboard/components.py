@@ -122,11 +122,8 @@ class WordForWordTranslator:
                 self.seen_nodes.add(record.node_id)
                 if record.label not in self.lexical_labels:
                     continue
-                entry = self.dictionary.get(record.label)
-                meanings = (entry.targets if entry is not None
-                            else ((record.label, "untranslated"),))
                 targets = []
-                for word, _sense in meanings:
+                for word, _sense in self.dictionary.meanings(record.label):
                     node_id = self._fresh()
                     targets.append((node_id, word))
                     out_nodes.append(wire.NodeRecord(

@@ -2,9 +2,13 @@
 
 Components never see the board. Each pump round drains whatever their
 managers have deposited, integrates the records into the bound output
-layers (packing as it goes, deriving sequencing arcs for grid-shaped
-input), and then forwards the newly integrated, threshold-filtered slice
+layers, and then forwards the newly integrated, threshold-filtered slice
 of every binding's input layers into its in box as plain wire records.
+
+Integration goes through one writer per record kind, the same functions
+the in-process batch builders loop over: `grid.add_grid_node` for edge
+records (packing, and deriving sequencing arcs), `chart.add_derivation`
+for inactive-edge records, and `Layer.add_arc_once` for arc records.
 
 Every mailbox operation in the pump is non-blocking: a busy manager makes
 a binding wait until the next round, never the whole pipeline.
@@ -23,16 +27,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import wire
-from .board import Arc, Layer, TimeSpan, Whiteboard, WhiteNode
+from .board import Arc, Layer, TimeSpan, Whiteboard, WhiteNode, filter_slice
+from .chart import add_derivation
 from .errors import (
     BoxRemoved,
     LayerMismatch,
     ParseError,
     UnknownFormatCode,
     WhiteboardError,
-    WouldCreateCycle,
 )
-from .grid import GridNode, Thresholds, grid_connected
+from .grid import GridNode, Thresholds, add_grid_node
+from .grid import grid_connected  # noqa: F401  (perfbench's probes patch this name)
 from .manager import Connection, ConnectionParams, request_connection
 
 log = logging.getLogger(__name__)
@@ -84,17 +89,6 @@ class _Bound:
     def note(self, message: str):
         log.warning("binding %s: %s", self.binding.name, message)
         self.errors.append(message)
-
-
-def filter_slice(nodes: list[WhiteNode], arcs: list[Arc],
-                 threshold: float | None) -> tuple[list[WhiteNode], list[Arc]]:
-    """Restrict a slice to nodes at or above the threshold and the arcs
-    among the survivors. A missing threshold is the identity."""
-    if threshold is None:
-        return nodes, arcs
-    keep_nodes = [n for n in nodes if n.score >= threshold]
-    keep = {n.id for n in keep_nodes}
-    return keep_nodes, [a for a in arcs if a.origin in keep and a.extremity in keep]
 
 
 class Coordinator:
@@ -184,9 +178,9 @@ class Coordinator:
             if record in bound.seen_edge_records:
                 return
             bound.seen_edge_records.add(record)
-            self._integrate_grid_node(
-                layer, GridNode(TimeSpan(record.begin, record.end),
-                                record.phoneme, record.score))
+            add_grid_node(layer, GridNode(TimeSpan(record.begin, record.end),
+                                          record.phoneme, record.score),
+                          self.thresholds)
         elif isinstance(record, wire.InactiveEdgeRecord):
             if record.edge_id in bound.node_of_record:
                 return
@@ -197,19 +191,9 @@ class Coordinator:
                     raise WhiteboardError(
                         f"edge {record.edge_id} references unknown child {child_id}")
                 children.append(node_id)
-            payload = {"children": [
-                [self.board.node(c).span.begin, self.board.node(c).span.end,
-                 self.board.node(c).label] for c in children]} if children else None
-            node_id, _ = layer.add_white_node(
-                TimeSpan(record.begin, record.end), record.category,
-                record.score, payload)
-            bound.node_of_record[record.edge_id] = node_id
-            if children:
-                rule_tag = (f"{record.category}<-"
-                            + ".".join(self.board.node(c).label for c in children))
-                layer.add_grey_node(rule_tag, tuple(children), (node_id,))
-                for left, right in zip(children, children[1:]):
-                    self._add_arc_once(layer, left, right, 0.0)
+            bound.node_of_record[record.edge_id] = add_derivation(
+                layer, TimeSpan(record.begin, record.end), record.category,
+                record.score, children)
         elif isinstance(record, wire.NodeRecord):
             if record.node_id in bound.node_of_record:
                 return
@@ -226,38 +210,10 @@ class Coordinator:
             if origin is None or extremity is None:
                 raise WhiteboardError(
                     f"arc {record.arc_id} references unknown node")
-            self._add_arc_once(layer, origin, extremity, record.weight)
+            layer.add_arc_once(origin, extremity, record.weight)
         else:
             raise WhiteboardError(
                 f"unexpected record on out box: {type(record).__name__}")
-
-    def _integrate_grid_node(self, layer: Layer, node: GridNode):
-        """Incremental grid-to-lattice: pack the node, then derive arcs
-        against everything already on the layer."""
-        node_id, packed = layer.add_white_node(node.span, node.label, node.score)
-        if packed:
-            return
-        for other in list(layer.white_nodes.values()):
-            if other.id == node_id:
-                continue
-            peer = GridNode(other.span, other.label, other.score)
-            if grid_connected(node, peer, self.thresholds):
-                self._add_arc_once(layer, node_id, other.id, 0.0)
-            if grid_connected(peer, node, self.thresholds):
-                self._add_arc_once(layer, other.id, node_id, 0.0)
-
-    @staticmethod
-    def _add_arc_once(layer: Layer, origin: int, extremity: int, weight: float):
-        if origin == extremity:
-            return
-        if any(a.origin == origin and a.extremity == extremity
-               for a in layer.arcs.values()):
-            return
-        try:
-            layer.add_arc(origin, extremity, weight)
-        except WouldCreateCycle:
-            log.warning("dropped arc %s->%s on %s: would create a cycle",
-                        origin, extremity, layer.name)
 
     def _deposit_to(self, bound: _Bound, report: PumpReport) -> bool:
         """Forward what the binding has not seen yet. Returns False if
@@ -322,14 +278,7 @@ class Coordinator:
                        for a in arcs)
         return records
 
-    # -- filtering, constraints, control ------------------------------------------
-
-    def apply_filter(self, layer_name: str, threshold: float | None):
-        """Threshold view over a whole layer, as forwarded slices see it."""
-        layer = self.board.layers[layer_name]
-        return filter_slice(sorted(layer.white_nodes.values(), key=lambda n: n.id),
-                            sorted(layer.arcs.values(), key=lambda a: a.id),
-                            threshold)
+    # -- constraints, control ------------------------------------------------------
 
     def forward_constraints(self, binding_name: str, records) -> None:
         """Queue prediction records for a binding; they ride along with the

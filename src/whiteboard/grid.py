@@ -97,22 +97,31 @@ def topk_matrices(matrices: list[PhonemeMatrix], k: int) -> list[RankedMatrix]:
     return [rm for rm in ranked if rm.cells]
 
 
+def add_grid_node(layer: Layer, node: GridNode, th: Thresholds) -> int:
+    """Pack one grid node onto a layer and return its white node's id.
+
+    A new white node gets an arc to and from every white node already on
+    the layer that `grid_connected` allows; a node that packs into an
+    existing one adds no arcs."""
+    node_id, packed = layer.add_white_node(node.span, node.label, node.score)
+    if packed:
+        return node_id
+    for other in layer.white_nodes.values():
+        if other.id == node_id:
+            continue
+        peer = GridNode(other.span, other.label, other.score)
+        if grid_connected(node, peer, th):
+            layer.add_arc_once(node_id, other.id)
+        if grid_connected(peer, node, th):
+            layer.add_arc_once(other.id, node_id)
+    return node_id
+
+
 def grid_to_lattice(nodes: list[GridNode], th: Thresholds, layer: Layer) -> None:
     """Populate an empty layer: one (packed) white node per grid node, one
     arc per connected ordered pair. The caller seals afterwards."""
-    white: list[int] = []
-    for gn in nodes:
-        node_id, _ = layer.add_white_node(gn.span, gn.label, gn.score)
-        white.append(node_id)
-    added: set[tuple[int, int]] = set()
-    for i, n in enumerate(nodes):
-        for j, m in enumerate(nodes):
-            if i == j or not grid_connected(n, m, th):
-                continue
-            pair = (white[i], white[j])
-            if pair[0] != pair[1] and pair not in added:
-                layer.add_arc(pair[0], pair[1])
-                added.add(pair)
+    for node in nodes:
+        add_grid_node(layer, node, th)
 
 
 def parse_matrix_file(text: str) -> list[PhonemeMatrix]:

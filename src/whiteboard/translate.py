@@ -27,6 +27,13 @@ class Dictionary:
     def get(self, word: str) -> DictionaryEntry | None:
         return self.entries.get(word)
 
+    def meanings(self, label: str) -> tuple[tuple[str, str], ...]:
+        """(target word, sense tag) pairs for a source word. A word with no
+        entry is copied through with the sense tag "untranslated", so
+        coverage gaps stay visible."""
+        entry = self.entries.get(label)
+        return entry.targets if entry is not None else ((label, "untranslated"),)
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -61,9 +68,8 @@ def translate_layer(syn_layer: Layer, dictionary: Dictionary,
                     ww_layer: Layer, lexical_labels: set[str]) -> dict[int, list[int]]:
     """Fill the target-word layer from the syntactic layer.
 
-    Lexical nodes without a dictionary entry are copied through with the
-    sense tag "untranslated" so coverage gaps stay visible. Returns the
-    source-node to target-node mapping.
+    Each lexical node fans out into its :meth:`Dictionary.meanings`.
+    Returns the source-node to target-node mapping.
     """
     if not syn_layer.sealed:
         raise NotSealed(f"layer {syn_layer.name!r} must be sealed before translation")
@@ -71,26 +77,18 @@ def translate_layer(syn_layer: Layer, dictionary: Dictionary,
     for node in sorted(syn_layer.white_nodes.values(), key=lambda n: n.id):
         if node.label not in lexical_labels:
             continue
-        entry = dictionary.get(node.label)
-        if entry is not None:
-            meanings = entry.targets
-        else:
-            meanings = ((node.label, "untranslated"),)
         targets = []
-        for word, sense in meanings:
+        for word, sense in dictionary.meanings(node.label):
             target_id, _ = ww_layer.add_white_node(
                 node.span, word, node.score,
                 {"source": node.label, "sense": sense})
             targets.append(target_id)
         mapping[node.id] = targets
         ww_layer.add_grey_node("ww", (node.id,), tuple(targets))
-    seen_arc: set[tuple[int, int]] = set()
     for arc in sorted(syn_layer.arcs.values(), key=lambda a: a.id):
         if arc.origin not in mapping or arc.extremity not in mapping:
             continue
         for a in mapping[arc.origin]:
             for b in mapping[arc.extremity]:
-                if a != b and (a, b) not in seen_arc:
-                    seen_arc.add((a, b))
-                    ww_layer.add_arc(a, b, arc.weight)
+                ww_layer.add_arc_once(a, b, arc.weight)
     return mapping

@@ -11,8 +11,10 @@ code of the connection plus arity:
     edge-v1           (begin end phoneme score)
     node-v1           (node-id begin end label score (in-arcs) (out-arcs))
                       and (arc-id origin extremity weight)
-    arc-v1            (arc-id origin extremity weight)
     inactive-edge-v1  (edge-id begin end category score (child-ids))
+
+Arc records travel only under node-v1: their endpoints are node ids that
+the node records of the same connection introduce.
 
 Control records start with a keyword token and are legal in any context:
 (open sleep import export), (opened conn-id in-path out-path),
@@ -32,7 +34,7 @@ from typing import Union
 
 from .errors import ParseError, UnknownFormatCode
 
-FORMAT_CODES = ("edge-v1", "node-v1", "arc-v1", "inactive-edge-v1")
+FORMAT_CODES = ("edge-v1", "node-v1", "inactive-edge-v1")
 
 _TOKEN_RE = re.compile(r"[^\s()]+")
 
@@ -129,7 +131,6 @@ WireRecord = Union[
 _FORMAT_RECORDS: dict[str, tuple[type, ...]] = {
     "edge-v1": (EdgeRecord,),
     "node-v1": (NodeRecord, ArcRecord),
-    "arc-v1": (ArcRecord,),
     "inactive-edge-v1": (InactiveEdgeRecord,),
 }
 
@@ -325,7 +326,7 @@ def _parse_data(fields, lineno: int, col: int, format_code: str | None) -> DataR
             _want_int_list(fields[5], lineno, "in-arcs"),
             _want_int_list(fields[6], lineno, "out-arcs"),
         )
-    if format_code in ("node-v1", "arc-v1") and arity == 4:
+    if format_code == "node-v1" and arity == 4:
         return ArcRecord(
             _want_int(fields[0], lineno, "arc-id"),
             _want_int(fields[1], lineno, "origin"),

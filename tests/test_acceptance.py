@@ -397,21 +397,21 @@ def test_10_wire_roundtrip_on_random_records():
 
     count = 0
     for _ in range(2_500):
-        records = {
-            "edge-v1": wire.EdgeRecord(rng.randint(0, 10**6),
-                                       rng.randint(0, 10**6), token(), score()),
-            "node-v1": wire.NodeRecord(rng.randint(0, 10**6),
+        records = [
+            ("edge-v1", wire.EdgeRecord(rng.randint(0, 10**6),
+                                        rng.randint(0, 10**6), token(), score())),
+            ("node-v1", wire.NodeRecord(rng.randint(0, 10**6),
+                                        rng.randint(0, 10**6),
+                                        rng.randint(0, 10**6), token(), score(),
+                                        ids(), ids())),
+            ("node-v1", wire.ArcRecord(rng.randint(0, 10**6),
                                        rng.randint(0, 10**6),
-                                       rng.randint(0, 10**6), token(), score(),
-                                       ids(), ids()),
-            "arc-v1": wire.ArcRecord(rng.randint(0, 10**6),
-                                     rng.randint(0, 10**6),
-                                     rng.randint(0, 10**6), score()),
-            "inactive-edge-v1": wire.InactiveEdgeRecord(
+                                       rng.randint(0, 10**6), score())),
+            ("inactive-edge-v1", wire.InactiveEdgeRecord(
                 rng.randint(0, 10**6), rng.randint(0, 10**6),
-                rng.randint(0, 10**6), token(), score(), ids()),
-        }
-        for fmt, record in records.items():
+                rng.randint(0, 10**6), token(), score(), ids())),
+        ]
+        for fmt, record in records:
             # every manager reply ends with a done record, legal in any format
             batch = [record, wire.DoneRecord(rng.randint(0, 10**6))]
             assert wire.parse(wire.serialize(batch, fmt), fmt) == batch

@@ -9,6 +9,7 @@ from whiteboard import (
     TimeSpan,
     Whiteboard,
     boards_isomorphic,
+    filter_slice,
     from_json,
     to_dot,
     to_json,
@@ -150,6 +151,26 @@ def test_add_arc_and_cycle_rejection():
         layer.add_arc(b, a)
     with pytest.raises(WouldCreateCycle):
         layer.add_arc(a, a)
+
+
+def test_add_arc_once_skips_duplicates_and_self_loops_and_drops_cycles(caplog):
+    layer = make_layer()
+    a, _ = layer.add_white_node(span(0, 1), "A", 0.1)
+    b, _ = layer.add_white_node(span(1, 2), "B", 0.2)
+    layer.add_arc_once(a, b, 0.5)
+    layer.add_arc_once(a, b, 0.7)
+    assert [(x.origin, x.extremity, x.weight) for x in layer.arcs.values()] == [
+        (a, b, 0.5)]
+    layer.add_arc_once(a, a)
+    assert len(layer.arcs) == 1 and not caplog.records
+    with caplog.at_level("WARNING", logger="whiteboard"):
+        layer.add_arc_once(b, a)
+    assert len(layer.arcs) == 1
+    [record] = caplog.records
+    assert record.getMessage().startswith("dropped arc")
+    assert layer.seal().ok
+    with pytest.raises(LayerSealed):
+        layer.add_arc_once(a, b)
 
 
 def test_negative_weight_accepted():
@@ -334,16 +355,23 @@ def test_random_lattices_match_dfs_oracle(data):
 
 # -- filtering ------------------------------------------------------------------------
 
+def whole(layer):
+    """Every white node and arc of a layer, in id order."""
+    return (sorted(layer.white_nodes.values(), key=lambda n: n.id),
+            sorted(layer.arcs.values(), key=lambda a: a.id))
+
+
 def test_filter_view_identity_and_empty():
     layer = make_layer()
     for i, score in enumerate((0.2, 0.6, 0.9)):
         layer.add_white_node(span(i, i + 1), f"L{i}", score)
-    assert len(layer.filter_view(float("-inf")).nodes) == 3
-    assert layer.filter_view(1.0).nodes == []
-    view = layer.filter_view(0.5)
-    assert sorted(n.score for n in view.nodes) == [0.6, 0.9]
+    assert len(filter_slice(*whole(layer), float("-inf"))[0]) == 3
+    assert len(filter_slice(*whole(layer), None)[0]) == 3
+    assert filter_slice(*whole(layer), 1.0)[0] == []
+    nodes, _ = filter_slice(*whole(layer), 0.5)
+    assert sorted(n.score for n in nodes) == [0.6, 0.9]
     # brute-force comparison
-    assert {n.id for n in view.nodes} == {
+    assert {n.id for n in nodes} == {
         n.id for n in layer.white_nodes.values() if n.score >= 0.5}
 
 
@@ -354,8 +382,8 @@ def test_filter_view_keeps_arcs_between_survivors_only():
     c, _ = layer.add_white_node(span(2, 3), "C", 0.8)
     layer.add_arc(a, b)
     layer.add_arc(a, c)
-    view = layer.filter_view(0.5)
-    assert [(x.origin, x.extremity) for x in view.arcs] == [(a, c)]
+    _, arcs = filter_slice(*whole(layer), 0.5)
+    assert [(x.origin, x.extremity) for x in arcs] == [(a, c)]
 
 
 @given(st.lists(st.floats(-1, 1), min_size=1, max_size=10),
@@ -365,8 +393,8 @@ def test_filter_monotonicity(scores, t1, t2):
     layer = make_layer()
     for i, score in enumerate(scores):
         layer.add_white_node(span(i, i + 1), f"L{i}", score)
-    low = layer.filter_view(t1).node_ids
-    high = layer.filter_view(t2).node_ids
+    low = {n.id for n in filter_slice(*whole(layer), t1)[0]}
+    high = {n.id for n in filter_slice(*whole(layer), t2)[0]}
     assert high <= low
 
 
@@ -374,7 +402,7 @@ def test_layer_view_does_not_modify_layer():
     layer = make_layer()
     layer.add_white_node(span(0, 1), "A", 0.1)
     before = len(layer.white_nodes)
-    layer.filter_view(10.0)
+    filter_slice(*whole(layer), 10.0)
     assert len(layer.white_nodes) == before
 
 

@@ -1,6 +1,6 @@
 import json
 
-from whiteboard import TimeSpan, Whiteboard, to_json
+from whiteboard import TimeSpan, Whiteboard, filter_slice, to_json
 from whiteboard.cli import build_arg_parser, main
 from whiteboard.demo import DemoConfig, demo_run
 from whiteboard.grid import Thresholds
@@ -56,7 +56,9 @@ def test_lattice_show_threshold_matches_filter_view(tmp_path, capsys):
     assert main(["lattice", "show", str(path), "--threshold", "0.5"]) == 0
     out = capsys.readouterr().out
     rendered = out.count("shape=box")
-    expected = len(board.layers["syntax"].filter_view(0.5).nodes)
+    syntax = board.layers["syntax"]
+    expected = len(filter_slice(list(syntax.white_nodes.values()),
+                                list(syntax.arcs.values()), 0.5)[0])
     assert rendered == expected == 1
 
 

@@ -1,3 +1,4 @@
+import random
 import threading
 import time
 
@@ -7,11 +8,22 @@ from whiteboard import (
     ComponentBinding,
     ConnectionParams,
     Coordinator,
+    GridNode,
     Thresholds,
+    TimeSpan,
     Whiteboard,
+    canonical_form,
+    chart_from_cells,
+    chart_to_lattice,
+    filter_slice,
+    grid_to_lattice,
+    island_parse,
     load_dictionary,
     load_grammar,
+    parse_matrix_file,
     run_manager,
+    topk_matrices,
+    translate_layer,
     wire,
 )
 from whiteboard.components import (
@@ -25,17 +37,19 @@ from whiteboard.errors import LayerMismatch
 SLEEP = 0.005
 
 
-def host(tmp_path, name, component, incremental=False):
+def host(tmp_path, name, component, incremental=False, sleep=SLEEP,
+         stop_event=None):
     root = tmp_path / name / "request"
     threading.Thread(
         target=run_manager, args=(component, root),
-        kwargs={"incremental": incremental, "sleep_time": SLEEP, "name": name},
+        kwargs={"incremental": incremental, "sleep_time": sleep, "name": name,
+                "stop_event": stop_event},
         daemon=True).start()
     return root
 
 
-def params(imp, exp):
-    return ConnectionParams(SLEEP, imp, exp)
+def params(imp, exp, sleep=SLEEP):
+    return ConnectionParams(sleep, imp, exp)
 
 
 def pump_until(coordinator, predicate, timeout=10.0):
@@ -79,56 +93,164 @@ def test_pump_without_pending_data_reports_zero(tmp_path):
     assert report.progress == 0
 
 
+def spliced_utterances(fixtures_dir, out_dir, seed=11):
+    """Seeded 2- and 3-word utterances: fixture cells laid end to end, each
+    word's frames shifted past the end of the word before it."""
+    words = {p.stem: parse_matrix_file(p.read_text())
+             for p in sorted(fixtures_dir.glob("*.mat"))}
+    rng = random.Random(seed)
+    out_dir.mkdir()
+    files = []
+    for size in (2, 2, 3):
+        chosen = [rng.choice(sorted(words)) for _ in range(size)]
+        lines, offset = [], 0
+        for word in chosen:
+            for m in words[word]:
+                lines += [f"({b + offset} {e + offset} {m.phoneme} {score!r})"
+                          for (b, e), score in sorted(m.scores.items())]
+            offset += words[word][0].frame_count
+        path = out_dir / f"{len(files)}-{'-'.join(chosen)}.mat"
+        path.write_text("\n".join(lines) + "\n")
+        files.append(path)
+    return files
+
+
+def reference_board(matrix_file, grammar, dictionary, thresholds):
+    """The in-process build: the batch functions, one layer after another."""
+    board = make_board()
+    phonemes, syntax, ww = (board.layers[n] for n in ("phonemes", "syntax", "ww"))
+    ranked = topk_matrices(parse_matrix_file(matrix_file.read_text()), 3)
+    grid_to_lattice([GridNode(TimeSpan(b, e), p, s) for rm in ranked
+                     for (b, e), (p, s) in sorted(rm.cells.items())],
+                    thresholds, phonemes)
+    cells = [(n.span.begin, n.span.end, n.label, n.score)
+             for n in phonemes.white_nodes.values()]
+    chart_to_lattice(island_parse(chart_from_cells(cells, thresholds), grammar,
+                                  thresholds), syntax)
+    phonemes.seal()
+    syntax.seal()
+    translate_layer(syntax, dictionary, ww, grammar.lexical_labels)
+    return board
+
+
+def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
+    """Build one utterance's board through the three components, each
+    behind a manager thread, and pump until the coordinator settles."""
+    board = make_board()
+    coordinator = Coordinator(board, thresholds)
+    stop = threading.Event()
+
+    def bind(name, component, inputs, output, imp, exp, incremental=False):
+        coordinator.register(ComponentBinding(
+            name, host(run_dir, name, component, incremental, sleep, stop),
+            inputs, output, params(imp, exp, sleep)))
+
+    try:
+        bind("source", MatrixSource(matrix_file, 3), [], "phonemes",
+             "edge-v1", "edge-v1", incremental=True)
+        bind("parser", IslandParser(grammar, thresholds), ["phonemes"],
+             "syntax", "edge-v1", "inactive-edge-v1")
+        bind("translator",
+             WordForWordTranslator(dictionary, grammar.lexical_labels),
+             ["syntax"], "ww", "node-v1", "node-v1")
+
+        pump_until(coordinator, lambda: board.layers["ww"].white_nodes)
+        # monotone integration: pumping on never shrinks anything
+        counts = [(len(layer.white_nodes), len(layer.arcs))
+                  for layer in board.layers.values()]
+        for _ in range(3):
+            coordinator.pump()
+        assert [(len(layer.white_nodes), len(layer.arcs))
+                for layer in board.layers.values()] >= counts
+
+        # quiescence: with the finite utterance consumed, the coordinator
+        # settles, and pumping on gives zero-progress rounds that stay settled
+        pump_until(coordinator, coordinator.settled)
+        for _ in range(3):
+            report = coordinator.pump()
+            assert report.progress == 0 and coordinator.settled()
+            time.sleep(sleep)
+        assert coordinator.status()["per_binding"]["parser"]["errors"] == []
+        return board, coordinator.status()
+    finally:
+        for conn in coordinator.connections().values():
+            conn.close(timeout=5.0)
+        stop.set()
+
+
 def test_full_pipeline_in_process(tmp_path, fixtures_dir):
     grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
     dictionary = load_dictionary((fixtures_dir / "words.dict").read_text())
     thresholds = Thresholds(2, 2)
+    utterances = (sorted(fixtures_dir.glob("*.mat"))
+                  + spliced_utterances(fixtures_dir, tmp_path / "spliced"))
+    for sleep in (0.005, 0.05):
+        for matrix_file in utterances:
+            run_dir = tmp_path / f"{matrix_file.stem}-{sleep}"
+            board, status = run_pipeline(run_dir, matrix_file, grammar,
+                                         dictionary, thresholds, sleep)
+            want = {entry[0]: entry for entry in canonical_form(
+                reference_board(matrix_file, grammar, dictionary, thresholds))}
+            got = {entry[0]: entry for entry in canonical_form(board)}
+            where = f"{matrix_file.name} at a {sleep}s poll"
+            # phonemes and syntax are written by the same functions either
+            # way: white nodes, readings, grey nodes and arcs all agree
+            assert got["phonemes"] == want["phonemes"], where
+            assert got["syntax"] == want["syntax"], where
+            # ww: the translator does not say which syntax node an output
+            # came from, so only white nodes (span, label, score) and arcs
+            # are compared
+            _, _, got_nodes, got_arcs, _ = got["ww"]
+            _, _, want_nodes, want_arcs, _ = want["ww"]
+            assert [n[:2] for n in got_nodes] == [n[:2] for n in want_nodes], where
+            assert got_arcs == want_arcs, where
+            assert want_nodes, where
+
+            if matrix_file.stem != "hai":
+                continue
+            ww = board.layers["ww"]
+            labels = sorted(n.label for n in ww.white_nodes.values())
+            assert labels == ["ashes", "the-lungs", "yes", "yes-sir"]
+            spans = {(n.span.begin, n.span.end) for n in ww.white_nodes.values()}
+            assert spans == {(0, 9)}
+            # the phonemes used by the retained structure appear again at syntax
+            syntax_labels = sorted(n.label for n in
+                                   board.layers["syntax"].white_nodes.values())
+            assert syntax_labels == ["B", "a", "h", "hai", "i"]
+            assert status["per_layer"]["ww"]["nodes"] == 4
+
+
+def test_arc_records_skip_repeats_and_self_loops_and_drop_cycles(
+        tmp_path, caplog):
+    def source(records):
+        return [wire.NodeRecord(1, 0, 3, "a", 0.5),
+                wire.NodeRecord(2, 3, 6, "b", 0.5),
+                wire.ArcRecord(10, 1, 2, 0.0),
+                wire.ArcRecord(11, 1, 2, 0.3),   # same pair, new record id
+                wire.ArcRecord(12, 2, 2, 0.0),   # self-loop
+                wire.ArcRecord(13, 2, 1, 0.0)]   # would close a cycle
+
     board = make_board()
-    coordinator = Coordinator(board, thresholds)
-
+    coordinator = Coordinator(board)
+    stop = threading.Event()
     coordinator.register(ComponentBinding(
-        "source", host(tmp_path, "source",
-                       MatrixSource(fixtures_dir / "hai.mat", 3),
-                       incremental=True),
-        [], "phonemes", params("edge-v1", "edge-v1")))
-    coordinator.register(ComponentBinding(
-        "parser", host(tmp_path, "parser", IslandParser(grammar, thresholds)),
-        ["phonemes"], "syntax", params("edge-v1", "inactive-edge-v1")))
-    coordinator.register(ComponentBinding(
-        "translator", host(tmp_path, "translator",
-                           WordForWordTranslator(dictionary,
-                                                 grammar.lexical_labels)),
-        ["syntax"], "ww", params("node-v1", "node-v1")))
-
-    ww = board.layers["ww"]
-    pump_until(coordinator, lambda: len(ww.white_nodes) >= 4)
-    labels = sorted(n.label for n in ww.white_nodes.values())
-    assert labels == ["ashes", "the-lungs", "yes", "yes-sir"]
-    spans = {(n.span.begin, n.span.end) for n in ww.white_nodes.values()}
-    assert spans == {(0, 9)}
-    # the phonemes used by the retained structure appear again at syntax
-    syntax_labels = sorted(n.label for n in
-                           board.layers["syntax"].white_nodes.values())
-    assert syntax_labels == ["B", "a", "h", "hai", "i"]
-    # monotone integration: pumping on never shrinks anything
-    counts = [(len(layer.white_nodes), len(layer.arcs))
-              for layer in board.layers.values()]
-    for _ in range(3):
-        coordinator.pump()
-    assert [(len(layer.white_nodes), len(layer.arcs))
-            for layer in board.layers.values()] >= counts
-
-    # quiescence: with the finite fixture consumed, the coordinator settles,
-    # and pumping on gives zero-progress rounds that stay settled
-    pump_until(coordinator, coordinator.settled)
-    for _ in range(3):
-        report = coordinator.pump()
-        assert report.progress == 0 and coordinator.settled()
-        time.sleep(SLEEP)
-
-    status = coordinator.status()
-    assert status["per_layer"]["ww"]["nodes"] == 4
-    assert status["per_binding"]["parser"]["errors"] == []
+        "source", host(tmp_path, "source", source, stop_event=stop),
+        [], "phonemes", params("node-v1", "node-v1")))
+    try:
+        with caplog.at_level("WARNING", logger="whiteboard"):
+            pump_until(coordinator, coordinator.settled)
+    finally:
+        coordinator.bound["source"].conn.close(timeout=5.0)
+        stop.set()
+    layer = board.layers["phonemes"]
+    assert [(layer.white_nodes[a.origin].label,
+             layer.white_nodes[a.extremity].label, a.weight)
+            for a in layer.arcs.values()] == [("a", "b", 0.0)]
+    dropped = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("dropped arc")]
+    assert len(dropped) == 1
+    assert coordinator.bound["source"].errors == []
+    assert layer.seal().ok
 
 
 def test_component_errors_surface_without_halting_others(tmp_path):
@@ -163,13 +285,14 @@ def test_apply_filter_matches_brute_force(tmp_path):
     from whiteboard import TimeSpan
     for i in range(10):
         layer.add_white_node(TimeSpan(i, i + 1), f"p{i}", rng.uniform(0, 1))
-    coordinator = Coordinator(board)
-    nodes, arcs = coordinator.apply_filter("phonemes", None)
+    everything = (sorted(layer.white_nodes.values(), key=lambda n: n.id),
+                  sorted(layer.arcs.values(), key=lambda a: a.id))
+    nodes, arcs = filter_slice(*everything, None)
     assert len(nodes) == 10  # absent threshold is the identity
-    nodes, arcs = coordinator.apply_filter("phonemes", float("inf"))
+    nodes, arcs = filter_slice(*everything, float("inf"))
     assert nodes == []
     threshold = 0.5
-    nodes, _ = coordinator.apply_filter("phonemes", threshold)
+    nodes, _ = filter_slice(*everything, threshold)
     expected = {n.id for n in layer.white_nodes.values()
                 if n.score >= threshold}
     assert {n.id for n in nodes} == expected

@@ -55,9 +55,11 @@ def test_data_record_needs_format_context():
 def test_format_codes_are_enforced_on_serialize():
     edge = wire.EdgeRecord(0, 3, "h", 0.9)
     with pytest.raises(ValueError):
-        wire.serialize([edge], "arc-v1")
+        wire.serialize([edge], "node-v1")
     with pytest.raises(UnknownFormatCode):
         wire.serialize([edge], "bogus-v9")
+    with pytest.raises(UnknownFormatCode):
+        wire.parse("(1 2 3 -0.5)\n", "arc-v1")
 
 
 def test_control_records_roundtrip_without_format():
@@ -90,7 +92,7 @@ def test_open_request_validates_format_codes():
 
 def test_arc_and_edge_share_arity_but_not_format():
     text = "(1 2 3 -0.5)\n"
-    [as_arc] = wire.parse(text, "arc-v1")
+    [as_arc] = wire.parse(text, "node-v1")
     assert as_arc == wire.ArcRecord(1, 2, 3, -0.5)
     [as_edge] = wire.parse("(1 2 h -0.5)\n", "edge-v1")
     assert as_edge == wire.EdgeRecord(1, 2, "h", -0.5)
@@ -129,7 +131,7 @@ def test_node_batches_roundtrip(records):
 
 @given(st.lists(arc_records, max_size=8))
 def test_arc_batches_roundtrip(records):
-    assert roundtrip(records, "arc-v1") == records
+    assert roundtrip(records, "node-v1") == records
 
 
 @given(st.lists(inactive_records, max_size=8))
