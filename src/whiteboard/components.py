@@ -54,14 +54,8 @@ class IslandParser:
         self.thresholds = thresholds
         self.beam = beam
         self.cells: set[tuple[int, int, str, float]] = set()
+        # every delivered derivation signature, with its record id
         self.id_of_sig: dict = {}
-        self.emitted: set = set()
-
-    def _id_for(self, edge: Edge) -> int:
-        sig = edge.signature()
-        if sig not in self.id_of_sig:
-            self.id_of_sig[sig] = len(self.id_of_sig) + 1
-        return self.id_of_sig[sig]
 
     def __call__(self, records) -> list[wire.WireRecord]:
         for record in records:
@@ -75,11 +69,10 @@ class IslandParser:
         out: list[wire.WireRecord] = []
 
         def emit(edge: Edge) -> int:
-            wire_id = self._id_for(edge)
             sig = edge.signature()
-            if sig in self.emitted:
-                return wire_id
-            self.emitted.add(sig)
+            if sig in self.id_of_sig:
+                return self.id_of_sig[sig]
+            wire_id = self.id_of_sig[sig] = len(self.id_of_sig) + 1
             child_ids = tuple(emit(c) for c in edge.children)
             out.append(wire.InactiveEdgeRecord(
                 wire_id, edge.span.begin, edge.span.end, edge.category,

@@ -5,10 +5,17 @@ managers have deposited, integrates the records into the bound output
 layers, and then forwards the newly integrated, threshold-filtered slice
 of every binding's input layers into its in box as plain wire records.
 
+Board ids come from one counter, so a binding's slice is every node and
+arc of its input layers above a cursor, the highest id already examined.
+A threshold judges each node once, when it first appears: a node turned
+away is never forwarded, even if packing later raises its score (as a
+forwarded node's later rise is never re-sent), nor is an arc touching it.
+
 Integration goes through one writer per record kind, the same functions
 the in-process batch builders loop over: `grid.add_grid_node` for edge
 records (packing, and deriving sequencing arcs), `chart.add_derivation`
-for inactive-edge records, and `Layer.add_arc_once` for arc records.
+for inactive-edge records, and `Layer.add_arc_once` for arc records. So
+a repeated edge or arc record leaves the board as it was.
 
 Every mailbox operation in the pump is non-blocking: a busy manager makes
 a binding wait until the next round, never the whole pipeline.
@@ -24,6 +31,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 
 from . import wire
@@ -53,6 +61,7 @@ class ComponentBinding:
     input_layers: list[str]
     output_layer: str
     params: ConnectionParams = field(default_factory=ConnectionParams)
+    # a node scoring below it when first forwarded is never sent, nor its arcs
     filter_threshold: float | None = None
     constraint_source: str | None = None
 
@@ -78,13 +87,12 @@ class _Bound:
         self.collected = 0
         self.deposited = 0
         self.triggered = False
-        self.forwarded_nodes: set[int] = set()
-        self.forwarded_arcs: set[int] = set()
+        # highest board id examined; the nodes the threshold turned away
+        self.cursor = 0
+        self.rejected: set[int] = set()
         self.pending_constraints: list[wire.ConstraintRecord] = []
         # maps from the connection's record id space onto board node ids
         self.node_of_record: dict[int, int] = {}
-        self.seen_arc_records: set[int] = set()
-        self.seen_edge_records: set[wire.EdgeRecord] = set()
 
     def note(self, message: str):
         log.warning("binding %s: %s", self.binding.name, message)
@@ -175,9 +183,6 @@ class Coordinator:
 
     def _integrate(self, bound: _Bound, record, layer: Layer):
         if isinstance(record, wire.EdgeRecord):
-            if record in bound.seen_edge_records:
-                return
-            bound.seen_edge_records.add(record)
             add_grid_node(layer, GridNode(TimeSpan(record.begin, record.end),
                                           record.phoneme, record.score),
                           self.thresholds)
@@ -202,9 +207,6 @@ class Coordinator:
                 record.score, None)
             bound.node_of_record[record.node_id] = node_id
         elif isinstance(record, wire.ArcRecord):
-            if record.arc_id in bound.seen_arc_records:
-                return
-            bound.seen_arc_records.add(record.arc_id)
             origin = bound.node_of_record.get(record.origin)
             extremity = bound.node_of_record.get(record.extremity)
             if origin is None or extremity is None:
@@ -225,36 +227,34 @@ class Coordinator:
                 bound.triggered = True
             return bound.triggered
         nodes, arcs = self._new_slice(bound)
-        nodes, arcs = filter_slice(nodes, arcs, binding.filter_threshold)
-        records = self._encode_slice(nodes, arcs, binding.params.import_format)
+        cursor = max((item.id for item in (*nodes, *arcs)), default=bound.cursor)
+        kept, _ = filter_slice(nodes, [], binding.filter_threshold)
+        turned_away = {n.id for n in nodes}.difference(n.id for n in kept)
+        rejected = bound.rejected | turned_away if turned_away else bound.rejected
+        arcs = [a for a in arcs
+                if a.origin not in rejected and a.extremity not in rejected]
+        records = self._encode_slice(kept, arcs, binding.params.import_format)
         records.extend(bound.pending_constraints)
-        if not records:
-            return True
-        if not bound.conn.try_deposit(records):
-            return False
-        bound.forwarded_nodes.update(n.id for n in nodes)
-        bound.forwarded_arcs.update(a.id for a in arcs)
+        if records and not bound.conn.try_deposit(records):
+            return False  # busy: the next round retries this same slice
+        bound.cursor, bound.rejected = cursor, rejected
         bound.deposited += len(records)
         report.deposited += len(records)
         bound.pending_constraints = []
         return True
 
     def _new_slice(self, bound: _Bound) -> tuple[list[WhiteNode], list[Arc]]:
-        """Nodes not yet forwarded to this binding, plus arcs whose both
-        endpoints have then been forwarded."""
+        """The nodes and arcs of the input layers above the binding's cursor,
+        in ascending id order. Ids grow in creation order, so only the
+        newest end of each layer is walked."""
         nodes: list[WhiteNode] = []
         arcs: list[Arc] = []
-        visible = set(bound.forwarded_nodes)
         for name in bound.binding.input_layers:
             layer = self.board.layers[name]
-            for node in sorted(layer.white_nodes.values(), key=lambda n: n.id):
-                if node.id not in bound.forwarded_nodes:
-                    nodes.append(node)
-                    visible.add(node.id)
-            for arc in sorted(layer.arcs.values(), key=lambda a: a.id):
-                if (arc.id not in bound.forwarded_arcs
-                        and arc.origin in visible and arc.extremity in visible):
-                    arcs.append(arc)
+            for items, into in ((layer.white_nodes, nodes), (layer.arcs, arcs)):
+                into.extend(reversed(list(takewhile(
+                    lambda item: item.id > bound.cursor,
+                    reversed(items.values())))))
         return nodes, arcs
 
     @staticmethod

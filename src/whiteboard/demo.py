@@ -58,7 +58,7 @@ class DemoConfig:
 @dataclass
 class UtteranceResult:
     name: str
-    board: Whiteboard | None
+    board: Whiteboard | None  # dropped by demo_run when the next one starts
     status: dict
     error: str | None = None
 
@@ -269,14 +269,12 @@ def _seal_layers(board: Whiteboard) -> str | None:
     return None
 
 
-def _export(result: UtteranceResult, config: DemoConfig, multi: bool) -> None:
-    if result.board is None:
-        return
-    text = (to_json(result.board) if config.export_format == "json"
-            else to_dot(result.board))
+def _export(board: Whiteboard, name: str, config: DemoConfig,
+            multi: bool) -> None:
+    text = to_json(board) if config.export_format == "json" else to_dot(board)
     if multi or config.out.is_dir():
         config.out.mkdir(parents=True, exist_ok=True)
-        path = config.out / f"{result.name}.{config.export_format}"
+        path = config.out / f"{name}.{config.export_format}"
     else:
         config.out.parent.mkdir(parents=True, exist_ok=True)
         path = config.out
@@ -296,6 +294,8 @@ def demo_run(config: DemoConfig, control_lines=None,
         return result
     multi = len(files) > 1
     for matrix_file in files:
+        if result.utterances:
+            result.utterances[-1].board = None
         try:
             utterance = _run_utterance(matrix_file, config, grammar, dictionary,
                                        control_lines, process_hook)
@@ -303,7 +303,7 @@ def demo_run(config: DemoConfig, control_lines=None,
             result.config_error = f"{matrix_file.name}: {exc}"
             return result
         result.utterances.append(utterance)
-        _export(utterance, config, multi)
+        _export(utterance.board, utterance.name, config, multi)
         if not utterance.ok:
             break
         if config.step:

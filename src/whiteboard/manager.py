@@ -279,7 +279,7 @@ class _ConnectionWorker(threading.Thread):
             if text is None:
                 if self.stop_requested.is_set():
                     return
-                time.sleep(self.params.sleep_time)
+                self.stop_requested.wait(self.params.sleep_time)
                 continue
             self._handle(text)
 
@@ -358,6 +358,9 @@ class _Manager:
                 continue
             for request in requests:
                 self._dispatch(request)
+        for worker in self.workers.values():  # no one is left to close them
+            worker.stop_requested.set()
+            worker.join(timeout=60 * worker.params.sleep_time)
 
     def _dispatch(self, request):
         if isinstance(request, wire.OpenRequest):

@@ -1,6 +1,8 @@
+import gc
 import json
+import weakref
 
-from whiteboard import TimeSpan, Whiteboard, filter_slice, to_json
+from whiteboard import TimeSpan, Whiteboard, demo, filter_slice, to_json
 from whiteboard.cli import build_arg_parser, main
 from whiteboard.demo import DemoConfig, demo_run
 from whiteboard.grid import Thresholds
@@ -143,6 +145,34 @@ def test_demo_runs_every_utterance_in_a_directory(tmp_path, fixtures_dir):
         doc = json.loads((out_dir / f"{utterance.name}.json").read_text())
         [ww] = [layer for layer in doc["layers"] if layer["name"] == "ww"]
         assert sorted(n["label"] for n in ww["nodes"]) == expected[utterance.name]
+
+
+def test_demo_run_holds_one_board_at_a_time(tmp_path, fixtures_dir,
+                                           monkeypatch):
+    boards = []
+    alive_at_export = []
+
+    def keeping_to_json(board, *args, **kwargs):
+        gc.collect()
+        alive_at_export.append(sum(ref() is not None for ref in boards))
+        boards.append(weakref.ref(board))
+        return to_json(board, *args, **kwargs)
+
+    monkeypatch.setattr(demo, "to_json", keeping_to_json)
+    result = demo_run(DemoConfig(
+        matrices=fixtures_dir,
+        grammar=fixtures_dir / "words.grammar",
+        dictionary=fixtures_dir / "words.dict",
+        out=tmp_path / "boards",
+        sleep_time=0.01,
+    ))
+    assert result.exit_code == 0
+    # each earlier board was gone by the time the next one was exported
+    assert alive_at_export == [0, 0, 0]
+    assert [u.board is None for u in result.utterances] == [True, True, False]
+    del result
+    gc.collect()
+    assert [ref() for ref in boards] == [None, None, None]
 
 
 def test_corrupt_grammar_is_a_config_error(tmp_path, fixtures_dir):

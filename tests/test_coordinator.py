@@ -32,20 +32,56 @@ from whiteboard.components import (
     WordForWordTranslator,
     identity_component,
 )
+from whiteboard.coordinator import _Bound
 from whiteboard.errors import LayerMismatch
 
 SLEEP = 0.005
 
 
-def host(tmp_path, name, component, incremental=False, sleep=SLEEP,
-         stop_event=None):
-    root = tmp_path / name / "request"
-    threading.Thread(
-        target=run_manager, args=(component, root),
-        kwargs={"incremental": incremental, "sleep_time": sleep, "name": name,
-                "stop_event": stop_event},
-        daemon=True).start()
-    return root
+class Hosts:
+    """Manager threads serving under one directory, plus the coordinators
+    talking to them. `shutdown` closes every connection still open, then
+    stops the managers and joins their threads."""
+
+    def __init__(self, root):
+        self.root = root
+        self.stop = threading.Event()
+        self.threads: list[threading.Thread] = []
+        self.coordinators: list[Coordinator] = []
+
+    def __call__(self, name, component, incremental=False, sleep=SLEEP):
+        request_root = self.root / name / "request"
+        thread = threading.Thread(
+            target=run_manager, args=(component, request_root),
+            kwargs={"incremental": incremental, "sleep_time": sleep,
+                    "name": name, "stop_event": self.stop},
+            daemon=True)
+        thread.start()
+        self.threads.append(thread)
+        return request_root
+
+    def coordinator(self, board, thresholds=None) -> Coordinator:
+        coordinator = Coordinator(board, thresholds)
+        self.coordinators.append(coordinator)
+        return coordinator
+
+    def shutdown(self):
+        try:
+            for coordinator in self.coordinators:
+                for conn in coordinator.connections().values():
+                    if conn.state == "open":
+                        conn.close(timeout=5.0)
+        finally:
+            self.stop.set()
+            for thread in self.threads:
+                thread.join(timeout=5.0)
+
+
+@pytest.fixture
+def host(tmp_path):
+    hosts = Hosts(tmp_path)
+    yield hosts
+    hosts.shutdown()
 
 
 def params(imp, exp, sleep=SLEEP):
@@ -83,10 +119,10 @@ def test_register_checks_layer_dependencies(tmp_path):
             params("edge-v1", "edge-v1")))
 
 
-def test_pump_without_pending_data_reports_zero(tmp_path):
+def test_pump_without_pending_data_reports_zero(host):
     board = make_board()
-    coordinator = Coordinator(board)
-    root = host(tmp_path, "echo", identity_component)
+    coordinator = host.coordinator(board)
+    root = host("echo", identity_component)
     coordinator.register(ComponentBinding(
         "echo", root, ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     report = coordinator.pump()
@@ -137,12 +173,12 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
     """Build one utterance's board through the three components, each
     behind a manager thread, and pump until the coordinator settles."""
     board = make_board()
-    coordinator = Coordinator(board, thresholds)
-    stop = threading.Event()
+    hosts = Hosts(run_dir)
+    coordinator = hosts.coordinator(board, thresholds)
 
     def bind(name, component, inputs, output, imp, exp, incremental=False):
         coordinator.register(ComponentBinding(
-            name, host(run_dir, name, component, incremental, sleep, stop),
+            name, hosts(name, component, incremental, sleep),
             inputs, output, params(imp, exp, sleep)))
 
     try:
@@ -173,9 +209,7 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
         assert coordinator.status()["per_binding"]["parser"]["errors"] == []
         return board, coordinator.status()
     finally:
-        for conn in coordinator.connections().values():
-            conn.close(timeout=5.0)
-        stop.set()
+        hosts.shutdown()
 
 
 def test_full_pipeline_in_process(tmp_path, fixtures_dir):
@@ -221,27 +255,23 @@ def test_full_pipeline_in_process(tmp_path, fixtures_dir):
 
 
 def test_arc_records_skip_repeats_and_self_loops_and_drop_cycles(
-        tmp_path, caplog):
+        host, caplog):
     def source(records):
         return [wire.NodeRecord(1, 0, 3, "a", 0.5),
                 wire.NodeRecord(2, 3, 6, "b", 0.5),
                 wire.ArcRecord(10, 1, 2, 0.0),
+                wire.ArcRecord(10, 1, 2, 0.0),   # verbatim repeat
                 wire.ArcRecord(11, 1, 2, 0.3),   # same pair, new record id
                 wire.ArcRecord(12, 2, 2, 0.0),   # self-loop
                 wire.ArcRecord(13, 2, 1, 0.0)]   # would close a cycle
 
     board = make_board()
-    coordinator = Coordinator(board)
-    stop = threading.Event()
+    coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "source", host(tmp_path, "source", source, stop_event=stop),
+        "source", host("source", source),
         [], "phonemes", params("node-v1", "node-v1")))
-    try:
-        with caplog.at_level("WARNING", logger="whiteboard"):
-            pump_until(coordinator, coordinator.settled)
-    finally:
-        coordinator.bound["source"].conn.close(timeout=5.0)
-        stop.set()
+    with caplog.at_level("WARNING", logger="whiteboard"):
+        pump_until(coordinator, coordinator.settled)
     layer = board.layers["phonemes"]
     assert [(layer.white_nodes[a.origin].label,
              layer.white_nodes[a.extremity].label, a.weight)
@@ -253,16 +283,31 @@ def test_arc_records_skip_repeats_and_self_loops_and_drop_cycles(
     assert layer.seal().ok
 
 
-def test_component_errors_surface_without_halting_others(tmp_path):
+def test_repeated_edge_record_packs_into_one_node(host):
+    def source(records):
+        return [wire.EdgeRecord(0, 3, "h", 0.5), wire.EdgeRecord(0, 3, "h", 0.5)]
+
+    board = make_board()
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "source", host("source", source),
+        [], "phonemes", params("edge-v1", "edge-v1")))
+    pump_until(coordinator, coordinator.settled)
+    [node] = board.layers["phonemes"].white_nodes.values()
+    assert len(node.readings) == 1
+    assert coordinator.bound["source"].errors == []
+
+
+def test_component_errors_surface_without_halting_others(host):
     def broken(records):
         raise RuntimeError("nope")
 
     board = make_board()
-    coordinator = Coordinator(board)
+    coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "broken", host(tmp_path, "broken", broken),
+        "broken", host("broken", broken),
         [], "phonemes", params("edge-v1", "edge-v1")))
-    root = host(tmp_path, "echo", identity_component)
+    root = host("echo", identity_component)
     coordinator.register(ComponentBinding(
         "echo", root, ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
 
@@ -298,7 +343,7 @@ def test_apply_filter_matches_brute_force(tmp_path):
     assert {n.id for n in nodes} == expected
 
 
-def test_filter_threshold_gates_forwarded_slices(tmp_path):
+def test_filter_threshold_gates_forwarded_slices(host):
     received = []
 
     def capture(records):
@@ -310,9 +355,9 @@ def test_filter_threshold_gates_forwarded_slices(tmp_path):
     layer = board.layers["phonemes"]
     layer.add_white_node(TimeSpan(0, 1), "lo", 0.1)
     layer.add_white_node(TimeSpan(1, 2), "hi", 0.9)
-    coordinator = Coordinator(board)
+    coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "capture", host(tmp_path, "capture", capture),
+        "capture", host("capture", capture),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1"),
         filter_threshold=0.5))
     deadline = time.monotonic() + 10.0
@@ -322,7 +367,97 @@ def test_filter_threshold_gates_forwarded_slices(tmp_path):
     assert [r.phoneme for r in received] == ["hi"]
 
 
-def test_forward_constraints_ride_with_the_input_deposit(tmp_path):
+def test_threshold_forwards_an_arc_to_a_node_sent_in_an_earlier_round(host):
+    received = []
+
+    def capture(records):
+        received.extend(records)
+        return []
+
+    board = make_board()
+    layer = board.layers["phonemes"]
+    a, _ = layer.add_white_node(TimeSpan(0, 3), "a", 0.5)
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "capture", host("capture", capture),
+        ["phonemes"], "syntax", params("node-v1", "node-v1"),
+        filter_threshold=0.0))  # keeps every node
+    pump_until(coordinator, coordinator.settled)
+    b, _ = layer.add_white_node(TimeSpan(3, 6), "b", 0.5)
+    layer.add_arc(a, b)
+    pump_until(coordinator, coordinator.settled)
+    assert [type(r).__name__ for r in received] == [
+        "NodeRecord", "NodeRecord", "ArcRecord"]
+    assert (received[2].origin, received[2].extremity) == (a, b)
+
+
+def test_threshold_judges_each_node_once(host):
+    received = []
+
+    def capture(records):
+        received.extend(records)
+        return []
+
+    board = make_board()
+    layer = board.layers["phonemes"]
+    hi, _ = layer.add_white_node(TimeSpan(0, 3), "h", 0.9)
+    lo, _ = layer.add_white_node(TimeSpan(3, 6), "a", 0.1)
+    layer.add_arc(hi, lo)
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "capture", host("capture", capture),
+        ["phonemes"], "syntax", params("node-v1", "node-v1"),
+        filter_threshold=0.5))
+    pump_until(coordinator, coordinator.settled)
+    # packing raises the turned-away node above the threshold
+    assert layer.add_white_node(TimeSpan(3, 6), "a", 0.8) == (lo, True)
+    late, _ = layer.add_white_node(TimeSpan(6, 9), "i", 0.9)
+    layer.add_arc(lo, late)
+    layer.add_arc(hi, late)
+    pump_until(coordinator, coordinator.settled)
+    assert [r.node_id for r in received
+            if isinstance(r, wire.NodeRecord)] == [hi, late]
+    assert [(r.origin, r.extremity) for r in received
+            if isinstance(r, wire.ArcRecord)] == [(hi, late)]
+    assert coordinator.bound["capture"].rejected == {lo}
+
+
+def test_a_busy_in_box_retries_the_same_slice(tmp_path):
+    class BusyOnce:
+        """A connection whose in box is busy for the first deposit."""
+        outstanding = 0
+        busy = True
+
+        def __init__(self):
+            self.batches = []
+
+        def try_collect(self):
+            return None
+
+        def try_deposit(self, records):
+            if self.busy:
+                self.busy = False
+                return False
+            self.batches.append(list(records))
+            return True
+
+    board = make_board()
+    layer = board.layers["phonemes"]
+    layer.add_white_node(TimeSpan(0, 3), "h", 0.9)
+    coordinator = Coordinator(board)
+    conn = BusyOnce()
+    coordinator.bound["busy"] = _Bound(ComponentBinding(
+        "busy", tmp_path, ["phonemes"], "syntax",
+        params("edge-v1", "edge-v1"), filter_threshold=0.5), conn)
+    coordinator.pump()
+    assert coordinator.backlog == ["busy"] and not coordinator.settled()
+    layer.add_white_node(TimeSpan(3, 6), "a", 0.8)
+    coordinator.pump()
+    assert [[r.phoneme for r in batch] for batch in conn.batches] == [["h", "a"]]
+    assert coordinator.settled()
+
+
+def test_forward_constraints_ride_with_the_input_deposit(host):
     received = []
 
     def capture(records):
@@ -332,9 +467,9 @@ def test_forward_constraints_ride_with_the_input_deposit(tmp_path):
     board = make_board()
     from whiteboard import TimeSpan
     board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
-    coordinator = Coordinator(board)
+    coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "capture", host(tmp_path, "capture", capture),
+        "capture", host("capture", capture),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1"),
         constraint_source="syntax"))
     coordinator.forward_constraints(            # appended to the next deposit
@@ -349,10 +484,10 @@ def test_forward_constraints_ride_with_the_input_deposit(tmp_path):
     assert batch[1].inner.phoneme == "predicted"
 
 
-def test_forward_constraints_is_noop_without_source(tmp_path):
+def test_forward_constraints_is_noop_without_source(host):
     board = make_board()
-    coordinator = Coordinator(board)
-    root = host(tmp_path, "echo", identity_component)
+    coordinator = host.coordinator(board)
+    root = host("echo", identity_component)
     coordinator.register(ComponentBinding(
         "echo", root, ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     coordinator.forward_constraints("echo", [wire.EdgeRecord(0, 1, "x", 1.0)])
@@ -378,7 +513,7 @@ def test_control_pause_step_status(tmp_path):
 
 
 def test_settled_waits_out_a_component_slower_than_the_old_quiet_window(
-        tmp_path, fixtures_dir):
+        host, fixtures_dir):
     produced = []
 
     def slow(records):
@@ -388,14 +523,14 @@ def test_settled_waits_out_a_component_slower_than_the_old_quiet_window(
         return out
 
     board = make_board()
-    coordinator = Coordinator(board, Thresholds(2, 2))
+    coordinator = host.coordinator(board, Thresholds(2, 2))
     coordinator.register(ComponentBinding(
-        "source", host(tmp_path, "source",
+        "source", host("source",
                        MatrixSource(fixtures_dir / "hai.mat", 3),
                        incremental=True),
         [], "phonemes", params("edge-v1", "edge-v1")))
     coordinator.register(ComponentBinding(
-        "slow", host(tmp_path, "slow", slow),
+        "slow", host("slow", slow),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     slow_conn = coordinator.bound["slow"].conn
 
@@ -426,7 +561,7 @@ def test_settled_waits_out_a_component_slower_than_the_old_quiet_window(
     assert len(produced) == len(board.layers["phonemes"].white_nodes)
 
 
-def test_status_shows_outstanding_batches_and_done_frame(tmp_path):
+def test_status_shows_outstanding_batches_and_done_frame(host):
     from whiteboard import TimeSpan
     release = threading.Event()
 
@@ -437,9 +572,9 @@ def test_status_shows_outstanding_batches_and_done_frame(tmp_path):
     board = make_board()
     board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
     board.layers["phonemes"].add_white_node(TimeSpan(3, 7), "a", 0.8)
-    coordinator = Coordinator(board)
+    coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "gated", host(tmp_path, "gated", gated),
+        "gated", host("gated", gated),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
 
     def lag(status):
@@ -461,15 +596,15 @@ def test_status_shows_outstanding_batches_and_done_frame(tmp_path):
     assert lag(status) == 0
 
 
-def test_results_handed_over_on_close_after_settling_fail_the_run(tmp_path):
+def test_results_handed_over_on_close_after_settling_fail_the_run(host):
     from whiteboard import TimeSpan
     from whiteboard.demo import _close_connections
 
     board = make_board()
     board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
-    coordinator = Coordinator(board)
+    coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "echo", host(tmp_path, "echo", identity_component),
+        "echo", host("echo", identity_component),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     pump_until(coordinator, coordinator.settled)
     # a batch slipped past the coordinator's accounting: its reply is
@@ -482,7 +617,8 @@ def test_results_handed_over_on_close_after_settling_fail_the_run(tmp_path):
     assert "echo" in error and "1 records" in error
 
 
-def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(tmp_path):
+def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(
+        host, tmp_path):
     from whiteboard import TimeSpan
     from whiteboard.demo import DemoConfig, _pump_loop
     release = threading.Event()
@@ -493,9 +629,9 @@ def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(tmp_path):
 
     board = make_board()
     board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
-    coordinator = Coordinator(board)
+    coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "stuck", host(tmp_path, "stuck", stuck),
+        "stuck", host("stuck", stuck),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
                         dictionary=tmp_path, out=tmp_path,

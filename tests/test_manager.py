@@ -8,6 +8,8 @@ from whiteboard.components import identity_component
 from whiteboard.errors import AlreadyClosed, DrainTimeout, UnknownFormatCode
 from whiteboard.manager import (
     ConnectionParams,
+    _ConnectionWorker,
+    _Manager,
     close_connection,
     incremental_deliver,
     partition_by_end,
@@ -295,3 +297,18 @@ def test_close_reports_a_drain_timeout(tmp_path):
         with pytest.raises(DrainTimeout, match=f"drain-timeout_{conn.id}"):
             conn.close(timeout=5.0)
         assert conn.state == "closed"
+
+
+def test_a_worker_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
+    poll = 2.0
+    manager = _Manager(identity_component, tmp_path / "m" / "request", "m",
+                       False, poll)
+    worker = _ConnectionWorker(
+        manager, 1, ConnectionParams(poll, "edge-v1", "edge-v1"),
+        Mailbox(tmp_path / "in", poll).create(),
+        Mailbox(tmp_path / "out", poll).create())
+    worker.start()
+    time.sleep(0.1)  # found its in box empty; now idling until the next poll
+    worker.stop_requested.set()
+    worker.join(timeout=0.5)
+    assert not worker.is_alive()
