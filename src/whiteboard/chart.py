@@ -1,12 +1,21 @@
 """Island-driven bidirectional chart parsing over ranked phoneme cells.
 
-The ranked matrices seed a chart of inactive terminal edges. The single
-anchor (best-scoring top-rank cell) is where best-first search starts, but
-rules may be instantiated on *any* right-hand-side symbol and grown both
-leftward and rightward, so with an unbounded beam the anchor only shapes
-the search order, never the result set. Adjacent children must satisfy the
-grid gap/overlap predicate at every junction; a parent's span is the hull
-of its children.
+The ranked matrices seed a chart of inactive terminal edges. The agenda
+is frame-synchronous: it pops the item that ends earliest, and the best
+scoring among those, so each end frame's islands grow best-first from
+that frame's best cell. Rules may be instantiated on *any* right-hand-side
+symbol and grown both leftward and rightward, so with an unbounded beam
+the search order never changes the result set. Adjacent children must
+satisfy the grid gap/overlap predicate at every junction; a parent's span
+is the hull of its children.
+
+Phoneme cells arrive in end-frame order, and the parse resumes as they
+arrive. Ordering the agenda by end frame first makes the resumed parse
+pop exactly the items, in exactly the order, of one parse over all the
+cells, so derivation scores and the beam's choices agree as well as the
+result set. A purely best-first agenda would let a later cell overtake
+earlier ones, and a derivation's score depends on which of its
+equivalent children completed first.
 
 Only complete (inactive) edges leave the parser; partially matched items
 stay internal. :func:`add_derivation` is the one writer of a complete
@@ -19,6 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .board import Layer, TimeSpan
 from .errors import EmptyChart, EmptyInput, GrammarError
@@ -56,6 +66,16 @@ class Grammar:
         lhs = self.nonterminals
         return {r.lhs for r in self.rules
                 if all(s not in lhs for s in r.rhs)}
+
+    @cached_property
+    def instantiation(self) -> dict[str, list[tuple[Rule, int]]]:
+        """Every (rule, position) where a given symbol may instantiate a
+        rule. Built on first use; the rule list is not edited afterwards."""
+        index: dict[str, list[tuple[Rule, int]]] = {}
+        for rule in self.rules:
+            for pos, symbol in enumerate(rule.rhs):
+                index.setdefault(symbol, []).append((rule, pos))
+        return index
 
 
 def load_grammar(text: str, known_terminals: set[str] | None = None) -> Grammar:
@@ -140,10 +160,17 @@ class _Active:
 
 
 class Chart:
-    """Edge store plus the best-first agenda."""
+    """Edge store, agenda and active-item indexes.
+
+    Everything :func:`island_parse` needs to resume lives here, so
+    terminals added after a closure are combined with the whole chart by
+    the next call. The active items belong to `grammar`, set by the first
+    parse.
+    """
 
     def __init__(self, thresholds: Thresholds | None = None):
         self.thresholds = thresholds or Thresholds()
+        self.grammar: Grammar | None = None
         self.edges: list[Edge] = []
         self._next_id = 1
         self._seen_inactive: set = set()
@@ -151,6 +178,10 @@ class Chart:
         self._per_cell: dict[tuple[int, int, str], int] = {}
         self._agenda: list = []
         self._push_seq = itertools.count()
+        # indexed active items, by the category they wait for on each side
+        self._needs_left: dict[str, list[_Active]] = {}
+        self._needs_right: dict[str, list[_Active]] = {}
+        self._seen_active: set = set()
 
     def add_terminal(self, begin: int, end: int, phoneme: str, score: float,
                      rank: int | None = None) -> Edge | None:
@@ -175,10 +206,11 @@ class Chart:
         return edge
 
     def _push(self, item):
-        heapq.heappush(self._agenda, (-item.score, next(self._push_seq), item))
+        heapq.heappush(self._agenda, (item.span.end, -item.score,
+                                      next(self._push_seq), item))
 
     def _pop(self):
-        return heapq.heappop(self._agenda)[2] if self._agenda else None
+        return heapq.heappop(self._agenda)[-1] if self._agenda else None
 
     @property
     def terminal_edges(self) -> list[Edge]:
@@ -219,24 +251,32 @@ def select_anchor(chart: Chart) -> Edge:
 def island_parse(chart: Chart, grammar: Grammar,
                  th: Thresholds | None = None,
                  beam: int | None = 16) -> list[Edge]:
-    """Run the agenda to closure; returns rule-built inactive edges.
+    """Run the agenda to closure from wherever the chart stands; returns
+    the rule-built inactive edges completed by this call.
 
-    The agenda pops best score first, so the anchor cell is processed
-    before anything else and the island grows outward from it. `beam`
-    bounds inactive edges retained per (span, category) cell; pass None
-    for the exact, unbounded closure. Derivations are deduplicated at
-    packed-node granularity: one edge per (category, span, rule, child
-    keys), which is exactly one grey node downstream.
+    The agenda pops the earliest-ending item first, best score first
+    among those. Each (active, inactive) pair is combined when the later
+    of the two is popped, so the closure is resumable: terminals added
+    after one call are paired with everything already in the chart by the
+    next, and the calls together return the derivations of one call over
+    all the terminals, each once. When terminals are added in end-frame
+    order, the calls also pop what one call would in the same order, so
+    scores and the beam's choices agree too. `beam` bounds inactive edges
+    retained per (span, category) cell over the chart's lifetime, not per
+    call; pass None for the exact, unbounded closure.
+    Derivations are deduplicated at packed-node granularity: one edge per
+    (category, span, rule, child keys), which is exactly one grey node
+    downstream. A chart is parsed with one grammar only; passing another
+    raises :class:`GrammarError`.
     """
+    if chart.grammar is None:
+        chart.grammar = grammar
+    elif chart.grammar is not grammar:
+        raise GrammarError("chart was parsed with another grammar")
     th = th or chart.thresholds
-    # positions in each rule where a given category may instantiate it
-    instantiation: dict[str, list[tuple[Rule, int]]] = {}
-    for rule in grammar.rules:
-        for pos, symbol in enumerate(rule.rhs):
-            instantiation.setdefault(symbol, []).append((rule, pos))
-    needs_left: dict[str, list[_Active]] = {}
-    needs_right: dict[str, list[_Active]] = {}
-    seen_active: set = set()
+    instantiation = grammar.instantiation
+    needs_left, needs_right = chart._needs_left, chart._needs_right
+    seen_active = chart._seen_active
     done_inactive: list[Edge] = []
 
     def junction(left: Edge, right: Edge) -> bool:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import wire
-from .chart import Edge, Grammar, chart_from_cells, island_parse
+from .chart import Chart, Edge, Grammar, island_parse
+from .chart import chart_from_cells  # noqa: F401  (perfbench's probes patch this name)
 from .grid import Thresholds, parse_matrix_file, topk_matrices
 from .translate import Dictionary
 
@@ -39,13 +40,17 @@ class MatrixSource:
 
 
 class IslandParser:
-    """Accumulates phoneme edges across batches, re-parses the full cell
-    set each time, and emits only the structures not yet delivered.
+    """Admits each batch's phoneme edges into one chart kept for the
+    connection, resumes the island parse, and emits the structures that
+    closure completed.
 
-    Record ids are assigned per derivation signature, so an edge keeps its
-    id across re-parses and children always precede their parents on the
-    wire. Terminal phonemes used by a delivered structure are delivered
-    too, as childless inactive-edge records.
+    The per-cell beam counts over the whole utterance, as in a one-shot
+    parse of all cells. Fed cells in end-frame order, as the source emits
+    them, it delivers exactly the derivations and scores of that one-shot
+    parse (see :mod:`whiteboard.chart`). Record ids are assigned per
+    derivation signature, and children always precede their parents on
+    the wire. Terminal phonemes used by a delivered structure are
+    delivered too, as childless inactive-edge records.
     """
 
     def __init__(self, grammar: Grammar, thresholds: Thresholds,
@@ -53,19 +58,17 @@ class IslandParser:
         self.grammar = grammar
         self.thresholds = thresholds
         self.beam = beam
-        self.cells: set[tuple[int, int, str, float]] = set()
+        self.chart = Chart(thresholds)
         # every delivered derivation signature, with its record id
         self.id_of_sig: dict = {}
 
     def __call__(self, records) -> list[wire.WireRecord]:
-        for record in records:
-            if isinstance(record, wire.EdgeRecord):
-                self.cells.add((record.begin, record.end,
-                                record.phoneme, record.score))
-        if not self.cells:
-            return []
-        chart = chart_from_cells(sorted(self.cells), self.thresholds)
-        derived = island_parse(chart, self.grammar, self.thresholds, self.beam)
+        cells = sorted((r.begin, r.end, r.phoneme, r.score) for r in records
+                       if isinstance(r, wire.EdgeRecord))
+        for begin, end, label, score in cells:
+            self.chart.add_terminal(begin, end, label, score, rank=1)
+        derived = island_parse(self.chart, self.grammar, self.thresholds,
+                               self.beam)
         out: list[wire.WireRecord] = []
 
         def emit(edge: Edge) -> int:

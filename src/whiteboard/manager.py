@@ -340,16 +340,18 @@ class _Manager:
         self._next_conn = 1
 
     def serve(self, stop_event: threading.Event | None = None):
+        if stop_event is None:
+            stop_event = threading.Event()  # never set: serve until removed
         self.req_in.create()
         self.req_out.create()
         log.info("manager %s serving at %s", self.name, self.request_root)
-        while stop_event is None or not stop_event.is_set():
+        while not stop_event.is_set():
             try:
                 text = self.req_in.try_collect()
             except BoxRemoved:
                 break
             if text is None:
-                time.sleep(self.sleep_time)
+                stop_event.wait(self.sleep_time)
                 continue
             try:
                 requests = wire.parse(text)

@@ -173,6 +173,21 @@ def test_add_arc_once_skips_duplicates_and_self_loops_and_drops_cycles(caplog):
         layer.add_arc_once(a, b)
 
 
+def test_a_time_monotone_arc_can_still_close_a_cycle(caplog):
+    # arcs need not run forward in time, so "extremity ends later" alone
+    # does not let an arc skip the cycle check
+    layer = make_layer()
+    early, _ = layer.add_white_node(span(0, 1), "A", 0.1)
+    late, _ = layer.add_white_node(span(1, 2), "B", 0.2)
+    layer.add_arc(late, early)
+    with caplog.at_level("WARNING", logger="whiteboard"):
+        layer.add_arc_once(early, late)
+    assert [(x.origin, x.extremity) for x in layer.arcs.values()] == [
+        (late, early)]
+    [record] = caplog.records
+    assert record.getMessage().startswith("dropped arc")
+
+
 def test_negative_weight_accepted():
     layer = make_layer()
     a, _ = layer.add_white_node(span(0, 1), "A", 0.1)

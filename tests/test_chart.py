@@ -207,6 +207,72 @@ def test_exhaustive_closure_oracle_agreement():
         assert got == expected
 
 
+def test_incremental_parse_equals_one_shot_parse():
+    rng = random.Random(37)
+    for _ in range(60):
+        terminals = ["a", "b", "c", "d"][:rng.randint(2, 4)]
+        grammar = load_grammar("".join(
+            f"{lhs} -> {' '.join(rhs)}\n"
+            for lhs, rhs in random_grammar(rng, terminals)))
+        cells = [(b, b + rng.randint(1, 4), rng.choice(terminals),
+                  round(rng.uniform(0, 1), 3))
+                 for b in rng.choices(range(11), k=rng.randint(1, 8))]
+        th = Thresholds(rng.randint(0, 2), rng.randint(0, 2))
+        one_shot = [e.signature() for e in
+                    island_parse(chart_from_cells(cells, th), grammar, th, None)]
+        rng.shuffle(cells)
+        chart = chart_from_cells([], th)
+        incremental = []
+        while cells:
+            size = rng.randint(1, 3)
+            batch, cells = cells[:size], cells[size:]
+            for begin, end, label, score in batch:
+                chart.add_terminal(begin, end, label, score)
+            incremental += [e.signature() for e in
+                            island_parse(chart, grammar, th, None)]
+        assert len(incremental) == len(set(incremental))
+        assert set(incremental) == set(one_shot)
+
+
+def test_a_parse_fed_in_end_frame_order_pops_what_a_one_shot_parse_pops():
+    # the same edges with the same scores in the same order, also where a
+    # beam turns derivations away
+    rng = random.Random(41)
+    for _ in range(80):
+        terminals = ["a", "b", "c"]
+        grammar = load_grammar("".join(
+            f"{lhs} -> {' '.join(rhs)}\n"
+            for lhs, rhs in random_grammar(rng, terminals)))
+        cells = [(b, b + rng.randint(1, 3), rng.choice(terminals),
+                  round(rng.uniform(0, 1), 3))
+                 for b in rng.choices(range(8), k=8)]
+        th = Thresholds(rng.randint(0, 2), rng.randint(0, 2))
+        beam = rng.choice([None, 1, 2])
+        one_shot = [(e.signature(), e.score) for e in
+                    island_parse(chart_from_cells(cells, th), grammar, th, beam)]
+        chart = chart_from_cells([], th)
+        incremental = []
+        ends = sorted({end for _, end, _, _ in cells})
+        while ends:
+            size = rng.randint(1, 3)
+            batch = sorted(c for c in cells if c[1] in ends[:size])
+            ends = ends[size:]
+            for begin, end, label, score in batch:
+                chart.add_terminal(begin, end, label, score, rank=1)
+            incremental += [(e.signature(), e.score) for e in
+                            island_parse(chart, grammar, th, beam)]
+        assert incremental == one_shot
+
+
+def test_a_chart_keeps_the_grammar_it_was_first_parsed_with():
+    chart = chart_from_cells([(0, 3, "a", 0.9), (3, 6, "i", 0.8)], Thresholds())
+    grammar = load_grammar("W -> a i\n")
+    assert island_parse(chart, grammar)
+    assert island_parse(chart, grammar) == []  # already at closure
+    with pytest.raises(GrammarError):
+        island_parse(chart, load_grammar("W -> a i\n"))
+
+
 def test_anchor_choice_does_not_change_the_closure():
     # same spans, different score assignments -> different anchors, same set
     grammar_text = "W -> a i\nV -> i e\n"

@@ -1,9 +1,11 @@
 from whiteboard import Thresholds, load_dictionary, load_grammar, wire
+from whiteboard.chart import Chart
 from whiteboard.components import (
     IslandParser,
     MatrixSource,
     WordForWordTranslator,
 )
+from utterances import spliced_utterances
 
 
 def edge(b, e, p, s):
@@ -48,6 +50,58 @@ def test_island_parser_ignores_constraint_records(fixtures_dir):
     parser = IslandParser(grammar, Thresholds(2, 2))
     wrapped = wire.ConstraintRecord(edge(0, 3, "h", 0.9))
     assert parser([wrapped]) == []
+
+
+def phrase_utterance(fixtures_dir, tmp_path):
+    """The word grammar plus phrase rules over word pairs, and the source's
+    records for a seeded three-word utterance."""
+    grammar = load_grammar((fixtures_dir / "words.grammar").read_text()
+                           + "P -> B B\n")
+    *_, three_words = spliced_utterances(fixtures_dir, tmp_path / "spliced")
+    return grammar, MatrixSource(three_words, k=3)([])
+
+
+def test_island_parser_fed_one_cell_per_batch_emits_each_record_once(
+        fixtures_dir, tmp_path):
+    grammar, records = phrase_utterance(fixtures_dir, tmp_path)
+
+    def keyed(delivered):
+        """(span, category, score, child keys) per record, children first."""
+        key_of = {}
+        for record in delivered:
+            assert record.edge_id not in key_of
+            key_of[record.edge_id] = (record.begin, record.end, record.category,
+                                      record.score,
+                                      tuple(key_of[c] for c in record.children))
+        return list(key_of.values())
+
+    # the source emits cells in end-frame order, so scores agree as well
+    parser = IslandParser(grammar, Thresholds(2, 2))
+    piecewise = keyed([out for record in records for out in parser([record])])
+    whole = keyed(IslandParser(grammar, Thresholds(2, 2))(records))
+    assert len(set(piecewise)) == len(piecewise)
+    assert sorted(piecewise) == sorted(whole)
+    assert any(key[2] == "P" for key in whole)
+
+
+def test_island_parser_makes_the_same_admissions_piecewise_as_at_once(
+        fixtures_dir, tmp_path, monkeypatch):
+    grammar, records = phrase_utterance(fixtures_dir, tmp_path)
+    admitted = []
+    admit = Chart._admit
+
+    def counting_admit(chart, *args, **kwargs):
+        admitted.append(chart)
+        return admit(chart, *args, **kwargs)
+
+    monkeypatch.setattr(Chart, "_admit", counting_admit)
+    IslandParser(grammar, Thresholds(2, 2))(records)
+    at_once = len(admitted)
+    admitted.clear()
+    parser = IslandParser(grammar, Thresholds(2, 2))
+    for record in records:
+        parser([record])
+    assert len(admitted) == at_once
 
 
 def make_translator():

@@ -24,12 +24,13 @@ SLEEP = 0.005
 class hosted_manager:
     """Run a manager service loop in a daemon thread for the test's scope."""
 
-    def __init__(self, tmp_path, component, incremental=False, name="m"):
+    def __init__(self, tmp_path, component, incremental=False, name="m",
+                 sleep_time=SLEEP):
         self.root = tmp_path / name / "request"
         self.stop = threading.Event()
         self.thread = threading.Thread(
             target=run_manager, args=(component, self.root),
-            kwargs={"incremental": incremental, "sleep_time": SLEEP,
+            kwargs={"incremental": incremental, "sleep_time": sleep_time,
                     "name": name, "stop_event": self.stop},
             daemon=True)
 
@@ -312,3 +313,12 @@ def test_a_worker_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
     worker.stop_requested.set()
     worker.join(timeout=0.5)
     assert not worker.is_alive()
+
+
+def test_a_manager_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
+    manager = hosted_manager(tmp_path, identity_component, sleep_time=2.0)
+    with manager:
+        time.sleep(0.1)  # found its request box empty; now idling until the next poll
+        manager.stop.set()
+        manager.thread.join(timeout=0.5)
+        assert not manager.thread.is_alive()
