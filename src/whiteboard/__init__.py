@@ -35,10 +35,8 @@ from .chart import (
     add_derivation,
     chart_from_cells,
     chart_to_lattice,
-    init_chart,
     island_parse,
     load_grammar,
-    select_anchor,
 )
 from .coordinator import ComponentBinding, Coordinator, PumpReport
 from .grid import (
@@ -73,8 +71,7 @@ __all__ = [
     "add_derivation", "add_grid_node", "boards_isomorphic", "canonical_form",
     "chart_from_cells", "chart_to_lattice", "close_connection", "filter_slice",
     "from_json", "grid_connected", "grid_to_lattice", "incremental_deliver",
-    "init_chart", "island_parse", "load_dictionary", "load_grammar",
-    "parse_matrix_file",
-    "partition_by_end", "request_connection", "run_manager", "select_anchor",
-    "to_dot", "to_json", "topk_matrices", "translate_layer", "wire",
+    "island_parse", "load_dictionary", "load_grammar", "parse_matrix_file",
+    "partition_by_end", "request_connection", "run_manager", "to_dot",
+    "to_json", "topk_matrices", "translate_layer", "wire",
 ]

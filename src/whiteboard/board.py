@@ -463,6 +463,10 @@ def _layer_dict(layer: Layer) -> dict:
     return {
         "name": layer.name,
         "depends_on": sorted(layer.depends_on),
+        "legal_labels": (sorted(layer.legal_labels)
+                         if layer.legal_labels is not None else None),
+        "packing_tolerance": layer.packing_tolerance,
+        "sealed": layer.sealed,
         "nodes": [
             {
                 "id": n.id,
@@ -497,13 +501,20 @@ def to_json(board: Whiteboard, indent: int | None = 2) -> str:
 
 
 def from_json(text: str) -> Whiteboard:
-    """Rebuild a board from :func:`to_json` output, preserving identifiers."""
+    """Rebuild a board from :func:`to_json` output, preserving identifiers,
+    legal labels and packing tolerances; layers exported sealed are sealed
+    again."""
     doc = json.loads(text)
     board = Whiteboard()
     max_id = 0
+    sealed: list[Layer] = []
     for layer_doc in doc["layers"]:
-        layer = board.declare_layer(layer_doc["name"],
-                                    depends_on=layer_doc["depends_on"])
+        layer = board.declare_layer(
+            layer_doc["name"], legal_labels=layer_doc["legal_labels"],
+            depends_on=layer_doc["depends_on"],
+            packing_tolerance=layer_doc["packing_tolerance"])
+        if layer_doc["sealed"]:
+            sealed.append(layer)
         for node_doc in layer_doc["nodes"]:
             span = TimeSpan(node_doc["begin"], node_doc["end"])
             node = WhiteNode(
@@ -530,6 +541,8 @@ def from_json(text: str) -> Whiteboard:
             layer._pred[arc.extremity].append(arc.origin)
             max_id = max(max_id, arc.id)
     board._next_id = max(board._next_id, max_id + 1)
+    for layer in sealed:  # after the counter, so the wiring arcs get fresh ids
+        layer.seal()
     return board
 
 

@@ -1,13 +1,14 @@
-"""Island-driven bidirectional chart parsing over ranked phoneme cells.
+"""Bidirectional island chart parsing over phoneme cells.
 
-The ranked matrices seed a chart of inactive terminal edges. The agenda
-is frame-synchronous: it pops the item that ends earliest, and the best
-scoring among those, so each end frame's islands grow best-first from
-that frame's best cell. Rules may be instantiated on *any* right-hand-side
-symbol and grown both leftward and rightward, so with an unbounded beam
-the search order never changes the result set. Adjacent children must
-satisfy the grid gap/overlap predicate at every junction; a parent's span
-is the hull of its children.
+Every phoneme cell is an inactive terminal edge, and every cell seeds an
+island: no anchor cell is selected. Rules may be instantiated on *any*
+right-hand-side symbol, so an island grows both leftward and rightward
+from whichever of its symbols completed first. The agenda is
+frame-synchronous: it pops the item that ends earliest, and the best
+scoring among those, so the islands grow frame by frame. With an
+unbounded beam the search order never changes the result set. Adjacent
+children must satisfy the grid gap/overlap predicate at every junction;
+a parent's span is the hull of its children.
 
 Phoneme cells arrive in end-frame order, and the parse resumes as they
 arrive. Ordering the agenda by end frame first makes the resumed parse
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .board import Layer, TimeSpan
-from .errors import EmptyChart, EmptyInput, GrammarError
-from .grid import GridNode, RankedMatrix, Thresholds, grid_connected
+from .errors import GrammarError
+from .grid import GridNode, Thresholds, grid_connected
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,7 @@ class Edge:
     score: float
     children: tuple["Edge", ...] = ()
     rule: Rule | None = None
-    rank: int | None = None
     popped: bool = False  # agenda bookkeeping: indexed for combination
-
-    @property
-    def child_ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.children)
 
     def signature(self):
         """Derivation identity at packed-node granularity: the rule applied
@@ -183,11 +179,10 @@ class Chart:
         self._needs_right: dict[str, list[_Active]] = {}
         self._seen_active: set = set()
 
-    def add_terminal(self, begin: int, end: int, phoneme: str, score: float,
-                     rank: int | None = None) -> Edge | None:
-        edge = Edge(self._next_id, TimeSpan(begin, end), phoneme, float(score),
-                    rank=rank)
-        return self._admit(edge)
+    def add_terminal(self, begin: int, end: int, phoneme: str,
+                     score: float) -> Edge | None:
+        return self._admit(Edge(self._next_id, TimeSpan(begin, end), phoneme,
+                                float(score)))
 
     def _admit(self, edge: Edge, beam: int | None = None) -> Edge | None:
         sig = edge.signature()
@@ -212,40 +207,14 @@ class Chart:
     def _pop(self):
         return heapq.heappop(self._agenda)[-1] if self._agenda else None
 
-    @property
-    def terminal_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.rule is None]
-
-
-def init_chart(ranked: list[RankedMatrix], th: Thresholds) -> Chart:
-    """Treat ranked matrices as an initialized chart: one inactive terminal
-    edge per ranked cell."""
-    if not ranked:
-        raise EmptyInput("no ranked matrices")
-    chart = Chart(th)
-    for rm in ranked:
-        for (begin, end), (phoneme, score) in sorted(rm.cells.items()):
-            chart.add_terminal(begin, end, phoneme, score, rank=rm.rank)
-    return chart
-
 
 def chart_from_cells(cells, th: Thresholds) -> Chart:
-    """Seed a chart from flat (begin, end, label, score) tuples (all
-    anchor-eligible, as from an unranked wire stream)."""
+    """Seed a chart from flat (begin, end, label, score) tuples: one
+    terminal edge per cell, each of which seeds an island."""
     chart = Chart(th)
     for begin, end, label, score in sorted(cells):
-        chart.add_terminal(begin, end, label, score, rank=1)
+        chart.add_terminal(begin, end, label, score)
     return chart
-
-
-def select_anchor(chart: Chart) -> Edge:
-    """Best-scoring top-rank terminal cell; ties go to the earlier begin,
-    then the shorter span, then the lexicographically first label."""
-    candidates = [e for e in chart.terminal_edges if (e.rank or 1) == 1]
-    if not candidates:
-        raise EmptyChart("no terminal edges to anchor on")
-    return min(candidates,
-               key=lambda e: (-e.score, e.span.begin, e.span.length, e.category))
 
 
 def island_parse(chart: Chart, grammar: Grammar,

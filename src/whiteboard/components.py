@@ -66,7 +66,7 @@ class IslandParser:
         cells = sorted((r.begin, r.end, r.phoneme, r.score) for r in records
                        if isinstance(r, wire.EdgeRecord))
         for begin, end, label, score in cells:
-            self.chart.add_terminal(begin, end, label, score, rank=1)
+            self.chart.add_terminal(begin, end, label, score)
         derived = island_parse(self.chart, self.grammar, self.thresholds,
                                self.beam)
         out: list[wire.WireRecord] = []
@@ -92,15 +92,15 @@ class WordForWordTranslator:
     mirrors arcs between translated nodes pairwise.
 
     Keeps the input-to-output correspondence across batches, since an arc
-    may arrive after the nodes it joins.
+    may arrive after the nodes it joins. Records are not deduplicated: the
+    coordinator forwards each node and arc once, and a repeat would only
+    pack into the same target nodes and re-link pairs already linked.
     """
 
     def __init__(self, dictionary: Dictionary, lexical_labels: set[str]):
         self.dictionary = dictionary
         self.lexical_labels = set(lexical_labels)
         self.translations: dict[int, list[tuple[int, str]]] = {}
-        self.seen_nodes: set[int] = set()
-        self.seen_arcs: set[int] = set()
         self.next_id = 1
 
     def _fresh(self) -> int:
@@ -113,9 +113,6 @@ class WordForWordTranslator:
         out_arcs: list[wire.ArcRecord] = []
         for record in records:
             if isinstance(record, wire.NodeRecord):
-                if record.node_id in self.seen_nodes:
-                    continue
-                self.seen_nodes.add(record.node_id)
                 if record.label not in self.lexical_labels:
                     continue
                 targets = []
@@ -126,9 +123,6 @@ class WordForWordTranslator:
                         node_id, record.begin, record.end, word, record.score))
                 self.translations[record.node_id] = targets
             elif isinstance(record, wire.ArcRecord):
-                if record.arc_id in self.seen_arcs:
-                    continue
-                self.seen_arcs.add(record.arc_id)
                 for a, _ in self.translations.get(record.origin, ()):
                     for b, _ in self.translations.get(record.extremity, ()):
                         out_arcs.append(wire.ArcRecord(

@@ -28,7 +28,6 @@ outstanding and the last round had nothing left to forward.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from itertools import takewhile
@@ -63,7 +62,6 @@ class ComponentBinding:
     params: ConnectionParams = field(default_factory=ConnectionParams)
     # a node scoring below it when first forwarded is never sent, nor its arcs
     filter_threshold: float | None = None
-    constraint_source: str | None = None
 
 
 @dataclass
@@ -90,7 +88,6 @@ class _Bound:
         # highest board id examined; the nodes the threshold turned away
         self.cursor = 0
         self.rejected: set[int] = set()
-        self.pending_constraints: list[wire.ConstraintRecord] = []
         # maps from the connection's record id space onto board node ids
         self.node_of_record: dict[int, int] = {}
 
@@ -105,7 +102,6 @@ class Coordinator:
         self.thresholds = thresholds or Thresholds()
         self.bound: dict[str, _Bound] = {}
         self.rounds = 0
-        self.run_state = "paused"
         # bindings whose records could not be forwarded in the last round
         self.backlog: list[str] = []
 
@@ -234,13 +230,11 @@ class Coordinator:
         arcs = [a for a in arcs
                 if a.origin not in rejected and a.extremity not in rejected]
         records = self._encode_slice(kept, arcs, binding.params.import_format)
-        records.extend(bound.pending_constraints)
         if records and not bound.conn.try_deposit(records):
             return False  # busy: the next round retries this same slice
         bound.cursor, bound.rejected = cursor, rejected
         bound.deposited += len(records)
         report.deposited += len(records)
-        bound.pending_constraints = []
         return True
 
     def _new_slice(self, bound: _Bound) -> tuple[list[WhiteNode], list[Arc]]:
@@ -278,32 +272,7 @@ class Coordinator:
                        for a in arcs)
         return records
 
-    # -- constraints, control ------------------------------------------------------
-
-    def forward_constraints(self, binding_name: str, records) -> None:
-        """Queue prediction records for a binding; they ride along with the
-        next input deposit, each wrapped in a constraint record. A binding
-        with no constraint source configured ignores the call."""
-        bound = self.bound[binding_name]
-        if bound.binding.constraint_source is None:
-            return
-        bound.pending_constraints.extend(
-            r if isinstance(r, wire.ConstraintRecord) else wire.ConstraintRecord(r)
-            for r in records)
-
-    def control(self, command: str) -> dict:
-        if command == "pause":
-            self.run_state = "paused"
-        elif command == "resume":
-            self.run_state = "running"
-        elif command == "step":
-            previous = self.run_state
-            self.run_state = "stepping"
-            self.pump()
-            self.run_state = previous if previous != "running" else "paused"
-        elif command != "status":
-            raise ValueError(f"unknown control command: {command}")
-        return self.status()
+    # -- status and quiescence ---------------------------------------------------
 
     def status(self) -> dict:
         per_layer = {}
@@ -320,13 +289,8 @@ class Coordinator:
                                  "outstanding": bound.conn.outstanding,
                                  "done_frame": bound.conn.done_frame,
                                  "errors": list(bound.errors)}
-        return {"state": self.run_state, "rounds": self.rounds,
+        return {"settled": self.settled(), "rounds": self.rounds,
                 "per_layer": per_layer, "per_binding": per_binding}
-
-    def status_json(self) -> str:
-        return json.dumps(self.status(), indent=2)
-
-    # -- quiescence ------------------------------------------------------------------
 
     def settled(self) -> bool:
         """True once the last round left nothing to forward (every source
@@ -341,6 +305,3 @@ class Coordinator:
                  for name, bound in self.bound.items() if bound.conn.outstanding]
         parts += [f"{name} has records left to forward" for name in self.backlog]
         return "; ".join(parts) or "nothing"
-
-    def mark_quiescent(self):
-        self.run_state = "quiescent"

@@ -16,6 +16,7 @@ per-binding error report rather than a hang.
 
 from __future__ import annotations
 
+import json
 import logging
 import shutil
 import subprocess
@@ -133,6 +134,7 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
     mailbox_root = Path(tempfile.mkdtemp(prefix=f"whiteboard-{name}-"))
     processes: dict[str, subprocess.Popen] = {}
     error: str | None = None
+    status: dict | None = None
     try:
         for role in ("source", "parser", "translator"):
             proc = _spawn_worker(role, mailbox_root / role / "request", config,
@@ -160,6 +162,8 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
             error = _step_loop(coordinator, processes, control_lines)
         else:
             error = _pump_loop(coordinator, processes, config)
+        # taken before closing, which drains what is still in flight
+        status = coordinator.status()
 
         if error is None:
             error = _close_connections(coordinator)
@@ -178,31 +182,34 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
 
     if error is None:
         error = _seal_layers(board)
-    status = coordinator.status()
+    if status is None:
+        status = coordinator.status()
     if error is not None:
         log.error("utterance %s: %s", name, error)
         return UtteranceResult(name, board, status, error)
     return UtteranceResult(name, board, status)
 
 
-def _dead_managers(processes: dict[str, subprocess.Popen]) -> list[str]:
-    return [role for role, proc in processes.items() if proc.poll() is not None]
+def _dead_managers(coordinator: Coordinator,
+                   processes: dict[str, subprocess.Popen]) -> str | None:
+    """Note each dead manager process on its binding, and return the run's
+    error if any has died."""
+    dead = [role for role, proc in processes.items() if proc.poll() is not None]
+    for role in dead:
+        coordinator.bound[role].note("manager process died")
+    return f"manager process died: {', '.join(dead)}" if dead else None
 
 
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
     """Pump until the coordinator has settled."""
-    coordinator.run_state = "running"
     round_sleep = config.sleep_time / 2
     deadline = time.monotonic() + config.max_wall
     while True:
-        dead = _dead_managers(processes)
-        if dead:
-            for role in dead:
-                coordinator.bound[role].note("manager process died")
-            return f"manager process died: {', '.join(dead)}"
+        error = _dead_managers(coordinator, processes)
+        if error is not None:
+            return error
         coordinator.pump()
         if coordinator.settled():
-            coordinator.mark_quiescent()
             return None
         if time.monotonic() >= deadline:
             return (f"pipeline did not settle within {config.max_wall}s: "
@@ -216,18 +223,17 @@ def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None
     for raw in lines:
         command = raw.strip().lower()
         if command in ("", "step", "s"):
-            dead = _dead_managers(processes)
-            if dead:
-                return f"manager process died: {', '.join(dead)}"
-            coordinator.control("step")
+            error = _dead_managers(coordinator, processes)
+            if error is not None:
+                return error
+            coordinator.pump()
             print(f"round {coordinator.rounds} done", flush=True)
         elif command == "status":
-            print(coordinator.status_json(), flush=True)
+            print(json.dumps(coordinator.status(), indent=2), flush=True)
         elif command in ("quit", "q"):
             break
         else:
             print(f"unknown command: {command}", flush=True)
-    coordinator.mark_quiescent()
     return None
 
 

@@ -71,14 +71,6 @@ class InconsistentFrameCount(WhiteboardError):
 
 # -- chart parser ----------------------------------------------------------
 
-class EmptyInput(WhiteboardError):
-    pass
-
-
-class EmptyChart(WhiteboardError):
-    pass
-
-
 class GrammarError(WhiteboardError):
     """Bad grammar file: syntax error or an undeclared terminal symbol."""
 

@@ -312,8 +312,8 @@ class _ConnectionWorker(threading.Thread):
             self._emit([wire.ErrorRecord(f"export-error {exc}")])
 
     def _see(self, records):
-        """Raise the connection's high-water frame; constraints are
-        predictions, not data, and do not count."""
+        """Raise the connection's high-water frame to the latest end frame
+        among the records' timed data records."""
         ends = [e for e in map(_end_time, records) if e is not None]
         self.high_frame = max([self.high_frame, *ends])
 

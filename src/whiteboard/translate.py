@@ -24,18 +24,12 @@ class Dictionary:
     def __init__(self, entries: dict[str, DictionaryEntry]):
         self.entries = entries
 
-    def get(self, word: str) -> DictionaryEntry | None:
-        return self.entries.get(word)
-
     def meanings(self, label: str) -> tuple[tuple[str, str], ...]:
         """(target word, sense tag) pairs for a source word. A word with no
         entry is copied through with the sense tag "untranslated", so
         coverage gaps stay visible."""
         entry = self.entries.get(label)
         return entry.targets if entry is not None else ((label, "untranslated"),)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def load_dictionary(text: str) -> Dictionary:

@@ -18,11 +18,10 @@ the node records of the same connection introduce.
 
 Control records start with a keyword token and are legal in any context:
 (open sleep import export), (opened conn-id in-path out-path),
-(close conn-id), (closed conn-id), (error message),
-(constraint <data record>) which wraps an ordinary record, and
-(done frame), which a manager appends to its last deposit for each input
-batch: the batch is finished, and frame is the highest end frame the
-connection has seen so far in its inputs and outputs.
+(close conn-id), (closed conn-id), (error message), and (done frame),
+which a manager appends to its last deposit for each input batch: the
+batch is finished, and frame is the highest end frame the connection has
+seen so far in its inputs and outputs.
 """
 
 from __future__ import annotations
@@ -112,11 +111,6 @@ class ErrorRecord:
 
 
 @dataclass(frozen=True)
-class ConstraintRecord:
-    inner: "DataRecord"
-
-
-@dataclass(frozen=True)
 class DoneRecord:
     frame: int
 
@@ -124,7 +118,7 @@ class DoneRecord:
 DataRecord = Union[EdgeRecord, NodeRecord, ArcRecord, InactiveEdgeRecord]
 WireRecord = Union[
     DataRecord, OpenRequest, OpenReply, CloseRequest, CloseReply,
-    ErrorRecord, ConstraintRecord, DoneRecord,
+    ErrorRecord, DoneRecord,
 ]
 
 # Which data record classes a format code admits.
@@ -190,8 +184,6 @@ def serialize_record(record: WireRecord) -> str:
         return f"(closed {int(record.conn_id)})"
     if isinstance(record, ErrorRecord):
         return f"(error {sanitize_token(record.message)})"
-    if isinstance(record, ConstraintRecord):
-        return f"(constraint {serialize_record(record.inner)})"
     if isinstance(record, DoneRecord):
         return f"(done {int(record.frame)})"
     raise TypeError(f"not a wire record: {record!r}")
@@ -207,14 +199,13 @@ def serialize(records, format_code: str | None = None) -> str:
         check_format_code(format_code)
     lines = []
     for record in records:
-        inner = record.inner if isinstance(record, ConstraintRecord) else record
         if format_code is not None and not isinstance(
-            inner, (OpenRequest, OpenReply, CloseRequest, CloseReply, ErrorRecord,
-                    DoneRecord)
+            record, (OpenRequest, OpenReply, CloseRequest, CloseReply, ErrorRecord,
+                     DoneRecord)
         ):
-            if not isinstance(inner, _FORMAT_RECORDS[format_code]):
+            if not isinstance(record, _FORMAT_RECORDS[format_code]):
                 raise ValueError(
-                    f"{type(inner).__name__} not legal under format {format_code}"
+                    f"{type(record).__name__} not legal under format {format_code}"
                 )
         lines.append(serialize_record(record))
     return "".join(line + "\n" for line in lines)
@@ -385,12 +376,6 @@ def parse_line(line: str, lineno: int, format_code: str | None) -> WireRecord:
                 if len(fields) != 2:
                     raise ParseError("error: expected 1 argument", lineno, col)
                 return ErrorRecord(_want_token(fields[1], lineno, "message"))
-            if tok == "constraint":
-                if len(fields) != 2 or not isinstance(fields[1][0], list):
-                    raise ParseError("constraint: expected 1 wrapped record",
-                                     lineno, col)
-                inner = _parse_data(fields[1][0], lineno, fields[1][1], format_code)
-                return ConstraintRecord(inner)
             if tok == "done":
                 if len(fields) != 2:
                     raise ParseError("done: expected 1 argument", lineno, col)

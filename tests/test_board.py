@@ -438,7 +438,9 @@ def test_json_schema_field_names():
     layer.add_grey_node("R1", [a], [b])
     doc = json.loads(to_json(board))
     [layer_doc] = doc["layers"]
-    assert set(layer_doc) == {"name", "depends_on", "nodes", "grey", "arcs"}
+    assert set(layer_doc) == {"name", "depends_on", "legal_labels",
+                              "packing_tolerance", "sealed", "nodes", "grey",
+                              "arcs"}
     assert set(layer_doc["nodes"][0]) == {
         "id", "begin", "end", "label", "score", "readings"}
     assert set(layer_doc["grey"][0]) == {"id", "rule", "inputs", "outputs"}
@@ -449,17 +451,28 @@ def test_json_schema_field_names():
 
 def test_json_roundtrip_is_identity():
     board = Whiteboard()
-    one = board.declare_layer("one")
+    one = board.declare_layer("one", legal_labels={"h", "a"},
+                              packing_tolerance=1)
     a, _ = one.add_white_node(span(0, 3), "h", 0.9, {"k": [1, 2]})
     b, _ = one.add_white_node(span(3, 6), "a", 0.8, "payload")
     one.add_arc(a, b, -0.5)
     two = board.declare_layer("two", depends_on={"one"})
     c, _ = two.add_white_node(span(0, 6), "W", 1.7)
     two.add_grey_node("R1", [a, b], [c])
+    two.seal()
     text = to_json(board)
     again = from_json(text)
     assert to_json(again) == text
     assert boards_isomorphic(board, again)
+    # the layers come back whole: legal labels, tolerance and seal
+    with pytest.raises(IllegalLabel):
+        again.layers["one"].add_white_node(span(6, 9), "W", 0.5)
+    assert again.layers["one"].add_white_node(span(0, 4), "h", 0.1) == (a, True)
+    assert not again.layers["one"].sealed
+    assert again.layers["two"].sealed
+    assert [p.labels for p in again.layers["two"].enumerate_paths()] == [("W",)]
+    with pytest.raises(LayerSealed):
+        again.layers["two"].add_white_node(span(6, 9), "W", 0.5)
 
 
 def test_dot_has_clusters_in_dependency_order():

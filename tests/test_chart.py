@@ -8,12 +8,10 @@ from whiteboard import (
     Whiteboard,
     chart_from_cells,
     chart_to_lattice,
-    init_chart,
     island_parse,
     load_grammar,
-    select_anchor,
 )
-from whiteboard.errors import EmptyChart, EmptyInput, GrammarError
+from whiteboard.errors import GrammarError
 from whiteboard.grid import grid_connected, GridNode
 from oracles import closure_oracle, random_grammar
 
@@ -54,8 +52,7 @@ def test_load_grammar_rejects_malformed_lines():
 # -- chart initialization ---------------------------------------------------------
 
 def test_init_chart_single_cell():
-    ranked = [RankedMatrix(1, {(0, 3): ("a", 0.9)}, 3)]
-    chart = init_chart(ranked, Thresholds())
+    chart = chart_from_cells([(0, 3, "a", 0.9)], Thresholds())
     [edge] = chart.edges
     assert (edge.category, edge.span.begin, edge.span.end) == ("a", 0, 3)
     assert edge.rule is None
@@ -67,55 +64,12 @@ def test_init_chart_edge_count_equals_ranked_cells():
         RankedMatrix(2, {(0, 3): ("m", 0.4), (3, 6): ("e", 0.2)}, 6),
         RankedMatrix(3, {(0, 3): ("z", 0.1)}, 6),
     ]
-    chart = init_chart(ranked, Thresholds())
+    cells = [(begin, end, phoneme, score) for rm in ranked
+             for (begin, end), (phoneme, score) in rm.cells.items()]
+    chart = chart_from_cells(cells, Thresholds())
     assert len(chart.edges) == 5
     # distinct (span, phoneme) per rank by construction: no duplicates
     assert len({e.signature() for e in chart.edges}) == 5
-
-
-def test_init_chart_rejects_empty_input():
-    with pytest.raises(EmptyInput):
-        init_chart([], Thresholds())
-
-
-# -- anchor selection ---------------------------------------------------------------
-
-def test_anchor_unique_max():
-    chart = chart_from_cells([(0, 3, "a", 0.9), (3, 6, "i", 0.8)], Thresholds())
-    anchor = select_anchor(chart)
-    assert (anchor.span.begin, anchor.span.end, anchor.category) == (0, 3, "a")
-
-
-def test_anchor_tie_breaks_by_earlier_begin():
-    chart = chart_from_cells([(2, 5, "b", 0.9), (0, 3, "a", 0.9)], Thresholds())
-    anchor = select_anchor(chart)
-    assert (anchor.span.begin, anchor.span.end, anchor.category) == (0, 3, "a")
-
-
-def test_anchor_matches_linear_scan_oracle():
-    rng = random.Random(13)
-    for _ in range(50):
-        cells = [(b, b + rng.randint(1, 3), rng.choice("abcd"),
-                  round(rng.uniform(0, 1), 3))
-                 for b in rng.choices(range(10), k=6)]
-        chart = chart_from_cells(cells, Thresholds())
-        got = select_anchor(chart)
-        best = max(chart.terminal_edges,
-                   key=lambda e: (e.score, -e.span.begin, -e.span.length,
-                                  tuple(-ord(c) for c in e.category)))
-        assert got.score == best.score
-
-
-def test_anchor_on_empty_chart():
-    with pytest.raises(EmptyChart):
-        select_anchor(chart_from_cells([], Thresholds()))
-
-
-def test_anchor_considers_top_rank_only():
-    ranked = [RankedMatrix(1, {(0, 3): ("a", 0.5)}, 6),
-              RankedMatrix(2, {(3, 6): ("z", 0.9)}, 6)]
-    chart = init_chart(ranked, Thresholds())
-    assert select_anchor(chart).category == "a"
 
 
 # -- island parsing -------------------------------------------------------------------
@@ -258,7 +212,7 @@ def test_a_parse_fed_in_end_frame_order_pops_what_a_one_shot_parse_pops():
             batch = sorted(c for c in cells if c[1] in ends[:size])
             ends = ends[size:]
             for begin, end, label, score in batch:
-                chart.add_terminal(begin, end, label, score, rank=1)
+                chart.add_terminal(begin, end, label, score)
             incremental += [(e.signature(), e.score) for e in
                             island_parse(chart, grammar, th, beam)]
         assert incremental == one_shot
@@ -274,7 +228,7 @@ def test_a_chart_keeps_the_grammar_it_was_first_parsed_with():
 
 
 def test_anchor_choice_does_not_change_the_closure():
-    # same spans, different score assignments -> different anchors, same set
+    # same spans, different score assignments -> different best cells, same set
     grammar_text = "W -> a i\nV -> i e\n"
     spans = [(0, 3, "a"), (3, 6, "i"), (6, 9, "e")]
     th = Thresholds(0, 0)

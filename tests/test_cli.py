@@ -106,7 +106,39 @@ def test_step_mode_runs_exactly_n_rounds(tmp_path, fixtures_dir):
     result = demo_run(config, control_lines=iter(["step", "step", "step", "quit"]))
     [utterance] = result.utterances
     assert utterance.status["rounds"] == 3
-    assert utterance.status["state"] == "quiescent"
+    # three rounds cannot bring the translator's reply back: quitting here
+    # leaves batches in flight, whatever closing drains afterwards
+    assert utterance.status["settled"] is False
+
+
+def test_step_mode_notes_a_dead_manager_on_its_binding(tmp_path, fixtures_dir):
+    spawned = {}
+
+    def commands():
+        yield "step"
+        spawned["parser"].kill()
+        spawned["parser"].wait()
+        yield "step"
+        yield "quit"
+
+    config = DemoConfig(
+        matrices=fixtures_dir / "hai.mat",
+        grammar=fixtures_dir / "words.grammar",
+        dictionary=fixtures_dir / "words.dict",
+        out=tmp_path / "out.json",
+        thresholds=Thresholds(2, 2),
+        sleep_time=0.005,
+        step=True,
+    )
+    result = demo_run(config, control_lines=commands(),
+                      process_hook=lambda role, proc: spawned.setdefault(role, proc))
+    assert result.exit_code == 1
+    [utterance] = result.utterances
+    assert utterance.error == "manager process died: parser"
+    assert utterance.status["rounds"] == 1
+    assert utterance.status["per_binding"]["parser"]["errors"] == [
+        "manager process died"]
+    assert utterance.status["per_binding"]["source"]["errors"] == []
 
 
 def test_demo_dot_export_end_to_end(tmp_path, fixtures_dir):
@@ -138,6 +170,7 @@ def test_demo_runs_every_utterance_in_a_directory(tmp_path, fixtures_dir):
     result = demo_run(config)
     assert result.exit_code == 0
     assert [u.name for u in result.utterances] == ["hai", "iie", "mizu"]
+    assert all(u.status["settled"] for u in result.utterances)
     expected = {"hai": ["ashes", "the-lungs", "yes", "yes-sir"],
                 "iie": ["nay", "no"],
                 "mizu": ["cold-water", "water"]}

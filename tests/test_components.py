@@ -45,13 +45,6 @@ def test_island_parser_emits_deltas_with_stable_ids(fixtures_dir):
     assert third == []  # the m cell grows no new structure
 
 
-def test_island_parser_ignores_constraint_records(fixtures_dir):
-    grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
-    parser = IslandParser(grammar, Thresholds(2, 2))
-    wrapped = wire.ConstraintRecord(edge(0, 3, "h", 0.9))
-    assert parser([wrapped]) == []
-
-
 def phrase_utterance(fixtures_dir, tmp_path):
     """The word grammar plus phrase rules over word pairs, and the source's
     records for a seeded three-word utterance."""
@@ -138,5 +131,8 @@ def test_translator_mirrors_arcs_across_batches():
     arcs = [r for r in second if isinstance(r, wire.ArcRecord)]
     assert len(first) == 2 and len(arcs) == 6  # 2 x 3 pairings
     assert all(a.weight == 0.25 for a in arcs)
-    # duplicate arc delivery is ignored
-    assert translator([wire.ArcRecord(7, 1, 2, 0.25)]) == []
+    # a repeated arc mirrors the same pairs again: the coordinator's
+    # add_arc_once, not the translator, keeps each pair linked once
+    again = translator([wire.ArcRecord(7, 1, 2, 0.25)])
+    assert ({(r.origin, r.extremity) for r in again}
+            == {(r.origin, r.extremity) for r in arcs})

@@ -11,15 +11,15 @@ def span(b, e):
 
 def test_load_entry_with_four_meanings():
     dictionary = load_dictionary("hai : yes, yes-sir, the-lungs, ashes\n")
-    entry = dictionary.get("hai")
+    entry = dictionary.entries["hai"]
     assert [word for word, _ in entry.targets] == [
         "yes", "yes-sir", "the-lungs", "ashes"]
     assert [tag for _, tag in entry.targets] == ["s1", "s2", "s3", "s4"]
 
 
 def test_load_empty_and_commented_file():
-    assert len(load_dictionary("")) == 0
-    assert len(load_dictionary("; just a comment\n\n")) == 0
+    assert load_dictionary("").entries == {}
+    assert load_dictionary("; just a comment\n\n").entries == {}
 
 
 def test_duplicate_source_rejected():

@@ -79,12 +79,6 @@ def test_error_record_message_is_sanitized():
     assert " " not in rec.message and "(" not in rec.message
 
 
-def test_constraint_wraps_a_data_record():
-    inner = wire.EdgeRecord(0, 3, "h", 0.9)
-    [rec] = roundtrip([wire.ConstraintRecord(inner)], "edge-v1")
-    assert rec == wire.ConstraintRecord(inner)
-
-
 def test_open_request_validates_format_codes():
     with pytest.raises(UnknownFormatCode):
         wire.parse("(open 0.05 bogus edge-v1)\n")
