@@ -181,15 +181,19 @@ class Layer:
             if score > node.score:
                 node.score = score
             return target, True
-        node_id = self.board._new_id()
-        node = WhiteNode(node_id, span, label, score, [Reading(reading, score)])
-        self.white_nodes[node_id] = node
-        self.board._node_layer[node_id] = self.name
-        self._by_key[PackingKey.of(span, label)] = node_id
-        self._by_label.setdefault(label, []).append(node_id)
-        self._succ[node_id] = []
-        self._pred[node_id] = []
-        return node_id, False
+        node = WhiteNode(self.board._new_id(), span, label, score,
+                         [Reading(reading, score)])
+        self._insert_node(node)
+        return node.id, False
+
+    def _insert_node(self, node: WhiteNode) -> None:
+        """Enter a new node in the layer's and the board's indexes."""
+        self.white_nodes[node.id] = node
+        self.board._node_layer[node.id] = self.name
+        self._by_key[PackingKey.of(node.span, node.label)] = node.id
+        self._by_label.setdefault(node.label, []).append(node.id)
+        self._succ[node.id] = []
+        self._pred[node.id] = []
 
     def _find_packed(self, span: TimeSpan, label: str) -> int | None:
         eps = self.packing_tolerance
@@ -215,12 +219,15 @@ class Layer:
                     f"node {node_id} belongs to layer {owner!r}, not {self.name!r}")
         if origin == extremity or self._reaches(extremity, origin):
             raise WouldCreateCycle(f"arc {origin}->{extremity} would close a cycle")
-        arc_id = self.board._new_id()
-        arc = Arc(arc_id, origin, extremity, float(weight))
-        self.arcs[arc_id] = arc
-        self._succ[origin].append(extremity)
-        self._pred[extremity].append(origin)
-        return arc_id
+        arc = Arc(self.board._new_id(), origin, extremity, float(weight))
+        self._insert_arc(arc)
+        return arc.id
+
+    def _insert_arc(self, arc: Arc) -> None:
+        """Enter a checked arc in the layer's indexes."""
+        self.arcs[arc.id] = arc
+        self._succ[arc.origin].append(arc.extremity)
+        self._pred[arc.extremity].append(arc.origin)
 
     def add_arc_once(self, origin: int, extremity: int,
                      weight: float = 0.0) -> None:
@@ -516,17 +523,12 @@ def from_json(text: str) -> Whiteboard:
         if layer_doc["sealed"]:
             sealed.append(layer)
         for node_doc in layer_doc["nodes"]:
-            span = TimeSpan(node_doc["begin"], node_doc["end"])
             node = WhiteNode(
-                node_doc["id"], span, node_doc["label"], node_doc["score"],
+                node_doc["id"], TimeSpan(node_doc["begin"], node_doc["end"]),
+                node_doc["label"], node_doc["score"],
                 [Reading(r["payload"], r["score"]) for r in node_doc["readings"]],
             )
-            layer.white_nodes[node.id] = node
-            board._node_layer[node.id] = layer.name
-            layer._by_key[PackingKey.of(span, node.label)] = node.id
-            layer._by_label.setdefault(node.label, []).append(node.id)
-            layer._succ[node.id] = []
-            layer._pred[node.id] = []
+            layer._insert_node(node)
             max_id = max(max_id, node.id)
         for grey_doc in layer_doc["grey"]:
             grey = GreyNode(grey_doc["id"], grey_doc["rule"],
@@ -536,9 +538,7 @@ def from_json(text: str) -> Whiteboard:
         for arc_doc in layer_doc["arcs"]:
             arc = Arc(arc_doc["id"], arc_doc["origin"],
                       arc_doc["extremity"], arc_doc["weight"])
-            layer.arcs[arc.id] = arc
-            layer._succ[arc.origin].append(arc.extremity)
-            layer._pred[arc.extremity].append(arc.origin)
+            layer._insert_arc(arc)
             max_id = max(max_id, arc.id)
     board._next_id = max(board._next_id, max_id + 1)
     for layer in sealed:  # after the counter, so the wiring arcs get fresh ids

@@ -21,7 +21,8 @@ equivalent children completed first.
 Only complete (inactive) edges leave the parser; partially matched items
 stay internal. :func:`add_derivation` is the one writer of a complete
 edge onto the syntactic layer, for the coordinator and for
-:func:`chart_to_lattice` alike.
+:func:`chart_to_lattice` alike, and of a translation onto the target-word
+layer.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def island_parse(chart: Chart, grammar: Grammar,
     return done_inactive
 
 
-def _retained_closure(edges: list[Edge]) -> list[Edge]:
+def retained_closure(edges: list[Edge]) -> list[Edge]:
     """The given edges plus every terminal they transitively use, in
     children-before-parents order."""
     out: list[Edge] = []
@@ -326,14 +327,15 @@ def _retained_closure(edges: list[Edge]) -> list[Edge]:
 
 def add_derivation(layer: Layer, span: TimeSpan, category: str, score: float,
                    children: list[int]) -> int:
-    """Write one complete structure onto the syntactic layer.
+    """Write one structure built from `children` onto `layer`.
 
     `children` are the ids of white nodes already on the board, in
-    order. The structure becomes a packed white node whose reading lists
-    its children as [begin, end, label]; a terminal has no children and
-    a None reading. A built structure also gets one grey node tagged
-    `category<-l1.l2...` and an arc between each pair of adjacent
-    siblings. Returns the white node's id.
+    order, on this layer or one it depends on (a translation's one child
+    is the syntax node it translates). The structure becomes a packed
+    white node whose reading lists its children as [begin, end, label];
+    a node without children has a None reading. A built structure also
+    gets one grey node tagged `category<-l1.l2...` and an arc between
+    each pair of adjacent siblings. Returns the white node's id.
     """
     nodes = [layer.board.node(c) for c in children]
     payload = ({"children": [[n.span.begin, n.span.end, n.label] for n in nodes]}
@@ -352,7 +354,7 @@ def chart_to_lattice(inactive: list[Edge], syn_layer: Layer) -> dict[int, int]:
     the syntactic layer through :func:`add_derivation`. Returns the
     edge-id to node-id mapping."""
     node_of: dict[int, int] = {}
-    for edge in _retained_closure(inactive):
+    for edge in retained_closure(inactive):
         node_of[edge.id] = add_derivation(
             syn_layer, edge.span, edge.category, edge.score,
             [node_of[c.id] for c in edge.children])

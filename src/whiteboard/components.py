@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import wire
-from .chart import Chart, Edge, Grammar, island_parse
+from .chart import Chart, Grammar, island_parse, retained_closure
 from .chart import chart_from_cells  # noqa: F401  (perfbench's probes patch this name)
 from .grid import Thresholds, parse_matrix_file, topk_matrices
 from .translate import Dictionary
@@ -70,26 +70,22 @@ class IslandParser:
         derived = island_parse(self.chart, self.grammar, self.thresholds,
                                self.beam)
         out: list[wire.WireRecord] = []
-
-        def emit(edge: Edge) -> int:
+        for edge in retained_closure(derived):
             sig = edge.signature()
             if sig in self.id_of_sig:
-                return self.id_of_sig[sig]
+                continue
             wire_id = self.id_of_sig[sig] = len(self.id_of_sig) + 1
-            child_ids = tuple(emit(c) for c in edge.children)
             out.append(wire.InactiveEdgeRecord(
                 wire_id, edge.span.begin, edge.span.end, edge.category,
-                edge.score, child_ids))
-            return wire_id
-
-        for edge in derived:
-            emit(edge)
+                edge.score, tuple(self.id_of_sig[c.signature()]
+                                  for c in edge.children)))
         return out
 
 
 class WordForWordTranslator:
-    """Maps each lexical node record to one node per dictionary meaning and
-    mirrors arcs between translated nodes pairwise.
+    """Maps each lexical node record to one node per dictionary meaning,
+    naming the lexical node as its source, and mirrors arcs between
+    translated nodes pairwise.
 
     Keeps the input-to-output correspondence across batches, since an arc
     may arrive after the nodes it joins. Records are not deduplicated: the
@@ -100,7 +96,7 @@ class WordForWordTranslator:
     def __init__(self, dictionary: Dictionary, lexical_labels: set[str]):
         self.dictionary = dictionary
         self.lexical_labels = set(lexical_labels)
-        self.translations: dict[int, list[tuple[int, str]]] = {}
+        self.translations: dict[int, list[int]] = {}
         self.next_id = 1
 
     def _fresh(self) -> int:
@@ -116,15 +112,16 @@ class WordForWordTranslator:
                 if record.label not in self.lexical_labels:
                     continue
                 targets = []
-                for word, _sense in self.dictionary.meanings(record.label):
+                for word in self.dictionary.meanings(record.label):
                     node_id = self._fresh()
-                    targets.append((node_id, word))
+                    targets.append(node_id)
                     out_nodes.append(wire.NodeRecord(
-                        node_id, record.begin, record.end, word, record.score))
+                        node_id, record.begin, record.end, word, record.score,
+                        (record.node_id,)))
                 self.translations[record.node_id] = targets
             elif isinstance(record, wire.ArcRecord):
-                for a, _ in self.translations.get(record.origin, ()):
-                    for b, _ in self.translations.get(record.extremity, ()):
+                for a in self.translations.get(record.origin, ()):
+                    for b in self.translations.get(record.extremity, ()):
                         out_arcs.append(wire.ArcRecord(
                             self._fresh(), a, b, record.weight))
         return [*out_nodes, *out_arcs]

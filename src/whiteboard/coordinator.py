@@ -14,8 +14,11 @@ forwarded node's later rise is never re-sent), nor is an arc touching it.
 Integration goes through one writer per record kind, the same functions
 the in-process batch builders loop over: `grid.add_grid_node` for edge
 records (packing, and deriving sequencing arcs), `chart.add_derivation`
-for inactive-edge records, and `Layer.add_arc_once` for arc records. So
-a repeated edge or arc record leaves the board as it was.
+for inactive-edge and node records, and `Layer.add_arc_once` for arc
+records. So a repeated edge or arc record leaves the board as it was. A
+node record's source ids must name nodes of the binding's input layers;
+they become the derivation's children, as a translation's syntax node
+does in `translate.translate_layer`.
 
 Every mailbox operation in the pump is non-blocking: a busy manager makes
 a binding wait until the next round, never the whole pipeline.
@@ -198,10 +201,14 @@ class Coordinator:
         elif isinstance(record, wire.NodeRecord):
             if record.node_id in bound.node_of_record:
                 return
-            node_id, _ = layer.add_white_node(
-                TimeSpan(record.begin, record.end), record.label,
-                record.score, None)
-            bound.node_of_record[record.node_id] = node_id
+            for source in record.sources:
+                if self.board.node_layer(source) not in bound.binding.input_layers:
+                    raise WhiteboardError(
+                        f"node {record.node_id} names source {source} outside "
+                        f"the input layers")
+            bound.node_of_record[record.node_id] = add_derivation(
+                layer, TimeSpan(record.begin, record.end), record.label,
+                record.score, list(record.sources))
         elif isinstance(record, wire.ArcRecord):
             origin = bound.node_of_record.get(record.origin)
             extremity = bound.node_of_record.get(record.extremity)
@@ -257,16 +264,8 @@ class Coordinator:
         if import_format == "edge-v1":
             return [wire.EdgeRecord(n.span.begin, n.span.end, n.label, n.score)
                     for n in nodes]
-        touching: dict[int, tuple[list[int], list[int]]] = {
-            n.id: ([], []) for n in nodes}
-        for arc in arcs:
-            if arc.extremity in touching:
-                touching[arc.extremity][0].append(arc.id)
-            if arc.origin in touching:
-                touching[arc.origin][1].append(arc.id)
         records: list[wire.WireRecord] = [
-            wire.NodeRecord(n.id, n.span.begin, n.span.end, n.label, n.score,
-                            tuple(touching[n.id][0]), tuple(touching[n.id][1]))
+            wire.NodeRecord(n.id, n.span.begin, n.span.end, n.label, n.score)
             for n in nodes]
         records.extend(wire.ArcRecord(a.id, a.origin, a.extremity, a.weight)
                        for a in arcs)

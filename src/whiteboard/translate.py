@@ -1,9 +1,12 @@
 """Dictionary-based word-for-word translation onto a target-word layer.
 
 Each lexical node of the syntactic layer fans out into one target node per
-dictionary meaning, all sharing the source node's span and score. Arcs
-between translated source nodes are mirrored pairwise, and a grey node ties
-every source node to its translations.
+dictionary meaning, all sharing the source node's span and score. A
+translation is a one-child derivation written by
+:func:`whiteboard.chart.add_derivation`: its reading names the syntax node
+as `{"children": [[begin, end, source]]}`, and one grey node
+`target<-source` ties it to that node. Arcs between translated source
+nodes are mirrored pairwise.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .board import Layer
+from .chart import add_derivation
 from .errors import DuplicateSource, NotSealed, ParseError
 
 
@@ -24,12 +28,12 @@ class Dictionary:
     def __init__(self, entries: dict[str, DictionaryEntry]):
         self.entries = entries
 
-    def meanings(self, label: str) -> tuple[tuple[str, str], ...]:
-        """(target word, sense tag) pairs for a source word. A word with no
-        entry is copied through with the sense tag "untranslated", so
-        coverage gaps stay visible."""
+    def meanings(self, label: str) -> tuple[str, ...]:
+        """The target words of a source word. A word with no entry is
+        copied through, so a coverage gap shows as a `w<-w` grey node."""
         entry = self.entries.get(label)
-        return entry.targets if entry is not None else ((label, "untranslated"),)
+        return (tuple(word for word, _ in entry.targets) if entry is not None
+                else (label,))
 
 
 def load_dictionary(text: str) -> Dictionary:
@@ -62,23 +66,18 @@ def translate_layer(syn_layer: Layer, dictionary: Dictionary,
                     ww_layer: Layer, lexical_labels: set[str]) -> dict[int, list[int]]:
     """Fill the target-word layer from the syntactic layer.
 
-    Each lexical node fans out into its :meth:`Dictionary.meanings`.
-    Returns the source-node to target-node mapping.
+    Each lexical node fans out into its :meth:`Dictionary.meanings`, one
+    derivation per target word. Returns the source-node to target-node
+    mapping.
     """
     if not syn_layer.sealed:
         raise NotSealed(f"layer {syn_layer.name!r} must be sealed before translation")
     mapping: dict[int, list[int]] = {}
     for node in sorted(syn_layer.white_nodes.values(), key=lambda n: n.id):
-        if node.label not in lexical_labels:
-            continue
-        targets = []
-        for word, sense in dictionary.meanings(node.label):
-            target_id, _ = ww_layer.add_white_node(
-                node.span, word, node.score,
-                {"source": node.label, "sense": sense})
-            targets.append(target_id)
-        mapping[node.id] = targets
-        ww_layer.add_grey_node("ww", (node.id,), tuple(targets))
+        if node.label in lexical_labels:
+            mapping[node.id] = [
+                add_derivation(ww_layer, node.span, word, node.score, [node.id])
+                for word in dictionary.meanings(node.label)]
     for arc in sorted(syn_layer.arcs.values(), key=lambda a: a.id):
         if arc.origin not in mapping or arc.extremity not in mapping:
             continue

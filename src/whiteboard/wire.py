@@ -9,12 +9,14 @@ Data records carry no symbolic head; their shape is fixed by the format
 code of the connection plus arity:
 
     edge-v1           (begin end phoneme score)
-    node-v1           (node-id begin end label score (in-arcs) (out-arcs))
+    node-v1           (node-id begin end label score (source-ids))
                       and (arc-id origin extremity weight)
     inactive-edge-v1  (edge-id begin end category score (child-ids))
 
 Arc records travel only under node-v1: their endpoints are node ids that
-the node records of the same connection introduce.
+the node records of the same connection introduce. A node record's
+source ids name the input-layer nodes it was built from, in the ids the
+coordinator sent them under; the coordinator's own slices send `()`.
 
 Control records start with a keyword token and are legal in any context:
 (open sleep import export), (opened conn-id in-path out-path),
@@ -59,8 +61,7 @@ class NodeRecord:
     end: int
     label: str
     score: float
-    in_arcs: tuple[int, ...] = ()
-    out_arcs: tuple[int, ...] = ()
+    sources: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def serialize_record(record: WireRecord) -> str:
     if isinstance(record, NodeRecord):
         return (f"({int(record.node_id)} {int(record.begin)} {int(record.end)} "
                 f"{_fmt_token(record.label)} {_fmt_float(record.score)} "
-                f"{_fmt_ints(record.in_arcs)} {_fmt_ints(record.out_arcs)})")
+                f"{_fmt_ints(record.sources)})")
     if isinstance(record, ArcRecord):
         return (f"({int(record.arc_id)} {int(record.origin)} "
                 f"{int(record.extremity)} {_fmt_float(record.weight)})")
@@ -307,15 +308,14 @@ def _parse_data(fields, lineno: int, col: int, format_code: str | None) -> DataR
             _want_token(fields[2], lineno, "phoneme"),
             _want_float(fields[3], lineno, "score"),
         )
-    if format_code == "node-v1" and arity == 7:
+    if format_code == "node-v1" and arity == 6:
         return NodeRecord(
             _want_int(fields[0], lineno, "node-id"),
             _want_int(fields[1], lineno, "begin"),
             _want_int(fields[2], lineno, "end"),
             _want_token(fields[3], lineno, "label"),
             _want_float(fields[4], lineno, "score"),
-            _want_int_list(fields[5], lineno, "in-arcs"),
-            _want_int_list(fields[6], lineno, "out-arcs"),
+            _want_int_list(fields[5], lineno, "source-ids"),
         )
     if format_code == "node-v1" and arity == 4:
         return ArcRecord(

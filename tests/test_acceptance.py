@@ -403,7 +403,7 @@ def test_10_wire_roundtrip_on_random_records():
             ("node-v1", wire.NodeRecord(rng.randint(0, 10**6),
                                         rng.randint(0, 10**6),
                                         rng.randint(0, 10**6), token(), score(),
-                                        ids(), ids())),
+                                        ids())),
             ("node-v1", wire.ArcRecord(rng.randint(0, 10**6),
                                        rng.randint(0, 10**6),
                                        rng.randint(0, 10**6), score())),

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from whiteboard import (
     boards_isomorphic,
     filter_slice,
     from_json,
+    load_dictionary,
+    load_grammar,
     to_dot,
     to_json,
 )
@@ -28,6 +32,10 @@ from whiteboard.errors import (
     WouldCreateCycle,
 )
 from oracles import dfs_paths
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+
+import workload  # noqa: E402  (the in-process demo build)
 
 
 def span(b, e):
@@ -473,6 +481,25 @@ def test_json_roundtrip_is_identity():
     assert [p.labels for p in again.layers["two"].enumerate_paths()] == [("W",)]
     with pytest.raises(LayerSealed):
         again.layers["two"].add_white_node(span(6, 9), "W", 0.5)
+
+
+def test_json_export_of_a_demo_board_is_a_fixed_point(fixtures_dir):
+    board = workload.build_board(
+        (fixtures_dir / "hai.mat").read_text(),
+        load_grammar((fixtures_dir / "words.grammar").read_text()),
+        load_dictionary((fixtures_dir / "words.dict").read_text()))
+    # the translations' grey nodes point across layers into syntax
+    greys = board.layers["ww"].grey_nodes.values()
+    assert len(greys) == 4
+    assert all(board.node_layer(i) == "syntax" for g in greys for i in g.inputs)
+    text = to_json(board)
+    again = from_json(text)
+    assert to_json(again) == text
+    assert boards_isomorphic(board, again)
+    # the imported arcs are indexed too: the sealed layers read the same
+    for name, layer in board.layers.items():
+        assert ([p.node_ids for p in again.layers[name].enumerate_paths()]
+                == [p.node_ids for p in layer.enumerate_paths()])
 
 
 def test_dot_has_clusters_in_dependency_order():

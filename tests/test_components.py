@@ -113,6 +113,7 @@ def test_translator_fans_out_lexical_nodes_only():
     labels = sorted(r.label for r in out)
     assert labels == ["ashes", "the-lungs", "yes", "yes-sir"]
     assert all((r.begin, r.end) == (0, 9) for r in out)
+    assert all(r.sources == (1,) for r in out)  # built from the hai record
 
 
 def test_translator_copies_unknown_words_untranslated():

@@ -1,6 +1,8 @@
 import random
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,22 +10,14 @@ from whiteboard import (
     ComponentBinding,
     ConnectionParams,
     Coordinator,
-    GridNode,
     Thresholds,
     TimeSpan,
     Whiteboard,
     canonical_form,
-    chart_from_cells,
-    chart_to_lattice,
     filter_slice,
-    grid_to_lattice,
-    island_parse,
     load_dictionary,
     load_grammar,
-    parse_matrix_file,
     run_manager,
-    topk_matrices,
-    translate_layer,
     wire,
 )
 from whiteboard.components import (
@@ -35,6 +29,11 @@ from whiteboard.components import (
 from whiteboard.coordinator import _Bound
 from whiteboard.errors import LayerMismatch
 from utterances import spliced_utterances
+
+REPO = Path(__file__).parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import workload  # noqa: E402  (the benchmark's in-process build is the reference)
 
 SLEEP = 0.005
 
@@ -130,24 +129,6 @@ def test_pump_without_pending_data_reports_zero(host):
     assert report.progress == 0
 
 
-def reference_board(matrix_file, grammar, dictionary, thresholds):
-    """The in-process build: the batch functions, one layer after another."""
-    board = make_board()
-    phonemes, syntax, ww = (board.layers[n] for n in ("phonemes", "syntax", "ww"))
-    ranked = topk_matrices(parse_matrix_file(matrix_file.read_text()), 3)
-    grid_to_lattice([GridNode(TimeSpan(b, e), p, s) for rm in ranked
-                     for (b, e), (p, s) in sorted(rm.cells.items())],
-                    thresholds, phonemes)
-    cells = [(n.span.begin, n.span.end, n.label, n.score)
-             for n in phonemes.white_nodes.values()]
-    chart_to_lattice(island_parse(chart_from_cells(cells, thresholds), grammar,
-                                  thresholds), syntax)
-    phonemes.seal()
-    syntax.seal()
-    translate_layer(syntax, dictionary, ww, grammar.lexical_labels)
-    return board
-
-
 def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
     """Build one utterance's board through the three components, each
     behind a manager thread, and pump until the coordinator settles."""
@@ -191,46 +172,89 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
         hosts.shutdown()
 
 
+def phrase_utterances(work, words_per_utterance=(3, 4, 5), seed=17):
+    """Seeded utterances of a few words each from the benchmark's generator,
+    with its phrase grammar, whose two-word rules give `ww` arcs."""
+    files = []
+    for words in words_per_utterance:
+        [utterance], grammar_path, _ = workload.write_inputs(
+            REPO, work / f"{words}-words", "long", seed, 1, words)
+        files.append(utterance.path)
+    return load_grammar(grammar_path.read_text()), files
+
+
 def test_full_pipeline_in_process(tmp_path, fixtures_dir):
     grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
     dictionary = load_dictionary((fixtures_dir / "words.dict").read_text())
     thresholds = Thresholds(2, 2)
-    utterances = (sorted(fixtures_dir.glob("*.mat"))
-                  + spliced_utterances(fixtures_dir, tmp_path / "spliced"))
-    for sleep in (0.005, 0.05):
-        for matrix_file in utterances:
-            run_dir = tmp_path / f"{matrix_file.stem}-{sleep}"
-            board, status = run_pipeline(run_dir, matrix_file, grammar,
-                                         dictionary, thresholds, sleep)
-            want = {entry[0]: entry for entry in canonical_form(
-                reference_board(matrix_file, grammar, dictionary, thresholds))}
-            got = {entry[0]: entry for entry in canonical_form(board)}
-            where = f"{matrix_file.name} at a {sleep}s poll"
-            # phonemes and syntax are written by the same functions either
-            # way: white nodes, readings, grey nodes and arcs all agree
-            assert got["phonemes"] == want["phonemes"], where
-            assert got["syntax"] == want["syntax"], where
-            # ww: the translator does not say which syntax node an output
-            # came from, so only white nodes (span, label, score) and arcs
-            # are compared
-            _, _, got_nodes, got_arcs, _ = got["ww"]
-            _, _, want_nodes, want_arcs, _ = want["ww"]
-            assert [n[:2] for n in got_nodes] == [n[:2] for n in want_nodes], where
-            assert got_arcs == want_arcs, where
-            assert want_nodes, where
+    phrase_grammar, phrase_files = phrase_utterances(tmp_path / "phrase")
+    rng = random.Random(29)
+    # two polls per shipped utterance; the phrase utterances are longer
+    # (about four pieces per word, one piece per poll), so their polls stay
+    # short to keep the test quick
+    runs = [(matrix_file, grammar, rng.uniform(0.003, 0.05))
+            for matrix_file in (sorted(fixtures_dir.glob("*.mat"))
+                                + spliced_utterances(fixtures_dir,
+                                                     tmp_path / "spliced"))
+            for _ in range(2)]
+    runs += [(matrix_file, phrase_grammar, rng.uniform(0.003, 0.02))
+             for matrix_file in phrase_files]
+    phrase_ww_arcs = []
+    for i, (matrix_file, grammar_, sleep) in enumerate(runs):
+        board, status = run_pipeline(tmp_path / f"run-{i}", matrix_file,
+                                     grammar_, dictionary, thresholds, sleep)
+        reference = workload.build_board(matrix_file.read_text(), grammar_,
+                                         dictionary)
+        where = f"{matrix_file.name} at a {sleep:.4f}s poll"
+        # every layer is written by the same functions either way: white
+        # nodes, readings, grey nodes and arcs all agree
+        assert canonical_form(board) == canonical_form(reference), where
+        assert board.layers["ww"].white_nodes, where
+        if grammar_ is phrase_grammar:
+            phrase_ww_arcs.append(len(board.layers["ww"].arcs))
 
-            if matrix_file.stem != "hai":
-                continue
-            ww = board.layers["ww"]
-            labels = sorted(n.label for n in ww.white_nodes.values())
-            assert labels == ["ashes", "the-lungs", "yes", "yes-sir"]
-            spans = {(n.span.begin, n.span.end) for n in ww.white_nodes.values()}
-            assert spans == {(0, 9)}
-            # the phonemes used by the retained structure appear again at syntax
-            syntax_labels = sorted(n.label for n in
-                                   board.layers["syntax"].white_nodes.values())
-            assert syntax_labels == ["B", "a", "h", "hai", "i"]
-            assert status["per_layer"]["ww"]["nodes"] == 4
+        if matrix_file.stem != "hai":
+            continue
+        ww = board.layers["ww"]
+        labels = sorted(n.label for n in ww.white_nodes.values())
+        assert labels == ["ashes", "the-lungs", "yes", "yes-sir"]
+        spans = {(n.span.begin, n.span.end) for n in ww.white_nodes.values()}
+        assert spans == {(0, 9)}
+        # the phonemes used by the retained structure appear again at syntax
+        syntax_labels = sorted(n.label for n in
+                               board.layers["syntax"].white_nodes.values())
+        assert syntax_labels == ["B", "a", "h", "hai", "i"]
+        assert status["per_layer"]["ww"]["nodes"] == 4
+    # the translator's arc mirroring is compared too
+    assert max(phrase_ww_arcs) > 0, phrase_ww_arcs
+
+
+def test_node_record_sources_must_be_input_layer_nodes(host):
+    board = make_board()
+    word, _ = board.layers["syntax"].add_white_node(TimeSpan(0, 9), "hai", 2.7)
+    own, _ = board.layers["ww"].add_white_node(TimeSpan(0, 9), "yes", 2.7)
+
+    def translator(records):
+        return [wire.NodeRecord(1, 0, 9, "yes", 2.7, (10**6,)),  # unknown id
+                wire.NodeRecord(2, 0, 9, "yes", 2.7, (word, own)),  # own layer
+                wire.NodeRecord(3, 0, 9, "ashes", 2.7, (word,))]
+
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "translator", host("translator", translator),
+        ["syntax"], "ww", params("node-v1", "node-v1")))
+    pump_until(coordinator, coordinator.settled)
+    errors = coordinator.status()["per_binding"]["translator"]["errors"]
+    assert len(errors) == 2 and all("record rejected" in e for e in errors)
+    ww = board.layers["ww"]
+    # the rejected records wrote nothing, not even a reading of `own`
+    assert len(ww.white_nodes[own].readings) == 1
+    [(node_id, ashes)] = [(i, n) for i, n in ww.white_nodes.items() if i != own]
+    assert ashes.readings[0].payload == {"children": [[0, 9, "hai"]]}
+    [grey] = ww.grey_nodes.values()
+    assert (grey.rule, grey.inputs, grey.outputs) == ("ashes<-hai", (word,),
+                                                       (node_id,))
+    assert not ww.arcs
 
 
 def test_arc_records_skip_repeats_and_self_loops_and_drop_cycles(

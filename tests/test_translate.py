@@ -15,6 +15,8 @@ def test_load_entry_with_four_meanings():
     assert [word for word, _ in entry.targets] == [
         "yes", "yes-sir", "the-lungs", "ashes"]
     assert [tag for _, tag in entry.targets] == ["s1", "s2", "s3", "s4"]
+    assert dictionary.meanings("hai") == ("yes", "yes-sir", "the-lungs", "ashes")
+    assert dictionary.meanings("mizu") == ("mizu",)  # copied through
 
 
 def test_load_empty_and_commented_file():
@@ -57,7 +59,7 @@ def test_hai_fans_out_to_four_meanings():
                    for n in ww.white_nodes.values())
     assert nodes == [("ashes", 0, 6, 0.9), ("the-lungs", 0, 6, 0.9),
                      ("yes", 0, 6, 0.9), ("yes-sir", 0, 6, 0.9)]
-    assert len(ww.grey_nodes) == 1
+    assert len(ww.grey_nodes) == 4  # one per translation
 
 
 def test_translation_needs_sealed_source():
@@ -100,8 +102,9 @@ def test_unknown_word_copied_through_untranslated():
     translate_layer(syn, load_dictionary("hai : yes\n"), ww, {"naruhodo"})
     [node] = ww.white_nodes.values()
     assert node.label == "naruhodo"
-    assert node.readings[0].payload == {"source": "naruhodo",
-                                        "sense": "untranslated"}
+    assert node.readings[0].payload == {"children": [[0, 4, "naruhodo"]]}
+    [grey] = ww.grey_nodes.values()
+    assert grey.rule == "naruhodo<-naruhodo"
 
 
 def test_fan_out_law_and_span_preservation():
@@ -129,7 +132,10 @@ def test_grey_nodes_link_sources_to_translations():
     syn, [source_id] = build_syn_layer(board, [("a", 0, 2, 0.1)])
     ww = board.declare_layer("ww", depends_on={"syntax"})
     mapping = translate_layer(syn, dictionary, ww, {"a"})
-    [grey] = ww.grey_nodes.values()
-    assert grey.rule == "ww"
-    assert grey.inputs == (source_id,)
-    assert grey.outputs == tuple(mapping[source_id])
+    greys = sorted(ww.grey_nodes.values(), key=lambda g: g.id)
+    assert [g.rule for g in greys] == ["x<-a", "y<-a"]
+    assert all(g.inputs == (source_id,) for g in greys)
+    assert [g.outputs for g in greys] == [(t,) for t in mapping[source_id]]
+    # each translation's reading names the syntax node it was built from
+    assert all(ww.white_nodes[t].readings[0].payload == {"children": [[0, 2, "a"]]}
+               for t in mapping[source_id])

@@ -11,10 +11,13 @@ def roundtrip(records, fmt):
 
 
 def test_node_record_roundtrip_literal():
-    text = "(7 0 6 hai 0.9 (3) (12 13))\n"
+    text = "(7 0 6 hai 0.9 (3 12))\n"
     [record] = wire.parse(text, "node-v1")
-    assert record == wire.NodeRecord(7, 0, 6, "hai", 0.9, (3,), (12, 13))
+    assert record == wire.NodeRecord(7, 0, 6, "hai", 0.9, (3, 12))
     assert wire.serialize([record], "node-v1") == text
+    # the arc-id lists are gone: one id list, the sources
+    with pytest.raises(ParseError):
+        wire.parse("(7 0 6 hai 0.9 (3) (12 13))\n", "node-v1")
 
 
 def test_empty_batch_roundtrip():
@@ -93,7 +96,7 @@ def test_arc_and_edge_share_arity_but_not_format():
 
 
 def test_node_batch_mixes_nodes_and_arcs():
-    text = "(7 0 6 hai 0.9 () ())\n(9 7 7 0.0)\n"
+    text = "(7 0 6 hai 0.9 ())\n(9 7 7 0.0)\n"
     records = wire.parse(text, "node-v1")
     assert isinstance(records[0], wire.NodeRecord)
     assert isinstance(records[1], wire.ArcRecord)
@@ -107,7 +110,7 @@ id_lists = st.lists(ids, max_size=5).map(tuple)
 
 edge_records = st.builds(wire.EdgeRecord, frames, frames, labels, scores)
 node_records = st.builds(wire.NodeRecord, ids, frames, frames, labels, scores,
-                         id_lists, id_lists)
+                         id_lists)
 arc_records = st.builds(wire.ArcRecord, ids, ids, ids, scores)
 inactive_records = st.builds(wire.InactiveEdgeRecord, ids, frames, frames,
                              labels, scores, id_lists)
