@@ -36,7 +36,7 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TimeSpan:
     """Half-open-agnostic frame pair: begin and end frame indices."""
 
@@ -54,7 +54,7 @@ class TimeSpan:
         return self.end - self.begin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackingKey:
     """Packing coordinate: (end frame, segment length, label)."""
 
@@ -67,7 +67,7 @@ class PackingKey:
         return cls(span.end, span.length, label)
 
 
-@dataclass
+@dataclass(slots=True)
 class Reading:
     """One derivation packed into a white node."""
 
@@ -75,7 +75,7 @@ class Reading:
     score: float
 
 
-@dataclass
+@dataclass(slots=True)
 class WhiteNode:
     id: int
     span: TimeSpan
@@ -88,7 +88,7 @@ class WhiteNode:
         return self.label is None
 
 
-@dataclass
+@dataclass(slots=True)
 class GreyNode:
     """Rule-instance connector: inputs were combined into outputs."""
 
@@ -98,7 +98,7 @@ class GreyNode:
     outputs: tuple[int, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Arc:
     id: int
     origin: int
@@ -553,17 +553,24 @@ def _dot_quote(text: str) -> str:
 def to_dot(board: Whiteboard, layer: str | None = None,
            threshold: float | None = None, hide_grey: bool = False) -> str:
     """Graphviz rendering: white nodes as boxes, grey nodes as dashed
-    diamonds, one cluster per layer in dependency order."""
+    diamonds, one cluster per layer in dependency order.
+
+    A grey node is left out when the threshold drops one of its own
+    layer's nodes, and its edges reach only the white nodes the output
+    declares, so a single layer's rendering draws no edges into the
+    layers it depends on."""
     lines = ["digraph whiteboard {", "  rankdir=LR;"]
     names = board.dependency_order()
     if layer is not None:
         names = [n for n in names if n == layer]
+    slices = {name: filter_slice(
+        sorted(board.layers[name].white_nodes.values(), key=lambda n: n.id),
+        sorted(board.layers[name].arcs.values(), key=lambda a: a.id),
+        threshold) for name in names}
+    declared = {n.id for nodes, _ in slices.values() for n in nodes}
     for idx, name in enumerate(names):
         lay = board.layers[name]
-        nodes, arcs = filter_slice(
-            sorted(lay.white_nodes.values(), key=lambda n: n.id),
-            sorted(lay.arcs.values(), key=lambda a: a.id), threshold)
-        keep = {n.id for n in nodes}
+        nodes, arcs = slices[name]
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f"    label={_dot_quote(name)};")
         for n in nodes:
@@ -571,16 +578,18 @@ def to_dot(board: Whiteboard, layer: str | None = None,
             lines.append(f'    n{n.id} [shape=box, label="{label}"];')
         if not hide_grey:
             for g in sorted(lay.grey_nodes.values(), key=lambda g: g.id):
-                if not all(i in keep or i not in lay.white_nodes
+                if not all(i in declared or i not in lay.white_nodes
                            for i in g.inputs + g.outputs):
                     continue
                 lines.append(
                     f"    g{g.id} [shape=diamond, style=dashed, "
                     f"label={_dot_quote(g.rule)}];")
                 for i in g.inputs:
-                    lines.append(f"    n{i} -> g{g.id} [style=dashed];")
+                    if i in declared:
+                        lines.append(f"    n{i} -> g{g.id} [style=dashed];")
                 for o in g.outputs:
-                    lines.append(f"    g{g.id} -> n{o} [style=dashed];")
+                    if o in declared:
+                        lines.append(f"    g{g.id} -> n{o} [style=dashed];")
         for a in arcs:
             lines.append(
                 f'    n{a.origin} -> n{a.extremity} [label="{a.weight:g}"];')

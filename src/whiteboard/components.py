@@ -1,8 +1,10 @@
 """Record-level components for the demo pipeline.
 
-Each class is a callable suitable for `run_manager`: wire records in, wire
-records out. They are deliberately self-contained — a component never
-touches the whiteboard and only ever sees its own connection's records.
+Each class is a callable component: wire records in, wire records out.
+A manager builds one instance per connection through the factory given to
+`run_manager`, so a component's state is its connection's alone. They are
+deliberately self-contained — a component never touches the whiteboard and
+only ever sees its own connection's records.
 """
 
 from __future__ import annotations

@@ -42,13 +42,15 @@ from .chart import add_derivation
 from .errors import (
     BoxRemoved,
     LayerMismatch,
+    ManagerUnavailable,
     ParseError,
     UnknownFormatCode,
     WhiteboardError,
 )
 from .grid import GridNode, Thresholds, add_grid_node
 from .grid import grid_connected  # noqa: F401  (perfbench's probes patch this name)
-from .manager import Connection, ConnectionParams, request_connection
+from .manager import Connection, ConnectionParams, send_open
+from .manager import request_connection  # noqa: F401  (perfbench's probes patch this name)
 
 log = logging.getLogger(__name__)
 
@@ -110,9 +112,29 @@ class Coordinator:
 
     # -- registration -----------------------------------------------------------
 
-    def register(self, binding: ComponentBinding) -> None:
-        """Open the binding's connection and activate it. The output layer
-        must declare every input layer among its dependencies."""
+    def register(self, *bindings: ComponentBinding) -> None:
+        """Open each binding's connection and activate it. Every open
+        request is sent before any reply is awaited, so the managers set
+        their connections up at once. Each output layer must declare every
+        input layer among its dependencies.
+
+        If a manager does not answer, or refuses, the bindings whose
+        connections did open are still activated, and the first failure is
+        raised once every reply has been awaited."""
+        for binding in bindings:
+            self._check(binding)
+        openings = [(binding, send_open(binding.request_root, binding.params))
+                    for binding in bindings]
+        failure = None
+        for binding, opening in openings:
+            try:
+                self.bound[binding.name] = _Bound(binding, opening.wait())
+            except ManagerUnavailable as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+
+    def _check(self, binding: ComponentBinding) -> None:
         if binding.output_layer not in self.board.layers:
             raise LayerMismatch(f"unknown output layer {binding.output_layer!r}")
         out_deps = self.board.layers[binding.output_layer].depends_on
@@ -127,8 +149,6 @@ class Coordinator:
                 "edge-v1", "node-v1"):
             raise UnknownFormatCode(
                 f"cannot encode layer slices as {binding.params.import_format}")
-        conn = request_connection(binding.request_root, binding.params)
-        self.bound[binding.name] = _Bound(binding, conn)
 
     def connections(self) -> dict[str, Connection]:
         return {name: b.conn for name, b in self.bound.items()}

@@ -1,17 +1,20 @@
 """End-to-end demo: simulated incremental speech translation.
 
-For each utterance fixture the driver declares a three-layer board
-(phonemes, syntax, target words), spawns one manager process per component
-(matrix source, island parser, word-for-word translator), registers the
-bindings and pumps until the coordinator has settled: every batch it
-deposited has come back with its `done` record and nothing is left to
-forward. It then closes all connections at once, fails the utterance if
-any of them still held results, and seals, validates and exports the
-layers.
+A run spawns one manager process per component (matrix source, island
+parser, word-for-word translator) and keeps this trio for all of its
+utterances, stopping it when the run ends. For each utterance the driver
+declares a fresh three-layer board (phonemes, syntax, target words), opens
+fresh connections to the three managers at once, the source's naming the
+utterance's matrix file, and pumps until the coordinator has settled:
+every batch it deposited has come back with its `done` record and nothing
+is left to forward. It then closes all connections at once, fails the
+utterance if any of them still held results, and seals, validates and
+exports the layers. A failed utterance ends the run.
 
 The coordinator loop is fully non-blocking, and manager processes are
-watched for unexpected death, so a killed component turns into a
-per-binding error report rather than a hang.
+watched for unexpected death, before an utterance opens its connections
+and in every pump round, so a killed component turns into an error report
+rather than a hang.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import wire
 from .board import Whiteboard, to_dot, to_json
 from .chart import load_grammar
 from .coordinator import ComponentBinding, Coordinator
@@ -37,6 +41,7 @@ from .translate import load_dictionary
 log = logging.getLogger(__name__)
 
 MATRIX_SUFFIX = ".mat"
+ROLES = ("source", "parser", "translator")
 
 
 @dataclass
@@ -83,23 +88,32 @@ class DemoResult:
 
 
 def _utterance_files(matrices: Path) -> list[Path]:
+    """The run's matrix files. Each one is named on the wire when its
+    utterance opens the source's connection, so it must be a legal token."""
     if matrices.is_file():
-        return [matrices]
-    files = sorted(matrices.glob(f"*{MATRIX_SUFFIX}"))
+        files = [matrices]
+    else:
+        files = sorted(matrices.glob(f"*{MATRIX_SUFFIX}"))
     if not files:
         raise WhiteboardError(f"no *{MATRIX_SUFFIX} files under {matrices}")
+    for path in files:
+        try:
+            wire.check_input(str(path))
+        except ValueError as exc:
+            raise WhiteboardError(
+                f"matrix path cannot be sent to the source: {exc}") from None
     return files
 
 
-def _spawn_worker(role: str, request_root: Path, config: DemoConfig,
-                  matrix_file: Path | None = None) -> subprocess.Popen:
+def _spawn_worker(role: str, request_root: Path,
+                  config: DemoConfig) -> subprocess.Popen:
     cmd = [sys.executable, "-m", "whiteboard.workers", role,
            "--request-box", str(request_root),
            "--sleep", str(config.sleep_time),
            "--max-gap", str(config.thresholds.max_gap),
            "--max-overlap", str(config.thresholds.max_overlap)]
     if role == "source":
-        cmd += ["--matrices", str(matrix_file), "--topk", str(config.topk)]
+        cmd += ["--topk", str(config.topk)]
     elif role == "parser":
         cmd += ["--grammar", str(config.grammar), "--beam", str(config.beam)]
     else:
@@ -119,7 +133,39 @@ def _declare_layers(board: Whiteboard, alphabet: set[str], grammar,
     board.declare_layer("ww", legal_labels=ww_labels, depends_on={"syntax"})
 
 
+def _stop_workers(processes: dict[str, subprocess.Popen]) -> None:
+    for proc in processes.values():
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in processes.values():
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+
+def _bindings(mailbox_root: Path, config: DemoConfig,
+              matrix_file: Path) -> list[ComponentBinding]:
+    def params(imp: str, exp: str, source: str | None = None) -> ConnectionParams:
+        return ConnectionParams(config.sleep_time, imp, exp, source)
+
+    return [
+        ComponentBinding("source", mailbox_root / "source" / "request",
+                         [], "phonemes",
+                         params("edge-v1", "edge-v1", str(matrix_file))),
+        ComponentBinding("parser", mailbox_root / "parser" / "request",
+                         ["phonemes"], "syntax",
+                         params("edge-v1", "inactive-edge-v1"),
+                         filter_threshold=config.threshold_syntax),
+        ComponentBinding("translator", mailbox_root / "translator" / "request",
+                         ["syntax"], "ww", params("node-v1", "node-v1"),
+                         filter_threshold=config.threshold_ww),
+    ]
+
+
 def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
+                   mailbox_root: Path, processes: dict[str, subprocess.Popen],
                    control_lines=None, process_hook=None) -> UtteranceResult:
     name = matrix_file.stem
     matrices = parse_matrix_file(matrix_file.read_text(encoding="utf-8"))
@@ -130,55 +176,26 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
     board = Whiteboard()
     _declare_layers(board, alphabet, grammar, dictionary)
     coordinator = Coordinator(board, config.thresholds)
+    if process_hook is not None:
+        for role in ROLES:
+            process_hook(role, processes[role])
 
-    mailbox_root = Path(tempfile.mkdtemp(prefix=f"whiteboard-{name}-"))
-    processes: dict[str, subprocess.Popen] = {}
-    error: str | None = None
     status: dict | None = None
     try:
-        for role in ("source", "parser", "translator"):
-            proc = _spawn_worker(role, mailbox_root / role / "request", config,
-                                 matrix_file)
-            processes[role] = proc
-            if process_hook is not None:
-                process_hook(role, proc)
-
-        def params(imp: str, exp: str) -> ConnectionParams:
-            return ConnectionParams(config.sleep_time, imp, exp)
-
-        coordinator.register(ComponentBinding(
-            "source", mailbox_root / "source" / "request",
-            [], "phonemes", params("edge-v1", "edge-v1")))
-        coordinator.register(ComponentBinding(
-            "parser", mailbox_root / "parser" / "request",
-            ["phonemes"], "syntax", params("edge-v1", "inactive-edge-v1"),
-            filter_threshold=config.threshold_syntax))
-        coordinator.register(ComponentBinding(
-            "translator", mailbox_root / "translator" / "request",
-            ["syntax"], "ww", params("node-v1", "node-v1"),
-            filter_threshold=config.threshold_ww))
-
-        if config.step:
-            error = _step_loop(coordinator, processes, control_lines)
-        else:
-            error = _pump_loop(coordinator, processes, config)
-        # taken before closing, which drains what is still in flight
-        status = coordinator.status()
-
+        # a worker lost since the last utterance would only time the opens out
+        error = _dead_managers(coordinator, processes)
         if error is None:
-            error = _close_connections(coordinator)
+            coordinator.register(*_bindings(mailbox_root, config, matrix_file))
+            if config.step:
+                error = _step_loop(coordinator, processes, control_lines)
+            else:
+                error = _pump_loop(coordinator, processes, config)
+            # taken before closing, which drains what is still in flight
+            status = coordinator.status()
+            if error is None:
+                error = _close_connections(coordinator)
     except (ManagerUnavailable, WhiteboardError) as exc:
         error = f"pipeline failed: {exc}"
-    finally:
-        for proc in processes.values():
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in processes.values():
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-        shutil.rmtree(mailbox_root, ignore_errors=True)
 
     if error is None:
         error = _seal_layers(board)
@@ -192,11 +209,12 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
 
 def _dead_managers(coordinator: Coordinator,
                    processes: dict[str, subprocess.Popen]) -> str | None:
-    """Note each dead manager process on its binding, and return the run's
-    error if any has died."""
+    """Note each dead manager process on its binding, if it has one yet,
+    and return the utterance's error if any has died."""
     dead = [role for role, proc in processes.items() if proc.poll() is not None]
     for role in dead:
-        coordinator.bound[role].note("manager process died")
+        if role in coordinator.bound:
+            coordinator.bound[role].note("manager process died")
     return f"manager process died: {', '.join(dead)}" if dead else None
 
 
@@ -289,7 +307,11 @@ def _export(board: Whiteboard, name: str, config: DemoConfig,
 
 def demo_run(config: DemoConfig, control_lines=None,
              process_hook=None) -> DemoResult:
-    """Run the pipeline over every utterance under `config.matrices`."""
+    """Run the pipeline over every utterance under `config.matrices`.
+
+    The manager trio is spawned once and stopped when the run ends, however
+    it ends. `process_hook(role, proc)` is called for each role before
+    every utterance, with the run's long-lived process."""
     result = DemoResult()
     try:
         files = _utterance_files(config.matrices)
@@ -299,19 +321,29 @@ def demo_run(config: DemoConfig, control_lines=None,
         result.config_error = str(exc)
         return result
     multi = len(files) > 1
-    for matrix_file in files:
-        if result.utterances:
-            result.utterances[-1].board = None
-        try:
-            utterance = _run_utterance(matrix_file, config, grammar, dictionary,
-                                       control_lines, process_hook)
-        except (OSError, WhiteboardError) as exc:
-            result.config_error = f"{matrix_file.name}: {exc}"
-            return result
-        result.utterances.append(utterance)
-        _export(utterance.board, utterance.name, config, multi)
-        if not utterance.ok:
-            break
-        if config.step:
-            break  # step mode drives a single utterance
+    mailbox_root = Path(tempfile.mkdtemp(prefix="whiteboard-"))
+    processes: dict[str, subprocess.Popen] = {}
+    try:
+        for role in ROLES:
+            processes[role] = _spawn_worker(role, mailbox_root / role / "request",
+                                            config)
+        for matrix_file in files:
+            if result.utterances:
+                result.utterances[-1].board = None
+            try:
+                utterance = _run_utterance(matrix_file, config, grammar,
+                                           dictionary, mailbox_root, processes,
+                                           control_lines, process_hook)
+            except (OSError, WhiteboardError) as exc:
+                result.config_error = f"{matrix_file.name}: {exc}"
+                return result
+            result.utterances.append(utterance)
+            _export(utterance.board, utterance.name, config, multi)
+            if not utterance.ok:
+                break
+            if config.step:
+                break  # step mode drives a single utterance
+    finally:
+        _stop_workers(processes)
+        shutil.rmtree(mailbox_root, ignore_errors=True)
     return result

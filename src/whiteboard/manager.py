@@ -1,11 +1,14 @@
-"""Managers: wrap a component function into a mailbox-reachable server.
+"""Managers: serve components to clients through mailboxes.
 
-A manager owns a request box (a pair of mailboxes under
-``<root>/<name>/request/{in,out}``) where clients ask to open or close
-connections. Each connection gets its own ``conn-<id>/{in,out}`` box pair:
-the client writes work into the in box and reads results from the out box,
-while the manager runs the opposite loops in its own process. All formats
-crossing a connection are fixed when it is opened.
+A manager is a long-lived server. It owns a request box (a pair of
+mailboxes under ``<root>/<name>/request/{in,out}``) where clients ask to
+open or close connections, and it serves any number of connections, one
+after another or at once. Each connection gets its own ``conn-<id>/{in,out}``
+box pair: the client writes work into the in box and reads results from
+the out box, while the manager runs the opposite loops in its own process.
+The open request fixes the connection's formats and names its input, and
+the manager builds a fresh component for it from its factory, so no
+component state is shared between connections.
 
 The manager ends its reply to every input batch with one ``(done frame)``
 record, carried by the last deposit it makes for that batch, so the client
@@ -47,12 +50,16 @@ class ConnectionParams:
     sleep_time: float = DEFAULT_SLEEP
     import_format: str = "node-v1"
     export_format: str = "node-v1"
+    # handed to the manager's component factory; None for no input
+    input: str | None = None
 
     def __post_init__(self):
         if self.sleep_time <= 0:
             raise ValueError("sleep_time must be positive")
         wire.check_format_code(self.import_format)
         wire.check_format_code(self.export_format)
+        if self.input is not None:
+            wire.check_input(self.input)
 
 
 class Connection:
@@ -125,9 +132,48 @@ def _request_boxes(request_root: Path, sleep_time: float) -> tuple[Mailbox, Mail
             Mailbox(request_root / "out", sleep_time))
 
 
-def request_connection(request_root: Path | str, params: ConnectionParams,
-                       timeout: float = 10.0) -> Connection:
-    """Open a connection with the manager serving `request_root`."""
+class PendingOpen:
+    """An open request sent to a manager whose reply is not read yet.
+
+    `send_open` makes one and `wait` turns it into a `Connection`, so a
+    client can send open requests to several managers before it waits for
+    any reply.
+    """
+
+    def __init__(self, request_root: Path, params: ConnectionParams,
+                 deadline: float):
+        self.request_root = request_root
+        self.params = params
+        self.deadline = deadline
+
+    def wait(self) -> Connection:
+        """The manager's reply, as a connection. Raises `ManagerUnavailable`
+        if no reply came before the deadline or the manager refused."""
+        _, req_out = _request_boxes(self.request_root, self.params.sleep_time)
+        try:
+            reply_text = req_out.collect(
+                timeout=max(0.0, self.deadline - time.monotonic()))
+        except (MailboxTimeout, BoxRemoved) as exc:
+            raise ManagerUnavailable(
+                f"manager at {self.request_root} did not reply") from exc
+        replies = wire.parse(reply_text)
+        if len(replies) == 1 and isinstance(replies[0], wire.ErrorRecord):
+            raise ManagerUnavailable(f"manager at {self.request_root} refused "
+                                     f"the connection: {replies[0].message}")
+        if len(replies) != 1 or not isinstance(replies[0], wire.OpenReply):
+            raise ManagerUnavailable(f"bad open reply: {reply_text!r}")
+        reply = replies[0]
+        return Connection(reply.conn_id,
+                          Mailbox(reply.in_path, self.params.sleep_time),
+                          Mailbox(reply.out_path, self.params.sleep_time),
+                          self.params, self.request_root)
+
+
+def send_open(request_root: Path | str, params: ConnectionParams,
+              timeout: float = 10.0) -> PendingOpen:
+    """Send an open request to the manager serving `request_root`, waiting
+    for it to serve if it has not started yet. `timeout` bounds the send
+    and the wait for the reply together."""
     request_root = Path(request_root)
     req_in, req_out = _request_boxes(request_root, params.sleep_time)
     deadline = time.monotonic() + timeout
@@ -136,21 +182,19 @@ def request_connection(request_root: Path | str, params: ConnectionParams,
             raise ManagerUnavailable(f"no manager serving {request_root}")
         time.sleep(params.sleep_time)
     request = wire.OpenRequest(params.sleep_time, params.import_format,
-                               params.export_format)
+                               params.export_format, params.input)
     try:
         req_in.deposit(wire.serialize([request]),
                        timeout=max(0.0, deadline - time.monotonic()))
-        reply_text = req_out.collect(timeout=max(0.0, deadline - time.monotonic()))
     except (MailboxTimeout, BoxRemoved) as exc:
         raise ManagerUnavailable(f"manager at {request_root} did not reply") from exc
-    replies = wire.parse(reply_text)
-    if len(replies) != 1 or not isinstance(replies[0], wire.OpenReply):
-        raise ManagerUnavailable(f"bad open reply: {reply_text!r}")
-    reply = replies[0]
-    return Connection(reply.conn_id,
-                      Mailbox(reply.in_path, params.sleep_time),
-                      Mailbox(reply.out_path, params.sleep_time),
-                      params, request_root)
+    return PendingOpen(request_root, params, deadline)
+
+
+def request_connection(request_root: Path | str, params: ConnectionParams,
+                       timeout: float = 10.0) -> Connection:
+    """Open a connection with the manager serving `request_root`."""
+    return send_open(request_root, params, timeout).wait()
 
 
 def close_connection(conn: Connection, timeout: float | None = None) -> list[wire.WireRecord]:
@@ -260,11 +304,12 @@ class _ConnectionWorker(threading.Thread):
     deliver results, and end each batch's delivery with a `done` record."""
 
     def __init__(self, manager: "_Manager", conn_id: int, params: ConnectionParams,
-                 in_box: Mailbox, out_box: Mailbox):
+                 component, in_box: Mailbox, out_box: Mailbox):
         super().__init__(daemon=True, name=f"{manager.name}-conn-{conn_id}")
         self.manager = manager
         self.conn_id = conn_id
         self.params = params
+        self.component = component
         self.in_box = in_box
         self.out_box = out_box
         self.stop_requested = threading.Event()
@@ -291,7 +336,7 @@ class _ConnectionWorker(threading.Thread):
             return
         self._see(records)
         try:
-            outputs = list(self.manager.component(records))
+            outputs = list(self.component(records))
         except Exception as exc:  # component faults must not kill the manager
             log.exception("component failed in %s", self.name)
             self._emit([wire.ErrorRecord(f"component-error {exc}")])
@@ -328,9 +373,9 @@ class _ConnectionWorker(threading.Thread):
 
 
 class _Manager:
-    def __init__(self, component, request_root: Path, name: str,
+    def __init__(self, factory, request_root: Path, name: str,
                  incremental: bool, sleep_time: float):
-        self.component = component
+        self.factory = factory
         self.request_root = Path(request_root)
         self.name = name
         self.incremental = incremental
@@ -369,16 +414,24 @@ class _Manager:
             try:
                 params = ConnectionParams(request.sleep_time,
                                           request.import_format,
-                                          request.export_format)
+                                          request.export_format,
+                                          request.input)
             except (UnknownFormatCode, ValueError) as exc:
                 self._reply([wire.ErrorRecord(f"bad-params {exc}")])
+                return
+            try:
+                component = self.factory(params.input)
+            except Exception as exc:  # a refused input must not kill the manager
+                log.exception("building a component failed in %s", self.name)
+                self._reply([wire.ErrorRecord(f"component-error {exc}")])
                 return
             conn_id = self._next_conn
             self._next_conn += 1
             conn_root = self.request_root.parent / f"conn-{conn_id}"
             in_box = Mailbox(conn_root / "in", params.sleep_time).create()
             out_box = Mailbox(conn_root / "out", params.sleep_time).create()
-            worker = _ConnectionWorker(self, conn_id, params, in_box, out_box)
+            worker = _ConnectionWorker(self, conn_id, params, component,
+                                       in_box, out_box)
             self.workers[conn_id] = worker
             worker.start()
             self._reply([wire.OpenReply(conn_id, str(in_box.path),
@@ -423,21 +476,23 @@ class _Manager:
             pass
 
 
-def run_manager(component, request_root: Path | str, *, name: str = "manager",
+def run_manager(factory, request_root: Path | str, *, name: str = "manager",
                 incremental: bool = False, sleep_time: float = DEFAULT_SLEEP,
                 stop_event: threading.Event | None = None) -> None:
     """Serve connection requests forever (or until `stop_event` is set).
 
-    `component` maps a list of wire records to a list of wire records; it
-    is invoked once per collected batch. Exceptions inside the component
-    become error records on the out box and the manager keeps serving.
-    Whatever the outcome, the last deposit made for a batch ends with a
-    `(done frame)` record; the component never produces or sees one. A
-    close request is acknowledged with `(closed conn-id)`, preceded in the
-    same reply by `(error drain-timeout_<conn-id>)` if the client left a
-    batch uncollected. A single component instance serves every
-    connection, so stateful components assume one connection per manager
-    process (the demo runs one manager per process).
+    `factory` is called once per opened connection with the input its open
+    request named (None for `-`) and returns that connection's component,
+    so every component's state lives per connection. If it raises, the
+    open is answered with `(error component-error_...)` and the manager
+    keeps serving. A component maps a list of wire records to a list of
+    wire records; it is invoked once per collected batch. Exceptions
+    inside it become error records on the out box and the manager keeps
+    serving. Whatever the outcome, the last deposit made for a batch ends
+    with a `(done frame)` record; the component never produces or sees
+    one. A close request is acknowledged with `(closed conn-id)`, preceded
+    in the same reply by `(error drain-timeout_<conn-id>)` if the client
+    left a batch uncollected.
     """
-    _Manager(component, Path(request_root), name, incremental,
+    _Manager(factory, Path(request_root), name, incremental,
              sleep_time).serve(stop_event)

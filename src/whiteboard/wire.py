@@ -19,11 +19,14 @@ source ids name the input-layer nodes it was built from, in the ids the
 coordinator sent them under; the coordinator's own slices send `()`.
 
 Control records start with a keyword token and are legal in any context:
-(open sleep import export), (opened conn-id in-path out-path),
+(open sleep import export input), (opened conn-id in-path out-path),
 (close conn-id), (closed conn-id), (error message), and (done frame),
 which a manager appends to its last deposit for each input batch: the
 batch is finished, and frame is the highest end frame the connection has
-seen so far in its inputs and outputs.
+seen so far in its inputs and outputs. An open request fixes the new
+connection's formats and names its input, a token the manager hands to
+the component it builds for that connection (the demo's source reads its
+utterance's matrix file from it), or `-` for a component that takes none.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .errors import ParseError, UnknownFormatCode
 FORMAT_CODES = ("edge-v1", "node-v1", "inactive-edge-v1")
 
 _TOKEN_RE = re.compile(r"[^\s()]+")
+
+NO_INPUT = "-"  # an open request's input field when the component takes none
 
 
 def check_format_code(code: str) -> str:
@@ -87,6 +92,7 @@ class OpenRequest:
     sleep_time: float
     import_format: str
     export_format: str
+    input: str | None = None  # `-` on the wire
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,17 @@ def _fmt_token(value: str) -> str:
     return value
 
 
+def check_input(value: str) -> str:
+    """An open request's input: a legal token other than `-`."""
+    if value == NO_INPUT:
+        raise ValueError(f"{NO_INPUT!r} is reserved for a connection without input")
+    return _fmt_token(value)
+
+
+def _fmt_input(value: str | None) -> str:
+    return NO_INPUT if value is None else check_input(value)
+
+
 def _fmt_ints(values) -> str:
     return "(" + " ".join(str(int(v)) for v in values) + ")"
 
@@ -175,7 +192,8 @@ def serialize_record(record: WireRecord) -> str:
                 f"{_fmt_ints(record.children)})")
     if isinstance(record, OpenRequest):
         return (f"(open {_fmt_float(record.sleep_time)} "
-                f"{_fmt_token(record.import_format)} {_fmt_token(record.export_format)})")
+                f"{_fmt_token(record.import_format)} {_fmt_token(record.export_format)} "
+                f"{_fmt_input(record.input)})")
     if isinstance(record, OpenReply):
         return (f"(opened {int(record.conn_id)} {_fmt_token(record.in_path)} "
                 f"{_fmt_token(record.out_path)})")
@@ -350,14 +368,16 @@ def parse_line(line: str, lineno: int, format_code: str | None) -> WireRecord:
         if not re.fullmatch(r"[-+]?\d+", tok):
             # symbolic head: must be a known control keyword
             if tok == "open":
-                if len(fields) != 4:
-                    raise ParseError("open: expected 3 arguments", lineno, col)
+                if len(fields) != 5:
+                    raise ParseError("open: expected 4 arguments", lineno, col)
                 code_in = _want_token(fields[2], lineno, "import format")
                 code_out = _want_token(fields[3], lineno, "export format")
                 check_format_code(code_in)
                 check_format_code(code_out)
+                source = _want_token(fields[4], lineno, "input")
                 return OpenRequest(_want_float(fields[1], lineno, "sleep"),
-                                   code_in, code_out)
+                                   code_in, code_out,
+                                   None if source == NO_INPUT else source)
             if tok == "opened":
                 if len(fields) != 4:
                     raise ParseError("opened: expected 3 arguments", lineno, col)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -526,6 +527,27 @@ def test_dot_styles_white_and_grey_nodes():
     assert "shape=diamond, style=dashed" in dot
     assert 'label="0.25"' in dot
     assert "diamond" not in to_dot(board, hide_grey=True)
+
+
+def test_dot_of_one_layer_draws_edges_only_to_declared_nodes(fixtures_dir):
+    board = workload.build_board(
+        (fixtures_dir / "hai.mat").read_text(),
+        load_grammar((fixtures_dir / "words.grammar").read_text()),
+        load_dictionary((fixtures_dir / "words.dict").read_text()))
+    for layer, greys in (("ww", 4), (None, None)):
+        dot = to_dot(board, layer=layer)
+        declared = set(re.findall(r"^    (n\d+) \[shape=box", dot, re.M))
+        edges = re.findall(r"^    ([ng]\d+) -> ([ng]\d+)", dot, re.M)
+        assert edges
+        ends = {end for edge in edges for end in edge if end.startswith("n")}
+        assert ends <= declared
+        if greys is not None:
+            # the translations stay, without their edges into syntax
+            assert dot.count("shape=diamond") == greys
+            assert declared == {f"n{i}" for i in board.layers["ww"].white_nodes}
+    # the whole board declares the syntax nodes, so their edges stay
+    assert (len(re.findall(r"-> g\d+ ", to_dot(board)))
+            > len(re.findall(r"-> g\d+ ", to_dot(board, layer="syntax"))))
 
 
 def test_isomorphism_ignores_id_renaming():

@@ -50,9 +50,10 @@ class Hosts:
         self.coordinators: list[Coordinator] = []
 
     def __call__(self, name, component, incremental=False, sleep=SLEEP):
+        """Serve `component`, one instance for every connection."""
         request_root = self.root / name / "request"
         thread = threading.Thread(
-            target=run_manager, args=(component, request_root),
+            target=run_manager, args=(lambda _input: component, request_root),
             kwargs={"incremental": incremental, "sleep_time": sleep,
                     "name": name, "stop_event": self.stop},
             daemon=True)

@@ -3,9 +3,14 @@ import time
 
 import pytest
 
-from whiteboard import wire
-from whiteboard.components import identity_component
-from whiteboard.errors import AlreadyClosed, DrainTimeout, UnknownFormatCode
+from whiteboard import Thresholds, load_grammar, wire
+from whiteboard.components import IslandParser, MatrixSource, identity_component
+from whiteboard.errors import (
+    AlreadyClosed,
+    DrainTimeout,
+    ManagerUnavailable,
+    UnknownFormatCode,
+)
 from whiteboard.manager import (
     ConnectionParams,
     _ConnectionWorker,
@@ -17,19 +22,23 @@ from whiteboard.manager import (
     run_manager,
 )
 from whiteboard.mailbox import Mailbox
+from utterances import spliced_utterances
 
 SLEEP = 0.005
 
 
 class hosted_manager:
-    """Run a manager service loop in a daemon thread for the test's scope."""
+    """Run a manager service loop in a daemon thread for the test's scope,
+    serving one component instance on every connection, or a fresh one per
+    connection from `factory`."""
 
-    def __init__(self, tmp_path, component, incremental=False, name="m",
-                 sleep_time=SLEEP):
+    def __init__(self, tmp_path, component=None, incremental=False, name="m",
+                 sleep_time=SLEEP, factory=None):
         self.root = tmp_path / name / "request"
         self.stop = threading.Event()
         self.thread = threading.Thread(
-            target=run_manager, args=(component, self.root),
+            target=run_manager,
+            args=(factory or (lambda _input: component), self.root),
             kwargs={"incremental": incremental, "sleep_time": sleep_time,
                     "name": name, "stop_event": self.stop},
             daemon=True)
@@ -55,6 +64,75 @@ def edges(*seq):
 def test_bad_format_code_rejected_before_any_traffic():
     with pytest.raises(UnknownFormatCode):
         ConnectionParams(SLEEP, "bogus", "edge-v1")
+
+
+@pytest.mark.parametrize("source", ["two words.mat", "u(1).mat", "", "-"])
+def test_an_input_that_is_not_a_wire_token_is_rejected_before_any_traffic(source):
+    with pytest.raises(ValueError):
+        ConnectionParams(SLEEP, "edge-v1", "edge-v1", source)
+
+
+def test_the_factory_builds_each_connection_its_component_from_its_input(tmp_path):
+    def factory(source):
+        if source is None:
+            raise ValueError("this component needs an input")
+        return lambda records: [wire.ErrorRecord(source)]
+
+    with hosted_manager(tmp_path, factory=factory) as root:
+        with pytest.raises(ManagerUnavailable,
+                           match="refused the connection: component-error_"
+                                 "this_component_needs_an_input"):
+            request_connection(root, params())
+        # the refusal left the manager serving
+        conns = {source: request_connection(
+                     root, ConnectionParams(SLEEP, "edge-v1", "edge-v1", source))
+                 for source in ("a.mat", "b.mat")}
+        for source, conn in conns.items():
+            conn.deposit([], timeout=5.0)
+            assert conn.collect(timeout=5.0) == [wire.ErrorRecord(source)]
+            conn.close(timeout=5.0)
+
+
+def test_interleaved_connections_to_one_parser_manager_keep_apart(
+        tmp_path, fixtures_dir):
+    grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
+    thresholds = Thresholds(2, 2)
+
+    def parser(_input):
+        return IslandParser(grammar, thresholds)
+
+    # each utterance's cells in the pieces its source would deliver
+    first, second = (partition_by_end(MatrixSource(path, 3)([]))
+                     for path in spliced_utterances(fixtures_dir,
+                                                    tmp_path / "spliced")[1:])
+
+    def replies(conn, batches):
+        out = []
+        for batch in batches:
+            conn.deposit(batch, timeout=5.0)
+            out.append(conn.collect(timeout=5.0))
+        conn.close(timeout=5.0)
+        return out
+
+    alone = []
+    for i, batches in enumerate((first, second)):
+        with hosted_manager(tmp_path, factory=parser, name=f"alone{i}") as root:
+            alone.append(replies(request_connection(
+                root, params("edge-v1", "inactive-edge-v1")), batches))
+    assert alone[0] != alone[1]
+
+    shared = ([], [])
+    with hosted_manager(tmp_path, factory=parser, name="shared") as root:
+        conns = [request_connection(root, params("edge-v1", "inactive-edge-v1"))
+                 for _ in range(2)]
+        for i in range(max(len(first), len(second))):
+            for conn, batches, out in zip(conns, (first, second), shared):
+                if i < len(batches):
+                    conn.deposit(batches[i], timeout=5.0)
+                    out.append(conn.collect(timeout=5.0))
+        for conn in conns:
+            conn.close(timeout=5.0)
+    assert list(shared) == alone
 
 
 def test_open_creates_fresh_boxes_and_echo_works(tmp_path):
@@ -302,11 +380,11 @@ def test_close_reports_a_drain_timeout(tmp_path):
 
 def test_a_worker_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
     poll = 2.0
-    manager = _Manager(identity_component, tmp_path / "m" / "request", "m",
-                       False, poll)
+    manager = _Manager(lambda _input: identity_component,
+                       tmp_path / "m" / "request", "m", False, poll)
     worker = _ConnectionWorker(
         manager, 1, ConnectionParams(poll, "edge-v1", "edge-v1"),
-        Mailbox(tmp_path / "in", poll).create(),
+        identity_component, Mailbox(tmp_path / "in", poll).create(),
         Mailbox(tmp_path / "out", poll).create())
     worker.start()
     time.sleep(0.1)  # found its in box empty; now idling until the next poll

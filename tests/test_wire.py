@@ -68,6 +68,7 @@ def test_format_codes_are_enforced_on_serialize():
 def test_control_records_roundtrip_without_format():
     records = [
         wire.OpenRequest(0.05, "edge-v1", "node-v1"),
+        wire.OpenRequest(0.05, "edge-v1", "edge-v1", "utterances/hai.mat"),
         wire.OpenReply(3, "/tmp/a/in", "/tmp/a/out"),
         wire.CloseRequest(3),
         wire.CloseReply(3),
@@ -84,7 +85,20 @@ def test_error_record_message_is_sanitized():
 
 def test_open_request_validates_format_codes():
     with pytest.raises(UnknownFormatCode):
-        wire.parse("(open 0.05 bogus edge-v1)\n")
+        wire.parse("(open 0.05 bogus edge-v1 -)\n")
+
+
+def test_open_request_names_its_input_or_none():
+    assert wire.parse("(open 0.05 edge-v1 edge-v1 -)\n") == [
+        wire.OpenRequest(0.05, "edge-v1", "edge-v1", None)]
+    assert wire.serialize([wire.OpenRequest(0.05, "edge-v1", "edge-v1",
+                                            "u/hai.mat")]) == (
+        "(open 0.05 edge-v1 edge-v1 u/hai.mat)\n")
+    with pytest.raises(ParseError, match="expected 4 arguments"):
+        wire.parse("(open 0.05 edge-v1 edge-v1)\n")
+    for source in ("two words", "u(1)", "-"):
+        with pytest.raises(ValueError):
+            wire.serialize([wire.OpenRequest(0.05, "edge-v1", "edge-v1", source)])
 
 
 def test_arc_and_edge_share_arity_but_not_format():
