@@ -54,8 +54,6 @@ from .mailbox import Mailbox
 from .manager import (
     Connection,
     ConnectionParams,
-    close_connection,
-    incremental_deliver,
     partition_by_end,
     request_connection,
     run_manager,
@@ -69,9 +67,9 @@ __all__ = [
     "PhonemeMatrix", "PumpReport", "RankedMatrix", "Reading", "Rule",
     "SealReport", "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
     "add_derivation", "add_grid_node", "boards_isomorphic", "canonical_form",
-    "chart_from_cells", "chart_to_lattice", "close_connection", "filter_slice",
-    "from_json", "grid_connected", "grid_to_lattice", "incremental_deliver",
-    "island_parse", "load_dictionary", "load_grammar", "parse_matrix_file",
-    "partition_by_end", "request_connection", "run_manager", "to_dot",
-    "to_json", "topk_matrices", "translate_layer", "wire",
+    "chart_from_cells", "chart_to_lattice", "filter_slice", "from_json",
+    "grid_connected", "grid_to_lattice", "island_parse", "load_dictionary",
+    "load_grammar", "parse_matrix_file", "partition_by_end",
+    "request_connection", "run_manager", "to_dot", "to_json",
+    "topk_matrices", "translate_layer", "wire",
 ]

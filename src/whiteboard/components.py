@@ -127,8 +127,3 @@ class WordForWordTranslator:
                         out_arcs.append(wire.ArcRecord(
                             self._fresh(), a, b, record.weight))
         return [*out_nodes, *out_arcs]
-
-
-def identity_component(records) -> list[wire.WireRecord]:
-    """Echo server; handy for protocol tests."""
-    return list(records)

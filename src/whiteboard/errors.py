@@ -116,10 +116,6 @@ class AlreadyClosed(WhiteboardError):
     pass
 
 
-class DrainTimeout(WhiteboardError):
-    """A connection was closed while its out box still held a batch."""
-
-
 # -- coordinator -----------------------------------------------------------
 
 class LayerMismatch(WhiteboardError):

@@ -9,9 +9,13 @@ unlocked, then locks, reads, removes the batch and unlocks. The rename
 makes a batch appear atomically complete, so a reader can never observe a
 torn message even if lock discipline is violated.
 
-Only the file system is used, so the two parties may live in any two
-processes on the host. Exactly one reader and one writer per box is a
-contract, not a detected error.
+Only the file system is used, so the parties may live in any processes
+on the host. Every box has exactly one reader; that is a contract, not a
+detected error. A connection's boxes also have exactly one writer. A
+manager's request box is the one box with several writers, every client
+that opens a connection, and that is safe because `try_deposit` re-checks
+the slot under the lock, so a writer never replaces a batch another has
+deposited.
 
 A lock older than ``STALE_LOCK_CYCLES`` sleep periods is presumed to be
 held by a crashed process; the party whose turn it is breaks it with a

@@ -1,14 +1,19 @@
 """Managers: serve components to clients through mailboxes.
 
-A manager is a long-lived server. It owns a request box (a pair of
-mailboxes under ``<root>/<name>/request/{in,out}``) where clients ask to
-open or close connections, and it serves any number of connections, one
-after another or at once. Each connection gets its own ``conn-<id>/{in,out}``
-box pair: the client writes work into the in box and reads results from
-the out box, while the manager runs the opposite loops in its own process.
-The open request fixes the connection's formats and names its input, and
-the manager builds a fresh component for it from its factory, so no
-component state is shared between connections.
+A manager is a long-lived server. It owns a request box, one mailbox at
+``<root>/<name>/request`` where clients ask to open connections, and it
+serves any number of connections, one after another or at once. A client
+makes each connection's ``conn-*/{in,out}`` box pair itself, beside the
+request box, and names it in its open request: it writes work into the in
+box and reads results from the out box, while the manager runs the
+opposite side in its own process. The open request fixes the
+connection's formats and names its input, and the manager builds a fresh
+component for it from its factory, so no component state is shared
+between connections.
+
+Every reply travels on the asking connection's own out box: the answer to
+its open, the results of its batches, and the acknowledgment of its close,
+which the client sends in band on the in box, after its last batch.
 
 The manager ends its reply to every input batch with one ``(done frame)``
 record, carried by the last deposit it makes for that batch, so the client
@@ -23,6 +28,8 @@ which makes a batch component look incremental to its client.
 from __future__ import annotations
 
 import logging
+import shutil
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -32,7 +39,6 @@ from . import wire
 from .errors import (
     AlreadyClosed,
     BoxRemoved,
-    DrainTimeout,
     MailboxTimeout,
     ManagerUnavailable,
     ParseError,
@@ -43,10 +49,12 @@ from .mailbox import Mailbox
 log = logging.getLogger(__name__)
 
 DEFAULT_SLEEP = 0.05
+CONN_PREFIX = "conn-"
 
 
 @dataclass(frozen=True)
 class ConnectionParams:
+    # the client's own poll period; the manager polls at its own
     sleep_time: float = DEFAULT_SLEEP
     import_format: str = "node-v1"
     export_format: str = "node-v1"
@@ -60,6 +68,18 @@ class ConnectionParams:
         wire.check_format_code(self.export_format)
         if self.input is not None:
             wire.check_input(self.input)
+
+
+def _remove_conn_dir(conn_dir: Path) -> None:
+    """Remove a connection's directory and boxes. The manager may add a
+    lock or batch file while the tree is being removed, so try again;
+    once a box is gone, the manager's next touch of it drops the
+    connection."""
+    for _ in range(3):
+        shutil.rmtree(conn_dir, ignore_errors=True)
+        if not conn_dir.exists():
+            return
+    log.warning("could not remove connection directory %s", conn_dir)
 
 
 class Connection:
@@ -113,23 +133,46 @@ class Connection:
         return self._parse_results(text)
 
     def request_close(self, timeout: float | None = None) -> None:
-        """Send the close request without waiting for its acknowledgment;
-        `close` then only waits. Lets a client close many connections at
-        once."""
+        """Send the close request, behind every batch already deposited,
+        without waiting for its acknowledgment; `close` then only waits.
+        Lets a client close many connections at once."""
         if self.state != "open":
             raise AlreadyClosed(f"connection {self.id} already closing")
-        req_in, _ = _request_boxes(self.request_root, self.params.sleep_time)
-        req_in.deposit(wire.serialize([wire.CloseRequest(self.id)]),
-                       timeout=timeout)
+        self.in_box.deposit(wire.serialize([wire.CloseRequest(self.id)]),
+                            timeout=timeout)
         self.state = "closing"
 
     def close(self, timeout: float | None = None) -> list[wire.WireRecord]:
-        return close_connection(self, timeout=timeout)
+        """Close the connection and remove its directory. Returns the
+        results the manager delivered before its `(closed conn-id)`, which
+        is the last deposit it makes on the connection.
 
-
-def _request_boxes(request_root: Path, sleep_time: float) -> tuple[Mailbox, Mailbox]:
-    return (Mailbox(request_root / "in", sleep_time),
-            Mailbox(request_root / "out", sleep_time))
+        Sends the close request unless `request_close` already did. The
+        directory is removed however the wait ends, so a client that gives
+        up on a close (`MailboxTimeout`) leaves nothing behind for the
+        manager to serve."""
+        if self.state == "closed":
+            raise AlreadyClosed(f"connection {self.id} already closed")
+        deadline = None if timeout is None else time.monotonic() + timeout
+        leftovers: list[wire.WireRecord] = []
+        try:
+            if self.state == "open":
+                self.request_close(timeout=timeout)
+            while True:
+                remaining = (None if deadline is None
+                             else max(0.0, deadline - time.monotonic()))
+                try:
+                    records = self.collect(timeout=remaining)
+                except MailboxTimeout:
+                    raise MailboxTimeout(
+                        f"no close acknowledgment for {self.id}") from None
+                if records[-1:] == [wire.CloseReply(self.id)]:
+                    leftovers.extend(records[:-1])
+                    return leftovers
+                leftovers.extend(records)
+        finally:
+            self.state = "closed"
+            _remove_conn_dir(self.in_box.path.parent)
 
 
 class PendingOpen:
@@ -141,104 +184,75 @@ class PendingOpen:
     """
 
     def __init__(self, request_root: Path, params: ConnectionParams,
-                 deadline: float):
+                 deadline: float, conn_dir: Path):
         self.request_root = request_root
         self.params = params
         self.deadline = deadline
+        self.in_box = Mailbox(conn_dir / "in", params.sleep_time)
+        self.out_box = Mailbox(conn_dir / "out", params.sleep_time)
 
     def wait(self) -> Connection:
         """The manager's reply, as a connection. Raises `ManagerUnavailable`
-        if no reply came before the deadline or the manager refused."""
-        _, req_out = _request_boxes(self.request_root, self.params.sleep_time)
+        if no reply came before the deadline, the reply was bad or the
+        manager refused; the connection's directory is then removed."""
         try:
-            reply_text = req_out.collect(
+            return self._connection()
+        except ManagerUnavailable:
+            _remove_conn_dir(self.in_box.path.parent)
+            raise
+
+    def _connection(self) -> Connection:
+        try:
+            reply_text = self.out_box.collect(
                 timeout=max(0.0, self.deadline - time.monotonic()))
         except (MailboxTimeout, BoxRemoved) as exc:
             raise ManagerUnavailable(
                 f"manager at {self.request_root} did not reply") from exc
-        replies = wire.parse(reply_text)
+        try:
+            replies = wire.parse(reply_text)
+        except ParseError:
+            replies = []
         if len(replies) == 1 and isinstance(replies[0], wire.ErrorRecord):
             raise ManagerUnavailable(f"manager at {self.request_root} refused "
                                      f"the connection: {replies[0].message}")
         if len(replies) != 1 or not isinstance(replies[0], wire.OpenReply):
             raise ManagerUnavailable(f"bad open reply: {reply_text!r}")
-        reply = replies[0]
-        return Connection(reply.conn_id,
-                          Mailbox(reply.in_path, self.params.sleep_time),
-                          Mailbox(reply.out_path, self.params.sleep_time),
+        return Connection(replies[0].conn_id, self.in_box, self.out_box,
                           self.params, self.request_root)
 
 
 def send_open(request_root: Path | str, params: ConnectionParams,
               timeout: float = 10.0) -> PendingOpen:
-    """Send an open request to the manager serving `request_root`, waiting
-    for it to serve if it has not started yet. `timeout` bounds the send
+    """Make a connection directory beside `request_root` and ask the
+    manager serving it to open a connection there, waiting for the
+    manager to serve if it has not started yet. `timeout` bounds the send
     and the wait for the reply together."""
     request_root = Path(request_root)
-    req_in, req_out = _request_boxes(request_root, params.sleep_time)
+    requests = Mailbox(request_root, params.sleep_time)
     deadline = time.monotonic() + timeout
-    while not (req_in.exists() and req_out.exists()):
+    while not requests.exists():
         if time.monotonic() >= deadline:
             raise ManagerUnavailable(f"no manager serving {request_root}")
         time.sleep(params.sleep_time)
-    request = wire.OpenRequest(params.sleep_time, params.import_format,
-                               params.export_format, params.input)
+    conn_dir = Path(tempfile.mkdtemp(prefix=CONN_PREFIX, dir=request_root.parent))
+    pending = PendingOpen(request_root, params, deadline, conn_dir)
+    pending.in_box.create()
+    pending.out_box.create()
+    request = wire.OpenRequest(params.import_format, params.export_format,
+                               params.input, conn_dir.name)
     try:
-        req_in.deposit(wire.serialize([request]),
-                       timeout=max(0.0, deadline - time.monotonic()))
+        requests.deposit(wire.serialize([request]),
+                         timeout=max(0.0, deadline - time.monotonic()))
     except (MailboxTimeout, BoxRemoved) as exc:
+        _remove_conn_dir(conn_dir)
         raise ManagerUnavailable(f"manager at {request_root} did not reply") from exc
-    return PendingOpen(request_root, params, deadline)
+    return pending
 
 
 def request_connection(request_root: Path | str, params: ConnectionParams,
                        timeout: float = 10.0) -> Connection:
     """Open a connection with the manager serving `request_root`."""
     return send_open(request_root, params, timeout).wait()
-
-
-def close_connection(conn: Connection, timeout: float | None = None) -> list[wire.WireRecord]:
-    """Close a connection; drains and returns any undelivered results.
-
-    Sends the close request unless `request_close` already did. Several
-    connections to one manager are closed by waiting on them in the order
-    their requests were sent, since the manager acknowledges in that order.
-    Raises `DrainTimeout` if the manager removed the out box while it still
-    held a batch.
-    """
-    if conn.state == "closed":
-        raise AlreadyClosed(f"connection {conn.id} already closed")
-    if conn.state == "open":
-        conn.request_close(timeout=timeout)
-    _, req_out = _request_boxes(conn.request_root, conn.params.sleep_time)
-    leftovers: list[wire.WireRecord] = []
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        # the manager keeps delivering until its out loop drains, so keep
-        # consuming while waiting for the acknowledgment
-        try:
-            text = conn.out_box.try_collect()
-            if text is not None:
-                leftovers.extend(conn._parse_results(text))
-        except BoxRemoved:
-            pass
-        reply_text = req_out.try_collect()
-        if reply_text is not None:
-            replies = wire.parse(reply_text)
-            if any(isinstance(r, wire.CloseReply) and r.conn_id == conn.id
-                   for r in replies):
-                break
-        if deadline is not None and time.monotonic() >= deadline:
-            raise MailboxTimeout(f"no close acknowledgment for {conn.id}")
-        time.sleep(conn.params.sleep_time)
-    conn.state = "closed"
-    for reply in replies:
-        if (isinstance(reply, wire.ErrorRecord)
-                and reply.message.startswith("drain-timeout")):
-            raise DrainTimeout(
-                f"connection {conn.id} ({reply.message}): the manager removed "
-                f"its out box with a batch still uncollected")
-    return leftovers
 
 
 # -- incremental delivery -----------------------------------------------------
@@ -280,96 +294,35 @@ def partition_by_end(records) -> list[list[wire.WireRecord]]:
     return [p for p in pieces if p]
 
 
-def incremental_deliver(batch_result, box: Mailbox, export_format: str,
-                        sleep_time: float, trailer=()) -> int:
-    """Deposit a batch piecewise, one piece per writer cycle, with the
-    `trailer` records appended to the last piece. Returns the number of
-    deposits made; an empty batch makes one for a non-empty trailer and
-    none otherwise."""
-    pieces = partition_by_end(batch_result) or [[]]
-    pieces[-1] = [*pieces[-1], *trailer]
-    if not pieces[-1]:
-        return 0
-    for i, piece in enumerate(pieces):
-        if i:
-            time.sleep(sleep_time)
-        box.deposit(wire.serialize(piece, export_format))
-    return len(pieces)
-
-
 # -- the manager service loop ---------------------------------------------------
 
-class _ConnectionWorker(threading.Thread):
-    """Manager-side loops for one connection: read work, run the component,
-    deliver results, and end each batch's delivery with a `done` record."""
+class _Served:
+    """The manager's side of one connection: its boxes, its component, and
+    the deposits it still owes the client, in order."""
 
-    def __init__(self, manager: "_Manager", conn_id: int, params: ConnectionParams,
-                 component, in_box: Mailbox, out_box: Mailbox):
-        super().__init__(daemon=True, name=f"{manager.name}-conn-{conn_id}")
-        self.manager = manager
-        self.conn_id = conn_id
-        self.params = params
-        self.component = component
-        self.in_box = in_box
-        self.out_box = out_box
-        self.stop_requested = threading.Event()
+    def __init__(self, conn_id: int, conn_dir: Path,
+                 request: wire.OpenRequest, sleep_time: float):
+        self.id = conn_id
+        self.in_box = Mailbox(conn_dir / "in", sleep_time)
+        self.out_box = Mailbox(conn_dir / "out", sleep_time)
+        self.import_format = request.import_format
+        self.export_format = request.export_format
+        self.component = None
+        self.owed: list[str] = []
         self.high_frame = 0
+        # set by a refused open or a close: drop once nothing is owed
+        self.ending = False
 
-    def run(self):
-        while True:
-            try:
-                text = self.in_box.try_collect()
-            except BoxRemoved:
-                return
-            if text is None:
-                if self.stop_requested.is_set():
-                    return
-                self.stop_requested.wait(self.params.sleep_time)
-                continue
-            self._handle(text)
-
-    def _handle(self, text: str):
-        try:
-            records = wire.parse(text, self.params.import_format)
-        except ParseError as exc:
-            self._emit([wire.ErrorRecord(f"import-parse-error {exc}")])
-            return
-        self._see(records)
-        try:
-            outputs = list(self.component(records))
-        except Exception as exc:  # component faults must not kill the manager
-            log.exception("component failed in %s", self.name)
-            self._emit([wire.ErrorRecord(f"component-error {exc}")])
-            return
-        self._see(outputs)
-        try:
-            if self.manager.incremental:
-                incremental_deliver(outputs, self.out_box,
-                                    self.params.export_format,
-                                    self.params.sleep_time,
-                                    [wire.DoneRecord(self.high_frame)])
-            else:
-                self._emit(outputs)
-        except BoxRemoved:
-            return
-        except ValueError as exc:
-            # serializing failed before the piece carrying `done` went out
-            self._emit([wire.ErrorRecord(f"export-error {exc}")])
-
-    def _see(self, records):
+    def see(self, records) -> None:
         """Raise the connection's high-water frame to the latest end frame
         among the records' timed data records."""
         ends = [e for e in map(_end_time, records) if e is not None]
         self.high_frame = max([self.high_frame, *ends])
 
-    def _emit(self, records):
-        """Deposit the last (here: only) delivery for a batch."""
-        try:
-            self.out_box.deposit(wire.serialize(
-                [*records, wire.DoneRecord(self.high_frame)],
-                self.params.export_format))
-        except BoxRemoved:
-            pass
+    def finished(self, records) -> str:
+        """The records as a batch's last deposit, ending with `done`."""
+        return wire.serialize([*records, wire.DoneRecord(self.high_frame)],
+                              self.export_format)
 
 
 class _Manager:
@@ -380,119 +333,155 @@ class _Manager:
         self.name = name
         self.incremental = incremental
         self.sleep_time = sleep_time
-        self.req_in, self.req_out = _request_boxes(self.request_root, sleep_time)
-        self.workers: dict[int, _ConnectionWorker] = {}
+        self.requests = Mailbox(self.request_root, sleep_time)
+        # by the name of the connection's directory
+        self.served: dict[str, _Served] = {}
         self._next_conn = 1
 
     def serve(self, stop_event: threading.Event | None = None):
+        """One poll loop: each cycle takes at most one request batch, then
+        makes every connection's next owed deposit or, owing none, takes
+        its next input batch. The loop sleeps between cycles, except after
+        one that made progress and left nothing owed."""
         if stop_event is None:
             stop_event = threading.Event()  # never set: serve until removed
-        self.req_in.create()
-        self.req_out.create()
+        self.requests.create()
         log.info("manager %s serving at %s", self.name, self.request_root)
         while not stop_event.is_set():
             try:
-                text = self.req_in.try_collect()
+                text = self.requests.try_collect()
             except BoxRemoved:
                 break
-            if text is None:
+            progressed = text is not None
+            if progressed:
+                self._dispatch(text)
+            for name, served in list(self.served.items()):
+                try:
+                    progressed |= self._step(served)
+                    gone = served.ending and not served.owed
+                except BoxRemoved:
+                    log.info("manager %s: connection %s dropped, its boxes "
+                             "are gone", self.name, served.id)
+                    gone = True
+                if gone:
+                    del self.served[name]
+            if not progressed or any(s.owed for s in self.served.values()):
                 stop_event.wait(self.sleep_time)
-                continue
-            try:
-                requests = wire.parse(text)
-            except ParseError as exc:
-                self._reply([wire.ErrorRecord(f"bad-request {exc}")])
-                continue
-            for request in requests:
-                self._dispatch(request)
-        for worker in self.workers.values():  # no one is left to close them
-            worker.stop_requested.set()
-            worker.join(timeout=60 * worker.params.sleep_time)
 
-    def _dispatch(self, request):
-        if isinstance(request, wire.OpenRequest):
+    def _dispatch(self, text: str):
+        try:
+            requests = wire.parse(text)
+        except (ParseError, UnknownFormatCode) as exc:
+            log.warning("manager %s: unparseable request ignored: %s",
+                        self.name, exc)
+            return
+        for request in requests:
+            conn_dir = self._conn_dir(request)
+            if conn_dir is None:
+                log.warning("manager %s: request ignored, it names no "
+                            "connection directory to answer in: %r",
+                            self.name, request)
+                continue
+            served = _Served(self._next_conn, conn_dir, request,
+                             self.sleep_time)
+            self._next_conn += 1
+            self.served[conn_dir.name] = served
             try:
-                params = ConnectionParams(request.sleep_time,
-                                          request.import_format,
-                                          request.export_format,
-                                          request.input)
-            except (UnknownFormatCode, ValueError) as exc:
-                self._reply([wire.ErrorRecord(f"bad-params {exc}")])
-                return
-            try:
-                component = self.factory(params.input)
+                served.component = self.factory(request.input)
             except Exception as exc:  # a refused input must not kill the manager
                 log.exception("building a component failed in %s", self.name)
-                self._reply([wire.ErrorRecord(f"component-error {exc}")])
-                return
-            conn_id = self._next_conn
-            self._next_conn += 1
-            conn_root = self.request_root.parent / f"conn-{conn_id}"
-            in_box = Mailbox(conn_root / "in", params.sleep_time).create()
-            out_box = Mailbox(conn_root / "out", params.sleep_time).create()
-            worker = _ConnectionWorker(self, conn_id, params, component,
-                                       in_box, out_box)
-            self.workers[conn_id] = worker
-            worker.start()
-            self._reply([wire.OpenReply(conn_id, str(in_box.path),
-                                        str(out_box.path))])
-        elif isinstance(request, wire.CloseRequest):
-            worker = self.workers.pop(request.conn_id, None)
-            if worker is None:
-                self._reply([wire.ErrorRecord(f"no-such-connection {request.conn_id}")])
-                return
-            worker.stop_requested.set()
-            worker.join(timeout=60 * worker.params.sleep_time)
-            drained = self._await_drained(worker.out_box)
-            worker.in_box.remove()
-            worker.out_box.remove()
-            try:
-                worker.in_box.path.parent.rmdir()
-            except OSError:
-                pass
-            reply = [wire.CloseReply(request.conn_id)]
-            if not drained:
-                log.warning("connection %s closed with its out box uncollected",
-                            request.conn_id)
-                reply.insert(0, wire.ErrorRecord(f"drain-timeout {request.conn_id}"))
-            self._reply(reply)
+                served.owed.append(wire.serialize(
+                    [wire.ErrorRecord(f"component-error {exc}")]))
+                served.ending = True
+            else:
+                served.owed.append(wire.serialize([wire.OpenReply(served.id)]))
 
-    def _await_drained(self, box: Mailbox, cycles: int = 60) -> bool:
-        """Give the client's reader a bounded window to take the last
-        batch. Returns False if the batch is still there afterwards."""
-        for _ in range(cycles):
-            try:
-                if not box.is_full():
-                    return True
-            except BoxRemoved:
-                return True
-            time.sleep(box.sleep_time)
-        return False
+    def _conn_dir(self, request) -> Path | None:
+        """The directory an open request names for its connection, if it is
+        a bare `conn-*` name of a directory beside the request box that no
+        served connection uses. The name comes from another process, so
+        nothing else is accepted."""
+        if not isinstance(request, wire.OpenRequest):
+            return None
+        name = request.conn
+        conn_dir = self.request_root.parent / name
+        if (not name.startswith(CONN_PREFIX) or Path(name).name != name
+                or name in self.served or not conn_dir.is_dir()):
+            return None
+        return conn_dir
 
-    def _reply(self, records):
+    def _step(self, served: _Served) -> bool:
+        """Make the next deposit owed on a connection, first taking its
+        next input batch if nothing is owed. Returns True if this delivered
+        the last deposit owed."""
+        if not served.owed:
+            text = served.in_box.try_collect()
+            if text is None:
+                return False
+            served.owed = self._reply(served, text)
+        if not served.out_box.try_deposit(served.owed[0]):
+            return False
+        del served.owed[0]
+        return not served.owed
+
+    def _reply(self, served: _Served, text: str) -> list[str]:
+        """The deposits answering one batch taken from a connection's in
+        box: the component's results, piecewise if the manager is
+        incremental, the last deposit ending with `done`; or, for the
+        connection's close request, its acknowledgment alone."""
         try:
-            self.req_out.deposit(wire.serialize(records))
-        except BoxRemoved:
-            pass
+            records = wire.parse(text, served.import_format)
+        except (ParseError, UnknownFormatCode) as exc:
+            return [served.finished([wire.ErrorRecord(f"import-parse-error {exc}")])]
+        if records == [wire.CloseRequest(served.id)]:
+            served.ending = True
+            return [wire.serialize([wire.CloseReply(served.id)])]
+        served.see(records)
+        try:
+            outputs = list(served.component(records))
+        except Exception as exc:  # component faults must not kill the manager
+            log.exception("component failed in %s, connection %s",
+                          self.name, served.id)
+            return [served.finished([wire.ErrorRecord(f"component-error {exc}")])]
+        served.see(outputs)
+        pieces = (partition_by_end(outputs) if self.incremental
+                  else [outputs]) or [[]]
+        owed = []
+        try:
+            for piece in pieces[:-1]:
+                owed.append(wire.serialize(piece, served.export_format))
+            owed.append(served.finished(pieces[-1]))
+        except ValueError as exc:
+            # serializing failed before the piece carrying `done`
+            owed.append(served.finished([wire.ErrorRecord(f"export-error {exc}")]))
+        return owed
 
 
 def run_manager(factory, request_root: Path | str, *, name: str = "manager",
                 incremental: bool = False, sleep_time: float = DEFAULT_SLEEP,
                 stop_event: threading.Event | None = None) -> None:
-    """Serve connection requests forever (or until `stop_event` is set).
+    """Serve connection requests forever (or until `stop_event` is set, or
+    the request box is removed), polling every `sleep_time` seconds in a
+    single loop on the calling thread.
 
     `factory` is called once per opened connection with the input its open
     request named (None for `-`) and returns that connection's component,
     so every component's state lives per connection. If it raises, the
     open is answered with `(error component-error_...)` and the manager
     keeps serving. A component maps a list of wire records to a list of
-    wire records; it is invoked once per collected batch. Exceptions
-    inside it become error records on the out box and the manager keeps
-    serving. Whatever the outcome, the last deposit made for a batch ends
-    with a `(done frame)` record; the component never produces or sees
-    one. A close request is acknowledged with `(closed conn-id)`, preceded
-    in the same reply by `(error drain-timeout_<conn-id>)` if the client
-    left a batch uncollected.
+    wire records; it is invoked once per collected batch and holds up
+    every connection of the manager while it runs. Exceptions inside it
+    become error records on the out box and the manager keeps serving.
+    Whatever the outcome, the last deposit made for a batch ends with a
+    `(done frame)` record; the component never produces or sees one.
+
+    Every reply goes to the out box of the connection that asked. An open
+    request naming no `conn-*` directory beside the request box, and a
+    request that does not parse, have no box to be answered in and are
+    only logged. A close request, a batch of just `(close conn-id)` on the
+    connection's in box, is answered by `(closed conn-id)` once every
+    earlier batch's reply is delivered; that is the last deposit on the
+    connection. A connection whose boxes are removed is dropped.
     """
     _Manager(factory, Path(request_root), name, incremental,
              sleep_time).serve(stop_event)

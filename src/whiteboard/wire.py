@@ -19,14 +19,18 @@ source ids name the input-layer nodes it was built from, in the ids the
 coordinator sent them under; the coordinator's own slices send `()`.
 
 Control records start with a keyword token and are legal in any context:
-(open sleep import export input), (opened conn-id in-path out-path),
-(close conn-id), (closed conn-id), (error message), and (done frame),
-which a manager appends to its last deposit for each input batch: the
-batch is finished, and frame is the highest end frame the connection has
-seen so far in its inputs and outputs. An open request fixes the new
-connection's formats and names its input, a token the manager hands to
-the component it builds for that connection (the demo's source reads its
-utterance's matrix file from it), or `-` for a component that takes none.
+(open import export input conn), (opened conn-id), (close conn-id),
+(closed conn-id), (error message), and (done frame), which a manager
+appends to its last deposit for each input batch: the batch is finished,
+and frame is the highest end frame the connection has seen so far in its
+inputs and outputs. An open request fixes the new connection's formats,
+names its input, a token the manager hands to the component it builds for
+that connection (the demo's source reads its utterance's matrix file
+from it), or `-` for a component that takes none, and names the
+`conn-*` directory beside the request box that holds the connection's
+boxes. The manager answers it with `opened` or an error on that
+directory's out box; `close` and `closed` travel on the connection's own
+in and out boxes.
 """
 
 from __future__ import annotations
@@ -89,17 +93,15 @@ class InactiveEdgeRecord:
 
 @dataclass(frozen=True)
 class OpenRequest:
-    sleep_time: float
     import_format: str
     export_format: str
-    input: str | None = None  # `-` on the wire
+    input: str | None  # `-` on the wire
+    conn: str  # the bare name of the connection's directory
 
 
 @dataclass(frozen=True)
 class OpenReply:
     conn_id: int
-    in_path: str
-    out_path: str
 
 
 @dataclass(frozen=True)
@@ -191,12 +193,11 @@ def serialize_record(record: WireRecord) -> str:
                 f"{_fmt_token(record.category)} {_fmt_float(record.score)} "
                 f"{_fmt_ints(record.children)})")
     if isinstance(record, OpenRequest):
-        return (f"(open {_fmt_float(record.sleep_time)} "
-                f"{_fmt_token(record.import_format)} {_fmt_token(record.export_format)} "
-                f"{_fmt_input(record.input)})")
+        return (f"(open {_fmt_token(record.import_format)} "
+                f"{_fmt_token(record.export_format)} "
+                f"{_fmt_input(record.input)} {_fmt_token(record.conn)})")
     if isinstance(record, OpenReply):
-        return (f"(opened {int(record.conn_id)} {_fmt_token(record.in_path)} "
-                f"{_fmt_token(record.out_path)})")
+        return f"(opened {int(record.conn_id)})"
     if isinstance(record, CloseRequest):
         return f"(close {int(record.conn_id)})"
     if isinstance(record, CloseReply):
@@ -370,20 +371,18 @@ def parse_line(line: str, lineno: int, format_code: str | None) -> WireRecord:
             if tok == "open":
                 if len(fields) != 5:
                     raise ParseError("open: expected 4 arguments", lineno, col)
-                code_in = _want_token(fields[2], lineno, "import format")
-                code_out = _want_token(fields[3], lineno, "export format")
+                code_in = _want_token(fields[1], lineno, "import format")
+                code_out = _want_token(fields[2], lineno, "export format")
                 check_format_code(code_in)
                 check_format_code(code_out)
-                source = _want_token(fields[4], lineno, "input")
-                return OpenRequest(_want_float(fields[1], lineno, "sleep"),
-                                   code_in, code_out,
-                                   None if source == NO_INPUT else source)
+                source = _want_token(fields[3], lineno, "input")
+                return OpenRequest(code_in, code_out,
+                                   None if source == NO_INPUT else source,
+                                   _want_token(fields[4], lineno, "conn"))
             if tok == "opened":
-                if len(fields) != 4:
-                    raise ParseError("opened: expected 3 arguments", lineno, col)
-                return OpenReply(_want_int(fields[1], lineno, "conn-id"),
-                                 _want_token(fields[2], lineno, "in path"),
-                                 _want_token(fields[3], lineno, "out path"))
+                if len(fields) != 2:
+                    raise ParseError("opened: expected 1 argument", lineno, col)
+                return OpenReply(_want_int(fields[1], lineno, "conn-id"))
             if tok == "close":
                 if len(fields) != 2:
                     raise ParseError("close: expected 1 argument", lineno, col)

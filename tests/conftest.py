@@ -18,8 +18,8 @@ def fixtures_dir() -> Path:
 
 
 def _manager_thread(thread: threading.Thread) -> bool:
-    """A manager service loop started on a thread, or a connection worker."""
-    return "(run_manager)" in thread.name or "-conn-" in thread.name
+    """A manager service loop started on a thread."""
+    return "(run_manager)" in thread.name
 
 
 @pytest.fixture(autouse=True)

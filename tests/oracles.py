@@ -127,3 +127,9 @@ def random_grammar(rng: random.Random, terminals: list[str],
                         for _ in range(length))
         rules.append((lhs, rhs))
     return rules
+
+
+def identity_component(records) -> list:
+    """The echo component: its reply to a batch is the batch itself, so a
+    protocol test knows exactly what each connection must get back."""
+    return list(records)

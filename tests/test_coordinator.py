@@ -20,14 +20,10 @@ from whiteboard import (
     run_manager,
     wire,
 )
-from whiteboard.components import (
-    IslandParser,
-    MatrixSource,
-    WordForWordTranslator,
-    identity_component,
-)
+from whiteboard.components import IslandParser, MatrixSource, WordForWordTranslator
 from whiteboard.coordinator import _Bound
 from whiteboard.errors import LayerMismatch
+from oracles import identity_component
 from utterances import spliced_utterances
 
 REPO = Path(__file__).parent.parent

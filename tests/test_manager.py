@@ -1,27 +1,26 @@
+import logging
+import shutil
 import threading
 import time
 
 import pytest
 
 from whiteboard import Thresholds, load_grammar, wire
-from whiteboard.components import IslandParser, MatrixSource, identity_component
+from whiteboard.components import IslandParser, MatrixSource
 from whiteboard.errors import (
     AlreadyClosed,
-    DrainTimeout,
+    MailboxTimeout,
     ManagerUnavailable,
     UnknownFormatCode,
 )
 from whiteboard.manager import (
     ConnectionParams,
-    _ConnectionWorker,
-    _Manager,
-    close_connection,
-    incremental_deliver,
     partition_by_end,
     request_connection,
     run_manager,
 )
 from whiteboard.mailbox import Mailbox
+from oracles import identity_component
 from utterances import spliced_utterances
 
 SLEEP = 0.005
@@ -184,13 +183,101 @@ def test_close_acknowledges_and_removes_boxes(tmp_path):
             conn.close(timeout=5.0)
 
 
-def test_close_delivers_pending_content_first(tmp_path):
-    with hosted_manager(tmp_path, identity_component) as root:
+@pytest.mark.parametrize("incremental", [False, True])
+def test_close_delivers_pending_content_first(tmp_path, incremental):
+    with hosted_manager(tmp_path, identity_component,
+                        incremental=incremental) as root:
         conn = request_connection(root, params())
-        conn.deposit(edges(0, 1), timeout=5.0)
-        # do not collect; close must hand the undelivered batch over
-        leftovers = close_connection(conn, timeout=5.0)
-        assert leftovers == edges(0, 1)
+        conn.deposit(edges(0, 1, 2), timeout=5.0)  # three end frames
+        # do not collect; close must hand the undelivered reply over, every
+        # piece in order, before its acknowledgment
+        leftovers = conn.close(timeout=5.0)
+        assert leftovers == edges(0, 1, 2)
+        assert not list(root.parent.glob("conn-*"))
+
+
+def test_clients_sharing_a_manager_get_only_their_own_replies(tmp_path):
+    failures = []
+
+    def client(root, tag):
+        try:
+            for trial in range(10):
+                conn = request_connection(root, params())
+                batch = edges(100 * tag + trial)
+                conn.deposit(batch, timeout=5.0)
+                assert conn.collect(timeout=5.0) == batch
+                assert conn.close(timeout=5.0) == []
+        except Exception as exc:
+            failures.append(f"client {tag}: {exc!r}")
+
+    with hosted_manager(tmp_path, identity_component) as root:
+        clients = [threading.Thread(target=client, args=(root, tag))
+                   for tag in (1, 2)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in clients)
+    assert failures == []
+
+
+def test_an_open_naming_no_connection_directory_of_its_own_is_only_logged(
+        tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="whiteboard.manager")
+    manager = hosted_manager(tmp_path, identity_component)
+    (tmp_path / "elsewhere").mkdir()
+    (manager.root.parent / "plain").mkdir(parents=True)
+    with manager as root:
+        requests = Mailbox(root, SLEEP)
+        while not requests.exists():
+            time.sleep(SLEEP)
+        before = sorted(tmp_path.rglob("*"))
+        bad = ["../elsewhere", str(tmp_path / "elsewhere"), "conn-missing",
+               "plain"]
+        for name in bad:
+            requests.deposit(wire.serialize(
+                [wire.OpenRequest("edge-v1", "edge-v1", None, name)]),
+                timeout=5.0)
+        requests.deposit("(open edge-v1\n", timeout=5.0)
+        # answered only once the manager has taken every earlier request
+        conn = request_connection(root, params())
+        conn.deposit(edges(0), timeout=5.0)
+        assert conn.collect(timeout=5.0) == edges(0)
+        conn.close(timeout=5.0)
+        assert sorted(tmp_path.rglob("*")) == before
+    ignored = [r.getMessage() for r in caplog.records
+               if r.name == "whiteboard.manager" and "ignored" in r.getMessage()]
+    assert len(ignored) == len(bad) + 1
+    for name in bad:
+        assert any(repr(name) in message for message in ignored)
+
+
+def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="whiteboard.manager")
+    # an open nobody answers
+    silent = Mailbox(tmp_path / "silent" / "request", SLEEP).create()
+    with pytest.raises(ManagerUnavailable, match="did not reply"):
+        request_connection(silent.path, params(), timeout=0.1)
+    assert not list(silent.path.parent.glob("conn-*"))
+
+    # a close nobody answers
+    stopped = hosted_manager(tmp_path, identity_component, name="stopped")
+    with stopped as root:
+        conn = request_connection(root, params())
+    with pytest.raises(MailboxTimeout):
+        conn.close(timeout=0.1)
+    assert not list(root.parent.glob("conn-*"))
+
+    # the manager drops a connection whose directory went, and serves on
+    with hosted_manager(tmp_path, identity_component) as root:
+        gone, kept = (request_connection(root, params()) for _ in range(2))
+        shutil.rmtree(gone.in_box.path.parent)
+        for i in range(3):
+            kept.deposit(edges(i), timeout=5.0)
+            assert kept.collect(timeout=5.0) == edges(i)
+        assert any(f"connection {gone.id} dropped" in r.getMessage()
+                   for r in caplog.records)
+        kept.close(timeout=5.0)
 
 
 def test_component_fault_becomes_error_record_and_service_continues(tmp_path):
@@ -249,23 +336,6 @@ def test_partition_places_arcs_with_their_later_endpoint():
     assert len(pieces) == 2
     assert pieces[1] == [wire.NodeRecord(2, 3, 6, "b", 0.2),
                          wire.ArcRecord(9, 1, 2, 0.0)]
-
-
-def test_incremental_deliver_deposits_piecewise(tmp_path):
-    box = Mailbox(tmp_path / "out", SLEEP).create()
-    batch = [wire.EdgeRecord(0, 3, "a", 0.1), wire.EdgeRecord(3, 6, "b", 0.2)]
-    done = []
-
-    def writer():
-        done.append(incremental_deliver(batch, box, "edge-v1", SLEEP))
-
-    thread = threading.Thread(target=writer)
-    thread.start()
-    first = wire.parse(box.collect(timeout=5.0), "edge-v1")
-    second = wire.parse(box.collect(timeout=5.0), "edge-v1")
-    thread.join(timeout=5.0)
-    assert done == [2]
-    assert first + second == batch
 
 
 def test_incremental_manager_delivers_multiple_batches(tmp_path):
@@ -358,39 +428,6 @@ def test_connection_counts_outstanding_batches(tmp_path):
         assert (conn.outstanding, conn.done_frame) == (1, 3)
         assert conn.collect(timeout=5.0) == edges(8)
         assert (conn.outstanding, conn.done_frame) == (0, 9)
-
-
-def test_close_reports_a_drain_timeout(tmp_path):
-    with hosted_manager(tmp_path, identity_component) as root:
-        conn = request_connection(root, params())
-        conn.deposit(edges(0), timeout=5.0)
-        deadline = time.monotonic() + 5.0
-        while not conn.out_box.is_full() and time.monotonic() < deadline:
-            time.sleep(SLEEP)
-        # a client that never collects: the manager waits out its drain
-        # window and removes the box with the batch still in it
-        conn.request_close(timeout=5.0)
-        while conn.out_box.exists() and time.monotonic() < deadline:
-            time.sleep(SLEEP)
-        assert not conn.out_box.exists()
-        with pytest.raises(DrainTimeout, match=f"drain-timeout_{conn.id}"):
-            conn.close(timeout=5.0)
-        assert conn.state == "closed"
-
-
-def test_a_worker_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
-    poll = 2.0
-    manager = _Manager(lambda _input: identity_component,
-                       tmp_path / "m" / "request", "m", False, poll)
-    worker = _ConnectionWorker(
-        manager, 1, ConnectionParams(poll, "edge-v1", "edge-v1"),
-        identity_component, Mailbox(tmp_path / "in", poll).create(),
-        Mailbox(tmp_path / "out", poll).create())
-    worker.start()
-    time.sleep(0.1)  # found its in box empty; now idling until the next poll
-    worker.stop_requested.set()
-    worker.join(timeout=0.5)
-    assert not worker.is_alive()
 
 
 def test_a_manager_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):

@@ -67,9 +67,9 @@ def test_format_codes_are_enforced_on_serialize():
 
 def test_control_records_roundtrip_without_format():
     records = [
-        wire.OpenRequest(0.05, "edge-v1", "node-v1"),
-        wire.OpenRequest(0.05, "edge-v1", "edge-v1", "utterances/hai.mat"),
-        wire.OpenReply(3, "/tmp/a/in", "/tmp/a/out"),
+        wire.OpenRequest("edge-v1", "node-v1", None, "conn-a1"),
+        wire.OpenRequest("edge-v1", "edge-v1", "utterances/hai.mat", "conn-b2"),
+        wire.OpenReply(3),
         wire.CloseRequest(3),
         wire.CloseReply(3),
         wire.ErrorRecord("component_blew_up"),
@@ -85,20 +85,21 @@ def test_error_record_message_is_sanitized():
 
 def test_open_request_validates_format_codes():
     with pytest.raises(UnknownFormatCode):
-        wire.parse("(open 0.05 bogus edge-v1 -)\n")
+        wire.parse("(open bogus edge-v1 - conn-a1)\n")
 
 
 def test_open_request_names_its_input_or_none():
-    assert wire.parse("(open 0.05 edge-v1 edge-v1 -)\n") == [
-        wire.OpenRequest(0.05, "edge-v1", "edge-v1", None)]
-    assert wire.serialize([wire.OpenRequest(0.05, "edge-v1", "edge-v1",
-                                            "u/hai.mat")]) == (
-        "(open 0.05 edge-v1 edge-v1 u/hai.mat)\n")
+    assert wire.parse("(open edge-v1 edge-v1 - conn-a1)\n") == [
+        wire.OpenRequest("edge-v1", "edge-v1", None, "conn-a1")]
+    assert wire.serialize([wire.OpenRequest("edge-v1", "edge-v1",
+                                            "u/hai.mat", "conn-a1")]) == (
+        "(open edge-v1 edge-v1 u/hai.mat conn-a1)\n")
     with pytest.raises(ParseError, match="expected 4 arguments"):
-        wire.parse("(open 0.05 edge-v1 edge-v1)\n")
+        wire.parse("(open edge-v1 edge-v1 conn-a1)\n")
     for source in ("two words", "u(1)", "-"):
         with pytest.raises(ValueError):
-            wire.serialize([wire.OpenRequest(0.05, "edge-v1", "edge-v1", source)])
+            wire.serialize([wire.OpenRequest("edge-v1", "edge-v1", source,
+                                             "conn-a1")])
 
 
 def test_arc_and_edge_share_arity_but_not_format():
