@@ -6,16 +6,21 @@ end frame, segment length and label) joined by explicit sequencing arcs,
 plus grey connector nodes that record how white nodes were built without
 taking part in the lattice structure itself.
 
-Layers are mutable until sealed. Sealing wires two virtual endpoint nodes
-around the real graph, checks acyclicity, unique first/last nodes and full
-reachability, and freezes the layer; only sealed layers may enumerate
-paths.
+Everything enters a layer through :meth:`Layer.add_white_node`,
+:meth:`Layer.add_grey_node` and :meth:`Layer.add_arc`, import included, so
+every layer holds one node per exact packing key, legal labels only, and
+arcs that close no cycle. Layers are mutable until sealed. Sealing wires
+two virtual endpoint nodes to the sources and sinks of that loop-free
+graph, which gives it one first node, one last node and every node on an
+initial-to-final path, and freezes the layer; only sealed layers may
+enumerate paths.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -25,11 +30,11 @@ from .errors import (
     EmptyEndpointList,
     EmptyLayer,
     IllegalLabel,
+    InvalidExport,
     LayerSealed,
     NotSealed,
     UnknownDependency,
     UnknownNode,
-    UnreachableNode,
     WouldCreateCycle,
 )
 
@@ -110,17 +115,8 @@ class Arc:
 class SealReport:
     node_count: int
     arc_count: int
-    acyclic: bool
-    unique_first: bool
-    unique_last: bool
-    fully_reachable: bool
     wired_to_initial: list[int]
     wired_to_final: list[int]
-
-    @property
-    def ok(self) -> bool:
-        return (self.acyclic and self.unique_first and self.unique_last
-                and self.fully_reachable)
 
 
 @dataclass
@@ -135,13 +131,11 @@ class Layer:
 
     def __init__(self, board: "Whiteboard", name: str,
                  legal_labels: set[str] | None,
-                 depends_on: frozenset[str],
-                 packing_tolerance: int = 0):
+                 depends_on: frozenset[str]):
         self.board = board
         self.name = name
         self.legal_labels = set(legal_labels) if legal_labels is not None else None
         self.depends_on = depends_on
-        self.packing_tolerance = int(packing_tolerance)
         self.sealed = False
         self._seal_report: SealReport | None = None
         self.white_nodes: dict[int, WhiteNode] = {}
@@ -149,7 +143,6 @@ class Layer:
         self.arcs: dict[int, Arc] = {}
         self._wiring_arcs: dict[int, Arc] = {}
         self._by_key: dict[PackingKey, int] = {}
-        self._by_label: dict[str, list[int]] = {}
         self._succ: dict[int, list[int]] = {}
         self._pred: dict[int, list[int]] = {}
         self.virtual_initial = board._new_id()
@@ -165,14 +158,15 @@ class Layer:
                        reading: object = None) -> tuple[int, bool]:
         """Add (or pack) a hypothesis; returns (node id, packed flag).
 
-        A node already holding the normalized packing key absorbs the new
-        reading and keeps the max score; otherwise a fresh node is created.
+        A node already holding the packing key absorbs the new reading and
+        keeps the max score; otherwise a fresh node is created.
         """
         self._check_unsealed()
         if self.legal_labels is not None and label not in self.legal_labels:
             raise IllegalLabel(f"label {label!r} not legal in layer {self.name!r}")
         score = float(score)
-        target = self._find_packed(span, label)
+        key = PackingKey.of(span, label)
+        target = self._by_key.get(key)
         if target is not None:
             node = self.white_nodes[target]
             if not any(r.payload == reading and r.score == score
@@ -181,53 +175,29 @@ class Layer:
             if score > node.score:
                 node.score = score
             return target, True
-        node = WhiteNode(self.board._new_id(), span, label, score,
-                         [Reading(reading, score)])
-        self._insert_node(node)
-        return node.id, False
-
-    def _insert_node(self, node: WhiteNode) -> None:
-        """Enter a new node in the layer's and the board's indexes."""
-        self.white_nodes[node.id] = node
-        self.board._node_layer[node.id] = self.name
-        self._by_key[PackingKey.of(node.span, node.label)] = node.id
-        self._by_label.setdefault(node.label, []).append(node.id)
-        self._succ[node.id] = []
-        self._pred[node.id] = []
-
-    def _find_packed(self, span: TimeSpan, label: str) -> int | None:
-        eps = self.packing_tolerance
-        if eps == 0:
-            return self._by_key.get(PackingKey.of(span, label))
-        best = None
-        for node_id in self._by_label.get(label, ()):
-            other = self.white_nodes[node_id].span
-            if (abs(span.end - other.end) <= eps
-                    and abs(span.length - other.length) <= eps):
-                if best is None or node_id < best:
-                    best = node_id
-        return best
+        node_id = self.board._new_id()
+        self.white_nodes[node_id] = WhiteNode(node_id, span, label, score,
+                                              [Reading(reading, score)])
+        self.board._node_layer[node_id] = self.name
+        self._by_key[key] = node_id
+        self._succ[node_id] = []
+        self._pred[node_id] = []
+        return node_id, False
 
     def add_arc(self, origin: int, extremity: int, weight: float = 0.0) -> int:
         self._check_unsealed()
         for node_id in (origin, extremity):
-            owner = self.board._node_layer.get(node_id)
-            if owner is None or node_id not in self.board.layers[owner].white_nodes:
-                raise UnknownNode(f"no white node with id {node_id}")
+            owner = self.board.node_layer(node_id)
             if owner != self.name:
                 raise CrossLayerArc(
                     f"node {node_id} belongs to layer {owner!r}, not {self.name!r}")
         if origin == extremity or self._reaches(extremity, origin):
             raise WouldCreateCycle(f"arc {origin}->{extremity} would close a cycle")
-        arc = Arc(self.board._new_id(), origin, extremity, float(weight))
-        self._insert_arc(arc)
-        return arc.id
-
-    def _insert_arc(self, arc: Arc) -> None:
-        """Enter a checked arc in the layer's indexes."""
-        self.arcs[arc.id] = arc
-        self._succ[arc.origin].append(arc.extremity)
-        self._pred[arc.extremity].append(arc.origin)
+        arc_id = self.board._new_id()
+        self.arcs[arc_id] = Arc(arc_id, origin, extremity, float(weight))
+        self._succ[origin].append(extremity)
+        self._pred[extremity].append(origin)
+        return arc_id
 
     def add_arc_once(self, origin: int, extremity: int,
                      weight: float = 0.0) -> None:
@@ -262,9 +232,7 @@ class Layer:
         if not inputs or not outputs:
             raise EmptyEndpointList("grey node needs non-empty inputs and outputs")
         for node_id in inputs + outputs:
-            owner = self.board._node_layer.get(node_id)
-            if owner is None or node_id not in self.board.layers[owner].white_nodes:
-                raise UnknownNode(f"no white node with id {node_id}")
+            self.board.node_layer(node_id)
         grey_id = self.board._new_id()
         self.grey_nodes[grey_id] = GreyNode(grey_id, rule, inputs, outputs)
         return grey_id
@@ -276,7 +244,14 @@ class Layer:
     # -- sealing and traversal ----------------------------------------------
 
     def seal(self) -> SealReport:
-        """Wire the virtual endpoints and validate the lattice shape."""
+        """Wire the virtual endpoints to the sources and sinks and freeze
+        the layer.
+
+        Every arc passed :meth:`add_arc`'s cycle check, so the layer is
+        loop-free, and the wiring leaves the initial endpoint as its only
+        first node, the final one as its only last node, and every white
+        node on an initial-to-final path.
+        """
         if self.sealed:
             return self._seal_report
         if not self.white_nodes:
@@ -296,64 +271,10 @@ class Layer:
             arc_id = self.board._new_id()
             self._wiring_arcs[arc_id] = Arc(arc_id, n, vf, 0.0)
             self._succ[n].append(vf)
-        report = SealReport(
-            node_count=len(self.white_nodes),
-            arc_count=len(self.arcs),
-            acyclic=self._kahn_acyclic(),
-            unique_first=self._unique_endpoint(self._pred, vi),
-            unique_last=self._unique_endpoint(self._succ, vf),
-            fully_reachable=True,
-            wired_to_initial=sources,
-            wired_to_final=sinks,
-        )
-        unreachable = self._unreachable_nodes()
-        report.fully_reachable = not unreachable
-        if not report.ok:
-            # cycles cannot be built through add_arc, so only isolated
-            # garbage can surface here
-            raise UnreachableNode(
-                f"layer {self.name!r} failed seal validation: "
-                f"unreachable={sorted(unreachable)}")
         self.sealed = True
-        self._seal_report = report
-        return report
-
-    def _all_ids(self):
-        return list(self.white_nodes) + [self.virtual_initial, self.virtual_final]
-
-    def _kahn_acyclic(self) -> bool:
-        indeg = {n: len(self._pred.get(n, ())) for n in self._all_ids()}
-        queue = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            cur = queue.pop()
-            seen += 1
-            for nxt in self._succ.get(cur, ()):
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    queue.append(nxt)
-        return seen == len(indeg)
-
-    def _unique_endpoint(self, link: dict[int, list[int]], expected: int) -> bool:
-        empty = [n for n in self._all_ids() if not link.get(n)]
-        return empty == [expected]
-
-    def _unreachable_nodes(self) -> set[int]:
-        forward = self._closure(self.virtual_initial, self._succ)
-        backward = self._closure(self.virtual_final, self._pred)
-        return {n for n in self.white_nodes
-                if n not in forward or n not in backward}
-
-    @staticmethod
-    def _closure(start: int, link: dict[int, list[int]]) -> set[int]:
-        stack, seen = [start], set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(link.get(cur, ()))
-        return seen
+        self._seal_report = SealReport(len(self.white_nodes), len(self.arcs),
+                                       sources, sinks)
+        return self._seal_report
 
     def enumerate_paths(self) -> list[LatticePath]:
         """All initial-to-final label sequences with additive scores."""
@@ -402,8 +323,7 @@ class Whiteboard:
         self._next_id += 1
         return out
 
-    def declare_layer(self, name: str, legal_labels=None, depends_on=(),
-                      packing_tolerance: int = 0) -> Layer:
+    def declare_layer(self, name: str, legal_labels=None, depends_on=()) -> Layer:
         if name in self.layers:
             raise DuplicateLayer(f"layer {name!r} already declared")
         deps = frozenset(depends_on)
@@ -412,7 +332,7 @@ class Whiteboard:
         for dep in sorted(deps):
             if dep not in self.layers:
                 raise UnknownDependency(f"unknown dependency layer {dep!r}")
-        layer = Layer(self, name, legal_labels, deps, packing_tolerance)
+        layer = Layer(self, name, legal_labels, deps)
         self.layers[name] = layer
         if not self._deps_acyclic():
             del self.layers[name]
@@ -441,10 +361,7 @@ class Whiteboard:
         return out
 
     def node(self, node_id: int) -> WhiteNode:
-        layer = self._node_layer.get(node_id)
-        if layer is None:
-            raise UnknownNode(f"no white node with id {node_id}")
-        return self.layers[layer].white_nodes[node_id]
+        return self.layers[self.node_layer(node_id)].white_nodes[node_id]
 
     def node_layer(self, node_id: int) -> str:
         layer = self._node_layer.get(node_id)
@@ -466,27 +383,26 @@ def filter_slice(nodes: list[WhiteNode], arcs: list[Arc],
 
 # -- export / import ---------------------------------------------------------
 
+def _node_dict(n: WhiteNode) -> dict:
+    return {
+        "id": n.id,
+        "begin": n.span.begin,
+        "end": n.span.end,
+        "label": n.label,
+        "score": n.score,
+        "readings": [{"payload": r.payload, "score": r.score} for r in n.readings],
+    }
+
+
 def _layer_dict(layer: Layer) -> dict:
     return {
         "name": layer.name,
         "depends_on": sorted(layer.depends_on),
         "legal_labels": (sorted(layer.legal_labels)
                          if layer.legal_labels is not None else None),
-        "packing_tolerance": layer.packing_tolerance,
         "sealed": layer.sealed,
-        "nodes": [
-            {
-                "id": n.id,
-                "begin": n.span.begin,
-                "end": n.span.end,
-                "label": n.label,
-                "score": n.score,
-                "readings": [
-                    {"payload": r.payload, "score": r.score} for r in n.readings
-                ],
-            }
-            for n in sorted(layer.white_nodes.values(), key=lambda n: n.id)
-        ],
+        "nodes": [_node_dict(n) for n in
+                  sorted(layer.white_nodes.values(), key=lambda n: n.id)],
         "grey": [
             {"id": g.id, "rule": g.rule,
              "inputs": list(g.inputs), "outputs": list(g.outputs)}
@@ -508,42 +424,68 @@ def to_json(board: Whiteboard, indent: int | None = 2) -> str:
 
 
 def from_json(text: str) -> Whiteboard:
-    """Rebuild a board from :func:`to_json` output, preserving identifiers,
-    legal labels and packing tolerances; layers exported sealed are sealed
-    again."""
+    """Rebuild a board from :func:`to_json` output.
+
+    Every node, grey node and arc is written again through its layer's
+    writer under its exported id, so an import checks what a build
+    checks: legal labels, one node per packing key, known nodes and arcs
+    that close no cycle. Ids must be unique, and each node must have
+    readings and the score and readings they build. Layers exported
+    sealed are sealed again.
+    """
     doc = json.loads(text)
+    layer_docs = doc["layers"]
+    uses = Counter(item["id"] for layer_doc in layer_docs
+                   for kind in ("nodes", "grey", "arcs")
+                   for item in layer_doc[kind])
+    repeated = [i for i, count in uses.items() if count > 1]
+    if repeated:
+        raise InvalidExport(f"id {repeated[0]} is used more than once")
     board = Whiteboard()
-    max_id = 0
-    sealed: list[Layer] = []
-    for layer_doc in doc["layers"]:
-        layer = board.declare_layer(
-            layer_doc["name"], legal_labels=layer_doc["legal_labels"],
-            depends_on=layer_doc["depends_on"],
-            packing_tolerance=layer_doc["packing_tolerance"])
-        if layer_doc["sealed"]:
-            sealed.append(layer)
+    # the virtual endpoints and the seal's wiring arcs take ids above
+    # every exported one
+    board._next_id = max(uses, default=0) + 1
+    layers = [board.declare_layer(d["name"], legal_labels=d["legal_labels"],
+                                  depends_on=d["depends_on"])
+              for d in layer_docs]
+    fresh = board._next_id
+    # every node first: a grey node may name nodes of any layer
+    for layer, layer_doc in zip(layers, layer_docs):
         for node_doc in layer_doc["nodes"]:
-            node = WhiteNode(
-                node_doc["id"], TimeSpan(node_doc["begin"], node_doc["end"]),
-                node_doc["label"], node_doc["score"],
-                [Reading(r["payload"], r["score"]) for r in node_doc["readings"]],
-            )
-            layer._insert_node(node)
-            max_id = max(max_id, node.id)
+            _replay_node(layer, node_doc)
+    for layer, layer_doc in zip(layers, layer_docs):
         for grey_doc in layer_doc["grey"]:
-            grey = GreyNode(grey_doc["id"], grey_doc["rule"],
-                            tuple(grey_doc["inputs"]), tuple(grey_doc["outputs"]))
-            layer.grey_nodes[grey.id] = grey
-            max_id = max(max_id, grey.id)
+            board._next_id = grey_doc["id"]
+            layer.add_grey_node(grey_doc["rule"], grey_doc["inputs"],
+                                grey_doc["outputs"])
         for arc_doc in layer_doc["arcs"]:
-            arc = Arc(arc_doc["id"], arc_doc["origin"],
-                      arc_doc["extremity"], arc_doc["weight"])
-            layer._insert_arc(arc)
-            max_id = max(max_id, arc.id)
-    board._next_id = max(board._next_id, max_id + 1)
-    for layer in sealed:  # after the counter, so the wiring arcs get fresh ids
-        layer.seal()
+            board._next_id = arc_doc["id"]
+            layer.add_arc(arc_doc["origin"], arc_doc["extremity"],
+                          arc_doc["weight"])
+    board._next_id = fresh
+    for layer, layer_doc in zip(layers, layer_docs):
+        if layer_doc["sealed"]:
+            layer.seal()
     return board
+
+
+def _replay_node(layer: Layer, doc: dict) -> None:
+    """Write an exported node's readings through
+    :meth:`Layer.add_white_node`, the first under the node's id."""
+    node_id = doc["id"]
+    if not doc["readings"]:
+        raise InvalidExport(f"node {node_id} has no readings")
+    layer.board._next_id = node_id
+    span = TimeSpan(doc["begin"], doc["end"])
+    for reading in doc["readings"]:
+        got, _ = layer.add_white_node(span, doc["label"], reading["score"],
+                                      reading["payload"])
+        if got != node_id:
+            raise InvalidExport(
+                f"node {node_id} repeats the packing key of node {got}")
+    if _node_dict(layer.white_nodes[node_id]) != doc:
+        raise InvalidExport(
+            f"node {node_id} differs from what its readings build")
 
 
 def _dot_quote(text: str) -> str:

@@ -49,9 +49,9 @@ class IslandParser:
     The per-cell beam counts over the whole utterance, as in a one-shot
     parse of all cells. Fed cells in end-frame order, as the source emits
     them, it delivers exactly the derivations and scores of that one-shot
-    parse (see :mod:`whiteboard.chart`). Record ids are assigned per
-    derivation signature, and children always precede their parents on
-    the wire. Terminal phonemes used by a delivered structure are
+    parse (see :mod:`whiteboard.chart`). A record's id is its chart
+    edge's id, which the chart gives each derivation signature once, and
+    children always precede their parents on the wire. Terminal phonemes used by a delivered structure are
     delivered too, as childless inactive-edge records.
     """
 
@@ -61,8 +61,7 @@ class IslandParser:
         self.thresholds = thresholds
         self.beam = beam
         self.chart = Chart(thresholds)
-        # every delivered derivation signature, with its record id
-        self.id_of_sig: dict = {}
+        self.delivered: set[int] = set()  # chart edge ids already sent
 
     def __call__(self, records) -> list[wire.WireRecord]:
         cells = sorted((r.begin, r.end, r.phoneme, r.score) for r in records
@@ -73,14 +72,12 @@ class IslandParser:
                                self.beam)
         out: list[wire.WireRecord] = []
         for edge in retained_closure(derived):
-            sig = edge.signature()
-            if sig in self.id_of_sig:
+            if edge.id in self.delivered:
                 continue
-            wire_id = self.id_of_sig[sig] = len(self.id_of_sig) + 1
+            self.delivered.add(edge.id)
             out.append(wire.InactiveEdgeRecord(
-                wire_id, edge.span.begin, edge.span.end, edge.category,
-                edge.score, tuple(self.id_of_sig[c.signature()]
-                                  for c in edge.children)))
+                edge.id, edge.span.begin, edge.span.end, edge.category,
+                edge.score, tuple(c.id for c in edge.children)))
         return out
 
 

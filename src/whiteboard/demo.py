@@ -8,8 +8,8 @@ fresh connections to the three managers at once, the source's naming the
 utterance's matrix file, and pumps until the coordinator has settled:
 every batch it deposited has come back with its `done` record and nothing
 is left to forward. It then closes all connections at once, fails the
-utterance if any of them still held results, and seals, validates and
-exports the layers. A failed utterance ends the run.
+utterance if any of them still held results, and seals and exports the
+layers. A failed utterance ends the run.
 
 The coordinator loop is fully non-blocking, and manager processes are
 watched for unexpected death, before an utterance opens its connections
@@ -287,7 +287,7 @@ def _seal_layers(board: Whiteboard) -> str | None:
         try:
             board.layers[name].seal()
         except WhiteboardError as exc:
-            return f"layer {name} failed validation: {exc}"
+            return f"layer {name} cannot be sealed: {exc}"
     if not board.layers["ww"].white_nodes:
         return "final ww layer is empty"
     return None

@@ -43,8 +43,9 @@ class EmptyLayer(WhiteboardError):
     pass
 
 
-class UnreachableNode(WhiteboardError):
-    pass
+class InvalidExport(WhiteboardError):
+    """A JSON export that no build can produce: a repeated id or
+    packing key, or a node whose readings do not build it."""
 
 
 class UnknownNode(WhiteboardError):

@@ -51,6 +51,52 @@ def dfs_paths(layer) -> list[tuple[tuple[str, ...], float]]:
     return out
 
 
+def valid_lattice(layer) -> bool:
+    """A sealed layer's graph, endpoints included, is acyclic (Kahn), has
+    the virtual endpoints as its only first and last nodes, and puts every
+    white node on an initial-to-final path."""
+    nodes = list(layer.white_nodes) + [layer.virtual_initial,
+                                       layer.virtual_final]
+    succ = {n: list(layer.successors(n)) for n in nodes}
+    indeg = {n: 0 for n in nodes}
+    for outs in succ.values():
+        for m in outs:
+            indeg[m] += 1
+    firsts = [n for n in nodes if indeg[n] == 0]
+    lasts = [n for n in nodes if not succ[n]]
+    if firsts != [layer.virtual_initial] or lasts != [layer.virtual_final]:
+        return False
+    queue = list(firsts)
+    seen = 0
+    while queue:
+        cur = queue.pop()
+        seen += 1
+        for m in succ[cur]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                queue.append(m)
+    if seen != len(nodes):
+        return False
+    pred: dict[int, list[int]] = {}
+    for n, outs in succ.items():
+        for m in outs:
+            pred.setdefault(m, []).append(n)
+    forward = _closure(layer.virtual_initial, succ)
+    backward = _closure(layer.virtual_final, pred)
+    return all(n in forward and n in backward for n in layer.white_nodes)
+
+
+def _closure(start: int, link: dict[int, list[int]]) -> set[int]:
+    stack, seen = [start], set()
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        stack.extend(link.get(cur, ()))
+    return seen
+
+
 def per_cell_topk(matrices, k: int):
     """Expected ranked cells: exhaustive sort per (begin, end) span.
 

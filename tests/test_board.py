@@ -12,6 +12,7 @@ from whiteboard import (
     TimeSpan,
     Whiteboard,
     boards_isomorphic,
+    canonical_form,
     filter_slice,
     from_json,
     load_dictionary,
@@ -26,13 +27,14 @@ from whiteboard.errors import (
     EmptyEndpointList,
     EmptyLayer,
     IllegalLabel,
+    InvalidExport,
     LayerSealed,
     NotSealed,
     UnknownDependency,
     UnknownNode,
     WouldCreateCycle,
 )
-from oracles import dfs_paths
+from oracles import dfs_paths, valid_lattice
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 
@@ -120,16 +122,6 @@ def test_identical_readings_are_not_duplicated():
     assert len(layer.white_nodes[node_id].readings) == 1
 
 
-def test_packing_tolerance_clusters_to_first_span():
-    layer = make_layer(packing_tolerance=1)
-    id1, _ = layer.add_white_node(span(0, 10), "w", 0.5)
-    id2, packed = layer.add_white_node(span(0, 11), "w", 0.6)
-    assert id2 == id1 and packed
-    node = layer.white_nodes[id1]
-    assert node.span == span(0, 10)  # first insertion is canonical
-    assert node.score == 0.6
-
-
 def test_illegal_label_rejected():
     layer = make_layer(legal_labels={"a"})
     with pytest.raises(IllegalLabel):
@@ -177,7 +169,8 @@ def test_add_arc_once_skips_duplicates_and_self_loops_and_drops_cycles(caplog):
     assert len(layer.arcs) == 1
     [record] = caplog.records
     assert record.getMessage().startswith("dropped arc")
-    assert layer.seal().ok
+    layer.seal()
+    assert valid_lattice(layer)
     with pytest.raises(LayerSealed):
         layer.add_arc_once(a, b)
 
@@ -253,7 +246,7 @@ def test_seal_chain():
     layer.add_arc(a, b)
     layer.add_arc(b, c)
     report = layer.seal()
-    assert report.ok
+    assert valid_lattice(layer)
     assert report.wired_to_initial == [a]
     assert report.wired_to_final == [c]
     with pytest.raises(LayerSealed):
@@ -269,7 +262,7 @@ def test_seal_parallel_chains_share_endpoints():
     layer.add_arc(a, b)
     layer.add_arc(c, d)
     report = layer.seal()
-    assert report.ok
+    assert valid_lattice(layer)
     assert report.wired_to_initial == sorted([a, c])
     assert report.wired_to_final == sorted([b, d])
 
@@ -280,8 +273,8 @@ def test_seal_wires_isolated_node_as_parallel_path():
     b, _ = layer.add_white_node(span(1, 2), "B", 0.2)
     lone, _ = layer.add_white_node(span(5, 6), "L", 0.9)
     layer.add_arc(a, b)
-    report = layer.seal()
-    assert report.ok
+    layer.seal()
+    assert valid_lattice(layer)
     # brute-force reachability: every node on some initial->final path
     labels = {lab for p in layer.enumerate_paths() for lab in p.labels}
     assert labels == {"A", "B", "L"}
@@ -448,8 +441,7 @@ def test_json_schema_field_names():
     doc = json.loads(to_json(board))
     [layer_doc] = doc["layers"]
     assert set(layer_doc) == {"name", "depends_on", "legal_labels",
-                              "packing_tolerance", "sealed", "nodes", "grey",
-                              "arcs"}
+                              "sealed", "nodes", "grey", "arcs"}
     assert set(layer_doc["nodes"][0]) == {
         "id", "begin", "end", "label", "score", "readings"}
     assert set(layer_doc["grey"][0]) == {"id", "rule", "inputs", "outputs"}
@@ -460,8 +452,7 @@ def test_json_schema_field_names():
 
 def test_json_roundtrip_is_identity():
     board = Whiteboard()
-    one = board.declare_layer("one", legal_labels={"h", "a"},
-                              packing_tolerance=1)
+    one = board.declare_layer("one", legal_labels={"h", "a"})
     a, _ = one.add_white_node(span(0, 3), "h", 0.9, {"k": [1, 2]})
     b, _ = one.add_white_node(span(3, 6), "a", 0.8, "payload")
     one.add_arc(a, b, -0.5)
@@ -473,10 +464,10 @@ def test_json_roundtrip_is_identity():
     again = from_json(text)
     assert to_json(again) == text
     assert boards_isomorphic(board, again)
-    # the layers come back whole: legal labels, tolerance and seal
+    # the layers come back whole: legal labels, packing keys and seal
     with pytest.raises(IllegalLabel):
         again.layers["one"].add_white_node(span(6, 9), "W", 0.5)
-    assert again.layers["one"].add_white_node(span(0, 4), "h", 0.1) == (a, True)
+    assert again.layers["one"].add_white_node(span(0, 3), "h", 0.1) == (a, True)
     assert not again.layers["one"].sealed
     assert again.layers["two"].sealed
     assert [p.labels for p in again.layers["two"].enumerate_paths()] == [("W",)]
@@ -501,6 +492,126 @@ def test_json_export_of_a_demo_board_is_a_fixed_point(fixtures_dir):
     for name, layer in board.layers.items():
         assert ([p.node_ids for p in again.layers[name].enumerate_paths()]
                 == [p.node_ids for p in layer.enumerate_paths()])
+
+
+def all_ids(board):
+    """Every id the board has handed out, virtual endpoints and the seal's
+    wiring arcs included."""
+    return [i for layer in board.layers.values()
+            for i in (*layer.white_nodes, *layer.grey_nodes, *layer.arcs,
+                      *layer._wiring_arcs, layer.virtual_initial,
+                      layer.virtual_final)]
+
+
+def random_board(rng):
+    """Dependent layers written in interleaved order: legal labels, packed
+    readings with payloads, grey nodes across layers, arcs (cycle-closing
+    ones dropped by add_arc_once), and some layers sealed."""
+    board = Whiteboard()
+    for k in range(rng.randint(1, 4)):
+        deps = {f"l{d}" for d in range(k) if rng.random() < 0.5}
+        labels = rng.choice([None, {"a", "b", "c"}])
+        board.declare_layer(f"l{k}", legal_labels=labels, depends_on=deps)
+    names = list(board.layers)
+    payloads = [None, "p", 3, [1, "x"], {"rule": "R1"}]
+    for _ in range(rng.randint(1, 40)):
+        layer = board.layers[rng.choice(names)]
+        ids = list(layer.white_nodes)
+        roll = rng.random()
+        if roll < 0.5 or not ids:
+            b = rng.randint(0, 6)
+            layer.add_white_node(span(b, b + rng.randint(0, 3)),
+                                 rng.choice("abc"), rng.uniform(-1, 1),
+                                 rng.choice(payloads))
+        elif roll < 0.85:
+            layer.add_arc_once(rng.choice(ids), rng.choice(ids),
+                               rng.uniform(-0.5, 0.5))
+        else:
+            inputs = [i for name in (layer.name, *sorted(layer.depends_on))
+                      for i in board.layers[name].white_nodes]
+            layer.add_grey_node(f"R{rng.randint(1, 3)}",
+                                rng.sample(inputs, min(2, len(inputs))),
+                                [rng.choice(ids)])
+    for layer in board.layers.values():
+        if layer.white_nodes and rng.random() < 0.5:
+            layer.seal()
+    return board
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1))
+def test_random_boards_are_json_fixed_points(seed):
+    board = random_board(random.Random(seed))
+    text = to_json(board)
+    again = from_json(text)
+    assert to_json(again) == text
+    assert canonical_form(again) == canonical_form(board)
+    ids = all_ids(again)
+    assert len(ids) == len(set(ids))
+
+
+def test_imported_ids_are_unique_across_every_kind():
+    board = Whiteboard()
+    one = board.declare_layer("one")
+    a, _ = one.add_white_node(span(0, 1), "A", 0.1)
+    b, _ = one.add_white_node(span(1, 2), "B", 0.2)
+    one.add_arc(a, b)
+    # declared after nodes were written: its endpoints must not take the
+    # exported ids of one's nodes
+    two = board.declare_layer("two", depends_on={"one"})
+    c, _ = two.add_white_node(span(0, 2), "C", 0.3)
+    two.add_grey_node("R1", [a, b], [c])
+    two.seal()
+    again = from_json(to_json(board))
+    ids = all_ids(again)
+    assert len(ids) == len(set(ids))
+    # writing to the imported board keeps handing out fresh ids
+    d, _ = again.layers["one"].add_white_node(span(2, 3), "D", 0.4)
+    assert d not in ids
+
+
+def small_export():
+    """One layer: nodes 3 and 4 (the endpoints took 1 and 2), arc 5."""
+    board = Whiteboard()
+    layer = board.declare_layer("l", legal_labels={"h", "a"})
+    h, _ = layer.add_white_node(span(0, 3), "h", 0.9, "r1")
+    a, _ = layer.add_white_node(span(3, 6), "a", 0.8)
+    layer.add_arc(h, a)
+    return json.loads(to_json(board))
+
+
+def close_cycle(layer_doc):
+    layer_doc["arcs"].append(
+        {"id": 99, "origin": 4, "extremity": 3, "weight": 0.0})
+
+
+def repeat_packing_key(layer_doc):
+    layer_doc["nodes"].append(dict(layer_doc["nodes"][0], id=99))
+
+
+BAD_EXPORTS = [
+    (close_cycle, WouldCreateCycle, "arc 4->3 would close a cycle"),
+    (lambda d: d["nodes"][1].update(label="x"), IllegalLabel, "'x' not legal"),
+    (repeat_packing_key, InvalidExport,
+     "node 99 repeats the packing key of node 3"),
+    (lambda d: d["arcs"][0].update(id=3), InvalidExport,
+     "id 3 is used more than once"),
+    (lambda d: d["nodes"][0].update(readings=[]), InvalidExport,
+     "node 3 has no readings"),
+    (lambda d: d["nodes"][0].update(score=5.0), InvalidExport,
+     "node 3 differs from what its readings build"),
+]
+
+
+@pytest.mark.parametrize(
+    "spoil, error, reason", BAD_EXPORTS,
+    ids=["cycle", "illegal-label", "packing-key", "repeated-id",
+         "no-readings", "score"])
+def test_from_json_rejects_what_no_build_makes(spoil, error, reason):
+    doc = small_export()
+    spoil(doc["layers"][0])
+    with pytest.raises(error, match=re.escape(reason)):
+        from_json(json.dumps(doc))
 
 
 def test_dot_has_clusters_in_dependency_order():

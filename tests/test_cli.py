@@ -78,6 +78,20 @@ def test_lattice_show_bad_file_exits_2(tmp_path, capsys):
     assert main(["lattice", "show", str(tmp_path / "missing.json")]) == 2
 
 
+def test_lattice_show_rejects_an_export_no_build_makes(tmp_path, capsys):
+    path, _ = export_file(tmp_path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    [layer] = doc["layers"]
+    hai, desu = (n["id"] for n in layer["nodes"])
+    layer["arcs"].append(
+        {"id": 99, "origin": desu, "extremity": hai, "weight": 0.0})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["lattice", "show", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"arc {desu}->{hai} would close a cycle" in captured.err
+
+
 def test_demo_run_bad_fixture_exits_2(tmp_path, capsys):
     out = tmp_path / "out.json"
     code = main(["demo", "run", "--matrices", str(tmp_path / "nowhere"),
