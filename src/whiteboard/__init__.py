@@ -3,9 +3,11 @@
 A coordinator owns a whiteboard: a stack of time-aligned, packed hypothesis
 lattices organized in a dependency graph. Heterogeneous components run in
 their own processes behind managers and exchange line-oriented wire records
-through lock-protected file mailboxes; the coordinator is the only party
-that ever touches the board. Batch components can be made to look
-incremental by delivering their results piecewise in time order.
+through single-slot file mailboxes, where a batch appears only by an atomic
+link and a dead writer leaves only an invisible temporary file; the
+coordinator is the only party that ever touches the board. Batch
+components can be made to look incremental by delivering their results
+piecewise in time order.
 """
 
 from . import wire

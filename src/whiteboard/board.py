@@ -143,6 +143,9 @@ class Layer:
         self.arcs: dict[int, Arc] = {}
         self._wiring_arcs: dict[int, Arc] = {}
         self._by_key: dict[PackingKey, int] = {}
+        # white-node ids by begin frame and by end frame, in creation order
+        self._by_begin: dict[int, list[int]] = {}
+        self._by_end: dict[int, list[int]] = {}
         self._succ: dict[int, list[int]] = {}
         self._pred: dict[int, list[int]] = {}
         self.virtual_initial = board._new_id()
@@ -180,9 +183,21 @@ class Layer:
                                               [Reading(reading, score)])
         self.board._node_layer[node_id] = self.name
         self._by_key[key] = node_id
+        self._by_begin.setdefault(span.begin, []).append(node_id)
+        self._by_end.setdefault(span.end, []).append(node_id)
         self._succ[node_id] = []
         self._pred[node_id] = []
         return node_id, False
+
+    def nodes_in_window(self, begins: range, ends: range) -> list[int]:
+        """Ids of the white nodes whose begin frame lies in `begins` or
+        whose end frame lies in `ends`, ascending."""
+        found: set[int] = set()
+        for frame in begins:
+            found.update(self._by_begin.get(frame, ()))
+        for frame in ends:
+            found.update(self._by_end.get(frame, ()))
+        return sorted(found)
 
     def add_arc(self, origin: int, extremity: int, weight: float = 0.0) -> int:
         self._check_unsealed()
@@ -232,7 +247,11 @@ class Layer:
         if not inputs or not outputs:
             raise EmptyEndpointList("grey node needs non-empty inputs and outputs")
         for node_id in inputs + outputs:
-            self.board.node_layer(node_id)
+            owner = self.board.node_layer(node_id)
+            if owner != self.name and owner not in self.depends_on:
+                raise CrossLayerArc(
+                    f"grey node on {self.name!r} names node {node_id} of "
+                    f"layer {owner!r}, which {self.name!r} does not depend on")
         grey_id = self.board._new_id()
         self.grey_nodes[grey_id] = GreyNode(grey_id, rule, inputs, outputs)
         return grey_id
@@ -272,6 +291,9 @@ class Layer:
             self._wiring_arcs[arc_id] = Arc(arc_id, n, vf, 0.0)
             self._succ[n].append(vf)
         self.sealed = True
+        # only writers read the frame index, and a sealed layer takes none
+        self._by_begin.clear()
+        self._by_end.clear()
         self._seal_report = SealReport(len(self.white_nodes), len(self.arcs),
                                        sources, sinks)
         return self._seal_report
@@ -426,14 +448,16 @@ def to_json(board: Whiteboard, indent: int | None = 2) -> str:
 def from_json(text: str) -> Whiteboard:
     """Rebuild a board from :func:`to_json` output.
 
-    Every node, grey node and arc is written again through its layer's
-    writer under its exported id, so an import checks what a build
-    checks: legal labels, one node per packing key, known nodes and arcs
-    that close no cycle. Ids must be unique, and each node must have
-    readings and the score and readings they build. Layers exported
-    sealed are sealed again.
+    Every field must be present with its JSON type. Every node, grey node
+    and arc is then written again through its layer's writer under its
+    exported id, so an import checks what a build checks: legal labels,
+    one node per packing key, known nodes, grey nodes on their layer and
+    the layers it depends on, and arcs that close no cycle. Ids must be
+    unique, and each node must have readings and the score and readings
+    they build. Layers exported sealed are sealed again.
     """
     doc = json.loads(text)
+    _check_fields(doc, "board")
     layer_docs = doc["layers"]
     uses = Counter(item["id"] for layer_doc in layer_docs
                    for kind in ("nodes", "grey", "arcs")
@@ -449,11 +473,11 @@ def from_json(text: str) -> Whiteboard:
                                   depends_on=d["depends_on"])
               for d in layer_docs]
     fresh = board._next_id
-    # every node first: a grey node may name nodes of any layer
+    # a layer is declared after the layers it depends on, so their nodes
+    # are written before its grey nodes name them
     for layer, layer_doc in zip(layers, layer_docs):
         for node_doc in layer_doc["nodes"]:
             _replay_node(layer, node_doc)
-    for layer, layer_doc in zip(layers, layer_docs):
         for grey_doc in layer_doc["grey"]:
             board._next_id = grey_doc["id"]
             layer.add_grey_node(grey_doc["rule"], grey_doc["inputs"],
@@ -467,6 +491,50 @@ def from_json(text: str) -> Whiteboard:
         if layer_doc["sealed"]:
             layer.seal()
     return board
+
+
+# The JSON type of every exported field, by the kind of object holding it.
+# A one-item list is a list of that type, a tuple is a choice, and a list
+# of objects is checked as the kind its field names.
+_NUMBER = (int, float)
+_FIELDS = {
+    "board": {"layers": [dict]},
+    "layers": {"name": str, "depends_on": [str], "legal_labels": ([str], None),
+               "sealed": bool, "nodes": [dict], "grey": [dict], "arcs": [dict]},
+    "nodes": {"id": int, "begin": int, "end": int, "label": str,
+              "score": _NUMBER, "readings": [dict]},
+    "readings": {"payload": object, "score": _NUMBER},
+    "grey": {"id": int, "rule": str, "inputs": [int], "outputs": [int]},
+    "arcs": {"id": int, "origin": int, "extremity": int, "weight": _NUMBER},
+}
+
+
+def _has_type(value, spec) -> bool:
+    if spec is None:
+        return value is None
+    if isinstance(spec, tuple):
+        return any(_has_type(value, choice) for choice in spec)
+    if isinstance(spec, list):
+        return (isinstance(value, list)
+                and all(_has_type(item, spec[0]) for item in value))
+    if isinstance(value, bool):  # JSON's true is no number
+        return spec in (bool, object)
+    return isinstance(value, spec)
+
+
+def _check_fields(doc, kind: str) -> None:
+    """Raise `InvalidExport` unless `doc` is an object of this kind with
+    every field present and of its type, the objects it holds included."""
+    if not isinstance(doc, dict):
+        raise InvalidExport(f"expected a {kind} object, got {doc!r}")
+    for key, spec in _FIELDS[kind].items():
+        if key not in doc:
+            raise InvalidExport(f"a {kind} object has no {key!r} field")
+        if not _has_type(doc[key], spec):
+            raise InvalidExport(f"field {key!r} has the wrong type: {doc[key]!r}")
+        if spec == [dict]:
+            for item in doc[key]:
+                _check_fields(item, key)
 
 
 def _replay_node(layer: Layer, doc: dict) -> None:

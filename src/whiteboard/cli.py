@@ -108,7 +108,7 @@ def _cmd_demo_run(args) -> int:
 def _cmd_lattice_show(args) -> int:
     try:
         board = from_json(args.file.read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, WhiteboardError) as exc:
+    except (OSError, ValueError, WhiteboardError) as exc:
         print(f"error: cannot load {args.file}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(to_dot(board, layer=args.layer, threshold=args.threshold,

@@ -44,8 +44,9 @@ class EmptyLayer(WhiteboardError):
 
 
 class InvalidExport(WhiteboardError):
-    """A JSON export that no build can produce: a repeated id or
-    packing key, or a node whose readings do not build it."""
+    """A JSON export that no build can produce: a missing or wrongly
+    typed field, a repeated id or packing key, or a node whose readings
+    do not build it."""
 
 
 class UnknownNode(WhiteboardError):
@@ -53,7 +54,8 @@ class UnknownNode(WhiteboardError):
 
 
 class CrossLayerArc(WhiteboardError):
-    pass
+    """An arc names a node of another layer, or a grey node one of a
+    layer its own does not depend on."""
 
 
 class WouldCreateCycle(WhiteboardError):

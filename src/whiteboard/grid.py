@@ -102,18 +102,25 @@ def add_grid_node(layer: Layer, node: GridNode, th: Thresholds) -> int:
 
     A new white node gets an arc to and from every white node already on
     the layer that `grid_connected` allows; a node that packs into an
-    existing one adds no arcs."""
+    existing one adds no arcs. Only nodes that begin inside the window
+    around the new node's end, or end inside the window around its begin,
+    can be connected to it, so only those are tested, in id order."""
     node_id, packed = layer.add_white_node(node.span, node.label, node.score)
     if packed:
         return node_id
-    for other in layer.white_nodes.values():
-        if other.id == node_id:
+    begin, end = node.span.begin, node.span.end
+    peers = layer.nodes_in_window(
+        begins=range(end - th.max_gap, end + th.max_overlap + 1),
+        ends=range(begin - th.max_overlap, begin + th.max_gap + 1))
+    for other_id in peers:
+        if other_id == node_id:
             continue
+        other = layer.white_nodes[other_id]
         peer = GridNode(other.span, other.label, other.score)
         if grid_connected(node, peer, th):
-            layer.add_arc_once(node_id, other.id)
+            layer.add_arc_once(node_id, other_id)
         if grid_connected(peer, node, th):
-            layer.add_arc_once(other.id, node_id)
+            layer.add_arc_once(other_id, node_id)
     return node_id
 
 

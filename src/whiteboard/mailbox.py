@@ -1,41 +1,37 @@
-"""Single-slot, lock-protected file mailboxes.
+"""Single-slot file mailboxes.
 
-A mailbox is a directory holding at most one `batch` file (the message)
-and a transient `lock` file. The slot alternates strictly between empty
-and full: the designated writer polls until the box is empty and unlocked,
-then locks, writes the batch to a temporary name, renames it into place
-and unlocks; the designated reader polls until the box is non-empty and
-unlocked, then locks, reads, removes the batch and unlocks. The rename
-makes a batch appear atomically complete, so a reader can never observe a
-torn message even if lock discipline is violated.
+A mailbox is a directory holding at most one `batch` file, the message.
+The slot alternates strictly between empty and full. A writer writes its
+batch to a temporary file of its own, ``tmp-<pid>-<n>``, and links it to
+`batch`; the link is atomic and fails while the slot is full, so a batch
+appears only whole, and a writer never replaces a batch another has
+deposited. The reader reads `batch`, then unlinks it, which empties the
+slot.
 
 Only the file system is used, so the parties may live in any processes
 on the host. Every box has exactly one reader; that is a contract, not a
 detected error. A connection's boxes also have exactly one writer. A
 manager's request box is the one box with several writers, every client
-that opens a connection, and that is safe because `try_deposit` re-checks
-the slot under the lock, so a writer never replaces a batch another has
-deposited.
-
-A lock older than ``STALE_LOCK_CYCLES`` sleep periods is presumed to be
-held by a crashed process; the party whose turn it is breaks it with a
-loud log message.
+that opens a connection, and the link hands the slot to one of them at a
+time. No lock exists, so nothing can go stale: a writer that dies
+mid-deposit leaves only its temporary file, which no reader ever sees and
+`remove` clears.
 """
 
 from __future__ import annotations
 
-import logging
+import itertools
 import os
 import time
 from pathlib import Path
 
 from .errors import BoxRemoved, MailboxTimeout
 
-log = logging.getLogger(__name__)
-
 BATCH_NAME = "batch"
-LOCK_NAME = "lock"
-STALE_LOCK_CYCLES = 30
+TMP_PREFIX = "tmp-"
+
+# numbers this process's temporary files, so no two writers share one
+_tmp_serial = itertools.count()
 
 
 class Mailbox:
@@ -46,114 +42,81 @@ class Mailbox:
             raise ValueError("sleep_time must be positive")
         self.path = Path(path)
         self.sleep_time = sleep_time
-
-    # -- plumbing ------------------------------------------------------------
-
-    @property
-    def batch_path(self) -> Path:
-        return self.path / BATCH_NAME
-
-    @property
-    def lock_path(self) -> Path:
-        return self.path / LOCK_NAME
+        self.batch_path = self.path / BATCH_NAME
+        # plain strings for the per-call system calls
+        self._dir = os.fspath(self.path)
+        self._batch = os.fspath(self.batch_path)
 
     def create(self) -> "Mailbox":
         self.path.mkdir(parents=True, exist_ok=True)
         return self
 
     def remove(self) -> None:
-        for name in (BATCH_NAME, LOCK_NAME, BATCH_NAME + ".tmp"):
-            try:
-                (self.path / name).unlink()
-            except FileNotFoundError:
-                pass
+        """Remove the box with its batch and any temporary file a dead
+        writer left."""
         try:
-            self.path.rmdir()
+            names = os.listdir(self._dir)
+        except FileNotFoundError:
+            return
+        for name in names:
+            if name == BATCH_NAME or name.startswith(TMP_PREFIX):
+                try:
+                    os.unlink(os.path.join(self._dir, name))
+                except FileNotFoundError:
+                    pass
+        try:
+            os.rmdir(self._dir)
         except FileNotFoundError:
             pass
 
     def exists(self) -> bool:
-        return self.path.is_dir()
+        return os.path.isdir(self._dir)
 
     def is_full(self) -> bool:
-        self._check_present()
-        return self.batch_path.exists()
+        if not self.exists():
+            raise self._removed()
+        return os.path.exists(self._batch)
 
-    def _check_present(self):
-        if not self.path.is_dir():
-            raise BoxRemoved(f"mailbox gone: {self.path}")
-
-    def _try_lock(self) -> bool:
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except FileNotFoundError:
-            raise BoxRemoved(f"mailbox gone: {self.path}") from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return True
-
-    def _unlock(self):
-        try:
-            self.lock_path.unlink()
-        except FileNotFoundError:
-            pass
-
-    def _break_stale_lock(self) -> bool:
-        """Remove a lock whose holder has apparently died. Returns True if
-        a lock was broken."""
-        try:
-            age = time.time() - self.lock_path.stat().st_mtime
-        except FileNotFoundError:
-            return False
-        if age < STALE_LOCK_CYCLES * self.sleep_time:
-            return False
-        log.warning("breaking stale lock (age %.2fs) on %s", age, self.path)
-        self._unlock()
-        return True
+    def _removed(self) -> BoxRemoved:
+        return BoxRemoved(f"mailbox gone: {self.path}")
 
     # -- the reader/writer protocol -------------------------------------------
 
     def try_deposit(self, text: str) -> bool:
-        """One writer wake-up: deposit if the box is empty and unlocked."""
-        self._check_present()
-        if self.batch_path.exists():
+        """One writer wake-up: deposit if the box is empty. Returns False
+        if it is full."""
+        if os.path.exists(self._batch):
             return False
-        if not self._try_lock():
-            self._break_stale_lock()
-            return False
+        tmp = f"{self._dir}/{TMP_PREFIX}{os.getpid()}-{next(_tmp_serial)}"
         try:
-            self._check_present()
-            if self.batch_path.exists():
-                return False
-            tmp = self.path / (BATCH_NAME + ".tmp")
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, self.batch_path)
+            with open(tmp, "xb") as fh:
+                fh.write(text.encode("utf-8"))
+            os.link(tmp, self._batch)
             return True
+        except FileExistsError:  # another writer's batch filled the slot
+            return False
         except FileNotFoundError:
-            raise BoxRemoved(f"mailbox gone: {self.path}") from None
+            raise self._removed() from None
         finally:
-            self._unlock()
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
 
     def try_collect(self) -> str | None:
-        """One reader wake-up: drain if the box is non-empty and unlocked."""
-        self._check_present()
-        if not self.batch_path.exists():
-            return None
-        if not self._try_lock():
-            self._break_stale_lock()
+        """One reader wake-up: drain the box if it is full."""
+        try:
+            with open(self._batch, "rb") as fh:
+                text = fh.read().decode("utf-8")
+        except FileNotFoundError:
+            if not self.exists():
+                raise self._removed() from None
             return None
         try:
-            if not self.batch_path.exists():
-                return None
-            text = self.batch_path.read_text(encoding="utf-8")
-            self.batch_path.unlink()
-            return text
-        except FileNotFoundError:
-            raise BoxRemoved(f"mailbox gone: {self.path}") from None
-        finally:
-            self._unlock()
+            os.unlink(self._batch)
+        except FileNotFoundError:  # besides the reader, only `remove` unlinks it
+            raise self._removed() from None
+        return text
 
     def deposit(self, text: str, timeout: float | None = None) -> None:
         """Block (polling) until the batch is deposited."""

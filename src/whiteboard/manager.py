@@ -72,7 +72,7 @@ class ConnectionParams:
 
 def _remove_conn_dir(conn_dir: Path) -> None:
     """Remove a connection's directory and boxes. The manager may add a
-    lock or batch file while the tree is being removed, so try again;
+    batch or temporary file while the tree is being removed, so try again;
     once a box is gone, the manager's next touch of it drops the
     connection."""
     for _ in range(3):

@@ -20,6 +20,21 @@ def connected_oracle(n_begin: int, n_end: int, m_begin: int, m_end: int,
     return begins_earlier and ends_strictly_earlier and lower and upper
 
 
+def grid_lattice_oracle(nodes, max_gap: int, max_overlap: int, layer) -> None:
+    """All-pairs grid conversion: pack every grid node onto the layer,
+    then add one arc for every ordered pair of distinct white nodes that
+    the sequencing definition connects."""
+    for n in nodes:
+        layer.add_white_node(n.span, n.label, n.score)
+    whites = list(layer.white_nodes.values())
+    for n in whites:
+        for m in whites:
+            if n.id != m.id and connected_oracle(
+                    n.span.begin, n.span.end, m.span.begin, m.span.end,
+                    max_gap, max_overlap):
+                layer.add_arc(n.id, m.id)
+
+
 def dfs_paths(layer) -> list[tuple[tuple[str, ...], float]]:
     """Every source-to-sink path over a layer's real arcs, by naive DFS.
 

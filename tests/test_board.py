@@ -236,6 +236,26 @@ def test_grey_node_m_to_n_and_empty_endpoints():
         layer.add_grey_node("R1", [999], ids[:1])
 
 
+def test_grey_node_names_its_layer_and_its_dependencies_only():
+    board = Whiteboard()
+    one = board.declare_layer("one")
+    two = board.declare_layer("two")
+    three = board.declare_layer("three", depends_on={"one"})
+    a, _ = one.add_white_node(span(0, 1), "A", 0.1)
+    b, _ = two.add_white_node(span(0, 1), "B", 0.2)
+    c, _ = three.add_white_node(span(0, 1), "C", 0.3)
+    with pytest.raises(CrossLayerArc, match="'one' does not depend on"):
+        one.add_grey_node("R1", [b], [b])
+    with pytest.raises(CrossLayerArc):
+        three.add_grey_node("R1", [a, b], [c])
+    three.add_grey_node("R1", [a], [c])
+    doc = json.loads(to_json(board))
+    [grey_doc] = doc["layers"][2]["grey"]
+    grey_doc["inputs"] = [b]  # an import replays through the same check
+    with pytest.raises(CrossLayerArc):
+        from_json(json.dumps(doc))
+
+
 # -- sealing -----------------------------------------------------------------------
 
 def test_seal_chain():
@@ -600,13 +620,20 @@ BAD_EXPORTS = [
      "node 3 has no readings"),
     (lambda d: d["nodes"][0].update(score=5.0), InvalidExport,
      "node 3 differs from what its readings build"),
+    (lambda d: d["nodes"][0].update(begin="0"), InvalidExport,
+     "field 'begin' has the wrong type: '0'"),
+    (lambda d: d["nodes"][0]["readings"][0].update(score="0.9"), InvalidExport,
+     "field 'score' has the wrong type: '0.9'"),
+    (lambda d: d.update(arcs={}), InvalidExport,
+     "field 'arcs' has the wrong type: {}"),
 ]
 
 
 @pytest.mark.parametrize(
     "spoil, error, reason", BAD_EXPORTS,
     ids=["cycle", "illegal-label", "packing-key", "repeated-id",
-         "no-readings", "score"])
+         "no-readings", "score", "string-begin", "string-score",
+         "arcs-not-a-list"])
 def test_from_json_rejects_what_no_build_makes(spoil, error, reason):
     doc = small_export()
     spoil(doc["layers"][0])

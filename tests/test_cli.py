@@ -76,6 +76,12 @@ def test_lattice_show_bad_file_exits_2(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["lattice", "show", str(path)]) == 2
     assert main(["lattice", "show", str(tmp_path / "missing.json")]) == 2
+    good, _ = export_file(tmp_path)
+    doc = json.loads(good.read_text(encoding="utf-8"))
+    doc["layers"][0]["nodes"][0]["begin"] = "0"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["lattice", "show", str(path)]) == 2
+    assert "wrong type" in capsys.readouterr().err
 
 
 def test_lattice_show_rejects_an_export_no_build_makes(tmp_path, capsys):

@@ -1,6 +1,11 @@
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,7 @@ def test_deposit_then_collect_roundtrip(tmp_path):
     box = make_box(tmp_path)
     assert box.try_deposit("(0 1 h 0.5)\n")
     assert box.is_full()
-    assert not box.lock_path.exists()  # unlocked after return
+    assert not list(box.path.glob("tmp-*"))  # the temporary is gone
     assert box.try_collect() == "(0 1 h 0.5)\n"
     assert not box.is_full()
 
@@ -98,23 +103,104 @@ def test_timeouts_raise(tmp_path):
         box.deposit("y\n", timeout=3 * SLEEP)
 
 
-def test_stale_lock_is_broken_and_logged(tmp_path, caplog):
-    box = make_box(tmp_path)
-    box.deposit("x\n")
-    box.lock_path.write_text("12345\n")
-    stale = time.time() - 100 * SLEEP
-    os.utime(box.lock_path, (stale, stale))
-    with caplog.at_level("WARNING"):
-        assert box.try_collect() is None  # this wake-up only breaks the lock
-        assert box.try_collect() == "x\n"
-    assert any("stale lock" in r.message for r in caplog.records)
+# -- fault injection: writer processes of our own, at most three at a time ----
+
+WRITER = Path(__file__).parent / "_mailbox_writer.py"
 
 
-def test_fresh_lock_is_respected(tmp_path):
+def start_writer(box, tag, count, pause_at=0, mode="none"):
+    return subprocess.Popen(
+        [sys.executable, str(WRITER), str(box.path), tag, str(count),
+         str(SLEEP), str(pause_at), mode],
+        stdout=subprocess.PIPE, text=True)
+
+
+def drain(box, seen: Counter, until, timeout=30.0):
+    """Collect batches into `seen` until `until()` holds."""
+    deadline = time.monotonic() + timeout
+    while not until():
+        assert time.monotonic() < deadline, f"stalled with {sum(seen.values())} seen"
+        text = box.try_collect()
+        if text is None:
+            time.sleep(SLEEP / 5)
+        else:
+            seen[tuple(text.split())] += 1
+
+
+def stopped(proc) -> bool:
+    """The process is in the stopped state, as /proc reports it."""
+    with open(f"/proc/{proc.pid}/stat", encoding="ascii") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0] == "T"
+
+
+def expected(**counts):
+    return Counter({(tag, str(seq)): 1
+                    for tag, n in counts.items() for seq in range(n)})
+
+
+def stop_all(*procs):
+    for proc in procs:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGCONT)
+            proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def test_two_writer_processes_each_batch_collected_once(tmp_path):
     box = make_box(tmp_path)
-    box.deposit("x\n")
-    box.lock_path.write_text("12345\n")
-    assert box.try_collect() is None
-    assert box.lock_path.exists()
-    box.lock_path.unlink()
-    assert box.try_collect() == "x\n"
+    writers = [start_writer(box, tag, 150) for tag in ("a", "b")]
+    seen = Counter()
+    try:
+        drain(box, seen, lambda: sum(seen.values()) == 300)
+        for proc in writers:
+            assert proc.wait(timeout=10) == 0
+        assert box.try_collect() is None
+    finally:
+        stop_all(*writers)
+    assert seen == expected(a=150, b=150)
+
+
+def test_a_stopped_writer_stalls_neither_the_other_nor_the_reader(tmp_path):
+    box = make_box(tmp_path)
+    stalled = start_writer(box, "a", 40, pause_at=10, mode="stop")
+    other = start_writer(box, "b", 100)
+    seen = Counter()
+    try:
+        drain(box, seen, lambda: stopped(stalled))
+        # stopped between writing its temporary file and linking it
+        assert len(list(box.path.glob(f"tmp-{stalled.pid}-*"))) == 1
+        drain(box, seen, lambda: other.poll() is not None and not box.is_full())
+        assert other.returncode == 0
+        assert seen[("b", "99")] == 1
+        # resumed onto a full slot, its link must fail and be retried
+        assert box.try_deposit("c 0\n")
+        stalled.send_signal(signal.SIGCONT)
+        drain(box, seen, lambda: seen[("a", "39")] == 1)
+        assert stalled.wait(timeout=10) == 0
+        assert box.try_collect() is None
+    finally:
+        stop_all(stalled, other)
+    assert seen == expected(a=40, b=100, c=1)
+    assert not list(box.path.glob("tmp-*"))
+
+
+def test_a_killed_writer_leaves_only_an_invisible_temporary(tmp_path):
+    box = make_box(tmp_path)
+    writer = start_writer(box, "a", 40, pause_at=5, mode="hang")
+    seen = Counter()
+    try:
+        drain(box, seen, lambda: sum(seen.values()) == 5)
+        # the box is empty, so the next deposit reaches its link and hangs
+        assert writer.stdout.readline() == "paused\n"
+        writer.kill()
+        assert writer.wait(timeout=10) != 0
+    finally:
+        stop_all(writer)
+    assert len(list(box.path.glob("tmp-*"))) == 1
+    assert box.try_collect() is None  # the temporary never became a batch
+    assert seen == expected(a=5)
+    assert box.try_deposit("after\n")
+    assert box.try_collect() == "after\n"
+    box.remove()
+    assert not box.path.exists()
