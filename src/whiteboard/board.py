@@ -291,9 +291,12 @@ class Layer:
             self._wiring_arcs[arc_id] = Arc(arc_id, n, vf, 0.0)
             self._succ[n].append(vf)
         self.sealed = True
-        # only writers read the frame index, and a sealed layer takes none
+        # only writers read the packing and frame indexes and the
+        # predecessor lists, and a sealed layer takes no writes
+        self._by_key.clear()
         self._by_begin.clear()
         self._by_end.clear()
+        self._pred.clear()
         self._seal_report = SealReport(len(self.white_nodes), len(self.arcs),
                                        sources, sinks)
         return self._seal_report
@@ -438,11 +441,12 @@ def _layer_dict(layer: Layer) -> dict:
     }
 
 
-def to_json(board: Whiteboard, indent: int | None = 2) -> str:
-    """Deterministic JSON image of the board (virtual endpoints omitted)."""
+def to_json(board: Whiteboard) -> str:
+    """Deterministic compact JSON image of the board (virtual endpoints
+    omitted)."""
     doc = {"layers": [_layer_dict(board.layers[name])
                       for name in board.dependency_order()]}
-    return json.dumps(doc, indent=indent, sort_keys=False)
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def from_json(text: str) -> Whiteboard:

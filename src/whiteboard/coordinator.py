@@ -21,17 +21,25 @@ they become the derivation's children, as a translation's syntax node
 does in `translate.translate_layer`.
 
 Every mailbox operation in the pump is non-blocking: a busy manager makes
-a binding wait until the next round, never the whole pipeline.
+a binding wait until the next round, never the whole pipeline. Between
+rounds, `wait` blocks on the bindings' doorbells, which a manager rings
+when it fills an out box, or empties an in box that a round found full,
+so the next round starts as soon as there is something to collect or
+room to deposit what the last round could not.
 
 Managers end their reply to every batch with a `done` record, so each
 connection knows how many of its batches are still outstanding. The
 pipeline has settled when every source has been triggered, no batch is
-outstanding and the last round had nothing left to forward.
+outstanding and the last round had nothing left to forward. `status`
+reports how far each binding trails the sources, in frames, and the tail:
+the time from the round that collected the sources' last `done` to the
+first round that left the pipeline settled.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from itertools import takewhile
 from pathlib import Path
@@ -49,6 +57,7 @@ from .errors import (
 )
 from .grid import GridNode, Thresholds, add_grid_node
 from .grid import grid_connected  # noqa: F401  (perfbench's probes patch this name)
+from .mailbox import wait_for_rings
 from .manager import Connection, ConnectionParams, send_open
 from .manager import request_connection  # noqa: F401  (perfbench's probes patch this name)
 
@@ -109,6 +118,10 @@ class Coordinator:
         self.rounds = 0
         # bindings whose records could not be forwarded in the last round
         self.backlog: list[str] = []
+        # monotonic start of the round that collected the sources' last
+        # `done`, and end of the first round that left the pipeline settled
+        self.sources_done_at: float | None = None
+        self.settled_at: float | None = None
 
     # -- registration -----------------------------------------------------------
 
@@ -156,6 +169,7 @@ class Coordinator:
     # -- one scheduling round ------------------------------------------------------
 
     def pump(self) -> PumpReport:
+        start = time.monotonic()
         report = PumpReport()
         for bound in self.bound.values():
             try:
@@ -163,6 +177,8 @@ class Coordinator:
             except (BoxRemoved, WhiteboardError) as exc:
                 bound.note(f"collect failed: {exc}")
                 report.errors += 1
+        if self.sources_done_at is None and self._sources_done():
+            self.sources_done_at = start
         self.backlog = []
         for bound in self.bound.values():
             try:
@@ -174,7 +190,15 @@ class Coordinator:
             if not forwarded:
                 self.backlog.append(bound.binding.name)
         self.rounds += 1
+        if self.settled_at is None and self.settled():
+            self.settled_at = time.monotonic()
         return report
+
+    def wait(self, timeout: float) -> bool:
+        """Block until a manager rings a binding's bell, or `timeout`
+        seconds pass. Returns True if one rang."""
+        return wait_for_rings([b.conn.bell for b in self.bound.values()],
+                              timeout)
 
     def _collect_from(self, bound: _Bound, report: PumpReport):
         layer = self.board.layers[bound.binding.output_layer]
@@ -293,7 +317,18 @@ class Coordinator:
 
     # -- status and quiescence ---------------------------------------------------
 
+    def _sources(self) -> list[_Bound]:
+        return [b for b in self.bound.values() if not b.binding.input_layers]
+
+    def _sources_done(self) -> bool:
+        sources = self._sources()
+        return bool(sources) and all(b.triggered and not b.conn.outstanding
+                                     for b in sources)
+
     def status(self) -> dict:
+        """Counts per layer and per binding. A binding's `frames_behind` is
+        the highest `done_frame` of the sources less its own; `tail_s` is
+        None until the pipeline has settled after its sources finished."""
         per_layer = {}
         for name, layer in self.board.layers.items():
             high_water = max((n.span.end for n in layer.white_nodes.values()),
@@ -301,15 +336,23 @@ class Coordinator:
             per_layer[name] = {"nodes": len(layer.white_nodes),
                                "arcs": len(layer.arcs),
                                "high_water_frame": high_water}
+        source_frame = max((b.conn.done_frame for b in self._sources()),
+                           default=0)
         per_binding = {}
         for name, bound in self.bound.items():
-            per_binding[name] = {"deposited": bound.deposited,
-                                 "collected": bound.collected,
-                                 "outstanding": bound.conn.outstanding,
-                                 "done_frame": bound.conn.done_frame,
-                                 "errors": list(bound.errors)}
+            per_binding[name] = {
+                "deposited": bound.deposited,
+                "collected": bound.collected,
+                "outstanding": bound.conn.outstanding,
+                "done_frame": bound.conn.done_frame,
+                "frames_behind": max(0, source_frame - bound.conn.done_frame),
+                "errors": list(bound.errors)}
+        tail_s = None
+        if self.sources_done_at is not None and self.settled_at is not None:
+            tail_s = self.settled_at - self.sources_done_at
         return {"settled": self.settled(), "rounds": self.rounds,
-                "per_layer": per_layer, "per_binding": per_binding}
+                "tail_s": tail_s, "per_layer": per_layer,
+                "per_binding": per_binding}
 
     def settled(self) -> bool:
         """True once the last round left nothing to forward (every source

@@ -11,10 +11,14 @@ is left to forward. It then closes all connections at once, fails the
 utterance if any of them still held results, and seals and exports the
 layers. A failed utterance ends the run.
 
-The coordinator loop is fully non-blocking, and manager processes are
-watched for unexpected death, before an utterance opens its connections
-and in every pump round, so a killed component turns into an error report
-rather than a hang.
+Every pump round is non-blocking. Between rounds the demo waits on the
+connections' doorbells, so a round starts as soon as a manager has
+deposited a result, or made room for a batch the last round could not
+hand over, and at the latest one poll period (`sleep_time`) after the
+last. Manager processes are watched for
+unexpected death, before an utterance opens its connections and in every
+pump round, so a killed component turns into an error report rather than
+a hang.
 """
 
 from __future__ import annotations
@@ -219,8 +223,8 @@ def _dead_managers(coordinator: Coordinator,
 
 
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
-    """Pump until the coordinator has settled."""
-    round_sleep = config.sleep_time / 2
+    """Pump until the coordinator has settled, waiting on the bells
+    between rounds."""
     deadline = time.monotonic() + config.max_wall
     while True:
         error = _dead_managers(coordinator, processes)
@@ -232,7 +236,7 @@ def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str |
         if time.monotonic() >= deadline:
             return (f"pipeline did not settle within {config.max_wall}s: "
                     f"{coordinator.unsettled()}")
-        time.sleep(round_sleep)
+        coordinator.wait(config.sleep_time)
 
 
 def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None:

@@ -111,6 +111,11 @@ class MailboxTimeout(WhiteboardError):
     pass
 
 
+class PeerGone(WhiteboardError):
+    """The party on a mailbox's other side died: its doorbell is left
+    with no process reading it, so nothing will fill or empty the box."""
+
+
 class ManagerUnavailable(WhiteboardError):
     pass
 

@@ -22,7 +22,17 @@ The client-side `Connection` does that counting and strips the records, so
 its callers see exactly what the component produced.
 
 A manager may be configured to deliver results piecewise in end-time order,
-which makes a batch component look incremental to its client.
+which makes a batch component look incremental to its client. It then
+releases each piece no earlier than one poll period after the one before,
+which is the pace of the simulated speech.
+
+Both sides wait on doorbells (see `whiteboard.mailbox`) instead of
+sleeping. A manager's bell lies beside its request box, ``request.bell``
+for ``request``, and each connection directory holds its client's, named
+``bell``, so both sides find each other's bell from names they already
+share. A manager opens its bell before it makes its request box, and
+removes it when it stops; a client waiting on a manager whose bell has
+been left with no reader gives up at once (`ManagerUnavailable`).
 """
 
 from __future__ import annotations
@@ -42,19 +52,27 @@ from .errors import (
     MailboxTimeout,
     ManagerUnavailable,
     ParseError,
+    PeerGone,
     UnknownFormatCode,
 )
-from .mailbox import Mailbox
+from .mailbox import Bell, Mailbox
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SLEEP = 0.05
 CONN_PREFIX = "conn-"
+# a connection directory's bell, its client's
+CONN_BELL = "bell"
+
+
+def manager_bell(request_root: Path) -> Path:
+    """The path of the bell of the manager serving `request_root`."""
+    return request_root.with_name(request_root.name + ".bell")
 
 
 @dataclass(frozen=True)
 class ConnectionParams:
-    # the client's own poll period; the manager polls at its own
+    # the client's fallback poll period; the manager has its own
     sleep_time: float = DEFAULT_SLEEP
     import_format: str = "node-v1"
     export_format: str = "node-v1"
@@ -70,11 +88,13 @@ class ConnectionParams:
             wire.check_input(self.input)
 
 
-def _remove_conn_dir(conn_dir: Path) -> None:
-    """Remove a connection's directory and boxes. The manager may add a
-    batch or temporary file while the tree is being removed, so try again;
-    once a box is gone, the manager's next touch of it drops the
-    connection."""
+def _discard(bell: Bell) -> None:
+    """Close a client's bell and remove its connection directory and
+    boxes. The manager may add a batch or temporary file while the tree is
+    being removed, so try again; once a box is gone, the manager's next
+    touch of it drops the connection."""
+    bell.close()
+    conn_dir = bell.path.parent
     for _ in range(3):
         shutil.rmtree(conn_dir, ignore_errors=True)
         if not conn_dir.exists():
@@ -88,6 +108,9 @@ class Connection:
     `outstanding` counts the batches deposited whose `done` record has not
     been collected yet; `done_frame` is the highest frame those records
     carried. Collecting strips the `done` records from what it returns.
+    `bell` is the client's doorbell, which the manager rings when it fills
+    the out box, or empties an in box the client found full; `close`
+    removes it.
     """
 
     def __init__(self, conn_id: int, in_box: Mailbox, out_box: Mailbox,
@@ -95,6 +118,7 @@ class Connection:
         self.id = conn_id
         self.in_box = in_box
         self.out_box = out_box
+        self.bell = in_box.bell
         self.params = params
         self.request_root = request_root
         self.state = "open"
@@ -150,7 +174,8 @@ class Connection:
         Sends the close request unless `request_close` already did. The
         directory is removed however the wait ends, so a client that gives
         up on a close (`MailboxTimeout`) leaves nothing behind for the
-        manager to serve."""
+        manager to serve. A manager found dead while waiting raises
+        `ManagerUnavailable` at once."""
         if self.state == "closed":
             raise AlreadyClosed(f"connection {self.id} already closed")
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -161,18 +186,21 @@ class Connection:
             while True:
                 remaining = (None if deadline is None
                              else max(0.0, deadline - time.monotonic()))
-                try:
-                    records = self.collect(timeout=remaining)
-                except MailboxTimeout:
-                    raise MailboxTimeout(
-                        f"no close acknowledgment for {self.id}") from None
+                records = self.collect(timeout=remaining)
                 if records[-1:] == [wire.CloseReply(self.id)]:
                     leftovers.extend(records[:-1])
                     return leftovers
                 leftovers.extend(records)
+        except MailboxTimeout:
+            raise MailboxTimeout(
+                f"no close acknowledgment for {self.id}") from None
+        except PeerGone as exc:
+            raise ManagerUnavailable(
+                f"manager at {self.request_root} died before acknowledging "
+                f"the close of {self.id}") from exc
         finally:
             self.state = "closed"
-            _remove_conn_dir(self.in_box.path.parent)
+            _discard(self.bell)
 
 
 class PendingOpen:
@@ -188,24 +216,28 @@ class PendingOpen:
         self.request_root = request_root
         self.params = params
         self.deadline = deadline
-        self.in_box = Mailbox(conn_dir / "in", params.sleep_time)
-        self.out_box = Mailbox(conn_dir / "out", params.sleep_time)
+        self.bell = Bell(conn_dir / CONN_BELL)
+        peer = manager_bell(request_root)
+        self.in_box = Mailbox(conn_dir / "in", params.sleep_time, self.bell, peer)
+        self.out_box = Mailbox(conn_dir / "out", params.sleep_time, self.bell,
+                               peer)
 
     def wait(self) -> Connection:
         """The manager's reply, as a connection. Raises `ManagerUnavailable`
-        if no reply came before the deadline, the reply was bad or the
-        manager refused; the connection's directory is then removed."""
+        if no reply came before the deadline, the manager died, the reply
+        was bad or the manager refused; the connection's directory is then
+        removed."""
         try:
             return self._connection()
         except ManagerUnavailable:
-            _remove_conn_dir(self.in_box.path.parent)
+            _discard(self.bell)
             raise
 
     def _connection(self) -> Connection:
         try:
             reply_text = self.out_box.collect(
                 timeout=max(0.0, self.deadline - time.monotonic()))
-        except (MailboxTimeout, BoxRemoved) as exc:
+        except (MailboxTimeout, BoxRemoved, PeerGone) as exc:
             raise ManagerUnavailable(
                 f"manager at {self.request_root} did not reply") from exc
         try:
@@ -228,9 +260,8 @@ def send_open(request_root: Path | str, params: ConnectionParams,
     manager to serve if it has not started yet. `timeout` bounds the send
     and the wait for the reply together."""
     request_root = Path(request_root)
-    requests = Mailbox(request_root, params.sleep_time)
     deadline = time.monotonic() + timeout
-    while not requests.exists():
+    while not request_root.is_dir():
         if time.monotonic() >= deadline:
             raise ManagerUnavailable(f"no manager serving {request_root}")
         time.sleep(params.sleep_time)
@@ -238,13 +269,16 @@ def send_open(request_root: Path | str, params: ConnectionParams,
     pending = PendingOpen(request_root, params, deadline, conn_dir)
     pending.in_box.create()
     pending.out_box.create()
+    pending.bell.open()
+    requests = Mailbox(request_root, params.sleep_time, pending.bell,
+                       manager_bell(request_root))
     request = wire.OpenRequest(params.import_format, params.export_format,
                                params.input, conn_dir.name)
     try:
         requests.deposit(wire.serialize([request]),
                          timeout=max(0.0, deadline - time.monotonic()))
-    except (MailboxTimeout, BoxRemoved) as exc:
-        _remove_conn_dir(conn_dir)
+    except (MailboxTimeout, BoxRemoved, PeerGone) as exc:
+        _discard(pending.bell)
         raise ManagerUnavailable(f"manager at {request_root} did not reply") from exc
     return pending
 
@@ -303,12 +337,15 @@ class _Served:
     def __init__(self, conn_id: int, conn_dir: Path,
                  request: wire.OpenRequest, sleep_time: float):
         self.id = conn_id
-        self.in_box = Mailbox(conn_dir / "in", sleep_time)
-        self.out_box = Mailbox(conn_dir / "out", sleep_time)
+        client = conn_dir / CONN_BELL
+        self.in_box = Mailbox(conn_dir / "in", sleep_time, peer=client)
+        self.out_box = Mailbox(conn_dir / "out", sleep_time, peer=client)
         self.import_format = request.import_format
         self.export_format = request.export_format
         self.component = None
         self.owed: list[str] = []
+        # the owed deposit waits until then: the next piece of a reply
+        self.release_at = 0.0
         self.high_frame = 0
         # set by a refused open or a close: drop once nothing is owed
         self.ending = False
@@ -334,39 +371,56 @@ class _Manager:
         self.incremental = incremental
         self.sleep_time = sleep_time
         self.requests = Mailbox(self.request_root, sleep_time)
+        self.bell = Bell(manager_bell(self.request_root))
         # by the name of the connection's directory
         self.served: dict[str, _Served] = {}
         self._next_conn = 1
 
     def serve(self, stop_event: threading.Event | None = None):
-        """One poll loop: each cycle takes at most one request batch, then
-        makes every connection's next owed deposit or, owing none, takes
-        its next input batch. The loop sleeps between cycles, except after
-        one that made progress and left nothing owed."""
+        """One loop: each cycle takes at most one request batch, then makes
+        every connection's next owed deposit that is due or, owing none,
+        takes its next input batch. Between cycles the loop waits on its
+        bell, at most one poll period or until the next piece falls due,
+        except after a cycle that made progress and left nothing owed.
+
+        The bell is open before the request box exists, and is removed
+        however the loop ends."""
         if stop_event is None:
             stop_event = threading.Event()  # never set: serve until removed
-        self.requests.create()
-        log.info("manager %s serving at %s", self.name, self.request_root)
-        while not stop_event.is_set():
-            try:
-                text = self.requests.try_collect()
-            except BoxRemoved:
-                break
-            progressed = text is not None
-            if progressed:
-                self._dispatch(text)
-            for name, served in list(self.served.items()):
+        self.request_root.parent.mkdir(parents=True, exist_ok=True)
+        self.bell.open()
+        try:
+            self.requests.create()
+            log.info("manager %s serving at %s", self.name, self.request_root)
+            while not stop_event.is_set():
                 try:
-                    progressed |= self._step(served)
-                    gone = served.ending and not served.owed
+                    text = self.requests.try_collect()
                 except BoxRemoved:
-                    log.info("manager %s: connection %s dropped, its boxes "
-                             "are gone", self.name, served.id)
-                    gone = True
-                if gone:
-                    del self.served[name]
-            if not progressed or any(s.owed for s in self.served.values()):
-                stop_event.wait(self.sleep_time)
+                    break
+                progressed = text is not None
+                if progressed:
+                    self._dispatch(text)
+                for name, served in list(self.served.items()):
+                    try:
+                        progressed |= self._step(served)
+                        gone = served.ending and not served.owed
+                    except BoxRemoved:
+                        log.info("manager %s: connection %s dropped, its "
+                                 "boxes are gone", self.name, served.id)
+                        gone = True
+                    if gone:
+                        del self.served[name]
+                if not progressed or any(s.owed for s in self.served.values()):
+                    self.bell.wait(self._timeout())
+        finally:
+            self.bell.close()
+
+    def _timeout(self) -> float:
+        """One poll period, or less if an owed piece falls due sooner."""
+        now = time.monotonic()
+        return min([self.sleep_time, *(s.release_at - now
+                                       for s in self.served.values()
+                                       if s.owed and s.release_at > now)])
 
     def _dispatch(self, text: str):
         try:
@@ -411,17 +465,22 @@ class _Manager:
         return conn_dir
 
     def _step(self, served: _Served) -> bool:
-        """Make the next deposit owed on a connection, first taking its
-        next input batch if nothing is owed. Returns True if this delivered
-        the last deposit owed."""
+        """Make the next deposit owed on a connection once it is due,
+        first taking its next input batch if nothing is owed. A reply's
+        first deposit is due at once, each later piece one poll period
+        after the one before. Returns True if this delivered the last
+        deposit owed."""
         if not served.owed:
             text = served.in_box.try_collect()
             if text is None:
                 return False
             served.owed = self._reply(served, text)
-        if not served.out_box.try_deposit(served.owed[0]):
+        now = time.monotonic()
+        if now < served.release_at or not served.out_box.try_deposit(
+                served.owed[0]):
             return False
         del served.owed[0]
+        served.release_at = now + self.sleep_time if served.owed else 0.0
         return not served.owed
 
     def _reply(self, served: _Served, text: str) -> list[str]:
@@ -461,8 +520,12 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
                 incremental: bool = False, sleep_time: float = DEFAULT_SLEEP,
                 stop_event: threading.Event | None = None) -> None:
     """Serve connection requests forever (or until `stop_event` is set, or
-    the request box is removed), polling every `sleep_time` seconds in a
-    single loop on the calling thread.
+    the request box is removed) in a single loop on the calling thread,
+    which waits on the manager's bell between cycles. `sleep_time` is the
+    fallback poll period, and the gap between the pieces of an incremental
+    reply. A manager waiting on its bell sees `stop_event` at its next
+    wake-up, so whoever sets it rings the bell too
+    (`mailbox.ring(manager_bell(request_root))`) to stop it at once.
 
     `factory` is called once per opened connection with the input its open
     request named (None for `-`) and returns that connection's component,

@@ -27,7 +27,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("role", choices=["source", "parser", "translator"])
     parser.add_argument("--request-box", required=True, type=Path)
     parser.add_argument("--sleep", type=float, default=0.05,
-                        help="poll period in seconds")
+                        help="seconds between an incremental reply's "
+                             "pieces, and the fallback poll period")
     parser.add_argument("--topk", type=int, default=3)
     parser.add_argument("--grammar", type=Path)
     parser.add_argument("--dict", dest="dictionary", type=Path)

@@ -294,16 +294,18 @@ def test_09_killing_the_parser_fails_fast_not_hung(tmp_path):
         spawned[role] = proc
         if len(spawned) == 3:
             # the worker argv carries its request box; the connections'
-            # conn-*/in boxes sit beside it. While an input batch waits in
-            # one, the parser owes a reply, so the utterance cannot settle
-            # before the kill lands
+            # conn-* directories sit beside it. Once the parser's appears,
+            # the source still has its 9 pieces to release, one poll period
+            # apart, so a kill two periods later lands before the
+            # utterance can settle
             request_root = Path(spawned["parser"].args[
                 spawned["parser"].args.index("--request-box") + 1])
 
             def assassin():
                 deadline = time.monotonic() + 15.0
                 while time.monotonic() < deadline:
-                    if any(request_root.parent.glob("conn-*/in/batch")):
+                    if any(request_root.parent.glob("conn-*")):
+                        time.sleep(2 * sleep_time)
                         break
                     time.sleep(sleep_time / 10)
                 kill_time["t"] = time.monotonic()

@@ -20,10 +20,12 @@ from whiteboard import (
     run_manager,
     wire,
 )
+from whiteboard import mailbox
 from whiteboard.components import IslandParser, MatrixSource, WordForWordTranslator
 from whiteboard.coordinator import _Bound
 from whiteboard.errors import LayerMismatch
 from oracles import identity_component, valid_lattice
+from stopping import RingingStop
 from utterances import spliced_utterances
 
 REPO = Path(__file__).parent.parent
@@ -41,13 +43,13 @@ class Hosts:
 
     def __init__(self, root):
         self.root = root
-        self.stop = threading.Event()
+        self.stop = RingingStop()
         self.threads: list[threading.Thread] = []
         self.coordinators: list[Coordinator] = []
 
     def __call__(self, name, component, incremental=False, sleep=SLEEP):
         """Serve `component`, one instance for every connection."""
-        request_root = self.root / name / "request"
+        request_root = self.stop.add(self.root / name / "request")
         thread = threading.Thread(
             target=run_manager, args=(lambda _input: component, request_root),
             kwargs={"incremental": incremental, "sleep_time": sleep,
@@ -86,12 +88,13 @@ def params(imp, exp, sleep=SLEEP):
 
 
 def pump_until(coordinator, predicate, timeout=10.0):
+    """Pump, waiting on the bindings' bells between rounds."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         coordinator.pump()
         if predicate():
             return
-        time.sleep(SLEEP)
+        coordinator.wait(SLEEP)
     raise AssertionError("pipeline did not reach the expected state")
 
 
@@ -167,6 +170,26 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
         return board, coordinator.status()
     finally:
         hosts.shutdown()
+
+
+def test_the_pipeline_builds_the_same_board_on_the_poll_fallback_alone(
+        tmp_path, fixtures_dir, monkeypatch):
+    """Bells only hurry the next try: with every ring lost, the polls
+    still carry the pipeline to the reference board."""
+    rings = []
+    monkeypatch.setattr(mailbox, "ring", rings.append)
+    grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
+    dictionary = load_dictionary((fixtures_dir / "words.dict").read_text())
+    phrase_grammar, phrase_files = phrase_utterances(tmp_path / "phrase", (3,))
+    for i, (matrix_file, grammar_) in enumerate(
+            [(fixtures_dir / "hai.mat", grammar),
+             (phrase_files[0], phrase_grammar)]):
+        board, _ = run_pipeline(tmp_path / f"run-{i}", matrix_file, grammar_,
+                                dictionary, Thresholds(2, 2), 0.005)
+        reference = workload.build_board(matrix_file.read_text(), grammar_,
+                                         dictionary)
+        assert canonical_form(board) == canonical_form(reference)
+    assert rings  # every ring went through the patched, silent `ring`
 
 
 def phrase_utterances(work, words_per_utterance=(3, 4, 5), seed=17):
@@ -550,6 +573,42 @@ def test_status_shows_outstanding_batches_and_done_frame(host):
     assert status["per_binding"]["gated"]["outstanding"] == 0
     assert status["per_binding"]["gated"]["done_frame"] == 7
     assert lag(status) == 0
+
+
+def test_status_shows_frames_behind_the_source_and_the_tail(host, fixtures_dir):
+    release = threading.Event()
+
+    def gated(records):
+        release.wait(timeout=10.0)
+        return [r for r in records if isinstance(r, wire.EdgeRecord)]
+
+    board = make_board()
+    coordinator = host.coordinator(board, Thresholds(2, 2))
+    coordinator.register(
+        ComponentBinding("source", host("source", MatrixSource(
+            fixtures_dir / "hai.mat", 3), incremental=True),
+            [], "phonemes", params("edge-v1", "edge-v1")),
+        ComponentBinding("gated", host("gated", gated),
+                         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    source = coordinator.bound["source"].conn
+    held = 0.2
+    try:
+        pump_until(coordinator, lambda: source.outstanding == 0)
+        status = coordinator.status()
+        assert source.done_frame == 9
+        assert status["per_binding"]["source"]["frames_behind"] == 0
+        assert status["per_binding"]["gated"]["frames_behind"] == 9
+        assert status["tail_s"] is None  # not settled yet
+        time.sleep(held)
+    finally:
+        release.set()
+    pump_until(coordinator, coordinator.settled)
+    status = coordinator.status()
+    assert status["per_binding"]["gated"]["frames_behind"] == 0
+    assert held <= status["tail_s"] < held + 5.0
+    tail = status["tail_s"]
+    coordinator.pump()
+    assert coordinator.status()["tail_s"] == tail  # the first settling counts
 
 
 def test_results_handed_over_on_close_after_settling_fail_the_run(host):

@@ -9,8 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from whiteboard.errors import BoxRemoved, MailboxTimeout
-from whiteboard.mailbox import Mailbox
+from whiteboard.errors import BoxRemoved, MailboxTimeout, PeerGone
+from whiteboard.mailbox import (
+    WAITING_NAME,
+    Bell,
+    Mailbox,
+    is_orphaned,
+    ring,
+    wait_for_rings,
+)
 
 SLEEP = 0.005
 
@@ -101,6 +108,81 @@ def test_timeouts_raise(tmp_path):
     box.deposit("x\n")
     with pytest.raises(MailboxTimeout):
         box.deposit("y\n", timeout=3 * SLEEP)
+
+
+# -- doorbells -------------------------------------------------------------------
+
+def test_a_ring_wakes_a_waiter_and_is_drained(tmp_path):
+    bell = Bell(tmp_path / "bell").open()
+    other = Bell(tmp_path / "other").open()
+    try:
+        assert not bell.wait(0.01)
+        for _ in range(3):
+            ring(bell.path)
+        start = time.monotonic()
+        assert wait_for_rings([other, bell], 5.0)
+        assert time.monotonic() - start < 1.0
+        assert not bell.wait(0.01)  # every ring was drained at once
+    finally:
+        bell.close()
+        other.close()
+    assert not bell.path.exists()
+    ring(bell.path)  # no bell there: nothing happens
+
+
+def test_a_collect_rings_only_a_writer_that_found_the_slot_full(tmp_path):
+    writer_bell = Bell(tmp_path / "writer-bell").open()
+    reader = Mailbox(tmp_path / "box", SLEEP, peer=writer_bell.path).create()
+    writer = Mailbox(reader.path, SLEEP, writer_bell)
+    try:
+        assert writer.try_deposit("one\n")
+        assert reader.try_collect() == "one\n"
+        assert not writer_bell.wait(0.01)  # the writer was not held up
+        assert writer.try_deposit("two\n")
+        assert not writer.try_deposit("three\n")  # held up: leaves its mark
+        assert (reader.path / WAITING_NAME).exists()
+        assert reader.try_collect() == "two\n"
+        assert not (reader.path / WAITING_NAME).exists()
+        assert writer_bell.wait(5.0)
+        assert writer.try_deposit("three\n")
+        assert not writer.try_deposit("four\n")
+        reader.remove()  # the mark goes with the box
+        assert not reader.path.exists()
+    finally:
+        writer_bell.close()
+
+
+def test_a_blocking_collect_wakes_on_the_deposit_not_the_poll(tmp_path):
+    bell = Bell(tmp_path / "reader-bell").open()
+    reader = Mailbox(tmp_path / "box", 5.0, bell).create()
+    writer = Mailbox(reader.path, 5.0, peer=bell.path)
+    try:
+        timer = threading.Timer(0.05, writer.deposit, args=("late\n",))
+        start = time.monotonic()
+        timer.start()
+        assert reader.collect(timeout=10.0) == "late\n"
+        assert time.monotonic() - start < 1.0
+        timer.join()
+    finally:
+        bell.close()
+
+
+def test_an_orphaned_bell_is_one_nobody_reads(tmp_path):
+    path = tmp_path / "bell"
+    assert not is_orphaned(path)  # no bell: nothing is known
+    bell = Bell(path).open()
+    assert not is_orphaned(path)
+    os.close(bell._read)  # as if its owner died: the FIFO stays, unread
+    os.close(bell._keep)
+    bell._read = bell._keep = None
+    assert is_orphaned(path)
+    box = Mailbox(tmp_path / "box", SLEEP, Bell(tmp_path / "own").open(),
+                  peer=path).create()
+    try:
+        with pytest.raises(PeerGone):
+            box.collect(timeout=5.0)
+    finally:
+        box.bell.close()
 
 
 # -- fault injection: writer processes of our own, at most three at a time ----

@@ -1,5 +1,9 @@
 import logging
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -15,12 +19,14 @@ from whiteboard.errors import (
 )
 from whiteboard.manager import (
     ConnectionParams,
+    manager_bell,
     partition_by_end,
     request_connection,
     run_manager,
 )
-from whiteboard.mailbox import Mailbox
+from whiteboard.mailbox import Mailbox, ring
 from oracles import identity_component
+from stopping import RingingStop
 from utterances import spliced_utterances
 
 SLEEP = 0.005
@@ -34,7 +40,8 @@ class hosted_manager:
     def __init__(self, tmp_path, component=None, incremental=False, name="m",
                  sleep_time=SLEEP, factory=None):
         self.root = tmp_path / name / "request"
-        self.stop = threading.Event()
+        self.stop = RingingStop()
+        self.stop.add(self.root)
         self.thread = threading.Thread(
             target=run_manager,
             args=(factory or (lambda _input: component), self.root),
@@ -437,3 +444,107 @@ def test_a_manager_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
         manager.stop.set()
         manager.thread.join(timeout=0.5)
         assert not manager.thread.is_alive()
+
+
+# -- doorbells ----------------------------------------------------------------
+
+def wait_for_request_box(root, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not root.is_dir():
+        assert time.monotonic() < deadline, "the manager never served"
+        time.sleep(SLEEP)
+
+
+def test_bells_carry_a_round_trip_well_inside_one_poll(tmp_path):
+    poll = 1.0
+    with hosted_manager(tmp_path, identity_component, sleep_time=poll) as root:
+        wait_for_request_box(root)
+        start = time.monotonic()
+        conn = request_connection(root, ConnectionParams(poll, "edge-v1",
+                                                         "edge-v1"))
+        conn.deposit(edges(0, 1), timeout=5.0)
+        assert conn.collect(timeout=5.0) == edges(0, 1)
+        conn.close(timeout=5.0)
+        assert time.monotonic() - start < 0.3
+
+
+def test_an_incremental_manager_keeps_its_pieces_one_poll_apart(
+        tmp_path, monkeypatch):
+    poll = 0.05
+    released = []  # when the manager began each out-box deposit it made
+    deposit = Mailbox.try_deposit
+
+    def timed_deposit(box, text):
+        start = time.monotonic()
+        done = deposit(box, text)
+        if done and box.path.name == "out":
+            released.append(start)
+        return done
+
+    monkeypatch.setattr(Mailbox, "try_deposit", timed_deposit)
+    with hosted_manager(tmp_path, identity_component, incremental=True,
+                        sleep_time=poll) as root:
+        conn = request_connection(root, ConnectionParams(poll, "edge-v1",
+                                                         "edge-v1"))
+        conn.deposit(edges(*range(6)), timeout=5.0)
+        while conn.outstanding:
+            assert conn.collect(timeout=5.0)  # as soon as the bell rings
+            ring(manager_bell(root))  # as other connections' traffic would
+        conn.close(timeout=5.0)
+    pieces = released[1:-1]  # between the open's reply and the close's
+    assert len(pieces) == 6
+    gaps = [b - a for a, b in zip(pieces, pieces[1:])]
+    assert min(gaps) >= 0.045, gaps
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_connections_leave_no_descriptor_and_a_stopped_manager_no_bell(
+        tmp_path):
+    manager = hosted_manager(tmp_path, identity_component)
+    with manager as root:
+        wait_for_request_box(root)
+        assert manager_bell(root).exists()
+        before = open_fds()
+        for i in range(20):
+            conn = request_connection(root, params())
+            conn.deposit(edges(i), timeout=5.0)
+            assert conn.collect(timeout=5.0) == edges(i)
+            conn.close(timeout=5.0)
+        assert open_fds() == before
+    assert not manager.thread.is_alive()
+    assert not manager_bell(root).exists()
+    assert not list(root.parent.glob("conn-*"))
+
+
+def test_a_killed_manager_process_fails_opens_and_closes_at_once(
+        tmp_path, fixtures_dir):
+    root = tmp_path / "parser" / "request"
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "whiteboard.workers", "parser",
+         "--request-box", str(root), "--sleep", "0.05",
+         "--grammar", str(fixtures_dir / "words.grammar")],
+        stderr=subprocess.DEVNULL)
+    try:
+        wait_for_request_box(root, timeout=30.0)
+        conn = request_connection(root, ConnectionParams(0.05, "edge-v1",
+                                                         "edge-v1"))
+        worker.send_signal(signal.SIGKILL)
+        worker.wait(timeout=10)
+        start = time.monotonic()
+        with pytest.raises(ManagerUnavailable):
+            conn.close(timeout=5.0)  # all 5 s without the bell
+        assert time.monotonic() - start < 1.0
+        assert not list(root.parent.glob("conn-*"))
+        start = time.monotonic()
+        with pytest.raises(ManagerUnavailable):
+            request_connection(root, ConnectionParams(0.05, "edge-v1",
+                                                      "edge-v1"))  # 10 s
+        assert time.monotonic() - start < 1.0
+        assert not list(root.parent.glob("conn-*"))
+    finally:
+        if worker.poll() is None:
+            worker.kill()
+            worker.wait(timeout=10)
