@@ -35,6 +35,7 @@ from functools import cached_property
 from .board import Layer, TimeSpan
 from .errors import GrammarError
 from .grid import GridNode, Thresholds, grid_connected
+from .wire import token_ok
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,10 @@ class Grammar:
 def load_grammar(text: str, known_terminals: set[str] | None = None) -> Grammar:
     """Parse `LHS -> s1 s2 ...` lines; `;` comments and blanks ignored.
 
-    When a terminal alphabet is given, any right-hand-side symbol that is
-    neither a rule head nor a known terminal is rejected by name.
+    Every symbol is a label that travels on the wire, so it must be a
+    legal wire token. When a terminal alphabet is given, any
+    right-hand-side symbol that is neither a rule head nor a known terminal
+    is rejected by name.
     """
     rules: list[Rule] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -96,10 +99,14 @@ def load_grammar(text: str, known_terminals: set[str] | None = None) -> Grammar:
         lhs, _, rhs_text = line.partition("->")
         lhs = lhs.strip()
         rhs = tuple(rhs_text.split())
-        if not lhs or " " in lhs:
+        if not token_ok(lhs):
             raise GrammarError(f"line {lineno}: bad left-hand side {lhs!r}")
         if not rhs:
             raise GrammarError(f"line {lineno}: empty right-hand side")
+        for symbol in rhs:
+            if not token_ok(symbol):
+                raise GrammarError(
+                    f"line {lineno}: symbol {symbol!r} is not a legal wire token")
         rules.append(Rule(lhs, rhs, f"R{len(rules) + 1}"))
     grammar = Grammar(rules)
     if known_terminals is not None:

@@ -7,7 +7,8 @@
 
     whiteboard lattice show FILE [--layer NAME] [--threshold S] [--hide-grey]
 
-Exit codes: 0 success, 1 pipeline failure, 2 config or fixture error.
+Exit codes: 0 success, 1 pipeline failure (an utterance fails too when
+any binding noted an error), 2 config or fixture error.
 """
 
 from __future__ import annotations

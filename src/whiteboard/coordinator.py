@@ -31,9 +31,10 @@ Managers end their reply to every batch with a `done` record, so each
 connection knows how many of its batches are still outstanding. The
 pipeline has settled when every source has been triggered, no batch is
 outstanding and the last round had nothing left to forward. `status`
-reports how far each binding trails the sources, in frames, and the tail:
-the time from the round that collected the sources' last `done` to the
-first round that left the pipeline settled.
+reports how far each binding trails what the sources have put on the
+board, in frames, and the tail: the time from the round that collected
+the sources' last `done` to the first round that left the pipeline
+settled.
 """
 
 from __future__ import annotations
@@ -169,8 +170,12 @@ class Coordinator:
     # -- one scheduling round ------------------------------------------------------
 
     def pump(self) -> PumpReport:
+        """One round. It first drains the bindings' bells: this round sees
+        what they rang for, and a ring after the drain still wakes `wait`."""
         start = time.monotonic()
         report = PumpReport()
+        for bound in self.bound.values():
+            bound.conn.bell.drain()
         for bound in self.bound.values():
             try:
                 self._collect_from(bound, report)
@@ -327,8 +332,9 @@ class Coordinator:
 
     def status(self) -> dict:
         """Counts per layer and per binding. A binding's `frames_behind` is
-        the highest `done_frame` of the sources less its own; `tail_s` is
-        None until the pipeline has settled after its sources finished."""
+        the highest end frame on the sources' output layers less its own
+        `done_frame` (0 for a source); `tail_s` is None until the pipeline
+        has settled after its sources finished."""
         per_layer = {}
         for name, layer in self.board.layers.items():
             high_water = max((n.span.end for n in layer.white_nodes.values()),
@@ -336,8 +342,8 @@ class Coordinator:
             per_layer[name] = {"nodes": len(layer.white_nodes),
                                "arcs": len(layer.arcs),
                                "high_water_frame": high_water}
-        source_frame = max((b.conn.done_frame for b in self._sources()),
-                           default=0)
+        source_frame = max((per_layer[b.binding.output_layer]["high_water_frame"]
+                            for b in self._sources()), default=0)
         per_binding = {}
         for name, bound in self.bound.items():
             per_binding[name] = {
@@ -345,7 +351,8 @@ class Coordinator:
                 "collected": bound.collected,
                 "outstanding": bound.conn.outstanding,
                 "done_frame": bound.conn.done_frame,
-                "frames_behind": max(0, source_frame - bound.conn.done_frame),
+                "frames_behind": (max(0, source_frame - bound.conn.done_frame)
+                                  if bound.binding.input_layers else 0),
                 "errors": list(bound.errors)}
         tail_s = None
         if self.sources_done_at is not None and self.settled_at is not None:

@@ -11,6 +11,12 @@ is left to forward. It then closes all connections at once, fails the
 utterance if any of them still held results, and seals and exports the
 layers. A failed utterance ends the run.
 
+An utterance also fails, whatever its `ww` layer holds, when any binding
+noted an error: a component's error record, a batch that did not parse,
+or a record the board refused. The failure names each such binding and
+its first error. A dictionary word or grammar symbol that is not a legal
+wire token is a configuration error, found before anything is spawned.
+
 Every pump round is non-blocking. Between rounds the demo waits on the
 connections' doorbells, so a round starts as soon as a manager has
 deposited a result, or made room for a batch the last round could not
@@ -198,6 +204,8 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
             status = coordinator.status()
             if error is None:
                 error = _close_connections(coordinator)
+            if error is None:
+                error = _binding_errors(coordinator)
     except (ManagerUnavailable, WhiteboardError) as exc:
         error = f"pipeline failed: {exc}"
 
@@ -283,6 +291,14 @@ def _close_connections(coordinator: Coordinator) -> str | None:
         elif leftovers:
             log.info("binding %s: %d records dropped on close",
                      name, len(leftovers))
+    return "; ".join(problems) or None
+
+
+def _binding_errors(coordinator: Coordinator) -> str | None:
+    """Each binding that noted an error, with its first one."""
+    problems = [f"binding {name} noted {len(bound.errors)} errors, the first: "
+                f"{bound.errors[0]}"
+                for name, bound in coordinator.bound.items() if bound.errors]
     return "; ".join(problems) or None
 
 

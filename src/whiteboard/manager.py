@@ -393,6 +393,8 @@ class _Manager:
             self.requests.create()
             log.info("manager %s serving at %s", self.name, self.request_root)
             while not stop_event.is_set():
+                # this cycle sees what rang so far; a later ring wakes the wait
+                self.bell.drain()
                 try:
                     text = self.requests.try_collect()
                 except BoxRemoved:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .board import Layer
 from .chart import add_derivation
 from .errors import DuplicateSource, NotSealed, ParseError
+from .wire import token_ok
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,8 @@ def load_dictionary(text: str) -> Dictionary:
     """Parse `source : t1, t2, ...` lines; `;` comments and blanks ignored.
 
     Sense tags are assigned positionally (s1, s2, ...), one per meaning.
+    Every word is a label that travels on the wire, so it must be a legal
+    wire token.
     """
     entries: dict[str, DictionaryEntry] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -50,11 +53,15 @@ def load_dictionary(text: str) -> Dictionary:
             raise ParseError("expected 'source : targets'", lineno)
         source, _, targets_text = line.partition(":")
         source = source.strip()
-        if not source or " " in source:
+        if not token_ok(source):
             raise ParseError(f"bad source word {source!r}", lineno)
         targets = tuple(t.strip() for t in targets_text.split(",") if t.strip())
         if not targets:
             raise ParseError(f"no targets for {source!r}", lineno)
+        for target in targets:
+            if not token_ok(target):
+                raise ParseError(f"target word {target!r} of {source!r} is not "
+                                 f"a legal wire token", lineno)
         if source in entries:
             raise DuplicateSource(source)
         entries[source] = DictionaryEntry(

@@ -5,39 +5,31 @@ parenthesized, space-separated field list; nested parentheses hold integer
 lists; ids and frames are decimal integers, scores and weights decimal
 floats, labels unquoted tokens without whitespace or parentheses.
 
-Data records carry no symbolic head; their shape is fixed by the format
-code of the connection plus arity:
+The table `_GRAMMAR` is the grammar. Each row compiles to the writer of its
+record kind, and one loop reads every row's fields:
 
     edge-v1           (begin end phoneme score)
     node-v1           (node-id begin end label score (source-ids))
-                      and (arc-id origin extremity weight)
+    node-v1           (arc-id origin extremity weight)
     inactive-edge-v1  (edge-id begin end category score (child-ids))
+    open              (open import-format export-format input conn)
+    opened            (opened conn-id)
+    close             (close conn-id)
+    closed            (closed conn-id)
+    error             (error message)
+    done              (done frame)
 
-Arc records travel only under node-v1: their endpoints are node ids that
-the node records of the same connection introduce. A node record's
-source ids name the input-layer nodes it was built from, in the ids the
-coordinator sent them under; the coordinator's own slices send `()`.
-
-Control records start with a keyword token and are legal in any context:
-(open import export input conn), (opened conn-id), (close conn-id),
-(closed conn-id), (error message), and (done frame), which a manager
-appends to its last deposit for each input batch: the batch is finished,
-and frame is the highest end frame the connection has seen so far in its
-inputs and outputs. An open request fixes the new connection's formats,
-names its input, a token the manager hands to the component it builds for
-that connection (the demo's source reads its utterance's matrix file
-from it), or `-` for a component that takes none, and names the
-`conn-*` directory beside the request box that holds the connection's
-boxes. The manager answers it with `opened` or an error on that
-directory's out box; `close` and `closed` travel on the connection's own
-in and out boxes.
+A data record's head, the format code of its connection, is not written:
+that code and the arity pick the row. A control record starts with its
+keyword and is legal in any context; `whiteboard.manager` says what each means.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Union
 
 from .errors import ParseError, UnknownFormatCode
@@ -45,6 +37,8 @@ from .errors import ParseError, UnknownFormatCode
 FORMAT_CODES = ("edge-v1", "node-v1", "inactive-edge-v1")
 
 _TOKEN_RE = re.compile(r"[^\s()]+")
+_LEXEME_RE = re.compile(r"[()]|[^\s()]+")
+_INT_RE = re.compile(r"[-+]?\d+")  # a data record's first field
 
 NO_INPUT = "-"  # an open request's input field when the component takes none
 
@@ -125,17 +119,8 @@ class DoneRecord:
 
 
 DataRecord = Union[EdgeRecord, NodeRecord, ArcRecord, InactiveEdgeRecord]
-WireRecord = Union[
-    DataRecord, OpenRequest, OpenReply, CloseRequest, CloseReply,
-    ErrorRecord, DoneRecord,
-]
-
-# Which data record classes a format code admits.
-_FORMAT_RECORDS: dict[str, tuple[type, ...]] = {
-    "edge-v1": (EdgeRecord,),
-    "node-v1": (NodeRecord, ArcRecord),
-    "inactive-edge-v1": (InactiveEdgeRecord,),
-}
+WireRecord = Union[DataRecord, OpenRequest, OpenReply, CloseRequest, CloseReply,
+                   ErrorRecord, DoneRecord]
 
 
 def token_ok(text: str) -> bool:
@@ -168,45 +153,96 @@ def check_input(value: str) -> str:
     return _fmt_token(value)
 
 
-def _fmt_input(value: str | None) -> str:
-    return NO_INPUT if value is None else check_input(value)
+def _reader(convert, noun: str):
+    """The reader of a one-token field, which `convert` maps to its value.
+    A plain function, not a partial: the interpreter inlines its calls."""
+    article = "an" if noun == "integer" else "a"
+
+    def read(field, lineno: int, name: str):
+        text, col = field
+        if text.__class__ is list:
+            raise ParseError(f"{name}: expected {noun}, got list", lineno, col)
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ParseError(f"{name}: not {article} {noun}: {text}", lineno, col) from None
+        if value.__class__ is float and not math.isfinite(value):
+            raise ParseError(f"{name}: non-finite number", lineno, col)
+        return value
+    return read
 
 
-def _fmt_ints(values) -> str:
-    return "(" + " ".join(str(int(v)) for v in values) + ")"
+def _read_ids(field, lineno: int, name: str) -> tuple[int, ...]:
+    items, col = field
+    if items.__class__ is not list:
+        raise ParseError(f"{name}: expected id list", lineno, col)
+    return tuple([_read_int(item, lineno, name) for item in items])
+
+
+_read_int = _reader(int, "integer")
+_read_token = _reader(str, "token")
+
+# kind: (writer, reader). A writer raises ValueError for what the wire cannot
+# carry, a reader a ParseError naming the field. A row's template formats ints.
+_KINDS = {
+    "int": (int, _read_int),
+    "float": (_fmt_float, _reader(float, "number")),
+    "token": (_fmt_token, _read_token),
+    "ids": (lambda ids: "(" + " ".join([str(int(i)) for i in ids]) + ")",
+            _read_ids),
+    "format": (_fmt_token, _read_token),  # checked by the row, once read
+    "input": (lambda value: NO_INPUT if value is None else check_input(value),
+              _reader(lambda text: None if text == NO_INPUT else text, "token")),
+    "message": (sanitize_token, _read_token),
+}
+
+# The grammar: per record class, its head (a control keyword, or the format
+# code a data record travels under), then its fields in wire order as
+# `name:kind`, mapped onto the class's attributes in order.
+_GRAMMAR = {
+    EdgeRecord: "edge-v1  begin:int end:int phoneme:token score:float",
+    NodeRecord: "node-v1  node-id:int begin:int end:int label:token "
+                "score:float source-ids:ids",
+    ArcRecord: "node-v1  arc-id:int origin:int extremity:int weight:float",
+    InactiveEdgeRecord: "inactive-edge-v1  edge-id:int begin:int end:int "
+                        "category:token score:float child-ids:ids",
+    OpenRequest: "open  import-format:format export-format:format "
+                 "input:input conn:token",
+    OpenReply: "opened  conn-id:int",
+    CloseRequest: "close  conn-id:int",
+    CloseReply: "closed  conn-id:int",
+    ErrorRecord: "error  message:message",
+    DoneRecord: "done  frame:int",
+}
+
+
+class _Row:
+    """A row of `_GRAMMAR`: its record's writer, and its fields' readers."""
+
+    def __init__(self, cls: type, row: str):
+        self.cls = cls
+        self.head, *spec = row.split()
+        kinds = [field.split(":") for field in spec]
+        self.control = self.head not in FORMAT_CODES
+        self.formats = FORMAT_CODES if self.control else (self.head,)
+        template = "(%s)" % " ".join([self.head] * self.control + ["%s"] * len(spec))
+        # the row's writer, compiled once: looping over the fields at every
+        # call made `serialize` a quarter slower than a hand-written format
+        writers = {f"w{i}": _KINDS[kind][0] for i, (_, kind) in enumerate(kinds)}
+        values = ", ".join(f"w{i}(r.{f.name})" for i, f in enumerate(fields(cls)))
+        self.write = eval(f"lambda r: {template!r} % ({values},)", writers)
+        self.readers = [(_KINDS[kind][1], name) for name, kind in kinds]
+        self.codes = [kind for _, kind in kinds].count("format")
+
+
+_ROWS = {cls: _Row(cls, row) for cls, row in _GRAMMAR.items()}
+_BY_KEYWORD = {row.head: row for row in _ROWS.values() if row.control}
+_BY_FORMAT = {(r.head, len(r.readers)): r for r in _ROWS.values() if not r.control}
 
 
 def serialize_record(record: WireRecord) -> str:
     """One record, without the trailing newline."""
-    if isinstance(record, EdgeRecord):
-        return (f"({int(record.begin)} {int(record.end)} "
-                f"{_fmt_token(record.phoneme)} {_fmt_float(record.score)})")
-    if isinstance(record, NodeRecord):
-        return (f"({int(record.node_id)} {int(record.begin)} {int(record.end)} "
-                f"{_fmt_token(record.label)} {_fmt_float(record.score)} "
-                f"{_fmt_ints(record.sources)})")
-    if isinstance(record, ArcRecord):
-        return (f"({int(record.arc_id)} {int(record.origin)} "
-                f"{int(record.extremity)} {_fmt_float(record.weight)})")
-    if isinstance(record, InactiveEdgeRecord):
-        return (f"({int(record.edge_id)} {int(record.begin)} {int(record.end)} "
-                f"{_fmt_token(record.category)} {_fmt_float(record.score)} "
-                f"{_fmt_ints(record.children)})")
-    if isinstance(record, OpenRequest):
-        return (f"(open {_fmt_token(record.import_format)} "
-                f"{_fmt_token(record.export_format)} "
-                f"{_fmt_input(record.input)} {_fmt_token(record.conn)})")
-    if isinstance(record, OpenReply):
-        return f"(opened {int(record.conn_id)})"
-    if isinstance(record, CloseRequest):
-        return f"(close {int(record.conn_id)})"
-    if isinstance(record, CloseReply):
-        return f"(closed {int(record.conn_id)})"
-    if isinstance(record, ErrorRecord):
-        return f"(error {sanitize_token(record.message)})"
-    if isinstance(record, DoneRecord):
-        return f"(done {int(record.frame)})"
-    raise TypeError(f"not a wire record: {record!r}")
+    return serialize([record])[:-1]
 
 
 def serialize(records, format_code: str | None = None) -> str:
@@ -219,197 +255,76 @@ def serialize(records, format_code: str | None = None) -> str:
         check_format_code(format_code)
     lines = []
     for record in records:
-        if format_code is not None and not isinstance(
-            record, (OpenRequest, OpenReply, CloseRequest, CloseReply, ErrorRecord,
-                     DoneRecord)
-        ):
-            if not isinstance(record, _FORMAT_RECORDS[format_code]):
-                raise ValueError(
-                    f"{type(record).__name__} not legal under format {format_code}"
-                )
-        lines.append(serialize_record(record))
-    return "".join(line + "\n" for line in lines)
+        row = _ROWS.get(type(record))
+        if format_code is not None and format_code not in getattr(row, "formats", ()):
+            raise ValueError(f"{type(record).__name__} not legal under format {format_code}")
+        if row is None:
+            raise TypeError(f"not a wire record: {record!r}")
+        lines.append(row.write(record))
+    return "".join([line + "\n" for line in lines])
 
 
-# -- parsing ----------------------------------------------------------------
-
-def _tokenize_line(line: str, lineno: int) -> list[tuple[str, int]]:
-    """Yield (token, column) pairs; parens are single-char tokens."""
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            out.append((ch, i + 1))
-            i += 1
-            continue
-        m = _TOKEN_RE.match(line, i)
-        assert m is not None
-        out.append((m.group(0), i + 1))
-        i = m.end()
-    return out
-
-
-def _parse_fields(tokens: list[tuple[str, int]], lineno: int):
-    """Parse one record line into a nested field structure."""
-    tok, col = tokens[0]
-    if tok != "(":
-        raise ParseError("record must start with '('", lineno, col)
-    pos = 1
-    root: list = []
-    stack = [root]
-    while pos < len(tokens):
-        tok, col = tokens[pos]
-        if tok == "(":
-            inner: list = []
-            stack[-1].append((inner, col))
-            stack.append(inner)
-        elif tok == ")":
-            stack.pop()
-            if not stack:
-                if pos != len(tokens) - 1:
-                    raise ParseError("trailing text after record", lineno,
-                                     tokens[pos + 1][1])
-                return root
+def _scan(line: str, lineno: int) -> list | None:
+    """The fields of one record line, None for a blank one: (token, column)
+    pairs, and (fields, column) pairs for parenthesized lists."""
+    record = current = None
+    outer: list[list] = []  # the lists enclosing `current`
+    for match in _LEXEME_RE.finditer(line):
+        text, col = match[0], match.start() + 1
+        if current is None:
+            if record is not None:
+                raise ParseError("trailing text after record", lineno, col)
+            if text != "(":
+                raise ParseError("record must start with '('", lineno, col)
+            record = current = []
+        elif text == "(":
+            outer.append(current)
+            current = []
+            outer[-1].append((current, col))
+        elif text == ")":
+            current = outer.pop() if outer else None
         else:
-            stack[-1].append((tok, col))
-        pos += 1
-    raise ParseError("record not closed", lineno, tokens[-1][1])
-
-
-def _want_int(field, lineno: int, what: str) -> int:
-    if isinstance(field[0], list):
-        raise ParseError(f"{what}: expected integer, got list", lineno, field[1])
-    tok, col = field
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"{what}: not an integer: {tok}", lineno, col) from None
-
-
-def _want_float(field, lineno: int, what: str) -> float:
-    if isinstance(field[0], list):
-        raise ParseError(f"{what}: expected number, got list", lineno, field[1])
-    tok, col = field
-    try:
-        value = float(tok)
-    except ValueError:
-        raise ParseError(f"{what}: not a number: {tok}", lineno, col) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{what}: non-finite number", lineno, col)
-    return value
-
-
-def _want_token(field, lineno: int, what: str) -> str:
-    if isinstance(field[0], list):
-        raise ParseError(f"{what}: expected token, got list", lineno, field[1])
-    return field[0]
-
-
-def _want_int_list(field, lineno: int, what: str) -> tuple[int, ...]:
-    if not isinstance(field[0], list):
-        raise ParseError(f"{what}: expected id list", lineno, field[1])
-    return tuple(_want_int(f, lineno, what) for f in field[0])
-
-
-def _parse_data(fields, lineno: int, col: int, format_code: str | None) -> DataRecord:
-    if format_code is None:
-        raise ParseError("data record outside any format context", lineno, col)
-    check_format_code(format_code)
-    arity = len(fields)
-    if format_code == "edge-v1" and arity == 4:
-        return EdgeRecord(
-            _want_int(fields[0], lineno, "begin"),
-            _want_int(fields[1], lineno, "end"),
-            _want_token(fields[2], lineno, "phoneme"),
-            _want_float(fields[3], lineno, "score"),
-        )
-    if format_code == "node-v1" and arity == 6:
-        return NodeRecord(
-            _want_int(fields[0], lineno, "node-id"),
-            _want_int(fields[1], lineno, "begin"),
-            _want_int(fields[2], lineno, "end"),
-            _want_token(fields[3], lineno, "label"),
-            _want_float(fields[4], lineno, "score"),
-            _want_int_list(fields[5], lineno, "source-ids"),
-        )
-    if format_code == "node-v1" and arity == 4:
-        return ArcRecord(
-            _want_int(fields[0], lineno, "arc-id"),
-            _want_int(fields[1], lineno, "origin"),
-            _want_int(fields[2], lineno, "extremity"),
-            _want_float(fields[3], lineno, "weight"),
-        )
-    if format_code == "inactive-edge-v1" and arity == 6:
-        return InactiveEdgeRecord(
-            _want_int(fields[0], lineno, "edge-id"),
-            _want_int(fields[1], lineno, "begin"),
-            _want_int(fields[2], lineno, "end"),
-            _want_token(fields[3], lineno, "category"),
-            _want_float(fields[4], lineno, "score"),
-            _want_int_list(fields[5], lineno, "child-ids"),
-        )
-    raise ParseError(
-        f"record of arity {arity} not legal under format {format_code}",
-        lineno, col,
-    )
+            current.append((text, col))
+    if current is not None:
+        raise ParseError("record not closed", lineno, col)
+    return record
 
 
 def parse_line(line: str, lineno: int, format_code: str | None) -> WireRecord:
-    tokens = _tokenize_line(line, lineno)
-    fields = _parse_fields(tokens, lineno)
-    if not fields:
+    args = _scan(line, lineno)
+    if not args:
         raise ParseError("empty record", lineno, 1)
-    head = fields[0]
-    if not isinstance(head[0], list):
-        tok, col = head
-        if not re.fullmatch(r"[-+]?\d+", tok):
-            # symbolic head: must be a known control keyword
-            if tok == "open":
-                if len(fields) != 5:
-                    raise ParseError("open: expected 4 arguments", lineno, col)
-                code_in = _want_token(fields[1], lineno, "import format")
-                code_out = _want_token(fields[2], lineno, "export format")
-                check_format_code(code_in)
-                check_format_code(code_out)
-                source = _want_token(fields[3], lineno, "input")
-                return OpenRequest(code_in, code_out,
-                                   None if source == NO_INPUT else source,
-                                   _want_token(fields[4], lineno, "conn"))
-            if tok == "opened":
-                if len(fields) != 2:
-                    raise ParseError("opened: expected 1 argument", lineno, col)
-                return OpenReply(_want_int(fields[1], lineno, "conn-id"))
-            if tok == "close":
-                if len(fields) != 2:
-                    raise ParseError("close: expected 1 argument", lineno, col)
-                return CloseRequest(_want_int(fields[1], lineno, "conn-id"))
-            if tok == "closed":
-                if len(fields) != 2:
-                    raise ParseError("closed: expected 1 argument", lineno, col)
-                return CloseReply(_want_int(fields[1], lineno, "conn-id"))
-            if tok == "error":
-                if len(fields) != 2:
-                    raise ParseError("error: expected 1 argument", lineno, col)
-                return ErrorRecord(_want_token(fields[1], lineno, "message"))
-            if tok == "done":
-                if len(fields) != 2:
-                    raise ParseError("done: expected 1 argument", lineno, col)
-                return DoneRecord(_want_int(fields[1], lineno, "frame"))
-            raise ParseError(f"unknown record head: {tok}", lineno, col)
-    return _parse_data(fields, lineno, fields[0][1], format_code)
+    head, col = args[0]
+    if head.__class__ is list or _INT_RE.fullmatch(head):
+        if format_code is None:
+            raise ParseError("data record outside any format context", lineno, col)
+        row = _BY_FORMAT.get((check_format_code(format_code), len(args)))
+        if row is None:
+            raise ParseError(f"record of arity {len(args)} not legal under "
+                             f"format {format_code}", lineno, col)
+    else:
+        row = _BY_KEYWORD.get(head)
+        if row is None:
+            raise ParseError(f"unknown record head: {head}", lineno, col)
+        args = args[1:]
+        n = len(row.readers)
+        if len(args) != n:
+            raise ParseError(f"{head}: expected {n} argument" + "s" * (n != 1), lineno, col)
+    pending = zip(row.readers, args)
+    values = []
+    if row.codes:  # format-code fields lead the row: check them before the rest
+        values = [read(field, lineno, name)
+                  for (read, name), field in islice(pending, row.codes)]
+        for code in values:
+            check_format_code(code)
+    values += [read(field, lineno, name) for (read, name), field in pending]
+    return row.cls(*values)
 
 
 def parse(text: str, format_code: str | None = None) -> list[WireRecord]:
     """Parse a batch of wire text. Inverse of :func:`serialize`."""
     if format_code is not None:
         check_format_code(format_code)
-    records = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        records.append(parse_line(line, lineno, format_code))
-    return records
+    return [parse_line(line, lineno, format_code)
+            for lineno, line in enumerate(text.split("\n"), start=1)
+            if line.strip()]

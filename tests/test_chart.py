@@ -47,6 +47,9 @@ def test_load_grammar_rejects_malformed_lines():
         load_grammar("W a i\n")
     with pytest.raises(GrammarError):
         load_grammar("W ->\n")
+    for line in ("W -> a (i\n", "W) -> a i\n"):  # symbols travel on the wire
+        with pytest.raises(GrammarError):
+            load_grammar(line)
 
 
 # -- chart initialization ---------------------------------------------------------

@@ -452,8 +452,9 @@ def test_a_busy_in_box_retries_the_same_slice(tmp_path):
         outstanding = 0
         busy = True
 
-        def __init__(self):
+        def __init__(self, bell):
             self.batches = []
+            self.bell = bell  # nothing rings it; a round drains it
 
         def try_collect(self):
             return None
@@ -469,16 +470,19 @@ def test_a_busy_in_box_retries_the_same_slice(tmp_path):
     layer = board.layers["phonemes"]
     layer.add_white_node(TimeSpan(0, 3), "h", 0.9)
     coordinator = Coordinator(board)
-    conn = BusyOnce()
+    conn = BusyOnce(mailbox.Bell(tmp_path / "bell").open())
     coordinator.bound["busy"] = _Bound(ComponentBinding(
         "busy", tmp_path, ["phonemes"], "syntax",
         params("edge-v1", "edge-v1"), filter_threshold=0.5), conn)
-    coordinator.pump()
-    assert coordinator.backlog == ["busy"] and not coordinator.settled()
-    layer.add_white_node(TimeSpan(3, 6), "a", 0.8)
-    coordinator.pump()
-    assert [[r.phoneme for r in batch] for batch in conn.batches] == [["h", "a"]]
-    assert coordinator.settled()
+    try:
+        coordinator.pump()
+        assert coordinator.backlog == ["busy"] and not coordinator.settled()
+        layer.add_white_node(TimeSpan(3, 6), "a", 0.8)
+        coordinator.pump()
+        assert [[r.phoneme for r in batch] for batch in conn.batches] == [["h", "a"]]
+        assert coordinator.settled()
+    finally:
+        conn.bell.close()
 
 
 def test_status_counts_rounds_and_reports_settled():
@@ -593,6 +597,13 @@ def test_status_shows_frames_behind_the_source_and_the_tail(host, fixtures_dir):
     source = coordinator.bound["source"].conn
     held = 0.2
     try:
+        # behind while the source still streams, not only once it is done
+        pump_until(coordinator, lambda: board.layers["phonemes"].white_nodes)
+        status = coordinator.status()
+        assert source.outstanding == 1
+        assert status["per_binding"]["source"]["frames_behind"] == 0
+        assert status["per_binding"]["gated"]["frames_behind"] == (
+            status["per_layer"]["phonemes"]["high_water_frame"]) > 0
         pump_until(coordinator, lambda: source.outstanding == 0)
         status = coordinator.status()
         assert source.done_frame == 9
@@ -609,6 +620,18 @@ def test_status_shows_frames_behind_the_source_and_the_tail(host, fixtures_dir):
     tail = status["tail_s"]
     coordinator.pump()
     assert coordinator.status()["tail_s"] == tail  # the first settling counts
+
+
+def test_a_round_drains_the_bells_so_a_ring_it_answered_wakes_no_wait(host):
+    board = make_board()
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "echo", host("echo", identity_component),
+        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    pump_until(coordinator, coordinator.settled)
+    mailbox.ring(coordinator.bound["echo"].conn.bell.path)
+    coordinator.pump()
+    assert not coordinator.wait(0)
 
 
 def test_results_handed_over_on_close_after_settling_fail_the_run(host):

@@ -2,6 +2,7 @@
 processes, with fresh connections, components and boards per utterance."""
 
 import shutil
+import subprocess
 import sys
 import time
 from collections import defaultdict
@@ -16,6 +17,7 @@ REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
 import workload  # noqa: E402  (the benchmark's in-process build is the reference)
+from utterances import spliced_utterances  # noqa: E402
 
 
 def test_one_trio_serves_every_utterance_of_a_run(tmp_path, fixtures_dir,
@@ -104,4 +106,49 @@ def test_a_matrix_path_that_is_not_a_wire_token_is_a_config_error(
                                  out=tmp_path / "boards"))
     assert result.exit_code == 2
     assert str(matrices / name) in result.config_error
+    assert result.utterances == []
+
+
+FAILING_WORKER = Path(__file__).parent / "_failing_worker.py"
+
+
+def test_a_component_error_fails_the_utterance_even_with_ww_nodes(
+        tmp_path, fixtures_dir, monkeypatch):
+    spawn = demo._spawn_worker
+
+    def spawn_failing_translator(role, request_root, config):
+        if role != "translator":
+            return spawn(role, request_root, config)
+        popen = subprocess.Popen
+        with monkeypatch.context() as patch:
+            # the same arguments, to the worker whose component fails once
+            patch.setattr(subprocess, "Popen", lambda cmd: popen(
+                [sys.executable, str(FAILING_WORKER), *cmd[3:]]))
+            return spawn(role, request_root, config)
+
+    monkeypatch.setattr(demo, "_spawn_worker", spawn_failing_translator)
+    # two words, so ww keeps what the translator's other batches gave
+    matrix, _, _ = spliced_utterances(fixtures_dir, tmp_path / "spliced")
+    assert matrix.name == "0-iie-mizu.mat"
+    result = demo_run(DemoConfig(matrices=matrix,
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=tmp_path / "boards", sleep_time=0.01))
+    [utterance] = result.utterances
+    assert result.exit_code == 1
+    assert utterance.board.layers["ww"].white_nodes  # not an empty ww
+    assert "binding translator noted 1 errors" in utterance.error
+    assert "second_batch_refused" in utterance.error
+
+
+def test_a_dictionary_word_that_is_not_a_wire_token_is_a_config_error(
+        tmp_path, fixtures_dir):
+    dictionary = tmp_path / "words.dict"
+    dictionary.write_text((fixtures_dir / "words.dict").read_text().replace(
+        "cold-water", "cold(water"))
+    result = demo_run(DemoConfig(matrices=fixtures_dir,
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=dictionary, out=tmp_path / "boards"))
+    assert result.exit_code == 2
+    assert "cold(water" in result.config_error
     assert result.utterances == []

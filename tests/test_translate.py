@@ -34,6 +34,9 @@ def test_malformed_lines_rejected():
         load_dictionary("hai yes\n")
     with pytest.raises(ParseError):
         load_dictionary("hai :\n")
+    for line in ("hai : yes, cold(water\n", "h(ai : yes\n"):  # words travel on the wire
+        with pytest.raises(ParseError):
+            load_dictionary(line)
 
 
 def build_syn_layer(board, words):

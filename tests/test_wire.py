@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -165,3 +167,47 @@ def test_done_record_needs_one_integer_frame():
     for text in ("(done)\n", "(done 1 2)\n", "(done x)\n", "(done (1))\n"):
         with pytest.raises(ParseError):
             wire.parse(text, "edge-v1")
+
+
+# -- fuzz: one-character mutations of valid lines of every record kind --------
+
+VALID = [
+    wire.EdgeRecord(0, 3, "h", 0.9),
+    wire.NodeRecord(7, 0, 6, "hai", -0.25, (3, 12)),
+    wire.ArcRecord(9, 7, 8, 1e-05),
+    wire.InactiveEdgeRecord(4, 3, 9, "NP", 0.5, (1,)),
+    wire.OpenRequest("edge-v1", "node-v1", None, "conn-a1"),
+    wire.OpenRequest("edge-v1", "inactive-edge-v1", "u/hai.mat", "conn-b2"),
+    wire.OpenReply(3),
+    wire.CloseRequest(3),
+    wire.CloseReply(3),
+    wire.ErrorRecord("component_blew_up"),
+    wire.DoneRecord(42),
+]
+MUTATIONS = "()0123456789 +-.e\tabxyz"
+
+
+def mutate(line, rng):
+    """Insert, delete or replace one character."""
+    at = rng.randrange(len(line))
+    return rng.choice([
+        line[:at] + rng.choice(MUTATIONS) + line[at:],
+        line[:at] + line[at + 1:],
+        line[:at] + rng.choice(MUTATIONS) + line[at + 1:],
+    ])
+
+
+def test_mutated_lines_are_rejected_or_round_trip():
+    rng = random.Random(13)
+    parsed_some = 0
+    for _ in range(400):
+        for record in VALID:
+            line = mutate(wire.serialize_record(record), rng)
+            for fmt in (None, *wire.FORMAT_CODES):
+                try:
+                    records = wire.parse(line, fmt)
+                except (ParseError, UnknownFormatCode):
+                    continue
+                parsed_some += 1
+                assert wire.parse(wire.serialize(records, fmt), fmt) == records, line
+    assert parsed_some > 1000  # the mutations do not only break lines
