@@ -3,18 +3,17 @@
 A coordinator owns a whiteboard: a stack of time-aligned, packed hypothesis
 lattices organized in a dependency graph. Heterogeneous components run in
 their own processes behind managers and exchange line-oriented wire records
-through single-slot file mailboxes, where a batch appears only by an atomic
-link and a dead writer leaves only an invisible temporary file; the
-coordinator is the only party that ever touches the board. Batch
-components can be made to look incremental by delivering their results
-piecewise in time order.
+with the coordinator over per-connection FIFO channels, one length-prefixed
+frame per batch, after opening each connection through the manager's
+single-slot file mailbox; the coordinator is the only party that ever
+touches the board. Batch components can be made to look incremental by
+delivering their results piecewise in time order.
 """
 
 from . import wire
 from .board import (
     Arc,
     GreyNode,
-    LatticePath,
     Layer,
     PackingKey,
     Reading,
@@ -65,7 +64,7 @@ from .translate import Dictionary, DictionaryEntry, load_dictionary, translate_l
 __all__ = [
     "Arc", "Chart", "ComponentBinding", "Connection", "ConnectionParams",
     "Coordinator", "Dictionary", "DictionaryEntry", "Edge", "Grammar",
-    "GreyNode", "GridNode", "LatticePath", "Layer", "Mailbox", "PackingKey",
+    "GreyNode", "GridNode", "Layer", "Mailbox", "PackingKey",
     "PhonemeMatrix", "PumpReport", "RankedMatrix", "Reading", "Rule",
     "SealReport", "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
     "add_derivation", "add_grid_node", "boards_isomorphic", "canonical_form",

@@ -12,8 +12,7 @@ every layer holds one node per exact packing key, legal labels only, and
 arcs that close no cycle. Layers are mutable until sealed. Sealing wires
 two virtual endpoint nodes to the sources and sinks of that loop-free
 graph, which gives it one first node, one last node and every node on an
-initial-to-final path, and freezes the layer; only sealed layers may
-enumerate paths.
+initial-to-final path, and freezes the layer.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import (
     IllegalLabel,
     InvalidExport,
     LayerSealed,
-    NotSealed,
     UnknownDependency,
     UnknownNode,
     WouldCreateCycle,
@@ -84,13 +82,9 @@ class Reading:
 class WhiteNode:
     id: int
     span: TimeSpan
-    label: str | None  # None only for the virtual endpoints
+    label: str
     score: float
     readings: list[Reading] = field(default_factory=list)
-
-    @property
-    def virtual(self) -> bool:
-        return self.label is None
 
 
 @dataclass(slots=True)
@@ -119,13 +113,6 @@ class SealReport:
     wired_to_final: list[int]
 
 
-@dataclass
-class LatticePath:
-    labels: tuple[str, ...]
-    score: float
-    node_ids: tuple[int, ...]
-
-
 class Layer:
     """One whiteboard layer; create through :meth:`Whiteboard.declare_layer`."""
 
@@ -148,12 +135,10 @@ class Layer:
         self._by_end: dict[int, list[int]] = {}
         self._succ: dict[int, list[int]] = {}
         self._pred: dict[int, list[int]] = {}
+        # every arc so far runs from a lower (begin, end) to a higher one
+        self._forward_only = True
         self.virtual_initial = board._new_id()
         self.virtual_final = board._new_id()
-        self._virtuals = {
-            self.virtual_initial: WhiteNode(self.virtual_initial, TimeSpan(0, 0), None, 0.0),
-            self.virtual_final: WhiteNode(self.virtual_final, TimeSpan(0, 0), None, 0.0),
-        }
 
     # -- mutation ----------------------------------------------------------
 
@@ -206,12 +191,17 @@ class Layer:
             if owner != self.name:
                 raise CrossLayerArc(
                     f"node {node_id} belongs to layer {owner!r}, not {self.name!r}")
-        if origin == extremity or self._reaches(extremity, origin):
+        # arcs that all run up the (begin, end) order cannot close a cycle,
+        # so the search is needed only once one arc has run down it
+        forward = self.white_nodes[origin].span < self.white_nodes[extremity].span
+        if origin == extremity or (not (forward and self._forward_only)
+                                   and self._reaches(extremity, origin)):
             raise WouldCreateCycle(f"arc {origin}->{extremity} would close a cycle")
         arc_id = self.board._new_id()
         self.arcs[arc_id] = Arc(arc_id, origin, extremity, float(weight))
         self._succ[origin].append(extremity)
         self._pred[extremity].append(origin)
+        self._forward_only &= forward
         return arc_id
 
     def add_arc_once(self, origin: int, extremity: int,
@@ -300,36 +290,6 @@ class Layer:
         self._seal_report = SealReport(len(self.white_nodes), len(self.arcs),
                                        sources, sinks)
         return self._seal_report
-
-    def enumerate_paths(self) -> list[LatticePath]:
-        """All initial-to-final label sequences with additive scores."""
-        if not self.sealed:
-            raise NotSealed(f"layer {self.name!r} is not sealed")
-        weight_of = {}
-        for arc in list(self.arcs.values()) + list(self._wiring_arcs.values()):
-            weight_of[(arc.origin, arc.extremity)] = arc.weight
-        paths: list[LatticePath] = []
-
-        def walk(node: int, labels: list[str], ids: list[int], score: float):
-            if node == self.virtual_final:
-                paths.append(LatticePath(tuple(labels), score, tuple(ids)))
-                return
-            for nxt in sorted(self._succ.get(node, ())):
-                step = weight_of.get((node, nxt), 0.0)
-                nxt_node = self._node(nxt)
-                if nxt_node.virtual:
-                    walk(nxt, labels, ids, score + step)
-                else:
-                    walk(nxt, labels + [nxt_node.label], ids + [nxt],
-                         score + step + nxt_node.score)
-
-        walk(self.virtual_initial, [], [], 0.0)
-        return paths
-
-    def _node(self, node_id: int) -> WhiteNode:
-        if node_id in self._virtuals:
-            return self._virtuals[node_id]
-        return self.white_nodes[node_id]
 
     def successors(self, node_id: int) -> list[int]:
         return list(self._succ.get(node_id, ()))

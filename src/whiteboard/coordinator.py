@@ -3,7 +3,7 @@
 Components never see the board. Each pump round drains whatever their
 managers have deposited, integrates the records into the bound output
 layers, and then forwards the newly integrated, threshold-filtered slice
-of every binding's input layers into its in box as plain wire records.
+of every binding's input layers into its in channel as plain wire records.
 
 Board ids come from one counter, so a binding's slice is every node and
 arc of its input layers above a cursor, the highest id already examined.
@@ -20,12 +20,14 @@ node record's source ids must name nodes of the binding's input layers;
 they become the derivation's children, as a translation's syntax node
 does in `translate.translate_layer`.
 
-Every mailbox operation in the pump is non-blocking: a busy manager makes
-a binding wait until the next round, never the whole pipeline. Between
-rounds, `wait` blocks on the bindings' doorbells, which a manager rings
-when it fills an out box, or empties an in box that a round found full,
-so the next round starts as soon as there is something to collect or
-room to deposit what the last round could not.
+Every channel operation in the pump is non-blocking: a busy manager makes
+a binding wait until the next round, never the whole pipeline. A batch
+that does not fit in a binding's in channel leaves its tail there, and
+the binding takes no new batch until a later round has written it.
+Between rounds, `wait` blocks until a binding's out channel is readable,
+or an in channel holding a tail is writable, so the next round starts as
+soon as there is something to collect or room to write what the last
+round could not.
 
 Managers end their reply to every batch with a `done` record, so each
 connection knows how many of its batches are still outstanding. The
@@ -49,7 +51,6 @@ from . import wire
 from .board import Arc, Layer, TimeSpan, Whiteboard, WhiteNode, filter_slice
 from .chart import add_derivation
 from .errors import (
-    BoxRemoved,
     LayerMismatch,
     ManagerUnavailable,
     ParseError,
@@ -58,13 +59,13 @@ from .errors import (
 )
 from .grid import GridNode, Thresholds, add_grid_node
 from .grid import grid_connected  # noqa: F401  (perfbench's probes patch this name)
-from .mailbox import wait_for_rings
+from .mailbox import wait_ready
 from .manager import Connection, ConnectionParams, send_open
 from .manager import request_connection  # noqa: F401  (perfbench's probes patch this name)
 
 log = logging.getLogger(__name__)
 
-# bound on batches drained from one out box per round, against livelock
+# bound on batches drained from one out channel per round, against livelock
 MAX_COLLECTS_PER_ROUND = 100
 
 
@@ -170,16 +171,13 @@ class Coordinator:
     # -- one scheduling round ------------------------------------------------------
 
     def pump(self) -> PumpReport:
-        """One round. It first drains the bindings' bells: this round sees
-        what they rang for, and a ring after the drain still wakes `wait`."""
+        """One round: collect from every binding, then forward to each."""
         start = time.monotonic()
         report = PumpReport()
         for bound in self.bound.values():
-            bound.conn.bell.drain()
-        for bound in self.bound.values():
             try:
                 self._collect_from(bound, report)
-            except (BoxRemoved, WhiteboardError) as exc:
+            except WhiteboardError as exc:
                 bound.note(f"collect failed: {exc}")
                 report.errors += 1
         if self.sources_done_at is None and self._sources_done():
@@ -188,7 +186,7 @@ class Coordinator:
         for bound in self.bound.values():
             try:
                 forwarded = self._deposit_to(bound, report)
-            except (BoxRemoved, WhiteboardError) as exc:
+            except WhiteboardError as exc:
                 bound.note(f"deposit failed: {exc}")
                 report.errors += 1
                 forwarded = False
@@ -200,10 +198,13 @@ class Coordinator:
         return report
 
     def wait(self, timeout: float) -> bool:
-        """Block until a manager rings a binding's bell, or `timeout`
-        seconds pass. Returns True if one rang."""
-        return wait_for_rings([b.conn.bell for b in self.bound.values()],
-                              timeout)
+        """Block until a binding's out channel is readable or an in channel
+        holding a tail is writable, or `timeout` seconds pass. Returns True
+        if one was."""
+        conns = [b.conn for b in self.bound.values()]
+        return wait_ready([c.out_channel for c in conns],
+                          [c.in_channel for c in conns if c.in_channel.pending],
+                          timeout)
 
     def _collect_from(self, bound: _Bound, report: PumpReport):
         layer = self.board.layers[bound.binding.output_layer]
@@ -267,12 +268,14 @@ class Coordinator:
             layer.add_arc_once(origin, extremity, record.weight)
         else:
             raise WhiteboardError(
-                f"unexpected record on out box: {type(record).__name__}")
+                f"unexpected record on out channel: {type(record).__name__}")
 
     def _deposit_to(self, bound: _Bound, report: PumpReport) -> bool:
         """Forward what the binding has not seen yet. Returns False if
-        something was left over because its in box was busy."""
+        something was left over because its in channel was busy."""
         binding = bound.binding
+        if not bound.conn.flush():
+            return False  # the tail of an earlier batch goes first
         if not binding.input_layers:
             # a source component gets a single empty trigger batch
             if not bound.triggered and bound.conn.try_deposit([]):
@@ -363,7 +366,7 @@ class Coordinator:
 
     def settled(self) -> bool:
         """True once the last round left nothing to forward (every source
-        triggered, no busy in box) and every deposited batch has come back
+        triggered, no busy in channel) and every deposited batch has come back
         with its `done` record."""
         return self.rounds > 0 and not self.backlog and not any(
             bound.conn.outstanding for bound in self.bound.values())

@@ -18,13 +18,14 @@ its first error. A dictionary word or grammar symbol that is not a legal
 wire token is a configuration error, found before anything is spawned.
 
 Every pump round is non-blocking. Between rounds the demo waits on the
-connections' doorbells, so a round starts as soon as a manager has
-deposited a result, or made room for a batch the last round could not
-hand over, and at the latest one poll period (`sleep_time`) after the
-last. Manager processes are watched for
-unexpected death, before an utterance opens its connections and in every
-pump round, so a killed component turns into an error report rather than
-a hang.
+connections' channels, a FIFO per direction, so a round starts as soon as
+a manager has written a result, or there is room for the rest of a batch
+the last round could not write whole, and at the latest one poll period
+(`sleep_time`) after the last. A manager that dies hangs up its channels,
+which the next round reports as the binding's error. Manager processes
+are watched for unexpected death too, before an utterance opens its
+connections and in every pump round, so a killed component turns into
+an error report rather than a hang.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def _dead_managers(coordinator: Coordinator,
 
 
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
-    """Pump until the coordinator has settled, waiting on the bells
+    """Pump until the coordinator has settled, waiting on the channels
     between rounds."""
     deadline = time.monotonic() + config.max_wall
     while True:
@@ -277,7 +278,10 @@ def _close_connections(coordinator: Coordinator) -> str | None:
     settled = coordinator.settled()
     connections = coordinator.connections()
     for conn in connections.values():
-        conn.request_close(timeout=5.0)
+        try:
+            conn.request_close(timeout=5.0)
+        except WhiteboardError:
+            pass  # its `close` below sends it again and reports the failure
     problems = []
     for name, conn in connections.items():
         try:

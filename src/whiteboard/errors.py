@@ -112,8 +112,9 @@ class MailboxTimeout(WhiteboardError):
 
 
 class PeerGone(WhiteboardError):
-    """The party on a mailbox's other side died: its doorbell is left
-    with no process reading it, so nothing will fill or empty the box."""
+    """The party on a mailbox's or channel's other side has gone: it
+    closed its end of the channel or died, or its doorbell is left with
+    no process reading it, so nothing will fill or empty the box."""
 
 
 class ManagerUnavailable(WhiteboardError):

@@ -1,22 +1,30 @@
-"""Managers: serve components to clients through mailboxes.
+"""Managers: serve components to clients through a request box and channels.
 
 A manager is a long-lived server. It owns a request box, one mailbox at
 ``<root>/<name>/request`` where clients ask to open connections, and it
 serves any number of connections, one after another or at once. A client
-makes each connection's ``conn-*/{in,out}`` box pair itself, beside the
-request box, and names it in its open request: it writes work into the in
-box and reads results from the out box, while the manager runs the
-opposite side in its own process. The open request fixes the
-connection's formats and names its input, and the manager builds a fresh
-component for it from its factory, so no component state is shared
-between connections.
+makes each connection's ``conn-*`` directory beside the request box, with
+one channel per direction in it (see `whiteboard.mailbox`), and names it
+in its open request: it writes work into the ``in`` channel and reads
+results from the ``out`` channel, while the manager holds the opposite
+ends in its own process. The open request fixes the connection's formats
+and names its input, and the manager builds a fresh component for it from
+its factory, so no component state is shared between connections.
 
-Every reply travels on the asking connection's own out box: the answer to
-its open, the results of its batches, and the acknowledgment of its close,
-which the client sends in band on the in box, after its last batch.
+Opening follows the order in which the ends of a FIFO can be opened
+without blocking. The client makes both FIFOs, opens ``out`` for reading,
+and only then sends its open request. The manager, when it accepts, opens
+``in`` for reading and ``out`` for writing. The client opens ``in`` for
+writing once the reply has arrived.
+
+Every reply travels on the asking connection's own out channel: the
+answer to its open, the results of its batches, and the acknowledgment of
+its close, which the client sends in band on the in channel, after its
+last batch. The manager then closes its ends, and the client returns from
+its close once it has seen that hang-up.
 
 The manager ends its reply to every input batch with one ``(done frame)``
-record, carried by the last deposit it makes for that batch, so the client
+record, carried by the last frame it writes for that batch, so the client
 can count the batches still outstanding instead of guessing from silence.
 The client-side `Connection` does that counting and strips the records, so
 its callers see exactly what the component produced.
@@ -26,13 +34,15 @@ which makes a batch component look incremental to its client. It then
 releases each piece no earlier than one poll period after the one before,
 which is the pace of the simulated speech.
 
-Both sides wait on doorbells (see `whiteboard.mailbox`) instead of
-sleeping. A manager's bell lies beside its request box, ``request.bell``
-for ``request``, and each connection directory holds its client's, named
-``bell``, so both sides find each other's bell from names they already
-share. A manager opens its bell before it makes its request box, and
-removes it when it stops; a client waiting on a manager whose bell has
-been left with no reader gives up at once (`ManagerUnavailable`).
+Nobody sleeps a poll period waiting on a connection: a readable channel
+wakes its reader, and a writer holding the tail of a frame waits until its
+channel is writable. A party whose peer closed its end, or died, gets
+`PeerGone`. The request box has many writers, so it keeps a doorbell: the
+manager's bell lies beside it, ``request.bell`` for ``request``, and a
+deposit rings it. A manager opens its bell before it makes its request
+box, and removes it when it stops; a client waiting for the reply to its
+open from a manager whose bell has been left with no reader gives up at
+once (`ManagerUnavailable`).
 """
 
 from __future__ import annotations
@@ -55,14 +65,12 @@ from .errors import (
     PeerGone,
     UnknownFormatCode,
 )
-from .mailbox import Bell, Mailbox
+from .mailbox import Bell, Channel, Mailbox, is_orphaned, wait_ready
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SLEEP = 0.05
 CONN_PREFIX = "conn-"
-# a connection directory's bell, its client's
-CONN_BELL = "bell"
 
 
 def manager_bell(request_root: Path) -> Path:
@@ -72,7 +80,7 @@ def manager_bell(request_root: Path) -> Path:
 
 @dataclass(frozen=True)
 class ConnectionParams:
-    # the client's fallback poll period; the manager has its own
+    # the client's poll period while it waits for the manager to serve
     sleep_time: float = DEFAULT_SLEEP
     import_format: str = "node-v1"
     export_format: str = "node-v1"
@@ -88,37 +96,30 @@ class ConnectionParams:
             wire.check_input(self.input)
 
 
-def _discard(bell: Bell) -> None:
-    """Close a client's bell and remove its connection directory and
-    boxes. The manager may add a batch or temporary file while the tree is
-    being removed, so try again; once a box is gone, the manager's next
-    touch of it drops the connection."""
-    bell.close()
-    conn_dir = bell.path.parent
-    for _ in range(3):
-        shutil.rmtree(conn_dir, ignore_errors=True)
-        if not conn_dir.exists():
-            return
-    log.warning("could not remove connection directory %s", conn_dir)
+def _discard(in_channel: Channel, out_channel: Channel) -> None:
+    """Close a client's ends of its channels and remove its connection
+    directory."""
+    in_channel.close()
+    out_channel.close()
+    shutil.rmtree(in_channel.path.parent, ignore_errors=True)
 
 
 class Connection:
     """Client-side handle: deposit work, collect results.
 
+    `in_channel` is the write end of the channel carrying work to the
+    manager, `out_channel` the read end of the one carrying results back.
     `outstanding` counts the batches deposited whose `done` record has not
     been collected yet; `done_frame` is the highest frame those records
     carried. Collecting strips the `done` records from what it returns.
-    `bell` is the client's doorbell, which the manager rings when it fills
-    the out box, or empties an in box the client found full; `close`
-    removes it.
     """
 
-    def __init__(self, conn_id: int, in_box: Mailbox, out_box: Mailbox,
-                 params: ConnectionParams, request_root: Path):
+    def __init__(self, conn_id: int, in_channel: Channel,
+                 out_channel: Channel, params: ConnectionParams,
+                 request_root: Path):
         self.id = conn_id
-        self.in_box = in_box
-        self.out_box = out_box
-        self.bell = in_box.bell
+        self.in_channel = in_channel
+        self.out_channel = out_channel
         self.params = params
         self.request_root = request_root
         self.state = "open"
@@ -127,15 +128,22 @@ class Connection:
 
     def deposit(self, records, timeout: float | None = None) -> None:
         text = wire.serialize(records, self.params.import_format)
-        self.in_box.deposit(text, timeout=timeout)
+        self.in_channel.deposit(text, timeout=timeout)
         self.outstanding += 1
 
     def try_deposit(self, records) -> bool:
+        """Hand a batch over without blocking. Returns False, taking
+        nothing, while the in channel holds an earlier batch's tail."""
         text = wire.serialize(records, self.params.import_format)
-        if not self.in_box.try_deposit(text):
+        if not self.in_channel.try_deposit(text):
             return False
         self.outstanding += 1
         return True
+
+    def flush(self) -> bool:
+        """Write what the in channel takes of the last batch's tail.
+        Returns True once none is left."""
+        return self.in_channel.flush()
 
     def _parse_results(self, text: str) -> list[wire.WireRecord]:
         records = []
@@ -148,10 +156,10 @@ class Connection:
         return records
 
     def collect(self, timeout: float | None = None) -> list[wire.WireRecord]:
-        return self._parse_results(self.out_box.collect(timeout=timeout))
+        return self._parse_results(self.out_channel.collect(timeout=timeout))
 
     def try_collect(self) -> list[wire.WireRecord] | None:
-        text = self.out_box.try_collect()
+        text = self.out_channel.try_collect()
         if text is None:
             return None
         return self._parse_results(text)
@@ -162,35 +170,44 @@ class Connection:
         Lets a client close many connections at once."""
         if self.state != "open":
             raise AlreadyClosed(f"connection {self.id} already closing")
-        self.in_box.deposit(wire.serialize([wire.CloseRequest(self.id)]),
+        self.in_channel.deposit(wire.serialize([wire.CloseRequest(self.id)]),
                             timeout=timeout)
         self.state = "closing"
 
     def close(self, timeout: float | None = None) -> list[wire.WireRecord]:
         """Close the connection and remove its directory. Returns the
         results the manager delivered before its `(closed conn-id)`, which
-        is the last deposit it makes on the connection.
+        is the last frame it writes on the connection before it hangs up;
+        `close` returns once it has seen the hang-up, so the manager has
+        let the connection go.
 
         Sends the close request unless `request_close` already did. The
         directory is removed however the wait ends, so a client that gives
-        up on a close (`MailboxTimeout`) leaves nothing behind for the
-        manager to serve. A manager found dead while waiting raises
-        `ManagerUnavailable` at once."""
+        up on a close (`MailboxTimeout`) leaves nothing behind. A manager
+        found dead while waiting raises `ManagerUnavailable` at once."""
         if self.state == "closed":
             raise AlreadyClosed(f"connection {self.id} already closed")
         deadline = None if timeout is None else time.monotonic() + timeout
+
+        def remaining():
+            return (None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+
         leftovers: list[wire.WireRecord] = []
         try:
             if self.state == "open":
                 self.request_close(timeout=timeout)
             while True:
-                remaining = (None if deadline is None
-                             else max(0.0, deadline - time.monotonic()))
-                records = self.collect(timeout=remaining)
+                records = self.collect(timeout=remaining())
                 if records[-1:] == [wire.CloseReply(self.id)]:
                     leftovers.extend(records[:-1])
-                    return leftovers
+                    break
                 leftovers.extend(records)
+            try:
+                while True:
+                    leftovers.extend(self.collect(timeout=remaining()))
+            except PeerGone:  # the manager's hang-up after its last frame
+                return leftovers
         except MailboxTimeout:
             raise MailboxTimeout(
                 f"no close acknowledgment for {self.id}") from None
@@ -200,7 +217,7 @@ class Connection:
                 f"the close of {self.id}") from exc
         finally:
             self.state = "closed"
-            _discard(self.bell)
+            _discard(self.in_channel, self.out_channel)
 
 
 class PendingOpen:
@@ -216,11 +233,8 @@ class PendingOpen:
         self.request_root = request_root
         self.params = params
         self.deadline = deadline
-        self.bell = Bell(conn_dir / CONN_BELL)
-        peer = manager_bell(request_root)
-        self.in_box = Mailbox(conn_dir / "in", params.sleep_time, self.bell, peer)
-        self.out_box = Mailbox(conn_dir / "out", params.sleep_time, self.bell,
-                               peer)
+        self.in_channel = Channel(conn_dir / "in")
+        self.out_channel = Channel(conn_dir / "out")
 
     def wait(self) -> Connection:
         """The manager's reply, as a connection. Raises `ManagerUnavailable`
@@ -230,16 +244,11 @@ class PendingOpen:
         try:
             return self._connection()
         except ManagerUnavailable:
-            _discard(self.bell)
+            _discard(self.in_channel, self.out_channel)
             raise
 
     def _connection(self) -> Connection:
-        try:
-            reply_text = self.out_box.collect(
-                timeout=max(0.0, self.deadline - time.monotonic()))
-        except (MailboxTimeout, BoxRemoved, PeerGone) as exc:
-            raise ManagerUnavailable(
-                f"manager at {self.request_root} did not reply") from exc
+        reply_text = self._reply()
         try:
             replies = wire.parse(reply_text)
         except ParseError:
@@ -249,8 +258,34 @@ class PendingOpen:
                                      f"the connection: {replies[0].message}")
         if len(replies) != 1 or not isinstance(replies[0], wire.OpenReply):
             raise ManagerUnavailable(f"bad open reply: {reply_text!r}")
-        return Connection(replies[0].conn_id, self.in_box, self.out_box,
+        try:
+            self.in_channel.open_writer()
+        except PeerGone as exc:
+            raise ManagerUnavailable(
+                f"manager at {self.request_root} died after replying") from exc
+        return Connection(replies[0].conn_id, self.in_channel, self.out_channel,
                           self.params, self.request_root)
+
+    def _reply(self) -> str:
+        """The first frame on the out channel. Until the manager accepts,
+        nobody writes there, so after each poll period without a frame a
+        manager whose bell is left with no reader has died."""
+        bell = manager_bell(self.request_root)
+        try:
+            while (text := self.out_channel.try_collect()) is None:
+                remaining = self.deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ManagerUnavailable(
+                        f"manager at {self.request_root} did not reply")
+                poll = min(self.params.sleep_time, remaining)
+                if not wait_ready([self.out_channel], [], poll) and is_orphaned(bell):
+                    raise ManagerUnavailable(
+                        f"manager at {self.request_root} died: nobody reads "
+                        f"its bell")
+        except PeerGone as exc:  # it accepted, then died
+            raise ManagerUnavailable(
+                f"manager at {self.request_root} died before replying") from exc
+        return text
 
 
 def send_open(request_root: Path | str, params: ConnectionParams,
@@ -267,10 +302,9 @@ def send_open(request_root: Path | str, params: ConnectionParams,
         time.sleep(params.sleep_time)
     conn_dir = Path(tempfile.mkdtemp(prefix=CONN_PREFIX, dir=request_root.parent))
     pending = PendingOpen(request_root, params, deadline, conn_dir)
-    pending.in_box.create()
-    pending.out_box.create()
-    pending.bell.open()
-    requests = Mailbox(request_root, params.sleep_time, pending.bell,
+    pending.in_channel.make()
+    pending.out_channel.make().open_reader()
+    requests = Mailbox(request_root, params.sleep_time,
                        manager_bell(request_root))
     request = wire.OpenRequest(params.import_format, params.export_format,
                                params.input, conn_dir.name)
@@ -278,7 +312,7 @@ def send_open(request_root: Path | str, params: ConnectionParams,
         requests.deposit(wire.serialize([request]),
                          timeout=max(0.0, deadline - time.monotonic()))
     except (MailboxTimeout, BoxRemoved, PeerGone) as exc:
-        _discard(pending.bell)
+        _discard(pending.in_channel, pending.out_channel)
         raise ManagerUnavailable(f"manager at {request_root} did not reply") from exc
     return pending
 
@@ -331,24 +365,33 @@ def partition_by_end(records) -> list[list[wire.WireRecord]]:
 # -- the manager service loop ---------------------------------------------------
 
 class _Served:
-    """The manager's side of one connection: its boxes, its component, and
-    the deposits it still owes the client, in order."""
+    """The manager's side of one connection: its ends of the channels, its
+    component, and the frames it still owes the client, in order."""
 
     def __init__(self, conn_id: int, conn_dir: Path,
-                 request: wire.OpenRequest, sleep_time: float):
+                 request: wire.OpenRequest):
         self.id = conn_id
-        client = conn_dir / CONN_BELL
-        self.in_box = Mailbox(conn_dir / "in", sleep_time, peer=client)
-        self.out_box = Mailbox(conn_dir / "out", sleep_time, peer=client)
+        self.in_channel = Channel(conn_dir / "in")
+        self.out_channel = Channel(conn_dir / "out")
         self.import_format = request.import_format
         self.export_format = request.export_format
         self.component = None
         self.owed: list[str] = []
-        # the owed deposit waits until then: the next piece of a reply
+        # the owed frame waits until then: the next piece of a reply
         self.release_at = 0.0
         self.high_frame = 0
         # set by a refused open or a close: drop once nothing is owed
         self.ending = False
+
+    def open(self) -> None:
+        """Open the read end of `in` and the write end of `out`, whose
+        read end the client holds already."""
+        self.in_channel.open_reader()
+        self.out_channel.open_writer()
+
+    def close(self) -> None:
+        self.in_channel.close()
+        self.out_channel.close()
 
     def see(self, records) -> None:
         """Raise the connection's high-water frame to the latest end frame
@@ -357,7 +400,7 @@ class _Served:
         self.high_frame = max([self.high_frame, *ends])
 
     def finished(self, records) -> str:
-        """The records as a batch's last deposit, ending with `done`."""
+        """The records as a batch's last frame, ending with `done`."""
         return wire.serialize([*records, wire.DoneRecord(self.high_frame)],
                               self.export_format)
 
@@ -377,14 +420,14 @@ class _Manager:
         self._next_conn = 1
 
     def serve(self, stop_event: threading.Event | None = None):
-        """One loop: each cycle takes at most one request batch, then makes
-        every connection's next owed deposit that is due or, owing none,
-        takes its next input batch. Between cycles the loop waits on its
-        bell, at most one poll period or until the next piece falls due,
-        except after a cycle that made progress and left nothing owed.
+        """One loop: each cycle takes at most one request batch, then writes
+        every connection's next owed frame that is due or, owing none,
+        takes its next input batch. Between cycles the loop waits (`_wait`)
+        at most one poll period, or until the next piece falls due.
 
         The bell is open before the request box exists, and is removed
-        however the loop ends."""
+        however the loop ends, when every connection's ends are closed
+        too."""
         if stop_event is None:
             stop_event = threading.Event()  # never set: serve until removed
         self.request_root.parent.mkdir(parents=True, exist_ok=True)
@@ -399,30 +442,40 @@ class _Manager:
                     text = self.requests.try_collect()
                 except BoxRemoved:
                     break
-                progressed = text is not None
-                if progressed:
+                if text is not None:
                     self._dispatch(text)
                 for name, served in list(self.served.items()):
                     try:
-                        progressed |= self._step(served)
-                        gone = served.ending and not served.owed
-                    except BoxRemoved:
+                        self._step(served)
+                        gone = (served.ending and not served.owed
+                                and not served.out_channel.pending)
+                    except PeerGone:
                         log.info("manager %s: connection %s dropped, its "
-                                 "boxes are gone", self.name, served.id)
+                                 "client hung up", self.name, served.id)
                         gone = True
                     if gone:
+                        served.close()
                         del self.served[name]
-                if not progressed or any(s.owed for s in self.served.values()):
-                    self.bell.wait(self._timeout())
+                self._wait()
         finally:
+            for served in self.served.values():
+                served.close()
             self.bell.close()
 
-    def _timeout(self) -> float:
-        """One poll period, or less if an owed piece falls due sooner."""
+    def _wait(self) -> None:
+        """Wait for the bell, the in channel of every connection that owes
+        nothing, or the out channel of every one holding a frame's tail:
+        at most one poll period, or until an owed piece falls due."""
+        readers, writers = [self.bell], []
+        for served in self.served.values():
+            if served.out_channel.pending:
+                writers.append(served.out_channel)
+            elif not served.owed:
+                readers.append(served.in_channel)
         now = time.monotonic()
-        return min([self.sleep_time, *(s.release_at - now
-                                       for s in self.served.values()
-                                       if s.owed and s.release_at > now)])
+        wait_ready(readers, writers, min([
+            self.sleep_time, *(s.release_at - now for s in self.served.values()
+                               if s.owed and s.release_at > now)]))
 
     def _dispatch(self, text: str):
         try:
@@ -438,8 +491,14 @@ class _Manager:
                             "connection directory to answer in: %r",
                             self.name, request)
                 continue
-            served = _Served(self._next_conn, conn_dir, request,
-                             self.sleep_time)
+            served = _Served(self._next_conn, conn_dir, request)
+            try:
+                served.open()
+            except (OSError, PeerGone) as exc:
+                served.close()
+                log.warning("manager %s: request ignored, its channels do "
+                            "not open: %s", self.name, exc)
+                continue
             self._next_conn += 1
             self.served[conn_dir.name] = served
             try:
@@ -466,29 +525,29 @@ class _Manager:
             return None
         return conn_dir
 
-    def _step(self, served: _Served) -> bool:
-        """Make the next deposit owed on a connection once it is due,
-        first taking its next input batch if nothing is owed. A reply's
-        first deposit is due at once, each later piece one poll period
-        after the one before. Returns True if this delivered the last
-        deposit owed."""
+    def _step(self, served: _Served) -> None:
+        """Write the next frame owed on a connection once it is due, first
+        taking its next input batch if nothing is owed. A reply's first
+        frame is due at once, each later piece one poll period after the
+        one before. A frame's tail that did not fit goes first."""
+        if not served.out_channel.flush():
+            return
         if not served.owed:
-            text = served.in_box.try_collect()
+            text = served.in_channel.try_collect()
             if text is None:
-                return False
+                return
             served.owed = self._reply(served, text)
         now = time.monotonic()
-        if now < served.release_at or not served.out_box.try_deposit(
+        if now < served.release_at or not served.out_channel.try_deposit(
                 served.owed[0]):
-            return False
+            return
         del served.owed[0]
         served.release_at = now + self.sleep_time if served.owed else 0.0
-        return not served.owed
 
     def _reply(self, served: _Served, text: str) -> list[str]:
-        """The deposits answering one batch taken from a connection's in
-        box: the component's results, piecewise if the manager is
-        incremental, the last deposit ending with `done`; or, for the
+        """The frames answering one batch taken from a connection's in
+        channel: the component's results, piecewise if the manager is
+        incremental, the last frame ending with `done`; or, for the
         connection's close request, its acknowledgment alone."""
         try:
             records = wire.parse(text, served.import_format)
@@ -523,10 +582,10 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
                 stop_event: threading.Event | None = None) -> None:
     """Serve connection requests forever (or until `stop_event` is set, or
     the request box is removed) in a single loop on the calling thread,
-    which waits on the manager's bell between cycles. `sleep_time` is the
-    fallback poll period, and the gap between the pieces of an incremental
-    reply. A manager waiting on its bell sees `stop_event` at its next
-    wake-up, so whoever sets it rings the bell too
+    which waits between cycles on the manager's bell and its connections'
+    channels. `sleep_time` is the request box's poll period, and the gap
+    between the pieces of an incremental reply. A waiting manager sees
+    `stop_event` at its next wake-up, so whoever sets it rings the bell too
     (`mailbox.ring(manager_bell(request_root))`) to stop it at once.
 
     `factory` is called once per opened connection with the input its open
@@ -536,17 +595,19 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
     keeps serving. A component maps a list of wire records to a list of
     wire records; it is invoked once per collected batch and holds up
     every connection of the manager while it runs. Exceptions inside it
-    become error records on the out box and the manager keeps serving.
-    Whatever the outcome, the last deposit made for a batch ends with a
+    become error records on the out channel and the manager keeps serving.
+    Whatever the outcome, the last frame written for a batch ends with a
     `(done frame)` record; the component never produces or sees one.
 
-    Every reply goes to the out box of the connection that asked. An open
-    request naming no `conn-*` directory beside the request box, and a
-    request that does not parse, have no box to be answered in and are
-    only logged. A close request, a batch of just `(close conn-id)` on the
-    connection's in box, is answered by `(closed conn-id)` once every
-    earlier batch's reply is delivered; that is the last deposit on the
-    connection. A connection whose boxes are removed is dropped.
+    Every reply goes to the out channel of the connection that asked. An
+    open request naming no `conn-*` directory beside the request box, or
+    one whose channels do not open, and a request that does not parse,
+    have no channel to be answered on and are only logged. A close
+    request, a batch of just `(close conn-id)` on the connection's in
+    channel, is answered by `(closed conn-id)` once every earlier batch's
+    reply is delivered; that is the last frame on the connection, and the
+    manager then closes its ends. A connection whose client hangs up is
+    dropped.
     """
     _Manager(factory, Path(request_root), name, incremental,
              sleep_time).serve(stop_event)

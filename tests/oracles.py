@@ -7,6 +7,9 @@ package's data structures and algorithms, so agreement is meaningful.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+
+from whiteboard.errors import NotSealed
 
 
 def connected_oracle(n_begin: int, n_end: int, m_begin: int, m_end: int,
@@ -64,6 +67,40 @@ def dfs_paths(layer) -> list[tuple[tuple[str, ...], float]]:
         if indeg[node_id] == 0:
             walk(node_id, [node.label], node.score)
     return out
+
+
+@dataclass
+class LatticePath:
+    labels: tuple[str, ...]
+    score: float
+    node_ids: tuple[int, ...]
+
+
+def enumerate_paths(layer) -> list[LatticePath]:
+    """Every initial-to-final label sequence of a sealed layer, walking its
+    successor lists through the seal's wiring, with additive scores.
+    Exponential in the layer's size, so only small layers are walked."""
+    if not layer.sealed:
+        raise NotSealed(f"layer {layer.name!r} is not sealed")
+    weight_of = {(arc.origin, arc.extremity): arc.weight
+                 for arc in layer.arcs.values()}
+    paths: list[LatticePath] = []
+
+    def walk(node_id: int, labels: list[str], ids: list[int], score: float):
+        if node_id == layer.virtual_final:
+            paths.append(LatticePath(tuple(labels), score, tuple(ids)))
+            return
+        for nxt in sorted(layer.successors(node_id)):
+            step = weight_of.get((node_id, nxt), 0.0)  # wiring arcs weigh 0
+            node = layer.white_nodes.get(nxt)
+            if node is None:  # the final endpoint
+                walk(nxt, labels, ids, score + step)
+            else:
+                walk(nxt, labels + [node.label], ids + [nxt],
+                     score + step + node.score)
+
+    walk(layer.virtual_initial, [], [], 0.0)
+    return paths
 
 
 def valid_lattice(layer) -> bool:

@@ -36,6 +36,7 @@ from oracles import (
     closure_oracle,
     connected_oracle,
     dfs_paths,
+    enumerate_paths,
     random_grammar,
     valid_lattice,
 )
@@ -92,7 +93,7 @@ def test_02_lattice_invariants_and_path_oracle():
         layer.seal()
         assert valid_lattice(layer)  # independent oracle over the sealed graph
         got = sorted((p.labels, round(p.score, 6))
-                     for p in layer.enumerate_paths())
+                     for p in enumerate_paths(layer))
         expected = sorted((labels, round(score, 6))
                           for labels, score in dfs_paths(layer))
         assert got == expected

@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whiteboard import (
+    GridNode,
+    Layer,
+    Thresholds,
     TimeSpan,
     Whiteboard,
     boards_isomorphic,
     canonical_form,
     filter_slice,
     from_json,
+    grid_to_lattice,
     load_dictionary,
     load_grammar,
     to_dot,
@@ -34,7 +38,7 @@ from whiteboard.errors import (
     UnknownNode,
     WouldCreateCycle,
 )
-from oracles import dfs_paths, valid_lattice
+from oracles import dfs_paths, enumerate_paths, valid_lattice
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 
@@ -190,6 +194,33 @@ def test_a_time_monotone_arc_can_still_close_a_cycle(caplog):
     assert record.getMessage().startswith("dropped arc")
 
 
+def test_the_cycle_search_runs_only_once_an_arc_has_run_backward(monkeypatch):
+    searches = []
+    reaches = Layer._reaches
+
+    def counted(layer, start, goal):
+        searches.append((start, goal))
+        return reaches(layer, start, goal)
+
+    monkeypatch.setattr(Layer, "_reaches", counted)
+    rng = random.Random(29)
+    layer = make_layer()
+    nodes = [GridNode(span(b, b + rng.randint(1, 4)), rng.choice("ab"),
+                      round(rng.random(), 3))
+             for b in (rng.randint(0, 30) for _ in range(60))]
+    grid_to_lattice(nodes, Thresholds(2, 2), layer)
+    # grid arcs all run up the (begin, end) order, so none is searched
+    assert len(layer.arcs) > 50 and searches == []
+    first, second, third = (layer.add_white_node(span(b, b + 1), "c", 0.5)[0]
+                            for b in (100, 102, 104))
+    layer.add_arc(second, first)  # down the order: searched, and so is
+    layer.add_arc(second, third)  # every arc after it
+    layer.add_arc(first, third)
+    assert searches == [(first, second), (third, second), (third, first)]
+    layer.seal()
+    assert valid_lattice(layer)
+
+
 def test_negative_weight_accepted():
     layer = make_layer()
     a, _ = layer.add_white_node(span(0, 1), "A", 0.1)
@@ -220,7 +251,7 @@ def test_grey_nodes_are_path_transparent():
     layer.add_arc(a, b)
     layer.add_grey_node("R1", [a, b], [c])
     layer.seal()
-    with_grey = [(p.labels, p.score) for p in layer.enumerate_paths()]
+    with_grey = [(p.labels, p.score) for p in enumerate_paths(layer)]
     assert sorted(p[0] for p in with_grey) == [("X1", "X2"), ("Y1",)]
 
 
@@ -296,7 +327,7 @@ def test_seal_wires_isolated_node_as_parallel_path():
     layer.seal()
     assert valid_lattice(layer)
     # brute-force reachability: every node on some initial->final path
-    labels = {lab for p in layer.enumerate_paths() for lab in p.labels}
+    labels = {lab for p in enumerate_paths(layer) for lab in p.labels}
     assert labels == {"A", "B", "L"}
 
 
@@ -321,7 +352,7 @@ def test_single_chain_single_path():
     b, _ = layer.add_white_node(span(1, 2), "came", 1.0)
     layer.add_arc(a, b)
     layer.seal()
-    [path] = layer.enumerate_paths()
+    [path] = enumerate_paths(layer)
     assert path.labels == ("it", "came")
     assert path.score == 2.0
 
@@ -337,7 +368,7 @@ def test_diamond_has_exactly_two_paths():
     layer.add_arc(b, d)
     layer.add_arc(c, d)
     layer.seal()
-    assert len(layer.enumerate_paths()) == 2
+    assert len(enumerate_paths(layer)) == 2
 
 
 def test_alternate_formulations_match_dfs_oracle():
@@ -353,7 +384,7 @@ def test_alternate_formulations_match_dfs_oracle():
                  (come, early), (be, early)]:
         layer.add_arc(o, e, 0.1)
     layer.seal()
-    got = sorted((p.labels, round(p.score, 9)) for p in layer.enumerate_paths())
+    got = sorted((p.labels, round(p.score, 9)) for p in enumerate_paths(layer))
     expected = sorted((labels, round(score, 9))
                       for labels, score in dfs_paths(layer))
     assert got == expected
@@ -363,7 +394,7 @@ def test_enumerate_requires_seal():
     layer = make_layer()
     layer.add_white_node(span(0, 1), "A", 0.1)
     with pytest.raises(NotSealed):
-        layer.enumerate_paths()
+        enumerate_paths(layer)
 
 
 @settings(deadline=None, max_examples=60)
@@ -384,7 +415,7 @@ def test_random_lattices_match_dfs_oracle(data):
         except WouldCreateCycle:
             pass
     layer.seal()
-    got = sorted((p.labels, round(p.score, 9)) for p in layer.enumerate_paths())
+    got = sorted((p.labels, round(p.score, 9)) for p in enumerate_paths(layer))
     expected = sorted((labels, round(score, 9))
                       for labels, score in dfs_paths(layer))
     assert got == expected
@@ -489,7 +520,7 @@ def test_json_roundtrip_is_identity():
     assert again.layers["one"].add_white_node(span(0, 3), "h", 0.1) == (a, True)
     assert not again.layers["one"].sealed
     assert again.layers["two"].sealed
-    assert [p.labels for p in again.layers["two"].enumerate_paths()] == [("W",)]
+    assert [p.labels for p in enumerate_paths(again.layers["two"])] == [("W",)]
     with pytest.raises(LayerSealed):
         again.layers["two"].add_white_node(span(6, 9), "W", 0.5)
 
@@ -509,8 +540,8 @@ def test_json_export_of_a_demo_board_is_a_fixed_point(fixtures_dir):
     assert boards_isomorphic(board, again)
     # the imported arcs are indexed too: the sealed layers read the same
     for name, layer in board.layers.items():
-        assert ([p.node_ids for p in again.layers[name].enumerate_paths()]
-                == [p.node_ids for p in layer.enumerate_paths()])
+        assert ([p.node_ids for p in enumerate_paths(again.layers[name])]
+                == [p.node_ids for p in enumerate_paths(layer)])
 
 
 def all_ids(board):

@@ -1,4 +1,5 @@
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -174,8 +175,9 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
 
 def test_the_pipeline_builds_the_same_board_on_the_poll_fallback_alone(
         tmp_path, fixtures_dir, monkeypatch):
-    """Bells only hurry the next try: with every ring lost, the polls
-    still carry the pipeline to the reference board."""
+    """Bells only hurry the next try: with every ring of a manager's bell
+    lost, its request box's poll still opens each connection, and the
+    pipeline reaches the reference board."""
     rings = []
     monkeypatch.setattr(mailbox, "ring", rings.append)
     grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
@@ -448,16 +450,18 @@ def test_threshold_judges_each_node_once(host):
 
 def test_a_busy_in_box_retries_the_same_slice(tmp_path):
     class BusyOnce:
-        """A connection whose in box is busy for the first deposit."""
+        """A connection whose in channel is busy for the first deposit."""
         outstanding = 0
         busy = True
 
-        def __init__(self, bell):
+        def __init__(self):
             self.batches = []
-            self.bell = bell  # nothing rings it; a round drains it
 
         def try_collect(self):
             return None
+
+        def flush(self):
+            return True
 
         def try_deposit(self, records):
             if self.busy:
@@ -470,19 +474,47 @@ def test_a_busy_in_box_retries_the_same_slice(tmp_path):
     layer = board.layers["phonemes"]
     layer.add_white_node(TimeSpan(0, 3), "h", 0.9)
     coordinator = Coordinator(board)
-    conn = BusyOnce(mailbox.Bell(tmp_path / "bell").open())
+    conn = BusyOnce()
     coordinator.bound["busy"] = _Bound(ComponentBinding(
         "busy", tmp_path, ["phonemes"], "syntax",
         params("edge-v1", "edge-v1"), filter_threshold=0.5), conn)
+    coordinator.pump()
+    assert coordinator.backlog == ["busy"] and not coordinator.settled()
+    layer.add_white_node(TimeSpan(3, 6), "a", 0.8)
+    coordinator.pump()
+    assert [[r.phoneme for r in batch] for batch in conn.batches] == [["h", "a"]]
+    assert coordinator.settled()
+
+
+def test_a_slice_larger_than_a_channel_holds_goes_over_whole(host):
+    release = threading.Event()
+
+    def held(records):  # holds the manager up while the big slice is written
+        release.wait(timeout=10.0)
+        return records
+
+    board = make_board()
+    phonemes = board.layers["phonemes"]
+    phonemes.add_white_node(TimeSpan(0, 1), "h", 0.5)
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "echo", host("echo", held),
+        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    conn = coordinator.bound["echo"].conn
     try:
         coordinator.pump()
-        assert coordinator.backlog == ["busy"] and not coordinator.settled()
-        layer.add_white_node(TimeSpan(3, 6), "a", 0.8)
+        # about 110 KB each way: the coordinator's batch and the echo's
+        # reply both leave a tail that later rounds and cycles must write
+        for begin in range(1, 6_000):
+            phonemes.add_white_node(TimeSpan(begin, begin + 1), "h", 0.5)
         coordinator.pump()
-        assert [[r.phoneme for r in batch] for batch in conn.batches] == [["h", "a"]]
-        assert coordinator.settled()
+        assert conn.in_channel.pending and conn.outstanding == 2
+        assert coordinator.backlog == []  # the slice was taken, cursor moved
     finally:
-        conn.bell.close()
+        release.set()
+    pump_until(coordinator, coordinator.settled)
+    assert coordinator.bound["echo"].deposited == 6_000
+    assert len(board.layers["syntax"].white_nodes) == 6_000
 
 
 def test_status_counts_rounds_and_reports_settled():
@@ -622,16 +654,23 @@ def test_status_shows_frames_behind_the_source_and_the_tail(host, fixtures_dir):
     assert coordinator.status()["tail_s"] == tail  # the first settling counts
 
 
-def test_a_round_drains_the_bells_so_a_ring_it_answered_wakes_no_wait(host):
+def test_a_channel_is_its_own_doorbell_until_a_round_has_read_it(host):
     board = make_board()
     coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "echo", host("echo", identity_component),
+        "echo", host("echo", identity_component, sleep=5.0),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     pump_until(coordinator, coordinator.settled)
-    mailbox.ring(coordinator.bound["echo"].conn.bell.path)
-    coordinator.pump()
     assert not coordinator.wait(0)
+    board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
+    coordinator.pump()
+    start = time.monotonic()
+    assert coordinator.wait(5.0)  # the echo's frame wakes it, not a poll
+    assert time.monotonic() - start < 1.0
+    assert coordinator.wait(0)  # still readable: nothing has read it yet
+    coordinator.pump()
+    assert coordinator.settled() and not coordinator.wait(0)
+    assert [n.label for n in board.layers["syntax"].white_nodes.values()] == ["h"]
 
 
 def test_results_handed_over_on_close_after_settling_fail_the_run(host):
@@ -648,11 +687,44 @@ def test_results_handed_over_on_close_after_settling_fail_the_run(host):
     # a batch slipped past the coordinator's accounting: its reply is
     # still in flight when the connections close
     conn = coordinator.bound["echo"].conn
-    conn.in_box.deposit(wire.serialize([wire.EdgeRecord(3, 6, "a", 0.5)],
+    conn.in_channel.deposit(wire.serialize([wire.EdgeRecord(3, 6, "a", 0.5)],
                                        "edge-v1"), timeout=5.0)
     error = _close_connections(coordinator)
     assert error is not None
     assert "echo" in error and "1 records" in error
+
+
+def test_closing_reports_a_dead_manager_and_still_closes_the_others(
+        host, tmp_path, fixtures_dir):
+    from whiteboard.demo import _close_connections
+
+    root = tmp_path / "parser" / "request"
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "whiteboard.workers", "parser",
+         "--request-box", str(root), "--sleep", str(SLEEP),
+         "--grammar", str(fixtures_dir / "words.grammar")],
+        stderr=subprocess.DEVNULL)
+    try:
+        coordinator = host.coordinator(make_board())
+        coordinator.register(
+            ComponentBinding("parser", root, ["phonemes"], "syntax",
+                             params("edge-v1", "inactive-edge-v1")),
+            ComponentBinding("echo", host("echo", identity_component),
+                             ["syntax"], "ww", params("node-v1", "node-v1")))
+        pump_until(coordinator, coordinator.settled)
+        worker.kill()
+        worker.wait(timeout=10)
+        # the dead manager's in channel refuses the close request at once
+        error = _close_connections(coordinator)
+    finally:
+        if worker.poll() is None:
+            worker.kill()
+            worker.wait(timeout=10)
+    assert error is not None and "closing parser" in error
+    assert "echo" not in error
+    assert all(conn.state == "closed"
+               for conn in coordinator.connections().values())
+    assert not list(tmp_path.glob("*/conn-*"))
 
 
 def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(

@@ -2,22 +2,33 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
+from whiteboard import wire
 from whiteboard.errors import BoxRemoved, MailboxTimeout, PeerGone
 from whiteboard.mailbox import (
-    WAITING_NAME,
     Bell,
+    Channel,
     Mailbox,
     is_orphaned,
     ring,
-    wait_for_rings,
+    wait_ready,
 )
+from _channel_writer import big_text, odd_texts
 
 SLEEP = 0.005
 
@@ -116,13 +127,14 @@ def test_a_ring_wakes_a_waiter_and_is_drained(tmp_path):
     bell = Bell(tmp_path / "bell").open()
     other = Bell(tmp_path / "other").open()
     try:
-        assert not bell.wait(0.01)
+        assert not wait_ready([bell], timeout=0.01)
         for _ in range(3):
             ring(bell.path)
         start = time.monotonic()
-        assert wait_for_rings([other, bell], 5.0)
+        assert wait_ready([other, bell], timeout=5.0)
         assert time.monotonic() - start < 1.0
-        assert not bell.wait(0.01)  # every ring was drained at once
+        assert bell.drain() == b"\0" * 3  # every ring at once
+        assert not wait_ready([other, bell], timeout=0.01)
     finally:
         bell.close()
         other.close()
@@ -130,41 +142,20 @@ def test_a_ring_wakes_a_waiter_and_is_drained(tmp_path):
     ring(bell.path)  # no bell there: nothing happens
 
 
-def test_a_collect_rings_only_a_writer_that_found_the_slot_full(tmp_path):
-    writer_bell = Bell(tmp_path / "writer-bell").open()
-    reader = Mailbox(tmp_path / "box", SLEEP, peer=writer_bell.path).create()
-    writer = Mailbox(reader.path, SLEEP, writer_bell)
+def test_a_deposit_rings_the_readers_bell_and_a_collect_rings_nobody(tmp_path):
+    reader_bell = Bell(tmp_path / "reader-bell").open()
+    reader = Mailbox(tmp_path / "box", SLEEP).create()
+    writer = Mailbox(reader.path, SLEEP, peer=reader_bell.path)
     try:
         assert writer.try_deposit("one\n")
+        assert wait_ready([reader_bell], timeout=5.0)
+        reader_bell.drain()
+        assert not writer.try_deposit("two\n")  # full: nothing handed over
         assert reader.try_collect() == "one\n"
-        assert not writer_bell.wait(0.01)  # the writer was not held up
-        assert writer.try_deposit("two\n")
-        assert not writer.try_deposit("three\n")  # held up: leaves its mark
-        assert (reader.path / WAITING_NAME).exists()
-        assert reader.try_collect() == "two\n"
-        assert not (reader.path / WAITING_NAME).exists()
-        assert writer_bell.wait(5.0)
-        assert writer.try_deposit("three\n")
-        assert not writer.try_deposit("four\n")
-        reader.remove()  # the mark goes with the box
-        assert not reader.path.exists()
+        assert not wait_ready([reader_bell], timeout=0.01)
+        assert not list(reader.path.iterdir())  # no mark, no temporary
     finally:
-        writer_bell.close()
-
-
-def test_a_blocking_collect_wakes_on_the_deposit_not_the_poll(tmp_path):
-    bell = Bell(tmp_path / "reader-bell").open()
-    reader = Mailbox(tmp_path / "box", 5.0, bell).create()
-    writer = Mailbox(reader.path, 5.0, peer=bell.path)
-    try:
-        timer = threading.Timer(0.05, writer.deposit, args=("late\n",))
-        start = time.monotonic()
-        timer.start()
-        assert reader.collect(timeout=10.0) == "late\n"
-        assert time.monotonic() - start < 1.0
-        timer.join()
-    finally:
-        bell.close()
+        reader_bell.close()
 
 
 def test_an_orphaned_bell_is_one_nobody_reads(tmp_path):
@@ -176,13 +167,93 @@ def test_an_orphaned_bell_is_one_nobody_reads(tmp_path):
     os.close(bell._keep)
     bell._read = bell._keep = None
     assert is_orphaned(path)
-    box = Mailbox(tmp_path / "box", SLEEP, Bell(tmp_path / "own").open(),
-                  peer=path).create()
+    box = Mailbox(tmp_path / "box", SLEEP, peer=path).create()
+    assert box.try_deposit("first\n")  # the ring goes nowhere
+    start = time.monotonic()
+    with pytest.raises(PeerGone):
+        box.deposit("second\n", timeout=5.0)  # nobody will empty the box
+    assert time.monotonic() - start < 1.0
+
+
+# -- channels ---------------------------------------------------------------------
+
+def make_channel(tmp_path, name="chan"):
+    """The read end and the write end of a fresh channel."""
+    reader = Channel(tmp_path / name).make().open_reader()
+    return reader, Channel(reader.path).open_writer()
+
+
+def test_a_channel_returns_every_frame_whole_once_and_in_order(tmp_path):
+    reader, writer = make_channel(tmp_path)
+    texts = ["", "(0 1 h 0.5)\n", "a\x00b\n", "\u00e9\n" * 5, "x" * 200_000]
+    received = []
     try:
-        with pytest.raises(PeerGone):
-            box.collect(timeout=5.0)
+        def read_all():
+            while len(received) < len(texts):
+                received.append(reader.collect(timeout=10.0))
+
+        thread = threading.Thread(target=read_all)
+        thread.start()
+        for text in texts:
+            writer.deposit(text, timeout=10.0)
+        thread.join(timeout=10.0)
+        assert received == texts
+        assert reader.try_collect() is None
     finally:
-        box.bell.close()
+        reader.close()
+        writer.close()
+
+
+def test_a_writer_keeps_its_tail_and_takes_no_frame_until_it_is_written(tmp_path):
+    reader, writer = make_channel(tmp_path)
+    try:
+        assert writer.try_deposit("x" * 100_000)  # more than the FIFO holds
+        assert writer.pending
+        assert not writer.try_deposit("next\n")  # refused, nothing taken
+        assert reader.try_collect() is None  # only part of the frame is in
+        assert wait_ready([], [writer], timeout=5.0)  # room for the tail now
+        assert writer.flush() and not writer.pending
+        assert writer.try_deposit("next\n")
+        assert reader.try_collect() == "x" * 100_000
+        assert reader.try_collect() == "next\n"
+    finally:
+        reader.close()
+        writer.close()
+
+
+def test_a_read_before_any_writer_is_nothing_yet_and_a_hang_up_is_peer_gone(
+        tmp_path):
+    reader = Channel(tmp_path / "chan").make().open_reader()
+    try:
+        assert reader.try_collect() is None  # no writer has opened it yet
+        assert not wait_ready([reader], timeout=0.01)
+        writer = Channel(reader.path).open_writer()
+        writer.deposit("last\n")
+        writer.close()
+        assert wait_ready([reader], timeout=0.01)
+        assert reader.try_collect() == "last\n"  # frames first, then the end
+        with pytest.raises(PeerGone):
+            reader.try_collect()
+    finally:
+        reader.close()
+    with pytest.raises(PeerGone):  # nobody holds the read end
+        Channel(reader.path).open_writer()
+
+
+def test_a_blocking_collect_wakes_on_the_deposit_not_the_poll(tmp_path):
+    reader, writer = make_channel(tmp_path)
+    try:
+        timer = threading.Timer(0.05, writer.deposit, args=("late\n",))
+        start = time.monotonic()
+        timer.start()
+        assert reader.collect(timeout=10.0) == "late\n"
+        assert time.monotonic() - start < 1.0
+        timer.join()
+        with pytest.raises(MailboxTimeout):
+            reader.collect(timeout=3 * SLEEP)
+    finally:
+        reader.close()
+        writer.close()
 
 
 # -- fault injection: writer processes of our own, at most three at a time ----
@@ -286,3 +357,171 @@ def test_a_killed_writer_leaves_only_an_invisible_temporary(tmp_path):
     assert box.try_collect() == "after\n"
     box.remove()
     assert not box.path.exists()
+
+
+# -- fault injection on channels: one writer process of our own at a time -------
+
+CHANNEL_WRITER = Path(__file__).parent / "_channel_writer.py"
+
+
+def start_channel_writer(reader, mode):
+    """Start a writer process on `reader`'s channel, once it has opened."""
+    proc = subprocess.Popen(
+        [sys.executable, str(CHANNEL_WRITER), str(reader.path), mode],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "open\n"
+    return proc
+
+
+def stop_writer(proc):
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGCONT)
+        proc.kill()
+    proc.wait(timeout=10)
+    proc.stdin.close()
+    proc.stdout.close()
+
+
+def test_a_writer_killed_mid_frame_gives_peer_gone_never_the_part(tmp_path):
+    reader = Channel(tmp_path / "chan").make().open_reader()
+    writer = start_channel_writer(reader, "kill")
+    try:
+        assert writer.stdout.readline() == "partial\n"
+        assert reader.try_collect() is None  # the part the FIFO held
+        assert reader.try_collect() is None
+        writer.kill()
+        assert writer.wait(timeout=10) == -signal.SIGKILL
+        with pytest.raises(PeerGone):
+            reader.collect(timeout=5.0)
+        with pytest.raises(PeerGone):  # the part is dropped, not returned
+            reader.try_collect()
+    finally:
+        stop_writer(writer)
+        reader.close()
+
+
+def test_a_stopped_writer_delivers_the_whole_frame_after_it_resumes(tmp_path):
+    reader = Channel(tmp_path / "chan").make().open_reader()
+    writer = start_channel_writer(reader, "stop")
+    try:
+        assert writer.stdout.readline() == "partial\n"
+        deadline = time.monotonic() + 10.0
+        while not stopped(writer):
+            assert time.monotonic() < deadline, "the writer never stopped"
+            time.sleep(SLEEP)
+        for _ in range(3):  # nothing while it stays stopped
+            assert reader.try_collect() is None
+            assert not wait_ready([reader], timeout=5 * SLEEP)
+        writer.send_signal(signal.SIGCONT)
+        assert reader.collect(timeout=10.0) == big_text()
+        assert writer.wait(timeout=10) == 0
+        with pytest.raises(PeerGone):
+            reader.collect(timeout=5.0)
+    finally:
+        stop_writer(writer)
+        reader.close()
+
+
+def test_a_writer_whose_reader_went_gets_peer_gone_not_sigpipe(tmp_path):
+    reader = Channel(tmp_path / "chan").make().open_reader()
+    writer = start_channel_writer(reader, "gone")
+    try:
+        reader.close()
+        writer.stdin.write("go\n")
+        writer.stdin.flush()
+        assert writer.stdout.readline() == "PeerGone\n"
+        assert writer.wait(timeout=10) == 0
+    finally:
+        stop_writer(writer)
+
+
+def test_an_empty_batch_and_a_nul_token_cross_processes_unchanged(tmp_path):
+    reader = Channel(tmp_path / "chan").make().open_reader()
+    writer = start_channel_writer(reader, "odd")
+    try:
+        texts = odd_texts()
+        assert [reader.collect(timeout=10.0) for _ in texts] == texts
+        assert wire.parse(texts[1], "edge-v1")[0].phoneme == "a\x00b"
+        with pytest.raises(PeerGone):
+            reader.collect(timeout=10.0)
+        assert writer.wait(timeout=10) == 0
+    finally:
+        stop_writer(writer)
+        reader.close()
+
+
+# -- two client processes contending for one request box --------------------------
+
+REQUEST_WRITER = Path(__file__).parent / "_request_writer.py"
+
+
+class RequestBoxContention(RuleBasedStateMachine):
+    """Two writer processes deposit open requests into one request box,
+    which this process reads as its manager would. Every request is
+    collected exactly once, and each writer's in the order it sent them.
+    The writers are started once per test and shared by its examples,
+    each of which uses a fresh box."""
+
+    root: Path
+    writers: dict[str, subprocess.Popen]
+
+    def __init__(self):
+        super().__init__()
+        self.box = Mailbox(Path(tempfile.mkdtemp(dir=self.root)) / "request",
+                           SLEEP).create()
+        self.sent = dict.fromkeys(self.writers, 0)
+        self.seen: list[tuple[str, int]] = []
+
+    @rule(tag=st.sampled_from(["a", "b"]), count=st.integers(1, 4))
+    def send(self, tag, count):
+        writer = self.writers[tag]
+        writer.stdin.write(f"{self.box.path} {self.sent[tag]} {count}\n")
+        writer.stdin.flush()
+        self.sent[tag] += count
+
+    @rule()
+    def collect(self):
+        self.take()
+
+    def take(self) -> bool:
+        text = self.box.try_collect()
+        if text is None:
+            return False
+        [request] = wire.parse(text)
+        _, tag, seq = request.conn.split("-")
+        self.seen.append((tag, int(seq)))
+        return True
+
+    @invariant()
+    def each_writer_seen_once_each_in_order(self):
+        for tag in self.writers:
+            seqs = [seq for t, seq in self.seen if t == tag]
+            assert seqs == list(range(len(seqs)))
+
+    def teardown(self):
+        deadline = time.monotonic() + 30.0
+        while len(self.seen) < sum(self.sent.values()):
+            assert time.monotonic() < deadline, f"stalled at {self.seen}"
+            if not self.take():
+                time.sleep(SLEEP / 5)
+        self.each_writer_seen_once_each_in_order()
+        assert Counter(t for t, _ in self.seen) == Counter(self.sent)
+        assert self.box.try_collect() is None
+        self.box.remove()
+
+
+def test_two_client_processes_contending_for_a_request_box(tmp_path):
+    writers = {tag: subprocess.Popen(
+                   [sys.executable, str(REQUEST_WRITER), tag, str(SLEEP)],
+                   stdin=subprocess.PIPE, text=True)
+               for tag in ("a", "b")}
+    RequestBoxContention.root = tmp_path
+    RequestBoxContention.writers = writers
+    try:
+        run_state_machine_as_test(RequestBoxContention, settings=settings(
+            max_examples=15, stateful_step_count=20, deadline=None))
+    finally:
+        for writer in writers.values():
+            writer.stdin.close()
+        for writer in writers.values():
+            assert writer.wait(timeout=30) == 0

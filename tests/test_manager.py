@@ -1,7 +1,7 @@
 import logging
 import os
-import shutil
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -24,7 +24,7 @@ from whiteboard.manager import (
     request_connection,
     run_manager,
 )
-from whiteboard.mailbox import Mailbox, ring
+from whiteboard.mailbox import Channel, Mailbox, ring
 from oracles import identity_component
 from stopping import RingingStop
 from utterances import spliced_utterances
@@ -144,8 +144,10 @@ def test_interleaved_connections_to_one_parser_manager_keep_apart(
 def test_open_creates_fresh_boxes_and_echo_works(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        assert conn.in_box.exists() and conn.out_box.exists()
-        assert not conn.in_box.is_full() and not conn.out_box.is_full()
+        conn_dir = conn.in_channel.path.parent
+        assert sorted(p.name for p in conn_dir.iterdir()) == ["in", "out"]
+        assert all(stat.S_ISFIFO(p.stat().st_mode) for p in conn_dir.iterdir())
+        assert conn.out_channel.try_collect() is None  # nothing in flight
         batch = edges(0, 1, 2)
         conn.deposit(batch, timeout=5.0)
         assert conn.collect(timeout=5.0) == batch
@@ -165,7 +167,7 @@ def test_two_connections_are_independent(tmp_path):
         a = request_connection(root, params())
         b = request_connection(root, params())
         assert a.id != b.id
-        assert a.in_box.path != b.in_box.path
+        assert a.in_channel.path != b.in_channel.path
         a.deposit(edges(1), timeout=5.0)
         b.deposit(edges(2), timeout=5.0)
         assert b.collect(timeout=5.0) == edges(2)
@@ -185,7 +187,7 @@ def test_close_acknowledges_and_removes_boxes(tmp_path):
         leftovers = conn.close(timeout=5.0)
         assert leftovers == []
         assert conn.state == "closed"
-        assert not conn.in_box.exists() and not conn.out_box.exists()
+        assert not conn.in_channel.path.parent.exists()
         with pytest.raises(AlreadyClosed):
             conn.close(timeout=5.0)
 
@@ -267,18 +269,36 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
         request_connection(silent.path, params(), timeout=0.1)
     assert not list(silent.path.parent.glob("conn-*"))
 
-    # a close nobody answers
+    # a close nobody answers: the manager is held up in its component
+    release = threading.Event()
+
+    def held(records):
+        release.wait(timeout=5.0)
+        return records
+
+    with hosted_manager(tmp_path, held, name="held") as root:
+        conn = request_connection(root, params())
+        conn.deposit(edges(0), timeout=5.0)
+        try:
+            with pytest.raises(MailboxTimeout):
+                conn.close(timeout=0.1)
+        finally:
+            release.set()
+        assert not list(root.parent.glob("conn-*"))
+
+    # a manager that stopped has hung up: its close fails at once
     stopped = hosted_manager(tmp_path, identity_component, name="stopped")
     with stopped as root:
         conn = request_connection(root, params())
-    with pytest.raises(MailboxTimeout):
-        conn.close(timeout=0.1)
+    with pytest.raises(ManagerUnavailable):
+        conn.close(timeout=5.0)
     assert not list(root.parent.glob("conn-*"))
 
-    # the manager drops a connection whose directory went, and serves on
+    # the manager drops a connection whose client hung up, and serves on
     with hosted_manager(tmp_path, identity_component) as root:
         gone, kept = (request_connection(root, params()) for _ in range(2))
-        shutil.rmtree(gone.in_box.path.parent)
+        gone.in_channel.close()  # as a client that died would
+        gone.out_channel.close()
         for i in range(3):
             kept.deposit(edges(i), timeout=5.0)
             assert kept.collect(timeout=5.0) == edges(i)
@@ -309,7 +329,7 @@ def test_component_fault_becomes_error_record_and_service_continues(tmp_path):
 def test_manager_survives_unparseable_batch(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn.in_box.deposit("(not a record\n", timeout=5.0)
+        conn.in_channel.deposit("(not a record\n", timeout=5.0)
         [error] = conn.collect(timeout=5.0)
         assert isinstance(error, wire.ErrorRecord)
         conn.deposit(edges(3), timeout=5.0)
@@ -363,20 +383,20 @@ def test_incremental_manager_delivers_multiple_batches(tmp_path):
 # -- the done record ------------------------------------------------------------
 
 def raw_replies(conn, count):
-    """The next `count` deposits on the out box, parsed but not stripped."""
-    return [wire.parse(conn.out_box.collect(timeout=5.0),
+    """The next `count` frames on the out channel, parsed but not stripped."""
+    return [wire.parse(conn.out_channel.collect(timeout=5.0),
                        conn.params.export_format) for _ in range(count)]
 
 
 def assert_nothing_more(conn):
     time.sleep(10 * SLEEP)
-    assert conn.out_box.try_collect() is None
+    assert conn.out_channel.try_collect() is None
 
 
 def test_done_ends_a_non_incremental_reply(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn.in_box.deposit(wire.serialize(edges(0, 4, 2), "edge-v1"))
+        conn.in_channel.deposit(wire.serialize(edges(0, 4, 2), "edge-v1"))
         [reply] = raw_replies(conn, 1)
         assert reply == edges(0, 4, 2) + [wire.DoneRecord(5)]
         assert_nothing_more(conn)
@@ -388,7 +408,7 @@ def test_done_rides_on_the_last_incremental_piece(tmp_path):
 
     with hosted_manager(tmp_path, source, incremental=True) as root:
         conn = request_connection(root, params())
-        conn.in_box.deposit("")
+        conn.in_channel.deposit("")
         pieces = raw_replies(conn, 3)
         assert pieces == [edges(0), edges(1), edges(2) + [wire.DoneRecord(3)]]
         assert_nothing_more(conn)
@@ -397,7 +417,7 @@ def test_done_rides_on_the_last_incremental_piece(tmp_path):
 def test_done_alone_answers_an_empty_output(tmp_path):
     with hosted_manager(tmp_path, lambda records: []) as root:
         conn = request_connection(root, params())
-        conn.in_box.deposit(wire.serialize(edges(0, 1, 2), "edge-v1"))
+        conn.in_channel.deposit(wire.serialize(edges(0, 1, 2), "edge-v1"))
         [reply] = raw_replies(conn, 1)
         assert reply == [wire.DoneRecord(3)]  # the inputs' last end frame
         assert_nothing_more(conn)
@@ -409,7 +429,7 @@ def test_done_follows_a_component_error(tmp_path):
 
     with hosted_manager(tmp_path, broken, incremental=True) as root:
         conn = request_connection(root, params())
-        conn.in_box.deposit(wire.serialize(edges(6), "edge-v1"))
+        conn.in_channel.deposit(wire.serialize(edges(6), "edge-v1"))
         [[error, done]] = raw_replies(conn, 1)
         assert isinstance(error, wire.ErrorRecord)
         assert "component-error" in error.message
@@ -471,24 +491,24 @@ def test_bells_carry_a_round_trip_well_inside_one_poll(tmp_path):
 def test_an_incremental_manager_keeps_its_pieces_one_poll_apart(
         tmp_path, monkeypatch):
     poll = 0.05
-    released = []  # when the manager began each out-box deposit it made
-    deposit = Mailbox.try_deposit
+    released = []  # when the manager began each frame it wrote on out
+    deposit = Channel.try_deposit
 
-    def timed_deposit(box, text):
+    def timed_deposit(channel, text):
         start = time.monotonic()
-        done = deposit(box, text)
-        if done and box.path.name == "out":
+        done = deposit(channel, text)
+        if done and channel.path.name == "out":
             released.append(start)
         return done
 
-    monkeypatch.setattr(Mailbox, "try_deposit", timed_deposit)
+    monkeypatch.setattr(Channel, "try_deposit", timed_deposit)
     with hosted_manager(tmp_path, identity_component, incremental=True,
                         sleep_time=poll) as root:
         conn = request_connection(root, ConnectionParams(poll, "edge-v1",
                                                          "edge-v1"))
         conn.deposit(edges(*range(6)), timeout=5.0)
         while conn.outstanding:
-            assert conn.collect(timeout=5.0)  # as soon as the bell rings
+            assert conn.collect(timeout=5.0)  # as soon as the frame lands
             ring(manager_bell(root))  # as other connections' traffic would
         conn.close(timeout=5.0)
     pieces = released[1:-1]  # between the open's reply and the close's

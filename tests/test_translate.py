@@ -2,7 +2,7 @@ import pytest
 
 from whiteboard import TimeSpan, Whiteboard, load_dictionary, translate_layer
 from whiteboard.errors import DuplicateSource, EmptyLayer, NotSealed, ParseError
-from oracles import dfs_paths
+from oracles import dfs_paths, enumerate_paths
 
 
 def span(b, e):
@@ -93,7 +93,7 @@ def test_two_word_chain_pairs_all_meanings():
     assert len(ww.arcs) == 6  # 2 x 3 pairings
     assert all(a.weight == 0.25 for a in ww.arcs.values())
     ww.seal()
-    paths = ww.enumerate_paths()
+    paths = enumerate_paths(ww)
     assert len(paths) == 6
     assert len(dfs_paths(ww)) == 6
 
