@@ -70,6 +70,16 @@ class Grammar:
         return {r.lhs for r in self.rules
                 if all(s not in lhs for s in r.rhs)}
 
+    def check_terminals(self, known_terminals: set[str]) -> None:
+        """Reject, by name, the first right-hand-side symbol that is
+        neither a rule head nor a known terminal."""
+        heads = self.nonterminals
+        for rule in self.rules:
+            for symbol in rule.rhs:
+                if symbol not in heads and symbol not in known_terminals:
+                    raise GrammarError(
+                        f"rule {rule.rule_id}: unknown terminal {symbol!r}")
+
     @cached_property
     def instantiation(self) -> dict[str, list[tuple[Rule, int]]]:
         """Every (rule, position) where a given symbol may instantiate a
@@ -110,12 +120,7 @@ def load_grammar(text: str, known_terminals: set[str] | None = None) -> Grammar:
         rules.append(Rule(lhs, rhs, f"R{len(rules) + 1}"))
     grammar = Grammar(rules)
     if known_terminals is not None:
-        heads = grammar.nonterminals
-        for rule in rules:
-            for symbol in rule.rhs:
-                if symbol not in heads and symbol not in known_terminals:
-                    raise GrammarError(
-                        f"rule {rule.rule_id}: unknown terminal {symbol!r}")
+        grammar.check_terminals(known_terminals)
     return grammar
 
 

@@ -1,15 +1,24 @@
 """The coordinator: single owner of the whiteboard.
 
-Components never see the board. Each pump round drains whatever their
-managers have deposited, integrates the records into the bound output
+Components never see the board. Each pump round collects what their
+managers have written, integrates the records into the bound output
 layers, and then forwards the newly integrated, threshold-filtered slice
 of every binding's input layers into its in channel as plain wire records.
 
+A round pays only for what arrived. After a `wait`, it reads one frame
+from each out channel the wait found readable and touches no other: a
+FIFO that still holds a frame stays readable, so the next wait returns at
+once. A round with no wait before it (the first, or a step) drains every
+out channel.
+
 Board ids come from one counter, so a binding's slice is every node and
 arc of its input layers above a cursor, the highest id already examined.
-A threshold judges each node once, when it first appears: a node turned
-away is never forwarded, even if packing later raises its score (as a
-forwarded node's later rise is never re-sent), nor is an arc touching it.
+A binding whose input layers hold no id above its cursor is passed over
+without building a slice: each layer's newest id is the last key of its
+node and arc dicts. A threshold judges each node once, when it first
+appears: a node turned away is never forwarded, even if packing later
+raises its score (as a forwarded node's later rise is never re-sent), nor
+is an arc touching it.
 
 Integration goes through one writer per record kind, the same functions
 the in-process batch builders loop over: `grid.add_grid_node` for edge
@@ -27,7 +36,9 @@ the binding takes no new batch until a later round has written it.
 Between rounds, `wait` blocks until a binding's out channel is readable,
 or an in channel holding a tail is writable, so the next round starts as
 soon as there is something to collect or room to write what the last
-round could not.
+round could not. A manager that dies hangs up its channels: its out
+channel turns readable, and the round's read of it fails, which the
+binding notes as an error.
 
 Managers end their reply to every batch with a `done` record, so each
 connection knows how many of its batches are still outstanding. The
@@ -124,6 +135,9 @@ class Coordinator:
         # `done`, and end of the first round that left the pipeline settled
         self.sources_done_at: float | None = None
         self.settled_at: float | None = None
+        # what the last `wait` found ready, until a round takes it; None
+        # when no wait came since the last round
+        self._ready: list | None = None
 
     # -- registration -----------------------------------------------------------
 
@@ -171,12 +185,18 @@ class Coordinator:
     # -- one scheduling round ------------------------------------------------------
 
     def pump(self) -> PumpReport:
-        """One round: collect from every binding, then forward to each."""
+        """One round: collect, then forward to every binding. After a
+        `wait`, it reads one frame from each out channel the wait found
+        readable; with no wait before it, it drains every out channel."""
         start = time.monotonic()
         report = PumpReport()
+        ready, self._ready = self._ready, None
+        frames = MAX_COLLECTS_PER_ROUND if ready is None else 1
         for bound in self.bound.values():
+            if ready is not None and bound.conn.out_channel not in ready:
+                continue
             try:
-                self._collect_from(bound, report)
+                self._collect_from(bound, report, frames)
             except WhiteboardError as exc:
                 bound.note(f"collect failed: {exc}")
                 report.errors += 1
@@ -200,15 +220,18 @@ class Coordinator:
     def wait(self, timeout: float) -> bool:
         """Block until a binding's out channel is readable or an in channel
         holding a tail is writable, or `timeout` seconds pass. Returns True
-        if one was."""
+        if one was. The next round reads only the readable out channels."""
         conns = [b.conn for b in self.bound.values()]
-        return wait_ready([c.out_channel for c in conns],
-                          [c.in_channel for c in conns if c.in_channel.pending],
-                          timeout)
+        self._ready = wait_ready(
+            [c.out_channel for c in conns],
+            [c.in_channel for c in conns if c.in_channel.pending], timeout)
+        return bool(self._ready)
 
-    def _collect_from(self, bound: _Bound, report: PumpReport):
+    def _collect_from(self, bound: _Bound, report: PumpReport, frames: int):
+        """Read up to `frames` frames from the binding's out channel, and
+        integrate their records."""
         layer = self.board.layers[bound.binding.output_layer]
-        for _ in range(MAX_COLLECTS_PER_ROUND):
+        for _ in range(frames):
             try:
                 records = bound.conn.try_collect()
             except ParseError as exc:
@@ -281,6 +304,8 @@ class Coordinator:
             if not bound.triggered and bound.conn.try_deposit([]):
                 bound.triggered = True
             return bound.triggered
+        if self._newest_id(bound) <= bound.cursor:
+            return True  # nothing new on its input layers
         nodes, arcs = self._new_slice(bound)
         cursor = max((item.id for item in (*nodes, *arcs)), default=bound.cursor)
         kept, _ = filter_slice(nodes, [], binding.filter_threshold)
@@ -295,6 +320,14 @@ class Coordinator:
         bound.deposited += len(records)
         report.deposited += len(records)
         return True
+
+    def _newest_id(self, bound: _Bound) -> int:
+        """The highest node or arc id on the binding's input layers. Ids
+        grow in creation order, so it is the last key of a dict."""
+        layers = self.board.layers
+        return max(next(reversed(items), 0)
+                   for name in bound.binding.input_layers
+                   for items in (layers[name].white_nodes, layers[name].arcs))
 
     def _new_slice(self, bound: _Bound) -> tuple[list[WhiteNode], list[Arc]]:
         """The nodes and arcs of the input layers above the binding's cursor,

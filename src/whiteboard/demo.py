@@ -22,10 +22,11 @@ connections' channels, a FIFO per direction, so a round starts as soon as
 a manager has written a result, or there is room for the rest of a batch
 the last round could not write whole, and at the latest one poll period
 (`sleep_time`) after the last. A manager that dies hangs up its channels,
-which the next round reports as the binding's error. Manager processes
-are watched for unexpected death too, before an utterance opens its
-connections and in every pump round, so a killed component turns into
-an error report rather than a hang.
+which wakes the wait, and the next round reports it as the binding's
+error. The manager processes are checked before an utterance opens its
+connections, after a round that noted an error and after a wait that
+timed out, so a killed component turns into an error report naming it
+rather than a hang, and a quiet round costs no process check.
 """
 
 from __future__ import annotations
@@ -181,8 +182,7 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
     name = matrix_file.stem
     matrices = parse_matrix_file(matrix_file.read_text(encoding="utf-8"))
     alphabet = {m.phoneme for m in matrices}
-    # re-check the grammar against this utterance's phoneme alphabet
-    load_grammar(config.grammar.read_text(encoding="utf-8"), alphabet)
+    grammar.check_terminals(alphabet)
 
     board = Whiteboard()
     _declare_layers(board, alphabet, grammar, dictionary)
@@ -233,19 +233,22 @@ def _dead_managers(coordinator: Coordinator,
 
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
     """Pump until the coordinator has settled, waiting on the channels
-    between rounds."""
+    between rounds. The processes are checked after a round that noted an
+    error, which a dead manager's hang-up gives, and after a wait that
+    timed out."""
     deadline = time.monotonic() + config.max_wall
     while True:
-        error = _dead_managers(coordinator, processes)
-        if error is not None:
+        report = coordinator.pump()
+        if report.errors and (error := _dead_managers(coordinator, processes)):
             return error
-        coordinator.pump()
         if coordinator.settled():
             return None
         if time.monotonic() >= deadline:
             return (f"pipeline did not settle within {config.max_wall}s: "
                     f"{coordinator.unsettled()}")
-        coordinator.wait(config.sleep_time)
+        if (not coordinator.wait(config.sleep_time)
+                and (error := _dead_managers(coordinator, processes))):
+            return error
 
 
 def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import Layer, TimeSpan
+from .board import Layer, TimeSpan, WhiteNode
 from .errors import InconsistentFrameCount, ParseError
 from .wire import EdgeRecord, parse_line
 
@@ -61,8 +61,10 @@ class GridNode:
     score: float
 
 
-def grid_connected(n: GridNode, m: GridNode, th: Thresholds) -> bool:
-    """True iff m may directly follow n under the gap/overlap window."""
+def grid_connected(n: GridNode | WhiteNode, m: GridNode | WhiteNode,
+                   th: Thresholds) -> bool:
+    """True iff m may directly follow n under the gap/overlap window. Only
+    the nodes' spans count."""
     return (n.span.begin <= m.span.begin
             and n.span.end < m.span.end
             and n.span.end - th.max_gap <= m.span.begin <= n.span.end + th.max_overlap)
@@ -115,8 +117,7 @@ def add_grid_node(layer: Layer, node: GridNode, th: Thresholds) -> int:
     for other_id in peers:
         if other_id == node_id:
             continue
-        other = layer.white_nodes[other_id]
-        peer = GridNode(other.span, other.label, other.score)
+        peer = layer.white_nodes[other_id]
         if grid_connected(node, peer, th):
             layer.add_arc_once(node_id, other_id)
         if grid_connected(peer, node, th):
@@ -133,7 +134,8 @@ def grid_to_lattice(nodes: list[GridNode], th: Thresholds, layer: Layer) -> None
 
 def parse_matrix_file(text: str) -> list[PhonemeMatrix]:
     """Parse an utterance fixture: one `(begin end phoneme score)` cell per
-    line, blank lines and `;` comments ignored."""
+    line, blank lines and `;` comments ignored. Each line goes through the
+    wire's compiled reader, and an error names the file's line."""
     cells: list[EdgeRecord] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split(";", 1)[0].strip()

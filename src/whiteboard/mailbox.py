@@ -54,14 +54,15 @@ _tmp_serial = itertools.count()
 _FRAME_HEADER = struct.Struct(">I")
 
 
-def wait_ready(readers, writers=(), timeout: float | None = None) -> bool:
+def wait_ready(readers, writers=(), timeout: float | None = None) -> list:
     """Block until one of `readers` is readable or one of `writers` is
-    writable, or `timeout` seconds pass. Returns True if one was."""
+    writable, or `timeout` seconds pass. Returns those that are ready, the
+    readable ones first: empty if the wait timed out."""
     # select(2) times out to the microsecond, where epoll and poll round
     # up to the millisecond, which would stretch a paced source's period;
     # a waiter holds only a few descriptors, at low numbers
     readable, writable, _ = select.select(readers, writers, [], timeout)
-    return bool(readable or writable)
+    return readable + writable
 
 
 class Bell:

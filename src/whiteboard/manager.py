@@ -382,6 +382,9 @@ class _Served:
         self.high_frame = 0
         # set by a refused open or a close: drop once nothing is owed
         self.ending = False
+        # a frame has come in, so `in` has had a writer, whose hang-up
+        # the kernel reports
+        self.heard = False
 
     def open(self) -> None:
         """Open the read end of `in` and the write end of `out`, whose
@@ -392,6 +395,11 @@ class _Served:
     def close(self) -> None:
         self.in_channel.close()
         self.out_channel.close()
+
+    def abandoned(self) -> bool:
+        """Nothing has come in and nobody reads `out`: the client went
+        before it opened `in`, so no hang-up will ever show on `in`."""
+        return not self.heard and is_orphaned(self.out_channel.path)
 
     def see(self, records) -> None:
         """Raise the connection's high-water frame to the latest end frame
@@ -432,6 +440,7 @@ class _Manager:
             stop_event = threading.Event()  # never set: serve until removed
         self.request_root.parent.mkdir(parents=True, exist_ok=True)
         self.bell.open()
+        next_check = 0.0  # for connections abandoned before `in` opened
         try:
             self.requests.create()
             log.info("manager %s serving at %s", self.name, self.request_root)
@@ -444,11 +453,19 @@ class _Manager:
                     break
                 if text is not None:
                     self._dispatch(text)
+                check = time.monotonic() >= next_check
+                if check:
+                    next_check = time.monotonic() + self.sleep_time
                 for name, served in list(self.served.items()):
                     try:
                         self._step(served)
                         gone = (served.ending and not served.owed
                                 and not served.out_channel.pending)
+                        if not gone and check and served.abandoned():
+                            log.info("manager %s: connection %s dropped, "
+                                     "nobody reads its out channel",
+                                     self.name, served.id)
+                            gone = True
                     except PeerGone:
                         log.info("manager %s: connection %s dropped, its "
                                  "client hung up", self.name, served.id)
@@ -536,6 +553,7 @@ class _Manager:
             text = served.in_channel.try_collect()
             if text is None:
                 return
+            served.heard = True
             served.owed = self._reply(served, text)
         now = time.monotonic()
         if now < served.release_at or not served.out_channel.try_deposit(
@@ -607,7 +625,8 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
     channel, is answered by `(closed conn-id)` once every earlier batch's
     reply is delivered; that is the last frame on the connection, and the
     manager then closes its ends. A connection whose client hangs up is
-    dropped.
+    dropped, and so, within a poll period, is one whose client stopped
+    reading `out` before it ever wrote to `in`.
     """
     _Manager(factory, Path(request_root), name, incremental,
              sleep_time).serve(stop_event)

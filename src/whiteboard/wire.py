@@ -5,8 +5,13 @@ parenthesized, space-separated field list; nested parentheses hold integer
 lists; ids and frames are decimal integers, scores and weights decimal
 floats, labels unquoted tokens without whitespace or parentheses.
 
-The table `_GRAMMAR` is the grammar. Each row compiles to the writer of its
-record kind, and one loop reads every row's fields:
+The table `_GRAMMAR` is the grammar. Each row compiles, once at import,
+the writer of its record kind and its reader: a regex for the line as the
+writer gives it, whose groups go through the fields' converters. A line
+that no row's regex takes, spaced otherwise or malformed, goes to a
+scanner that reads any row's fields in one loop, or names the fault with
+its line and column. The two readers give the same record for every line
+that both take.
 
     edge-v1           (begin end phoneme score)
     node-v1           (node-id begin end label score (source-ids))
@@ -179,21 +184,42 @@ def _read_ids(field, lineno: int, name: str) -> tuple[int, ...]:
     return tuple([_read_int(item, lineno, name) for item in items])
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):  # digits past the largest float
+        raise ValueError(text)
+    return value
+
+
+def _input(text: str) -> str | None:
+    return None if text == NO_INPUT else text
+
+
 _read_int = _reader(int, "integer")
 _read_token = _reader(str, "token")
 
-# kind: (writer, reader). A writer raises ValueError for what the wire cannot
-# carry, a reader a ParseError naming the field. A row's template formats ints.
+_TOKEN = r"([^\s()]+)"
+
+# kind: (writer, scanner's reader, pattern, converter). A writer raises
+# ValueError for what the wire cannot carry, a reader a ParseError naming
+# the field. A row's template formats ints. The pattern takes the field as
+# the writer gives it, in one group, which the converter maps to its value
+# (None: the text is the value); the ValueError of a converter leaves the
+# line to the scanner.
 _KINDS = {
-    "int": (int, _read_int),
-    "float": (_fmt_float, _reader(float, "number")),
-    "token": (_fmt_token, _read_token),
+    "int": (int, _read_int, r"(-?[0-9]+)", int),
+    "float": (_fmt_float, _reader(float, "number"),
+              r"(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?)", _finite),
+    "token": (_fmt_token, _read_token, _TOKEN, None),
     "ids": (lambda ids: "(" + " ".join([str(int(i)) for i in ids]) + ")",
-            _read_ids),
-    "format": (_fmt_token, _read_token),  # checked by the row, once read
+            _read_ids, r"\(((?:-?[0-9]+(?: -?[0-9]+)*)?)\)",
+            lambda text: tuple([int(i) for i in text.split()])),
+    # the scanner checks a format field once the row has read it
+    "format": (_fmt_token, _read_token,
+               "(%s)" % "|".join(map(re.escape, FORMAT_CODES)), None),
     "input": (lambda value: NO_INPUT if value is None else check_input(value),
-              _reader(lambda text: None if text == NO_INPUT else text, "token")),
-    "message": (sanitize_token, _read_token),
+              _reader(_input, "token"), _TOKEN, _input),
+    "message": (sanitize_token, _read_token, _TOKEN, None),
 }
 
 # The grammar: per record class, its head (a control keyword, or the format
@@ -217,27 +243,68 @@ _GRAMMAR = {
 
 
 class _Row:
-    """A row of `_GRAMMAR`: its record's writer, and its fields' readers."""
+    """A row of `_GRAMMAR`: its record's writer and compiled reader, and its
+    fields' readers for the scanner."""
 
     def __init__(self, cls: type, row: str):
         self.cls = cls
         self.head, *spec = row.split()
-        kinds = [field.split(":") for field in spec]
+        names, kind_names = zip(*[field.split(":") for field in spec])
+        kinds = [_KINDS[kind] for kind in kind_names]
         self.control = self.head not in FORMAT_CODES
         self.formats = FORMAT_CODES if self.control else (self.head,)
         template = "(%s)" % " ".join([self.head] * self.control + ["%s"] * len(spec))
         # the row's writer, compiled once: looping over the fields at every
         # call made `serialize` a quarter slower than a hand-written format
-        writers = {f"w{i}": _KINDS[kind][0] for i, (_, kind) in enumerate(kinds)}
+        writers = {f"w{i}": kind[0] for i, kind in enumerate(kinds)}
         values = ", ".join(f"w{i}(r.{f.name})" for i, f in enumerate(fields(cls)))
         self.write = eval(f"lambda r: {template!r} % ({values},)", writers)
-        self.readers = [(_KINDS[kind][1], name) for name, kind in kinds]
-        self.codes = [kind for _, kind in kinds].count("format")
+        self.pattern = r"\(%s\)" % " ".join(
+            [re.escape(self.head)] * self.control + [kind[2] for kind in kinds])
+        self.converters = [kind[3] for kind in kinds]
+        self.readers = [(kind[1], name) for kind, name in zip(kinds, names)]
+        self.codes = kind_names.count("format")
+
+    def reader(self, first: int):
+        """The function taking a match of the row's pattern, whose fields
+        are its groups from `first` on, to the record."""
+        scope = {"cls": self.cls, **{f"c{i}": convert for i, convert
+                                      in enumerate(self.converters)}}
+        values = ", ".join(f"m[{first + i}]" if convert is None
+                           else f"c{i}(m[{first + i}])"
+                           for i, convert in enumerate(self.converters))
+        return eval(f"lambda m: cls({values})", scope)
+
+
+def _compile_reader(rows):
+    """The compiled reader of one format context: one regex in which each
+    row's pattern is an alternative in a group of its own, and, keyed by
+    that group's index, the row's reader. It returns the record of a line
+    that a row's pattern takes, else None."""
+    by_group, group = {}, 1
+    for row in rows:
+        by_group[group] = row.reader(group + 1)
+        group += 1 + len(row.converters)
+    match = re.compile("|".join(f"({row.pattern})" for row in rows)).fullmatch
+
+    def read(line: str):
+        found = match(line)
+        if found is None:
+            return None
+        try:
+            return by_group[found.lastindex](found)
+        except ValueError:  # an int past the digit limit, a float past the range
+            return None
+    return read
 
 
 _ROWS = {cls: _Row(cls, row) for cls, row in _GRAMMAR.items()}
 _BY_KEYWORD = {row.head: row for row in _ROWS.values() if row.control}
 _BY_FORMAT = {(r.head, len(r.readers)): r for r in _ROWS.values() if not r.control}
+# per format context (None for none): its data rows, then every control row
+_READERS = {code: _compile_reader(
+    [row for row in _ROWS.values() if row.head == code]
+    + list(_BY_KEYWORD.values())) for code in (None, *FORMAT_CODES)}
 
 
 def serialize_record(record: WireRecord) -> str:
@@ -291,6 +358,16 @@ def _scan(line: str, lineno: int) -> list | None:
 
 
 def parse_line(line: str, lineno: int, format_code: str | None) -> WireRecord:
+    """One record line. The format context's compiled reader takes a line
+    as `serialize` writes it; any other line, and a line under an unknown
+    format code, goes to the scanner, which reads it or names its fault."""
+    read = _READERS.get(format_code)
+    return (read and read(line)) or _parse_scanned(line, lineno, format_code)
+
+
+def _parse_scanned(line: str, lineno: int, format_code: str | None) -> WireRecord:
+    """One record line, through the scanner: the row is picked by keyword
+    or by (format code, arity), and its fields are read in one loop."""
     args = _scan(line, lineno)
     if not args:
         raise ParseError("empty record", lineno, 1)
@@ -325,6 +402,7 @@ def parse(text: str, format_code: str | None = None) -> list[WireRecord]:
     """Parse a batch of wire text. Inverse of :func:`serialize`."""
     if format_code is not None:
         check_format_code(format_code)
-    return [parse_line(line, lineno, format_code)
+    read = _READERS[format_code]
+    return [read(line) or _parse_scanned(line, lineno, format_code)
             for lineno, line in enumerate(text.split("\n"), start=1)
             if line.strip()]

@@ -1,6 +1,9 @@
+import fcntl
 import random
+import struct
 import subprocess
 import sys
+import termios
 import threading
 import time
 from pathlib import Path
@@ -753,3 +756,97 @@ def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(
     assert error is not None
     assert "did not settle" in error
     assert "stuck has 1 outstanding batches" in error
+
+
+def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
+        host, tmp_path, fixtures_dir):
+    from whiteboard.demo import DemoConfig, _close_connections, _pump_loop
+    release = threading.Event()
+
+    def stuck(records):  # holds its batch, so the pipeline cannot settle
+        release.wait(timeout=10.0)
+        return records
+
+    root = tmp_path / "parser" / "request"
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "whiteboard.workers", "parser",
+         "--request-box", str(root), "--sleep", str(SLEEP),
+         "--grammar", str(fixtures_dir / "words.grammar")],
+        stderr=subprocess.DEVNULL)
+    board = make_board()
+    board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
+    coordinator = host.coordinator(board)
+    killed = []
+
+    def kill():
+        killed.append(time.monotonic())
+        worker.kill()
+
+    # nothing reaches syntax while the stuck binding holds its batch, so
+    # the parser's connection stays idle until its manager is killed
+    timer = threading.Timer(0.3, kill)
+    try:
+        coordinator.register(
+            ComponentBinding("stuck", host("stuck", stuck),
+                             ["phonemes"], "syntax", params("edge-v1", "edge-v1")),
+            ComponentBinding("parser", root, ["syntax"], "ww",
+                             params("edge-v1", "inactive-edge-v1")))
+        config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
+                            dictionary=tmp_path, out=tmp_path,
+                            sleep_time=SLEEP, max_wall=10.0)
+        timer.start()
+        error = _pump_loop(coordinator, {"parser": worker}, config)
+        returned = time.monotonic()
+    finally:
+        timer.cancel()
+        release.set()
+        if worker.poll() is None:
+            worker.kill()
+        worker.wait(timeout=10)
+        _close_connections(coordinator)
+    # the hang-up keeps the out channel readable, so no wait times out:
+    # only the failed read can bring the process check
+    assert error == "manager process died: parser"
+    assert returned - killed[0] < 1.0
+    assert coordinator.bound["parser"].errors[-1] == "manager process died"
+
+
+def unread(channel) -> int:
+    """The bytes waiting in a channel's FIFO, which nobody has read yet."""
+    return struct.unpack("i", fcntl.ioctl(channel.fileno(), termios.FIONREAD,
+                                          bytes(4)))[0]
+
+
+def test_a_round_reads_one_frame_per_ready_channel_and_drains_all_without_a_wait(
+        host):
+    board = Whiteboard()
+    board.declare_layer("phonemes")
+    for name in "ab":
+        board.declare_layer(name, depends_on={"phonemes"})
+    coordinator = host.coordinator(board)
+    coordinator.register(*[ComponentBinding(
+        name, host(name, identity_component, incremental=True),
+        ["phonemes"], name, params("edge-v1", "edge-v1")) for name in "ab"])
+    edges = [wire.EdgeRecord(0, end, "h", 0.5) for end in (1, 2, 3)]
+    for edge in edges:
+        board.layers["phonemes"].add_white_node(
+            TimeSpan(edge.begin, edge.end), edge.phoneme, edge.score)
+    coordinator.pump()  # each echo answers its batch in three pieces
+    pieces = [edges[:1], edges[1:2], [edges[2], wire.DoneRecord(3)]]
+    size = sum(4 + len(wire.serialize(piece, "edge-v1").encode())
+               for piece in pieces)
+    outs = [coordinator.bound[name].conn.out_channel for name in "ab"]
+    deadline = time.monotonic() + 10.0
+    while any(unread(out) < size for out in outs):
+        assert time.monotonic() < deadline, "the pieces did not arrive"
+        time.sleep(SLEEP)
+
+    def nodes():
+        return [len(board.layers[name].white_nodes) for name in "ab"]
+
+    assert coordinator.wait(0)
+    coordinator.pump()
+    assert nodes() == [1, 1]  # one frame from each ready channel
+    coordinator.pump()  # no wait came before it
+    assert nodes() == [3, 3]
+    assert coordinator.settled()

@@ -152,3 +152,23 @@ def test_a_dictionary_word_that_is_not_a_wire_token_is_a_config_error(
     assert result.exit_code == 2
     assert "cold(water" in result.config_error
     assert result.utterances == []
+
+
+def test_an_utterance_whose_alphabet_misses_a_terminal_is_a_config_error(
+        tmp_path, fixtures_dir, monkeypatch):
+    matrices = tmp_path / "mat"
+    matrices.mkdir()
+    shutil.copy(fixtures_dir / "hai.mat", matrices / "a-hai.mat")
+    (matrices / "b-no-e.mat").write_text("(0 3 h 0.9)\n(3 6 a 0.95)\n(6 9 i 0.85)\n")
+    loads = []
+    load = demo.load_grammar
+    monkeypatch.setattr(demo, "load_grammar",
+                        lambda *args: loads.append(args) or load(*args))
+    result = demo_run(DemoConfig(matrices=matrices,
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=tmp_path / "boards", sleep_time=0.01))
+    assert result.exit_code == 2
+    assert result.config_error == "b-no-e.mat: rule R2: unknown terminal 'e'"
+    assert [(u.name, u.ok) for u in result.utterances] == [("a-hai", True)]
+    assert len(loads) == 1  # the grammar file is read once per run

@@ -212,3 +212,14 @@ def test_parse_matrix_file_rejects_bad_records():
         parse_matrix_file("(0 3 h)\n")
     with pytest.raises(ParseError):
         parse_matrix_file("(3 0 h 0.9)\n")
+
+
+def test_matrix_file_errors_name_the_file_line_after_comments():
+    head = "; utterance\n; main path\n\n(0 3 h 0.9)\n"
+    with pytest.raises(ParseError) as err:
+        parse_matrix_file(head + "; runner-up\n(3 6 a oops) ; trailing\n")
+    assert (err.value.line, err.value.column) == (6, 8)
+    assert "score: not a number: oops" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_matrix_file(head + "(6 3 a 0.5)\n")
+    assert err.value.line == 5 and "bad span (6,3)" in str(err.value)

@@ -19,10 +19,12 @@ from whiteboard.errors import (
 )
 from whiteboard.manager import (
     ConnectionParams,
+    _Manager,
     manager_bell,
     partition_by_end,
     request_connection,
     run_manager,
+    send_open,
 )
 from whiteboard.mailbox import Channel, Mailbox, ring
 from oracles import identity_component
@@ -568,3 +570,30 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         if worker.poll() is None:
             worker.kill()
             worker.wait(timeout=10)
+
+
+def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
+        tmp_path):
+    manager = _Manager(lambda _input: identity_component,
+                       tmp_path / "m" / "request", "m", False, SLEEP)
+    stop = RingingStop()
+    root = stop.add(manager.request_root)
+    thread = threading.Thread(target=manager.serve, args=(stop,), daemon=True)
+    thread.start()
+    try:
+        wait_for_request_box(root)
+        before = open_fds()
+        pending = send_open(root, params())
+        # the client reads the reply, then goes without opening `in`
+        assert wire.parse(pending.out_channel.collect(timeout=5.0)) == [
+            wire.OpenReply(1)]
+        pending.out_channel.close()
+        deadline = time.monotonic() + 1.0
+        while manager.served and time.monotonic() < deadline:
+            time.sleep(SLEEP)
+        assert not manager.served
+        assert open_fds() == before  # the manager's two ends are closed
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()

@@ -211,3 +211,46 @@ def test_mutated_lines_are_rejected_or_round_trip():
                 parsed_some += 1
                 assert wire.parse(wire.serialize(records, fmt), fmt) == records, line
     assert parsed_some > 1000  # the mutations do not only break lines
+
+
+def outcome(parse):
+    """What a parse gives: its records, or its error's class, message, line
+    and column. `repr` keeps apart what `==` would not, such as -0.0 and 0.0."""
+    try:
+        return repr(parse())
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column)
+    except UnknownFormatCode as exc:
+        return ("UnknownFormatCode", str(exc))
+
+
+def scanned(text, fmt):
+    return [wire._parse_scanned(line, lineno, fmt)
+            for lineno, line in enumerate(text.split("\n"), start=1)
+            if line.strip()]
+
+
+def test_the_compiled_reader_and_the_scanner_agree_on_every_line():
+    rng = random.Random(29)
+    lines = [wire.serialize_record(record) for record in VALID]
+    lines += [wire.serialize_record(wire.NodeRecord(1, 2, 3, "x", -0.0, ())),
+              wire.serialize_record(wire.ArcRecord(-1, 2, 3, 1.5e+300)),
+              wire.serialize_record(wire.InactiveEdgeRecord(
+                  4, 3, 9, "NP", 123456789.0, (1, 22, -333))),
+              "(1 2 h 1e999)", "(1 2 h %s)" % ("9" * 5000), "(00 +1 h 0.5)",
+              "(1  2 h 0.5)", " (1 2 h 0.5)", "(1 2 h 0.5)\r", "(done 1)\t"]
+    compiled = 0
+    for _ in range(600):
+        line = rng.choice(lines[:len(VALID)])
+        for _ in range(rng.randint(0, 3)):
+            line = mutate(line, rng)
+        lines.append(line)
+        lines.append(line + "\n" + rng.choice(lines[:len(VALID)]))
+    for text in lines:
+        for fmt in (None, *wire.FORMAT_CODES):
+            got = outcome(lambda: wire.parse(text, fmt))
+            assert got == outcome(lambda: scanned(text, fmt)), (text, fmt)
+            if "\n" not in text and text.strip():
+                assert got == outcome(lambda: [wire.parse_line(text, 1, fmt)])
+            compiled += wire._READERS[fmt](text.split("\n")[0]) is not None
+    assert compiled > 1000  # the compiled reader took a share of the lines
