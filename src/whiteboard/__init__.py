@@ -5,7 +5,7 @@ lattices organized in a dependency graph. Heterogeneous components run in
 their own processes behind managers and exchange line-oriented wire records
 with the coordinator over per-connection FIFO channels, one length-prefixed
 frame per batch, after opening each connection through the manager's
-single-slot file mailbox; the coordinator is the only party that ever
+request box, one FIFO; the coordinator is the only party that ever
 touches the board. Batch components can be made to look incremental by
 delivering their results piecewise in time order.
 """
@@ -51,7 +51,6 @@ from .grid import (
     parse_matrix_file,
     topk_matrices,
 )
-from .mailbox import Mailbox
 from .manager import (
     Connection,
     ConnectionParams,
@@ -64,7 +63,7 @@ from .translate import Dictionary, DictionaryEntry, load_dictionary, translate_l
 __all__ = [
     "Arc", "Chart", "ComponentBinding", "Connection", "ConnectionParams",
     "Coordinator", "Dictionary", "DictionaryEntry", "Edge", "Grammar",
-    "GreyNode", "GridNode", "Layer", "Mailbox", "PackingKey",
+    "GreyNode", "GridNode", "Layer", "PackingKey",
     "PhonemeMatrix", "PumpReport", "RankedMatrix", "Reading", "Rule",
     "SealReport", "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
     "add_derivation", "add_grid_node", "boards_isomorphic", "canonical_form",

@@ -147,14 +147,19 @@ class Coordinator:
         their connections up at once. Each output layer must declare every
         input layer among its dependencies.
 
-        If a manager does not answer, or refuses, the bindings whose
-        connections did open are still activated, and the first failure is
-        raised once every reply has been awaited."""
+        If a manager does not take the request, answer it, or refuses, the
+        bindings whose connections did open are still activated, and the
+        first failure is raised once every reply has been awaited."""
         for binding in bindings:
             self._check(binding)
-        openings = [(binding, send_open(binding.request_root, binding.params))
-                    for binding in bindings]
+        openings = []
         failure = None
+        for binding in bindings:
+            try:
+                openings.append((binding, send_open(binding.request_root,
+                                                    binding.params)))
+            except ManagerUnavailable as exc:
+                failure = failure or exc
         for binding, opening in openings:
             try:
                 self.bound[binding.name] = _Bound(binding, opening.wait())

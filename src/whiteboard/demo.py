@@ -101,7 +101,8 @@ class DemoResult:
 
 def _utterance_files(matrices: Path) -> list[Path]:
     """The run's matrix files. Each one is named on the wire when its
-    utterance opens the source's connection, so it must be a legal token."""
+    utterance opens the source's connection, so it must be a legal token
+    that fits one open request."""
     if matrices.is_file():
         files = [matrices]
     else:
@@ -113,7 +114,7 @@ def _utterance_files(matrices: Path) -> list[Path]:
             wire.check_input(str(path))
         except ValueError as exc:
             raise WhiteboardError(
-                f"matrix path cannot be sent to the source: {exc}") from None
+                f"matrix path {path} cannot be sent to the source: {exc}") from None
     return files
 
 

@@ -103,18 +103,14 @@ class UnknownFormatCode(WhiteboardError):
 
 # -- mailboxes / managers --------------------------------------------------
 
-class BoxRemoved(WhiteboardError):
-    """The mailbox directory vanished underneath an operation."""
-
-
 class MailboxTimeout(WhiteboardError):
     pass
 
 
 class PeerGone(WhiteboardError):
-    """The party on a mailbox's or channel's other side has gone: it
-    closed its end of the channel or died, or its doorbell is left with
-    no process reading it, so nothing will fill or empty the box."""
+    """The party on a FIFO's other side has gone: it closed its end of a
+    channel or died, or nobody reads a request box, so nothing will fill
+    or empty it."""
 
 
 class ManagerUnavailable(WhiteboardError):

@@ -1,25 +1,15 @@
-"""Single-slot file mailboxes, framed FIFO channels, and doorbells.
+"""Request boxes and channels: the FIFOs between clients and managers.
 
-A mailbox is a directory holding at most one `batch` file, the message.
-The slot alternates strictly between empty and full. A writer writes its
-batch to a temporary file of its own, ``tmp-<pid>-<n>``, and links it to
-`batch`; the link is atomic and fails while the slot is full, so a batch
-appears only whole, and a writer never replaces a batch another has
-deposited. The reader reads `batch`, then unlinks it, which empties the
-slot. Every box has exactly one reader, which is a contract, not a
-detected error, and may have many writers: a manager's request box is
-written by every client that opens a connection, and the link hands the
-slot to one of them at a time. No lock exists, so nothing can go stale: a
-writer that dies mid-deposit leaves only its temporary file, which no
-reader ever sees and `remove` clears.
-
-A box's reader may own a doorbell, a FIFO that its own process holds open
-for reading, and a deposit rings it: one byte written without blocking. A
-ring is only a hint, since a box still changes hands only by its link and
-unlink, so a waiter also tries again after one poll period. A bell whose
-path is there but that no process reads was left by an owner that died,
-so a writer waiting on a box whose reader's bell is orphaned stops
-waiting (`PeerGone`).
+A manager's request box is a FIFO that the manager reads and any number
+of clients write. A client writes its request as whole lines in one
+non-blocking write of at most `select.PIPE_BUF` bytes, which pipe(7)
+makes atomic, so the lines of concurrent clients never interleave, and a
+full FIFO takes nothing. The manager makes the FIFO under a temporary
+name, opens it for reading, and for writing too so that its read end
+never reports a hang-up, and only then renames it onto the box's path,
+replacing any FIFO a dead manager left. So a client that finds the box
+finds its reader too, unless the manager has died: then nobody reads
+the FIFO, and the client's open fails at once (`PeerGone`).
 
 A channel carries the batches of one direction of a connection, which has
 exactly one writer and one reader: a FIFO in which each batch is one
@@ -35,20 +25,13 @@ its end, or dies, the reader drops any partial frame and raises
 from __future__ import annotations
 
 import errno
-import itertools
 import os
 import select
 import struct
 import time
 from pathlib import Path
 
-from .errors import BoxRemoved, MailboxTimeout, PeerGone
-
-BATCH_NAME = "batch"
-TMP_PREFIX = "tmp-"
-
-# numbers this process's temporary files, so no two writers share one
-_tmp_serial = itertools.count()
+from .errors import MailboxTimeout, PeerGone
 
 # a channel frame's header: the length of its UTF-8 payload in bytes
 _FRAME_HEADER = struct.Struct(">I")
@@ -65,69 +48,20 @@ def wait_ready(readers, writers=(), timeout: float | None = None) -> list:
     return readable + writable
 
 
-class Bell:
-    """A doorbell at `path`: a FIFO that the process which opened it reads.
-
-    `open` makes the FIFO, replacing one a dead owner left, and `close`
-    removes it. The owner also holds a write end of its own, so the read
-    end never reports a hang-up when a ringer closes."""
-
-    def __init__(self, path: Path | str):
-        self.path = Path(path)
-        self._read = self._keep = None
-
-    def open(self) -> "Bell":
-        path = os.fspath(self.path)
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-        os.mkfifo(path)
-        self._read = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-        self._keep = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
-        return self
-
-    def close(self) -> None:
-        if self._read is None:
-            return
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-        os.close(self._read)
-        os.close(self._keep)
-        self._read = self._keep = None
-
-    def fileno(self) -> int:
-        return self._read
-
-    def drain(self) -> bytes:
-        """Every ring since the last drain: a FIFO holds at most 64 KiB."""
-        try:
-            return os.read(self._read, 1 << 16)
-        except BlockingIOError:
-            return b""
-
-
-def ring(path: Path | str) -> None:
-    """Write one byte to the bell at `path` without blocking. Nothing
-    happens if no bell is there or nobody reads it, and a full bell has
-    rung already."""
+def _open_writer(path: Path) -> int:
+    """A non-blocking write end of the FIFO at `path`. Raises `PeerGone`
+    if nobody holds its read end."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
-    except OSError:
-        return
-    try:
-        os.write(fd, b"\0")
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        return os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno != errno.ENXIO:
+            raise
+        raise PeerGone(f"nobody reads {path}") from None
 
 
 def is_orphaned(path: Path | str) -> bool:
-    """True if the bell at `path` is there but no process reads it: its
-    owner died without removing it."""
+    """True if the FIFO at `path` is there but no process reads it: its
+    reader died without removing it."""
     try:
         os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
     except OSError as exc:
@@ -136,119 +70,81 @@ def is_orphaned(path: Path | str) -> bool:
 
 
 class Mailbox:
-    """One exchange slot rooted at `path`, polled every `sleep_time` seconds.
+    """The request box at `path`: a FIFO with one reader, which `open`s
+    and `close`s it, and any number of writers, each of whose deposits
+    is whole lines in one atomic write."""
 
-    `peer` is the path of the doorbell of the box's reader: a deposit
-    rings it, and a blocking deposit or collect that finds it orphaned
-    gives up."""
-
-    def __init__(self, path: Path | str, sleep_time: float = 0.05,
-                 peer: Path | str | None = None):
-        if sleep_time <= 0:
-            raise ValueError("sleep_time must be positive")
+    def __init__(self, path: Path | str):
         self.path = Path(path)
-        self.sleep_time = sleep_time
-        self.peer = None if peer is None else os.fspath(peer)
-        self.batch_path = self.path / BATCH_NAME
-        # plain strings for the per-call system calls
-        self._dir = os.fspath(self.path)
-        self._batch = os.fspath(self.batch_path)
+        self._read: int | None = None
+        self._keep: int | None = None
+        # the start of a line whose end has not arrived
+        self._partial = b""
 
-    def create(self) -> "Mailbox":
-        self.path.mkdir(parents=True, exist_ok=True)
+    def open(self) -> "Mailbox":
+        """Make the box and hold it open for reading, replacing a box that
+        a dead reader left."""
+        tmp = self.path.with_name(f"{self.path.name}-{os.getpid()}.tmp")
+        os.mkfifo(tmp)
+        try:
+            self._read = os.open(tmp, os.O_RDONLY | os.O_NONBLOCK)
+            self._keep = os.open(tmp, os.O_WRONLY | os.O_NONBLOCK)
+            os.rename(tmp, self.path)
+        except OSError:
+            os.unlink(tmp)
+            self._close_ends()
+            raise
         return self
 
-    def remove(self) -> None:
-        """Remove the box with its batch and any temporary file a dead
-        writer left."""
-        try:
-            names = os.listdir(self._dir)
-        except FileNotFoundError:
-            return
-        for name in names:
-            if name == BATCH_NAME or name.startswith(TMP_PREFIX):
-                try:
-                    os.unlink(os.path.join(self._dir, name))
-                except FileNotFoundError:
-                    pass
-        try:
-            os.rmdir(self._dir)
-        except FileNotFoundError:
-            pass
-
-    def exists(self) -> bool:
-        return os.path.isdir(self._dir)
-
-    def is_full(self) -> bool:
-        if not self.exists():
-            raise self._removed()
-        return os.path.exists(self._batch)
-
-    def _removed(self) -> BoxRemoved:
-        return BoxRemoved(f"mailbox gone: {self.path}")
-
-    # -- the reader/writer protocol -------------------------------------------
-
-    def try_deposit(self, text: str) -> bool:
-        """One writer wake-up: deposit if the box is empty. Returns False
-        if it is full."""
-        if os.path.exists(self._batch):
-            return False
-        tmp = f"{self._dir}/{TMP_PREFIX}{os.getpid()}-{next(_tmp_serial)}"
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(text.encode("utf-8"))
-            os.link(tmp, self._batch)
-        except FileExistsError:  # another writer's batch filled the slot
-            return False
-        except FileNotFoundError:
-            raise self._removed() from None
-        finally:
+    def close(self) -> None:
+        """Remove the box and close the reader's ends."""
+        if self._read is not None:
             try:
-                os.unlink(tmp)
+                os.unlink(self.path)
             except FileNotFoundError:
                 pass
-        if self.peer is not None:
-            ring(self.peer)
+        self._close_ends()
+
+    def _close_ends(self) -> None:
+        for fd in (self._read, self._keep):
+            if fd is not None:
+                os.close(fd)
+        self._read = self._keep = None
+
+    def fileno(self) -> int:
+        return self._read
+
+    def try_deposit(self, text: str) -> bool:
+        """One writer wake-up: write `text`, whole lines of at most
+        `select.PIPE_BUF` bytes, in one atomic write. Returns False,
+        writing nothing, if the FIFO is full. Raises FileNotFoundError if
+        no box is there, and `PeerGone` if nobody reads it."""
+        data = text.encode("utf-8")
+        if len(data) > select.PIPE_BUF or not data.endswith(b"\n"):
+            raise ValueError(f"a deposit must be whole lines of at most "
+                             f"{select.PIPE_BUF} bytes, got {len(data)} bytes")
+        fd = _open_writer(self.path)
+        try:
+            os.write(fd, data)
+        except BlockingIOError:
+            return False
+        except BrokenPipeError:  # the reader went since the open
+            raise PeerGone(f"nobody reads {self.path}") from None
+        finally:
+            os.close(fd)
         return True
 
     def try_collect(self) -> str | None:
-        """One reader wake-up: drain the box if it is full."""
+        """One reader wake-up: every whole line that has arrived, or None
+        while none has. One read takes what the FIFO holds, 64 KiB at
+        most; a byte that is not UTF-8 spoils only its own line."""
         try:
-            with open(self._batch, "rb") as fh:
-                text = fh.read().decode("utf-8")
-        except FileNotFoundError:
-            if not self.exists():
-                raise self._removed() from None
+            data = self._partial + os.read(self._read, 1 << 16)
+        except BlockingIOError:
             return None
-        try:
-            os.unlink(self._batch)
-        except FileNotFoundError:  # besides the reader, only `remove` unlinks it
-            raise self._removed() from None
-        return text
-
-    def deposit(self, text: str, timeout: float | None = None) -> None:
-        """Block until the batch is deposited."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.try_deposit(text):
-            self._wait(deadline, "deposit")
-
-    def collect(self, timeout: float | None = None) -> str:
-        """Block until a batch is collected."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while (text := self.try_collect()) is None:
-            self._wait(deadline, "collect")
-        return text
-
-    def _wait(self, deadline: float | None, what: str) -> None:
-        """Sleep one poll period before the next try. An orphaned peer bell
-        means nobody is left to empty the box."""
-        if deadline is not None and time.monotonic() >= deadline:
-            raise MailboxTimeout(f"{what} timed out on {self.path}")
-        time.sleep(self.sleep_time)
-        if self.peer is not None and is_orphaned(self.peer):
-            raise PeerGone(f"{what} on {self.path}: nobody reads the bell "
-                           f"{self.peer}")
+        end = data.rfind(b"\n") + 1
+        self._partial = data[end:]
+        return data[:end].decode("utf-8", errors="replace") if end else None
 
 
 class Channel:
@@ -277,12 +173,7 @@ class Channel:
         return self
 
     def open_writer(self) -> "Channel":
-        try:
-            self._fd = os.open(self.path, os.O_WRONLY | os.O_NONBLOCK)
-        except OSError as exc:
-            if exc.errno != errno.ENXIO:
-                raise
-            raise PeerGone(f"nobody reads {self.path}") from None
+        self._fd = _open_writer(self.path)
         return self
 
     def close(self) -> None:

@@ -1,6 +1,6 @@
 """Managers: serve components to clients through a request box and channels.
 
-A manager is a long-lived server. It owns a request box, one mailbox at
+A manager is a long-lived server. It owns a request box, the FIFO at
 ``<root>/<name>/request`` where clients ask to open connections, and it
 serves any number of connections, one after another or at once. A client
 makes each connection's ``conn-*`` directory beside the request box, with
@@ -35,14 +35,11 @@ releases each piece no earlier than one poll period after the one before,
 which is the pace of the simulated speech.
 
 Nobody sleeps a poll period waiting on a connection: a readable channel
-wakes its reader, and a writer holding the tail of a frame waits until its
-channel is writable. A party whose peer closed its end, or died, gets
-`PeerGone`. The request box has many writers, so it keeps a doorbell: the
-manager's bell lies beside it, ``request.bell`` for ``request``, and a
-deposit rings it. A manager opens its bell before it makes its request
-box, and removes it when it stops; a client waiting for the reply to its
-open from a manager whose bell has been left with no reader gives up at
-once (`ManagerUnavailable`).
+or request box wakes its reader, and a writer holding the tail of a frame
+waits until its channel is writable. A party whose peer closed its end,
+or died, gets `PeerGone`; a client whose open finds the request box with
+no reader, or whose manager leaves it with no reader before replying,
+gets `ManagerUnavailable` at once. A manager removes its box when it stops.
 """
 
 from __future__ import annotations
@@ -58,24 +55,18 @@ from pathlib import Path
 from . import wire
 from .errors import (
     AlreadyClosed,
-    BoxRemoved,
     MailboxTimeout,
     ManagerUnavailable,
     ParseError,
     PeerGone,
     UnknownFormatCode,
 )
-from .mailbox import Bell, Channel, Mailbox, is_orphaned, wait_ready
+from .mailbox import Channel, Mailbox, is_orphaned, wait_ready
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SLEEP = 0.05
 CONN_PREFIX = "conn-"
-
-
-def manager_bell(request_root: Path) -> Path:
-    """The path of the bell of the manager serving `request_root`."""
-    return request_root.with_name(request_root.name + ".bell")
 
 
 @dataclass(frozen=True)
@@ -269,8 +260,7 @@ class PendingOpen:
     def _reply(self) -> str:
         """The first frame on the out channel. Until the manager accepts,
         nobody writes there, so after each poll period without a frame a
-        manager whose bell is left with no reader has died."""
-        bell = manager_bell(self.request_root)
+        manager whose request box is left with no reader has died."""
         try:
             while (text := self.out_channel.try_collect()) is None:
                 remaining = self.deadline - time.monotonic()
@@ -278,10 +268,11 @@ class PendingOpen:
                     raise ManagerUnavailable(
                         f"manager at {self.request_root} did not reply")
                 poll = min(self.params.sleep_time, remaining)
-                if not wait_ready([self.out_channel], [], poll) and is_orphaned(bell):
+                if (not wait_ready([self.out_channel], [], poll)
+                        and is_orphaned(self.request_root)):
                     raise ManagerUnavailable(
                         f"manager at {self.request_root} died: nobody reads "
-                        f"its bell")
+                        f"its request box")
         except PeerGone as exc:  # it accepted, then died
             raise ManagerUnavailable(
                 f"manager at {self.request_root} died before replying") from exc
@@ -292,11 +283,12 @@ def send_open(request_root: Path | str, params: ConnectionParams,
               timeout: float = 10.0) -> PendingOpen:
     """Make a connection directory beside `request_root` and ask the
     manager serving it to open a connection there, waiting for the
-    manager to serve if it has not started yet. `timeout` bounds the send
-    and the wait for the reply together."""
+    manager to serve if it has not started yet, and for room in a full
+    request box; a box that nobody reads fails at once. `timeout` bounds
+    the send and the wait for the reply together."""
     request_root = Path(request_root)
     deadline = time.monotonic() + timeout
-    while not request_root.is_dir():
+    while not request_root.exists():
         if time.monotonic() >= deadline:
             raise ManagerUnavailable(f"no manager serving {request_root}")
         time.sleep(params.sleep_time)
@@ -304,16 +296,18 @@ def send_open(request_root: Path | str, params: ConnectionParams,
     pending = PendingOpen(request_root, params, deadline, conn_dir)
     pending.in_channel.make()
     pending.out_channel.make().open_reader()
-    requests = Mailbox(request_root, params.sleep_time,
-                       manager_bell(request_root))
-    request = wire.OpenRequest(params.import_format, params.export_format,
-                               params.input, conn_dir.name)
+    request = wire.serialize([wire.OpenRequest(
+        params.import_format, params.export_format, params.input, conn_dir.name)])
+    requests = Mailbox(request_root)
     try:
-        requests.deposit(wire.serialize([request]),
-                         timeout=max(0.0, deadline - time.monotonic()))
-    except (MailboxTimeout, BoxRemoved, PeerGone) as exc:
+        while not requests.try_deposit(request):  # the box is full
+            if time.monotonic() >= deadline:
+                raise MailboxTimeout(f"{request_root} stayed full")
+            time.sleep(params.sleep_time)
+    except (MailboxTimeout, PeerGone, FileNotFoundError) as exc:
         _discard(pending.in_channel, pending.out_channel)
-        raise ManagerUnavailable(f"manager at {request_root} did not reply") from exc
+        raise ManagerUnavailable(f"manager at {request_root} did not take "
+                                 f"the open request: {exc}") from exc
     return pending
 
 
@@ -421,36 +415,29 @@ class _Manager:
         self.name = name
         self.incremental = incremental
         self.sleep_time = sleep_time
-        self.requests = Mailbox(self.request_root, sleep_time)
-        self.bell = Bell(manager_bell(self.request_root))
+        self.requests = Mailbox(self.request_root)
         # by the name of the connection's directory
         self.served: dict[str, _Served] = {}
         self._next_conn = 1
 
     def serve(self, stop_event: threading.Event | None = None):
-        """One loop: each cycle takes at most one request batch, then writes
-        every connection's next owed frame that is due or, owing none,
-        takes its next input batch. Between cycles the loop waits (`_wait`)
-        at most one poll period, or until the next piece falls due.
+        """One loop: each cycle takes the requests that have arrived, then
+        writes every connection's next owed frame that is due or, owing
+        none, takes its next input batch. Between cycles the loop waits
+        (`_wait`) at most one poll period, or until the next piece falls
+        due.
 
-        The bell is open before the request box exists, and is removed
-        however the loop ends, when every connection's ends are closed
-        too."""
+        The request box is removed however the loop ends, when every
+        connection's ends are closed too."""
         if stop_event is None:
-            stop_event = threading.Event()  # never set: serve until removed
+            stop_event = threading.Event()  # never set: serve until exit
         self.request_root.parent.mkdir(parents=True, exist_ok=True)
-        self.bell.open()
+        self.requests.open()
         next_check = 0.0  # for connections abandoned before `in` opened
         try:
-            self.requests.create()
             log.info("manager %s serving at %s", self.name, self.request_root)
             while not stop_event.is_set():
-                # this cycle sees what rang so far; a later ring wakes the wait
-                self.bell.drain()
-                try:
-                    text = self.requests.try_collect()
-                except BoxRemoved:
-                    break
+                text = self.requests.try_collect()
                 if text is not None:
                     self._dispatch(text)
                 check = time.monotonic() >= next_check
@@ -477,13 +464,14 @@ class _Manager:
         finally:
             for served in self.served.values():
                 served.close()
-            self.bell.close()
+            self.requests.close()
 
     def _wait(self) -> None:
-        """Wait for the bell, the in channel of every connection that owes
-        nothing, or the out channel of every one holding a frame's tail:
-        at most one poll period, or until an owed piece falls due."""
-        readers, writers = [self.bell], []
+        """Wait for the request box, the in channel of every connection
+        that owes nothing, or the out channel of every one holding a
+        frame's tail: at most one poll period, or until an owed piece
+        falls due."""
+        readers, writers = [self.requests], []
         for served in self.served.values():
             if served.out_channel.pending:
                 writers.append(served.out_channel)
@@ -495,13 +483,18 @@ class _Manager:
                                if s.owed and s.release_at > now)]))
 
     def _dispatch(self, text: str):
-        try:
-            requests = wire.parse(text)
-        except (ParseError, UnknownFormatCode) as exc:
-            log.warning("manager %s: unparseable request ignored: %s",
-                        self.name, exc)
-            return
-        for request in requests:
+        """Serve the requests read from the box, line by line, so a line
+        that does not parse costs only itself. A blank line only wakes the
+        manager."""
+        for line in text.split("\n"):
+            if not line.strip():
+                continue
+            try:
+                request = wire.parse_line(line, 1, None)
+            except (ParseError, UnknownFormatCode) as exc:
+                log.warning("manager %s: unparseable request ignored: %s",
+                            self.name, exc)
+                continue
             conn_dir = self._conn_dir(request)
             if conn_dir is None:
                 log.warning("manager %s: request ignored, it names no "
@@ -598,13 +591,13 @@ class _Manager:
 def run_manager(factory, request_root: Path | str, *, name: str = "manager",
                 incremental: bool = False, sleep_time: float = DEFAULT_SLEEP,
                 stop_event: threading.Event | None = None) -> None:
-    """Serve connection requests forever (or until `stop_event` is set, or
-    the request box is removed) in a single loop on the calling thread,
-    which waits between cycles on the manager's bell and its connections'
-    channels. `sleep_time` is the request box's poll period, and the gap
-    between the pieces of an incremental reply. A waiting manager sees
-    `stop_event` at its next wake-up, so whoever sets it rings the bell too
-    (`mailbox.ring(manager_bell(request_root))`) to stop it at once.
+    """Serve connection requests until the process exits, or `stop_event`
+    is set, in a single loop on the calling thread, which waits between
+    cycles on the request box and the connections' channels. `sleep_time`
+    is the longest wait, and the gap between the pieces of an incremental
+    reply. A waiting manager sees `stop_event` at its next wake-up, so
+    whoever sets it writes a blank line to the request box too
+    (`Mailbox(request_root).try_deposit("\\n")`) to stop it at once.
 
     `factory` is called once per opened connection with the input its open
     request named (None for `-`) and returns that connection's component,
@@ -619,8 +612,8 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
 
     Every reply goes to the out channel of the connection that asked. An
     open request naming no `conn-*` directory beside the request box, or
-    one whose channels do not open, and a request that does not parse,
-    have no channel to be answered on and are only logged. A close
+    one whose channels do not open, and a request line that does not
+    parse, have no channel to be answered on and are only logged. A close
     request, a batch of just `(close conn-id)` on the connection's in
     channel, is answered by `(closed conn-id)` once every earlier batch's
     reply is delivered; that is the last frame on the connection, and the

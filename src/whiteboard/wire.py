@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+import select
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Union
@@ -46,6 +47,13 @@ _LEXEME_RE = re.compile(r"[()]|[^\s()]+")
 _INT_RE = re.compile(r"[-+]?\d+")  # a data record's first field
 
 NO_INPUT = "-"  # an open request's input field when the component takes none
+
+# An open request is one line written to a request box in one atomic
+# write, of at most `select.PIPE_BUF` bytes. Besides its input the line
+# holds its keyword, two format codes and a connection name of up to 32
+# bytes (`tempfile.mkdtemp` makes 13), and spaces, parentheses and LF.
+MAX_INPUT_BYTES = select.PIPE_BUF - len("(open    )\n") - 2 * max(
+    map(len, FORMAT_CODES)) - 32
 
 
 def check_format_code(code: str) -> str:
@@ -152,9 +160,14 @@ def _fmt_token(value: str) -> str:
 
 
 def check_input(value: str) -> str:
-    """An open request's input: a legal token other than `-`."""
+    """An open request's input: a legal token other than `-`, short enough
+    that its open request's line fits one atomic FIFO write."""
     if value == NO_INPUT:
         raise ValueError(f"{NO_INPUT!r} is reserved for a connection without input")
+    size = len(value.encode("utf-8"))
+    if size > MAX_INPUT_BYTES:
+        raise ValueError(f"an input of {size} bytes does not fit an open "
+                         f"request; at most {MAX_INPUT_BYTES} bytes do")
     return _fmt_token(value)
 
 

@@ -28,7 +28,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--request-box", required=True, type=Path)
     parser.add_argument("--sleep", type=float, default=0.05,
                         help="seconds between an incremental reply's "
-                             "pieces, and the fallback poll period")
+                             "pieces, and the longest wait between the "
+                             "manager's cycles")
     parser.add_argument("--topk", type=int, default=3)
     parser.add_argument("--grammar", type=Path)
     parser.add_argument("--dict", dest="dictionary", type=Path)

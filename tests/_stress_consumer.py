@@ -1,20 +1,21 @@
-"""Consumer half of the two-process mailbox stress harness.
+"""Consumer half of the two-process channel stress test.
 
-Usage: python _stress_consumer.py ROOT N_CONNECTIONS N_BATCHES SLEEP OUT_JSON
+Usage: python _stress_consumer.py ROOT N_CHANNELS N_BATCHES OUT_JSON
 
-Reads N_BATCHES batches from each of the mailboxes ROOT/conn0..connN-1,
-verifies the trailing checksum record of every batch, and writes a JSON
-report with the sequence numbers seen and any checksum failures.
+Opens the read ends of the channels ROOT/conn0..connN-1, prints
+``ready``, and then reads N_BATCHES frames from each in one loop that
+waits on all of them at once. It verifies the trailing checksum record of
+every batch, and writes a JSON report with the sequence numbers seen and
+any checksum failures.
 """
 
 import hashlib
 import json
 import sys
-import threading
 from pathlib import Path
 
 from whiteboard import wire
-from whiteboard.mailbox import Mailbox
+from whiteboard.mailbox import Channel, wait_ready
 
 
 def batch_digest(records) -> str:
@@ -22,35 +23,33 @@ def batch_digest(records) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def consume(root: Path, conn: int, n_batches: int, sleep: float, results: dict):
-    box = Mailbox(root / f"conn{conn}", sleep)
-    seqs = []
-    checksum_failures = 0
-    for _ in range(n_batches):
-        text = box.collect(timeout=120.0)
-        records = wire.parse(text, "edge-v1")
-        *data, tail = records
-        if tail.phoneme != "x" + batch_digest(data):
-            checksum_failures += 1
-        seqs.append(tail.begin)
-    results[conn] = {"seqs": seqs, "checksum_failures": checksum_failures}
-
-
 def main() -> int:
     root = Path(sys.argv[1])
-    n_connections = int(sys.argv[2])
+    n_channels = int(sys.argv[2])
     n_batches = int(sys.argv[3])
-    sleep = float(sys.argv[4])
-    out_path = Path(sys.argv[5])
-    results: dict = {}
-    threads = [
-        threading.Thread(target=consume,
-                         args=(root, conn, n_batches, sleep, results))
-        for conn in range(n_connections)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    out_path = Path(sys.argv[4])
+    channels = [Channel(root / f"conn{c}").open_reader()
+                for c in range(n_channels)]
+    print("ready", flush=True)
+    results = [{"seqs": [], "checksum_failures": 0} for _ in channels]
+    pending = dict(zip(channels, results))  # the channels still read
+    while pending:
+        ready = wait_ready(list(pending), timeout=120.0)
+        if not ready:
+            break  # stalled: the report shows what arrived
+        for channel in ready:
+            text = channel.try_collect()
+            if text is None:
+                continue
+            report = pending[channel]
+            *data, tail = wire.parse(text, "edge-v1")
+            if tail.phoneme != "x" + batch_digest(data):
+                report["checksum_failures"] += 1
+            report["seqs"].append(tail.begin)
+            if len(report["seqs"]) == n_batches:
+                del pending[channel]
+    for channel in channels:
+        channel.close()
     out_path.write_text(json.dumps(results), encoding="utf-8")
     return 0
 

@@ -2,14 +2,15 @@
 
 import threading
 
-from whiteboard.mailbox import ring
-from whiteboard.manager import manager_bell
+from whiteboard.errors import PeerGone
+from whiteboard.mailbox import Mailbox
 
 
-class RingingStop(threading.Event):
-    """The `stop_event` of manager threads. A manager waits on its bell
-    between cycles, so `set` also rings the bell of every manager named by
-    `add`, which then stops at once rather than after its poll period."""
+class WakingStop(threading.Event):
+    """The `stop_event` of manager threads. A manager waits on its request
+    box between cycles, so `set` also writes a blank line to the box of
+    every manager named by `add`, which then stops at once rather than
+    after its poll period."""
 
     def __init__(self):
         super().__init__()
@@ -22,4 +23,7 @@ class RingingStop(threading.Event):
     def set(self):
         super().set()
         for request_root in self.request_roots:
-            ring(manager_bell(request_root))
+            try:
+                Mailbox(request_root).try_deposit("\n")
+            except (FileNotFoundError, PeerGone):
+                pass  # no manager serves there: none to wake

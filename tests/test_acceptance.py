@@ -29,7 +29,7 @@ from whiteboard import (
 from whiteboard.demo import DemoConfig, demo_run
 from whiteboard.errors import WouldCreateCycle
 from whiteboard.grid import PhonemeMatrix
-from whiteboard.mailbox import Mailbox
+from whiteboard.mailbox import Channel
 from whiteboard.manager import partition_by_end
 from conftest import ACCEPTANCE_LINES
 from oracles import (
@@ -181,44 +181,61 @@ def test_05_topk_matches_per_cell_sort():
 
 
 def test_06_mailbox_exactly_once_across_processes(tmp_path):
-    n_connections, n_batches, sleep = 4, 1_000, 0.010
+    """Four channels carry frames from this process's writer threads to
+    one consumer process, which reads them all in one loop."""
+    n_channels, n_batches = 4, 1_000
     root = tmp_path / "stress"
-    boxes = [Mailbox(root / f"conn{c}", sleep).create()
-             for c in range(n_connections)]
+    root.mkdir()
+    paths = [Channel(root / f"conn{c}").make().path for c in range(n_channels)]
     out_json = tmp_path / "consumer.json"
     consumer = subprocess.Popen(
         [sys.executable, str(HERE / "_stress_consumer.py"), str(root),
-         str(n_connections), str(n_batches), str(sleep), str(out_json)])
+         str(n_channels), str(n_batches), str(out_json)],
+        stdout=subprocess.PIPE, text=True)
     start = time.monotonic()
 
-    def produce(conn: int):
+    def produce(conn: int, channel: Channel):
         rng = random.Random(606 + conn)
-        box = boxes[conn]
         for seq in range(n_batches):
+            # now and then a batch larger than a FIFO holds, written in parts
+            size = 3_000 if rng.random() < 0.01 else rng.randint(0, 4)
             data = [wire.EdgeRecord(rng.randint(0, 99), rng.randint(0, 99),
                                     f"c{conn}", round(rng.uniform(0, 1), 3))
-                    for _ in range(rng.randint(0, 4))]
+                    for _ in range(size)]
             digest = hashlib.sha256(
                 wire.serialize(data, "edge-v1").encode("utf-8")).hexdigest()[:16]
             batch = data + [wire.EdgeRecord(seq, 0, "x" + digest, 0.0)]
-            box.deposit(wire.serialize(batch, "edge-v1"), timeout=120.0)
+            channel.deposit(wire.serialize(batch, "edge-v1"), timeout=120.0)
 
-    producers = [threading.Thread(target=produce, args=(c,))
-                 for c in range(n_connections)]
-    for t in producers:
-        t.start()
-    for t in producers:
-        t.join()
-    assert consumer.wait(timeout=120) == 0
+    try:
+        assert consumer.stdout.readline() == "ready\n"
+        channels = [Channel(path).open_writer() for path in paths]
+        try:
+            producers = [threading.Thread(target=produce, args=(c, channel))
+                         for c, channel in enumerate(channels)]
+            for t in producers:
+                t.start()
+            for t in producers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in producers)
+        finally:
+            for channel in channels:
+                channel.close()
+        assert consumer.wait(timeout=120) == 0
+    finally:
+        if consumer.poll() is None:
+            consumer.kill()
+        consumer.wait(timeout=10)
+        consumer.stdout.close()
     elapsed = time.monotonic() - start
     results = json.loads(out_json.read_text(encoding="utf-8"))
-    for conn in range(n_connections):
-        report = results[str(conn)]
+    for report in results:
         assert report["checksum_failures"] == 0, "torn batch observed"
         assert report["seqs"] == list(range(n_batches)), \
             "loss, duplication or reordering observed"
     assert elapsed < 60.0
-    ok(6, f"4x{n_batches} handoffs, exactly-once and untorn, in {elapsed:.1f}s")
+    ok(6, f"{n_channels} channels x {n_batches} frames to one consumer "
+          f"process, exactly-once, untorn and in order, in {elapsed:.1f}s")
 
 
 def test_07_incremental_delivery_reproduces_batches():

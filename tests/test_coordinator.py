@@ -1,4 +1,5 @@
 import fcntl
+import os
 import random
 import struct
 import subprocess
@@ -24,12 +25,12 @@ from whiteboard import (
     run_manager,
     wire,
 )
-from whiteboard import mailbox
+from whiteboard import manager
 from whiteboard.components import IslandParser, MatrixSource, WordForWordTranslator
 from whiteboard.coordinator import _Bound
-from whiteboard.errors import LayerMismatch
+from whiteboard.errors import LayerMismatch, ManagerUnavailable
 from oracles import identity_component, valid_lattice
-from stopping import RingingStop
+from stopping import WakingStop
 from utterances import spliced_utterances
 
 REPO = Path(__file__).parent.parent
@@ -47,15 +48,18 @@ class Hosts:
 
     def __init__(self, root):
         self.root = root
-        self.stop = RingingStop()
+        self.stop = WakingStop()
         self.threads: list[threading.Thread] = []
         self.coordinators: list[Coordinator] = []
 
-    def __call__(self, name, component, incremental=False, sleep=SLEEP):
-        """Serve `component`, one instance for every connection."""
+    def __call__(self, name, component, incremental=False, sleep=SLEEP,
+                 factory=None):
+        """Serve `component`, one instance for every connection, or a
+        fresh one per connection from `factory`."""
         request_root = self.stop.add(self.root / name / "request")
         thread = threading.Thread(
-            target=run_manager, args=(lambda _input: component, request_root),
+            target=run_manager,
+            args=(factory or (lambda _input: component), request_root),
             kwargs={"incremental": incremental, "sleep_time": sleep,
                     "name": name, "stop_event": self.stop},
             daemon=True)
@@ -92,7 +96,7 @@ def params(imp, exp, sleep=SLEEP):
 
 
 def pump_until(coordinator, predicate, timeout=10.0):
-    """Pump, waiting on the bindings' bells between rounds."""
+    """Pump, waiting on the bindings' channels between rounds."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         coordinator.pump()
@@ -121,6 +125,35 @@ def test_register_checks_layer_dependencies(tmp_path):
         coordinator.register(ComponentBinding(
             "bad", tmp_path / "x", ["nope"], "syntax",
             params("edge-v1", "edge-v1")))
+
+
+def test_register_activates_the_bindings_that_open_when_others_fail(
+        host, tmp_path):
+    """The failing bindings come first: neither a request that nobody
+    takes nor a refused one stops the others opening."""
+    # a request box whose manager died: nobody reads it
+    (tmp_path / "dead").mkdir()
+    os.mkfifo(tmp_path / "dead" / "request")
+
+    def refuse(_input):
+        raise ValueError("no component here")
+
+    bindings = [
+        ComponentBinding("dead", tmp_path / "dead" / "request", ["phonemes"],
+                         "syntax", params("edge-v1", "node-v1")),
+        ComponentBinding("refusing", host("refusing", None, factory=refuse),
+                         ["phonemes"], "syntax", params("edge-v1", "node-v1")),
+        ComponentBinding("live", host("live", identity_component),
+                         ["syntax"], "ww", params("node-v1", "node-v1"))]
+    coordinator = host.coordinator(make_board())
+    start = time.monotonic()
+    with pytest.raises(ManagerUnavailable, match="nobody reads"):
+        coordinator.register(*bindings)
+    assert time.monotonic() - start < 1.0  # not the open's 10 s timeout
+    assert list(coordinator.connections()) == ["live"]
+    assert coordinator.connections()["live"].state == "open"
+    assert list(tmp_path.glob("*/conn-*")) == [
+        coordinator.connections()["live"].in_channel.path.parent]
 
 
 def test_pump_without_pending_data_reports_zero(host):
@@ -178,11 +211,17 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
 
 def test_the_pipeline_builds_the_same_board_on_the_poll_fallback_alone(
         tmp_path, fixtures_dir, monkeypatch):
-    """Bells only hurry the next try: with every ring of a manager's bell
-    lost, its request box's poll still opens each connection, and the
-    pipeline reaches the reference board."""
-    rings = []
-    monkeypatch.setattr(mailbox, "ring", rings.append)
+    """Wake-ups only hurry the next cycle: with every wait of the managers
+    and of the opens sleeping out its poll period, as if nothing ever
+    became ready, the pipeline still reaches the reference board."""
+    waits = []
+
+    def sleep_out(readers, writers=(), timeout=None):
+        waits.append(timeout)
+        time.sleep(timeout)
+        return []
+
+    monkeypatch.setattr(manager, "wait_ready", sleep_out)
     grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
     dictionary = load_dictionary((fixtures_dir / "words.dict").read_text())
     phrase_grammar, phrase_files = phrase_utterances(tmp_path / "phrase", (3,))
@@ -194,7 +233,7 @@ def test_the_pipeline_builds_the_same_board_on_the_poll_fallback_alone(
         reference = workload.build_board(matrix_file.read_text(), grammar_,
                                          dictionary)
         assert canonical_form(board) == canonical_form(reference)
-    assert rings  # every ring went through the patched, silent `ring`
+    assert waits  # every wait went through the patched, blind one
 
 
 def phrase_utterances(work, words_per_utterance=(3, 4, 5), seed=17):

@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from whiteboard import canonical_form, demo, from_json, load_dictionary, load_grammar
+from whiteboard import (
+    canonical_form,
+    demo,
+    from_json,
+    load_dictionary,
+    load_grammar,
+    wire,
+)
 from whiteboard.demo import DemoConfig, demo_run
 
 REPO = Path(__file__).parent.parent
@@ -106,6 +113,26 @@ def test_a_matrix_path_that_is_not_a_wire_token_is_a_config_error(
                                  out=tmp_path / "boards"))
     assert result.exit_code == 2
     assert str(matrices / name) in result.config_error
+    assert result.utterances == []
+
+
+def test_a_matrix_path_too_long_for_one_open_request_is_a_config_error(
+        tmp_path, fixtures_dir):
+    # nested directories make the path just longer than an open request
+    # takes, and still shorter than the system's path limit
+    matrices = tmp_path
+    while len(str(matrices)) < wire.MAX_INPUT_BYTES:
+        matrices /= "d" * min(200, wire.MAX_INPUT_BYTES - len(str(matrices)))
+    matrices.mkdir(parents=True)
+    shutil.copy(fixtures_dir / "hai.mat", matrices / "hai.mat")
+    assert len(str(matrices / "hai.mat")) > wire.MAX_INPUT_BYTES
+    result = demo_run(DemoConfig(matrices=matrices,
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=tmp_path / "boards"))
+    assert result.exit_code == 2
+    assert str(matrices / "hai.mat") in result.config_error
+    assert "does not fit an open request" in result.config_error
     assert result.utterances == []
 
 

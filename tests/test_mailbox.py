@@ -1,11 +1,11 @@
 import os
+import select
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,160 +19,157 @@ from hypothesis.stateful import (
 )
 
 from whiteboard import wire
-from whiteboard.errors import BoxRemoved, MailboxTimeout, PeerGone
-from whiteboard.mailbox import (
-    Bell,
-    Channel,
-    Mailbox,
-    is_orphaned,
-    ring,
-    wait_ready,
-)
+from whiteboard.errors import MailboxTimeout, PeerGone
+from whiteboard.mailbox import Channel, Mailbox, is_orphaned, wait_ready
 from _channel_writer import big_text, odd_texts
 
 SLEEP = 0.005
 
 
-def make_box(tmp_path, name="box"):
-    return Mailbox(tmp_path / name, sleep_time=SLEEP).create()
+# -- request boxes ------------------------------------------------------------------
+
+def make_box(tmp_path, name="request"):
+    """A request box held open for reading, as its manager holds it."""
+    return Mailbox(tmp_path / name).open()
+
+
+def write_raw(box, data: bytes):
+    """Write bytes to the box as a writer that keeps no rules would."""
+    fd = os.open(box.path, os.O_WRONLY | os.O_NONBLOCK)
+    try:
+        os.write(fd, data)
+    finally:
+        os.close(fd)
 
 
 def test_deposit_then_collect_roundtrip(tmp_path):
     box = make_box(tmp_path)
-    assert box.try_deposit("(0 1 h 0.5)\n")
-    assert box.is_full()
-    assert not list(box.path.glob("tmp-*"))  # the temporary is gone
-    assert box.try_collect() == "(0 1 h 0.5)\n"
-    assert not box.is_full()
+    try:
+        assert box.try_collect() is None
+        assert box.try_deposit("(0 1 h 0.5)\n")
+        assert box.try_deposit("(1 2 a 0.5)\n(2 3 i 0.5)\n")
+        # every whole line that has arrived, in the order written
+        assert box.try_collect() == "(0 1 h 0.5)\n(1 2 a 0.5)\n(2 3 i 0.5)\n"
+        assert box.try_collect() is None
+        write_raw(box, b"(open")  # a line's start waits for its end
+        assert box.try_collect() is None
+        write_raw(box, b" x)\n\xff\n")  # a byte that is not UTF-8
+        assert box.try_collect() == "(open x)\n\ufffd\n"
+    finally:
+        box.close()
+    assert list(tmp_path.iterdir()) == []  # the box and no temporary
 
 
-def test_empty_batch_is_distinct_from_no_batch(tmp_path):
+def test_a_deposit_is_whole_lines_that_fit_one_atomic_write(tmp_path):
     box = make_box(tmp_path)
-    assert box.try_collect() is None
-    assert box.try_deposit("")
-    assert box.try_collect() == ""
+    try:
+        longest = "x" * (select.PIPE_BUF - 1) + "\n"
+        assert box.try_deposit(longest)
+        assert box.try_collect() == longest
+        for text in ["x" * select.PIPE_BUF + "\n", "(no end of line)"]:
+            with pytest.raises(ValueError):
+                box.try_deposit(text)
+        assert box.try_collect() is None  # nothing was written
+    finally:
+        box.close()
 
 
 def test_deposit_waits_for_drain(tmp_path):
+    """A full box takes nothing, whole lines or none, until its reader
+    drains it."""
     box = make_box(tmp_path)
-    box.deposit("first\n")
-    collected = []
-
-    def reader():
-        time.sleep(10 * SLEEP)
-        collected.append(box.collect())
-        collected.append(box.collect())
-
-    thread = threading.Thread(target=reader)
-    thread.start()
-    box.deposit("second\n", timeout=5.0)  # blocks until the reader drains
-    thread.join(timeout=5.0)
-    assert collected == ["first\n", "second\n"]
+    try:
+        line = "x" * 99 + "\n"
+        sent = 0
+        while box.try_deposit(line):
+            sent += 1
+            assert sent < 10_000, "the box never filled"
+        assert sent
+        assert not box.try_deposit(line)  # refused again, nothing taken
+        received = ""
+        while (text := box.try_collect()) is not None:
+            received += text
+        assert received == line * sent
+        assert box.try_deposit(line)
+        assert box.try_collect() == line
+    finally:
+        box.close()
 
 
 def test_collect_blocks_until_deposit(tmp_path):
+    """A reader waiting on its box wakes as soon as a request arrives."""
     box = make_box(tmp_path)
     result = []
 
     def reader():
-        result.append(box.collect(timeout=5.0))
+        if wait_ready([box], timeout=5.0):
+            result.append((box.try_collect(), time.monotonic()))
 
     thread = threading.Thread(target=reader)
-    thread.start()
-    time.sleep(5 * SLEEP)
-    assert result == []
-    box.deposit("late\n")
-    thread.join(timeout=5.0)
-    assert result == ["late\n"]
+    try:
+        thread.start()
+        time.sleep(5 * SLEEP)
+        assert result == []
+        sent = time.monotonic()
+        assert Mailbox(box.path).try_deposit("late\n")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        [(text, woke)] = result
+        assert text == "late\n"
+        assert woke - sent < 1.0
+    finally:
+        thread.join(timeout=5.0)
+        box.close()
 
 
 def test_sequential_handoffs_preserve_order(tmp_path):
     box = make_box(tmp_path)
-    batches = [f"batch-{i}\n" for i in range(50)]
-    seen = []
+    lines = [f"request-{i}\n" for i in range(50)]
+    received = ""
 
-    def reader():
-        for _ in batches:
-            seen.append(box.collect(timeout=10.0))
+    def writer():
+        client = Mailbox(box.path)
+        for line in lines:
+            while not client.try_deposit(line):
+                time.sleep(SLEEP)
 
-    thread = threading.Thread(target=reader)
-    thread.start()
-    for text in batches:
-        box.deposit(text, timeout=10.0)
-    thread.join(timeout=30.0)
-    assert seen == batches
-
-
-def test_box_removed_raises(tmp_path):
-    box = make_box(tmp_path)
-    box.remove()
-    with pytest.raises(BoxRemoved):
-        box.try_deposit("x\n")
-    with pytest.raises(BoxRemoved):
-        box.try_collect()
-
-
-def test_timeouts_raise(tmp_path):
-    box = make_box(tmp_path)
-    with pytest.raises(MailboxTimeout):
-        box.collect(timeout=3 * SLEEP)
-    box.deposit("x\n")
-    with pytest.raises(MailboxTimeout):
-        box.deposit("y\n", timeout=3 * SLEEP)
-
-
-# -- doorbells -------------------------------------------------------------------
-
-def test_a_ring_wakes_a_waiter_and_is_drained(tmp_path):
-    bell = Bell(tmp_path / "bell").open()
-    other = Bell(tmp_path / "other").open()
+    thread = threading.Thread(target=writer)
     try:
-        assert not wait_ready([bell], timeout=0.01)
-        for _ in range(3):
-            ring(bell.path)
-        start = time.monotonic()
-        assert wait_ready([other, bell], timeout=5.0)
-        assert time.monotonic() - start < 1.0
-        assert bell.drain() == b"\0" * 3  # every ring at once
-        assert not wait_ready([other, bell], timeout=0.01)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while received.count("\n") < len(lines):
+            assert time.monotonic() < deadline, "stalled"
+            wait_ready([box], timeout=SLEEP)
+            received += box.try_collect() or ""
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert received == "".join(lines)
     finally:
-        bell.close()
-        other.close()
-    assert not bell.path.exists()
-    ring(bell.path)  # no bell there: nothing happens
+        thread.join(timeout=5.0)
+        box.close()
 
 
-def test_a_deposit_rings_the_readers_bell_and_a_collect_rings_nobody(tmp_path):
-    reader_bell = Bell(tmp_path / "reader-bell").open()
-    reader = Mailbox(tmp_path / "box", SLEEP).create()
-    writer = Mailbox(reader.path, SLEEP, peer=reader_bell.path)
-    try:
-        assert writer.try_deposit("one\n")
-        assert wait_ready([reader_bell], timeout=5.0)
-        reader_bell.drain()
-        assert not writer.try_deposit("two\n")  # full: nothing handed over
-        assert reader.try_collect() == "one\n"
-        assert not wait_ready([reader_bell], timeout=0.01)
-        assert not list(reader.path.iterdir())  # no mark, no temporary
-    finally:
-        reader_bell.close()
-
-
-def test_an_orphaned_bell_is_one_nobody_reads(tmp_path):
-    path = tmp_path / "bell"
-    assert not is_orphaned(path)  # no bell: nothing is known
-    bell = Bell(path).open()
+def test_an_orphaned_request_box_is_one_nobody_reads(tmp_path):
+    path = tmp_path / "request"
+    assert not is_orphaned(path)  # no box: nothing is known
+    with pytest.raises(FileNotFoundError):
+        Mailbox(path).try_deposit("(x)\n")
+    box = Mailbox(path).open()
     assert not is_orphaned(path)
-    os.close(bell._read)  # as if its owner died: the FIFO stays, unread
-    os.close(bell._keep)
-    bell._read = bell._keep = None
+    box._close_ends()  # as if its reader died: the FIFO stays, unread
     assert is_orphaned(path)
-    box = Mailbox(tmp_path / "box", SLEEP, peer=path).create()
-    assert box.try_deposit("first\n")  # the ring goes nowhere
     start = time.monotonic()
-    with pytest.raises(PeerGone):
-        box.deposit("second\n", timeout=5.0)  # nobody will empty the box
+    with pytest.raises(PeerGone):  # at once: nobody will read it
+        Mailbox(path).try_deposit("(x)\n")
     assert time.monotonic() - start < 1.0
+    replaced = Mailbox(path).open()  # a new reader replaces the dead one's box
+    try:
+        assert not is_orphaned(path)
+        assert Mailbox(path).try_deposit("(y)\n")
+        assert replaced.try_collect() == "(y)\n"
+    finally:
+        replaced.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- channels ---------------------------------------------------------------------
@@ -181,6 +178,31 @@ def make_channel(tmp_path, name="chan"):
     """The read end and the write end of a fresh channel."""
     reader = Channel(tmp_path / name).make().open_reader()
     return reader, Channel(reader.path).open_writer()
+
+
+def test_empty_batch_is_distinct_from_no_batch(tmp_path):
+    reader, writer = make_channel(tmp_path)
+    try:
+        assert reader.try_collect() is None
+        assert writer.try_deposit("")
+        assert reader.try_collect() == ""
+        assert reader.try_collect() is None
+    finally:
+        reader.close()
+        writer.close()
+
+
+def test_timeouts_raise(tmp_path):
+    reader, writer = make_channel(tmp_path)
+    try:
+        with pytest.raises(MailboxTimeout):
+            reader.collect(timeout=3 * SLEEP)
+        assert writer.try_deposit("x" * 100_000)  # more than the FIFO holds
+        with pytest.raises(MailboxTimeout):
+            writer.deposit("y\n", timeout=3 * SLEEP)
+    finally:
+        reader.close()
+        writer.close()
 
 
 def test_a_channel_returns_every_frame_whole_once_and_in_order(tmp_path):
@@ -256,28 +278,45 @@ def test_a_blocking_collect_wakes_on_the_deposit_not_the_poll(tmp_path):
         writer.close()
 
 
-# -- fault injection: writer processes of our own, at most three at a time ----
+# -- fault injection: client processes of our own, at most three at a time -----
 
-WRITER = Path(__file__).parent / "_mailbox_writer.py"
-
-
-def start_writer(box, tag, count, pause_at=0, mode="none"):
-    return subprocess.Popen(
-        [sys.executable, str(WRITER), str(box.path), tag, str(count),
-         str(SLEEP), str(pause_at), mode],
-        stdout=subprocess.PIPE, text=True)
+REQUEST_WRITER = Path(__file__).parent / "_request_writer.py"
 
 
-def drain(box, seen: Counter, until, timeout=30.0):
-    """Collect batches into `seen` until `until()` holds."""
+def start_writer(box, tag, count, stop_at=None):
+    """A client process writing `count` open requests into `box`."""
+    proc = subprocess.Popen(
+        [sys.executable, str(REQUEST_WRITER), tag, str(SLEEP),
+         *([] if stop_at is None else [str(stop_at)])],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    proc.stdin.write(f"{box.path} 0 {count}\n")
+    proc.stdin.close()
+    return proc
+
+
+def take(box, seen: list) -> bool:
+    """Collect once into `seen`, as (tag, seq). False if nothing had
+    arrived."""
+    text = box.try_collect()
+    if text is None:
+        return False
+    for request in wire.parse(text):
+        _, tag, seq = request.conn.split("-")
+        seen.append((tag, int(seq)))
+    return True
+
+
+def drain(box, seen: list, until, timeout=30.0):
+    """Collect requests into `seen` until `until()` holds."""
     deadline = time.monotonic() + timeout
     while not until():
-        assert time.monotonic() < deadline, f"stalled with {sum(seen.values())} seen"
-        text = box.try_collect()
-        if text is None:
-            time.sleep(SLEEP / 5)
-        else:
-            seen[tuple(text.split())] += 1
+        assert time.monotonic() < deadline, f"stalled with {len(seen)} seen"
+        if not take(box, seen):
+            wait_ready([box], timeout=SLEEP)
+
+
+def sent_by(seen, tag):
+    return [seq for t, seq in seen if t == tag]
 
 
 def stopped(proc) -> bool:
@@ -286,9 +325,10 @@ def stopped(proc) -> bool:
         return fh.read().rsplit(")", 1)[1].split()[0] == "T"
 
 
-def expected(**counts):
-    return Counter({(tag, str(seq)): 1
-                    for tag, n in counts.items() for seq in range(n)})
+def holds_open(proc, path) -> bool:
+    """The process has `path` open, as /proc reports it."""
+    fds = f"/proc/{proc.pid}/fd"
+    return any(os.readlink(f"{fds}/{fd}") == str(path) for fd in os.listdir(fds))
 
 
 def stop_all(*procs):
@@ -303,60 +343,65 @@ def stop_all(*procs):
 def test_two_writer_processes_each_batch_collected_once(tmp_path):
     box = make_box(tmp_path)
     writers = [start_writer(box, tag, 150) for tag in ("a", "b")]
-    seen = Counter()
+    seen = []
     try:
-        drain(box, seen, lambda: sum(seen.values()) == 300)
+        drain(box, seen, lambda: len(seen) >= 300)
         for proc in writers:
             assert proc.wait(timeout=10) == 0
         assert box.try_collect() is None
     finally:
         stop_all(*writers)
-    assert seen == expected(a=150, b=150)
+        box.close()
+    assert sent_by(seen, "a") == sent_by(seen, "b") == list(range(150))
+    assert len(seen) == 300
 
 
 def test_a_stopped_writer_stalls_neither_the_other_nor_the_reader(tmp_path):
     box = make_box(tmp_path)
-    stalled = start_writer(box, "a", 40, pause_at=10, mode="stop")
+    stalled = start_writer(box, "a", 40, stop_at=10)
     other = start_writer(box, "b", 100)
-    seen = Counter()
+    seen = []
     try:
+        assert stalled.stdout.readline() == "stopped\n"
         drain(box, seen, lambda: stopped(stalled))
-        # stopped between writing its temporary file and linking it
-        assert len(list(box.path.glob(f"tmp-{stalled.pid}-*"))) == 1
-        drain(box, seen, lambda: other.poll() is not None and not box.is_full())
+        # stopped between opening the box for writing and writing to it
+        assert holds_open(stalled, box.path)
+        drain(box, seen, lambda: other.poll() is not None
+              and len(sent_by(seen, "b")) == 100)
         assert other.returncode == 0
-        assert seen[("b", "99")] == 1
-        # resumed onto a full slot, its link must fail and be retried
-        assert box.try_deposit("c 0\n")
+        assert sent_by(seen, "a") == list(range(10))
+        assert box.try_collect() is None
         stalled.send_signal(signal.SIGCONT)
-        drain(box, seen, lambda: seen[("a", "39")] == 1)
+        drain(box, seen, lambda: len(sent_by(seen, "a")) == 40)
         assert stalled.wait(timeout=10) == 0
         assert box.try_collect() is None
     finally:
         stop_all(stalled, other)
-    assert seen == expected(a=40, b=100, c=1)
-    assert not list(box.path.glob("tmp-*"))
+        box.close()
+    assert sent_by(seen, "a") == list(range(40))
+    assert sent_by(seen, "b") == list(range(100))
 
 
-def test_a_killed_writer_leaves_only_an_invisible_temporary(tmp_path):
+def test_a_killed_writer_leaves_nothing_the_reader_sees(tmp_path):
     box = make_box(tmp_path)
-    writer = start_writer(box, "a", 40, pause_at=5, mode="hang")
-    seen = Counter()
+    writer = start_writer(box, "a", 40, stop_at=5)
+    seen = []
     try:
-        drain(box, seen, lambda: sum(seen.values()) == 5)
-        # the box is empty, so the next deposit reaches its link and hangs
-        assert writer.stdout.readline() == "paused\n"
+        assert writer.stdout.readline() == "stopped\n"
+        drain(box, seen, lambda: stopped(writer) and len(seen) == 5)
+        assert holds_open(writer, box.path)
         writer.kill()
-        assert writer.wait(timeout=10) != 0
+        assert writer.wait(timeout=10) == -signal.SIGKILL
+        # its end closed with it, and the reader's own keeps the box open
+        assert box.try_collect() is None
+        assert not wait_ready([box], timeout=5 * SLEEP)
+        assert Mailbox(box.path).try_deposit("after\n")
+        assert box.try_collect() == "after\n"
     finally:
         stop_all(writer)
-    assert len(list(box.path.glob("tmp-*"))) == 1
-    assert box.try_collect() is None  # the temporary never became a batch
-    assert seen == expected(a=5)
-    assert box.try_deposit("after\n")
-    assert box.try_collect() == "after\n"
-    box.remove()
-    assert not box.path.exists()
+        box.close()
+    assert seen == [("a", seq) for seq in range(5)]
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- fault injection on channels: one writer process of our own at a time -------
@@ -452,11 +497,8 @@ def test_an_empty_batch_and_a_nul_token_cross_processes_unchanged(tmp_path):
 
 # -- two client processes contending for one request box --------------------------
 
-REQUEST_WRITER = Path(__file__).parent / "_request_writer.py"
-
-
 class RequestBoxContention(RuleBasedStateMachine):
-    """Two writer processes deposit open requests into one request box,
+    """Two writer processes write open requests into one request box,
     which this process reads as its manager would. Every request is
     collected exactly once, and each writer's in the order it sent them.
     The writers are started once per test and shared by its examples,
@@ -467,8 +509,7 @@ class RequestBoxContention(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.box = Mailbox(Path(tempfile.mkdtemp(dir=self.root)) / "request",
-                           SLEEP).create()
+        self.box = Mailbox(Path(tempfile.mkdtemp(dir=self.root)) / "request").open()
         self.sent = dict.fromkeys(self.writers, 0)
         self.seen: list[tuple[str, int]] = []
 
@@ -481,33 +522,24 @@ class RequestBoxContention(RuleBasedStateMachine):
 
     @rule()
     def collect(self):
-        self.take()
-
-    def take(self) -> bool:
-        text = self.box.try_collect()
-        if text is None:
-            return False
-        [request] = wire.parse(text)
-        _, tag, seq = request.conn.split("-")
-        self.seen.append((tag, int(seq)))
-        return True
+        take(self.box, self.seen)
 
     @invariant()
     def each_writer_seen_once_each_in_order(self):
         for tag in self.writers:
-            seqs = [seq for t, seq in self.seen if t == tag]
+            seqs = sent_by(self.seen, tag)
             assert seqs == list(range(len(seqs)))
 
     def teardown(self):
-        deadline = time.monotonic() + 30.0
-        while len(self.seen) < sum(self.sent.values()):
-            assert time.monotonic() < deadline, f"stalled at {self.seen}"
-            if not self.take():
-                time.sleep(SLEEP / 5)
-        self.each_writer_seen_once_each_in_order()
-        assert Counter(t for t, _ in self.seen) == Counter(self.sent)
-        assert self.box.try_collect() is None
-        self.box.remove()
+        try:
+            drain(self.box, self.seen,
+                  lambda: len(self.seen) >= sum(self.sent.values()))
+            self.each_writer_seen_once_each_in_order()
+            assert {tag: len(sent_by(self.seen, tag))
+                    for tag in self.writers} == self.sent
+            assert self.box.try_collect() is None
+        finally:
+            self.box.close()
 
 
 def test_two_client_processes_contending_for_a_request_box(tmp_path):

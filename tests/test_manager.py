@@ -20,15 +20,14 @@ from whiteboard.errors import (
 from whiteboard.manager import (
     ConnectionParams,
     _Manager,
-    manager_bell,
     partition_by_end,
     request_connection,
     run_manager,
     send_open,
 )
-from whiteboard.mailbox import Channel, Mailbox, ring
+from whiteboard.mailbox import Channel, Mailbox
 from oracles import identity_component
-from stopping import RingingStop
+from stopping import WakingStop
 from utterances import spliced_utterances
 
 SLEEP = 0.005
@@ -42,7 +41,7 @@ class hosted_manager:
     def __init__(self, tmp_path, component=None, incremental=False, name="m",
                  sleep_time=SLEEP, factory=None):
         self.root = tmp_path / name / "request"
-        self.stop = RingingStop()
+        self.stop = WakingStop()
         self.stop.add(self.root)
         self.thread = threading.Thread(
             target=run_manager,
@@ -78,6 +77,27 @@ def test_bad_format_code_rejected_before_any_traffic():
 def test_an_input_that_is_not_a_wire_token_is_rejected_before_any_traffic(source):
     with pytest.raises(ValueError):
         ConnectionParams(SLEEP, "edge-v1", "edge-v1", source)
+
+
+def test_an_input_too_long_for_one_open_request_is_rejected_before_any_traffic(
+        tmp_path):
+    longest = "x" * wire.MAX_INPUT_BYTES
+    # counted in bytes: each of these characters takes two
+    for source in (longest + "x", "\u00e9" * (wire.MAX_INPUT_BYTES // 2 + 1)):
+        with pytest.raises(ValueError, match="does not fit an open request"):
+            ConnectionParams(SLEEP, "edge-v1", "edge-v1", source)
+    # the longest input goes over with the longest format codes
+    inputs = []
+
+    def factory(source):
+        inputs.append(source)
+        return identity_component
+
+    with hosted_manager(tmp_path, factory=factory) as root:
+        conn = request_connection(root, ConnectionParams(
+            SLEEP, "inactive-edge-v1", "inactive-edge-v1", longest))
+        conn.close(timeout=5.0)
+    assert inputs == [longest]
 
 
 def test_the_factory_builds_each_connection_its_component_from_its_input(tmp_path):
@@ -239,17 +259,15 @@ def test_an_open_naming_no_connection_directory_of_its_own_is_only_logged(
     (tmp_path / "elsewhere").mkdir()
     (manager.root.parent / "plain").mkdir(parents=True)
     with manager as root:
-        requests = Mailbox(root, SLEEP)
-        while not requests.exists():
-            time.sleep(SLEEP)
+        wait_for_request_box(root)
         before = sorted(tmp_path.rglob("*"))
         bad = ["../elsewhere", str(tmp_path / "elsewhere"), "conn-missing",
                "plain"]
-        for name in bad:
-            requests.deposit(wire.serialize(
-                [wire.OpenRequest("edge-v1", "edge-v1", None, name)]),
-                timeout=5.0)
-        requests.deposit("(open edge-v1\n", timeout=5.0)
+        # in one write, so read at once: the unparseable line, first, costs
+        # only itself, and the blank line nothing
+        assert Mailbox(root).try_deposit("(open edge-v1\n\n" + wire.serialize(
+            [wire.OpenRequest("edge-v1", "edge-v1", None, name)
+             for name in bad]))
         # answered only once the manager has taken every earlier request
         conn = request_connection(root, params())
         conn.deposit(edges(0), timeout=5.0)
@@ -265,10 +283,14 @@ def test_an_open_naming_no_connection_directory_of_its_own_is_only_logged(
 
 def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="whiteboard.manager")
-    # an open nobody answers
-    silent = Mailbox(tmp_path / "silent" / "request", SLEEP).create()
-    with pytest.raises(ManagerUnavailable, match="did not reply"):
-        request_connection(silent.path, params(), timeout=0.1)
+    # an open nobody answers: this test reads the box, and never replies
+    (tmp_path / "silent").mkdir()
+    silent = Mailbox(tmp_path / "silent" / "request").open()
+    try:
+        with pytest.raises(ManagerUnavailable, match="did not reply"):
+            request_connection(silent.path, params(), timeout=0.1)
+    finally:
+        silent.close()
     assert not list(silent.path.parent.glob("conn-*"))
 
     # a close nobody answers: the manager is held up in its component
@@ -307,6 +329,33 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
         assert any(f"connection {gone.id} dropped" in r.getMessage()
                    for r in caplog.records)
         kept.close(timeout=5.0)
+
+
+@pytest.mark.parametrize("play, message", [
+    ("garbage", "bad open reply: '\\(opened\\\\n'"),
+    ("reply, never open in", "died after replying"),
+    ("accept, then hang up", "died before replying")])
+def test_an_open_answered_wrongly_or_by_a_dying_manager_fails(
+        tmp_path, play, message):
+    """This test plays the manager, on a request box it reads itself."""
+    (tmp_path / "m").mkdir()
+    box = Mailbox(tmp_path / "m" / "request").open()
+    try:
+        pending = send_open(box.path, params(), timeout=5.0)
+        [request] = wire.parse(box.try_collect())
+        out = Channel(box.path.parent / request.conn / "out").open_writer()
+        try:
+            if play == "garbage":
+                out.deposit("(opened\n", timeout=5.0)
+            elif play == "reply, never open in":
+                out.deposit(wire.serialize([wire.OpenReply(1)]), timeout=5.0)
+        finally:
+            out.close()
+        with pytest.raises(ManagerUnavailable, match=message):
+            pending.wait()
+    finally:
+        box.close()
+    assert list((tmp_path / "m").iterdir()) == []
 
 
 def test_component_fault_becomes_error_record_and_service_continues(tmp_path):
@@ -468,16 +517,16 @@ def test_a_manager_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
         assert not manager.thread.is_alive()
 
 
-# -- doorbells ----------------------------------------------------------------
+# -- wake-ups -----------------------------------------------------------------
 
 def wait_for_request_box(root, timeout=5.0):
     deadline = time.monotonic() + timeout
-    while not root.is_dir():
+    while not root.exists():
         assert time.monotonic() < deadline, "the manager never served"
         time.sleep(SLEEP)
 
 
-def test_bells_carry_a_round_trip_well_inside_one_poll(tmp_path):
+def test_a_round_trip_takes_well_inside_one_poll(tmp_path):
     poll = 1.0
     with hosted_manager(tmp_path, identity_component, sleep_time=poll) as root:
         wait_for_request_box(root)
@@ -511,7 +560,8 @@ def test_an_incremental_manager_keeps_its_pieces_one_poll_apart(
         conn.deposit(edges(*range(6)), timeout=5.0)
         while conn.outstanding:
             assert conn.collect(timeout=5.0)  # as soon as the frame lands
-            ring(manager_bell(root))  # as other connections' traffic would
+            # wakes the manager, as other connections' traffic would
+            assert Mailbox(root).try_deposit("\n")
         conn.close(timeout=5.0)
     pieces = released[1:-1]  # between the open's reply and the close's
     assert len(pieces) == 6
@@ -528,7 +578,7 @@ def test_connections_leave_no_descriptor_and_a_stopped_manager_no_bell(
     manager = hosted_manager(tmp_path, identity_component)
     with manager as root:
         wait_for_request_box(root)
-        assert manager_bell(root).exists()
+        assert stat.S_ISFIFO(root.stat().st_mode)
         before = open_fds()
         for i in range(20):
             conn = request_connection(root, params())
@@ -537,8 +587,8 @@ def test_connections_leave_no_descriptor_and_a_stopped_manager_no_bell(
             conn.close(timeout=5.0)
         assert open_fds() == before
     assert not manager.thread.is_alive()
-    assert not manager_bell(root).exists()
-    assert not list(root.parent.glob("conn-*"))
+    # neither its request box nor the temporary it was made under
+    assert list(root.parent.iterdir()) == []
 
 
 def test_a_killed_manager_process_fails_opens_and_closes_at_once(
@@ -557,7 +607,7 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         worker.wait(timeout=10)
         start = time.monotonic()
         with pytest.raises(ManagerUnavailable):
-            conn.close(timeout=5.0)  # all 5 s without the bell
+            conn.close(timeout=5.0)  # all 5 s without the hang-up
         assert time.monotonic() - start < 1.0
         assert not list(root.parent.glob("conn-*"))
         start = time.monotonic()
@@ -576,7 +626,7 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
         tmp_path):
     manager = _Manager(lambda _input: identity_component,
                        tmp_path / "m" / "request", "m", False, SLEEP)
-    stop = RingingStop()
+    stop = WakingStop()
     root = stop.add(manager.request_root)
     thread = threading.Thread(target=manager.serve, args=(stop,), daemon=True)
     thread.start()
