@@ -134,7 +134,6 @@ class Layer:
         self._by_begin: dict[int, list[int]] = {}
         self._by_end: dict[int, list[int]] = {}
         self._succ: dict[int, list[int]] = {}
-        self._pred: dict[int, list[int]] = {}
         # every arc so far runs from a lower (begin, end) to a higher one
         self._forward_only = True
         self.virtual_initial = board._new_id()
@@ -171,7 +170,6 @@ class Layer:
         self._by_begin.setdefault(span.begin, []).append(node_id)
         self._by_end.setdefault(span.end, []).append(node_id)
         self._succ[node_id] = []
-        self._pred[node_id] = []
         return node_id, False
 
     def nodes_in_window(self, begins: range, ends: range) -> list[int]:
@@ -200,7 +198,6 @@ class Layer:
         arc_id = self.board._new_id()
         self.arcs[arc_id] = Arc(arc_id, origin, extremity, float(weight))
         self._succ[origin].append(extremity)
-        self._pred[extremity].append(origin)
         self._forward_only &= forward
         return arc_id
 
@@ -265,28 +262,25 @@ class Layer:
             return self._seal_report
         if not self.white_nodes:
             raise EmptyLayer(f"layer {self.name!r} has no white nodes")
-        sources = sorted(n for n in self.white_nodes if not self._pred[n])
+        sources = sorted(set(self.white_nodes).difference(
+            a.extremity for a in self.arcs.values()))
         sinks = sorted(n for n in self.white_nodes if not self._succ[n])
         vi, vf = self.virtual_initial, self.virtual_final
         self._succ[vi] = list(sources)
-        self._pred[vf] = list(sinks)
         self._succ[vf] = []
-        self._pred[vi] = []
         for n in sources:
             arc_id = self.board._new_id()
             self._wiring_arcs[arc_id] = Arc(arc_id, vi, n, 0.0)
-            self._pred[n].insert(0, vi)
         for n in sinks:
             arc_id = self.board._new_id()
             self._wiring_arcs[arc_id] = Arc(arc_id, n, vf, 0.0)
             self._succ[n].append(vf)
         self.sealed = True
-        # only writers read the packing and frame indexes and the
-        # predecessor lists, and a sealed layer takes no writes
+        # only writers read the packing and frame indexes, and a sealed
+        # layer takes no writes
         self._by_key.clear()
         self._by_begin.clear()
         self._by_end.clear()
-        self._pred.clear()
         self._seal_report = SealReport(len(self.white_nodes), len(self.arcs),
                                        sources, sinks)
         return self._seal_report

@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .board import Layer, TimeSpan
 from .errors import GrammarError
-from .grid import GridNode, Thresholds, grid_connected
+from .grid import Thresholds, grid_connected
 from .wire import token_ok
 
 
@@ -91,13 +91,12 @@ class Grammar:
         return index
 
 
-def load_grammar(text: str, known_terminals: set[str] | None = None) -> Grammar:
+def load_grammar(text: str) -> Grammar:
     """Parse `LHS -> s1 s2 ...` lines; `;` comments and blanks ignored.
 
     Every symbol is a label that travels on the wire, so it must be a
-    legal wire token. When a terminal alphabet is given, any
-    right-hand-side symbol that is neither a rule head nor a known terminal
-    is rejected by name.
+    legal wire token. `Grammar.check_terminals` checks the right-hand
+    sides against a terminal alphabet.
     """
     rules: list[Rule] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -118,10 +117,7 @@ def load_grammar(text: str, known_terminals: set[str] | None = None) -> Grammar:
                 raise GrammarError(
                     f"line {lineno}: symbol {symbol!r} is not a legal wire token")
         rules.append(Rule(lhs, rhs, f"R{len(rules) + 1}"))
-    grammar = Grammar(rules)
-    if known_terminals is not None:
-        grammar.check_terminals(known_terminals)
-    return grammar
+    return Grammar(rules)
 
 
 @dataclass
@@ -261,11 +257,6 @@ def island_parse(chart: Chart, grammar: Grammar,
     seen_active = chart._seen_active
     done_inactive: list[Edge] = []
 
-    def junction(left: Edge, right: Edge) -> bool:
-        return grid_connected(GridNode(left.span, left.category, left.score),
-                              GridNode(right.span, right.category, right.score),
-                              th)
-
     def admit_active(item: _Active):
         if item.lo == 0 and item.hi == len(item.rule.rhs):
             edge = Edge(0, item.span, item.rule.lhs, item.score,
@@ -281,12 +272,12 @@ def island_parse(chart: Chart, grammar: Grammar,
         """Pair an active item against already-indexed inactive edges."""
         if item.lo > 0:
             for edge in list(chart._by_category.get(item.rule.rhs[item.lo - 1], ())):
-                if edge.popped and junction(edge, item.children[0]):
+                if edge.popped and grid_connected(edge, item.children[0], th):
                     admit_active(_Active(item.rule, item.lo - 1, item.hi,
                                          (edge,) + item.children))
         if item.hi < len(item.rule.rhs):
             for edge in list(chart._by_category.get(item.rule.rhs[item.hi], ())):
-                if edge.popped and junction(item.children[-1], edge):
+                if edge.popped and grid_connected(item.children[-1], edge, th):
                     admit_active(_Active(item.rule, item.lo, item.hi + 1,
                                          item.children + (edge,)))
 
@@ -301,11 +292,11 @@ def island_parse(chart: Chart, grammar: Grammar,
             for rule, pos in instantiation.get(item.category, ()):
                 admit_active(_Active(rule, pos, pos + 1, (item,)))
             for active in needs_right.get(item.category, ()):
-                if junction(active.children[-1], item):
+                if grid_connected(active.children[-1], item, th):
                     admit_active(_Active(active.rule, active.lo, active.hi + 1,
                                          active.children + (item,)))
             for active in needs_left.get(item.category, ()):
-                if junction(item, active.children[0]):
+                if grid_connected(item, active.children[0], th):
                     admit_active(_Active(active.rule, active.lo - 1, active.hi,
                                          (item,) + active.children))
         else:

@@ -273,7 +273,7 @@ def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None
 
 
 def _close_connections(coordinator: Coordinator) -> str | None:
-    """Send every close request, then wait for the acknowledgments.
+    """Hang up every in channel, then wait for each manager's `(closed)`.
 
     Once the pipeline has settled nothing may still be in flight, so
     results handed over on close fail the utterance. A step-mode run quit
@@ -285,7 +285,7 @@ def _close_connections(coordinator: Coordinator) -> str | None:
         try:
             conn.request_close(timeout=5.0)
         except WhiteboardError:
-            pass  # its `close` below sends it again and reports the failure
+            pass  # its `close` below tries again and reports the failure
     problems = []
     for name, conn in connections.items():
         try:

@@ -10,8 +10,9 @@ connectivity explicit as arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
-from .board import Layer, TimeSpan, WhiteNode
+from .board import Layer, TimeSpan
 from .errors import InconsistentFrameCount, ParseError
 from .wire import EdgeRecord, parse_line
 
@@ -61,8 +62,13 @@ class GridNode:
     score: float
 
 
-def grid_connected(n: GridNode | WhiteNode, m: GridNode | WhiteNode,
-                   th: Thresholds) -> bool:
+class Spanned(Protocol):
+    """A grid node, a white node or a chart edge: anything with a span."""
+
+    span: TimeSpan
+
+
+def grid_connected(n: Spanned, m: Spanned, th: Thresholds) -> bool:
     """True iff m may directly follow n under the gap/overlap window. Only
     the nodes' spans count."""
     return (n.span.begin <= m.span.begin

@@ -31,7 +31,7 @@ import struct
 import time
 from pathlib import Path
 
-from .errors import MailboxTimeout, PeerGone
+from .errors import AlreadyClosed, MailboxTimeout, PeerGone
 
 # a channel frame's header: the length of its UTF-8 payload in bytes
 _FRAME_HEADER = struct.Struct(">I")
@@ -150,11 +150,12 @@ class Mailbox:
 class Channel:
     """One end of the FIFO at `path`: the read end or the write end.
 
-    `make` creates the FIFO. The reader opens its end first
-    (`open_reader`), which needs no writer yet; the writer's
-    `open_writer` then finds it, and raises `PeerGone` if nobody holds the
-    read end. An empty read before any writer has opened the FIFO means
-    nothing has arrived yet, not that the writer has gone."""
+    `make` creates the FIFO. Either end may open first. The reader's
+    `open_reader` needs no writer yet; the writer's `open_writer` then
+    finds it, and raises `PeerGone` if nobody holds the read end. A writer
+    that opens first (`open_writer_first`) holds the FIFO before its
+    reader comes. An empty read before any writer has opened the FIFO
+    means nothing has arrived yet, not that the writer has gone."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
@@ -175,6 +176,16 @@ class Channel:
     def open_writer(self) -> "Channel":
         self._fd = _open_writer(self.path)
         return self
+
+    def open_writer_first(self) -> "Channel":
+        """Open the write end before any reader, through a read end of
+        this process's own that is closed again at once. A reader that
+        opens while this writer holds the FIFO is told when it goes."""
+        reader = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            return self.open_writer()
+        finally:
+            os.close(reader)
 
     def close(self) -> None:
         if self._fd is not None:
@@ -204,7 +215,10 @@ class Channel:
 
     def flush(self) -> bool:
         """Write what the FIFO takes of the last frame's tail. Returns
-        True once none is left."""
+        True once none is left. Raises `AlreadyClosed` once the write end
+        is closed."""
+        if self._fd is None:
+            raise AlreadyClosed(f"{self.path} is closed for writing")
         while self._tail:
             try:
                 written = os.write(self._fd, self._tail)
@@ -222,6 +236,14 @@ class Channel:
             self._wait(deadline, "deposit")
         while not self.flush():
             self._wait(deadline, "deposit")
+
+    def hang_up(self, timeout: float | None = None) -> None:
+        """Write out the last frame's tail, then close the write end: the
+        reader reads every frame whole, then the hang-up."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.flush():
+            self._wait(deadline, "hang-up")
+        self.close()
 
     # -- the reader ---------------------------------------------------------------
 

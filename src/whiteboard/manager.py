@@ -12,16 +12,21 @@ and names its input, and the manager builds a fresh component for it from
 its factory, so no component state is shared between connections.
 
 Opening follows the order in which the ends of a FIFO can be opened
-without blocking. The client makes both FIFOs, opens ``out`` for reading,
-and only then sends its open request. The manager, when it accepts, opens
-``in`` for reading and ``out`` for writing. The client opens ``in`` for
-writing once the reply has arrived.
+without blocking. The client makes both FIFOs, opens ``out`` for reading
+and ``in`` for writing, and only then sends its open request. The
+manager, when it accepts, opens ``in`` for reading and ``out`` for
+writing, and refuses an open whose ``in`` has no writer or already holds
+data. As the manager's read end opens while the client holds ``in``, the
+kernel tells the manager when the client lets ``in`` go.
 
-Every reply travels on the asking connection's own out channel: the
-answer to its open, the results of its batches, and the acknowledgment of
-its close, which the client sends in band on the in channel, after its
-last batch. The manager then closes its ends, and the client returns from
-its close once it has seen that hang-up.
+That hang-up is the one way a connection ends. A client closes by
+writing out its last batch and closing ``in``; a client that dies closes
+it too. Every reply travels on the asking connection's own out channel:
+the answer to its open, the results of its batches, and, once the
+manager has read ``in`` to its hang-up and delivered every earlier
+reply, ``(closed)``. The manager then closes its ends, and the client
+returns from its close once it has seen that hang-up. The connection's
+``conn-*`` directory is its only name.
 
 The manager ends its reply to every input batch with one ``(done frame)``
 record, carried by the last frame it writes for that batch, so the client
@@ -44,7 +49,9 @@ gets `ManagerUnavailable` at once. A manager removes its box when it stops.
 
 from __future__ import annotations
 
+import errno
 import logging
+import os
 import shutil
 import tempfile
 import threading
@@ -99,16 +106,15 @@ class Connection:
     """Client-side handle: deposit work, collect results.
 
     `in_channel` is the write end of the channel carrying work to the
-    manager, `out_channel` the read end of the one carrying results back.
-    `outstanding` counts the batches deposited whose `done` record has not
-    been collected yet; `done_frame` is the highest frame those records
-    carried. Collecting strips the `done` records from what it returns.
+    manager, `out_channel` the read end of the one carrying results back;
+    their directory names the connection. `outstanding` counts the batches
+    deposited whose `done` record has not been collected yet; `done_frame`
+    is the highest frame those records carried. Collecting strips the
+    `done` records from what it returns.
     """
 
-    def __init__(self, conn_id: int, in_channel: Channel,
-                 out_channel: Channel, params: ConnectionParams,
-                 request_root: Path):
-        self.id = conn_id
+    def __init__(self, in_channel: Channel, out_channel: Channel,
+                 params: ConnectionParams, request_root: Path):
         self.in_channel = in_channel
         self.out_channel = out_channel
         self.params = params
@@ -156,56 +162,50 @@ class Connection:
         return self._parse_results(text)
 
     def request_close(self, timeout: float | None = None) -> None:
-        """Send the close request, behind every batch already deposited,
-        without waiting for its acknowledgment; `close` then only waits.
+        """Write out the last batch and hang up the in channel, without
+        waiting for the manager's `(closed)`; `close` then only waits.
         Lets a client close many connections at once."""
         if self.state != "open":
-            raise AlreadyClosed(f"connection {self.id} already closing")
-        self.in_channel.deposit(wire.serialize([wire.CloseRequest(self.id)]),
-                            timeout=timeout)
+            raise AlreadyClosed(f"connection {self.in_channel.path.parent} "
+                                f"already closing")
+        self.in_channel.hang_up(timeout=timeout)
         self.state = "closing"
 
     def close(self, timeout: float | None = None) -> list[wire.WireRecord]:
         """Close the connection and remove its directory. Returns the
-        results the manager delivered before its `(closed conn-id)`, which
-        is the last frame it writes on the connection before it hangs up;
-        `close` returns once it has seen the hang-up, so the manager has
-        let the connection go.
+        results the manager delivered before its `(closed)`, which is the
+        last frame it writes on the connection before it hangs up; `close`
+        returns once it has seen the hang-up, so the manager has let the
+        connection go.
 
-        Sends the close request unless `request_close` already did. The
+        Hangs up the in channel unless `request_close` already did. The
         directory is removed however the wait ends, so a client that gives
         up on a close (`MailboxTimeout`) leaves nothing behind. A manager
-        found dead while waiting raises `ManagerUnavailable` at once."""
+        that hangs up without `(closed)`, because it died, raises
+        `ManagerUnavailable` at once."""
+        conn_dir = self.in_channel.path.parent
         if self.state == "closed":
-            raise AlreadyClosed(f"connection {self.id} already closed")
+            raise AlreadyClosed(f"connection {conn_dir} already closed")
         deadline = None if timeout is None else time.monotonic() + timeout
 
         def remaining():
             return (None if deadline is None
                     else max(0.0, deadline - time.monotonic()))
 
-        leftovers: list[wire.WireRecord] = []
+        records: list[wire.WireRecord] = []
         try:
             if self.state == "open":
                 self.request_close(timeout=timeout)
             while True:
-                records = self.collect(timeout=remaining())
-                if records[-1:] == [wire.CloseReply(self.id)]:
-                    leftovers.extend(records[:-1])
-                    break
-                leftovers.extend(records)
-            try:
-                while True:
-                    leftovers.extend(self.collect(timeout=remaining()))
-            except PeerGone:  # the manager's hang-up after its last frame
-                return leftovers
+                records.extend(self.collect(timeout=remaining()))
         except MailboxTimeout:
-            raise MailboxTimeout(
-                f"no close acknowledgment for {self.id}") from None
-        except PeerGone as exc:
+            raise MailboxTimeout(f"no close acknowledgment for {conn_dir}") from None
+        except PeerGone as exc:  # the manager's hang-up
+            if records[-1:] == [wire.CloseReply()]:
+                return records[:-1]
             raise ManagerUnavailable(
                 f"manager at {self.request_root} died before acknowledging "
-                f"the close of {self.id}") from exc
+                f"the close of {conn_dir}") from exc
         finally:
             self.state = "closed"
             _discard(self.in_channel, self.out_channel)
@@ -249,13 +249,11 @@ class PendingOpen:
                                      f"the connection: {replies[0].message}")
         if len(replies) != 1 or not isinstance(replies[0], wire.OpenReply):
             raise ManagerUnavailable(f"bad open reply: {reply_text!r}")
-        try:
-            self.in_channel.open_writer()
-        except PeerGone as exc:
+        if is_orphaned(self.in_channel.path):
             raise ManagerUnavailable(
-                f"manager at {self.request_root} died after replying") from exc
-        return Connection(replies[0].conn_id, self.in_channel, self.out_channel,
-                          self.params, self.request_root)
+                f"manager at {self.request_root} died after replying")
+        return Connection(self.in_channel, self.out_channel, self.params,
+                          self.request_root)
 
     def _reply(self) -> str:
         """The first frame on the out channel. Until the manager accepts,
@@ -281,11 +279,12 @@ class PendingOpen:
 
 def send_open(request_root: Path | str, params: ConnectionParams,
               timeout: float = 10.0) -> PendingOpen:
-    """Make a connection directory beside `request_root` and ask the
-    manager serving it to open a connection there, waiting for the
-    manager to serve if it has not started yet, and for room in a full
-    request box; a box that nobody reads fails at once. `timeout` bounds
-    the send and the wait for the reply together."""
+    """Make a connection directory beside `request_root`, holding its
+    channels' client ends, and ask the manager serving it to open a
+    connection there, waiting for the manager to serve if it has not
+    started yet, and for room in a full request box; a box that nobody
+    reads fails at once. `timeout` bounds the send and the wait for the
+    reply together."""
     request_root = Path(request_root)
     deadline = time.monotonic() + timeout
     while not request_root.exists():
@@ -294,7 +293,7 @@ def send_open(request_root: Path | str, params: ConnectionParams,
         time.sleep(params.sleep_time)
     conn_dir = Path(tempfile.mkdtemp(prefix=CONN_PREFIX, dir=request_root.parent))
     pending = PendingOpen(request_root, params, deadline, conn_dir)
-    pending.in_channel.make()
+    pending.in_channel.make().open_writer_first()
     pending.out_channel.make().open_reader()
     request = wire.serialize([wire.OpenRequest(
         params.import_format, params.export_format, params.input, conn_dir.name)])
@@ -362,9 +361,8 @@ class _Served:
     """The manager's side of one connection: its ends of the channels, its
     component, and the frames it still owes the client, in order."""
 
-    def __init__(self, conn_id: int, conn_dir: Path,
-                 request: wire.OpenRequest):
-        self.id = conn_id
+    def __init__(self, conn_dir: Path, request: wire.OpenRequest):
+        self.name = conn_dir.name
         self.in_channel = Channel(conn_dir / "in")
         self.out_channel = Channel(conn_dir / "out")
         self.import_format = request.import_format
@@ -374,26 +372,29 @@ class _Served:
         # the owed frame waits until then: the next piece of a reply
         self.release_at = 0.0
         self.high_frame = 0
-        # set by a refused open or a close: drop once nothing is owed
-        self.ending = False
-        # a frame has come in, so `in` has had a writer, whose hang-up
-        # the kernel reports
-        self.heard = False
+        # why the connection ends, set by a refused open or the client's
+        # hang-up: it is dropped once nothing is owed
+        self.ending: str | None = None
 
     def open(self) -> None:
         """Open the read end of `in` and the write end of `out`, whose
-        read end the client holds already."""
+        other ends the client holds already. The client writes nothing
+        before the reply, so a 1-byte read of `in` must find it empty
+        (EAGAIN): end of file says no writer holds it."""
         self.in_channel.open_reader()
-        self.out_channel.open_writer()
+        try:
+            early = os.read(self.in_channel.fileno(), 1)
+        except BlockingIOError:
+            self.out_channel.open_writer()
+            return
+        if early:
+            raise OSError(errno.EPROTO, f"{self.in_channel.path} holds data "
+                                        f"before the open is answered")
+        raise PeerGone(f"no writer holds {self.in_channel.path}")
 
     def close(self) -> None:
         self.in_channel.close()
         self.out_channel.close()
-
-    def abandoned(self) -> bool:
-        """Nothing has come in and nobody reads `out`: the client went
-        before it opened `in`, so no hang-up will ever show on `in`."""
-        return not self.heard and is_orphaned(self.out_channel.path)
 
     def see(self, records) -> None:
         """Raise the connection's high-water frame to the latest end frame
@@ -418,14 +419,13 @@ class _Manager:
         self.requests = Mailbox(self.request_root)
         # by the name of the connection's directory
         self.served: dict[str, _Served] = {}
-        self._next_conn = 1
 
     def serve(self, stop_event: threading.Event | None = None):
         """One loop: each cycle takes the requests that have arrived, then
         writes every connection's next owed frame that is due or, owing
-        none, takes its next input batch. Between cycles the loop waits
-        (`_wait`) at most one poll period, or until the next piece falls
-        due.
+        none, takes its next input batch or its hang-up. Between cycles the
+        loop waits (`_wait`) at most one poll period, or until the next
+        piece falls due.
 
         The request box is removed however the loop ends, when every
         connection's ends are closed too."""
@@ -433,33 +433,25 @@ class _Manager:
             stop_event = threading.Event()  # never set: serve until exit
         self.request_root.parent.mkdir(parents=True, exist_ok=True)
         self.requests.open()
-        next_check = 0.0  # for connections abandoned before `in` opened
         try:
             log.info("manager %s serving at %s", self.name, self.request_root)
             while not stop_event.is_set():
                 text = self.requests.try_collect()
                 if text is not None:
                     self._dispatch(text)
-                check = time.monotonic() >= next_check
-                if check:
-                    next_check = time.monotonic() + self.sleep_time
                 for name, served in list(self.served.items()):
                     try:
                         self._step(served)
-                        gone = (served.ending and not served.owed
-                                and not served.out_channel.pending)
-                        if not gone and check and served.abandoned():
-                            log.info("manager %s: connection %s dropped, "
-                                     "nobody reads its out channel",
-                                     self.name, served.id)
-                            gone = True
+                        if (not served.ending or served.owed
+                                or served.out_channel.pending):
+                            continue
+                        why = served.ending
                     except PeerGone:
-                        log.info("manager %s: connection %s dropped, its "
-                                 "client hung up", self.name, served.id)
-                        gone = True
-                    if gone:
-                        served.close()
-                        del self.served[name]
+                        why = "nobody reads its out channel"
+                    served.close()
+                    del self.served[name]
+                    log.info("manager %s: connection %s dropped, %s",
+                             self.name, name, why)
                 self._wait()
         finally:
             for served in self.served.values():
@@ -501,7 +493,7 @@ class _Manager:
                             "connection directory to answer in: %r",
                             self.name, request)
                 continue
-            served = _Served(self._next_conn, conn_dir, request)
+            served = _Served(conn_dir, request)
             try:
                 served.open()
             except (OSError, PeerGone) as exc:
@@ -509,17 +501,16 @@ class _Manager:
                 log.warning("manager %s: request ignored, its channels do "
                             "not open: %s", self.name, exc)
                 continue
-            self._next_conn += 1
-            self.served[conn_dir.name] = served
+            self.served[served.name] = served
             try:
                 served.component = self.factory(request.input)
             except Exception as exc:  # a refused input must not kill the manager
                 log.exception("building a component failed in %s", self.name)
                 served.owed.append(wire.serialize(
                     [wire.ErrorRecord(f"component-error {exc}")]))
-                served.ending = True
+                served.ending = "its component was not built"
             else:
-                served.owed.append(wire.serialize([wire.OpenReply(served.id)]))
+                served.owed.append(wire.serialize([wire.OpenReply()]))
 
     def _conn_dir(self, request) -> Path | None:
         """The directory an open request names for its connection, if it is
@@ -537,17 +528,22 @@ class _Manager:
 
     def _step(self, served: _Served) -> None:
         """Write the next frame owed on a connection once it is due, first
-        taking its next input batch if nothing is owed. A reply's first
+        taking its next input batch if nothing is owed; the hang-up of `in`
+        is owed `(closed)`, which ends the connection. A reply's first
         frame is due at once, each later piece one poll period after the
         one before. A frame's tail that did not fit goes first."""
         if not served.out_channel.flush():
             return
         if not served.owed:
-            text = served.in_channel.try_collect()
-            if text is None:
-                return
-            served.heard = True
-            served.owed = self._reply(served, text)
+            try:
+                text = served.in_channel.try_collect()
+            except PeerGone:  # the client closed `in`, or died
+                served.ending = "its client hung up"
+                served.owed = [wire.serialize([wire.CloseReply()])]
+            else:
+                if text is None:
+                    return
+                served.owed = self._reply(served, text)
         now = time.monotonic()
         if now < served.release_at or not served.out_channel.try_deposit(
                 served.owed[0]):
@@ -558,21 +554,17 @@ class _Manager:
     def _reply(self, served: _Served, text: str) -> list[str]:
         """The frames answering one batch taken from a connection's in
         channel: the component's results, piecewise if the manager is
-        incremental, the last frame ending with `done`; or, for the
-        connection's close request, its acknowledgment alone."""
+        incremental, the last frame ending with `done`."""
         try:
             records = wire.parse(text, served.import_format)
         except (ParseError, UnknownFormatCode) as exc:
             return [served.finished([wire.ErrorRecord(f"import-parse-error {exc}")])]
-        if records == [wire.CloseRequest(served.id)]:
-            served.ending = True
-            return [wire.serialize([wire.CloseReply(served.id)])]
         served.see(records)
         try:
             outputs = list(served.component(records))
         except Exception as exc:  # component faults must not kill the manager
             log.exception("component failed in %s, connection %s",
-                          self.name, served.id)
+                          self.name, served.name)
             return [served.finished([wire.ErrorRecord(f"component-error {exc}")])]
         served.see(outputs)
         pieces = (partition_by_end(outputs) if self.incremental
@@ -613,13 +605,13 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
     Every reply goes to the out channel of the connection that asked. An
     open request naming no `conn-*` directory beside the request box, or
     one whose channels do not open, and a request line that does not
-    parse, have no channel to be answered on and are only logged. A close
-    request, a batch of just `(close conn-id)` on the connection's in
-    channel, is answered by `(closed conn-id)` once every earlier batch's
-    reply is delivered; that is the last frame on the connection, and the
-    manager then closes its ends. A connection whose client hangs up is
-    dropped, and so, within a poll period, is one whose client stopped
-    reading `out` before it ever wrote to `in`.
+    parse, have no channel to be answered on and are only logged; so is an
+    open whose `in` channel has no writer or already holds data. The
+    hang-up of a connection's in channel, by a client that closed it or
+    died, is answered by `(closed)` once every earlier batch's reply is
+    delivered; that is the last frame on the connection, and the manager
+    then closes its ends. A connection whose client stopped reading `out`
+    is dropped at the manager's next write there.
     """
     _Manager(factory, Path(request_root), name, incremental,
              sleep_time).serve(stop_event)

@@ -18,9 +18,8 @@ that both take.
     node-v1           (arc-id origin extremity weight)
     inactive-edge-v1  (edge-id begin end category score (child-ids))
     open              (open import-format export-format input conn)
-    opened            (opened conn-id)
-    close             (close conn-id)
-    closed            (closed conn-id)
+    opened            (opened)
+    closed            (closed)
     error             (error message)
     done              (done frame)
 
@@ -108,17 +107,12 @@ class OpenRequest:
 
 @dataclass(frozen=True)
 class OpenReply:
-    conn_id: int
-
-
-@dataclass(frozen=True)
-class CloseRequest:
-    conn_id: int
+    pass
 
 
 @dataclass(frozen=True)
 class CloseReply:
-    conn_id: int
+    pass
 
 
 @dataclass(frozen=True)
@@ -132,8 +126,8 @@ class DoneRecord:
 
 
 DataRecord = Union[EdgeRecord, NodeRecord, ArcRecord, InactiveEdgeRecord]
-WireRecord = Union[DataRecord, OpenRequest, OpenReply, CloseRequest, CloseReply,
-                   ErrorRecord, DoneRecord]
+WireRecord = Union[DataRecord, OpenRequest, OpenReply, CloseReply, ErrorRecord,
+                   DoneRecord]
 
 
 def token_ok(text: str) -> bool:
@@ -247,9 +241,8 @@ _GRAMMAR = {
                         "category:token score:float child-ids:ids",
     OpenRequest: "open  import-format:format export-format:format "
                  "input:input conn:token",
-    OpenReply: "opened  conn-id:int",
-    CloseRequest: "close  conn-id:int",
-    CloseReply: "closed  conn-id:int",
+    OpenReply: "opened",
+    CloseReply: "closed",
     ErrorRecord: "error  message:message",
     DoneRecord: "done  frame:int",
 }
@@ -262,7 +255,8 @@ class _Row:
     def __init__(self, cls: type, row: str):
         self.cls = cls
         self.head, *spec = row.split()
-        names, kind_names = zip(*[field.split(":") for field in spec])
+        names = [field.split(":")[0] for field in spec]
+        kind_names = [field.split(":")[1] for field in spec]
         kinds = [_KINDS[kind] for kind in kind_names]
         self.control = self.head not in FORMAT_CODES
         self.formats = FORMAT_CODES if self.control else (self.head,)
@@ -270,8 +264,8 @@ class _Row:
         # the row's writer, compiled once: looping over the fields at every
         # call made `serialize` a quarter slower than a hand-written format
         writers = {f"w{i}": kind[0] for i, kind in enumerate(kinds)}
-        values = ", ".join(f"w{i}(r.{f.name})" for i, f in enumerate(fields(cls)))
-        self.write = eval(f"lambda r: {template!r} % ({values},)", writers)
+        values = "".join(f"w{i}(r.{f.name}), " for i, f in enumerate(fields(cls)))
+        self.write = eval(f"lambda r: {template!r} % ({values})", writers)
         self.pattern = r"\(%s\)" % " ".join(
             [re.escape(self.head)] * self.control + [kind[2] for kind in kinds])
         self.converters = [kind[3] for kind in kinds]

@@ -429,7 +429,7 @@ def whole(layer):
             sorted(layer.arcs.values(), key=lambda a: a.id))
 
 
-def test_filter_view_identity_and_empty():
+def test_filter_slice_identity_and_empty():
     layer = make_layer()
     for i, score in enumerate((0.2, 0.6, 0.9)):
         layer.add_white_node(span(i, i + 1), f"L{i}", score)
@@ -443,7 +443,7 @@ def test_filter_view_identity_and_empty():
         n.id for n in layer.white_nodes.values() if n.score >= 0.5}
 
 
-def test_filter_view_keeps_arcs_between_survivors_only():
+def test_filter_slice_keeps_arcs_between_survivors_only():
     layer = make_layer()
     a, _ = layer.add_white_node(span(0, 1), "A", 0.9)
     b, _ = layer.add_white_node(span(1, 2), "B", 0.1)
@@ -466,7 +466,7 @@ def test_filter_monotonicity(scores, t1, t2):
     assert high <= low
 
 
-def test_layer_view_does_not_modify_layer():
+def test_filter_slice_does_not_modify_layer():
     layer = make_layer()
     layer.add_white_node(span(0, 1), "A", 0.1)
     before = len(layer.white_nodes)

@@ -38,7 +38,7 @@ def test_load_grammar_rules_and_lexical_labels():
 
 def test_load_grammar_rejects_unknown_terminal_by_name():
     with pytest.raises(GrammarError) as err:
-        load_grammar("W -> a q\n", known_terminals={"a", "i"})
+        load_grammar("W -> a q\n").check_terminals({"a", "i"})
     assert "q" in str(err.value)
 
 

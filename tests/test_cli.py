@@ -53,7 +53,7 @@ def test_lattice_show_hide_grey(tmp_path, capsys):
     assert "diamond" not in capsys.readouterr().out
 
 
-def test_lattice_show_threshold_matches_filter_view(tmp_path, capsys):
+def test_lattice_show_threshold_matches_filter_slice(tmp_path, capsys):
     path, board = export_file(tmp_path)
     assert main(["lattice", "show", str(path), "--threshold", "0.5"]) == 0
     out = capsys.readouterr().out

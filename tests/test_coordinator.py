@@ -29,6 +29,7 @@ from whiteboard import manager
 from whiteboard.components import IslandParser, MatrixSource, WordForWordTranslator
 from whiteboard.coordinator import _Bound
 from whiteboard.errors import LayerMismatch, ManagerUnavailable
+from whiteboard.mailbox import Channel, Mailbox
 from oracles import identity_component, valid_lattice
 from stopping import WakingStop
 from utterances import spliced_utterances
@@ -390,7 +391,60 @@ def test_component_errors_surface_without_halting_others(host):
     assert coordinator.status()["per_binding"]["broken"]["errors"]
 
 
-def test_apply_filter_matches_brute_force(tmp_path):
+@pytest.mark.parametrize("export, records, why", [
+    ("inactive-edge-v1", [wire.InactiveEdgeRecord(1, 0, 3, "NP", 0.5, (99,))],
+     "edge 1 references unknown child 99"),
+    ("node-v1", [wire.NodeRecord(1, 0, 3, "a", 0.5), wire.ArcRecord(10, 1, 2, 0.0)],
+     "arc 10 references unknown node"),
+    ("node-v1", [wire.OpenReply()], "unexpected record on out channel: OpenReply")])
+def test_a_record_the_board_cannot_place_is_rejected_and_noted(
+        host, export, records, why):
+    board = make_board()
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "source", host("source", lambda _records: records),
+        [], "phonemes", params("edge-v1", export)))
+    pump_until(coordinator, coordinator.settled)
+    assert coordinator.bound["source"].errors == [f"record rejected: {why}"]
+    # the records before the rejected one are on the board
+    assert len(board.layers["phonemes"].white_nodes) == len(records) - 1
+
+
+def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
+        tmp_path):
+    """This test plays the manager, on a request box it reads itself."""
+    (tmp_path / "m").mkdir()
+    box = Mailbox(tmp_path / "m" / "request").open()
+    ends = []
+    try:
+        pending = manager.send_open(box.path, params("edge-v1", "edge-v1"))
+        [request] = wire.parse(box.try_collect())
+        conn_dir = box.path.parent / request.conn
+        ends = [Channel(conn_dir / "in").open_reader(),
+                Channel(conn_dir / "out").open_writer()]
+        ends[1].deposit(wire.serialize([wire.OpenReply()]), timeout=5.0)
+        conn = pending.wait()
+        ends += [conn.in_channel, conn.out_channel]
+        coordinator = Coordinator(make_board())
+        coordinator.bound["played"] = _Bound(ComponentBinding(
+            "played", box.path, [], "phonemes", params("edge-v1", "edge-v1")),
+            conn)
+        ends[1].deposit("(0 3 h\n", timeout=5.0)
+        ends[1].deposit(wire.serialize([wire.EdgeRecord(0, 3, "h", 0.5)],
+                                       "edge-v1"), timeout=5.0)
+        report = coordinator.pump()
+    finally:
+        for end in ends:
+            end.close()
+        box.close()
+    [error] = coordinator.bound["played"].errors
+    assert error.startswith("unparseable batch: ")
+    assert (report.errors, report.collected) == (1, 1)
+    assert [n.label for n in coordinator.board.layers["phonemes"]
+            .white_nodes.values()] == ["h"]
+
+
+def test_filter_slice_matches_brute_force(tmp_path):
     board = make_board()
     layer = board.layers["phonemes"]
     import random
@@ -490,7 +544,7 @@ def test_threshold_judges_each_node_once(host):
     assert coordinator.bound["capture"].rejected == {lo}
 
 
-def test_a_busy_in_box_retries_the_same_slice(tmp_path):
+def test_a_busy_in_channel_retries_the_same_slice(tmp_path):
     class BusyOnce:
         """A connection whose in channel is busy for the first deposit."""
         outstanding = 0
@@ -756,7 +810,7 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
         pump_until(coordinator, coordinator.settled)
         worker.kill()
         worker.wait(timeout=10)
-        # the dead manager's in channel refuses the close request at once
+        # the dead manager hung up `out` without `(closed)`: its close fails at once
         error = _close_connections(coordinator)
     finally:
         if worker.poll() is None:

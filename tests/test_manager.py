@@ -15,6 +15,7 @@ from whiteboard.errors import (
     AlreadyClosed,
     MailboxTimeout,
     ManagerUnavailable,
+    PeerGone,
     UnknownFormatCode,
 )
 from whiteboard.manager import (
@@ -188,7 +189,6 @@ def test_two_connections_are_independent(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         a = request_connection(root, params())
         b = request_connection(root, params())
-        assert a.id != b.id
         assert a.in_channel.path != b.in_channel.path
         a.deposit(edges(1), timeout=5.0)
         b.deposit(edges(2), timeout=5.0)
@@ -212,6 +212,8 @@ def test_close_acknowledges_and_removes_boxes(tmp_path):
         assert not conn.in_channel.path.parent.exists()
         with pytest.raises(AlreadyClosed):
             conn.close(timeout=5.0)
+        with pytest.raises(AlreadyClosed):
+            conn.deposit(edges(0), timeout=5.0)
 
 
 @pytest.mark.parametrize("incremental", [False, True])
@@ -326,7 +328,8 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
         for i in range(3):
             kept.deposit(edges(i), timeout=5.0)
             assert kept.collect(timeout=5.0) == edges(i)
-        assert any(f"connection {gone.id} dropped" in r.getMessage()
+        assert any(f"connection {gone.in_channel.path.parent.name} dropped"
+                   in r.getMessage()
                    for r in caplog.records)
         kept.close(timeout=5.0)
 
@@ -348,7 +351,7 @@ def test_an_open_answered_wrongly_or_by_a_dying_manager_fails(
             if play == "garbage":
                 out.deposit("(opened\n", timeout=5.0)
             elif play == "reply, never open in":
-                out.deposit(wire.serialize([wire.OpenReply(1)]), timeout=5.0)
+                out.deposit(wire.serialize([wire.OpenReply()]), timeout=5.0)
         finally:
             out.close()
         with pytest.raises(ManagerUnavailable, match=message):
@@ -573,7 +576,7 @@ def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-def test_connections_leave_no_descriptor_and_a_stopped_manager_no_bell(
+def test_connections_leave_no_descriptor_and_a_stopped_manager_no_request_box(
         tmp_path):
     manager = hosted_manager(tmp_path, identity_component)
     with manager as root:
@@ -634,9 +637,10 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
         wait_for_request_box(root)
         before = open_fds()
         pending = send_open(root, params())
-        # the client reads the reply, then goes without opening `in`
+        # the client reads the reply, then goes without writing to `in`
         assert wire.parse(pending.out_channel.collect(timeout=5.0)) == [
-            wire.OpenReply(1)]
+            wire.OpenReply()]
+        pending.in_channel.close()
         pending.out_channel.close()
         deadline = time.monotonic() + 1.0
         while manager.served and time.monotonic() < deadline:
@@ -647,3 +651,106 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
         stop.set()
         thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
+    with hosted_manager(tmp_path, identity_component, incremental=True) as root:
+        conn = request_connection(root, params())
+        conn.deposit(edges(0, 1), timeout=5.0)
+        conn.deposit(edges(4), timeout=5.0)
+        conn.in_channel.close()  # no `close`: as a client that died would
+        assert raw_replies(conn, 4) == [
+            edges(0), edges(1) + [wire.DoneRecord(2)],
+            edges(4) + [wire.DoneRecord(5)], [wire.CloseReply()]]
+        with pytest.raises(PeerGone):  # then the manager hangs up
+            conn.out_channel.collect(timeout=5.0)
+        conn.out_channel.close()
+
+
+def test_a_client_that_leaves_after_the_open_reply_is_dropped_at_once(tmp_path):
+    poll = 5.0
+    manager = _Manager(lambda _input: identity_component,
+                       tmp_path / "m" / "request", "m", False, poll)
+    stop = WakingStop()
+    root = stop.add(manager.request_root)
+    thread = threading.Thread(target=manager.serve, args=(stop,), daemon=True)
+    thread.start()
+    try:
+        wait_for_request_box(root)
+        pending = send_open(root, params())
+        [reply] = wire.parse(pending.out_channel.collect(timeout=5.0))
+        assert isinstance(reply, wire.OpenReply) and manager.served
+        start = time.monotonic()
+        pending.in_channel.close()  # the client goes
+        pending.out_channel.close()
+        while manager.served and time.monotonic() - start < 1.0:
+            time.sleep(SLEEP)
+        assert not manager.served  # not a poll period later
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+def play_open(root, holds_in=True, holds_out=True, early=b""):
+    """Ask the manager at `root` for a connection as a client that holds the
+    ends of its channels as told, and may have written `early` to `in`
+    before the reply: the client's ends, in a `conn-*` directory."""
+    conn_dir = root.parent / "conn-played"
+    conn_dir.mkdir()
+    in_channel, out_channel = (Channel(conn_dir / n).make() for n in ("in", "out"))
+    if holds_in:
+        # held open for reading while the client writes, as if by a manager
+        reader = Channel(in_channel.path).open_reader()
+        in_channel.open_writer()
+        os.write(in_channel.fileno(), early)
+        reader.close()
+    if holds_out:
+        out_channel.open_reader()
+    assert Mailbox(root).try_deposit(wire.serialize(
+        [wire.OpenRequest("edge-v1", "edge-v1", None, conn_dir.name)]))
+    return in_channel, out_channel
+
+
+@pytest.mark.parametrize("holds_in, holds_out, early, why", [
+    (False, True, b"", "no writer holds"),
+    (True, True, b"\0\0\0\0", "holds data before the open is answered"),
+    (True, False, b"", "nobody reads")])
+def test_an_open_whose_channels_do_not_open_is_refused_and_logged(
+        tmp_path, caplog, holds_in, holds_out, early, why):
+    caplog.set_level(logging.WARNING, logger="whiteboard.manager")
+    with hosted_manager(tmp_path, identity_component) as root:
+        wait_for_request_box(root)
+        in_channel, out_channel = play_open(root, holds_in, holds_out, early)
+        try:
+            # answered only once the manager has taken the played request
+            conn = request_connection(root, params())
+            conn.deposit(edges(0), timeout=5.0)
+            assert conn.collect(timeout=5.0) == edges(0)
+            assert conn.close(timeout=5.0) == []
+            if holds_out:
+                assert out_channel.try_collect() is None  # no reply came
+        finally:
+            in_channel.close()
+            out_channel.close()
+    [refused] = [r.getMessage() for r in caplog.records
+                 if "its channels do not open" in r.getMessage()]
+    assert why in refused and "conn-played" in refused
+
+
+def test_an_export_error_answers_the_batch_and_service_continues(tmp_path):
+    def spaced(records):
+        if records == edges(0):
+            return [wire.EdgeRecord(0, 1, "two words", 0.5)]
+        return records
+
+    with hosted_manager(tmp_path, spaced) as root:
+        conn = request_connection(root, params())
+        conn.deposit(edges(0), timeout=5.0)
+        [error] = conn.collect(timeout=5.0)
+        assert isinstance(error, wire.ErrorRecord)
+        assert error.message.startswith("export-error")
+        assert (conn.outstanding, conn.done_frame) == (0, 1)
+        conn.deposit(edges(1), timeout=5.0)
+        assert conn.collect(timeout=5.0) == edges(1)
+        assert conn.close(timeout=5.0) == []
