@@ -36,9 +36,10 @@ the binding takes no new batch until a later round has written it.
 Between rounds, `wait` blocks until a binding's out channel is readable,
 or an in channel holding a tail is writable, so the next round starts as
 soon as there is something to collect or room to write what the last
-round could not. A manager that dies hangs up its channels: its out
-channel turns readable, and the round's read of it fails, which the
-binding notes as an error.
+round could not. A manager that dies, or refuses a connection, hangs up
+its out channel: the channel turns readable, and the round's read of it
+fails. The binding notes that its manager hung up, and no later round or
+wait looks at that channel again.
 
 Managers end their reply to every batch with a `done` record, so each
 connection knows how many of its batches are still outstanding. The
@@ -65,14 +66,14 @@ from .errors import (
     LayerMismatch,
     ManagerUnavailable,
     ParseError,
+    PeerGone,
     UnknownFormatCode,
     WhiteboardError,
 )
 from .grid import GridNode, Thresholds, add_grid_node
 from .grid import grid_connected  # noqa: F401  (perfbench's probes patch this name)
 from .mailbox import wait_ready
-from .manager import Connection, ConnectionParams, send_open
-from .manager import request_connection  # noqa: F401  (perfbench's probes patch this name)
+from .manager import Connection, ConnectionParams, request_connection
 
 log = logging.getLogger(__name__)
 
@@ -112,6 +113,8 @@ class _Bound:
         self.collected = 0
         self.deposited = 0
         self.triggered = False
+        # its manager hung up the out channel: nothing more will come
+        self.hung_up = False
         # highest board id examined; the nodes the threshold turned away
         self.cursor = 0
         self.rejected: set[int] = set()
@@ -142,27 +145,23 @@ class Coordinator:
     # -- registration -----------------------------------------------------------
 
     def register(self, *bindings: ComponentBinding) -> None:
-        """Open each binding's connection and activate it. Every open
-        request is sent before any reply is awaited, so the managers set
-        their connections up at once. Each output layer must declare every
-        input layer among its dependencies.
+        """Open each binding's connection and activate it. A connection is
+        live once asked for, so no binding waits for its manager to set
+        the connection up. Each output layer must declare every input
+        layer among its dependencies.
 
-        If a manager does not take the request, answer it, or refuses, the
-        bindings whose connections did open are still activated, and the
-        first failure is raised once every reply has been awaited."""
+        If a manager does not take the request, the bindings whose
+        requests were taken are still activated, and the first failure is
+        raised once every request has been sent. A manager that refuses a
+        connection answers with an error record and hangs up, which the
+        pump rounds note on the binding."""
         for binding in bindings:
             self._check(binding)
-        openings = []
         failure = None
         for binding in bindings:
             try:
-                openings.append((binding, send_open(binding.request_root,
-                                                    binding.params)))
-            except ManagerUnavailable as exc:
-                failure = failure or exc
-        for binding, opening in openings:
-            try:
-                self.bound[binding.name] = _Bound(binding, opening.wait())
+                self.bound[binding.name] = _Bound(binding, request_connection(
+                    binding.request_root, binding.params))
             except ManagerUnavailable as exc:
                 failure = failure or exc
         if failure is not None:
@@ -198,7 +197,8 @@ class Coordinator:
         ready, self._ready = self._ready, None
         frames = MAX_COLLECTS_PER_ROUND if ready is None else 1
         for bound in self.bound.values():
-            if ready is not None and bound.conn.out_channel not in ready:
+            if bound.hung_up or (ready is not None
+                                 and bound.conn.out_channel not in ready):
                 continue
             try:
                 self._collect_from(bound, report, frames)
@@ -225,11 +225,14 @@ class Coordinator:
     def wait(self, timeout: float) -> bool:
         """Block until a binding's out channel is readable or an in channel
         holding a tail is writable, or `timeout` seconds pass. Returns True
-        if one was. The next round reads only the readable out channels."""
-        conns = [b.conn for b in self.bound.values()]
+        if one was. The next round reads only the readable out channels.
+        An out channel that hung up is readable for good, so it is left
+        out."""
+        bound = self.bound.values()
         self._ready = wait_ready(
-            [c.out_channel for c in conns],
-            [c.in_channel for c in conns if c.in_channel.pending], timeout)
+            [b.conn.out_channel for b in bound if not b.hung_up],
+            [b.conn.in_channel for b in bound if b.conn.in_channel.pending],
+            timeout)
         return bool(self._ready)
 
     def _collect_from(self, bound: _Bound, report: PumpReport, frames: int):
@@ -243,6 +246,11 @@ class Coordinator:
                 bound.note(f"unparseable batch: {exc}")
                 report.errors += 1
                 continue
+            except PeerGone:
+                bound.hung_up = True
+                bound.note("its manager hung up")
+                report.errors += 1
+                return
             if records is None:
                 return
             for record in records:

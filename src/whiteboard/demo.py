@@ -26,7 +26,10 @@ which wakes the wait, and the next round reports it as the binding's
 error. The manager processes are checked before an utterance opens its
 connections, after a round that noted an error and after a wait that
 timed out, so a killed component turns into an error report naming it
-rather than a hang, and a quiet round costs no process check.
+rather than a hang, and a quiet round costs no process check. A manager
+that hangs up a connection and lives on, having refused it, fails the
+utterance as soon as a round has read the hang-up, naming the binding
+and its first error.
 """
 
 from __future__ import annotations
@@ -160,19 +163,16 @@ def _stop_workers(processes: dict[str, subprocess.Popen]) -> None:
 
 def _bindings(mailbox_root: Path, config: DemoConfig,
               matrix_file: Path) -> list[ComponentBinding]:
-    def params(imp: str, exp: str, source: str | None = None) -> ConnectionParams:
-        return ConnectionParams(config.sleep_time, imp, exp, source)
-
     return [
         ComponentBinding("source", mailbox_root / "source" / "request",
                          [], "phonemes",
-                         params("edge-v1", "edge-v1", str(matrix_file))),
+                         ConnectionParams("edge-v1", "edge-v1", str(matrix_file))),
         ComponentBinding("parser", mailbox_root / "parser" / "request",
                          ["phonemes"], "syntax",
-                         params("edge-v1", "inactive-edge-v1"),
+                         ConnectionParams("edge-v1", "inactive-edge-v1"),
                          filter_threshold=config.threshold_syntax),
         ComponentBinding("translator", mailbox_root / "translator" / "request",
-                         ["syntax"], "ww", params("node-v1", "node-v1"),
+                         ["syntax"], "ww", ConnectionParams("node-v1", "node-v1"),
                          filter_threshold=config.threshold_ww),
     ]
 
@@ -210,6 +210,7 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
                 error = _binding_errors(coordinator)
     except (ManagerUnavailable, WhiteboardError) as exc:
         error = f"pipeline failed: {exc}"
+    _drop_connections(coordinator)
 
     if error is None:
         error = _seal_layers(board)
@@ -232,15 +233,35 @@ def _dead_managers(coordinator: Coordinator,
     return f"manager process died: {', '.join(dead)}" if dead else None
 
 
+def _hang_ups(coordinator: Coordinator,
+              processes: dict[str, subprocess.Popen]) -> str | None:
+    """The utterance's error once a manager process has died or a binding's
+    manager has hung up its out channel: the dead processes, else each
+    binding that was hung up on, with its first error."""
+    hung_up = [name for name, bound in coordinator.bound.items()
+               if bound.hung_up]
+    for name in hung_up:
+        if name in processes:
+            # a dying process hangs up its channels before it can be reaped
+            try:
+                processes[name].wait(timeout=0.1)
+            except subprocess.TimeoutExpired:
+                pass
+    return _dead_managers(coordinator, processes) or "; ".join(
+        f"the manager of binding {name} hung up, the first error: "
+        f"{coordinator.bound[name].errors[0]}" for name in hung_up) or None
+
+
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
     """Pump until the coordinator has settled, waiting on the channels
-    between rounds. The processes are checked after a round that noted an
-    error, which a dead manager's hang-up gives, and after a wait that
-    timed out."""
+    between rounds. After a round that noted an error, which a hang-up
+    gives, the loop ends if a manager process died or hung up a
+    connection; the processes are checked after a wait that timed out
+    too."""
     deadline = time.monotonic() + config.max_wall
     while True:
         report = coordinator.pump()
-        if report.errors and (error := _dead_managers(coordinator, processes)):
+        if report.errors and (error := _hang_ups(coordinator, processes)):
             return error
         if coordinator.settled():
             return None
@@ -300,6 +321,18 @@ def _close_connections(coordinator: Coordinator) -> str | None:
             log.info("binding %s: %d records dropped on close",
                      name, len(leftovers))
     return "; ".join(problems) or None
+
+
+def _drop_connections(coordinator: Coordinator) -> None:
+    """Close every connection that a failed utterance left open, without
+    waiting for its manager, so the utterance leaves no descriptor or
+    `conn-*` directory behind."""
+    for conn in coordinator.connections().values():
+        if conn.state != "closed":
+            try:
+                conn.close(timeout=0)
+            except WhiteboardError:
+                pass  # no `(closed)` within no time, or a manager that died
 
 
 def _binding_errors(coordinator: Coordinator) -> str | None:

@@ -52,7 +52,6 @@ class RankedMatrix:
 
     rank: int
     cells: dict[Cell, tuple[str, float]]
-    frame_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ def topk_matrices(matrices: list[PhonemeMatrix], k: int) -> list[RankedMatrix]:
     for idx, m in enumerate(matrices):
         for cell, score in m.scores.items():
             per_span.setdefault(cell, []).append((score, m.phoneme, idx))
-    ranked: list[RankedMatrix] = [RankedMatrix(r + 1, {}, frame_count)
-                                  for r in range(k)]
+    ranked: list[RankedMatrix] = [RankedMatrix(r + 1, {}) for r in range(k)]
     for cell, candidates in per_span.items():
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         for r, (score, phoneme, _) in enumerate(candidates[:k]):

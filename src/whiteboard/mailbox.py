@@ -20,6 +20,14 @@ whatever it has not read stays in the FIFO, and a readable FIFO is its
 reader's wake-up: a channel is its own doorbell. When the writer closes
 its end, or dies, the reader drops any partial frame and raises
 `PeerGone`; so does a writer whose reader has gone.
+
+Either end of a channel may open first. A writer that opens first holds
+a read end of its own until it closes, so the FIFO takes and keeps what
+it writes, even after its hang-up, for the reader to come; only a writer
+that opened after its reader gets `PeerGone` once that reader has gone.
+The kernel reports a hang-up only to a reader that opened while a writer
+held the FIFO, so a reader that opens after its writer (`writer_first`)
+reads an end of file as the hang-up.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ from .errors import AlreadyClosed, MailboxTimeout, PeerGone
 
 # a channel frame's header: the length of its UTF-8 payload in bytes
 _FRAME_HEADER = struct.Struct(">I")
+# the most one read asks for: a frame's length comes from another process,
+# and `os.read` allocates what it is asked for before it reads
+_READ_LIMIT = 1 << 16
 
 
 def wait_ready(readers, writers=(), timeout: float | None = None) -> list:
@@ -57,16 +68,6 @@ def _open_writer(path: Path) -> int:
         if exc.errno != errno.ENXIO:
             raise
         raise PeerGone(f"nobody reads {path}") from None
-
-
-def is_orphaned(path: Path | str) -> bool:
-    """True if the FIFO at `path` is there but no process reads it: its
-    reader died without removing it."""
-    try:
-        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
-    except OSError as exc:
-        return exc.errno == errno.ENXIO
-    return False
 
 
 class Mailbox:
@@ -139,7 +140,7 @@ class Mailbox:
         while none has. One read takes what the FIFO holds, 64 KiB at
         most; a byte that is not UTF-8 spoils only its own line."""
         try:
-            data = self._partial + os.read(self._read, 1 << 16)
+            data = self._partial + os.read(self._read, _READ_LIMIT)
         except BlockingIOError:
             return None
         end = data.rfind(b"\n") + 1
@@ -154,23 +155,30 @@ class Channel:
     `open_reader` needs no writer yet; the writer's `open_writer` then
     finds it, and raises `PeerGone` if nobody holds the read end. A writer
     that opens first (`open_writer_first`) holds the FIFO before its
-    reader comes. An empty read before any writer has opened the FIFO
-    means nothing has arrived yet, not that the writer has gone."""
+    reader comes."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._fd: int | None = None
+        # the read end held by a writer that opened first, until it closes
+        self._keep: int | None = None
         # the writer's unwritten end of its last frame
         self._tail = memoryview(b"")
         # the reader's partial frame
         self._frame = bytearray()
+        self._writer_first = False
 
     def make(self) -> "Channel":
         os.mkfifo(self.path)
         return self
 
-    def open_reader(self) -> "Channel":
+    def open_reader(self, writer_first: bool = False) -> "Channel":
+        """Open the read end. Unless `writer_first` says the writer opened
+        the FIFO before this reader, an empty read before any writer has
+        opened it means nothing has arrived yet, not that the writer has
+        gone."""
         self._fd = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)
+        self._writer_first = writer_first
         return self
 
     def open_writer(self) -> "Channel":
@@ -179,18 +187,18 @@ class Channel:
 
     def open_writer_first(self) -> "Channel":
         """Open the write end before any reader, through a read end of
-        this process's own that is closed again at once. A reader that
-        opens while this writer holds the FIFO is told when it goes."""
-        reader = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            return self.open_writer()
-        finally:
-            os.close(reader)
+        this process's own that it holds, reading nothing, until `close`:
+        what it writes waits in the FIFO for the reader to come. A reader
+        that opens while this writer holds the FIFO is told when it
+        goes."""
+        self._keep = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)
+        return self.open_writer()
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        for fd in (self._fd, self._keep):
+            if fd is not None:
+                os.close(fd)
+        self._fd = self._keep = None
 
     def fileno(self) -> int:
         return self._fd
@@ -239,11 +247,13 @@ class Channel:
 
     def hang_up(self, timeout: float | None = None) -> None:
         """Write out the last frame's tail, then close the write end: the
-        reader reads every frame whole, then the hang-up."""
+        reader reads every frame whole, then the hang-up. A writer that
+        opened first holds its read end until `close`."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self.flush():
             self._wait(deadline, "hang-up")
-        self.close()
+        os.close(self._fd)
+        self._fd = None
 
     # -- the reader ---------------------------------------------------------------
 
@@ -260,7 +270,7 @@ class Channel:
                     self._frame = bytearray()
                     return frame[_FRAME_HEADER.size:].decode("utf-8")
             try:
-                chunk = os.read(self._fd, size - len(frame))
+                chunk = os.read(self._fd, min(size - len(frame), _READ_LIMIT))
             except BlockingIOError:
                 return None
             if not chunk:  # no writer holds the FIFO
@@ -271,8 +281,11 @@ class Channel:
             frame += chunk
 
     def _hung_up(self) -> bool:
-        """A writer had the FIFO open and has closed it: the kernel reports
-        a hang-up only to a reader that has seen a writer since it opened."""
+        """A writer had the FIFO open and has closed it. A reader that opened
+        after its writer knows it had; to any other, the kernel reports a
+        hang-up only once it has seen a writer since it opened."""
+        if self._writer_first:
+            return True
         poller = select.poll()
         poller.register(self._fd, select.POLLIN)
         return any(events & select.POLLHUP for _, events in poller.poll(0))

@@ -11,22 +11,22 @@ ends in its own process. The open request fixes the connection's formats
 and names its input, and the manager builds a fresh component for it from
 its factory, so no component state is shared between connections.
 
-Opening follows the order in which the ends of a FIFO can be opened
-without blocking. The client makes both FIFOs, opens ``out`` for reading
-and ``in`` for writing, and only then sends its open request. The
-manager, when it accepts, opens ``in`` for reading and ``out`` for
-writing, and refuses an open whose ``in`` has no writer or already holds
-data. As the manager's read end opens while the client holds ``in``, the
-kernel tells the manager when the client lets ``in`` go.
+A connection is live once asked for. The client makes both FIFOs, opens
+``out`` for reading and ``in`` for writing, sends its open request and
+may write batches at once: ``in`` keeps them until the manager, taking
+the request, opens ``in`` for reading and ``out`` for writing. An accepted
+open is not answered. A refused one, whose component could not be built,
+is answered with ``(error component-error ...)``, and the manager then
+hangs up. As the client held ``in`` before it asked, an end of file on
+``in`` is the client's hang-up.
 
 That hang-up is the one way a connection ends. A client closes by
 writing out its last batch and closing ``in``; a client that dies closes
 it too. Every reply travels on the asking connection's own out channel:
-the answer to its open, the results of its batches, and, once the
-manager has read ``in`` to its hang-up and delivered every earlier
-reply, ``(closed)``. The manager then closes its ends, and the client
-returns from its close once it has seen that hang-up. The connection's
-``conn-*`` directory is its only name.
+the results of its batches, and, once the manager has read ``in`` to its
+hang-up and delivered every earlier reply, ``(closed)``. The manager then
+closes its ends, and the client returns from its close once it has seen
+that hang-up. The connection's ``conn-*`` directory is its only name.
 
 The manager ends its reply to every input batch with one ``(done frame)``
 record, carried by the last frame it writes for that batch, so the client
@@ -43,15 +43,13 @@ Nobody sleeps a poll period waiting on a connection: a readable channel
 or request box wakes its reader, and a writer holding the tail of a frame
 waits until its channel is writable. A party whose peer closed its end,
 or died, gets `PeerGone`; a client whose open finds the request box with
-no reader, or whose manager leaves it with no reader before replying,
-gets `ManagerUnavailable` at once. A manager removes its box when it stops.
+no reader gets `ManagerUnavailable` at once. A manager removes its box
+when it stops.
 """
 
 from __future__ import annotations
 
-import errno
 import logging
-import os
 import shutil
 import tempfile
 import threading
@@ -68,26 +66,25 @@ from .errors import (
     PeerGone,
     UnknownFormatCode,
 )
-from .mailbox import Channel, Mailbox, is_orphaned, wait_ready
+from .mailbox import Channel, Mailbox, wait_ready
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SLEEP = 0.05
+# a client's pause before it asks again, while no manager serves the
+# request box yet or the box is full
+RETRY_SLEEP = 0.01
 CONN_PREFIX = "conn-"
 
 
 @dataclass(frozen=True)
 class ConnectionParams:
-    # the client's poll period while it waits for the manager to serve
-    sleep_time: float = DEFAULT_SLEEP
     import_format: str = "node-v1"
     export_format: str = "node-v1"
     # handed to the manager's component factory; None for no input
     input: str | None = None
 
     def __post_init__(self):
-        if self.sleep_time <= 0:
-            raise ValueError("sleep_time must be positive")
         wire.check_format_code(self.import_format)
         wire.check_format_code(self.export_format)
         if self.input is not None:
@@ -164,10 +161,8 @@ class Connection:
     def request_close(self, timeout: float | None = None) -> None:
         """Write out the last batch and hang up the in channel, without
         waiting for the manager's `(closed)`; `close` then only waits.
-        Lets a client close many connections at once."""
-        if self.state != "open":
-            raise AlreadyClosed(f"connection {self.in_channel.path.parent} "
-                                f"already closing")
+        Lets a client close many connections at once. Raises
+        `AlreadyClosed` once the in channel is hung up."""
         self.in_channel.hang_up(timeout=timeout)
         self.state = "closing"
 
@@ -181,8 +176,8 @@ class Connection:
         Hangs up the in channel unless `request_close` already did. The
         directory is removed however the wait ends, so a client that gives
         up on a close (`MailboxTimeout`) leaves nothing behind. A manager
-        that hangs up without `(closed)`, because it died, raises
-        `ManagerUnavailable` at once."""
+        that hangs up without `(closed)`, because it died or refused the
+        connection, raises `ManagerUnavailable` at once."""
         conn_dir = self.in_channel.path.parent
         if self.state == "closed":
             raise AlreadyClosed(f"connection {conn_dir} already closed")
@@ -204,97 +199,34 @@ class Connection:
             if records[-1:] == [wire.CloseReply()]:
                 return records[:-1]
             raise ManagerUnavailable(
-                f"manager at {self.request_root} died before acknowledging "
-                f"the close of {conn_dir}") from exc
+                f"manager at {self.request_root} hung up {conn_dir} without "
+                f"acknowledging its close") from exc
         finally:
             self.state = "closed"
             _discard(self.in_channel, self.out_channel)
 
 
-class PendingOpen:
-    """An open request sent to a manager whose reply is not read yet.
-
-    `send_open` makes one and `wait` turns it into a `Connection`, so a
-    client can send open requests to several managers before it waits for
-    any reply.
-    """
-
-    def __init__(self, request_root: Path, params: ConnectionParams,
-                 deadline: float, conn_dir: Path):
-        self.request_root = request_root
-        self.params = params
-        self.deadline = deadline
-        self.in_channel = Channel(conn_dir / "in")
-        self.out_channel = Channel(conn_dir / "out")
-
-    def wait(self) -> Connection:
-        """The manager's reply, as a connection. Raises `ManagerUnavailable`
-        if no reply came before the deadline, the manager died, the reply
-        was bad or the manager refused; the connection's directory is then
-        removed."""
-        try:
-            return self._connection()
-        except ManagerUnavailable:
-            _discard(self.in_channel, self.out_channel)
-            raise
-
-    def _connection(self) -> Connection:
-        reply_text = self._reply()
-        try:
-            replies = wire.parse(reply_text)
-        except ParseError:
-            replies = []
-        if len(replies) == 1 and isinstance(replies[0], wire.ErrorRecord):
-            raise ManagerUnavailable(f"manager at {self.request_root} refused "
-                                     f"the connection: {replies[0].message}")
-        if len(replies) != 1 or not isinstance(replies[0], wire.OpenReply):
-            raise ManagerUnavailable(f"bad open reply: {reply_text!r}")
-        if is_orphaned(self.in_channel.path):
-            raise ManagerUnavailable(
-                f"manager at {self.request_root} died after replying")
-        return Connection(self.in_channel, self.out_channel, self.params,
-                          self.request_root)
-
-    def _reply(self) -> str:
-        """The first frame on the out channel. Until the manager accepts,
-        nobody writes there, so after each poll period without a frame a
-        manager whose request box is left with no reader has died."""
-        try:
-            while (text := self.out_channel.try_collect()) is None:
-                remaining = self.deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ManagerUnavailable(
-                        f"manager at {self.request_root} did not reply")
-                poll = min(self.params.sleep_time, remaining)
-                if (not wait_ready([self.out_channel], [], poll)
-                        and is_orphaned(self.request_root)):
-                    raise ManagerUnavailable(
-                        f"manager at {self.request_root} died: nobody reads "
-                        f"its request box")
-        except PeerGone as exc:  # it accepted, then died
-            raise ManagerUnavailable(
-                f"manager at {self.request_root} died before replying") from exc
-        return text
-
-
-def send_open(request_root: Path | str, params: ConnectionParams,
-              timeout: float = 10.0) -> PendingOpen:
+def request_connection(request_root: Path | str, params: ConnectionParams,
+                       timeout: float = 10.0) -> Connection:
     """Make a connection directory beside `request_root`, holding its
     channels' client ends, and ask the manager serving it to open a
-    connection there, waiting for the manager to serve if it has not
-    started yet, and for room in a full request box; a box that nobody
-    reads fails at once. `timeout` bounds the send and the wait for the
-    reply together."""
+    connection there. The connection is live at once: its in channel
+    keeps what is deposited until the manager opens it.
+
+    Waits, asking again every `RETRY_SLEEP` seconds, for the manager to
+    serve if it has not started yet, and for room in a full request box;
+    `timeout` bounds the wait. A box that nobody reads fails at once. A
+    manager that refuses the connection answers on its out channel with
+    an error record, then hangs up."""
     request_root = Path(request_root)
     deadline = time.monotonic() + timeout
     while not request_root.exists():
         if time.monotonic() >= deadline:
             raise ManagerUnavailable(f"no manager serving {request_root}")
-        time.sleep(params.sleep_time)
+        time.sleep(RETRY_SLEEP)
     conn_dir = Path(tempfile.mkdtemp(prefix=CONN_PREFIX, dir=request_root.parent))
-    pending = PendingOpen(request_root, params, deadline, conn_dir)
-    pending.in_channel.make().open_writer_first()
-    pending.out_channel.make().open_reader()
+    in_channel = Channel(conn_dir / "in").make().open_writer_first()
+    out_channel = Channel(conn_dir / "out").make().open_reader()
     request = wire.serialize([wire.OpenRequest(
         params.import_format, params.export_format, params.input, conn_dir.name)])
     requests = Mailbox(request_root)
@@ -302,18 +234,12 @@ def send_open(request_root: Path | str, params: ConnectionParams,
         while not requests.try_deposit(request):  # the box is full
             if time.monotonic() >= deadline:
                 raise MailboxTimeout(f"{request_root} stayed full")
-            time.sleep(params.sleep_time)
+            time.sleep(RETRY_SLEEP)
     except (MailboxTimeout, PeerGone, FileNotFoundError) as exc:
-        _discard(pending.in_channel, pending.out_channel)
+        _discard(in_channel, out_channel)
         raise ManagerUnavailable(f"manager at {request_root} did not take "
                                  f"the open request: {exc}") from exc
-    return pending
-
-
-def request_connection(request_root: Path | str, params: ConnectionParams,
-                       timeout: float = 10.0) -> Connection:
-    """Open a connection with the manager serving `request_root`."""
-    return send_open(request_root, params, timeout).wait()
+    return Connection(in_channel, out_channel, params, request_root)
 
 
 # -- incremental delivery -----------------------------------------------------
@@ -377,20 +303,11 @@ class _Served:
         self.ending: str | None = None
 
     def open(self) -> None:
-        """Open the read end of `in` and the write end of `out`, whose
-        other ends the client holds already. The client writes nothing
-        before the reply, so a 1-byte read of `in` must find it empty
-        (EAGAIN): end of file says no writer holds it."""
-        self.in_channel.open_reader()
-        try:
-            early = os.read(self.in_channel.fileno(), 1)
-        except BlockingIOError:
-            self.out_channel.open_writer()
-            return
-        if early:
-            raise OSError(errno.EPROTO, f"{self.in_channel.path} holds data "
-                                        f"before the open is answered")
-        raise PeerGone(f"no writer holds {self.in_channel.path}")
+        """Open the read end of `in` and the write end of `out`, whose other
+        ends the client held before it asked. Raises `PeerGone` if nobody
+        reads `out`."""
+        self.in_channel.open_reader(writer_first=True)
+        self.out_channel.open_writer()
 
     def close(self) -> None:
         self.in_channel.close()
@@ -428,7 +345,9 @@ class _Manager:
         piece falls due.
 
         The request box is removed however the loop ends, when every
-        connection's ends are closed too."""
+        connection's ends are closed too, those of the requests that had
+        arrived but were not taken yet included: each of those clients
+        sees the hang-up."""
         if stop_event is None:
             stop_event = threading.Event()  # never set: serve until exit
         self.request_root.parent.mkdir(parents=True, exist_ok=True)
@@ -454,6 +373,7 @@ class _Manager:
                              self.name, name, why)
                 self._wait()
         finally:
+            self._dispatch(self.requests.try_collect() or "")
             for served in self.served.values():
                 served.close()
             self.requests.close()
@@ -509,8 +429,6 @@ class _Manager:
                 served.owed.append(wire.serialize(
                     [wire.ErrorRecord(f"component-error {exc}")]))
                 served.ending = "its component was not built"
-            else:
-                served.owed.append(wire.serialize([wire.OpenReply()]))
 
     def _conn_dir(self, request) -> Path | None:
         """The directory an open request names for its connection, if it is
@@ -593,9 +511,9 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
 
     `factory` is called once per opened connection with the input its open
     request named (None for `-`) and returns that connection's component,
-    so every component's state lives per connection. If it raises, the
-    open is answered with `(error component-error_...)` and the manager
-    keeps serving. A component maps a list of wire records to a list of
+    so every component's state lives per connection. An open is answered
+    only if it raises: with `(error component-error_...)`, after which the
+    manager hangs up the connection and keeps serving. A component maps a list of wire records to a list of
     wire records; it is invoked once per collected batch and holds up
     every connection of the manager while it runs. Exceptions inside it
     become error records on the out channel and the manager keeps serving.
@@ -604,14 +522,14 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
 
     Every reply goes to the out channel of the connection that asked. An
     open request naming no `conn-*` directory beside the request box, or
-    one whose channels do not open, and a request line that does not
-    parse, have no channel to be answered on and are only logged; so is an
-    open whose `in` channel has no writer or already holds data. The
+    one whose `out` channel nobody reads, and a request line that does not
+    parse, have no channel to be answered on and are only logged. The
     hang-up of a connection's in channel, by a client that closed it or
-    died, is answered by `(closed)` once every earlier batch's reply is
-    delivered; that is the last frame on the connection, and the manager
-    then closes its ends. A connection whose client stopped reading `out`
-    is dropped at the manager's next write there.
+    died, before or after the manager opened it, is answered by `(closed)`
+    once every earlier batch's reply is delivered; that is the last frame
+    on the connection, and the manager then closes its ends. A connection
+    whose client stopped reading `out` is dropped at the manager's next
+    write there.
     """
     _Manager(factory, Path(request_root), name, incremental,
              sleep_time).serve(stop_event)

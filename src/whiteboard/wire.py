@@ -18,7 +18,6 @@ that both take.
     node-v1           (arc-id origin extremity weight)
     inactive-edge-v1  (edge-id begin end category score (child-ids))
     open              (open import-format export-format input conn)
-    opened            (opened)
     closed            (closed)
     error             (error message)
     done              (done frame)
@@ -106,11 +105,6 @@ class OpenRequest:
 
 
 @dataclass(frozen=True)
-class OpenReply:
-    pass
-
-
-@dataclass(frozen=True)
 class CloseReply:
     pass
 
@@ -126,8 +120,7 @@ class DoneRecord:
 
 
 DataRecord = Union[EdgeRecord, NodeRecord, ArcRecord, InactiveEdgeRecord]
-WireRecord = Union[DataRecord, OpenRequest, OpenReply, CloseReply, ErrorRecord,
-                   DoneRecord]
+WireRecord = Union[DataRecord, OpenRequest, CloseReply, ErrorRecord, DoneRecord]
 
 
 def token_ok(text: str) -> bool:
@@ -241,7 +234,6 @@ _GRAMMAR = {
                         "category:token score:float child-ids:ids",
     OpenRequest: "open  import-format:format export-format:format "
                  "input:input conn:token",
-    OpenReply: "opened",
     CloseReply: "closed",
     ErrorRecord: "error  message:message",
     DoneRecord: "done  frame:int",

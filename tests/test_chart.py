@@ -63,9 +63,9 @@ def test_init_chart_single_cell():
 
 def test_init_chart_edge_count_equals_ranked_cells():
     ranked = [
-        RankedMatrix(1, {(0, 3): ("a", 0.9), (3, 6): ("i", 0.8)}, 6),
-        RankedMatrix(2, {(0, 3): ("m", 0.4), (3, 6): ("e", 0.2)}, 6),
-        RankedMatrix(3, {(0, 3): ("z", 0.1)}, 6),
+        RankedMatrix(1, {(0, 3): ("a", 0.9), (3, 6): ("i", 0.8)}),
+        RankedMatrix(2, {(0, 3): ("m", 0.4), (3, 6): ("e", 0.2)}),
+        RankedMatrix(3, {(0, 3): ("z", 0.1)}),
     ]
     cells = [(begin, end, phoneme, score) for rm in ranked
              for (begin, end), (phoneme, score) in rm.cells.items()]

@@ -28,7 +28,12 @@ from whiteboard import (
 from whiteboard import manager
 from whiteboard.components import IslandParser, MatrixSource, WordForWordTranslator
 from whiteboard.coordinator import _Bound
-from whiteboard.errors import LayerMismatch, ManagerUnavailable
+from whiteboard.errors import (
+    LayerMismatch,
+    MailboxTimeout,
+    ManagerUnavailable,
+    UnknownFormatCode,
+)
 from whiteboard.mailbox import Channel, Mailbox
 from oracles import identity_component, valid_lattice
 from stopping import WakingStop
@@ -92,8 +97,8 @@ def host(tmp_path):
     hosts.shutdown()
 
 
-def params(imp, exp, sleep=SLEEP):
-    return ConnectionParams(sleep, imp, exp)
+def params(imp, exp):
+    return ConnectionParams(imp, exp)
 
 
 def pump_until(coordinator, predicate, timeout=10.0):
@@ -126,12 +131,21 @@ def test_register_checks_layer_dependencies(tmp_path):
         coordinator.register(ComponentBinding(
             "bad", tmp_path / "x", ["nope"], "syntax",
             params("edge-v1", "edge-v1")))
+    with pytest.raises(LayerMismatch, match="unknown output layer"):
+        coordinator.register(ComponentBinding(
+            "bad", tmp_path / "x", ["phonemes"], "nope",
+            params("edge-v1", "edge-v1")))
+    with pytest.raises(UnknownFormatCode, match="inactive-edge-v1"):
+        coordinator.register(ComponentBinding(
+            "bad", tmp_path / "x", ["phonemes"], "syntax",
+            params("inactive-edge-v1", "edge-v1")))
+    assert not coordinator.bound and not list(tmp_path.iterdir())
 
 
 def test_register_activates_the_bindings_that_open_when_others_fail(
         host, tmp_path):
-    """The failing bindings come first: neither a request that nobody
-    takes nor a refused one stops the others opening."""
+    """The failing binding comes first: a request that nobody takes stops
+    no other opening. A refusal comes later, on the refused connection."""
     # a request box whose manager died: nobody reads it
     (tmp_path / "dead").mkdir()
     os.mkfifo(tmp_path / "dead" / "request")
@@ -151,10 +165,21 @@ def test_register_activates_the_bindings_that_open_when_others_fail(
     with pytest.raises(ManagerUnavailable, match="nobody reads"):
         coordinator.register(*bindings)
     assert time.monotonic() - start < 1.0  # not the open's 10 s timeout
-    assert list(coordinator.connections()) == ["live"]
-    assert coordinator.connections()["live"].state == "open"
-    assert list(tmp_path.glob("*/conn-*")) == [
-        coordinator.connections()["live"].in_channel.path.parent]
+    conns = coordinator.connections()
+    assert list(conns) == ["refusing", "live"]
+    assert sorted(tmp_path.glob("*/conn-*")) == sorted(
+        conn.in_channel.path.parent for conn in conns.values())
+    pump_until(coordinator, lambda: coordinator.bound["refusing"].hung_up)
+    assert coordinator.bound["refusing"].errors == [
+        "component error: component-error_no_component_here",
+        "its manager hung up"]
+    # the hung-up channel stays readable: no later round or wait looks at it
+    coordinator.pump()  # with no wait before it, a round reads every channel
+    assert len(coordinator.bound["refusing"].errors) == 2
+    assert not coordinator.wait(0)
+    with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+        conns["refusing"].close(timeout=5.0)
+    assert coordinator.bound["live"].errors == []
 
 
 def test_pump_without_pending_data_reports_zero(host):
@@ -177,7 +202,7 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
     def bind(name, component, inputs, output, imp, exp, incremental=False):
         coordinator.register(ComponentBinding(
             name, hosts(name, component, incremental, sleep),
-            inputs, output, params(imp, exp, sleep)))
+            inputs, output, params(imp, exp)))
 
     try:
         bind("source", MatrixSource(matrix_file, 3), [], "phonemes",
@@ -213,8 +238,8 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
 def test_the_pipeline_builds_the_same_board_on_the_poll_fallback_alone(
         tmp_path, fixtures_dir, monkeypatch):
     """Wake-ups only hurry the next cycle: with every wait of the managers
-    and of the opens sleeping out its poll period, as if nothing ever
-    became ready, the pipeline still reaches the reference board."""
+    sleeping out its poll period, as if nothing ever became ready, the
+    pipeline still reaches the reference board."""
     waits = []
 
     def sleep_out(readers, writers=(), timeout=None):
@@ -396,7 +421,7 @@ def test_component_errors_surface_without_halting_others(host):
      "edge 1 references unknown child 99"),
     ("node-v1", [wire.NodeRecord(1, 0, 3, "a", 0.5), wire.ArcRecord(10, 1, 2, 0.0)],
      "arc 10 references unknown node"),
-    ("node-v1", [wire.OpenReply()], "unexpected record on out channel: OpenReply")])
+    ("node-v1", [wire.CloseReply()], "unexpected record on out channel: CloseReply")])
 def test_a_record_the_board_cannot_place_is_rejected_and_noted(
         host, export, records, why):
     board = make_board()
@@ -417,14 +442,12 @@ def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
     box = Mailbox(tmp_path / "m" / "request").open()
     ends = []
     try:
-        pending = manager.send_open(box.path, params("edge-v1", "edge-v1"))
+        conn = manager.request_connection(box.path, params("edge-v1", "edge-v1"))
         [request] = wire.parse(box.try_collect())
         conn_dir = box.path.parent / request.conn
-        ends = [Channel(conn_dir / "in").open_reader(),
-                Channel(conn_dir / "out").open_writer()]
-        ends[1].deposit(wire.serialize([wire.OpenReply()]), timeout=5.0)
-        conn = pending.wait()
-        ends += [conn.in_channel, conn.out_channel]
+        ends = [Channel(conn_dir / "in").open_reader(writer_first=True),
+                Channel(conn_dir / "out").open_writer(),
+                conn.in_channel, conn.out_channel]
         coordinator = Coordinator(make_board())
         coordinator.bound["played"] = _Bound(ComponentBinding(
             "played", box.path, [], "phonemes", params("edge-v1", "edge-v1")),
@@ -442,6 +465,44 @@ def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
     assert (report.errors, report.collected) == (1, 1)
     assert [n.label for n in coordinator.board.layers["phonemes"]
             .white_nodes.values()] == ["h"]
+
+
+def test_a_frame_naming_an_unknown_format_code_is_noted_as_a_failed_collect(
+        host):
+    def opener(_records):  # a control record no reader of the frame knows
+        return [wire.OpenRequest("bogus-v9", "edge-v1", None, "conn-x")]
+
+    coordinator = host.coordinator(make_board())
+    coordinator.register(ComponentBinding(
+        "source", host("source", opener), [], "phonemes",
+        params("edge-v1", "edge-v1")))
+    pump_until(coordinator, lambda: coordinator.bound["source"].errors)
+    assert coordinator.bound["source"].errors == [
+        "collect failed: unknown format code: bogus-v9"]
+
+
+def test_a_deposit_that_fails_is_noted_and_left_for_the_next_round(tmp_path):
+    """This test reads the request box itself, and serves nothing."""
+    (tmp_path / "m").mkdir()
+    box = Mailbox(tmp_path / "m" / "request").open()
+    board = make_board()
+    board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
+    coordinator = Coordinator(board)
+    try:
+        coordinator.register(ComponentBinding(
+            "late", box.path, ["phonemes"], "syntax",
+            params("edge-v1", "edge-v1")))
+        conn = coordinator.bound["late"].conn
+        conn.request_close(timeout=5.0)  # its in channel is closed
+        report = coordinator.pump()
+        with pytest.raises(MailboxTimeout):
+            conn.close(timeout=0.1)
+    finally:
+        box.close()
+    assert report.errors == 1
+    assert coordinator.bound["late"].errors == [
+        f"deposit failed: {conn.in_channel.path} is closed for writing"]
+    assert coordinator.backlog == ["late"]
 
 
 def test_filter_slice_matches_brute_force(tmp_path):
@@ -823,6 +884,20 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
     assert not list(tmp_path.glob("*/conn-*"))
 
 
+def test_closing_reports_a_connection_whose_hang_up_fails(host):
+    from whiteboard.demo import _close_connections
+
+    coordinator = host.coordinator(make_board())
+    coordinator.register(ComponentBinding(
+        "echo", host("echo", identity_component),
+        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    conn = coordinator.bound["echo"].conn
+    conn.in_channel.hang_up()  # behind the connection's back
+    error = _close_connections(coordinator)
+    assert error == f"closing echo: {conn.in_channel.path} is closed for writing"
+    assert conn.state == "closed" and not conn.in_channel.path.parent.exists()
+
+
 def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(
         host, tmp_path):
     from whiteboard import TimeSpan
@@ -902,6 +977,103 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
     assert error == "manager process died: parser"
     assert returned - killed[0] < 1.0
     assert coordinator.bound["parser"].errors[-1] == "manager process died"
+
+
+def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
+    from whiteboard.demo import DemoConfig, _pump_loop
+    root = tmp_path / "source" / "request"
+    # the source's factory raises: the connection names no matrix file
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "whiteboard.workers", "source",
+         "--request-box", str(root), "--sleep", str(SLEEP)],
+        stderr=subprocess.DEVNULL)
+    coordinator = Coordinator(make_board())
+    try:
+        coordinator.register(ComponentBinding(
+            "source", root, [], "phonemes", params("edge-v1", "edge-v1")))
+        config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
+                            dictionary=tmp_path, out=tmp_path,
+                            sleep_time=SLEEP, max_wall=60.0)
+        start = time.monotonic()
+        error = _pump_loop(coordinator, {"source": worker}, config)
+        assert time.monotonic() - start < 1.0
+        assert worker.poll() is None  # it refused, and serves on
+        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+            coordinator.bound["source"].conn.close(timeout=5.0)
+    finally:
+        worker.kill()
+        worker.wait(timeout=10)
+    assert error == ("the manager of binding source hung up, the first "
+                     "error: component error: component-error_the_source_"
+                     "needs_a_matrix_file_as_its_input")
+    assert not list(tmp_path.glob("*/conn-*"))
+
+
+def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
+        tmp_path):
+    from whiteboard.demo import DemoConfig, _pump_loop
+
+    def source(_records):  # six pieces, one poll period apart
+        return [wire.EdgeRecord(i, i + 1, "h", 0.5) for i in range(6)]
+
+    stop = WakingStop()
+    root = stop.add(tmp_path / "source" / "request")
+    thread = threading.Thread(
+        target=run_manager, args=(lambda _input: source, root),
+        kwargs={"incremental": True, "sleep_time": 5.0, "name": "source",
+                "stop_event": stop}, daemon=True)
+    thread.start()
+    coordinator = Coordinator(make_board())
+    stopped = []
+
+    def stop_manager():
+        stopped.append(time.monotonic())
+        stop.set()
+
+    timer = threading.Timer(0.3, stop_manager)
+    try:
+        coordinator.register(ComponentBinding(
+            "source", root, [], "phonemes", params("edge-v1", "edge-v1")))
+        config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
+                            dictionary=tmp_path, out=tmp_path,
+                            sleep_time=SLEEP, max_wall=60.0)
+        timer.start()
+        error = _pump_loop(coordinator, {}, config)
+        returned = time.monotonic()
+        with pytest.raises(ManagerUnavailable):
+            coordinator.bound["source"].conn.close(timeout=5.0)
+    finally:
+        timer.cancel()
+        stop.set()
+        thread.join(timeout=5.0)
+    assert error == ("the manager of binding source hung up, the first "
+                     "error: its manager hung up")
+    assert returned - stopped[0] < 1.0
+    assert len(coordinator.board.layers["phonemes"].white_nodes) == 1
+
+
+def test_a_hang_up_by_a_manager_process_not_reaped_yet_is_its_death(tmp_path):
+    from whiteboard.demo import _hang_ups
+
+    class Dying:
+        """A process that has closed its channels and is not reaped yet."""
+        returncode = None
+
+        def poll(self):
+            return self.returncode
+
+        def wait(self, timeout=None):
+            self.returncode = -9
+            return self.returncode
+
+    coordinator = Coordinator(make_board())
+    bound = coordinator.bound["parser"] = _Bound(ComponentBinding(
+        "parser", tmp_path, [], "phonemes"), None)
+    bound.hung_up = True
+    bound.note("its manager hung up")
+    assert _hang_ups(coordinator, {"parser": Dying()}) == (
+        "manager process died: parser")
+    assert bound.errors[-1] == "manager process died"
 
 
 def unread(channel) -> int:

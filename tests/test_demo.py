@@ -1,9 +1,11 @@
 """A demo run serves all of its utterances through one trio of manager
 processes, with fresh connections, components and boards per utterance."""
 
+import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -18,7 +20,7 @@ from whiteboard import (
     load_grammar,
     wire,
 )
-from whiteboard.demo import DemoConfig, demo_run
+from whiteboard.demo import ROLES, DemoConfig, _run_utterance, _stop_workers, demo_run
 
 REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
@@ -199,3 +201,82 @@ def test_an_utterance_whose_alphabet_misses_a_terminal_is_a_config_error(
     assert result.config_error == "b-no-e.mat: rule R2: unknown terminal 'e'"
     assert [(u.name, u.ok) for u in result.utterances] == [("a-hai", True)]
     assert len(loads) == 1  # the grammar file is read once per run
+
+
+def test_a_failed_utterance_leaves_no_descriptor_open(tmp_path, fixtures_dir):
+    killers = []
+
+    def hook(role, proc):
+        if role != "parser":
+            return
+        conns = Path(proc.args[proc.args.index("--request-box") + 1]).parent
+
+        def kill_once_asked():  # the source has 9 pieces still to release
+            deadline = time.monotonic() + 15.0
+            while not any(conns.glob("conn-*")) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            proc.kill()
+        killers.append(threading.Thread(target=kill_once_asked, daemon=True))
+        killers[-1].start()
+
+    before = len(os.listdir("/proc/self/fd"))
+    result = demo_run(DemoConfig(matrices=fixtures_dir / "hai.mat",
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=tmp_path / "out.json", sleep_time=0.05),
+                      process_hook=hook)
+    for killer in killers:
+        killer.join(timeout=20.0)
+    [utterance] = result.utterances
+    assert not utterance.ok
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_open_requests_nobody_takes_fail_the_utterance(tmp_path, fixtures_dir):
+    class Alive:
+        """A manager process that has not died."""
+        def poll(self):
+            return None
+
+    for role in ROLES:  # request boxes nobody reads, as if each manager hung
+        (tmp_path / role).mkdir()
+        os.mkfifo(tmp_path / role / "request")
+    config = DemoConfig(matrices=fixtures_dir / "hai.mat",
+                        grammar=fixtures_dir / "words.grammar",
+                        dictionary=fixtures_dir / "words.dict",
+                        out=tmp_path / "out.json", sleep_time=0.01)
+    start = time.monotonic()
+    result = _run_utterance(
+        config.matrices, config,
+        load_grammar(config.grammar.read_text(encoding="utf-8")),
+        load_dictionary(config.dictionary.read_text(encoding="utf-8")),
+        tmp_path, {role: Alive() for role in ROLES})
+    assert time.monotonic() - start < 1.0
+    assert result.error.startswith("pipeline failed: manager at ")
+    assert "did not take the open request: nobody reads" in result.error
+    assert not list(tmp_path.glob("*/conn-*"))
+
+
+def test_a_worker_that_ignores_terminate_is_killed():
+    class Stubborn:
+        """A worker process that ignores SIGTERM."""
+        def __init__(self):
+            self.calls = []
+
+        def poll(self):
+            return None
+
+        def terminate(self):
+            self.calls.append("terminate")
+
+        def wait(self, timeout=None):
+            self.calls.append(("wait", timeout))
+            if timeout is not None:
+                raise subprocess.TimeoutExpired("worker", timeout)
+
+        def kill(self):
+            self.calls.append("kill")
+
+    worker = Stubborn()
+    _stop_workers({"parser": worker})
+    assert worker.calls == ["terminate", ("wait", 5), "kill", ("wait", None)]

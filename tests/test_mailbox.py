@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 
 from whiteboard import wire
 from whiteboard.errors import MailboxTimeout, PeerGone
-from whiteboard.mailbox import Channel, Mailbox, is_orphaned, wait_ready
+from whiteboard.mailbox import Channel, Mailbox, wait_ready
 from _channel_writer import big_text, odd_texts
 
 SLEEP = 0.005
@@ -151,25 +151,53 @@ def test_sequential_handoffs_preserve_order(tmp_path):
 
 def test_an_orphaned_request_box_is_one_nobody_reads(tmp_path):
     path = tmp_path / "request"
-    assert not is_orphaned(path)  # no box: nothing is known
     with pytest.raises(FileNotFoundError):
         Mailbox(path).try_deposit("(x)\n")
     box = Mailbox(path).open()
-    assert not is_orphaned(path)
     box._close_ends()  # as if its reader died: the FIFO stays, unread
-    assert is_orphaned(path)
     start = time.monotonic()
     with pytest.raises(PeerGone):  # at once: nobody will read it
         Mailbox(path).try_deposit("(x)\n")
     assert time.monotonic() - start < 1.0
     replaced = Mailbox(path).open()  # a new reader replaces the dead one's box
     try:
-        assert not is_orphaned(path)
         assert Mailbox(path).try_deposit("(y)\n")
         assert replaced.try_collect() == "(y)\n"
     finally:
         replaced.close()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_box_that_cannot_take_its_path_leaves_nothing_open(tmp_path):
+    path = tmp_path / "request"
+    (path / "inside").mkdir(parents=True)  # a directory holds the path
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(IsADirectoryError):
+        Mailbox(path).open()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert list(tmp_path.iterdir()) == [path]  # and no temporary
+    box = make_box(tmp_path, "other")
+    os.unlink(box.path)  # removed under its reader
+    box.close()  # which closes its ends all the same
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_a_reader_gone_between_open_and_write_is_peer_gone(tmp_path, monkeypatch):
+    box = make_box(tmp_path)
+    before = len(os.listdir("/proc/self/fd"))
+
+    def gone(fd, data):
+        raise BrokenPipeError
+
+    try:
+        monkeypatch.setattr(os, "write", gone)
+        with pytest.raises(PeerGone):
+            box.try_deposit("(x)\n")
+        monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before  # the write end too
+    finally:
+        monkeypatch.undo()
+        box.close()
 
 
 # -- channels ---------------------------------------------------------------------
@@ -260,6 +288,56 @@ def test_a_read_before_any_writer_is_nothing_yet_and_a_hang_up_is_peer_gone(
         reader.close()
     with pytest.raises(PeerGone):  # nobody holds the read end
         Channel(reader.path).open_writer()
+
+
+def test_a_writer_that_hangs_up_before_its_reader_opens_keeps_its_frames(
+        tmp_path):
+    writer = Channel(tmp_path / "chan").make().open_writer_first()
+    writer.deposit("first\n")
+    writer.hang_up()
+    # no POLLHUP comes to a reader that opened after its writer left, so it
+    # reads an end of file as the hang-up
+    reader = Channel(writer.path).open_reader(writer_first=True)
+    try:
+        assert reader.try_collect() == "first\n"
+        with pytest.raises(PeerGone):
+            reader.try_collect()
+    finally:
+        reader.close()
+        writer.close()  # and the read end it held
+    assert (writer.fileno(), writer._keep) == (None, None)
+
+
+def test_a_reader_that_opens_after_a_writer_that_died_gets_peer_gone(tmp_path):
+    writer = Channel(tmp_path / "chan").make().open_writer_first()
+    writer.deposit("lost\n")
+    writer.close()  # as a writer that died: the FIFO drops what it held
+    reader = Channel(writer.path).open_reader(writer_first=True)
+    try:
+        with pytest.raises(PeerGone):
+            reader.try_collect()
+    finally:
+        reader.close()
+
+
+def test_a_frame_length_from_a_corrupt_header_is_not_allocated(
+        tmp_path, monkeypatch):
+    read = os.read
+
+    def bounded_read(fd, n):
+        # os.read allocates `n` bytes before it reads
+        assert n <= 1 << 20, f"asked to read {n} bytes"
+        return read(fd, n)
+
+    reader, writer = make_channel(tmp_path)
+    try:
+        os.write(writer.fileno(), b"\xff\xff\xff\xf0" + b"abc")
+        monkeypatch.setattr(os, "read", bounded_read)
+        assert reader.try_collect() is None  # the frame is not whole yet
+        assert reader.try_collect() is None
+    finally:
+        reader.close()
+        writer.close()
 
 
 def test_a_blocking_collect_wakes_on_the_deposit_not_the_poll(tmp_path):

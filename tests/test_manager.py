@@ -24,7 +24,6 @@ from whiteboard.manager import (
     partition_by_end,
     request_connection,
     run_manager,
-    send_open,
 )
 from whiteboard.mailbox import Channel, Mailbox
 from oracles import identity_component
@@ -62,7 +61,7 @@ class hosted_manager:
 
 
 def params(imp="edge-v1", exp="edge-v1"):
-    return ConnectionParams(SLEEP, imp, exp)
+    return ConnectionParams(imp, exp)
 
 
 def edges(*seq):
@@ -71,13 +70,13 @@ def edges(*seq):
 
 def test_bad_format_code_rejected_before_any_traffic():
     with pytest.raises(UnknownFormatCode):
-        ConnectionParams(SLEEP, "bogus", "edge-v1")
+        ConnectionParams("bogus", "edge-v1")
 
 
 @pytest.mark.parametrize("source", ["two words.mat", "u(1).mat", "", "-"])
 def test_an_input_that_is_not_a_wire_token_is_rejected_before_any_traffic(source):
     with pytest.raises(ValueError):
-        ConnectionParams(SLEEP, "edge-v1", "edge-v1", source)
+        ConnectionParams("edge-v1", "edge-v1", source)
 
 
 def test_an_input_too_long_for_one_open_request_is_rejected_before_any_traffic(
@@ -86,7 +85,7 @@ def test_an_input_too_long_for_one_open_request_is_rejected_before_any_traffic(
     # counted in bytes: each of these characters takes two
     for source in (longest + "x", "\u00e9" * (wire.MAX_INPUT_BYTES // 2 + 1)):
         with pytest.raises(ValueError, match="does not fit an open request"):
-            ConnectionParams(SLEEP, "edge-v1", "edge-v1", source)
+            ConnectionParams("edge-v1", "edge-v1", source)
     # the longest input goes over with the longest format codes
     inputs = []
 
@@ -96,7 +95,7 @@ def test_an_input_too_long_for_one_open_request_is_rejected_before_any_traffic(
 
     with hosted_manager(tmp_path, factory=factory) as root:
         conn = request_connection(root, ConnectionParams(
-            SLEEP, "inactive-edge-v1", "inactive-edge-v1", longest))
+            "inactive-edge-v1", "inactive-edge-v1", longest))
         conn.close(timeout=5.0)
     assert inputs == [longest]
 
@@ -108,13 +107,15 @@ def test_the_factory_builds_each_connection_its_component_from_its_input(tmp_pat
         return lambda records: [wire.ErrorRecord(source)]
 
     with hosted_manager(tmp_path, factory=factory) as root:
-        with pytest.raises(ManagerUnavailable,
-                           match="refused the connection: component-error_"
-                                 "this_component_needs_an_input"):
-            request_connection(root, params())
+        refused = request_connection(root, params())
+        # the refusal is the one frame on out, and then the manager hangs up
+        assert refused.collect(timeout=5.0) == [wire.ErrorRecord(
+            "component-error_this_component_needs_an_input")]
+        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+            refused.close(timeout=5.0)
         # the refusal left the manager serving
         conns = {source: request_connection(
-                     root, ConnectionParams(SLEEP, "edge-v1", "edge-v1", source))
+                     root, ConnectionParams("edge-v1", "edge-v1", source))
                  for source in ("a.mat", "b.mat")}
         for source, conn in conns.items():
             conn.deposit([], timeout=5.0)
@@ -206,6 +207,9 @@ def test_manager_unavailable_when_nobody_serves(tmp_path):
 def test_close_acknowledges_and_removes_boxes(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
+        conn.request_close(timeout=5.0)
+        with pytest.raises(AlreadyClosed):
+            conn.request_close(timeout=5.0)
         leftovers = conn.close(timeout=5.0)
         assert leftovers == []
         assert conn.state == "closed"
@@ -266,10 +270,11 @@ def test_an_open_naming_no_connection_directory_of_its_own_is_only_logged(
         bad = ["../elsewhere", str(tmp_path / "elsewhere"), "conn-missing",
                "plain"]
         # in one write, so read at once: the unparseable line, first, costs
-        # only itself, and the blank line nothing
+        # only itself, the blank line nothing, and so does a record that
+        # asks for no connection
         assert Mailbox(root).try_deposit("(open edge-v1\n\n" + wire.serialize(
-            [wire.OpenRequest("edge-v1", "edge-v1", None, name)
-             for name in bad]))
+            [wire.CloseReply(), *(wire.OpenRequest("edge-v1", "edge-v1", None, name)
+                                  for name in bad)]))
         # answered only once the manager has taken every earlier request
         conn = request_connection(root, params())
         conn.deposit(edges(0), timeout=5.0)
@@ -278,18 +283,25 @@ def test_an_open_naming_no_connection_directory_of_its_own_is_only_logged(
         assert sorted(tmp_path.rglob("*")) == before
     ignored = [r.getMessage() for r in caplog.records
                if r.name == "whiteboard.manager" and "ignored" in r.getMessage()]
-    assert len(ignored) == len(bad) + 1
-    for name in bad:
-        assert any(repr(name) in message for message in ignored)
+    assert len(ignored) == len(bad) + 2
+    for name in [*map(repr, bad), "CloseReply()"]:
+        assert any(name in message for message in ignored)
 
 
 def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="whiteboard.manager")
-    # an open nobody answers: this test reads the box, and never replies
+    # an open nobody serves: this test reads the box, and opens nothing
     (tmp_path / "silent").mkdir()
     silent = Mailbox(tmp_path / "silent" / "request").open()
     try:
-        with pytest.raises(ManagerUnavailable, match="did not reply"):
+        conn = request_connection(silent.path, params())
+        with pytest.raises(MailboxTimeout):
+            conn.close(timeout=0.1)
+        # a box that nobody empties fills up: the open gives up in time
+        for line in ("x" * 4000 + "\n", "\n"):
+            while Mailbox(silent.path).try_deposit(line):
+                pass
+        with pytest.raises(ManagerUnavailable, match="stayed full"):
             request_connection(silent.path, params(), timeout=0.1)
     finally:
         silent.close()
@@ -323,6 +335,8 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
     # the manager drops a connection whose client hung up, and serves on
     with hosted_manager(tmp_path, identity_component) as root:
         gone, kept = (request_connection(root, params()) for _ in range(2))
+        gone.deposit(edges(9), timeout=5.0)  # answered once the open is taken
+        assert gone.collect(timeout=5.0) == edges(9)
         gone.in_channel.close()  # as a client that died would
         gone.out_channel.close()
         for i in range(3):
@@ -332,33 +346,6 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
                    in r.getMessage()
                    for r in caplog.records)
         kept.close(timeout=5.0)
-
-
-@pytest.mark.parametrize("play, message", [
-    ("garbage", "bad open reply: '\\(opened\\\\n'"),
-    ("reply, never open in", "died after replying"),
-    ("accept, then hang up", "died before replying")])
-def test_an_open_answered_wrongly_or_by_a_dying_manager_fails(
-        tmp_path, play, message):
-    """This test plays the manager, on a request box it reads itself."""
-    (tmp_path / "m").mkdir()
-    box = Mailbox(tmp_path / "m" / "request").open()
-    try:
-        pending = send_open(box.path, params(), timeout=5.0)
-        [request] = wire.parse(box.try_collect())
-        out = Channel(box.path.parent / request.conn / "out").open_writer()
-        try:
-            if play == "garbage":
-                out.deposit("(opened\n", timeout=5.0)
-            elif play == "reply, never open in":
-                out.deposit(wire.serialize([wire.OpenReply()]), timeout=5.0)
-        finally:
-            out.close()
-        with pytest.raises(ManagerUnavailable, match=message):
-            pending.wait()
-    finally:
-        box.close()
-    assert list((tmp_path / "m").iterdir()) == []
 
 
 def test_component_fault_becomes_error_record_and_service_continues(tmp_path):
@@ -534,8 +521,7 @@ def test_a_round_trip_takes_well_inside_one_poll(tmp_path):
     with hosted_manager(tmp_path, identity_component, sleep_time=poll) as root:
         wait_for_request_box(root)
         start = time.monotonic()
-        conn = request_connection(root, ConnectionParams(poll, "edge-v1",
-                                                         "edge-v1"))
+        conn = request_connection(root, params())
         conn.deposit(edges(0, 1), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(0, 1)
         conn.close(timeout=5.0)
@@ -558,15 +544,14 @@ def test_an_incremental_manager_keeps_its_pieces_one_poll_apart(
     monkeypatch.setattr(Channel, "try_deposit", timed_deposit)
     with hosted_manager(tmp_path, identity_component, incremental=True,
                         sleep_time=poll) as root:
-        conn = request_connection(root, ConnectionParams(poll, "edge-v1",
-                                                         "edge-v1"))
+        conn = request_connection(root, params())
         conn.deposit(edges(*range(6)), timeout=5.0)
         while conn.outstanding:
             assert conn.collect(timeout=5.0)  # as soon as the frame lands
             # wakes the manager, as other connections' traffic would
             assert Mailbox(root).try_deposit("\n")
         conn.close(timeout=5.0)
-    pieces = released[1:-1]  # between the open's reply and the close's
+    pieces = released[:-1]  # all but the close's reply
     assert len(pieces) == 6
     gaps = [b - a for a, b in zip(pieces, pieces[1:])]
     assert min(gaps) >= 0.045, gaps
@@ -604,8 +589,9 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         stderr=subprocess.DEVNULL)
     try:
         wait_for_request_box(root, timeout=30.0)
-        conn = request_connection(root, ConnectionParams(0.05, "edge-v1",
-                                                         "edge-v1"))
+        conn = request_connection(root, params())
+        conn.deposit([], timeout=5.0)  # answered once the manager took the open
+        assert conn.collect(timeout=5.0) == []
         worker.send_signal(signal.SIGKILL)
         worker.wait(timeout=10)
         start = time.monotonic()
@@ -615,8 +601,7 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         assert not list(root.parent.glob("conn-*"))
         start = time.monotonic()
         with pytest.raises(ManagerUnavailable):
-            request_connection(root, ConnectionParams(0.05, "edge-v1",
-                                                      "edge-v1"))  # 10 s
+            request_connection(root, params())  # 10 s
         assert time.monotonic() - start < 1.0
         assert not list(root.parent.glob("conn-*"))
     finally:
@@ -625,32 +610,108 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
             worker.wait(timeout=10)
 
 
-def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
-        tmp_path):
+def served_by_hand(tmp_path, poll=SLEEP):
+    """A manager serving on a daemon thread, whose connections the test can
+    see, and its stop event."""
     manager = _Manager(lambda _input: identity_component,
-                       tmp_path / "m" / "request", "m", False, SLEEP)
+                       tmp_path / "m" / "request", "m", False, poll)
     stop = WakingStop()
-    root = stop.add(manager.request_root)
+    stop.add(manager.request_root)
     thread = threading.Thread(target=manager.serve, args=(stop,), daemon=True)
     thread.start()
+    wait_for_request_box(manager.request_root)
+    return manager, stop, thread
+
+
+def held_up(manager):
+    """Hold the manager up in a component call, through a connection of its
+    own, until the returned event is set; returns the event and that
+    connection."""
+    entered, release = threading.Event(), threading.Event()
+
+    def held(records):
+        entered.set()
+        release.wait(timeout=5.0)
+        return records
+
+    factory, manager.factory = manager.factory, (lambda _input: held)
+    conn = request_connection(manager.request_root, params())
+    conn.deposit(edges(0), timeout=5.0)
+    assert entered.wait(timeout=5.0)
+    manager.factory = factory  # the manager waits in `held` meanwhile
+    return release, conn
+
+
+def test_batches_written_before_the_manager_opened_in_are_served(tmp_path):
+    manager, stop, thread = served_by_hand(tmp_path)
     try:
-        wait_for_request_box(root)
-        before = open_fds()
-        pending = send_open(root, params())
-        # the client reads the reply, then goes without writing to `in`
-        assert wire.parse(pending.out_channel.collect(timeout=5.0)) == [
-            wire.OpenReply()]
-        pending.in_channel.close()
-        pending.out_channel.close()
-        deadline = time.monotonic() + 1.0
-        while manager.served and time.monotonic() < deadline:
-            time.sleep(SLEEP)
-        assert not manager.served
-        assert open_fds() == before  # the manager's two ends are closed
+        release, holding = held_up(manager)
+        early = request_connection(manager.request_root, params())
+        early.deposit(edges(1), timeout=5.0)
+        closed = request_connection(manager.request_root, params())
+        closed.deposit(edges(2), timeout=5.0)
+        closed.request_close(timeout=5.0)  # hung up before the open, too
+        assert len(manager.served) == 1  # neither open is taken yet
+        release.set()
+        assert early.collect(timeout=5.0) == edges(1)
+        assert closed.close(timeout=5.0) == edges(2)
+        assert early.close(timeout=5.0) == []
+        assert holding.close(timeout=5.0) == edges(0)
     finally:
         stop.set()
         thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+def test_a_stopping_manager_hangs_up_the_opens_it_had_not_taken(tmp_path):
+    manager, stop, thread = served_by_hand(tmp_path)
+    try:
+        release, holding = held_up(manager)
+        conn = request_connection(manager.request_root, params())
+        stop.set()  # seen before the manager reads its box again
+        release.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        start = time.monotonic()
+        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+            conn.close(timeout=5.0)
+        assert time.monotonic() - start < 1.0  # not the close's 5 s
+        with pytest.raises(ManagerUnavailable):
+            holding.close(timeout=5.0)
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    assert not list(manager.request_root.parent.iterdir())
+
+
+def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
+        tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="whiteboard.manager")
+    manager, stop, thread = served_by_hand(tmp_path)
+    try:
+        release, holding = held_up(manager)
+        before = open_fds()
+        conn = request_connection(manager.request_root, params())
+        conn.deposit(edges(1), timeout=5.0)
+        conn.in_channel.close()  # the client dies before the open is taken
+        conn.out_channel.close()
+        release.set()
+        assert holding.collect(timeout=5.0) == edges(0)
+        deadline = time.monotonic() + 1.0
+        while manager.served.keys() - {holding.in_channel.path.parent.name}:
+            assert time.monotonic() < deadline, "not dropped"
+            time.sleep(SLEEP)
+        while open_fds() != before:  # the manager's ends are closed
+            assert time.monotonic() < deadline, "descriptors left open"
+            time.sleep(SLEEP)
+        holding.close(timeout=5.0)
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    name = conn.in_channel.path.parent.name
+    assert any(name in r.getMessage() and "nobody reads" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
@@ -658,7 +719,7 @@ def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
         conn = request_connection(root, params())
         conn.deposit(edges(0, 1), timeout=5.0)
         conn.deposit(edges(4), timeout=5.0)
-        conn.in_channel.close()  # no `close`: as a client that died would
+        conn.in_channel.hang_up()  # no `close`: the client reads on
         assert raw_replies(conn, 4) == [
             edges(0), edges(1) + [wire.DoneRecord(2)],
             edges(4) + [wire.DoneRecord(5)], [wire.CloseReply()]]
@@ -667,22 +728,17 @@ def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
         conn.out_channel.close()
 
 
-def test_a_client_that_leaves_after_the_open_reply_is_dropped_at_once(tmp_path):
-    poll = 5.0
-    manager = _Manager(lambda _input: identity_component,
-                       tmp_path / "m" / "request", "m", False, poll)
-    stop = WakingStop()
-    root = stop.add(manager.request_root)
-    thread = threading.Thread(target=manager.serve, args=(stop,), daemon=True)
-    thread.start()
+def test_a_client_that_leaves_an_opened_connection_is_dropped_at_once(tmp_path):
+    manager, stop, thread = served_by_hand(tmp_path, poll=5.0)
     try:
-        wait_for_request_box(root)
-        pending = send_open(root, params())
-        [reply] = wire.parse(pending.out_channel.collect(timeout=5.0))
-        assert isinstance(reply, wire.OpenReply) and manager.served
+        conn = request_connection(manager.request_root, params())
+        deadline = time.monotonic() + 1.0
+        while not manager.served:  # the manager opens its ends
+            assert time.monotonic() < deadline, "the open was not taken"
+            time.sleep(SLEEP)
         start = time.monotonic()
-        pending.in_channel.close()  # the client goes
-        pending.out_channel.close()
+        conn.in_channel.close()  # the client goes
+        conn.out_channel.close()
         while manager.served and time.monotonic() - start < 1.0:
             time.sleep(SLEEP)
         assert not manager.served  # not a poll period later
@@ -692,19 +748,15 @@ def test_a_client_that_leaves_after_the_open_reply_is_dropped_at_once(tmp_path):
     assert not thread.is_alive()
 
 
-def play_open(root, holds_in=True, holds_out=True, early=b""):
+def play_open(root, holds_in=True, holds_out=True):
     """Ask the manager at `root` for a connection as a client that holds the
-    ends of its channels as told, and may have written `early` to `in`
-    before the reply: the client's ends, in a `conn-*` directory."""
+    ends of its channels as told: the client's ends, in a `conn-*`
+    directory."""
     conn_dir = root.parent / "conn-played"
     conn_dir.mkdir()
     in_channel, out_channel = (Channel(conn_dir / n).make() for n in ("in", "out"))
     if holds_in:
-        # held open for reading while the client writes, as if by a manager
-        reader = Channel(in_channel.path).open_reader()
-        in_channel.open_writer()
-        os.write(in_channel.fileno(), early)
-        reader.close()
+        in_channel.open_writer_first()
     if holds_out:
         out_channel.open_reader()
     assert Mailbox(root).try_deposit(wire.serialize(
@@ -712,30 +764,39 @@ def play_open(root, holds_in=True, holds_out=True, early=b""):
     return in_channel, out_channel
 
 
-@pytest.mark.parametrize("holds_in, holds_out, early, why", [
-    (False, True, b"", "no writer holds"),
-    (True, True, b"\0\0\0\0", "holds data before the open is answered"),
-    (True, False, b"", "nobody reads")])
-def test_an_open_whose_channels_do_not_open_is_refused_and_logged(
-        tmp_path, caplog, holds_in, holds_out, early, why):
+def test_an_open_whose_out_channel_nobody_reads_is_refused_and_logged(
+        tmp_path, caplog):
     caplog.set_level(logging.WARNING, logger="whiteboard.manager")
     with hosted_manager(tmp_path, identity_component) as root:
         wait_for_request_box(root)
-        in_channel, out_channel = play_open(root, holds_in, holds_out, early)
+        in_channel, out_channel = play_open(root, holds_out=False)
         try:
             # answered only once the manager has taken the played request
             conn = request_connection(root, params())
             conn.deposit(edges(0), timeout=5.0)
             assert conn.collect(timeout=5.0) == edges(0)
             assert conn.close(timeout=5.0) == []
-            if holds_out:
-                assert out_channel.try_collect() is None  # no reply came
         finally:
             in_channel.close()
-            out_channel.close()
     [refused] = [r.getMessage() for r in caplog.records
                  if "its channels do not open" in r.getMessage()]
-    assert why in refused and "conn-played" in refused
+    assert "nobody reads" in refused and "conn-played" in refused
+
+
+def test_an_open_whose_in_channel_no_writer_holds_is_a_hang_up(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="whiteboard.manager")
+    with hosted_manager(tmp_path, identity_component) as root:
+        wait_for_request_box(root)
+        _, out_channel = play_open(root, holds_in=False)
+        try:
+            assert wire.parse(out_channel.collect(timeout=5.0)) == [
+                wire.CloseReply()]
+            with pytest.raises(PeerGone):  # then the manager hangs up
+                out_channel.collect(timeout=5.0)
+        finally:
+            out_channel.close()
+    assert any("conn-played dropped, its client hung up" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_an_export_error_answers_the_batch_and_service_continues(tmp_path):

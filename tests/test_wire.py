@@ -71,18 +71,17 @@ def test_control_records_roundtrip_without_format():
     records = [
         wire.OpenRequest("edge-v1", "node-v1", None, "conn-a1"),
         wire.OpenRequest("edge-v1", "edge-v1", "utterances/hai.mat", "conn-b2"),
-        wire.OpenReply(),
         wire.CloseReply(),
         wire.ErrorRecord("component_blew_up"),
     ]
     assert wire.parse(wire.serialize(records)) == records
 
 
-def test_opened_and_closed_carry_no_field_and_close_is_no_record():
-    text = "(opened)\n(closed)\n"
-    assert wire.parse(text) == [wire.OpenReply(), wire.CloseReply()]
+def test_closed_carries_no_field_and_opened_and_close_are_no_records():
+    text = "(closed)\n"
+    assert wire.parse(text) == [wire.CloseReply()]
     assert wire.serialize(wire.parse(text)) == text
-    for line in ("(opened 1)\n", "(closed 1)\n", "(close 3)\n", "(close)\n"):
+    for line in ("(closed 1)\n", "(opened)\n", "(close 3)\n", "(close)\n"):
         with pytest.raises(ParseError):
             wire.parse(line)
 
@@ -186,7 +185,6 @@ VALID = [
     wire.InactiveEdgeRecord(4, 3, 9, "NP", 0.5, (1,)),
     wire.OpenRequest("edge-v1", "node-v1", None, "conn-a1"),
     wire.OpenRequest("edge-v1", "inactive-edge-v1", "u/hai.mat", "conn-b2"),
-    wire.OpenReply(),
     wire.CloseReply(),
     wire.ErrorRecord("component_blew_up"),
     wire.DoneRecord(42),
