@@ -39,7 +39,10 @@ soon as there is something to collect or room to write what the last
 round could not. A manager that dies, or refuses a connection, hangs up
 its out channel: the channel turns readable, and the round's read of it
 fails. The binding notes that its manager hung up, and no later round or
-wait looks at that channel again.
+wait looks at that channel again. A manager that died before it took the
+open never opened the out channel, so no hang-up tells of it: a round
+after a wait that timed out asks the request box of each binding that has
+heard nothing yet whether its manager still reads it.
 
 Managers end their reply to every batch with a `done` record, so each
 connection knows how many of its batches are still outstanding. The
@@ -113,7 +116,8 @@ class _Bound:
         self.collected = 0
         self.deposited = 0
         self.triggered = False
-        # its manager hung up the out channel: nothing more will come
+        # its manager hung up the out channel, or went before it took the
+        # open: nothing more will come
         self.hung_up = False
         # highest board id examined; the nodes the threshold turned away
         self.cursor = 0
@@ -191,14 +195,25 @@ class Coordinator:
     def pump(self) -> PumpReport:
         """One round: collect, then forward to every binding. After a
         `wait`, it reads one frame from each out channel the wait found
-        readable; with no wait before it, it drains every out channel."""
+        readable; with no wait before it, it drains every out channel.
+        After a wait that timed out, it checks that each binding's manager
+        is still there (`Connection.check_manager`)."""
         start = time.monotonic()
         report = PumpReport()
         ready, self._ready = self._ready, None
         frames = MAX_COLLECTS_PER_ROUND if ready is None else 1
         for bound in self.bound.values():
-            if bound.hung_up or (ready is not None
-                                 and bound.conn.out_channel not in ready):
+            if bound.hung_up:
+                continue
+            if ready == []:
+                try:
+                    bound.conn.check_manager()
+                except ManagerUnavailable as exc:
+                    bound.hung_up = True
+                    bound.note(str(exc))
+                    report.errors += 1
+                continue
+            if ready is not None and bound.conn.out_channel not in ready:
                 continue
             try:
                 self._collect_from(bound, report, frames)

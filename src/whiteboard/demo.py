@@ -27,9 +27,11 @@ error. The manager processes are checked before an utterance opens its
 connections, after a round that noted an error and after a wait that
 timed out, so a killed component turns into an error report naming it
 rather than a hang, and a quiet round costs no process check. A manager
-that hangs up a connection and lives on, having refused it, fails the
-utterance as soon as a round has read the hang-up, naming the binding
-and its first error.
+that hangs up a connection and lives on, having refused it with a
+component error, fails the utterance as soon as a round has read the
+hang-up, naming the binding and its first error. A hang-up with no
+component error before it is a manager process that died: the loop
+waits for it to be reaped and names it.
 """
 
 from __future__ import annotations
@@ -233,18 +235,24 @@ def _dead_managers(coordinator: Coordinator,
     return f"manager process died: {', '.join(dead)}" if dead else None
 
 
-def _hang_ups(coordinator: Coordinator,
-              processes: dict[str, subprocess.Popen]) -> str | None:
+def _hang_ups(coordinator: Coordinator, processes: dict[str, subprocess.Popen],
+              deadline: float) -> str | None:
     """The utterance's error once a manager process has died or a binding's
-    manager has hung up its out channel: the dead processes, else each
-    binding that was hung up on, with its first error."""
+    manager has hung up on it: the dead processes, else each binding that
+    was hung up on, with its first error.
+
+    A manager that refuses a connection sends a component error before it
+    hangs up. A binding hung up on without one lost its manager process,
+    which hangs up its channels before it can be reaped, so that process
+    is waited for, until `deadline` at the latest."""
     hung_up = [name for name, bound in coordinator.bound.items()
                if bound.hung_up]
     for name in hung_up:
-        if name in processes:
-            # a dying process hangs up its channels before it can be reaped
+        errors = coordinator.bound[name].errors
+        if name in processes and not any(
+                error.startswith("component error") for error in errors):
             try:
-                processes[name].wait(timeout=0.1)
+                processes[name].wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 pass
     return _dead_managers(coordinator, processes) or "; ".join(
@@ -261,7 +269,8 @@ def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str |
     deadline = time.monotonic() + config.max_wall
     while True:
         report = coordinator.pump()
-        if report.errors and (error := _hang_ups(coordinator, processes)):
+        if report.errors and (error := _hang_ups(coordinator, processes,
+                                                 deadline)):
             return error
         if coordinator.settled():
             return None

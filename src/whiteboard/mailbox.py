@@ -46,6 +46,8 @@ _FRAME_HEADER = struct.Struct(">I")
 # the most one read asks for: a frame's length comes from another process,
 # and `os.read` allocates what it is asked for before it reads
 _READ_LIMIT = 1 << 16
+# the longest a blocking call on a channel waits before it calls its `check`
+CHECK_PERIOD = 0.05
 
 
 def wait_ready(readers, writers=(), timeout: float | None = None) -> list:
@@ -237,21 +239,22 @@ class Channel:
             self._tail = self._tail[written:]
         return True
 
-    def deposit(self, text: str, timeout: float | None = None) -> None:
+    def deposit(self, text: str, timeout: float | None = None,
+                check=None) -> None:
         """Block until the whole frame is written."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self.try_deposit(text):
-            self._wait(deadline, "deposit")
+            self._wait(deadline, "deposit", check)
         while not self.flush():
-            self._wait(deadline, "deposit")
+            self._wait(deadline, "deposit", check)
 
-    def hang_up(self, timeout: float | None = None) -> None:
+    def hang_up(self, timeout: float | None = None, check=None) -> None:
         """Write out the last frame's tail, then close the write end: the
         reader reads every frame whole, then the hang-up. A writer that
         opened first holds its read end until `close`."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self.flush():
-            self._wait(deadline, "hang-up")
+            self._wait(deadline, "hang-up", check)
         os.close(self._fd)
         self._fd = None
 
@@ -274,13 +277,13 @@ class Channel:
             except BlockingIOError:
                 return None
             if not chunk:  # no writer holds the FIFO
-                if not self._hung_up():
+                if not self.hung_up():
                     return None
                 self._frame = bytearray()
                 raise PeerGone(f"the writer of {self.path} has gone")
             frame += chunk
 
-    def _hung_up(self) -> bool:
+    def hung_up(self) -> bool:
         """A writer had the FIFO open and has closed it. A reader that opened
         after its writer knows it had; to any other, the kernel reports a
         hang-up only once it has seen a writer since it opened."""
@@ -290,20 +293,24 @@ class Channel:
         poller.register(self._fd, select.POLLIN)
         return any(events & select.POLLHUP for _, events in poller.poll(0))
 
-    def collect(self, timeout: float | None = None) -> str:
+    def collect(self, timeout: float | None = None, check=None) -> str:
         """Block until a whole batch has arrived."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while (text := self.try_collect()) is None:
-            self._wait(deadline, "collect")
+            self._wait(deadline, "collect", check)
         return text
 
-    def _wait(self, deadline: float | None, what: str) -> None:
+    def _wait(self, deadline: float | None, what: str, check) -> None:
         """Wait until the FIFO is writable, for a writer holding a tail, or
-        readable, for a reader."""
+        readable, for a reader. With a `check` to call after a wait that
+        found neither, which may raise to end the blocking call, wait at
+        most `CHECK_PERIOD`."""
         remaining = None if deadline is None else deadline - time.monotonic()
         if remaining is not None and remaining <= 0:
             raise MailboxTimeout(f"{what} timed out on {self.path}")
-        if self.pending:
-            wait_ready([], [self], remaining)
-        else:
-            wait_ready([self], [], remaining)
+        if check is not None:
+            remaining = min(CHECK_PERIOD, remaining or CHECK_PERIOD)
+        ready = (wait_ready([], [self], remaining) if self.pending
+                 else wait_ready([self], [], remaining))
+        if not ready and check is not None:
+            check()

@@ -44,7 +44,10 @@ or request box wakes its reader, and a writer holding the tail of a frame
 waits until its channel is writable. A party whose peer closed its end,
 or died, gets `PeerGone`; a client whose open finds the request box with
 no reader gets `ManagerUnavailable` at once. A manager removes its box
-when it stops.
+when it stops. A manager that dies before it takes an open never opens
+that connection's ``out``; a client that waits on the connection and has
+heard nothing on ``out`` asks the box every `mailbox.CHECK_PERIOD`
+seconds whether it is still read.
 """
 
 from __future__ import annotations
@@ -119,10 +122,12 @@ class Connection:
         self.state = "open"
         self.outstanding = 0
         self.done_frame = 0
+        # something has come on `out`: the manager took the open
+        self.heard = False
 
     def deposit(self, records, timeout: float | None = None) -> None:
         text = wire.serialize(records, self.params.import_format)
-        self.in_channel.deposit(text, timeout=timeout)
+        self.in_channel.deposit(text, timeout=timeout, check=self._check_writing)
         self.outstanding += 1
 
     def try_deposit(self, records) -> bool:
@@ -139,7 +144,32 @@ class Connection:
         Returns True once none is left."""
         return self.in_channel.flush()
 
+    def _check_writing(self) -> None:
+        """`check_manager`, and raise `ManagerUnavailable` if the manager
+        hung up `out`: a read end of the client's own keeps taking what it
+        writes to `in`, so no write would fail."""
+        if self.out_channel.hung_up():
+            raise ManagerUnavailable(
+                f"manager at {self.request_root} hung up "
+                f"{self.in_channel.path.parent} before it read its input")
+        self.check_manager()
+
+    def check_manager(self) -> None:
+        """Raise `ManagerUnavailable` if nothing has come on `out` and
+        nobody reads the request box: the manager died, or stopped, before
+        it took the open, so it never opened `out` to hang it up. Asks by
+        writing a blank line to the box, which only wakes a live manager."""
+        if self.heard:
+            return
+        try:
+            Mailbox(self.request_root).try_deposit("\n")
+        except (PeerGone, FileNotFoundError) as exc:
+            raise ManagerUnavailable(
+                f"manager at {self.request_root} went before it took the open "
+                f"of {self.in_channel.path.parent}: {exc}") from exc
+
     def _parse_results(self, text: str) -> list[wire.WireRecord]:
+        self.heard = True
         records = []
         for record in wire.parse(text, self.params.export_format):
             if isinstance(record, wire.DoneRecord):
@@ -150,7 +180,8 @@ class Connection:
         return records
 
     def collect(self, timeout: float | None = None) -> list[wire.WireRecord]:
-        return self._parse_results(self.out_channel.collect(timeout=timeout))
+        return self._parse_results(self.out_channel.collect(
+            timeout=timeout, check=self.check_manager))
 
     def try_collect(self) -> list[wire.WireRecord] | None:
         text = self.out_channel.try_collect()
@@ -162,8 +193,10 @@ class Connection:
         """Write out the last batch and hang up the in channel, without
         waiting for the manager's `(closed)`; `close` then only waits.
         Lets a client close many connections at once. Raises
-        `AlreadyClosed` once the in channel is hung up."""
-        self.in_channel.hang_up(timeout=timeout)
+        `AlreadyClosed` once the in channel is hung up, and
+        `ManagerUnavailable` if the manager goes while the last batch's
+        tail waits."""
+        self.in_channel.hang_up(timeout=timeout, check=self._check_writing)
         self.state = "closing"
 
     def close(self, timeout: float | None = None) -> list[wire.WireRecord]:
@@ -177,7 +210,8 @@ class Connection:
         directory is removed however the wait ends, so a client that gives
         up on a close (`MailboxTimeout`) leaves nothing behind. A manager
         that hangs up without `(closed)`, because it died or refused the
-        connection, raises `ManagerUnavailable` at once."""
+        connection, raises `ManagerUnavailable` at once, and one that went
+        before it took the open within `mailbox.CHECK_PERIOD`."""
         conn_dir = self.in_channel.path.parent
         if self.state == "closed":
             raise AlreadyClosed(f"connection {conn_dir} already closed")
@@ -345,9 +379,9 @@ class _Manager:
         piece falls due.
 
         The request box is removed however the loop ends, when every
-        connection's ends are closed too, those of the requests that had
-        arrived but were not taken yet included: each of those clients
-        sees the hang-up."""
+        connection's ends are closed too. A client whose open had arrived
+        but was not taken yet then finds the box gone
+        (`Connection.check_manager`)."""
         if stop_event is None:
             stop_event = threading.Event()  # never set: serve until exit
         self.request_root.parent.mkdir(parents=True, exist_ok=True)
@@ -373,7 +407,6 @@ class _Manager:
                              self.name, name, why)
                 self._wait()
         finally:
-            self._dispatch(self.requests.try_collect() or "")
             for served in self.served.values():
                 served.close()
             self.requests.close()
@@ -512,11 +545,12 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
     `factory` is called once per opened connection with the input its open
     request named (None for `-`) and returns that connection's component,
     so every component's state lives per connection. An open is answered
-    only if it raises: with `(error component-error_...)`, after which the
-    manager hangs up the connection and keeps serving. A component maps a list of wire records to a list of
-    wire records; it is invoked once per collected batch and holds up
-    every connection of the manager while it runs. Exceptions inside it
-    become error records on the out channel and the manager keeps serving.
+    only if it raises: with `(error component-error ...)`, after which the
+    manager hangs up the connection and keeps serving. A component maps a
+    list of wire records to a list of wire records; it is invoked once per
+    collected batch and holds up every connection of the manager while it
+    runs. Exceptions inside it become error records on the out channel and
+    the manager keeps serving.
     Whatever the outcome, the last frame written for a batch ends with a
     `(done frame)` record; the component never produces or sees one.
 

@@ -1071,9 +1071,55 @@ def test_a_hang_up_by_a_manager_process_not_reaped_yet_is_its_death(tmp_path):
         "parser", tmp_path, [], "phonemes"), None)
     bound.hung_up = True
     bound.note("its manager hung up")
-    assert _hang_ups(coordinator, {"parser": Dying()}) == (
-        "manager process died: parser")
+    assert _hang_ups(coordinator, {"parser": Dying()},
+                     time.monotonic() + 60.0) == "manager process died: parser"
     assert bound.errors[-1] == "manager process died"
+
+
+def test_a_hang_up_after_a_component_error_is_a_refusal_not_waited_for(
+        tmp_path):
+    from whiteboard.demo import _hang_ups
+
+    class Refusing:
+        """A process that lives on, having refused a connection."""
+        def poll(self):
+            return None
+
+        def wait(self, timeout=None):
+            raise AssertionError("a refusing manager is not waited for")
+
+    coordinator = Coordinator(make_board())
+    bound = coordinator.bound["source"] = _Bound(ComponentBinding(
+        "source", tmp_path, [], "phonemes"), None)
+    bound.hung_up = True
+    bound.note("component error: component-error_no_input")
+    bound.note("its manager hung up")
+    assert _hang_ups(coordinator, {"source": Refusing()},
+                     time.monotonic() + 60.0) == (
+        "the manager of binding source hung up, the first error: "
+        "component error: component-error_no_input")
+
+
+def test_a_round_after_a_timed_out_wait_notes_a_manager_gone_before_the_open(
+        tmp_path):
+    root = tmp_path / "source" / "request"
+    root.parent.mkdir()
+    os.mkfifo(root)
+    # the test reads the box as a manager that takes nothing would
+    box_reader = os.open(root, os.O_RDONLY | os.O_NONBLOCK)
+    coordinator = Coordinator(make_board())
+    coordinator.register(ComponentBinding(
+        "source", root, [], "phonemes", params("edge-v1", "edge-v1")))
+    assert not coordinator.wait(0.01)
+    assert coordinator.pump().errors == 0  # the box is still read
+    os.close(box_reader)  # the manager dies, the open untaken
+    assert not coordinator.wait(0.01)
+    assert coordinator.pump().errors == 1
+    bound = coordinator.bound["source"]
+    assert bound.hung_up
+    assert "went before it took the open" in bound.errors[0]
+    with pytest.raises(ManagerUnavailable):
+        bound.conn.close(timeout=5.0)
 
 
 def unread(channel) -> int:

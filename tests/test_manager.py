@@ -590,8 +590,7 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
     try:
         wait_for_request_box(root, timeout=30.0)
         conn = request_connection(root, params())
-        conn.deposit([], timeout=5.0)  # answered once the manager took the open
-        assert conn.collect(timeout=5.0) == []
+        # killed before or after it took the open
         worker.send_signal(signal.SIGKILL)
         worker.wait(timeout=10)
         start = time.monotonic()
@@ -608,6 +607,70 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         if worker.poll() is None:
             worker.kill()
             worker.wait(timeout=10)
+
+
+def test_a_manager_gone_before_it_took_the_open_fails_every_wait_at_once(
+        tmp_path):
+    root = tmp_path / "m" / "request"
+    root.parent.mkdir()
+    os.mkfifo(root)
+    # the test reads the box as a manager that takes nothing would
+    box_reader = os.open(root, os.O_RDONLY | os.O_NONBLOCK)
+    conn = request_connection(root, params())
+    os.close(box_reader)  # the manager dies, the open untaken
+    start = time.monotonic()
+    with pytest.raises(ManagerUnavailable, match="before it took the open"):
+        conn.collect(timeout=5.0)
+    with pytest.raises(ManagerUnavailable, match="before it took the open"):
+        conn.deposit(edges(*range(5000)), timeout=5.0)  # more than `in` holds
+    assert conn.in_channel.pending
+    with pytest.raises(ManagerUnavailable, match="before it took the open"):
+        conn.close(timeout=5.0)  # its tail never fits
+    assert time.monotonic() - start < 1.0
+    assert not list(root.parent.glob("conn-*"))
+
+
+def test_a_client_that_has_heard_from_its_manager_asks_its_box_no_more(
+        tmp_path):
+    root = tmp_path / "m" / "request"
+    root.parent.mkdir()
+    os.mkfifo(root)
+    box_reader = os.open(root, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        conn = request_connection(root, params())
+        assert os.read(box_reader, 4096).startswith(b"(open ")
+        # the test answers on `out` as the manager would
+        out = Channel(conn.out_channel.path).open_writer()
+        out.deposit(wire.serialize([]), timeout=5.0)
+        assert conn.collect(timeout=5.0) == []
+        conn.check_manager()  # the manager took the open: its `out` tells
+        assert os.read(box_reader, 4096) == b""  # no blank line came
+        out.close()
+        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+            conn.close(timeout=5.0)
+    finally:
+        os.close(box_reader)
+
+
+def test_a_full_in_channel_of_a_manager_that_hung_up_fails_its_close_at_once(
+        tmp_path):
+    def refuse(_input):
+        raise ValueError("no component")
+
+    with hosted_manager(tmp_path, factory=refuse) as root:
+        conn = request_connection(root, params())
+        # `in` keeps what fits, though the manager has let it go
+        assert conn.try_deposit(edges(*range(5000)))
+        assert conn.in_channel.pending
+        deadline = time.monotonic() + 5.0
+        while not conn.out_channel.hung_up():
+            assert time.monotonic() < deadline, "the manager never hung up"
+            time.sleep(SLEEP)
+        start = time.monotonic()
+        with pytest.raises(ManagerUnavailable, match="before it read its input"):
+            conn.close(timeout=5.0)
+        assert time.monotonic() - start < 1.0
+        assert not list(root.parent.glob("conn-*"))
 
 
 def served_by_hand(tmp_path, poll=SLEEP):
@@ -663,7 +726,7 @@ def test_batches_written_before_the_manager_opened_in_are_served(tmp_path):
     assert not thread.is_alive()
 
 
-def test_a_stopping_manager_hangs_up_the_opens_it_had_not_taken(tmp_path):
+def test_the_opens_a_stopped_manager_had_not_taken_fail_at_once(tmp_path):
     manager, stop, thread = served_by_hand(tmp_path)
     try:
         release, holding = held_up(manager)
@@ -673,10 +736,10 @@ def test_a_stopping_manager_hangs_up_the_opens_it_had_not_taken(tmp_path):
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         start = time.monotonic()
-        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+        with pytest.raises(ManagerUnavailable, match="before it took the open"):
             conn.close(timeout=5.0)
         assert time.monotonic() - start < 1.0  # not the close's 5 s
-        with pytest.raises(ManagerUnavailable):
+        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
             holding.close(timeout=5.0)
     finally:
         stop.set()
