@@ -3,9 +3,9 @@
 A coordinator owns a whiteboard: a stack of time-aligned, packed hypothesis
 lattices organized in a dependency graph. Heterogeneous components run in
 their own processes behind managers and exchange line-oriented wire records
-with the coordinator over per-connection FIFO channels, one length-prefixed
-frame per batch, after opening each connection through the manager's
-request box, one FIFO; the coordinator is the only party that ever
+with the coordinator over connections, one socket each and one
+length-prefixed frame per batch, made through the socket the manager
+listens on, its request box; the coordinator is the only party that ever
 touches the board. Batch components can be made to look incremental by
 delivering their results piecewise in time order.
 """

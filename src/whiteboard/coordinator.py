@@ -3,13 +3,13 @@
 Components never see the board. Each pump round collects what their
 managers have written, integrates the records into the bound output
 layers, and then forwards the newly integrated, threshold-filtered slice
-of every binding's input layers into its in channel as plain wire records.
+of every binding's input layers into its connection as plain wire records.
 
 A round pays only for what arrived. After a `wait`, it reads one frame
-from each out channel the wait found readable and touches no other: a
-FIFO that still holds a frame stays readable, so the next wait returns at
-once. A round with no wait before it (the first, or a step) drains every
-out channel.
+from each connection the wait found readable and touches no other: a
+socket that still holds a frame stays readable, so the next wait returns
+at once. A round with no wait before it (the first, or a step) drains
+every connection.
 
 Board ids come from one counter, so a binding's slice is every node and
 arc of its input layers above a cursor, the highest id already examined.
@@ -29,20 +29,18 @@ node record's source ids must name nodes of the binding's input layers;
 they become the derivation's children, as a translation's syntax node
 does in `translate.translate_layer`.
 
-Every channel operation in the pump is non-blocking: a busy manager makes
-a binding wait until the next round, never the whole pipeline. A batch
-that does not fit in a binding's in channel leaves its tail there, and
-the binding takes no new batch until a later round has written it.
-Between rounds, `wait` blocks until a binding's out channel is readable,
-or an in channel holding a tail is writable, so the next round starts as
-soon as there is something to collect or room to write what the last
-round could not. A manager that dies, or refuses a connection, hangs up
-its out channel: the channel turns readable, and the round's read of it
-fails. The binding notes that its manager hung up, and no later round or
-wait looks at that channel again. A manager that died before it took the
-open never opened the out channel, so no hang-up tells of it: a round
-after a wait that timed out asks the request box of each binding that has
-heard nothing yet whether its manager still reads it.
+Every connection operation in the pump is non-blocking: a busy manager
+makes a binding wait until the next round, never the whole pipeline. A
+batch that does not fit in a binding's connection leaves its tail there,
+and the binding takes no new batch until a later round has written it.
+Between rounds, `wait` blocks until a binding's connection is readable,
+or writable while it holds a tail, so the next round starts as soon as
+there is something to collect or room to write what the last round could
+not. A manager that dies, stops or refuses a connection hangs it up,
+whether or not it had taken it: the connection turns readable, and once
+a round has read what came before, its read fails. The binding notes
+that its manager hung up, and no later round or wait looks at that
+connection again.
 
 Managers end their reply to every batch with a `done` record, so each
 connection knows how many of its batches are still outstanding. The
@@ -80,7 +78,7 @@ from .manager import Connection, ConnectionParams, request_connection
 
 log = logging.getLogger(__name__)
 
-# bound on batches drained from one out channel per round, against livelock
+# bound on batches drained from one connection per round, against livelock
 MAX_COLLECTS_PER_ROUND = 100
 
 
@@ -116,9 +114,8 @@ class _Bound:
         self.collected = 0
         self.deposited = 0
         self.triggered = False
-        # its manager hung up the out channel, or went before it took the
-        # open: nothing more will come
-        self.hung_up = False
+        # its manager hung up the connection: nothing more will come
+        self.gone = False
         # highest board id examined; the nodes the threshold turned away
         self.cursor = 0
         self.rejected: set[int] = set()
@@ -193,27 +190,17 @@ class Coordinator:
     # -- one scheduling round ------------------------------------------------------
 
     def pump(self) -> PumpReport:
-        """One round: collect, then forward to every binding. After a
-        `wait`, it reads one frame from each out channel the wait found
-        readable; with no wait before it, it drains every out channel.
-        After a wait that timed out, it checks that each binding's manager
-        is still there (`Connection.check_manager`)."""
+        """One round: collect, then forward to every binding whose manager
+        has not hung up. After a `wait`, it reads one frame from each
+        connection the wait found readable; with no wait before it, it
+        drains every connection."""
         start = time.monotonic()
         report = PumpReport()
         ready, self._ready = self._ready, None
         frames = MAX_COLLECTS_PER_ROUND if ready is None else 1
         for bound in self.bound.values():
-            if bound.hung_up:
-                continue
-            if ready == []:
-                try:
-                    bound.conn.check_manager()
-                except ManagerUnavailable as exc:
-                    bound.hung_up = True
-                    bound.note(str(exc))
-                    report.errors += 1
-                continue
-            if ready is not None and bound.conn.out_channel not in ready:
+            if bound.gone or (ready is not None
+                                 and bound.conn.channel not in ready):
                 continue
             try:
                 self._collect_from(bound, report, frames)
@@ -224,6 +211,8 @@ class Coordinator:
             self.sources_done_at = start
         self.backlog = []
         for bound in self.bound.values():
+            if bound.gone:
+                continue
             try:
                 forwarded = self._deposit_to(bound, report)
             except WhiteboardError as exc:
@@ -238,20 +227,16 @@ class Coordinator:
         return report
 
     def wait(self, timeout: float) -> bool:
-        """Block until a binding's out channel is readable or an in channel
-        holding a tail is writable, or `timeout` seconds pass. Returns True
-        if one was. The next round reads only the readable out channels.
-        An out channel that hung up is readable for good, so it is left
-        out."""
-        bound = self.bound.values()
-        self._ready = wait_ready(
-            [b.conn.out_channel for b in bound if not b.hung_up],
-            [b.conn.in_channel for b in bound if b.conn.in_channel.pending],
-            timeout)
+        """Block until a binding's connection is readable, or writable
+        while it holds a tail, or `timeout` seconds pass. Returns True if
+        one was. The next round reads only the readable connections. A
+        connection that hung up is readable for good, so it is left out."""
+        live = [b.conn.channel for b in self.bound.values() if not b.gone]
+        self._ready = wait_ready(live, [c for c in live if c.pending], timeout)
         return bool(self._ready)
 
     def _collect_from(self, bound: _Bound, report: PumpReport, frames: int):
-        """Read up to `frames` frames from the binding's out channel, and
+        """Read up to `frames` frames from the binding's connection, and
         integrate their records."""
         layer = self.board.layers[bound.binding.output_layer]
         for _ in range(frames):
@@ -262,7 +247,7 @@ class Coordinator:
                 report.errors += 1
                 continue
             except PeerGone:
-                bound.hung_up = True
+                bound.gone = True
                 bound.note("its manager hung up")
                 report.errors += 1
                 return
@@ -323,7 +308,7 @@ class Coordinator:
 
     def _deposit_to(self, bound: _Bound, report: PumpReport) -> bool:
         """Forward what the binding has not seen yet. Returns False if
-        something was left over because its in channel was busy."""
+        something was left over because its connection was busy."""
         binding = bound.binding
         if not bound.conn.flush():
             return False  # the tail of an earlier batch goes first
@@ -427,8 +412,8 @@ class Coordinator:
 
     def settled(self) -> bool:
         """True once the last round left nothing to forward (every source
-        triggered, no busy in channel) and every deposited batch has come back
-        with its `done` record."""
+        triggered, no busy connection) and every deposited batch has come
+        back with its `done` record."""
         return self.rounds > 0 and not self.backlog and not any(
             bound.conn.outstanding for bound in self.bound.values())
 

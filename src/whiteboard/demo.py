@@ -18,11 +18,11 @@ its first error. A dictionary word or grammar symbol that is not a legal
 wire token is a configuration error, found before anything is spawned.
 
 Every pump round is non-blocking. Between rounds the demo waits on the
-connections' channels, a FIFO per direction, so a round starts as soon as
-a manager has written a result, or there is room for the rest of a batch
-the last round could not write whole, and at the latest one poll period
-(`sleep_time`) after the last. A manager that dies hangs up its channels,
-which wakes the wait, and the next round reports it as the binding's
+connections, one socket each, so a round starts as soon as a manager has
+written a result, or there is room for the rest of a batch the last round
+could not write whole, and at the latest one poll period (`sleep_time`)
+after the last. A manager that dies hangs up its connections, taken or
+not, which wakes the wait, and the next round reports it as the binding's
 error. The manager processes are checked before an utterance opens its
 connections, after a round that noted an error and after a wait that
 timed out, so a killed component turns into an error report naming it
@@ -106,8 +106,7 @@ class DemoResult:
 
 def _utterance_files(matrices: Path) -> list[Path]:
     """The run's matrix files. Each one is named on the wire when its
-    utterance opens the source's connection, so it must be a legal token
-    that fits one open request."""
+    utterance opens the source's connection, so it must be a legal token."""
     if matrices.is_file():
         files = [matrices]
     else:
@@ -243,11 +242,10 @@ def _hang_ups(coordinator: Coordinator, processes: dict[str, subprocess.Popen],
 
     A manager that refuses a connection sends a component error before it
     hangs up. A binding hung up on without one lost its manager process,
-    which hangs up its channels before it can be reaped, so that process
+    which hangs up its connections before it can be reaped, so that process
     is waited for, until `deadline` at the latest."""
-    hung_up = [name for name, bound in coordinator.bound.items()
-               if bound.hung_up]
-    for name in hung_up:
+    gone = [name for name, bound in coordinator.bound.items() if bound.gone]
+    for name in gone:
         errors = coordinator.bound[name].errors
         if name in processes and not any(
                 error.startswith("component error") for error in errors):
@@ -257,11 +255,11 @@ def _hang_ups(coordinator: Coordinator, processes: dict[str, subprocess.Popen],
                 pass
     return _dead_managers(coordinator, processes) or "; ".join(
         f"the manager of binding {name} hung up, the first error: "
-        f"{coordinator.bound[name].errors[0]}" for name in hung_up) or None
+        f"{coordinator.bound[name].errors[0]}" for name in gone) or None
 
 
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
-    """Pump until the coordinator has settled, waiting on the channels
+    """Pump until the coordinator has settled, waiting on the connections
     between rounds. After a round that noted an error, which a hang-up
     gives, the loop ends if a manager process died or hung up a
     connection; the processes are checked after a wait that timed out
@@ -303,7 +301,8 @@ def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None
 
 
 def _close_connections(coordinator: Coordinator) -> str | None:
-    """Hang up every in channel, then wait for each manager's `(closed)`.
+    """Shut every connection for writing, then wait for each manager's
+    `(closed)`.
 
     Once the pipeline has settled nothing may still be in flight, so
     results handed over on close fail the utterance. A step-mode run quit
@@ -334,8 +333,7 @@ def _close_connections(coordinator: Coordinator) -> str | None:
 
 def _drop_connections(coordinator: Coordinator) -> None:
     """Close every connection that a failed utterance left open, without
-    waiting for its manager, so the utterance leaves no descriptor or
-    `conn-*` directory behind."""
+    waiting for its manager, so the utterance leaves no descriptor behind."""
     for conn in coordinator.connections().values():
         if conn.state != "closed":
             try:

@@ -108,9 +108,9 @@ class MailboxTimeout(WhiteboardError):
 
 
 class PeerGone(WhiteboardError):
-    """The party on a FIFO's other side has gone: it closed its end of a
-    channel or died, or nobody reads a request box, so nothing will fill
-    or empty it."""
+    """The party on a connection's other side has gone: it closed its end
+    or died, or nobody listens on a request box, so nothing will fill or
+    empty it."""
 
 
 class ManagerUnavailable(WhiteboardError):

@@ -1,53 +1,53 @@
-"""Request boxes and channels: the FIFOs between clients and managers.
+"""Request boxes and channels: the sockets between clients and managers.
 
-A manager's request box is a FIFO that the manager reads and any number
-of clients write. A client writes its request as whole lines in one
-non-blocking write of at most `select.PIPE_BUF` bytes, which pipe(7)
-makes atomic, so the lines of concurrent clients never interleave, and a
-full FIFO takes nothing. The manager makes the FIFO under a temporary
-name, opens it for reading, and for writing too so that its read end
-never reports a hang-up, and only then renames it onto the box's path,
-replacing any FIFO a dead manager left. So a client that finds the box
-finds its reader too, unless the manager has died: then nobody reads
-the FIFO, and the client's open fails at once (`PeerGone`).
+A manager's request box is an AF_UNIX stream socket listening at the
+box's path. A client's non-blocking connect queues a connection there,
+which the manager accepts when it next takes its requests; while the
+queue is full the connect takes nothing, and the client asks again. The
+manager binds the socket under a temporary name, listens, and only then
+renames it onto the box's path, replacing any box a dead manager left. So
+a client that finds the box finds it listened on, unless the manager has
+died: then the connect is refused at once (`PeerGone`).
 
-A channel carries the batches of one direction of a connection, which has
-exactly one writer and one reader: a FIFO in which each batch is one
-frame, its UTF-8 text behind its length. An empty batch is a frame too.
-The writer writes without blocking and keeps the tail that did not fit,
-to be written first. The reader reads exactly one frame at a time, so
-whatever it has not read stays in the FIFO, and a readable FIFO is its
-reader's wake-up: a channel is its own doorbell. When the writer closes
-its end, or dies, the reader drops any partial frame and raises
-`PeerGone`; so does a writer whose reader has gone.
+A socket's address must fit `sun_path`, 108 bytes, and a box's path may
+be longer. So a box is always bound and connected through
+``/proc/self/fd/<fd>/<name>``, where `fd` is an `O_PATH` descriptor of
+the box's directory, held only for the call.
 
-Either end of a channel may open first. A writer that opens first holds
-a read end of its own until it closes, so the FIFO takes and keeps what
-it writes, even after its hang-up, for the reader to come; only a writer
-that opened after its reader gets `PeerGone` once that reader has gone.
-The kernel reports a hang-up only to a reader that opened while a writer
-held the FIFO, so a reader that opens after its writer (`writer_first`)
-reads an end of file as the hang-up.
+A connection is one connected socket, whose two ends are channels: each
+carries the batches of one party to the other, each batch one frame, its
+UTF-8 text behind its length. An empty batch is a frame too. The writer
+writes without blocking and keeps the tail that did not fit, to be written
+first. The reader reads exactly one frame at a time, so whatever it has
+not read stays in the socket, and a readable socket is its reader's
+wake-up: a channel is its own doorbell. A party that is done writing
+shuts its end for writing; its peer reads every frame whole, then the end
+of file. When either party goes, or dies, whether or not its peer has
+accepted the connection, the other gets `PeerGone` at its next read,
+after the frames that arrived whole, and at its next write: the kernel
+reports an end of file, `ECONNRESET` or `EPIPE` at once.
 """
 
 from __future__ import annotations
 
-import errno
 import os
 import select
+import socket
 import struct
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import AlreadyClosed, MailboxTimeout, PeerGone
+from .errors import AlreadyClosed, MailboxTimeout, ParseError, PeerGone
 
 # a channel frame's header: the length of its UTF-8 payload in bytes
 _FRAME_HEADER = struct.Struct(">I")
 # the most one read asks for: a frame's length comes from another process,
-# and `os.read` allocates what it is asked for before it reads
+# and a read allocates what it is asked for before it reads
 _READ_LIMIT = 1 << 16
-# the longest a blocking call on a channel waits before it calls its `check`
-CHECK_PERIOD = 0.05
+# the connections a request box queues, not accepted yet, before a
+# client's connect finds it full
+BACKLOG = 16
 
 
 def wait_ready(readers, writers=(), timeout: float | None = None) -> list:
@@ -61,149 +61,112 @@ def wait_ready(readers, writers=(), timeout: float | None = None) -> list:
     return readable + writable
 
 
-def _open_writer(path: Path) -> int:
-    """A non-blocking write end of the FIFO at `path`. Raises `PeerGone`
-    if nobody holds its read end."""
+@contextmanager
+def _address(path: Path):
+    """`path` as a socket address that fits `sun_path` however long the
+    path is: through an `O_PATH` descriptor of its directory. Raises
+    FileNotFoundError if the directory is not there."""
+    fd = os.open(path.parent, os.O_PATH | os.O_DIRECTORY)
     try:
-        return os.open(path, os.O_WRONLY | os.O_NONBLOCK)
-    except OSError as exc:
-        if exc.errno != errno.ENXIO:
-            raise
-        raise PeerGone(f"nobody reads {path}") from None
+        yield f"/proc/self/fd/{fd}/{path.name}"
+    finally:
+        os.close(fd)
 
 
 class Mailbox:
-    """The request box at `path`: a FIFO with one reader, which `open`s
-    and `close`s it, and any number of writers, each of whose deposits
-    is whole lines in one atomic write."""
+    """The request box at `path`: a listening socket, which its manager
+    `open`s, takes connections from and `close`s, and any number of
+    clients connect to."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        self._read: int | None = None
-        self._keep: int | None = None
-        # the start of a line whose end has not arrived
-        self._partial = b""
+        self._sock: socket.socket | None = None
 
     def open(self) -> "Mailbox":
-        """Make the box and hold it open for reading, replacing a box that
-        a dead reader left."""
+        """Make the box and listen on it, replacing a box that a dead
+        manager left."""
         tmp = self.path.with_name(f"{self.path.name}-{os.getpid()}.tmp")
-        os.mkfifo(tmp)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            self._read = os.open(tmp, os.O_RDONLY | os.O_NONBLOCK)
-            self._keep = os.open(tmp, os.O_WRONLY | os.O_NONBLOCK)
-            os.rename(tmp, self.path)
+            with _address(tmp) as address:
+                sock.bind(address)
+            try:
+                sock.listen(BACKLOG)
+                os.rename(tmp, self.path)
+            except OSError:
+                os.unlink(tmp)
+                raise
         except OSError:
-            os.unlink(tmp)
-            self._close_ends()
+            sock.close()
             raise
+        sock.setblocking(False)
+        self._sock = sock
         return self
 
     def close(self) -> None:
-        """Remove the box and close the reader's ends."""
-        if self._read is not None:
+        """Remove the box and stop listening: every connection queued and
+        not accepted yet is reset."""
+        if self._sock is not None:
             try:
                 os.unlink(self.path)
             except FileNotFoundError:
                 pass
-        self._close_ends()
-
-    def _close_ends(self) -> None:
-        for fd in (self._read, self._keep):
-            if fd is not None:
-                os.close(fd)
-        self._read = self._keep = None
+            self._sock.close()
+            self._sock = None
 
     def fileno(self) -> int:
-        return self._read
+        return self._sock.fileno()
 
-    def try_deposit(self, text: str) -> bool:
-        """One writer wake-up: write `text`, whole lines of at most
-        `select.PIPE_BUF` bytes, in one atomic write. Returns False,
-        writing nothing, if the FIFO is full. Raises FileNotFoundError if
-        no box is there, and `PeerGone` if nobody reads it."""
-        data = text.encode("utf-8")
-        if len(data) > select.PIPE_BUF or not data.endswith(b"\n"):
-            raise ValueError(f"a deposit must be whole lines of at most "
-                             f"{select.PIPE_BUF} bytes, got {len(data)} bytes")
-        fd = _open_writer(self.path)
+    def try_deposit(self) -> "Channel | None":
+        """One client wake-up: connect to the box without blocking. Returns
+        the client's channel of the new connection, or None while the
+        box's queue is full. Raises FileNotFoundError if no box is there,
+        and `PeerGone` if nobody listens on it."""
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.setblocking(False)
         try:
-            os.write(fd, data)
+            with _address(self.path) as address:
+                sock.connect(address)
         except BlockingIOError:
-            return False
-        except BrokenPipeError:  # the reader went since the open
-            raise PeerGone(f"nobody reads {self.path}") from None
-        finally:
-            os.close(fd)
-        return True
+            sock.close()
+            return None
+        except ConnectionRefusedError:
+            sock.close()
+            raise PeerGone(f"nobody listens on {self.path}") from None
+        except BaseException:
+            sock.close()
+            raise
+        return Channel(sock)
 
-    def try_collect(self) -> str | None:
-        """One reader wake-up: every whole line that has arrived, or None
-        while none has. One read takes what the FIFO holds, 64 KiB at
-        most; a byte that is not UTF-8 spoils only its own line."""
+    def try_collect(self) -> "Channel | None":
+        """One manager wake-up: accept the next queued connection and
+        return the manager's channel of it, or None while none is queued."""
         try:
-            data = self._partial + os.read(self._read, _READ_LIMIT)
+            sock, _ = self._sock.accept()
         except BlockingIOError:
             return None
-        end = data.rfind(b"\n") + 1
-        self._partial = data[end:]
-        return data[:end].decode("utf-8", errors="replace") if end else None
+        return Channel(sock)
 
 
 class Channel:
-    """One end of the FIFO at `path`: the read end or the write end.
+    """One party's end of a connection: a connected socket that it writes
+    frames to and reads frames from."""
 
-    `make` creates the FIFO. Either end may open first. The reader's
-    `open_reader` needs no writer yet; the writer's `open_writer` then
-    finds it, and raises `PeerGone` if nobody holds the read end. A writer
-    that opens first (`open_writer_first`) holds the FIFO before its
-    reader comes."""
-
-    def __init__(self, path: Path | str):
-        self.path = Path(path)
-        self._fd: int | None = None
-        # the read end held by a writer that opened first, until it closes
-        self._keep: int | None = None
+    def __init__(self, sock: socket.socket):
+        sock.setblocking(False)
+        self._sock = sock
+        self._writing = True
         # the writer's unwritten end of its last frame
         self._tail = memoryview(b"")
         # the reader's partial frame
         self._frame = bytearray()
-        self._writer_first = False
-
-    def make(self) -> "Channel":
-        os.mkfifo(self.path)
-        return self
-
-    def open_reader(self, writer_first: bool = False) -> "Channel":
-        """Open the read end. Unless `writer_first` says the writer opened
-        the FIFO before this reader, an empty read before any writer has
-        opened it means nothing has arrived yet, not that the writer has
-        gone."""
-        self._fd = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)
-        self._writer_first = writer_first
-        return self
-
-    def open_writer(self) -> "Channel":
-        self._fd = _open_writer(self.path)
-        return self
-
-    def open_writer_first(self) -> "Channel":
-        """Open the write end before any reader, through a read end of
-        this process's own that it holds, reading nothing, until `close`:
-        what it writes waits in the FIFO for the reader to come. A reader
-        that opens while this writer holds the FIFO is told when it
-        goes."""
-        self._keep = os.open(self.path, os.O_RDONLY | os.O_NONBLOCK)
-        return self.open_writer()
 
     def close(self) -> None:
-        for fd in (self._fd, self._keep):
-            if fd is not None:
-                os.close(fd)
-        self._fd = self._keep = None
+        self._sock.close()
+        self._writing = False
 
     def fileno(self) -> int:
-        return self._fd
+        return self._sock.fileno()
 
     @property
     def pending(self) -> bool:
@@ -224,46 +187,46 @@ class Channel:
         return True
 
     def flush(self) -> bool:
-        """Write what the FIFO takes of the last frame's tail. Returns
-        True once none is left. Raises `AlreadyClosed` once the write end
-        is closed."""
-        if self._fd is None:
-            raise AlreadyClosed(f"{self.path} is closed for writing")
+        """Write what the socket takes of the last frame's tail. Returns
+        True once none is left. Raises `AlreadyClosed` once this end is
+        shut for writing, and `PeerGone` once the peer has gone."""
+        if not self._writing:
+            raise AlreadyClosed("the channel is closed for writing")
         while self._tail:
             try:
-                written = os.write(self._fd, self._tail)
+                written = self._sock.send(self._tail)
             except BlockingIOError:
                 return False
-            except BrokenPipeError:
-                raise PeerGone(f"nobody reads {self.path}") from None
+            except ConnectionError:
+                raise PeerGone("the channel's peer has gone") from None
             self._tail = self._tail[written:]
         return True
 
-    def deposit(self, text: str, timeout: float | None = None,
-                check=None) -> None:
+    def deposit(self, text: str, timeout: float | None = None) -> None:
         """Block until the whole frame is written."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self.try_deposit(text):
-            self._wait(deadline, "deposit", check)
+            self._wait(deadline, "deposit")
         while not self.flush():
-            self._wait(deadline, "deposit", check)
+            self._wait(deadline, "deposit")
 
-    def hang_up(self, timeout: float | None = None, check=None) -> None:
-        """Write out the last frame's tail, then close the write end: the
-        reader reads every frame whole, then the hang-up. A writer that
-        opened first holds its read end until `close`."""
+    def hang_up(self, timeout: float | None = None) -> None:
+        """Write out the last frame's tail, then shut this end for
+        writing: the peer reads every frame whole, then the end of file.
+        This end still reads what the peer writes."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self.flush():
-            self._wait(deadline, "hang-up", check)
-        os.close(self._fd)
-        self._fd = None
+            self._wait(deadline, "hang-up")
+        self._sock.shutdown(socket.SHUT_WR)
+        self._writing = False
 
     # -- the reader ---------------------------------------------------------------
 
     def try_collect(self) -> str | None:
         """One reader wake-up: the next whole batch, or None while none has
-        arrived whole. Raises `PeerGone` once the writer has gone, dropping
-        a partial frame."""
+        arrived whole. Raises `PeerGone` once the peer has gone, dropping a
+        partial frame, and `ParseError` for a frame that is not UTF-8,
+        which it consumes."""
         frame = self._frame
         while True:
             size = _FRAME_HEADER.size
@@ -271,46 +234,35 @@ class Channel:
                 size += _FRAME_HEADER.unpack_from(frame)[0]
                 if len(frame) == size:
                     self._frame = bytearray()
-                    return frame[_FRAME_HEADER.size:].decode("utf-8")
+                    try:
+                        return frame[_FRAME_HEADER.size:].decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseError(f"a frame that is not UTF-8: {exc}") from None
             try:
-                chunk = os.read(self._fd, min(size - len(frame), _READ_LIMIT))
+                chunk = self._sock.recv(min(size - len(frame), _READ_LIMIT))
             except BlockingIOError:
                 return None
-            if not chunk:  # no writer holds the FIFO
-                if not self.hung_up():
-                    return None
+            except ConnectionError:  # the peer went with our frames unread
+                chunk = b""
+            if not chunk:
                 self._frame = bytearray()
-                raise PeerGone(f"the writer of {self.path} has gone")
+                raise PeerGone("the channel's peer has gone")
             frame += chunk
 
-    def hung_up(self) -> bool:
-        """A writer had the FIFO open and has closed it. A reader that opened
-        after its writer knows it had; to any other, the kernel reports a
-        hang-up only once it has seen a writer since it opened."""
-        if self._writer_first:
-            return True
-        poller = select.poll()
-        poller.register(self._fd, select.POLLIN)
-        return any(events & select.POLLHUP for _, events in poller.poll(0))
-
-    def collect(self, timeout: float | None = None, check=None) -> str:
+    def collect(self, timeout: float | None = None) -> str:
         """Block until a whole batch has arrived."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while (text := self.try_collect()) is None:
-            self._wait(deadline, "collect", check)
+            self._wait(deadline, "collect")
         return text
 
-    def _wait(self, deadline: float | None, what: str, check) -> None:
-        """Wait until the FIFO is writable, for a writer holding a tail, or
-        readable, for a reader. With a `check` to call after a wait that
-        found neither, which may raise to end the blocking call, wait at
-        most `CHECK_PERIOD`."""
+    def _wait(self, deadline: float | None, what: str) -> None:
+        """Wait until the socket is writable, for a writer holding a tail,
+        or readable, for a reader."""
         remaining = None if deadline is None else deadline - time.monotonic()
         if remaining is not None and remaining <= 0:
-            raise MailboxTimeout(f"{what} timed out on {self.path}")
-        if check is not None:
-            remaining = min(CHECK_PERIOD, remaining or CHECK_PERIOD)
-        ready = (wait_ready([], [self], remaining) if self.pending
-                 else wait_ready([self], [], remaining))
-        if not ready and check is not None:
-            check()
+            raise MailboxTimeout(f"{what} timed out on a channel")
+        if self.pending:
+            wait_ready([], [self], remaining)
+        else:
+            wait_ready([self], [], remaining)

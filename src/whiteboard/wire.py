@@ -17,7 +17,7 @@ that both take.
     node-v1           (node-id begin end label score (source-ids))
     node-v1           (arc-id origin extremity weight)
     inactive-edge-v1  (edge-id begin end category score (child-ids))
-    open              (open import-format export-format input conn)
+    open              (open import-format export-format input)
     closed            (closed)
     error             (error message)
     done              (done frame)
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-import select
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Union
@@ -45,13 +44,6 @@ _LEXEME_RE = re.compile(r"[()]|[^\s()]+")
 _INT_RE = re.compile(r"[-+]?\d+")  # a data record's first field
 
 NO_INPUT = "-"  # an open request's input field when the component takes none
-
-# An open request is one line written to a request box in one atomic
-# write, of at most `select.PIPE_BUF` bytes. Besides its input the line
-# holds its keyword, two format codes and a connection name of up to 32
-# bytes (`tempfile.mkdtemp` makes 13), and spaces, parentheses and LF.
-MAX_INPUT_BYTES = select.PIPE_BUF - len("(open    )\n") - 2 * max(
-    map(len, FORMAT_CODES)) - 32
 
 
 def check_format_code(code: str) -> str:
@@ -101,7 +93,6 @@ class OpenRequest:
     import_format: str
     export_format: str
     input: str | None  # `-` on the wire
-    conn: str  # the bare name of the connection's directory
 
 
 @dataclass(frozen=True)
@@ -147,14 +138,9 @@ def _fmt_token(value: str) -> str:
 
 
 def check_input(value: str) -> str:
-    """An open request's input: a legal token other than `-`, short enough
-    that its open request's line fits one atomic FIFO write."""
+    """An open request's input: a legal token other than `-`."""
     if value == NO_INPUT:
         raise ValueError(f"{NO_INPUT!r} is reserved for a connection without input")
-    size = len(value.encode("utf-8"))
-    if size > MAX_INPUT_BYTES:
-        raise ValueError(f"an input of {size} bytes does not fit an open "
-                         f"request; at most {MAX_INPUT_BYTES} bytes do")
     return _fmt_token(value)
 
 
@@ -232,8 +218,7 @@ _GRAMMAR = {
     ArcRecord: "node-v1  arc-id:int origin:int extremity:int weight:float",
     InactiveEdgeRecord: "inactive-edge-v1  edge-id:int begin:int end:int "
                         "category:token score:float child-ids:ids",
-    OpenRequest: "open  import-format:format export-format:format "
-                 "input:input conn:token",
+    OpenRequest: "open  import-format:format export-format:format input:input",
     CloseReply: "closed",
     ErrorRecord: "error  message:message",
     DoneRecord: "done  frame:int",

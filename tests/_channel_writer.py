@@ -1,17 +1,17 @@
 """Writer half of the channel fault-injection tests.
 
-Usage: python _channel_writer.py FIFO MODE
+Usage: python _channel_writer.py BOX MODE
 
-Opens the write end of the channel at FIFO, whose read end the test holds
-open already, prints ``open``, and then by MODE:
+Connects to the request box at BOX, on which the test listens, prints
+``open``, and then by MODE:
 
-- ``kill``: starts a frame of ``big_text()``, larger than the FIFO
+- ``kill``: starts a frame of ``big_text()``, larger than the connection
   holds, prints ``partial`` and sleeps until it is killed;
 - ``stop``: starts the same frame, prints ``partial``, stops itself with
   SIGSTOP, and after SIGCONT writes the rest of the frame;
 - ``odd``: writes the frames of ``odd_texts()`` and closes;
-- ``gone``: waits for a line on stdin, sent once the test has closed the
-  read end, then writes one frame; prints ``PeerGone`` if that raised it.
+- ``gone``: waits for a line on stdin, sent once the test has closed its
+  end, then writes one frame; prints ``PeerGone`` if that raised it.
 """
 
 import os
@@ -21,13 +21,13 @@ import time
 
 from whiteboard import wire
 from whiteboard.errors import PeerGone
-from whiteboard.mailbox import Channel, wait_ready
+from whiteboard.mailbox import Mailbox, wait_ready
 
 
 def big_text() -> str:
-    """A batch of about 260 KB, four times what a FIFO holds."""
+    """A batch of about 1.3 MB, several times what a connection holds."""
     return wire.serialize([wire.EdgeRecord(i, i + 1, f"p{i}", 0.5)
-                           for i in range(12_000)], "edge-v1")
+                           for i in range(60_000)], "edge-v1")
 
 
 def odd_texts() -> list[str]:
@@ -38,7 +38,7 @@ def odd_texts() -> list[str]:
 
 def main() -> int:
     path, mode = sys.argv[1:3]
-    channel = Channel(path).open_writer()
+    channel = Mailbox(path).try_deposit()
     print("open", flush=True)
     if mode in ("kill", "stop"):
         assert channel.try_deposit(big_text()) and channel.pending

@@ -2,14 +2,15 @@
 
 Usage: python _request_writer.py TAG SLEEP [STOP_AT]
 
-Reads lines ``BOX FIRST COUNT`` from stdin. For each, writes COUNT open
-requests into the request box at BOX, naming the connections
-``conn-TAG-FIRST`` onwards, one after another, retrying every SLEEP
-seconds while the box is full, as a client opening connections would.
+Reads lines ``BOX FIRST COUNT`` from stdin. For each, makes COUNT
+connections to the request box at BOX, one after another, retrying every
+SLEEP seconds while the box is full, as a client opening connections
+would. On each it sends one frame, ``TAG SEQ`` with SEQ from FIRST
+onwards, and then closes it.
 
-With STOP_AT, the writer stops itself with SIGSTOP just before its write
-number STOP_AT (counting from 0), while it holds the box open for
-writing, and prints ``stopped`` first; after SIGCONT it goes on.
+With STOP_AT, the writer stops itself with SIGSTOP once it has made its
+connection number STOP_AT (counting from 0), before it sends on it, and
+prints ``stopped`` first; after SIGCONT it goes on.
 """
 
 import os
@@ -17,36 +18,25 @@ import signal
 import sys
 import time
 
-from whiteboard import wire
 from whiteboard.mailbox import Mailbox
-
-
-def stop_before_write(stop_at: int) -> None:
-    write = os.write
-    calls = []
-
-    def stopping_write(fd, data):
-        calls.append(fd)
-        if len(calls) == stop_at + 1:
-            print("stopped", flush=True)
-            os.kill(os.getpid(), signal.SIGSTOP)
-        return write(fd, data)
-
-    os.write = stopping_write
 
 
 def main() -> int:
     tag, sleep = sys.argv[1], float(sys.argv[2])
-    if len(sys.argv) > 3:
-        stop_before_write(int(sys.argv[3]))
+    stop_at = int(sys.argv[3]) if len(sys.argv) > 3 else None
+    made = 0
     for line in sys.stdin:
         box_path, first, count = line.split()
         box = Mailbox(box_path)
         for seq in range(int(first), int(first) + int(count)):
-            request = wire.OpenRequest("edge-v1", "edge-v1", None,
-                                       f"conn-{tag}-{seq}")
-            while not box.try_deposit(wire.serialize([request])):
+            while (channel := box.try_deposit()) is None:
                 time.sleep(sleep)
+            if made == stop_at:
+                print("stopped", flush=True)
+                os.kill(os.getpid(), signal.SIGSTOP)
+            made += 1
+            channel.deposit(f"{tag} {seq}\n", timeout=10.0)
+            channel.close()
     return 0
 
 

@@ -1,12 +1,12 @@
-"""Consumer half of the two-process channel stress test.
+"""Consumer half of the two-process connection stress test.
 
-Usage: python _stress_consumer.py ROOT N_CHANNELS N_BATCHES OUT_JSON
+Usage: python _stress_consumer.py BOX N_CONNECTIONS N_BATCHES OUT_JSON
 
-Opens the read ends of the channels ROOT/conn0..connN-1, prints
-``ready``, and then reads N_BATCHES frames from each in one loop that
-waits on all of them at once. It verifies the trailing checksum record of
-every batch, and writes a JSON report with the sequence numbers seen and
-any checksum failures.
+Listens on a request box at BOX, prints ``ready``, takes N_CONNECTIONS
+connections, in the order they were made, and then reads N_BATCHES
+frames from each in one loop that waits on all of them at once. It
+verifies the trailing checksum record of every batch, and writes a JSON
+report with the sequence numbers seen and any checksum failures.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from whiteboard import wire
-from whiteboard.mailbox import Channel, wait_ready
+from whiteboard.mailbox import Mailbox, wait_ready
 
 
 def batch_digest(records) -> str:
@@ -24,15 +24,19 @@ def batch_digest(records) -> str:
 
 
 def main() -> int:
-    root = Path(sys.argv[1])
-    n_channels = int(sys.argv[2])
+    box = Mailbox(sys.argv[1]).open()
+    n_connections = int(sys.argv[2])
     n_batches = int(sys.argv[3])
     out_path = Path(sys.argv[4])
-    channels = [Channel(root / f"conn{c}").open_reader()
-                for c in range(n_channels)]
     print("ready", flush=True)
+    channels = []
+    while len(channels) < n_connections and wait_ready([box], timeout=120.0):
+        while (len(channels) < n_connections
+               and (channel := box.try_collect()) is not None):
+            channels.append(channel)
+    box.close()
     results = [{"seqs": [], "checksum_failures": 0} for _ in channels]
-    pending = dict(zip(channels, results))  # the channels still read
+    pending = dict(zip(channels, results))  # the connections still read
     while pending:
         ready = wait_ready(list(pending), timeout=120.0)
         if not ready:

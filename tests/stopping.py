@@ -8,9 +8,9 @@ from whiteboard.mailbox import Mailbox
 
 class WakingStop(threading.Event):
     """The `stop_event` of manager threads. A manager waits on its request
-    box between cycles, so `set` also writes a blank line to the box of
-    every manager named by `add`, which then stops at once rather than
-    after its poll period."""
+    box between cycles, so `set` also connects to the box of every manager
+    named by `add`, and closes the connection; the manager then stops at
+    once rather than after its poll period."""
 
     def __init__(self):
         super().__init__()
@@ -24,6 +24,8 @@ class WakingStop(threading.Event):
         super().set()
         for request_root in self.request_roots:
             try:
-                Mailbox(request_root).try_deposit("\n")
+                channel = Mailbox(request_root).try_deposit()
             except (FileNotFoundError, PeerGone):
-                pass  # no manager serves there: none to wake
+                continue  # no manager serves there: none to wake
+            if channel is not None:  # a full box wakes its manager anyway
+                channel.close()

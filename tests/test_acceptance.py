@@ -26,10 +26,11 @@ from whiteboard import (
     topk_matrices,
     wire,
 )
+from whiteboard import coordinator
 from whiteboard.demo import DemoConfig, demo_run
 from whiteboard.errors import WouldCreateCycle
 from whiteboard.grid import PhonemeMatrix
-from whiteboard.mailbox import Channel
+from whiteboard.mailbox import Mailbox
 from whiteboard.manager import partition_by_end
 from conftest import ACCEPTANCE_LINES
 from oracles import (
@@ -181,24 +182,24 @@ def test_05_topk_matches_per_cell_sort():
 
 
 def test_06_mailbox_exactly_once_across_processes(tmp_path):
-    """Four channels carry frames from this process's writer threads to
+    """Four connections carry frames from this process's writer threads to
     one consumer process, which reads them all in one loop."""
     n_channels, n_batches = 4, 1_000
-    root = tmp_path / "stress"
-    root.mkdir()
-    paths = [Channel(root / f"conn{c}").make().path for c in range(n_channels)]
+    box = tmp_path / "stress" / "request"
+    box.parent.mkdir()
     out_json = tmp_path / "consumer.json"
     consumer = subprocess.Popen(
-        [sys.executable, str(HERE / "_stress_consumer.py"), str(root),
+        [sys.executable, str(HERE / "_stress_consumer.py"), str(box),
          str(n_channels), str(n_batches), str(out_json)],
         stdout=subprocess.PIPE, text=True)
     start = time.monotonic()
 
-    def produce(conn: int, channel: Channel):
+    def produce(conn: int, channel):
         rng = random.Random(606 + conn)
         for seq in range(n_batches):
-            # now and then a batch larger than a FIFO holds, written in parts
-            size = 3_000 if rng.random() < 0.01 else rng.randint(0, 4)
+            # now and then a batch larger than a connection holds, written
+            # in parts
+            size = 12_000 if rng.random() < 0.01 else rng.randint(0, 4)
             data = [wire.EdgeRecord(rng.randint(0, 99), rng.randint(0, 99),
                                     f"c{conn}", round(rng.uniform(0, 1), 3))
                     for _ in range(size)]
@@ -209,7 +210,8 @@ def test_06_mailbox_exactly_once_across_processes(tmp_path):
 
     try:
         assert consumer.stdout.readline() == "ready\n"
-        channels = [Channel(path).open_writer() for path in paths]
+        # made one after another, so the consumer takes them in this order
+        channels = [Mailbox(box).try_deposit() for _ in range(n_channels)]
         try:
             producers = [threading.Thread(target=produce, args=(c, channel))
                          for c, channel in enumerate(channels)]
@@ -234,7 +236,7 @@ def test_06_mailbox_exactly_once_across_processes(tmp_path):
         assert report["seqs"] == list(range(n_batches)), \
             "loss, duplication or reordering observed"
     assert elapsed < 60.0
-    ok(6, f"{n_channels} channels x {n_batches} frames to one consumer "
+    ok(6, f"{n_channels} connections x {n_batches} frames to one consumer "
           f"process, exactly-once, untorn and in order, in {elapsed:.1f}s")
 
 
@@ -295,7 +297,7 @@ def test_08_end_to_end_demo_on_hai(tmp_path):
           "source span, deterministically, under 10s per run")
 
 
-def test_09_killing_the_parser_fails_fast_not_hung(tmp_path):
+def test_09_killing_the_parser_fails_fast_not_hung(tmp_path, monkeypatch):
     sleep_time = 0.05
     config = DemoConfig(
         matrices=FIXTURES / "hai.mat",
@@ -307,25 +309,26 @@ def test_09_killing_the_parser_fails_fast_not_hung(tmp_path):
     )
     spawned = {}
     kill_time = {}
+    asked = threading.Event()  # the parser's connection was made
+    connect = coordinator.request_connection
+
+    def request_connection(request_root, params):
+        conn = connect(request_root, params)
+        if request_root.parent.name == "parser":
+            asked.set()
+        return conn
+
+    monkeypatch.setattr(coordinator, "request_connection", request_connection)
 
     def hook(role, proc):
         spawned[role] = proc
         if len(spawned) == 3:
-            # the worker argv carries its request box; the connections'
-            # conn-* directories sit beside it. Once the parser's appears,
-            # the source still has its 9 pieces to release, one poll period
-            # apart, so a kill two periods later lands before the
-            # utterance can settle
-            request_root = Path(spawned["parser"].args[
-                spawned["parser"].args.index("--request-box") + 1])
-
+            # once the parser's connection is made, the source still
+            # has its 9 pieces to release, one poll period apart, so a
+            # kill two periods later lands before the utterance can settle
             def assassin():
-                deadline = time.monotonic() + 15.0
-                while time.monotonic() < deadline:
-                    if any(request_root.parent.glob("conn-*")):
-                        time.sleep(2 * sleep_time)
-                        break
-                    time.sleep(sleep_time / 10)
+                if asked.wait(timeout=15.0):
+                    time.sleep(2 * sleep_time)
                 kill_time["t"] = time.monotonic()
                 spawned["parser"].kill()
             threading.Thread(target=assassin, daemon=True).start()

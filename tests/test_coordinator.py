@@ -1,5 +1,4 @@
 import fcntl
-import os
 import random
 import struct
 import subprocess
@@ -34,7 +33,7 @@ from whiteboard.errors import (
     ManagerUnavailable,
     UnknownFormatCode,
 )
-from whiteboard.mailbox import Channel, Mailbox
+from whiteboard.mailbox import Mailbox
 from oracles import identity_component, valid_lattice
 from stopping import WakingStop
 from utterances import spliced_utterances
@@ -146,9 +145,9 @@ def test_register_activates_the_bindings_that_open_when_others_fail(
         host, tmp_path):
     """The failing binding comes first: a request that nobody takes stops
     no other opening. A refusal comes later, on the refused connection."""
-    # a request box whose manager died: nobody reads it
+    # a request box whose manager died: nobody listens on it
     (tmp_path / "dead").mkdir()
-    os.mkfifo(tmp_path / "dead" / "request")
+    Mailbox(tmp_path / "dead" / "request").open()._sock.close()
 
     def refuse(_input):
         raise ValueError("no component here")
@@ -162,18 +161,16 @@ def test_register_activates_the_bindings_that_open_when_others_fail(
                          ["syntax"], "ww", params("node-v1", "node-v1"))]
     coordinator = host.coordinator(make_board())
     start = time.monotonic()
-    with pytest.raises(ManagerUnavailable, match="nobody reads"):
+    with pytest.raises(ManagerUnavailable, match="nobody listens"):
         coordinator.register(*bindings)
     assert time.monotonic() - start < 1.0  # not the open's 10 s timeout
     conns = coordinator.connections()
     assert list(conns) == ["refusing", "live"]
-    assert sorted(tmp_path.glob("*/conn-*")) == sorted(
-        conn.in_channel.path.parent for conn in conns.values())
-    pump_until(coordinator, lambda: coordinator.bound["refusing"].hung_up)
+    pump_until(coordinator, lambda: coordinator.bound["refusing"].gone)
     assert coordinator.bound["refusing"].errors == [
         "component error: component-error_no_component_here",
         "its manager hung up"]
-    # the hung-up channel stays readable: no later round or wait looks at it
+    # the hung-up connection stays readable: no later round or wait looks at it
     coordinator.pump()  # with no wait before it, a round reads every channel
     assert len(coordinator.bound["refusing"].errors) == 2
     assert not coordinator.wait(0)
@@ -381,15 +378,36 @@ def test_repeated_edge_record_packs_into_one_node(host):
     def source(records):
         return [wire.EdgeRecord(0, 3, "h", 0.5), wire.EdgeRecord(0, 3, "h", 0.5)]
 
-    board = make_board()
-    coordinator = host.coordinator(board)
-    coordinator.register(ComponentBinding(
-        "source", host("source", source),
-        [], "phonemes", params("edge-v1", "edge-v1")))
-    pump_until(coordinator, coordinator.settled)
+    def build(repeat: bool):
+        """The board of a source and two bindings, which send each of their
+        records once more under the same id, scoring higher, if `repeat`."""
+        def parser(records):
+            return [wire.InactiveEdgeRecord(1, 0, 3, "NP", 0.5)] + repeat * [
+                wire.InactiveEdgeRecord(1, 0, 3, "NP", 0.9)]
+
+        def translator(records):
+            return [wire.NodeRecord(1, 0, 3, "yes", 0.5)] + repeat * [
+                wire.NodeRecord(1, 0, 3, "yes", 0.9)]
+
+        board = make_board()
+        coordinator = host.coordinator(board)
+        coordinator.register(
+            ComponentBinding("source", host(f"source-{repeat}", source),
+                             [], "phonemes", params("edge-v1", "edge-v1")),
+            ComponentBinding("parser", host(f"parser-{repeat}", parser),
+                             ["phonemes"], "syntax",
+                             params("edge-v1", "inactive-edge-v1")),
+            ComponentBinding("translator", host(f"translator-{repeat}", translator),
+                             ["syntax"], "ww", params("node-v1", "node-v1")))
+        pump_until(coordinator, coordinator.settled)
+        assert all(not bound.errors for bound in coordinator.bound.values())
+        return board
+
+    board = build(repeat=True)
     [node] = board.layers["phonemes"].white_nodes.values()
     assert len(node.readings) == 1
-    assert coordinator.bound["source"].errors == []
+    # a repeated inactive-edge or node record leaves the board as it was
+    assert canonical_form(board) == canonical_form(build(repeat=False))
 
 
 def test_component_errors_surface_without_halting_others(host):
@@ -437,32 +455,34 @@ def test_a_record_the_board_cannot_place_is_rejected_and_noted(
 
 def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
         tmp_path):
-    """This test plays the manager, on a request box it reads itself."""
+    """This test plays the manager, on a request box it listens on itself."""
     (tmp_path / "m").mkdir()
     box = Mailbox(tmp_path / "m" / "request").open()
     ends = []
     try:
         conn = manager.request_connection(box.path, params("edge-v1", "edge-v1"))
-        [request] = wire.parse(box.try_collect())
-        conn_dir = box.path.parent / request.conn
-        ends = [Channel(conn_dir / "in").open_reader(writer_first=True),
-                Channel(conn_dir / "out").open_writer(),
-                conn.in_channel, conn.out_channel]
+        served = box.try_collect()
+        ends = [served, conn.channel]
+        assert wire.parse(served.collect(timeout=5.0)) == [
+            wire.OpenRequest("edge-v1", "edge-v1", None)]
         coordinator = Coordinator(make_board())
         coordinator.bound["played"] = _Bound(ComponentBinding(
             "played", box.path, [], "phonemes", params("edge-v1", "edge-v1")),
             conn)
-        ends[1].deposit("(0 3 h\n", timeout=5.0)
-        ends[1].deposit(wire.serialize([wire.EdgeRecord(0, 3, "h", 0.5)],
-                                       "edge-v1"), timeout=5.0)
+        served.deposit("(0 3 h\n", timeout=5.0)
+        served._sock.sendall(b"\x00\x00\x00\x02\xff\n")  # not UTF-8
+        served.deposit(wire.serialize([wire.EdgeRecord(0, 3, "h", 0.5)],
+                                      "edge-v1"), timeout=5.0)
         report = coordinator.pump()
     finally:
         for end in ends:
             end.close()
         box.close()
-    [error] = coordinator.bound["played"].errors
-    assert error.startswith("unparseable batch: ")
-    assert (report.errors, report.collected) == (1, 1)
+    errors = coordinator.bound["played"].errors
+    assert len(errors) == 2
+    assert all(error.startswith("unparseable batch: ") for error in errors)
+    assert "not UTF-8" in errors[1]
+    assert (report.errors, report.collected) == (2, 1)
     assert [n.label for n in coordinator.board.layers["phonemes"]
             .white_nodes.values()] == ["h"]
 
@@ -470,7 +490,7 @@ def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
 def test_a_frame_naming_an_unknown_format_code_is_noted_as_a_failed_collect(
         host):
     def opener(_records):  # a control record no reader of the frame knows
-        return [wire.OpenRequest("bogus-v9", "edge-v1", None, "conn-x")]
+        return [wire.OpenRequest("bogus-v9", "edge-v1", None)]
 
     coordinator = host.coordinator(make_board())
     coordinator.register(ComponentBinding(
@@ -482,7 +502,7 @@ def test_a_frame_naming_an_unknown_format_code_is_noted_as_a_failed_collect(
 
 
 def test_a_deposit_that_fails_is_noted_and_left_for_the_next_round(tmp_path):
-    """This test reads the request box itself, and serves nothing."""
+    """This test listens on the request box itself, and serves nothing."""
     (tmp_path / "m").mkdir()
     box = Mailbox(tmp_path / "m" / "request").open()
     board = make_board()
@@ -493,7 +513,7 @@ def test_a_deposit_that_fails_is_noted_and_left_for_the_next_round(tmp_path):
             "late", box.path, ["phonemes"], "syntax",
             params("edge-v1", "edge-v1")))
         conn = coordinator.bound["late"].conn
-        conn.request_close(timeout=5.0)  # its in channel is closed
+        conn.request_close(timeout=5.0)  # shut for writing
         report = coordinator.pump()
         with pytest.raises(MailboxTimeout):
             conn.close(timeout=0.1)
@@ -501,7 +521,7 @@ def test_a_deposit_that_fails_is_noted_and_left_for_the_next_round(tmp_path):
         box.close()
     assert report.errors == 1
     assert coordinator.bound["late"].errors == [
-        f"deposit failed: {conn.in_channel.path} is closed for writing"]
+        "deposit failed: the channel is closed for writing"]
     assert coordinator.backlog == ["late"]
 
 
@@ -660,18 +680,18 @@ def test_a_slice_larger_than_a_channel_holds_goes_over_whole(host):
     conn = coordinator.bound["echo"].conn
     try:
         coordinator.pump()
-        # about 110 KB each way: the coordinator's batch and the echo's
+        # about 400 KB each way: the coordinator's batch and the echo's
         # reply both leave a tail that later rounds and cycles must write
-        for begin in range(1, 6_000):
+        for begin in range(1, 20_000):
             phonemes.add_white_node(TimeSpan(begin, begin + 1), "h", 0.5)
         coordinator.pump()
-        assert conn.in_channel.pending and conn.outstanding == 2
+        assert conn.channel.pending and conn.outstanding == 2
         assert coordinator.backlog == []  # the slice was taken, cursor moved
     finally:
         release.set()
     pump_until(coordinator, coordinator.settled)
-    assert coordinator.bound["echo"].deposited == 6_000
-    assert len(board.layers["syntax"].white_nodes) == 6_000
+    assert coordinator.bound["echo"].deposited == 20_000
+    assert len(board.layers["syntax"].white_nodes) == 20_000
 
 
 def test_status_counts_rounds_and_reports_settled():
@@ -844,8 +864,8 @@ def test_results_handed_over_on_close_after_settling_fail_the_run(host):
     # a batch slipped past the coordinator's accounting: its reply is
     # still in flight when the connections close
     conn = coordinator.bound["echo"].conn
-    conn.in_channel.deposit(wire.serialize([wire.EdgeRecord(3, 6, "a", 0.5)],
-                                       "edge-v1"), timeout=5.0)
+    conn.channel.deposit(wire.serialize([wire.EdgeRecord(3, 6, "a", 0.5)],
+                                    "edge-v1"), timeout=5.0)
     error = _close_connections(coordinator)
     assert error is not None
     assert "echo" in error and "1 records" in error
@@ -871,7 +891,7 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
         pump_until(coordinator, coordinator.settled)
         worker.kill()
         worker.wait(timeout=10)
-        # the dead manager hung up `out` without `(closed)`: its close fails at once
+        # the dead manager hung up without `(closed)`: its close fails at once
         error = _close_connections(coordinator)
     finally:
         if worker.poll() is None:
@@ -879,9 +899,8 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
             worker.wait(timeout=10)
     assert error is not None and "closing parser" in error
     assert "echo" not in error
-    assert all(conn.state == "closed"
+    assert all(conn.state == "closed" and conn.channel.fileno() == -1
                for conn in coordinator.connections().values())
-    assert not list(tmp_path.glob("*/conn-*"))
 
 
 def test_closing_reports_a_connection_whose_hang_up_fails(host):
@@ -892,10 +911,10 @@ def test_closing_reports_a_connection_whose_hang_up_fails(host):
         "echo", host("echo", identity_component),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     conn = coordinator.bound["echo"].conn
-    conn.in_channel.hang_up()  # behind the connection's back
+    conn.channel.hang_up()  # behind the connection's back
     error = _close_connections(coordinator)
-    assert error == f"closing echo: {conn.in_channel.path} is closed for writing"
-    assert conn.state == "closed" and not conn.in_channel.path.parent.exists()
+    assert error == "closing echo: the channel is closed for writing"
+    assert conn.state == "closed" and conn.channel.fileno() == -1
 
 
 def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(
@@ -972,7 +991,7 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
             worker.kill()
         worker.wait(timeout=10)
         _close_connections(coordinator)
-    # the hang-up keeps the out channel readable, so no wait times out:
+    # the hang-up keeps the connection readable, so no wait times out:
     # only the failed read can bring the process check
     assert error == "manager process died: parser"
     assert returned - killed[0] < 1.0
@@ -1006,7 +1025,7 @@ def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
     assert error == ("the manager of binding source hung up, the first "
                      "error: component error: component-error_the_source_"
                      "needs_a_matrix_file_as_its_input")
-    assert not list(tmp_path.glob("*/conn-*"))
+    assert coordinator.bound["source"].conn.channel.fileno() == -1
 
 
 def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
@@ -1069,7 +1088,7 @@ def test_a_hang_up_by_a_manager_process_not_reaped_yet_is_its_death(tmp_path):
     coordinator = Coordinator(make_board())
     bound = coordinator.bound["parser"] = _Bound(ComponentBinding(
         "parser", tmp_path, [], "phonemes"), None)
-    bound.hung_up = True
+    bound.gone = True
     bound.note("its manager hung up")
     assert _hang_ups(coordinator, {"parser": Dying()},
                      time.monotonic() + 60.0) == "manager process died: parser"
@@ -1091,7 +1110,7 @@ def test_a_hang_up_after_a_component_error_is_a_refusal_not_waited_for(
     coordinator = Coordinator(make_board())
     bound = coordinator.bound["source"] = _Bound(ComponentBinding(
         "source", tmp_path, [], "phonemes"), None)
-    bound.hung_up = True
+    bound.gone = True
     bound.note("component error: component-error_no_input")
     bound.note("its manager hung up")
     assert _hang_ups(coordinator, {"source": Refusing()},
@@ -1100,30 +1119,30 @@ def test_a_hang_up_after_a_component_error_is_a_refusal_not_waited_for(
         "component error: component-error_no_input")
 
 
-def test_a_round_after_a_timed_out_wait_notes_a_manager_gone_before_the_open(
-        tmp_path):
+def test_a_round_notes_a_manager_gone_before_it_took_the_open(tmp_path):
     root = tmp_path / "source" / "request"
     root.parent.mkdir()
-    os.mkfifo(root)
-    # the test reads the box as a manager that takes nothing would
-    box_reader = os.open(root, os.O_RDONLY | os.O_NONBLOCK)
+    # the test listens on the box as a manager that takes nothing would
+    box = Mailbox(root).open()
     coordinator = Coordinator(make_board())
     coordinator.register(ComponentBinding(
         "source", root, [], "phonemes", params("edge-v1", "edge-v1")))
     assert not coordinator.wait(0.01)
-    assert coordinator.pump().errors == 0  # the box is still read
-    os.close(box_reader)  # the manager dies, the open untaken
-    assert not coordinator.wait(0.01)
+    assert coordinator.pump().errors == 0  # the box is still listened on
+    box.close()  # the manager goes, the open untaken
+    start = time.monotonic()
+    assert coordinator.wait(5.0)  # its going wakes the wait
+    assert time.monotonic() - start < 1.0
     assert coordinator.pump().errors == 1
     bound = coordinator.bound["source"]
-    assert bound.hung_up
-    assert "went before it took the open" in bound.errors[0]
+    assert bound.gone
+    assert bound.errors == ["its manager hung up"]
     with pytest.raises(ManagerUnavailable):
         bound.conn.close(timeout=5.0)
 
 
 def unread(channel) -> int:
-    """The bytes waiting in a channel's FIFO, which nobody has read yet."""
+    """The bytes waiting in a connection, which its end has not read yet."""
     return struct.unpack("i", fcntl.ioctl(channel.fileno(), termios.FIONREAD,
                                           bytes(4)))[0]
 
@@ -1146,7 +1165,7 @@ def test_a_round_reads_one_frame_per_ready_channel_and_drains_all_without_a_wait
     pieces = [edges[:1], edges[1:2], [edges[2], wire.DoneRecord(3)]]
     size = sum(4 + len(wire.serialize(piece, "edge-v1").encode())
                for piece in pieces)
-    outs = [coordinator.bound[name].conn.out_channel for name in "ab"]
+    outs = [coordinator.bound[name].conn.channel for name in "ab"]
     deadline = time.monotonic() + 10.0
     while any(unread(out) < size for out in outs):
         assert time.monotonic() < deadline, "the pieces did not arrive"

@@ -14,13 +14,14 @@ import pytest
 
 from whiteboard import (
     canonical_form,
+    coordinator,
     demo,
     from_json,
     load_dictionary,
     load_grammar,
-    wire,
 )
 from whiteboard.demo import ROLES, DemoConfig, _run_utterance, _stop_workers, demo_run
+from whiteboard.mailbox import Mailbox
 
 REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
@@ -118,26 +119,6 @@ def test_a_matrix_path_that_is_not_a_wire_token_is_a_config_error(
     assert result.utterances == []
 
 
-def test_a_matrix_path_too_long_for_one_open_request_is_a_config_error(
-        tmp_path, fixtures_dir):
-    # nested directories make the path just longer than an open request
-    # takes, and still shorter than the system's path limit
-    matrices = tmp_path
-    while len(str(matrices)) < wire.MAX_INPUT_BYTES:
-        matrices /= "d" * min(200, wire.MAX_INPUT_BYTES - len(str(matrices)))
-    matrices.mkdir(parents=True)
-    shutil.copy(fixtures_dir / "hai.mat", matrices / "hai.mat")
-    assert len(str(matrices / "hai.mat")) > wire.MAX_INPUT_BYTES
-    result = demo_run(DemoConfig(matrices=matrices,
-                                 grammar=fixtures_dir / "words.grammar",
-                                 dictionary=fixtures_dir / "words.dict",
-                                 out=tmp_path / "boards"))
-    assert result.exit_code == 2
-    assert str(matrices / "hai.mat") in result.config_error
-    assert "does not fit an open request" in result.config_error
-    assert result.utterances == []
-
-
 FAILING_WORKER = Path(__file__).parent / "_failing_worker.py"
 
 
@@ -203,18 +184,26 @@ def test_an_utterance_whose_alphabet_misses_a_terminal_is_a_config_error(
     assert len(loads) == 1  # the grammar file is read once per run
 
 
-def test_a_failed_utterance_leaves_no_descriptor_open(tmp_path, fixtures_dir):
+def test_a_failed_utterance_leaves_no_descriptor_open(
+        tmp_path, fixtures_dir, monkeypatch):
     killers = []
+    asked = threading.Event()  # the parser's connection was made
+    connect = coordinator.request_connection
+
+    def request_connection(request_root, params):
+        conn = connect(request_root, params)
+        if request_root.parent.name == "parser":
+            asked.set()
+        return conn
+
+    monkeypatch.setattr(coordinator, "request_connection", request_connection)
 
     def hook(role, proc):
         if role != "parser":
             return
-        conns = Path(proc.args[proc.args.index("--request-box") + 1]).parent
 
         def kill_once_asked():  # the source has 9 pieces still to release
-            deadline = time.monotonic() + 15.0
-            while not any(conns.glob("conn-*")) and time.monotonic() < deadline:
-                time.sleep(0.005)
+            asked.wait(timeout=15.0)
             proc.kill()
         killers.append(threading.Thread(target=kill_once_asked, daemon=True))
         killers[-1].start()
@@ -238,9 +227,9 @@ def test_open_requests_nobody_takes_fail_the_utterance(tmp_path, fixtures_dir):
         def poll(self):
             return None
 
-    for role in ROLES:  # request boxes nobody reads, as if each manager hung
+    for role in ROLES:  # request boxes nobody listens on, as if each manager hung
         (tmp_path / role).mkdir()
-        os.mkfifo(tmp_path / role / "request")
+        Mailbox(tmp_path / role / "request").open()._sock.close()
     config = DemoConfig(matrices=fixtures_dir / "hai.mat",
                         grammar=fixtures_dir / "words.grammar",
                         dictionary=fixtures_dir / "words.dict",
@@ -253,8 +242,8 @@ def test_open_requests_nobody_takes_fail_the_utterance(tmp_path, fixtures_dir):
         tmp_path, {role: Alive() for role in ROLES})
     assert time.monotonic() - start < 1.0
     assert result.error.startswith("pipeline failed: manager at ")
-    assert "did not take the open request: nobody reads" in result.error
-    assert not list(tmp_path.glob("*/conn-*"))
+    assert "did not take the open request: nobody listens" in result.error
+    assert sorted(tmp_path.iterdir()) == [tmp_path / role for role in sorted(ROLES)]
 
 
 def test_a_worker_that_ignores_terminate_is_killed():

@@ -2,6 +2,7 @@ import logging
 import os
 import signal
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -79,14 +80,8 @@ def test_an_input_that_is_not_a_wire_token_is_rejected_before_any_traffic(source
         ConnectionParams("edge-v1", "edge-v1", source)
 
 
-def test_an_input_too_long_for_one_open_request_is_rejected_before_any_traffic(
-        tmp_path):
-    longest = "x" * wire.MAX_INPUT_BYTES
-    # counted in bytes: each of these characters takes two
-    for source in (longest + "x", "\u00e9" * (wire.MAX_INPUT_BYTES // 2 + 1)):
-        with pytest.raises(ValueError, match="does not fit an open request"):
-            ConnectionParams("edge-v1", "edge-v1", source)
-    # the longest input goes over with the longest format codes
+def test_an_open_whose_input_is_64_kib_reaches_the_factory_whole(tmp_path):
+    source = "x" * (64 << 10)
     inputs = []
 
     def factory(source):
@@ -95,9 +90,20 @@ def test_an_input_too_long_for_one_open_request_is_rejected_before_any_traffic(
 
     with hosted_manager(tmp_path, factory=factory) as root:
         conn = request_connection(root, ConnectionParams(
-            "inactive-edge-v1", "inactive-edge-v1", longest))
+            "inactive-edge-v1", "inactive-edge-v1", source))
         conn.close(timeout=5.0)
-    assert inputs == [longest]
+    assert inputs == [source]
+
+
+def test_a_request_box_whose_path_is_longer_than_sun_path_serves(tmp_path):
+    # a socket address holds at most 107 bytes of path
+    with hosted_manager(tmp_path / ("d" * 100), identity_component) as root:
+        assert len(os.fsencode(root)) > 107
+        conn = request_connection(root, params())
+        conn.deposit(edges(0), timeout=5.0)
+        assert conn.collect(timeout=5.0) == edges(0)
+        assert conn.close(timeout=5.0) == []
+    assert list(root.parent.iterdir()) == []
 
 
 def test_the_factory_builds_each_connection_its_component_from_its_input(tmp_path):
@@ -168,13 +174,14 @@ def test_interleaved_connections_to_one_parser_manager_keep_apart(
 def test_open_creates_fresh_boxes_and_echo_works(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn_dir = conn.in_channel.path.parent
-        assert sorted(p.name for p in conn_dir.iterdir()) == ["in", "out"]
-        assert all(stat.S_ISFIFO(p.stat().st_mode) for p in conn_dir.iterdir())
-        assert conn.out_channel.try_collect() is None  # nothing in flight
+        # the connection is one socket, and no file beside the request box
+        assert list(root.parent.iterdir()) == [root]
+        assert stat.S_ISSOCK(root.stat().st_mode)
+        assert conn.channel.try_collect() is None  # nothing in flight
         batch = edges(0, 1, 2)
         conn.deposit(batch, timeout=5.0)
         assert conn.collect(timeout=5.0) == batch
+        assert conn.close(timeout=5.0) == []
 
 
 def test_every_deposited_batch_reappears(tmp_path):
@@ -184,17 +191,20 @@ def test_every_deposited_batch_reappears(tmp_path):
             batch = edges(i)
             conn.deposit(batch, timeout=5.0)
             assert conn.collect(timeout=5.0) == batch
+        assert conn.close(timeout=5.0) == []
 
 
 def test_two_connections_are_independent(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         a = request_connection(root, params())
         b = request_connection(root, params())
-        assert a.in_channel.path != b.in_channel.path
+        assert a.channel.fileno() != b.channel.fileno()
         a.deposit(edges(1), timeout=5.0)
         b.deposit(edges(2), timeout=5.0)
         assert b.collect(timeout=5.0) == edges(2)
         assert a.collect(timeout=5.0) == edges(1)
+        for conn in (a, b):
+            assert conn.close(timeout=5.0) == []
 
 
 def test_manager_unavailable_when_nobody_serves(tmp_path):
@@ -213,7 +223,7 @@ def test_close_acknowledges_and_removes_boxes(tmp_path):
         leftovers = conn.close(timeout=5.0)
         assert leftovers == []
         assert conn.state == "closed"
-        assert not conn.in_channel.path.parent.exists()
+        assert conn.channel.fileno() == -1  # the client's end is closed
         with pytest.raises(AlreadyClosed):
             conn.close(timeout=5.0)
         with pytest.raises(AlreadyClosed):
@@ -230,7 +240,7 @@ def test_close_delivers_pending_content_first(tmp_path, incremental):
         # piece in order, before its acknowledgment
         leftovers = conn.close(timeout=5.0)
         assert leftovers == edges(0, 1, 2)
-        assert not list(root.parent.glob("conn-*"))
+        assert conn.channel.fileno() == -1
 
 
 def test_clients_sharing_a_manager_get_only_their_own_replies(tmp_path):
@@ -258,54 +268,58 @@ def test_clients_sharing_a_manager_get_only_their_own_replies(tmp_path):
     assert failures == []
 
 
-def test_an_open_naming_no_connection_directory_of_its_own_is_only_logged(
-        tmp_path, caplog):
+def test_a_first_frame_that_is_not_one_open_request_is_refused(tmp_path, caplog):
     caplog.set_level(logging.WARNING, logger="whiteboard.manager")
-    manager = hosted_manager(tmp_path, identity_component)
-    (tmp_path / "elsewhere").mkdir()
-    (manager.root.parent / "plain").mkdir(parents=True)
-    with manager as root:
+    # one that does not parse, one that is not UTF-8, an empty batch, a
+    # record that asks for no connection, and two open requests
+    opening = wire.serialize([wire.OpenRequest("edge-v1", "edge-v1", None)])
+    firsts = [b"(open edge-v1\n", b"\xff\n", b"",
+              wire.serialize([wire.CloseReply()]).encode(),
+              (opening * 2).encode()]
+    with hosted_manager(tmp_path, identity_component) as root:
         wait_for_request_box(root)
-        before = sorted(tmp_path.rglob("*"))
-        bad = ["../elsewhere", str(tmp_path / "elsewhere"), "conn-missing",
-               "plain"]
-        # in one write, so read at once: the unparseable line, first, costs
-        # only itself, the blank line nothing, and so does a record that
-        # asks for no connection
-        assert Mailbox(root).try_deposit("(open edge-v1\n\n" + wire.serialize(
-            [wire.CloseReply(), *(wire.OpenRequest("edge-v1", "edge-v1", None, name)
-                                  for name in bad)]))
-        # answered only once the manager has taken every earlier request
+        for first in firsts:
+            channel = Mailbox(root).try_deposit()
+            try:
+                channel._sock.sendall(struct.pack(">I", len(first)) + first)
+                [error] = wire.parse(channel.collect(timeout=5.0))
+                assert error.message.startswith("open-error")
+                with pytest.raises(PeerGone):  # then the manager hangs up
+                    channel.collect(timeout=5.0)
+            finally:
+                channel.close()
+        # and serves on
         conn = request_connection(root, params())
         conn.deposit(edges(0), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(0)
         conn.close(timeout=5.0)
-        assert sorted(tmp_path.rglob("*")) == before
-    ignored = [r.getMessage() for r in caplog.records
-               if r.name == "whiteboard.manager" and "ignored" in r.getMessage()]
-    assert len(ignored) == len(bad) + 2
-    for name in [*map(repr, bad), "CloseReply()"]:
-        assert any(name in message for message in ignored)
+        assert list(root.parent.iterdir()) == [root]
+    refused = [r.getMessage() for r in caplog.records
+               if r.name == "whiteboard.manager" and "refused" in r.getMessage()]
+    assert len(refused) == len(firsts)
 
 
 def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="whiteboard.manager")
-    # an open nobody serves: this test reads the box, and opens nothing
+    before = open_fds()
+    # an open nobody serves: this test listens on the box, and takes nothing
     (tmp_path / "silent").mkdir()
     silent = Mailbox(tmp_path / "silent" / "request").open()
+    queued = []
     try:
         conn = request_connection(silent.path, params())
         with pytest.raises(MailboxTimeout):
             conn.close(timeout=0.1)
         # a box that nobody empties fills up: the open gives up in time
-        for line in ("x" * 4000 + "\n", "\n"):
-            while Mailbox(silent.path).try_deposit(line):
-                pass
+        while (channel := Mailbox(silent.path).try_deposit()) is not None:
+            queued.append(channel)
         with pytest.raises(ManagerUnavailable, match="stayed full"):
             request_connection(silent.path, params(), timeout=0.1)
     finally:
+        for channel in queued:
+            channel.close()
         silent.close()
-    assert not list(silent.path.parent.glob("conn-*"))
+    assert open_fds() == before
 
     # a close nobody answers: the manager is held up in its component
     release = threading.Event()
@@ -322,7 +336,7 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
                 conn.close(timeout=0.1)
         finally:
             release.set()
-        assert not list(root.parent.glob("conn-*"))
+        assert conn.channel.fileno() == -1
 
     # a manager that stopped has hung up: its close fails at once
     stopped = hosted_manager(tmp_path, identity_component, name="stopped")
@@ -330,20 +344,19 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
         conn = request_connection(root, params())
     with pytest.raises(ManagerUnavailable):
         conn.close(timeout=5.0)
-    assert not list(root.parent.glob("conn-*"))
+    assert open_fds() == before
 
     # the manager drops a connection whose client hung up, and serves on
     with hosted_manager(tmp_path, identity_component) as root:
         gone, kept = (request_connection(root, params()) for _ in range(2))
         gone.deposit(edges(9), timeout=5.0)  # answered once the open is taken
         assert gone.collect(timeout=5.0) == edges(9)
-        gone.in_channel.close()  # as a client that died would
-        gone.out_channel.close()
+        gone.channel.close()  # as a client that died would
         for i in range(3):
             kept.deposit(edges(i), timeout=5.0)
             assert kept.collect(timeout=5.0) == edges(i)
-        assert any(f"connection {gone.in_channel.path.parent.name} dropped"
-                   in r.getMessage()
+        # the manager numbers its connections as it takes them
+        assert any(r.getMessage().startswith("manager m: connection 1 dropped")
                    for r in caplog.records)
         kept.close(timeout=5.0)
 
@@ -365,16 +378,22 @@ def test_component_fault_becomes_error_record_and_service_continues(tmp_path):
         assert "component-error" in error.message
         conn.deposit(edges(1), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(1)
+        assert conn.close(timeout=5.0) == []
 
 
 def test_manager_survives_unparseable_batch(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn.in_channel.deposit("(not a record\n", timeout=5.0)
+        conn.channel.deposit("(not a record\n", timeout=5.0)
         [error] = conn.collect(timeout=5.0)
-        assert isinstance(error, wire.ErrorRecord)
+        assert error.message.startswith("import-parse-error")
+        # a frame that is not UTF-8 is taken whole, and answered the same way
+        conn.channel._sock.sendall(b"\x00\x00\x00\x02\xff\n")
+        [error] = conn.collect(timeout=5.0)
+        assert error.message.startswith("import-parse-error")
         conn.deposit(edges(3), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(3)
+        assert conn.close(timeout=5.0) == []
 
 
 # -- incremental delivery ------------------------------------------------------
@@ -419,28 +438,30 @@ def test_incremental_manager_delivers_multiple_batches(tmp_path):
         for _ in range(3):
             got.extend(conn.collect(timeout=5.0))
         assert got == batch
+        assert conn.close(timeout=5.0) == []
 
 
 # -- the done record ------------------------------------------------------------
 
 def raw_replies(conn, count):
     """The next `count` frames on the out channel, parsed but not stripped."""
-    return [wire.parse(conn.out_channel.collect(timeout=5.0),
+    return [wire.parse(conn.channel.collect(timeout=5.0),
                        conn.params.export_format) for _ in range(count)]
 
 
 def assert_nothing_more(conn):
     time.sleep(10 * SLEEP)
-    assert conn.out_channel.try_collect() is None
+    assert conn.channel.try_collect() is None
 
 
 def test_done_ends_a_non_incremental_reply(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn.in_channel.deposit(wire.serialize(edges(0, 4, 2), "edge-v1"))
+        conn.channel.deposit(wire.serialize(edges(0, 4, 2), "edge-v1"))
         [reply] = raw_replies(conn, 1)
         assert reply == edges(0, 4, 2) + [wire.DoneRecord(5)]
         assert_nothing_more(conn)
+        assert conn.close(timeout=5.0) == []
 
 
 def test_done_rides_on_the_last_incremental_piece(tmp_path):
@@ -449,19 +470,21 @@ def test_done_rides_on_the_last_incremental_piece(tmp_path):
 
     with hosted_manager(tmp_path, source, incremental=True) as root:
         conn = request_connection(root, params())
-        conn.in_channel.deposit("")
+        conn.channel.deposit("")
         pieces = raw_replies(conn, 3)
         assert pieces == [edges(0), edges(1), edges(2) + [wire.DoneRecord(3)]]
         assert_nothing_more(conn)
+        assert conn.close(timeout=5.0) == []
 
 
 def test_done_alone_answers_an_empty_output(tmp_path):
     with hosted_manager(tmp_path, lambda records: []) as root:
         conn = request_connection(root, params())
-        conn.in_channel.deposit(wire.serialize(edges(0, 1, 2), "edge-v1"))
+        conn.channel.deposit(wire.serialize(edges(0, 1, 2), "edge-v1"))
         [reply] = raw_replies(conn, 1)
         assert reply == [wire.DoneRecord(3)]  # the inputs' last end frame
         assert_nothing_more(conn)
+        assert conn.close(timeout=5.0) == []
 
 
 def test_done_follows_a_component_error(tmp_path):
@@ -470,12 +493,13 @@ def test_done_follows_a_component_error(tmp_path):
 
     with hosted_manager(tmp_path, broken, incremental=True) as root:
         conn = request_connection(root, params())
-        conn.in_channel.deposit(wire.serialize(edges(6), "edge-v1"))
+        conn.channel.deposit(wire.serialize(edges(6), "edge-v1"))
         [[error, done]] = raw_replies(conn, 1)
         assert isinstance(error, wire.ErrorRecord)
         assert "component-error" in error.message
         assert done == wire.DoneRecord(7)
         assert_nothing_more(conn)
+        assert conn.close(timeout=5.0) == []
 
 
 def test_connection_counts_outstanding_batches(tmp_path):
@@ -496,6 +520,7 @@ def test_connection_counts_outstanding_batches(tmp_path):
         assert (conn.outstanding, conn.done_frame) == (1, 3)
         assert conn.collect(timeout=5.0) == edges(8)
         assert (conn.outstanding, conn.done_frame) == (0, 9)
+        assert conn.close(timeout=5.0) == []
 
 
 def test_a_manager_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
@@ -531,25 +556,26 @@ def test_a_round_trip_takes_well_inside_one_poll(tmp_path):
 def test_an_incremental_manager_keeps_its_pieces_one_poll_apart(
         tmp_path, monkeypatch):
     poll = 0.05
-    released = []  # when the manager began each frame it wrote on out
+    released = []  # when the manager began each frame it wrote
     deposit = Channel.try_deposit
+    manager = hosted_manager(tmp_path, identity_component, incremental=True,
+                             sleep_time=poll)
 
     def timed_deposit(channel, text):
         start = time.monotonic()
         done = deposit(channel, text)
-        if done and channel.path.name == "out":
+        if done and threading.current_thread() is manager.thread:
             released.append(start)
         return done
 
     monkeypatch.setattr(Channel, "try_deposit", timed_deposit)
-    with hosted_manager(tmp_path, identity_component, incremental=True,
-                        sleep_time=poll) as root:
+    with manager as root:
         conn = request_connection(root, params())
         conn.deposit(edges(*range(6)), timeout=5.0)
         while conn.outstanding:
             assert conn.collect(timeout=5.0)  # as soon as the frame lands
             # wakes the manager, as other connections' traffic would
-            assert Mailbox(root).try_deposit("\n")
+            Mailbox(root).try_deposit().close()
         conn.close(timeout=5.0)
     pieces = released[:-1]  # all but the close's reply
     assert len(pieces) == 6
@@ -566,7 +592,7 @@ def test_connections_leave_no_descriptor_and_a_stopped_manager_no_request_box(
     manager = hosted_manager(tmp_path, identity_component)
     with manager as root:
         wait_for_request_box(root)
-        assert stat.S_ISFIFO(root.stat().st_mode)
+        assert stat.S_ISSOCK(root.stat().st_mode)
         before = open_fds()
         for i in range(20):
             conn = request_connection(root, params())
@@ -597,12 +623,11 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         with pytest.raises(ManagerUnavailable):
             conn.close(timeout=5.0)  # all 5 s without the hang-up
         assert time.monotonic() - start < 1.0
-        assert not list(root.parent.glob("conn-*"))
         start = time.monotonic()
-        with pytest.raises(ManagerUnavailable):
+        with pytest.raises(ManagerUnavailable, match="nobody listens"):
             request_connection(root, params())  # 10 s
         assert time.monotonic() - start < 1.0
-        assert not list(root.parent.glob("conn-*"))
+        assert list(root.parent.iterdir()) == [root]  # the dead one's box
     finally:
         if worker.poll() is None:
             worker.kill()
@@ -613,64 +638,20 @@ def test_a_manager_gone_before_it_took_the_open_fails_every_wait_at_once(
         tmp_path):
     root = tmp_path / "m" / "request"
     root.parent.mkdir()
-    os.mkfifo(root)
-    # the test reads the box as a manager that takes nothing would
-    box_reader = os.open(root, os.O_RDONLY | os.O_NONBLOCK)
+    # the test listens on the box as a manager that takes nothing would
+    box = Mailbox(root).open()
     conn = request_connection(root, params())
-    os.close(box_reader)  # the manager dies, the open untaken
+    box.close()  # the manager goes, the open untaken
     start = time.monotonic()
-    with pytest.raises(ManagerUnavailable, match="before it took the open"):
+    with pytest.raises(PeerGone):
         conn.collect(timeout=5.0)
-    with pytest.raises(ManagerUnavailable, match="before it took the open"):
-        conn.deposit(edges(*range(5000)), timeout=5.0)  # more than `in` holds
-    assert conn.in_channel.pending
-    with pytest.raises(ManagerUnavailable, match="before it took the open"):
-        conn.close(timeout=5.0)  # its tail never fits
+    with pytest.raises(PeerGone):
+        conn.deposit(edges(*range(20_000)), timeout=5.0)  # more than it holds
+    assert conn.channel.pending
+    with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+        conn.close(timeout=5.0)  # its tail never goes
     assert time.monotonic() - start < 1.0
-    assert not list(root.parent.glob("conn-*"))
-
-
-def test_a_client_that_has_heard_from_its_manager_asks_its_box_no_more(
-        tmp_path):
-    root = tmp_path / "m" / "request"
-    root.parent.mkdir()
-    os.mkfifo(root)
-    box_reader = os.open(root, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        conn = request_connection(root, params())
-        assert os.read(box_reader, 4096).startswith(b"(open ")
-        # the test answers on `out` as the manager would
-        out = Channel(conn.out_channel.path).open_writer()
-        out.deposit(wire.serialize([]), timeout=5.0)
-        assert conn.collect(timeout=5.0) == []
-        conn.check_manager()  # the manager took the open: its `out` tells
-        assert os.read(box_reader, 4096) == b""  # no blank line came
-        out.close()
-        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
-            conn.close(timeout=5.0)
-    finally:
-        os.close(box_reader)
-
-
-def test_a_full_in_channel_of_a_manager_that_hung_up_fails_its_close_at_once(
-        tmp_path):
-    def refuse(_input):
-        raise ValueError("no component")
-
-    with hosted_manager(tmp_path, factory=refuse) as root:
-        conn = request_connection(root, params())
-        # `in` keeps what fits, though the manager has let it go
-        assert conn.try_deposit(edges(*range(5000)))
-        assert conn.in_channel.pending
-        deadline = time.monotonic() + 5.0
-        while not conn.out_channel.hung_up():
-            assert time.monotonic() < deadline, "the manager never hung up"
-            time.sleep(SLEEP)
-        start = time.monotonic()
-        with pytest.raises(ManagerUnavailable, match="before it read its input"):
-            conn.close(timeout=5.0)
-        assert time.monotonic() - start < 1.0
-        assert not list(root.parent.glob("conn-*"))
+    assert conn.channel.fileno() == -1
 
 
 def served_by_hand(tmp_path, poll=SLEEP):
@@ -705,6 +686,35 @@ def held_up(manager):
     return release, conn
 
 
+def test_a_full_in_channel_of_a_manager_that_hung_up_fails_its_close_at_once(
+        tmp_path):
+    def refuse(_input):
+        raise ValueError("no component")
+
+    manager, stop, thread = served_by_hand(tmp_path)
+    try:
+        release, holding = held_up(manager)
+        conn = request_connection(manager.request_root, params())
+        # filled before the manager takes the open, which it then refuses
+        assert conn.try_deposit(edges(*range(20_000)))  # more than it holds
+        assert conn.channel.pending
+        manager.factory = refuse
+        release.set()
+        # the refusal comes first, and then the manager hangs up
+        assert conn.collect(timeout=5.0) == [
+            wire.ErrorRecord("component-error_no_component")]
+        start = time.monotonic()
+        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
+            conn.close(timeout=5.0)
+        assert time.monotonic() - start < 1.0
+        assert conn.channel.fileno() == -1
+        holding.close(timeout=5.0)
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
 def test_batches_written_before_the_manager_opened_in_are_served(tmp_path):
     manager, stop, thread = served_by_hand(tmp_path)
     try:
@@ -736,7 +746,7 @@ def test_the_opens_a_stopped_manager_had_not_taken_fail_at_once(tmp_path):
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         start = time.monotonic()
-        with pytest.raises(ManagerUnavailable, match="before it took the open"):
+        with pytest.raises(ManagerUnavailable, match="without acknowledging"):
             conn.close(timeout=5.0)
         assert time.monotonic() - start < 1.0  # not the close's 5 s
         with pytest.raises(ManagerUnavailable, match="without acknowledging"):
@@ -749,22 +759,21 @@ def test_the_opens_a_stopped_manager_had_not_taken_fail_at_once(tmp_path):
 
 def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
         tmp_path, caplog):
-    caplog.set_level(logging.WARNING, logger="whiteboard.manager")
+    caplog.set_level(logging.INFO, logger="whiteboard.manager")
     manager, stop, thread = served_by_hand(tmp_path)
     try:
         release, holding = held_up(manager)
         before = open_fds()
         conn = request_connection(manager.request_root, params())
         conn.deposit(edges(1), timeout=5.0)
-        conn.in_channel.close()  # the client dies before the open is taken
-        conn.out_channel.close()
+        conn.channel.close()  # the client dies before the open is taken
         release.set()
         assert holding.collect(timeout=5.0) == edges(0)
         deadline = time.monotonic() + 1.0
-        while manager.served.keys() - {holding.in_channel.path.parent.name}:
+        while len(manager.served) > 1:
             assert time.monotonic() < deadline, "not dropped"
             time.sleep(SLEEP)
-        while open_fds() != before:  # the manager's ends are closed
+        while open_fds() != before:  # the manager's end is closed
             assert time.monotonic() < deadline, "descriptors left open"
             time.sleep(SLEEP)
         holding.close(timeout=5.0)
@@ -772,8 +781,7 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
         stop.set()
         thread.join(timeout=5.0)
     assert not thread.is_alive()
-    name = conn.in_channel.path.parent.name
-    assert any(name in r.getMessage() and "nobody reads" in r.getMessage()
+    assert any(r.getMessage() == "manager m: connection 2 dropped, nobody reads it"
                for r in caplog.records)
 
 
@@ -782,13 +790,13 @@ def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
         conn = request_connection(root, params())
         conn.deposit(edges(0, 1), timeout=5.0)
         conn.deposit(edges(4), timeout=5.0)
-        conn.in_channel.hang_up()  # no `close`: the client reads on
+        conn.channel.hang_up()  # no `close`: the client reads on
         assert raw_replies(conn, 4) == [
             edges(0), edges(1) + [wire.DoneRecord(2)],
             edges(4) + [wire.DoneRecord(5)], [wire.CloseReply()]]
         with pytest.raises(PeerGone):  # then the manager hangs up
-            conn.out_channel.collect(timeout=5.0)
-        conn.out_channel.close()
+            conn.channel.collect(timeout=5.0)
+        conn.channel.close()
 
 
 def test_a_client_that_leaves_an_opened_connection_is_dropped_at_once(tmp_path):
@@ -800,8 +808,7 @@ def test_a_client_that_leaves_an_opened_connection_is_dropped_at_once(tmp_path):
             assert time.monotonic() < deadline, "the open was not taken"
             time.sleep(SLEEP)
         start = time.monotonic()
-        conn.in_channel.close()  # the client goes
-        conn.out_channel.close()
+        conn.channel.close()  # the client goes
         while manager.served and time.monotonic() - start < 1.0:
             time.sleep(SLEEP)
         assert not manager.served  # not a poll period later
@@ -811,55 +818,24 @@ def test_a_client_that_leaves_an_opened_connection_is_dropped_at_once(tmp_path):
     assert not thread.is_alive()
 
 
-def play_open(root, holds_in=True, holds_out=True):
-    """Ask the manager at `root` for a connection as a client that holds the
-    ends of its channels as told: the client's ends, in a `conn-*`
-    directory."""
-    conn_dir = root.parent / "conn-played"
-    conn_dir.mkdir()
-    in_channel, out_channel = (Channel(conn_dir / n).make() for n in ("in", "out"))
-    if holds_in:
-        in_channel.open_writer_first()
-    if holds_out:
-        out_channel.open_reader()
-    assert Mailbox(root).try_deposit(wire.serialize(
-        [wire.OpenRequest("edge-v1", "edge-v1", None, conn_dir.name)]))
-    return in_channel, out_channel
-
-
-def test_an_open_whose_out_channel_nobody_reads_is_refused_and_logged(
-        tmp_path, caplog):
-    caplog.set_level(logging.WARNING, logger="whiteboard.manager")
-    with hosted_manager(tmp_path, identity_component) as root:
-        wait_for_request_box(root)
-        in_channel, out_channel = play_open(root, holds_out=False)
-        try:
-            # answered only once the manager has taken the played request
-            conn = request_connection(root, params())
-            conn.deposit(edges(0), timeout=5.0)
-            assert conn.collect(timeout=5.0) == edges(0)
-            assert conn.close(timeout=5.0) == []
-        finally:
-            in_channel.close()
-    [refused] = [r.getMessage() for r in caplog.records
-                 if "its channels do not open" in r.getMessage()]
-    assert "nobody reads" in refused and "conn-played" in refused
-
-
 def test_an_open_whose_in_channel_no_writer_holds_is_a_hang_up(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="whiteboard.manager")
     with hosted_manager(tmp_path, identity_component) as root:
         wait_for_request_box(root)
-        _, out_channel = play_open(root, holds_in=False)
+        # a client that shuts its connection for writing behind its open
+        channel = Mailbox(root).try_deposit()
         try:
-            assert wire.parse(out_channel.collect(timeout=5.0)) == [
+            channel.deposit(wire.serialize(
+                [wire.OpenRequest("edge-v1", "edge-v1", None)]), timeout=5.0)
+            channel.hang_up()
+            assert wire.parse(channel.collect(timeout=5.0)) == [
                 wire.CloseReply()]
             with pytest.raises(PeerGone):  # then the manager hangs up
-                out_channel.collect(timeout=5.0)
+                channel.collect(timeout=5.0)
         finally:
-            out_channel.close()
-    assert any("conn-played dropped, its client hung up" in r.getMessage()
-               for r in caplog.records)
+            channel.close()
+    assert any(r.getMessage() == "manager m: connection 1 dropped, its client "
+               "hung up" for r in caplog.records)
 
 
 def test_an_export_error_answers_the_batch_and_service_continues(tmp_path):

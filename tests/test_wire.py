@@ -69,8 +69,8 @@ def test_format_codes_are_enforced_on_serialize():
 
 def test_control_records_roundtrip_without_format():
     records = [
-        wire.OpenRequest("edge-v1", "node-v1", None, "conn-a1"),
-        wire.OpenRequest("edge-v1", "edge-v1", "utterances/hai.mat", "conn-b2"),
+        wire.OpenRequest("edge-v1", "node-v1", None),
+        wire.OpenRequest("edge-v1", "edge-v1", "utterances/hai.mat"),
         wire.CloseReply(),
         wire.ErrorRecord("component_blew_up"),
     ]
@@ -94,21 +94,20 @@ def test_error_record_message_is_sanitized():
 
 def test_open_request_validates_format_codes():
     with pytest.raises(UnknownFormatCode):
-        wire.parse("(open bogus edge-v1 - conn-a1)\n")
+        wire.parse("(open bogus edge-v1 -)\n")
 
 
 def test_open_request_names_its_input_or_none():
-    assert wire.parse("(open edge-v1 edge-v1 - conn-a1)\n") == [
-        wire.OpenRequest("edge-v1", "edge-v1", None, "conn-a1")]
+    assert wire.parse("(open edge-v1 edge-v1 -)\n") == [
+        wire.OpenRequest("edge-v1", "edge-v1", None)]
     assert wire.serialize([wire.OpenRequest("edge-v1", "edge-v1",
-                                            "u/hai.mat", "conn-a1")]) == (
-        "(open edge-v1 edge-v1 u/hai.mat conn-a1)\n")
-    with pytest.raises(ParseError, match="expected 4 arguments"):
-        wire.parse("(open edge-v1 edge-v1 conn-a1)\n")
+                                            "u/hai.mat")]) == (
+        "(open edge-v1 edge-v1 u/hai.mat)\n")
+    with pytest.raises(ParseError, match="expected 3 arguments"):
+        wire.parse("(open edge-v1 edge-v1)\n")
     for source in ("two words", "u(1)", "-"):
         with pytest.raises(ValueError):
-            wire.serialize([wire.OpenRequest("edge-v1", "edge-v1", source,
-                                             "conn-a1")])
+            wire.serialize([wire.OpenRequest("edge-v1", "edge-v1", source)])
 
 
 def test_arc_and_edge_share_arity_but_not_format():
@@ -183,8 +182,8 @@ VALID = [
     wire.NodeRecord(7, 0, 6, "hai", -0.25, (3, 12)),
     wire.ArcRecord(9, 7, 8, 1e-05),
     wire.InactiveEdgeRecord(4, 3, 9, "NP", 0.5, (1,)),
-    wire.OpenRequest("edge-v1", "node-v1", None, "conn-a1"),
-    wire.OpenRequest("edge-v1", "inactive-edge-v1", "u/hai.mat", "conn-b2"),
+    wire.OpenRequest("edge-v1", "node-v1", None),
+    wire.OpenRequest("edge-v1", "inactive-edge-v1", "u/hai.mat"),
     wire.CloseReply(),
     wire.ErrorRecord("component_blew_up"),
     wire.DoneRecord(42),
