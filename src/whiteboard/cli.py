@@ -47,8 +47,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--threshold-ww", type=float, default=None,
                      help="score filter on slices forwarded to the translator")
     run.add_argument("--sleep", type=float, default=50.0,
-                     help="milliseconds between the source's pieces, and "
-                          "the fallback poll period of every waiter")
+                     help="milliseconds between the source's pieces, the "
+                          "pace of the simulated speech")
     run.add_argument("--export", choices=["dot", "json"], default="json")
     run.add_argument("--out", required=True, type=Path)
     run.add_argument("--step", action="store_true",

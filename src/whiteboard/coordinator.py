@@ -5,11 +5,11 @@ managers have written, integrates the records into the bound output
 layers, and then forwards the newly integrated, threshold-filtered slice
 of every binding's input layers into its connection as plain wire records.
 
-A round pays only for what arrived. After a `wait`, it reads one frame
-from each connection the wait found readable and touches no other: a
-socket that still holds a frame stays readable, so the next wait returns
-at once. A round with no wait before it (the first, or a step) drains
-every connection.
+A round pays only for what arrived. It reads at most one frame from each
+connection: after a `wait`, from those the wait found readable, touching
+no other; with no wait before it (the first round, or a step), from every
+live one. A socket that still holds a frame stays readable, so the next
+wait returns at once.
 
 Board ids come from one counter, so a binding's slice is every node and
 arc of its input layers above a cursor, the highest id already examined.
@@ -77,9 +77,6 @@ from .mailbox import wait_ready
 from .manager import Connection, ConnectionParams, request_connection
 
 log = logging.getLogger(__name__)
-
-# bound on batches drained from one connection per round, against livelock
-MAX_COLLECTS_PER_ROUND = 100
 
 
 @dataclass
@@ -191,19 +188,18 @@ class Coordinator:
 
     def pump(self) -> PumpReport:
         """One round: collect, then forward to every binding whose manager
-        has not hung up. After a `wait`, it reads one frame from each
-        connection the wait found readable; with no wait before it, it
-        drains every connection."""
+        has not hung up. It reads at most one frame per connection: after a
+        `wait`, from each connection the wait found readable; with no wait
+        before it, from every live one."""
         start = time.monotonic()
         report = PumpReport()
         ready, self._ready = self._ready, None
-        frames = MAX_COLLECTS_PER_ROUND if ready is None else 1
         for bound in self.bound.values():
             if bound.gone or (ready is not None
                                  and bound.conn.channel not in ready):
                 continue
             try:
-                self._collect_from(bound, report, frames)
+                self._collect_from(bound, report)
             except WhiteboardError as exc:
                 bound.note(f"collect failed: {exc}")
                 report.errors += 1
@@ -235,36 +231,35 @@ class Coordinator:
         self._ready = wait_ready(live, [c for c in live if c.pending], timeout)
         return bool(self._ready)
 
-    def _collect_from(self, bound: _Bound, report: PumpReport, frames: int):
-        """Read up to `frames` frames from the binding's connection, and
-        integrate their records."""
+    def _collect_from(self, bound: _Bound, report: PumpReport):
+        """Read the binding's connection's next frame, if one has come, and
+        integrate its records."""
+        try:
+            records = bound.conn.try_collect()
+        except ParseError as exc:
+            bound.note(f"unparseable batch: {exc}")
+            report.errors += 1
+            return
+        except PeerGone:
+            bound.gone = True
+            bound.note("its manager hung up")
+            report.errors += 1
+            return
+        if records is None:
+            return
         layer = self.board.layers[bound.binding.output_layer]
-        for _ in range(frames):
-            try:
-                records = bound.conn.try_collect()
-            except ParseError as exc:
-                bound.note(f"unparseable batch: {exc}")
+        for record in records:
+            if isinstance(record, wire.ErrorRecord):
+                bound.note(f"component error: {record.message}")
                 report.errors += 1
                 continue
-            except PeerGone:
-                bound.gone = True
-                bound.note("its manager hung up")
+            try:
+                self._integrate(bound, record, layer)
+                bound.collected += 1
+                report.collected += 1
+            except WhiteboardError as exc:
+                bound.note(f"record rejected: {exc}")
                 report.errors += 1
-                return
-            if records is None:
-                return
-            for record in records:
-                if isinstance(record, wire.ErrorRecord):
-                    bound.note(f"component error: {record.message}")
-                    report.errors += 1
-                    continue
-                try:
-                    self._integrate(bound, record, layer)
-                    bound.collected += 1
-                    report.collected += 1
-                except WhiteboardError as exc:
-                    bound.note(f"record rejected: {exc}")
-                    report.errors += 1
 
     def _integrate(self, bound: _Bound, record, layer: Layer):
         if isinstance(record, wire.EdgeRecord):

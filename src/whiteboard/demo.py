@@ -20,17 +20,18 @@ wire token is a configuration error, found before anything is spawned.
 Every pump round is non-blocking. Between rounds the demo waits on the
 connections, one socket each, so a round starts as soon as a manager has
 written a result, or there is room for the rest of a batch the last round
-could not write whole, and at the latest one poll period (`sleep_time`)
-after the last. A manager that dies hangs up its connections, taken or
-not, which wakes the wait, and the next round reports it as the binding's
-error. The manager processes are checked before an utterance opens its
-connections, after a round that noted an error and after a wait that
-timed out, so a killed component turns into an error report naming it
-rather than a hang, and a quiet round costs no process check. A manager
-that hangs up a connection and lives on, having refused it with a
-component error, fails the utterance as soon as a round has read the
-hang-up, naming the binding and its first error. A hang-up with no
-component error before it is a manager process that died: the loop
+could not write whole. Nothing else ends the wait but the utterance's
+`max_wall` deadline: the only timed behaviour in the pipeline is the
+source's pace (`sleep_time`), the gap between the pieces of its reply. A
+manager that dies hangs up its connections, taken or not, which wakes the
+wait, and the next round reports it as the binding's error. The manager
+processes are checked before an utterance opens its connections and after
+a round that noted an error, so a killed component turns into an error
+report naming it rather than a hang, and a quiet round costs no process
+check. A manager that hangs up a connection and lives on, having refused
+it with a component error, fails the utterance as soon as a round has
+read the hang-up, naming the binding and its first error. A hang-up with
+no component error before it is a manager process that died: the loop
 waits for it to be reaped and names it.
 """
 
@@ -71,6 +72,7 @@ class DemoConfig:
     topk: int = 3
     threshold_syntax: float | None = None
     threshold_ww: float | None = None
+    # the source's pace: seconds between the pieces of its reply
     sleep_time: float = 0.05
     export_format: str = "json"
     step: bool = False
@@ -124,15 +126,15 @@ def _utterance_files(matrices: Path) -> list[Path]:
 
 def _spawn_worker(role: str, request_root: Path,
                   config: DemoConfig) -> subprocess.Popen:
+    """One role's worker, given only the flags that role takes."""
     cmd = [sys.executable, "-m", "whiteboard.workers", role,
-           "--request-box", str(request_root),
-           "--sleep", str(config.sleep_time),
-           "--max-gap", str(config.thresholds.max_gap),
-           "--max-overlap", str(config.thresholds.max_overlap)]
+           "--request-box", str(request_root)]
     if role == "source":
-        cmd += ["--topk", str(config.topk)]
+        cmd += ["--topk", str(config.topk), "--sleep", str(config.sleep_time)]
     elif role == "parser":
-        cmd += ["--grammar", str(config.grammar), "--beam", str(config.beam)]
+        cmd += ["--grammar", str(config.grammar), "--beam", str(config.beam),
+                "--max-gap", str(config.thresholds.max_gap),
+                "--max-overlap", str(config.thresholds.max_overlap)]
     else:
         cmd += ["--dict", str(config.dictionary), "--grammar", str(config.grammar)]
     return subprocess.Popen(cmd)
@@ -260,10 +262,9 @@ def _hang_ups(coordinator: Coordinator, processes: dict[str, subprocess.Popen],
 
 def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
     """Pump until the coordinator has settled, waiting on the connections
-    between rounds. After a round that noted an error, which a hang-up
-    gives, the loop ends if a manager process died or hung up a
-    connection; the processes are checked after a wait that timed out
-    too."""
+    between rounds, until `max_wall` at the latest. After a round that
+    noted an error, which a hang-up gives, the loop ends if a manager
+    process died or hung up a connection."""
     deadline = time.monotonic() + config.max_wall
     while True:
         report = coordinator.pump()
@@ -275,9 +276,7 @@ def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str |
         if time.monotonic() >= deadline:
             return (f"pipeline did not settle within {config.max_wall}s: "
                     f"{coordinator.unsettled()}")
-        if (not coordinator.wait(config.sleep_time)
-                and (error := _dead_managers(coordinator, processes))):
-            return error
+        coordinator.wait(max(0.0, deadline - time.monotonic()))
 
 
 def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None:

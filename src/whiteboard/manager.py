@@ -30,18 +30,18 @@ can count the batches still outstanding instead of guessing from silence.
 The client-side `Connection` does that counting and strips the records, so
 its callers see exactly what the component produced.
 
-A manager may be configured to deliver results piecewise in end-time order,
-which makes a batch component look incremental to its client. It then
-releases each piece no earlier than one poll period after the one before,
-which is the pace of the simulated speech.
+A manager given a pace delivers each reply piecewise in end-time order,
+split by `partition_by_end`, and each piece goes `pace` seconds after the
+one before, the pace of the simulated speech. That is how the paper's
+managers make a batch component look incremental to its client, and the
+only timed behaviour of the transport.
 
-Nobody sleeps a poll period waiting on a connection: a readable
-connection or request box wakes its reader, and a writer holding the tail
-of a frame waits until its connection is writable. A party whose peer
-closed its end, or died, gets `PeerGone` at once, whether or not the
-manager had taken the connection; a client whose box nobody listens on
-gets `ManagerUnavailable` at once. A manager removes its box when it
-stops.
+Every other wait is an event: a readable connection or request box wakes
+its reader, and a writer holding the tail of a frame waits until its
+connection is writable. A party whose peer closed its end, or died, gets
+`PeerGone` at once, whether or not the manager had taken the connection;
+a client whose box nobody listens on gets `ManagerUnavailable` at once. A
+manager removes its box when it stops.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .mailbox import Channel, Mailbox, wait_ready
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SLEEP = 0.05
 # a client's pause before it asks again, while no manager serves the
 # request box yet or the box's queue is full
 RETRY_SLEEP = 0.01
@@ -229,7 +228,7 @@ def request_connection(request_root: Path | str, params: ConnectionParams,
     return Connection(channel, params, request_root)
 
 
-# -- incremental delivery -----------------------------------------------------
+# -- paced delivery ----------------------------------------------------------
 
 def _end_time(record) -> int | None:
     if isinstance(record, (wire.EdgeRecord, wire.NodeRecord,
@@ -282,7 +281,7 @@ class _Served:
         self.export_format: str | None = None
         self.component = None
         self.owed: list[str] = []
-        # the owed frame waits until then: the next piece of a reply
+        # the owed frame waits until then: the next piece of a paced reply
         self.release_at = 0.0
         self.high_frame = 0
         # why the connection ends, set by a refused open or the client's
@@ -303,12 +302,11 @@ class _Served:
 
 class _Manager:
     def __init__(self, factory, request_root: Path, name: str,
-                 incremental: bool, sleep_time: float):
+                 pace: float | None):
         self.factory = factory
         self.request_root = Path(request_root)
         self.name = name
-        self.incremental = incremental
-        self.sleep_time = sleep_time
+        self.pace = pace
         self.requests = Mailbox(self.request_root)
         # by the number the manager gave the connection when it took it
         self.served: dict[int, _Served] = {}
@@ -318,8 +316,8 @@ class _Manager:
         """One loop: each cycle takes the connections queued at the request
         box, then writes every connection's next owed frame that is due or,
         owing none, takes its next frame or its hang-up. Between cycles the
-        loop waits (`_wait`) at most one poll period, or until the next
-        piece falls due.
+        loop waits (`_wait`) for one of them to be ready, or for the next
+        piece of a paced reply to fall due.
 
         The request box is removed however the loop ends, when every
         connection's end is closed too. A client whose connection was
@@ -354,19 +352,19 @@ class _Manager:
             self.requests.close()
 
     def _wait(self) -> None:
-        """Wait for the request box, every connection that owes nothing,
-        or every one holding a frame's tail to be writable: at most one
-        poll period, or until an owed piece falls due."""
-        readers, writers = [self.requests], []
+        """Wait for the request box or a connection that owes nothing to be
+        readable, or one holding a frame's tail to be writable. The wait
+        has no timeout unless an owed frame falls due."""
+        readers, writers, due = [self.requests], [], []
         for served in self.served.values():
             if served.channel.pending:
                 writers.append(served.channel)
-            elif not served.owed:
+            elif served.owed:
+                due.append(served.release_at)
+            else:
                 readers.append(served.channel)
-        now = time.monotonic()
-        wait_ready(readers, writers, min([
-            self.sleep_time, *(s.release_at - now for s in self.served.values()
-                               if s.owed and s.release_at > now)]))
+        wait_ready(readers, writers, max(0.0, min(due) - time.monotonic())
+                   if due else None)
 
     def _step(self, served: _Served) -> None:
         """Write the next frame owed on a connection once it is due, first
@@ -375,8 +373,8 @@ class _Manager:
         ends the connection. A batch that does not parse, or is not UTF-8,
         is answered with `import-parse-error`, an open request with
         `open-error`, which refuses the connection. A reply's first frame is
-        due at once, each later piece one poll period after the one
-        before. A frame's tail that did not fit goes first."""
+        due at once, each later piece of a paced reply `pace` seconds after
+        the one before. A frame's tail that did not fit goes first."""
         if not served.channel.flush():
             return
         if not served.owed:
@@ -401,7 +399,7 @@ class _Manager:
                 or not served.channel.try_deposit(served.owed[0])):
             return
         del served.owed[0]
-        served.release_at = now + self.sleep_time if served.owed else 0.0
+        served.release_at = now + self.pace if served.owed else 0.0
 
     def _open(self, served: _Served, records) -> list[str]:
         """Build a connection's component from its first frame, its open
@@ -428,8 +426,8 @@ class _Manager:
 
     def _reply(self, served: _Served, records) -> list[str]:
         """The frames answering one input batch: the component's results,
-        piecewise if the manager is incremental, the last frame ending
-        with `done`."""
+        piecewise if the manager is paced, the last frame ending with
+        `done`."""
         served.see(records)
         try:
             outputs = list(served.component(records))
@@ -438,7 +436,7 @@ class _Manager:
                           self.name, served.name)
             return [served.finished([wire.ErrorRecord(f"component-error {exc}")])]
         served.see(outputs)
-        pieces = (partition_by_end(outputs) if self.incremental
+        pieces = (partition_by_end(outputs) if self.pace is not None
                   else [outputs]) or [[]]
         owed = []
         try:
@@ -452,15 +450,16 @@ class _Manager:
 
 
 def run_manager(factory, request_root: Path | str, *, name: str = "manager",
-                incremental: bool = False, sleep_time: float = DEFAULT_SLEEP,
+                pace: float | None = None,
                 stop_event: threading.Event | None = None) -> None:
     """Serve connections until the process exits, or `stop_event` is set,
     in a single loop on the calling thread, which waits between cycles on
-    the request box and the connections. `sleep_time` is the longest
-    wait, and the gap between the pieces of an incremental reply. A
-    waiting manager sees `stop_event` at its next wake-up, so whoever sets
-    it connects to the request box too, and closes what it gets
-    (`Mailbox(request_root).try_deposit()`), to stop it at once.
+    the request box and the connections. With `pace` None each reply goes
+    in one frame; with a number it is split by `partition_by_end` and its
+    pieces go `pace` seconds apart, and only a piece falling due ends a
+    wait by time. A waiting manager sees `stop_event` at its next wake-up,
+    so whoever sets it connects to the request box too, and closes what
+    it gets (`Mailbox(request_root).try_deposit()`), to stop it.
 
     `factory` is called once per connection with the input its open
     request named (None for `-`) and returns that connection's component,
@@ -483,5 +482,4 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
     manager then closes its end. A connection whose client has gone is
     dropped at the manager's next write there.
     """
-    _Manager(factory, Path(request_root), name, incremental,
-             sleep_time).serve(stop_event)
+    _Manager(factory, Path(request_root), name, pace).serve(stop_event)

@@ -2,10 +2,11 @@
 
 The demo driver spawns each manager as `python -m whiteboard.workers ROLE
 --request-box PATH ...`, one OS process per manager, so components and the
-coordinator only ever meet through the file system. A worker lives for the
-whole demo run and builds a fresh component for every connection: the
-parser and translator from the grammar and dictionary it loaded at start,
-the source from the matrix file its connection's open request names.
+coordinator only ever meet through the file system. Each role takes only
+its own flags. A worker lives for the whole demo run and builds a fresh
+component for every connection: the parser and translator from the
+grammar and dictionary it loaded at start, the source from the matrix
+file its connection's open request names. Only the source is paced.
 """
 
 from __future__ import annotations
@@ -24,18 +25,23 @@ from .translate import load_dictionary
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="whiteboard-worker")
-    parser.add_argument("role", choices=["source", "parser", "translator"])
-    parser.add_argument("--request-box", required=True, type=Path)
-    parser.add_argument("--sleep", type=float, default=0.05,
-                        help="seconds between an incremental reply's "
-                             "pieces, and the longest wait between the "
-                             "manager's cycles")
-    parser.add_argument("--topk", type=int, default=3)
-    parser.add_argument("--grammar", type=Path)
-    parser.add_argument("--dict", dest="dictionary", type=Path)
-    parser.add_argument("--max-gap", type=int, default=2)
-    parser.add_argument("--max-overlap", type=int, default=2)
-    parser.add_argument("--beam", type=int, default=16)
+    roles = parser.add_subparsers(dest="role", required=True)
+    source = roles.add_parser("source")
+    source.add_argument("--topk", type=int, default=3)
+    source.add_argument("--sleep", type=float, default=0.05,
+                        help="seconds between the pieces of the source's "
+                             "reply, the pace of the simulated speech")
+    syntax = roles.add_parser("parser")
+    syntax.add_argument("--grammar", required=True, type=Path)
+    syntax.add_argument("--beam", type=int, default=16)
+    syntax.add_argument("--max-gap", type=int, default=2)
+    syntax.add_argument("--max-overlap", type=int, default=2)
+    translator = roles.add_parser("translator")
+    translator.add_argument("--grammar", required=True, type=Path)
+    translator.add_argument("--dict", dest="dictionary", required=True,
+                            type=Path)
+    for role in (source, syntax, translator):
+        role.add_argument("--request-box", required=True, type=Path)
     return parser
 
 
@@ -48,28 +54,23 @@ def _without_input(role: str, make):
     return factory
 
 
-def build_factory(args) -> tuple[object, bool]:
-    """Returns (component factory, deliver_incrementally)."""
-    thresholds = Thresholds(args.max_gap, args.max_overlap)
+def build_factory(args) -> tuple[object, float | None]:
+    """Returns (component factory, pace of its replies, None for unpaced)."""
     if args.role == "source":
         def source(matrix_file):
             if matrix_file is None:
                 raise ValueError("the source needs a matrix file as its input")
             return MatrixSource(matrix_file, args.topk)
-        return source, True
+        return source, args.sleep
+    grammar = load_grammar(args.grammar.read_text(encoding="utf-8"))
     if args.role == "parser":
-        if args.grammar is None:
-            raise SystemExit("parser worker needs --grammar FILE")
-        grammar = load_grammar(args.grammar.read_text(encoding="utf-8"))
+        thresholds = Thresholds(args.max_gap, args.max_overlap)
         beam = args.beam if args.beam > 0 else None
         return _without_input("parser", lambda: IslandParser(
-            grammar, thresholds, beam)), False
-    if args.dictionary is None or args.grammar is None:
-        raise SystemExit("translator worker needs --dict FILE and --grammar FILE")
-    grammar = load_grammar(args.grammar.read_text(encoding="utf-8"))
+            grammar, thresholds, beam)), None
     dictionary = load_dictionary(args.dictionary.read_text(encoding="utf-8"))
     return _without_input("translator", lambda: WordForWordTranslator(
-        dictionary, grammar.lexical_labels)), False
+        dictionary, grammar.lexical_labels)), None
 
 
 def main(argv=None) -> int:
@@ -77,9 +78,8 @@ def main(argv=None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO,
         format=f"%(asctime)s {args.role}: %(message)s")
-    factory, incremental = build_factory(args)
-    run_manager(factory, args.request_box, name=args.role,
-                incremental=incremental, sleep_time=args.sleep)
+    factory, pace = build_factory(args)
+    run_manager(factory, args.request_box, name=args.role, pace=pace)
     return 0
 
 

@@ -28,6 +28,6 @@ def failing_on_second_batch(factory):
 
 if __name__ == "__main__":
     args = build_arg_parser().parse_args(sys.argv[1:])
-    factory, incremental = build_factory(args)
+    factory, pace = build_factory(args)
     run_manager(failing_on_second_batch(factory), args.request_box,
-                name=args.role, incremental=incremental, sleep_time=args.sleep)
+                name=args.role, pace=pace)

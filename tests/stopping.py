@@ -8,9 +8,9 @@ from whiteboard.mailbox import Mailbox
 
 class WakingStop(threading.Event):
     """The `stop_event` of manager threads. A manager waits on its request
-    box between cycles, so `set` also connects to the box of every manager
-    named by `add`, and closes the connection; the manager then stops at
-    once rather than after its poll period."""
+    box between cycles, with no timeout, so `set` also connects to the box
+    of every manager named by `add`, and closes the connection; the
+    manager then wakes and stops at once."""
 
     def __init__(self):
         super().__init__()

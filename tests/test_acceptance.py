@@ -324,7 +324,7 @@ def test_09_killing_the_parser_fails_fast_not_hung(tmp_path, monkeypatch):
         spawned[role] = proc
         if len(spawned) == 3:
             # once the parser's connection is made, the source still
-            # has its 9 pieces to release, one poll period apart, so a
+            # has its 9 pieces to release, one pace apart, so a
             # kill two periods later lands before the utterance can settle
             def assassin():
                 if asked.wait(timeout=15.0):

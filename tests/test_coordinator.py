@@ -57,16 +57,15 @@ class Hosts:
         self.threads: list[threading.Thread] = []
         self.coordinators: list[Coordinator] = []
 
-    def __call__(self, name, component, incremental=False, sleep=SLEEP,
-                 factory=None):
+    def __call__(self, name, component, pace=None, factory=None):
         """Serve `component`, one instance for every connection, or a
-        fresh one per connection from `factory`."""
+        fresh one per connection from `factory`, its replies paced by
+        `pace`."""
         request_root = self.stop.add(self.root / name / "request")
         thread = threading.Thread(
             target=run_manager,
             args=(factory or (lambda _input: component), request_root),
-            kwargs={"incremental": incremental, "sleep_time": sleep,
-                    "name": name, "stop_event": self.stop},
+            kwargs={"pace": pace, "name": name, "stop_event": self.stop},
             daemon=True)
         thread.start()
         self.threads.append(thread)
@@ -101,14 +100,17 @@ def params(imp, exp):
 
 
 def pump_until(coordinator, predicate, timeout=10.0):
-    """Pump, waiting on the bindings' channels between rounds."""
+    """Pump, waiting on the bindings' channels between rounds, until the
+    deadline at the latest."""
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
+    while True:
         coordinator.pump()
         if predicate():
             return
-        coordinator.wait(SLEEP)
-    raise AssertionError("pipeline did not reach the expected state")
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise AssertionError("pipeline did not reach the expected state")
+        coordinator.wait(remaining)
 
 
 def make_board():
@@ -189,21 +191,22 @@ def test_pump_without_pending_data_reports_zero(host):
     assert report.progress == 0
 
 
-def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
+def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, pace):
     """Build one utterance's board through the three components, each
-    behind a manager thread, and pump until the coordinator settles."""
+    behind a manager thread, the source's paced by `pace`, and pump until
+    the coordinator settles."""
     board = make_board()
     hosts = Hosts(run_dir)
     coordinator = hosts.coordinator(board, thresholds)
 
-    def bind(name, component, inputs, output, imp, exp, incremental=False):
+    def bind(name, component, inputs, output, imp, exp, pace=None):
         coordinator.register(ComponentBinding(
-            name, hosts(name, component, incremental, sleep),
-            inputs, output, params(imp, exp)))
+            name, hosts(name, component, pace), inputs, output,
+            params(imp, exp)))
 
     try:
         bind("source", MatrixSource(matrix_file, 3), [], "phonemes",
-             "edge-v1", "edge-v1", incremental=True)
+             "edge-v1", "edge-v1", pace)
         bind("parser", IslandParser(grammar, thresholds), ["phonemes"],
              "syntax", "edge-v1", "inactive-edge-v1")
         bind("translator",
@@ -225,38 +228,11 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, sleep):
         for _ in range(3):
             report = coordinator.pump()
             assert report.progress == 0 and coordinator.settled()
-            time.sleep(sleep)
+            time.sleep(pace)
         assert coordinator.status()["per_binding"]["parser"]["errors"] == []
         return board, coordinator.status()
     finally:
         hosts.shutdown()
-
-
-def test_the_pipeline_builds_the_same_board_on_the_poll_fallback_alone(
-        tmp_path, fixtures_dir, monkeypatch):
-    """Wake-ups only hurry the next cycle: with every wait of the managers
-    sleeping out its poll period, as if nothing ever became ready, the
-    pipeline still reaches the reference board."""
-    waits = []
-
-    def sleep_out(readers, writers=(), timeout=None):
-        waits.append(timeout)
-        time.sleep(timeout)
-        return []
-
-    monkeypatch.setattr(manager, "wait_ready", sleep_out)
-    grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
-    dictionary = load_dictionary((fixtures_dir / "words.dict").read_text())
-    phrase_grammar, phrase_files = phrase_utterances(tmp_path / "phrase", (3,))
-    for i, (matrix_file, grammar_) in enumerate(
-            [(fixtures_dir / "hai.mat", grammar),
-             (phrase_files[0], phrase_grammar)]):
-        board, _ = run_pipeline(tmp_path / f"run-{i}", matrix_file, grammar_,
-                                dictionary, Thresholds(2, 2), 0.005)
-        reference = workload.build_board(matrix_file.read_text(), grammar_,
-                                         dictionary)
-        assert canonical_form(board) == canonical_form(reference)
-    assert waits  # every wait went through the patched, blind one
 
 
 def phrase_utterances(work, words_per_utterance=(3, 4, 5), seed=17):
@@ -276,8 +252,8 @@ def test_full_pipeline_in_process(tmp_path, fixtures_dir):
     thresholds = Thresholds(2, 2)
     phrase_grammar, phrase_files = phrase_utterances(tmp_path / "phrase")
     rng = random.Random(29)
-    # two polls per shipped utterance; the phrase utterances are longer
-    # (about four pieces per word, one piece per poll), so their polls stay
+    # two paces per shipped utterance; the phrase utterances are longer
+    # (about four pieces per word, one piece per pace), so their paces stay
     # short to keep the test quick
     runs = [(matrix_file, grammar, rng.uniform(0.003, 0.05))
             for matrix_file in (sorted(fixtures_dir.glob("*.mat"))
@@ -287,12 +263,12 @@ def test_full_pipeline_in_process(tmp_path, fixtures_dir):
     runs += [(matrix_file, phrase_grammar, rng.uniform(0.003, 0.02))
              for matrix_file in phrase_files]
     phrase_ww_arcs = []
-    for i, (matrix_file, grammar_, sleep) in enumerate(runs):
+    for i, (matrix_file, grammar_, pace) in enumerate(runs):
         board, status = run_pipeline(tmp_path / f"run-{i}", matrix_file,
-                                     grammar_, dictionary, thresholds, sleep)
+                                     grammar_, dictionary, thresholds, pace)
         reference = workload.build_board(matrix_file.read_text(), grammar_,
                                          dictionary)
-        where = f"{matrix_file.name} at a {sleep:.4f}s poll"
+        where = f"{matrix_file.name} at a {pace:.4f}s pace"
         # every layer is written by the same functions either way: white
         # nodes, readings, grey nodes and arcs all agree
         assert canonical_form(board) == canonical_form(reference), where
@@ -473,7 +449,8 @@ def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
         served._sock.sendall(b"\x00\x00\x00\x02\xff\n")  # not UTF-8
         served.deposit(wire.serialize([wire.EdgeRecord(0, 3, "h", 0.5)],
                                       "edge-v1"), timeout=5.0)
-        report = coordinator.pump()
+        # one frame a round
+        reports = [coordinator.pump() for _ in range(3)]
     finally:
         for end in ends:
             end.close()
@@ -482,7 +459,8 @@ def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
     assert len(errors) == 2
     assert all(error.startswith("unparseable batch: ") for error in errors)
     assert "not UTF-8" in errors[1]
-    assert (report.errors, report.collected) == (2, 1)
+    assert [(report.errors, report.collected) for report in reports] == [
+        (1, 0), (1, 0), (0, 1)]
     assert [n.label for n in coordinator.board.layers["phonemes"]
             .white_nodes.values()] == ["h"]
 
@@ -719,7 +697,7 @@ def test_settled_waits_out_a_component_slower_than_the_old_quiet_window(
     coordinator.register(ComponentBinding(
         "source", host("source",
                        MatrixSource(fixtures_dir / "hai.mat", 3),
-                       incremental=True),
+                       pace=SLEEP),
         [], "phonemes", params("edge-v1", "edge-v1")))
     coordinator.register(ComponentBinding(
         "slow", host("slow", slow),
@@ -799,7 +777,7 @@ def test_status_shows_frames_behind_the_source_and_the_tail(host, fixtures_dir):
     coordinator = host.coordinator(board, Thresholds(2, 2))
     coordinator.register(
         ComponentBinding("source", host("source", MatrixSource(
-            fixtures_dir / "hai.mat", 3), incremental=True),
+            fixtures_dir / "hai.mat", 3), pace=SLEEP),
             [], "phonemes", params("edge-v1", "edge-v1")),
         ComponentBinding("gated", host("gated", gated),
                          ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
@@ -835,14 +813,14 @@ def test_a_channel_is_its_own_doorbell_until_a_round_has_read_it(host):
     board = make_board()
     coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
-        "echo", host("echo", identity_component, sleep=5.0),
+        "echo", host("echo", identity_component),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     pump_until(coordinator, coordinator.settled)
     assert not coordinator.wait(0)
     board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
     coordinator.pump()
     start = time.monotonic()
-    assert coordinator.wait(5.0)  # the echo's frame wakes it, not a poll
+    assert coordinator.wait(5.0)  # the echo's frame wakes it
     assert time.monotonic() - start < 1.0
     assert coordinator.wait(0)  # still readable: nothing has read it yet
     coordinator.pump()
@@ -878,7 +856,7 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
     root = tmp_path / "parser" / "request"
     worker = subprocess.Popen(
         [sys.executable, "-m", "whiteboard.workers", "parser",
-         "--request-box", str(root), "--sleep", str(SLEEP),
+         "--request-box", str(root),
          "--grammar", str(fixtures_dir / "words.grammar")],
         stderr=subprocess.DEVNULL)
     try:
@@ -934,8 +912,7 @@ def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(
         "stuck", host("stuck", stuck),
         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
-                        dictionary=tmp_path, out=tmp_path,
-                        sleep_time=SLEEP, max_wall=0.3)
+                        dictionary=tmp_path, out=tmp_path, max_wall=0.3)
     try:
         error = _pump_loop(coordinator, {}, config)
     finally:
@@ -957,7 +934,7 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
     root = tmp_path / "parser" / "request"
     worker = subprocess.Popen(
         [sys.executable, "-m", "whiteboard.workers", "parser",
-         "--request-box", str(root), "--sleep", str(SLEEP),
+         "--request-box", str(root),
          "--grammar", str(fixtures_dir / "words.grammar")],
         stderr=subprocess.DEVNULL)
     board = make_board()
@@ -979,8 +956,7 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
             ComponentBinding("parser", root, ["syntax"], "ww",
                              params("edge-v1", "inactive-edge-v1")))
         config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
-                            dictionary=tmp_path, out=tmp_path,
-                            sleep_time=SLEEP, max_wall=10.0)
+                            dictionary=tmp_path, out=tmp_path, max_wall=10.0)
         timer.start()
         error = _pump_loop(coordinator, {"parser": worker}, config)
         returned = time.monotonic()
@@ -1011,8 +987,7 @@ def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
         coordinator.register(ComponentBinding(
             "source", root, [], "phonemes", params("edge-v1", "edge-v1")))
         config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
-                            dictionary=tmp_path, out=tmp_path,
-                            sleep_time=SLEEP, max_wall=60.0)
+                            dictionary=tmp_path, out=tmp_path, max_wall=60.0)
         start = time.monotonic()
         error = _pump_loop(coordinator, {"source": worker}, config)
         assert time.monotonic() - start < 1.0
@@ -1032,15 +1007,15 @@ def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
         tmp_path):
     from whiteboard.demo import DemoConfig, _pump_loop
 
-    def source(_records):  # six pieces, one poll period apart
+    def source(_records):  # six pieces, one pace apart
         return [wire.EdgeRecord(i, i + 1, "h", 0.5) for i in range(6)]
 
     stop = WakingStop()
     root = stop.add(tmp_path / "source" / "request")
     thread = threading.Thread(
         target=run_manager, args=(lambda _input: source, root),
-        kwargs={"incremental": True, "sleep_time": 5.0, "name": "source",
-                "stop_event": stop}, daemon=True)
+        kwargs={"pace": 5.0, "name": "source", "stop_event": stop},
+        daemon=True)
     thread.start()
     coordinator = Coordinator(make_board())
     stopped = []
@@ -1054,8 +1029,7 @@ def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
         coordinator.register(ComponentBinding(
             "source", root, [], "phonemes", params("edge-v1", "edge-v1")))
         config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
-                            dictionary=tmp_path, out=tmp_path,
-                            sleep_time=SLEEP, max_wall=60.0)
+                            dictionary=tmp_path, out=tmp_path, max_wall=60.0)
         timer.start()
         error = _pump_loop(coordinator, {}, config)
         returned = time.monotonic()
@@ -1147,15 +1121,14 @@ def unread(channel) -> int:
                                           bytes(4)))[0]
 
 
-def test_a_round_reads_one_frame_per_ready_channel_and_drains_all_without_a_wait(
-        host):
+def test_a_round_reads_one_frame_per_connection_with_or_without_a_wait(host):
     board = Whiteboard()
     board.declare_layer("phonemes")
     for name in "ab":
         board.declare_layer(name, depends_on={"phonemes"})
     coordinator = host.coordinator(board)
     coordinator.register(*[ComponentBinding(
-        name, host(name, identity_component, incremental=True),
+        name, host(name, identity_component, pace=SLEEP),
         ["phonemes"], name, params("edge-v1", "edge-v1")) for name in "ab"])
     edges = [wire.EdgeRecord(0, end, "h", 0.5) for end in (1, 2, 3)]
     for edge in edges:
@@ -1177,6 +1150,8 @@ def test_a_round_reads_one_frame_per_ready_channel_and_drains_all_without_a_wait
     assert coordinator.wait(0)
     coordinator.pump()
     assert nodes() == [1, 1]  # one frame from each ready channel
-    coordinator.pump()  # no wait came before it
+    coordinator.pump()  # no wait came before it: one from every live one
+    assert nodes() == [2, 2]
+    coordinator.pump()
     assert nodes() == [3, 3]
     assert coordinator.settled()

@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 
 from whiteboard import (
+    Coordinator,
     canonical_form,
     coordinator,
     demo,
     from_json,
     load_dictionary,
     load_grammar,
+    workers,
 )
 from whiteboard.demo import ROLES, DemoConfig, _run_utterance, _stop_workers, demo_run
 from whiteboard.mailbox import Mailbox
@@ -101,6 +103,39 @@ def test_a_worker_lost_between_utterances_fails_the_next_one_at_once(
     first, second = result.utterances
     assert (first.name, first.ok) == ("hai", True)
     assert (second.name, second.error) == ("iie", "manager process died: parser")
+
+
+def test_the_demo_waits_on_events_until_its_deadline(tmp_path, fixtures_dir,
+                                                    monkeypatch):
+    waits = []
+    wait = Coordinator.wait
+
+    def recorded(coordinator_, timeout):
+        ready = wait(coordinator_, timeout)
+        waits.append((timeout, ready))
+        return ready
+
+    monkeypatch.setattr(Coordinator, "wait", recorded)
+    config = DemoConfig(matrices=fixtures_dir / "hai.mat",
+                        grammar=fixtures_dir / "words.grammar",
+                        dictionary=fixtures_dir / "words.dict",
+                        out=tmp_path / "out.json")
+    assert demo_run(config).exit_code == 0
+    assert waits
+    # only the source's pace is timed: every wait ends on an event
+    assert all(ready for _, ready in waits)
+    assert all(timeout > config.sleep_time for timeout, _ in waits)
+
+
+@pytest.mark.parametrize("role, foreign", [
+    (["parser", "--request-box", "b", "--grammar", "g"], ["--sleep", "0.05"]),
+    (["source", "--request-box", "b"], ["--max-gap", "1"])])
+def test_a_worker_role_refuses_another_roles_flag(role, foreign):
+    parser = workers.build_arg_parser()
+    assert parser.parse_args(role).role == role[0]
+    with pytest.raises(SystemExit) as exited:
+        parser.parse_args(role + foreign)
+    assert exited.value.code == 2
 
 
 @pytest.mark.parametrize("directory, name", [("two words", "hai.mat"),

@@ -26,7 +26,7 @@ from whiteboard.manager import (
     request_connection,
     run_manager,
 )
-from whiteboard.mailbox import Channel, Mailbox
+from whiteboard.mailbox import Channel, Mailbox, wait_ready
 from oracles import identity_component
 from stopping import WakingStop
 from utterances import spliced_utterances
@@ -37,18 +37,17 @@ SLEEP = 0.005
 class hosted_manager:
     """Run a manager service loop in a daemon thread for the test's scope,
     serving one component instance on every connection, or a fresh one per
-    connection from `factory`."""
+    connection from `factory`, its replies paced by `pace`."""
 
-    def __init__(self, tmp_path, component=None, incremental=False, name="m",
-                 sleep_time=SLEEP, factory=None):
+    def __init__(self, tmp_path, component=None, pace=None, name="m",
+                 factory=None):
         self.root = tmp_path / name / "request"
         self.stop = WakingStop()
         self.stop.add(self.root)
         self.thread = threading.Thread(
             target=run_manager,
             args=(factory or (lambda _input: component), self.root),
-            kwargs={"incremental": incremental, "sleep_time": sleep_time,
-                    "name": name, "stop_event": self.stop},
+            kwargs={"pace": pace, "name": name, "stop_event": self.stop},
             daemon=True)
 
     def __enter__(self):
@@ -230,10 +229,10 @@ def test_close_acknowledges_and_removes_boxes(tmp_path):
             conn.deposit(edges(0), timeout=5.0)
 
 
-@pytest.mark.parametrize("incremental", [False, True])
-def test_close_delivers_pending_content_first(tmp_path, incremental):
+@pytest.mark.parametrize("paced", [False, True])
+def test_close_delivers_pending_content_first(tmp_path, paced):
     with hosted_manager(tmp_path, identity_component,
-                        incremental=incremental) as root:
+                        pace=SLEEP if paced else None) as root:
         conn = request_connection(root, params())
         conn.deposit(edges(0, 1, 2), timeout=5.0)  # three end frames
         # do not collect; close must hand the undelivered reply over, every
@@ -396,7 +395,7 @@ def test_manager_survives_unparseable_batch(tmp_path):
         assert conn.close(timeout=5.0) == []
 
 
-# -- incremental delivery ------------------------------------------------------
+# -- paced delivery ------------------------------------------------------------
 
 def test_partition_by_distinct_end_frames():
     batch = [wire.EdgeRecord(0, 3, "a", 0.1), wire.EdgeRecord(1, 3, "b", 0.2),
@@ -431,7 +430,7 @@ def test_incremental_manager_delivers_multiple_batches(tmp_path):
     def source(records):
         return batch
 
-    with hosted_manager(tmp_path, source, incremental=True) as root:
+    with hosted_manager(tmp_path, source, pace=SLEEP) as root:
         conn = request_connection(root, params())
         conn.deposit([], timeout=5.0)
         got = []
@@ -468,7 +467,7 @@ def test_done_rides_on_the_last_incremental_piece(tmp_path):
     def source(records):
         return edges(0, 1, 2)  # three distinct end frames
 
-    with hosted_manager(tmp_path, source, incremental=True) as root:
+    with hosted_manager(tmp_path, source, pace=SLEEP) as root:
         conn = request_connection(root, params())
         conn.channel.deposit("")
         pieces = raw_replies(conn, 3)
@@ -491,7 +490,7 @@ def test_done_follows_a_component_error(tmp_path):
     def broken(records):
         raise RuntimeError("injected fault")
 
-    with hosted_manager(tmp_path, broken, incremental=True) as root:
+    with hosted_manager(tmp_path, broken, pace=SLEEP) as root:
         conn = request_connection(root, params())
         conn.channel.deposit(wire.serialize(edges(6), "edge-v1"))
         [[error, done]] = raw_replies(conn, 1)
@@ -523,10 +522,10 @@ def test_connection_counts_outstanding_batches(tmp_path):
         assert conn.close(timeout=5.0) == []
 
 
-def test_a_manager_told_to_stop_ends_without_waiting_out_its_poll(tmp_path):
-    manager = hosted_manager(tmp_path, identity_component, sleep_time=2.0)
+def test_a_manager_told_to_stop_ends_at_once(tmp_path):
+    manager = hosted_manager(tmp_path, identity_component)
     with manager:
-        time.sleep(0.1)  # found its request box empty; now idling until the next poll
+        time.sleep(0.1)  # found its request box empty; now waiting, untimed
         manager.stop.set()
         manager.thread.join(timeout=0.5)
         assert not manager.thread.is_alive()
@@ -541,9 +540,8 @@ def wait_for_request_box(root, timeout=5.0):
         time.sleep(SLEEP)
 
 
-def test_a_round_trip_takes_well_inside_one_poll(tmp_path):
-    poll = 1.0
-    with hosted_manager(tmp_path, identity_component, sleep_time=poll) as root:
+def test_a_round_trip_takes_well_under_a_second(tmp_path):
+    with hosted_manager(tmp_path, identity_component) as root:
         wait_for_request_box(root)
         start = time.monotonic()
         conn = request_connection(root, params())
@@ -553,13 +551,12 @@ def test_a_round_trip_takes_well_inside_one_poll(tmp_path):
         assert time.monotonic() - start < 0.3
 
 
-def test_an_incremental_manager_keeps_its_pieces_one_poll_apart(
+def test_a_paced_manager_keeps_its_pieces_one_pace_apart(
         tmp_path, monkeypatch):
-    poll = 0.05
+    pace = 0.05
     released = []  # when the manager began each frame it wrote
     deposit = Channel.try_deposit
-    manager = hosted_manager(tmp_path, identity_component, incremental=True,
-                             sleep_time=poll)
+    manager = hosted_manager(tmp_path, identity_component, pace=pace)
 
     def timed_deposit(channel, text):
         start = time.monotonic()
@@ -581,6 +578,31 @@ def test_an_incremental_manager_keeps_its_pieces_one_poll_apart(
     assert len(pieces) == 6
     gaps = [b - a for a, b in zip(pieces, pieces[1:])]
     assert min(gaps) >= 0.045, gaps
+
+
+@pytest.mark.parametrize("pace", [None, 0.05])
+def test_a_manager_waits_untimed_unless_a_paced_piece_falls_due(
+        tmp_path, monkeypatch, pace):
+    timeouts = []
+
+    def recorded(readers, writers=(), timeout=None):
+        timeouts.append(timeout)
+        return wait_ready(readers, writers, timeout)
+
+    monkeypatch.setattr("whiteboard.manager.wait_ready", recorded)
+    with hosted_manager(tmp_path, identity_component, pace=pace) as root:
+        conn = request_connection(root, params())
+        for i in range(3):
+            conn.deposit(edges(i, i + 1, i + 2), timeout=5.0)
+            while conn.outstanding:
+                conn.collect(timeout=5.0)
+        assert conn.close(timeout=5.0) == []
+    assert None in timeouts  # idle, it waits on events alone
+    timed = [t for t in timeouts if t is not None]
+    if pace is None:
+        assert timed == []
+    else:
+        assert timed and all(0 <= t <= pace for t in timed), timed
 
 
 def open_fds() -> int:
@@ -610,7 +632,7 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
     root = tmp_path / "parser" / "request"
     worker = subprocess.Popen(
         [sys.executable, "-m", "whiteboard.workers", "parser",
-         "--request-box", str(root), "--sleep", "0.05",
+         "--request-box", str(root),
          "--grammar", str(fixtures_dir / "words.grammar")],
         stderr=subprocess.DEVNULL)
     try:
@@ -654,11 +676,11 @@ def test_a_manager_gone_before_it_took_the_open_fails_every_wait_at_once(
     assert conn.channel.fileno() == -1
 
 
-def served_by_hand(tmp_path, poll=SLEEP):
+def served_by_hand(tmp_path, pace=None):
     """A manager serving on a daemon thread, whose connections the test can
     see, and its stop event."""
     manager = _Manager(lambda _input: identity_component,
-                       tmp_path / "m" / "request", "m", False, poll)
+                       tmp_path / "m" / "request", "m", pace)
     stop = WakingStop()
     stop.add(manager.request_root)
     thread = threading.Thread(target=manager.serve, args=(stop,), daemon=True)
@@ -786,7 +808,7 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
 
 
 def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
-    with hosted_manager(tmp_path, identity_component, incremental=True) as root:
+    with hosted_manager(tmp_path, identity_component, pace=SLEEP) as root:
         conn = request_connection(root, params())
         conn.deposit(edges(0, 1), timeout=5.0)
         conn.deposit(edges(4), timeout=5.0)
@@ -800,7 +822,7 @@ def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
 
 
 def test_a_client_that_leaves_an_opened_connection_is_dropped_at_once(tmp_path):
-    manager, stop, thread = served_by_hand(tmp_path, poll=5.0)
+    manager, stop, thread = served_by_hand(tmp_path)
     try:
         conn = request_connection(manager.request_root, params())
         deadline = time.monotonic() + 1.0
@@ -811,7 +833,7 @@ def test_a_client_that_leaves_an_opened_connection_is_dropped_at_once(tmp_path):
         conn.channel.close()  # the client goes
         while manager.served and time.monotonic() - start < 1.0:
             time.sleep(SLEEP)
-        assert not manager.served  # not a poll period later
+        assert not manager.served  # its hang-up woke the manager
     finally:
         stop.set()
         thread.join(timeout=5.0)
