@@ -313,31 +313,12 @@ class Whiteboard:
                 raise UnknownDependency(f"unknown dependency layer {dep!r}")
         layer = Layer(self, name, legal_labels, deps)
         self.layers[name] = layer
-        if not self._deps_acyclic():
-            del self.layers[name]
-            raise DependencyCycle(f"declaring {name!r} would close a dependency loop")
         return layer
 
-    def _deps_acyclic(self) -> bool:
-        order = self.dependency_order()
-        return len(order) == len(self.layers)
-
     def dependency_order(self) -> list[str]:
-        """Layer names topologically sorted by dependencies, declaration
-        order breaking ties."""
-        names = list(self.layers)
-        remaining = dict.fromkeys(names)
-        out = []
-        while remaining:
-            progressed = False
-            for name in list(remaining):
-                if all(dep not in remaining for dep in self.layers[name].depends_on):
-                    out.append(name)
-                    del remaining[name]
-                    progressed = True
-            if not progressed:
-                break
-        return out
+        """Layer names, each after every layer it depends on: declaration
+        order, since a layer may depend only on layers declared before it."""
+        return list(self.layers)
 
     def node(self, node_id: int) -> WhiteNode:
         return self.layers[self.node_layer(node_id)].white_nodes[node_id]

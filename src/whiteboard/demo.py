@@ -7,9 +7,10 @@ declares a fresh three-layer board (phonemes, syntax, target words), opens
 fresh connections to the three managers at once, the source's naming the
 utterance's matrix file, and pumps until the coordinator has settled:
 every batch it deposited has come back with its `done` record and nothing
-is left to forward. It then closes all connections at once, fails the
-utterance if any of them still held results, and seals and exports the
-layers. A failed utterance ends the run.
+is left to forward. It then closes the connections one after another,
+fails the utterance if any of them still held results, and seals and
+exports the layers. A failed utterance closes its connections without
+waiting for any manager, and ends the run.
 
 An utterance also fails, whatever its `ww` layer holds, when any binding
 noted an error: a component's error record, a batch that did not parse,
@@ -25,14 +26,14 @@ could not write whole. Nothing else ends the wait but the utterance's
 source's pace (`sleep_time`), the gap between the pieces of its reply. A
 manager that dies hangs up its connections, taken or not, which wakes the
 wait, and the next round reports it as the binding's error. The manager
-processes are checked before an utterance opens its connections and after
-a round that noted an error, so a killed component turns into an error
-report naming it rather than a hang, and a quiet round costs no process
-check. A manager that hangs up a connection and lives on, having refused
-it with a component error, fails the utterance as soon as a round has
-read the hang-up, naming the binding and its first error. A hang-up with
-no component error before it is a manager process that died: the loop
-waits for it to be reaped and names it.
+processes are checked when an open fails, since a dead manager's box
+refuses it at once, and after a round that noted an error, so a killed
+component turns into an error report naming it rather than a hang, and a
+quiet round costs no process check. A manager that hangs up a connection
+and lives on, having refused it with a component error, fails the
+utterance as soon as a round has read the hang-up, naming the binding and
+its first error. A hang-up with no component error before it is a manager
+process that died: the loop waits for it to be reaped and names it.
 """
 
 from __future__ import annotations
@@ -197,23 +198,19 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
 
     status: dict | None = None
     try:
-        # a worker lost since the last utterance would only time the opens out
-        error = _dead_managers(coordinator, processes)
-        if error is None:
-            coordinator.register(*_bindings(mailbox_root, config, matrix_file))
-            if config.step:
-                error = _step_loop(coordinator, processes, control_lines)
-            else:
-                error = _pump_loop(coordinator, processes, config)
-            # taken before closing, which drains what is still in flight
-            status = coordinator.status()
-            if error is None:
-                error = _close_connections(coordinator)
-            if error is None:
-                error = _binding_errors(coordinator)
+        coordinator.register(*_bindings(mailbox_root, config, matrix_file))
+        if config.step:
+            error = _step_loop(coordinator, processes, control_lines)
+        else:
+            error = _pump_loop(coordinator, processes, config)
+        # taken before closing, which drains what is still in flight
+        status = coordinator.status()
     except (ManagerUnavailable, WhiteboardError) as exc:
-        error = f"pipeline failed: {exc}"
-    _drop_connections(coordinator)
+        # a manager lost since the last utterance refuses its open at once
+        error = _dead_managers(coordinator, processes) or f"pipeline failed: {exc}"
+    # a failed utterance waits for no manager
+    closing = _close_connections(coordinator, 5.0 if error is None else 0.0)
+    error = error or closing or _binding_errors(coordinator)
 
     if error is None:
         error = _seal_layers(board)
@@ -299,25 +296,21 @@ def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None
     return None
 
 
-def _close_connections(coordinator: Coordinator) -> str | None:
-    """Shut every connection for writing, then wait for each manager's
-    `(closed)`.
+def _close_connections(coordinator: Coordinator,
+                       timeout: float = 5.0) -> str | None:
+    """Close each connection in turn, each close waiting up to `timeout`
+    seconds for its manager's `(closed)`. Every connection is closed,
+    whatever fails; the failures are reported.
 
     Once the pipeline has settled nothing may still be in flight, so
     results handed over on close fail the utterance. A step-mode run quit
     early has not settled, and its leftovers are only logged.
     """
     settled = coordinator.settled()
-    connections = coordinator.connections()
-    for conn in connections.values():
-        try:
-            conn.request_close(timeout=5.0)
-        except WhiteboardError:
-            pass  # its `close` below tries again and reports the failure
     problems = []
-    for name, conn in connections.items():
+    for name, conn in coordinator.connections().items():
         try:
-            leftovers = conn.close(timeout=5.0)
+            leftovers = conn.close(timeout=timeout)
         except WhiteboardError as exc:
             problems.append(f"closing {name}: {exc}")
             continue
@@ -328,17 +321,6 @@ def _close_connections(coordinator: Coordinator) -> str | None:
             log.info("binding %s: %d records dropped on close",
                      name, len(leftovers))
     return "; ".join(problems) or None
-
-
-def _drop_connections(coordinator: Coordinator) -> None:
-    """Close every connection that a failed utterance left open, without
-    waiting for its manager, so the utterance leaves no descriptor behind."""
-    for conn in coordinator.connections().values():
-        if conn.state != "closed":
-            try:
-                conn.close(timeout=0)
-            except WhiteboardError:
-                pass  # no `(closed)` within no time, or a manager that died
 
 
 def _binding_errors(coordinator: Coordinator) -> str | None:

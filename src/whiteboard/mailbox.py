@@ -155,7 +155,8 @@ class Channel:
     def __init__(self, sock: socket.socket):
         sock.setblocking(False)
         self._sock = sock
-        self._writing = True
+        # False once this end is shut for writing, or closed
+        self.writing = True
         # the writer's unwritten end of its last frame
         self._tail = memoryview(b"")
         # the reader's partial frame
@@ -163,7 +164,7 @@ class Channel:
 
     def close(self) -> None:
         self._sock.close()
-        self._writing = False
+        self.writing = False
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -190,7 +191,7 @@ class Channel:
         """Write what the socket takes of the last frame's tail. Returns
         True once none is left. Raises `AlreadyClosed` once this end is
         shut for writing, and `PeerGone` once the peer has gone."""
-        if not self._writing:
+        if not self.writing:
             raise AlreadyClosed("the channel is closed for writing")
         while self._tail:
             try:
@@ -218,7 +219,7 @@ class Channel:
         while not self.flush():
             self._wait(deadline, "hang-up")
         self._sock.shutdown(socket.SHUT_WR)
-        self._writing = False
+        self.writing = False
 
     # -- the reader ---------------------------------------------------------------
 

@@ -102,7 +102,6 @@ class Connection:
         self.channel = channel
         self.params = params
         self.request_root = request_root
-        self.state = "open"
         self.outstanding = 0
         self.done_frame = 0
 
@@ -144,28 +143,20 @@ class Connection:
             return None
         return self._parse_results(text)
 
-    def request_close(self, timeout: float | None = None) -> None:
-        """Write out the last batch and shut the connection for writing,
-        without waiting for the manager's `(closed)`; `close` then only
-        waits. Lets a client close many connections at once. Raises
-        `AlreadyClosed` once the connection is shut for writing, and
-        `PeerGone` if the manager has gone."""
-        self.channel.hang_up(timeout=timeout)
-        self.state = "closing"
-
     def close(self, timeout: float | None = None) -> list[wire.WireRecord]:
-        """Close the connection. Returns the results the manager delivered
-        before its `(closed)`, which is the last frame it writes on the
-        connection before it hangs up; `close` returns once it has seen
-        the hang-up, so the manager has let the connection go.
+        """Close the connection. Shuts it for writing, unless its channel
+        already is, then returns the results the manager delivered before
+        its `(closed)`, which is the last frame it writes on the connection
+        before it hangs up; `close` returns once it has seen the hang-up, so
+        the manager has let the connection go.
 
-        Shuts the connection for writing unless `request_close` already
-        did. The client's end is closed however the wait ends, so a client
-        that gives up on a close (`MailboxTimeout`) holds nothing more. A
-        manager that hangs up without `(closed)`, because it died, stopped
-        or refused the connection, raises `ManagerUnavailable` at once,
-        whether or not it had taken the connection."""
-        if self.state == "closed":
+        The channel is closed however the wait ends, so a client that gives
+        up on a close (`MailboxTimeout`) holds nothing more, and a second
+        `close` raises `AlreadyClosed`. A manager that hangs up without
+        `(closed)`, because it died, stopped or refused the connection,
+        raises `ManagerUnavailable` at once, whether or not it had taken
+        the connection."""
+        if self.channel.fileno() == -1:
             raise AlreadyClosed(f"connection to {self.request_root} already closed")
         deadline = None if timeout is None else time.monotonic() + timeout
 
@@ -175,8 +166,8 @@ class Connection:
 
         records: list[wire.WireRecord] = []
         try:
-            if self.state == "open":
-                self.request_close(timeout=timeout)
+            if self.channel.writing:
+                self.channel.hang_up(timeout=timeout)
             while True:
                 records.extend(self.collect(timeout=remaining()))
         except MailboxTimeout:
@@ -189,7 +180,6 @@ class Connection:
                 f"manager at {self.request_root} hung up without "
                 f"acknowledging its close") from exc
         finally:
-            self.state = "closed"
             self.channel.close()
 
 

@@ -1,4 +1,4 @@
-"""Line-oriented parenthesized wire records exchanged through mailboxes.
+"""Line-oriented parenthesized wire records exchanged over sockets.
 
 Grammar (bit-exact): one record per line, LF endings; a record is a
 parenthesized, space-separated field list; nested parentheses hold integer

@@ -2,11 +2,12 @@
 
 The demo driver spawns each manager as `python -m whiteboard.workers ROLE
 --request-box PATH ...`, one OS process per manager, so components and the
-coordinator only ever meet through the file system. Each role takes only
-its own flags. A worker lives for the whole demo run and builds a fresh
-component for every connection: the parser and translator from the
-grammar and dictionary it loaded at start, the source from the matrix
-file its connection's open request names. Only the source is paced.
+coordinator only ever meet through sockets: the request box at PATH and
+the connections it takes. Each role takes only its own flags. A worker
+lives for the whole demo run and builds a fresh component for every
+connection: the parser and translator from the grammar and dictionary it
+loaded at start, the source from the matrix file its connection's open
+request names. Only the source is paced.
 """
 
 from __future__ import annotations

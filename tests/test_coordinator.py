@@ -80,7 +80,7 @@ class Hosts:
         try:
             for coordinator in self.coordinators:
                 for conn in coordinator.connections().values():
-                    if conn.state == "open":
+                    if conn.channel.fileno() != -1:
                         conn.close(timeout=5.0)
         finally:
             self.stop.set()
@@ -491,7 +491,7 @@ def test_a_deposit_that_fails_is_noted_and_left_for_the_next_round(tmp_path):
             "late", box.path, ["phonemes"], "syntax",
             params("edge-v1", "edge-v1")))
         conn = coordinator.bound["late"].conn
-        conn.request_close(timeout=5.0)  # shut for writing
+        conn.channel.hang_up(timeout=5.0)  # shut for writing
         report = coordinator.pump()
         with pytest.raises(MailboxTimeout):
             conn.close(timeout=0.1)
@@ -877,22 +877,40 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
             worker.wait(timeout=10)
     assert error is not None and "closing parser" in error
     assert "echo" not in error
-    assert all(conn.state == "closed" and conn.channel.fileno() == -1
+    assert all(conn.channel.fileno() == -1
                for conn in coordinator.connections().values())
 
 
-def test_closing_reports_a_connection_whose_hang_up_fails(host):
+def test_closing_reports_a_manager_that_outlasts_the_close(host):
+    from whiteboard import TimeSpan
     from whiteboard.demo import _close_connections
+    entered, release = threading.Event(), threading.Event()
 
-    coordinator = host.coordinator(make_board())
-    coordinator.register(ComponentBinding(
-        "echo", host("echo", identity_component),
-        ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
-    conn = coordinator.bound["echo"].conn
-    conn.channel.hang_up()  # behind the connection's back
-    error = _close_connections(coordinator)
-    assert error == "closing echo: the channel is closed for writing"
-    assert conn.state == "closed" and conn.channel.fileno() == -1
+    def held(records):  # holds its manager past the close's timeout
+        entered.set()
+        release.wait(timeout=10.0)
+        return records
+
+    board = make_board()
+    board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
+    coordinator = host.coordinator(board)
+    coordinator.register(
+        ComponentBinding("echo", host("echo", held),
+                         ["phonemes"], "syntax", params("edge-v1", "edge-v1")),
+        ComponentBinding("live", host("live", identity_component),
+                         ["syntax"], "ww", params("node-v1", "node-v1")))
+    try:
+        coordinator.pump()
+        assert entered.wait(timeout=5.0)
+        error = _close_connections(coordinator, timeout=0.2)
+    finally:
+        release.set()
+    echo = coordinator.bound["echo"]
+    assert error == (f"closing echo: no close acknowledgment from the manager "
+                     f"at {echo.binding.request_root}")
+    assert echo.conn.channel.fileno() == -1
+    # the live binding's manager acknowledged its close: nothing reported
+    assert coordinator.bound["live"].conn.channel.fileno() == -1
 
 
 def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(

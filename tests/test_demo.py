@@ -9,6 +9,7 @@ import threading
 import time
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,13 +23,16 @@ from whiteboard import (
     load_grammar,
     workers,
 )
+from whiteboard.components import MatrixSource, WordForWordTranslator
 from whiteboard.demo import ROLES, DemoConfig, _run_utterance, _stop_workers, demo_run
 from whiteboard.mailbox import Mailbox
+from whiteboard.manager import run_manager
 
 REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
 import workload  # noqa: E402  (the benchmark's in-process build is the reference)
+from stopping import WakingStop  # noqa: E402
 from utterances import spliced_utterances  # noqa: E402
 
 
@@ -279,6 +283,51 @@ def test_open_requests_nobody_takes_fail_the_utterance(tmp_path, fixtures_dir):
     assert result.error.startswith("pipeline failed: manager at ")
     assert "did not take the open request: nobody listens" in result.error
     assert sorted(tmp_path.iterdir()) == [tmp_path / role for role in sorted(ROLES)]
+
+
+def test_a_failed_utterance_waits_for_no_manager(tmp_path, fixtures_dir):
+    """The parser's manager holds its batch past the utterance's deadline,
+    so it could acknowledge no close until the test ends."""
+    grammar = load_grammar((fixtures_dir / "words.grammar").read_text(encoding="utf-8"))
+    dictionary = load_dictionary((fixtures_dir / "words.dict").read_text(encoding="utf-8"))
+    release = threading.Event()
+
+    def held(records):
+        release.wait(timeout=10.0)
+        return records
+
+    factories = {
+        "source": lambda matrix_file: MatrixSource(matrix_file, 3),
+        "parser": lambda _input: held,
+        "translator": lambda _input: WordForWordTranslator(
+            dictionary, grammar.lexical_labels)}
+    stop = WakingStop()
+    threads = []
+    for role in ROLES:
+        (tmp_path / role).mkdir()
+        threads.append(threading.Thread(
+            target=run_manager,
+            args=(factories[role], stop.add(tmp_path / role / "request")),
+            kwargs={"name": role, "stop_event": stop}, daemon=True))
+        threads[-1].start()
+    config = DemoConfig(matrices=fixtures_dir / "hai.mat",
+                        grammar=fixtures_dir / "words.grammar",
+                        dictionary=fixtures_dir / "words.dict",
+                        out=tmp_path / "out.json", max_wall=0.3)
+    start = time.monotonic()
+    try:
+        result = _run_utterance(config.matrices, config, grammar, dictionary,
+                                tmp_path, {role: SimpleNamespace(poll=lambda: None)
+                                           for role in ROLES})
+        elapsed = time.monotonic() - start
+    finally:
+        release.set()
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+    assert elapsed < config.max_wall + 1.0  # not the 5 s of a settled close
+    assert result.error == ("pipeline did not settle within 0.3s: "
+                            "parser has 1 outstanding batches")
 
 
 def test_a_worker_that_ignores_terminate_is_killed():

@@ -216,12 +216,11 @@ def test_manager_unavailable_when_nobody_serves(tmp_path):
 def test_close_acknowledges_and_removes_boxes(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn.request_close(timeout=5.0)
+        conn.channel.hang_up(timeout=5.0)
         with pytest.raises(AlreadyClosed):
-            conn.request_close(timeout=5.0)
-        leftovers = conn.close(timeout=5.0)
+            conn.channel.hang_up(timeout=5.0)
+        leftovers = conn.close(timeout=5.0)  # shut already: only waits
         assert leftovers == []
-        assert conn.state == "closed"
         assert conn.channel.fileno() == -1  # the client's end is closed
         with pytest.raises(AlreadyClosed):
             conn.close(timeout=5.0)
@@ -745,7 +744,7 @@ def test_batches_written_before_the_manager_opened_in_are_served(tmp_path):
         early.deposit(edges(1), timeout=5.0)
         closed = request_connection(manager.request_root, params())
         closed.deposit(edges(2), timeout=5.0)
-        closed.request_close(timeout=5.0)  # hung up before the open, too
+        closed.channel.hang_up(timeout=5.0)  # hung up before the open, too
         assert len(manager.served) == 1  # neither open is taken yet
         release.set()
         assert early.collect(timeout=5.0) == edges(1)
