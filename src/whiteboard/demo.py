@@ -12,11 +12,12 @@ fails the utterance if any of them still held results, and seals and
 exports the layers. A failed utterance closes its connections without
 waiting for any manager, and ends the run.
 
-An utterance also fails, whatever its `ww` layer holds, when any binding
-noted an error: a component's error record, a batch that did not parse,
-or a record the board refused. The failure names each such binding and
-its first error. A dictionary word or grammar symbol that is not a legal
-wire token is a configuration error, found before anything is spawned.
+The first pump round that notes an error on a binding ends the
+utterance, whatever its `ww` layer holds: a component's error record, a
+batch that did not parse, a record the board refused, or a manager that
+hung up. The failure names each binding that noted an error, and its
+first. A dictionary word or grammar symbol that is not a legal wire token
+is a configuration error, found before anything is spawned.
 
 Every pump round is non-blocking. Between rounds the demo waits on the
 connections, one socket each, so a round starts as soon as a manager has
@@ -25,15 +26,16 @@ could not write whole. Nothing else ends the wait but the utterance's
 `max_wall` deadline: the only timed behaviour in the pipeline is the
 source's pace (`sleep_time`), the gap between the pieces of its reply. A
 manager that dies hangs up its connections, taken or not, which wakes the
-wait, and the next round reports it as the binding's error. The manager
-processes are checked when an open fails, since a dead manager's box
-refuses it at once, and after a round that noted an error, so a killed
-component turns into an error report naming it rather than a hang, and a
-quiet round costs no process check. A manager that hangs up a connection
-and lives on, having refused it with a component error, fails the
-utterance as soon as a round has read the hang-up, naming the binding and
-its first error. A hang-up with no component error before it is a manager
-process that died: the loop waits for it to be reaped and names it.
+wait, and the next round notes it as the binding's error. A manager that
+refuses a connection sends a component error before it hangs up, and a
+round reads at most one frame per connection, so the refusal ends the
+utterance a round before its hang-up could be read: a binding hung up on
+has lost its manager process. Processes are checked only once an
+utterance has failed, a failed open included, since a dead manager's box
+refuses it at once: the demo waits for the process of each binding hung
+up on to be reaped, and names every dead one. So a killed component turns
+into an error report naming it rather than a hang, and a quiet round
+costs no process check.
 """
 
 from __future__ import annotations
@@ -196,26 +198,23 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
         for role in ROLES:
             process_hook(role, processes[role])
 
-    status: dict | None = None
     try:
         coordinator.register(*_bindings(mailbox_root, config, matrix_file))
         if config.step:
-            error = _step_loop(coordinator, processes, control_lines)
+            error = _step_loop(coordinator, control_lines)
         else:
-            error = _pump_loop(coordinator, processes, config)
-        # taken before closing, which drains what is still in flight
-        status = coordinator.status()
+            error = _pump_loop(coordinator, config)
     except (ManagerUnavailable, WhiteboardError) as exc:
-        # a manager lost since the last utterance refuses its open at once
-        error = _dead_managers(coordinator, processes) or f"pipeline failed: {exc}"
+        error = f"pipeline failed: {exc}"
+    if error is not None:
+        # a dead manager hung up its connections, or refused the open
+        error = _dead_managers(coordinator, processes,
+                               time.monotonic() + config.max_wall) or error
+    # taken before closing, which drains what is still in flight
+    status = coordinator.status()
     # a failed utterance waits for no manager
     closing = _close_connections(coordinator, 5.0 if error is None else 0.0)
-    error = error or closing or _binding_errors(coordinator)
-
-    if error is None:
-        error = _seal_layers(board)
-    if status is None:
-        status = coordinator.status()
+    error = error or closing or _seal_layers(board)
     if error is not None:
         log.error("utterance %s: %s", name, error)
         return UtteranceResult(name, board, status, error)
@@ -223,9 +222,20 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
 
 
 def _dead_managers(coordinator: Coordinator,
-                   processes: dict[str, subprocess.Popen]) -> str | None:
+                   processes: dict[str, subprocess.Popen],
+                   deadline: float) -> str | None:
     """Note each dead manager process on its binding, if it has one yet,
-    and return the utterance's error if any has died."""
+    and return the utterance's error if any has died.
+
+    A binding hung up on has lost its manager process, which hangs up its
+    connections before it can be reaped, so that process is waited for
+    first, until `deadline` at the latest."""
+    for name, bound in coordinator.bound.items():
+        if bound.gone and name in processes:
+            try:
+                processes[name].wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                pass
     dead = [role for role, proc in processes.items() if proc.poll() is not None]
     for role in dead:
         if role in coordinator.bound:
@@ -233,41 +243,14 @@ def _dead_managers(coordinator: Coordinator,
     return f"manager process died: {', '.join(dead)}" if dead else None
 
 
-def _hang_ups(coordinator: Coordinator, processes: dict[str, subprocess.Popen],
-              deadline: float) -> str | None:
-    """The utterance's error once a manager process has died or a binding's
-    manager has hung up on it: the dead processes, else each binding that
-    was hung up on, with its first error.
-
-    A manager that refuses a connection sends a component error before it
-    hangs up. A binding hung up on without one lost its manager process,
-    which hangs up its connections before it can be reaped, so that process
-    is waited for, until `deadline` at the latest."""
-    gone = [name for name, bound in coordinator.bound.items() if bound.gone]
-    for name in gone:
-        errors = coordinator.bound[name].errors
-        if name in processes and not any(
-                error.startswith("component error") for error in errors):
-            try:
-                processes[name].wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                pass
-    return _dead_managers(coordinator, processes) or "; ".join(
-        f"the manager of binding {name} hung up, the first error: "
-        f"{coordinator.bound[name].errors[0]}" for name in gone) or None
-
-
-def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str | None:
+def _pump_loop(coordinator: Coordinator, config: DemoConfig) -> str | None:
     """Pump until the coordinator has settled, waiting on the connections
-    between rounds, until `max_wall` at the latest. After a round that
-    noted an error, which a hang-up gives, the loop ends if a manager
-    process died or hung up a connection."""
+    between rounds, until `max_wall` at the latest. The first round that
+    notes an error ends the loop."""
     deadline = time.monotonic() + config.max_wall
     while True:
-        report = coordinator.pump()
-        if report.errors and (error := _hang_ups(coordinator, processes,
-                                                 deadline)):
-            return error
+        if coordinator.pump().errors:
+            return _binding_errors(coordinator)
         if coordinator.settled():
             return None
         if time.monotonic() >= deadline:
@@ -276,17 +259,17 @@ def _pump_loop(coordinator: Coordinator, processes, config: DemoConfig) -> str |
         coordinator.wait(max(0.0, deadline - time.monotonic()))
 
 
-def _step_loop(coordinator: Coordinator, processes, control_lines) -> str | None:
-    """Consume step/status/quit commands, one pump per step."""
+def _step_loop(coordinator: Coordinator, control_lines) -> str | None:
+    """Consume step/status/quit commands, one pump per step. The first
+    step that notes an error ends the loop."""
     lines = control_lines if control_lines is not None else sys.stdin
     for raw in lines:
         command = raw.strip().lower()
         if command in ("", "step", "s"):
-            error = _dead_managers(coordinator, processes)
-            if error is not None:
-                return error
-            coordinator.pump()
+            errors = coordinator.pump().errors
             print(f"round {coordinator.rounds} done", flush=True)
+            if errors:
+                return _binding_errors(coordinator)
         elif command == "status":
             print(json.dumps(coordinator.status(), indent=2), flush=True)
         elif command in ("quit", "q"):
@@ -383,11 +366,11 @@ def demo_run(config: DemoConfig, control_lines=None,
                 utterance = _run_utterance(matrix_file, config, grammar,
                                            dictionary, mailbox_root, processes,
                                            control_lines, process_hook)
+                result.utterances.append(utterance)
+                _export(utterance.board, utterance.name, config, multi)
             except (OSError, WhiteboardError) as exc:
                 result.config_error = f"{matrix_file.name}: {exc}"
                 return result
-            result.utterances.append(utterance)
-            _export(utterance.board, utterance.name, config, multi)
             if not utterance.ok:
                 break
             if config.step:

@@ -220,41 +220,16 @@ def request_connection(request_root: Path | str, params: ConnectionParams,
 
 # -- paced delivery ----------------------------------------------------------
 
-def _end_time(record) -> int | None:
-    if isinstance(record, (wire.EdgeRecord, wire.NodeRecord,
-                           wire.InactiveEdgeRecord)):
-        return record.end
-    return None
-
-
 def partition_by_end(records) -> list[list[wire.WireRecord]]:
     """Split a batch into pieces, one per distinct end frame, ascending.
-
-    Arc records carry no time; each one rides in the piece where its later
-    endpoint lands. Records with no usable time go into the first piece.
-    """
-    records = list(records)
-    if not records:
-        return []
-    ends = sorted({e for e in (_end_time(r) for r in records) if e is not None})
-    if not ends:
-        return [records]
-    index_of = {e: i for i, e in enumerate(ends)}
-    node_piece: dict[int, int] = {}
-    for r in records:
-        if isinstance(r, wire.NodeRecord):
-            node_piece[r.node_id] = index_of[r.end]
-    pieces: list[list[wire.WireRecord]] = [[] for _ in ends]
-    for r in records:
-        end = _end_time(r)
-        if end is not None:
-            pieces[index_of[end]].append(r)
-        elif isinstance(r, wire.ArcRecord):
-            idx = max(node_piece.get(r.origin, 0), node_piece.get(r.extremity, 0))
-            pieces[idx].append(r)
-        else:
-            pieces[0].append(r)
-    return [p for p in pieces if p]
+    Records that carry no end frame, such as arcs, go into the last piece."""
+    by_end: dict[int | None, list[wire.WireRecord]] = {}
+    for record in records:
+        by_end.setdefault(getattr(record, "end", None), []).append(record)
+    untimed = by_end.pop(None, [])
+    pieces = [by_end[end] for end in sorted(by_end)] or [[]]
+    pieces[-1] += untimed
+    return [piece for piece in pieces if piece]
 
 
 # -- the manager service loop ---------------------------------------------------
@@ -281,8 +256,8 @@ class _Served:
     def see(self, records) -> None:
         """Raise the connection's high-water frame to the latest end frame
         among the records' timed data records."""
-        ends = [e for e in map(_end_time, records) if e is not None]
-        self.high_frame = max([self.high_frame, *ends])
+        self.high_frame = max([self.high_frame,
+                               *(getattr(r, "end", 0) for r in records)])
 
     def finished(self, records) -> str:
         """The records as a batch's last frame, ending with `done`."""

@@ -155,10 +155,32 @@ def test_step_mode_notes_a_dead_manager_on_its_binding(tmp_path, fixtures_dir):
     assert result.exit_code == 1
     [utterance] = result.utterances
     assert utterance.error == "manager process died: parser"
-    assert utterance.status["rounds"] == 1
+    # the second step reads the hang-up, which ends the utterance
+    assert utterance.status["rounds"] == 2
     assert utterance.status["per_binding"]["parser"]["errors"] == [
-        "manager process died"]
+        "its manager hung up", "manager process died"]
     assert utterance.status["per_binding"]["source"]["errors"] == []
+
+
+def test_an_out_path_that_cannot_be_written_is_a_config_error(
+        tmp_path, fixtures_dir, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    spawned = []
+    result = demo_run(DemoConfig(matrices=fixtures_dir / "hai.mat",
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=blocker / "out.json", sleep_time=0.01),
+                      process_hook=lambda role, proc: spawned.append(proc))
+    assert result.exit_code == 2
+    assert str(blocker) in result.config_error
+    assert len(spawned) == 3
+    assert all(proc.poll() is not None for proc in spawned)  # none left behind
+    assert main(["demo", "run", "--matrices", str(fixtures_dir / "hai.mat"),
+                 "--grammar", str(fixtures_dir / "words.grammar"),
+                 "--dict", str(fixtures_dir / "words.dict"),
+                 "--out", str(blocker / "out.json"), "--sleep", "10"]) == 2
+    assert str(blocker) in capsys.readouterr().err
 
 
 def test_demo_dot_export_end_to_end(tmp_path, fixtures_dir):

@@ -932,7 +932,7 @@ def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(
     config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
                         dictionary=tmp_path, out=tmp_path, max_wall=0.3)
     try:
-        error = _pump_loop(coordinator, {}, config)
+        error = _pump_loop(coordinator, config)
     finally:
         release.set()
     assert error is not None
@@ -940,9 +940,41 @@ def test_pump_loop_names_the_binding_still_outstanding_at_max_wall(
     assert "stuck has 1 outstanding batches" in error
 
 
+def test_a_component_error_ends_the_pump_loop_at_once(host, tmp_path):
+    from whiteboard.demo import DemoConfig, _close_connections, _pump_loop
+
+    def source(_records):  # six pieces, half a second apart
+        return [wire.EdgeRecord(i, i + 1, "h", 0.5) for i in range(6)]
+
+    def broken(records):
+        raise RuntimeError("every batch fails")
+
+    coordinator = host.coordinator(make_board())
+    coordinator.register(
+        ComponentBinding("source", host("source", source, pace=0.5),
+                         [], "phonemes", params("edge-v1", "edge-v1")),
+        ComponentBinding("broken", host("broken", broken),
+                         ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
+    config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
+                        dictionary=tmp_path, out=tmp_path, max_wall=60.0)
+    start = time.monotonic()
+    error = _pump_loop(coordinator, config)
+    elapsed = time.monotonic() - start
+    _close_connections(coordinator, timeout=0.0)  # the source paces on
+    # not pumped on until the source's last piece, 2.5 s after its first
+    assert elapsed < 1.0
+    assert error == ("binding broken noted 1 errors, the first: component "
+                     "error: component-error_every_batch_fails")
+
+
 def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
         host, tmp_path, fixtures_dir):
-    from whiteboard.demo import DemoConfig, _close_connections, _pump_loop
+    from whiteboard.demo import (
+        DemoConfig,
+        _close_connections,
+        _dead_managers,
+        _pump_loop,
+    )
     release = threading.Event()
 
     def stuck(records):  # holds its batch, so the pipeline cannot settle
@@ -976,8 +1008,10 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
         config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
                             dictionary=tmp_path, out=tmp_path, max_wall=10.0)
         timer.start()
-        error = _pump_loop(coordinator, {"parser": worker}, config)
+        error = _pump_loop(coordinator, config)
         returned = time.monotonic()
+        died = _dead_managers(coordinator, {"parser": worker},
+                              time.monotonic() + 10.0)
     finally:
         timer.cancel()
         release.set()
@@ -986,10 +1020,12 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
         worker.wait(timeout=10)
         _close_connections(coordinator)
     # the hang-up keeps the connection readable, so no wait times out:
-    # only the failed read can bring the process check
-    assert error == "manager process died: parser"
+    # the round that reads it ends the loop
+    assert error == "binding parser noted 1 errors, the first: its manager hung up"
     assert returned - killed[0] < 1.0
-    assert coordinator.bound["parser"].errors[-1] == "manager process died"
+    assert died == "manager process died: parser"
+    assert coordinator.bound["parser"].errors == [
+        "its manager hung up", "manager process died"]
 
 
 def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
@@ -1007,7 +1043,7 @@ def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
         config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
                             dictionary=tmp_path, out=tmp_path, max_wall=60.0)
         start = time.monotonic()
-        error = _pump_loop(coordinator, {"source": worker}, config)
+        error = _pump_loop(coordinator, config)
         assert time.monotonic() - start < 1.0
         assert worker.poll() is None  # it refused, and serves on
         with pytest.raises(ManagerUnavailable, match="without acknowledging"):
@@ -1015,9 +1051,9 @@ def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
     finally:
         worker.kill()
         worker.wait(timeout=10)
-    assert error == ("the manager of binding source hung up, the first "
-                     "error: component error: component-error_the_source_"
-                     "needs_a_matrix_file_as_its_input")
+    assert error == ("binding source noted 1 errors, the first: component "
+                     "error: component-error_the_source_needs_a_matrix_file_"
+                     "as_its_input")
     assert coordinator.bound["source"].conn.channel.fileno() == -1
 
 
@@ -1049,7 +1085,7 @@ def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
         config = DemoConfig(matrices=tmp_path, grammar=tmp_path,
                             dictionary=tmp_path, out=tmp_path, max_wall=60.0)
         timer.start()
-        error = _pump_loop(coordinator, {}, config)
+        error = _pump_loop(coordinator, config)
         returned = time.monotonic()
         with pytest.raises(ManagerUnavailable):
             coordinator.bound["source"].conn.close(timeout=5.0)
@@ -1057,14 +1093,13 @@ def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
         timer.cancel()
         stop.set()
         thread.join(timeout=5.0)
-    assert error == ("the manager of binding source hung up, the first "
-                     "error: its manager hung up")
+    assert error == "binding source noted 1 errors, the first: its manager hung up"
     assert returned - stopped[0] < 1.0
     assert len(coordinator.board.layers["phonemes"].white_nodes) == 1
 
 
 def test_a_hang_up_by_a_manager_process_not_reaped_yet_is_its_death(tmp_path):
-    from whiteboard.demo import _hang_ups
+    from whiteboard.demo import _dead_managers
 
     class Dying:
         """A process that has closed its channels and is not reaped yet."""
@@ -1082,14 +1117,13 @@ def test_a_hang_up_by_a_manager_process_not_reaped_yet_is_its_death(tmp_path):
         "parser", tmp_path, [], "phonemes"), None)
     bound.gone = True
     bound.note("its manager hung up")
-    assert _hang_ups(coordinator, {"parser": Dying()},
-                     time.monotonic() + 60.0) == "manager process died: parser"
+    assert _dead_managers(coordinator, {"parser": Dying()},
+                          time.monotonic() + 60.0) == "manager process died: parser"
     assert bound.errors[-1] == "manager process died"
 
 
-def test_a_hang_up_after_a_component_error_is_a_refusal_not_waited_for(
-        tmp_path):
-    from whiteboard.demo import _hang_ups
+def test_a_binding_not_hung_up_on_is_not_waited_for(tmp_path):
+    from whiteboard.demo import _dead_managers
 
     class Refusing:
         """A process that lives on, having refused a connection."""
@@ -1102,13 +1136,12 @@ def test_a_hang_up_after_a_component_error_is_a_refusal_not_waited_for(
     coordinator = Coordinator(make_board())
     bound = coordinator.bound["source"] = _Bound(ComponentBinding(
         "source", tmp_path, [], "phonemes"), None)
-    bound.gone = True
+    # the round that read its error record ended the utterance before
+    # the hang-up behind it could be read
     bound.note("component error: component-error_no_input")
-    bound.note("its manager hung up")
-    assert _hang_ups(coordinator, {"source": Refusing()},
-                     time.monotonic() + 60.0) == (
-        "the manager of binding source hung up, the first error: "
-        "component error: component-error_no_input")
+    assert _dead_managers(coordinator, {"source": Refusing()},
+                          time.monotonic() + 60.0) is None
+    assert bound.errors == ["component error: component-error_no_input"]
 
 
 def test_a_round_notes_a_manager_gone_before_it_took_the_open(tmp_path):

@@ -228,9 +228,11 @@ def test_a_failed_utterance_leaves_no_descriptor_open(
     killers = []
     asked = threading.Event()  # the parser's connection was made
     connect = coordinator.request_connection
+    conns = []  # kept, so no garbage collection closes them
 
     def request_connection(request_root, params):
         conn = connect(request_root, params)
+        conns.append(conn)
         if request_root.parent.name == "parser":
             asked.set()
         return conn
@@ -257,6 +259,8 @@ def test_a_failed_utterance_leaves_no_descriptor_open(
         killer.join(timeout=20.0)
     [utterance] = result.utterances
     assert not utterance.ok
+    assert len(conns) == len(ROLES)
+    assert all(conn.channel.fileno() == -1 for conn in conns)
     assert len(os.listdir("/proc/self/fd")) == before
 
 

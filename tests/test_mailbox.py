@@ -513,7 +513,11 @@ def test_a_stopped_writer_stalls_neither_the_other_nor_the_reader(tmp_path):
     stalled = start_writer(taker.box, "a", 40, stop_at=10)
     other = start_writer(taker.box, "b", 100)
     try:
-        taker.drain(lambda: stopped(stalled))
+        # `b` may finish first, so the stalled writer's ten frames and its
+        # eleventh connection are waited for here, not in the next drain
+        taker.drain(lambda: stopped(stalled)
+                    and len(sent_by(taker.seen, "a")) == 10
+                    and len(taker.waiting) == 1)
         assert stalled.stdout.readline() == "stopped\n"
         taker.drain(lambda: other.poll() is not None
                     and len(sent_by(taker.seen, "b")) == 100)

@@ -413,14 +413,19 @@ def test_partition_single_and_empty():
     assert partition_by_end([]) == []
 
 
-def test_partition_places_arcs_with_their_later_endpoint():
+def test_partition_places_arcs_in_the_last_piece():
+    # the arc's later endpoint lands in the middle piece, not the last
     batch = [wire.NodeRecord(1, 0, 3, "a", 0.1),
              wire.NodeRecord(2, 3, 6, "b", 0.2),
-             wire.ArcRecord(9, 1, 2, 0.0)]
+             wire.ArcRecord(9, 1, 2, 0.0),
+             wire.NodeRecord(3, 6, 9, "c", 0.3)]
     pieces = partition_by_end(batch)
-    assert len(pieces) == 2
-    assert pieces[1] == [wire.NodeRecord(2, 3, 6, "b", 0.2),
-                         wire.ArcRecord(9, 1, 2, 0.0)]
+    assert pieces == [[wire.NodeRecord(1, 0, 3, "a", 0.1)],
+                      [wire.NodeRecord(2, 3, 6, "b", 0.2)],
+                      [wire.NodeRecord(3, 6, 9, "c", 0.3),
+                       wire.ArcRecord(9, 1, 2, 0.0)]]
+    assert partition_by_end([wire.ArcRecord(9, 1, 2, 0.0)]) == [
+        [wire.ArcRecord(9, 1, 2, 0.0)]]
 
 
 def test_incremental_manager_delivers_multiple_batches(tmp_path):
