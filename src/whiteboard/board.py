@@ -9,20 +9,23 @@ taking part in the lattice structure itself.
 Everything enters a layer through :meth:`Layer.add_white_node`,
 :meth:`Layer.add_grey_node` and :meth:`Layer.add_arc`, import included, so
 every layer holds one node per exact packing key, legal labels only, and
-arcs that close no cycle. Layers are mutable until sealed. Sealing wires
-two virtual endpoint nodes to the sources and sinks of that loop-free
-graph, which gives it one first node, one last node and every node on an
-initial-to-final path, and freezes the layer.
+arcs that run forward in time: an arc's extremity begins no earlier than
+its origin begins and ends strictly later than its origin ends. End
+frames rise along every path, so a layer is loop-free by construction.
+Layers are mutable until sealed. Sealing wires two virtual endpoint nodes
+to the sources and sinks of that loop-free graph, which gives it one
+first node, one last node and every node on an initial-to-final path, and
+freezes the layer.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
+    BackwardArc,
     CrossLayerArc,
     DependencyCycle,
     DuplicateLayer,
@@ -33,10 +36,7 @@ from .errors import (
     LayerSealed,
     UnknownDependency,
     UnknownNode,
-    WouldCreateCycle,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -134,8 +134,6 @@ class Layer:
         self._by_begin: dict[int, list[int]] = {}
         self._by_end: dict[int, list[int]] = {}
         self._succ: dict[int, list[int]] = {}
-        # every arc so far runs from a lower (begin, end) to a higher one
-        self._forward_only = True
         self.virtual_initial = board._new_id()
         self.virtual_final = board._new_id()
 
@@ -183,49 +181,33 @@ class Layer:
         return sorted(found)
 
     def add_arc(self, origin: int, extremity: int, weight: float = 0.0) -> int:
+        """Link two of the layer's white nodes. An arc that does not run
+        forward in time raises `BackwardArc`: a self-loop and an arc
+        between two nodes of one span are refused too, so no arc can
+        close a cycle."""
         self._check_unsealed()
         for node_id in (origin, extremity):
-            owner = self.board.node_layer(node_id)
-            if owner != self.name:
+            if node_id not in self.white_nodes:
                 raise CrossLayerArc(
-                    f"node {node_id} belongs to layer {owner!r}, not {self.name!r}")
-        # arcs that all run up the (begin, end) order cannot close a cycle,
-        # so the search is needed only once one arc has run down it
-        forward = self.white_nodes[origin].span < self.white_nodes[extremity].span
-        if origin == extremity or (not (forward and self._forward_only)
-                                   and self._reaches(extremity, origin)):
-            raise WouldCreateCycle(f"arc {origin}->{extremity} would close a cycle")
+                    f"node {node_id} belongs to layer "
+                    f"{self.board.node_layer(node_id)!r}, not {self.name!r}")
+        a = self.white_nodes[origin].span
+        b = self.white_nodes[extremity].span
+        if not (a.begin <= b.begin and a.end < b.end):
+            raise BackwardArc(
+                f"arc {origin}->{extremity} does not run forward in time: "
+                f"[{a.begin},{a.end}] to [{b.begin},{b.end}]")
         arc_id = self.board._new_id()
         self.arcs[arc_id] = Arc(arc_id, origin, extremity, float(weight))
         self._succ[origin].append(extremity)
-        self._forward_only &= forward
         return arc_id
 
     def add_arc_once(self, origin: int, extremity: int,
                      weight: float = 0.0) -> None:
-        """Add an arc unless it is a self-loop or the pair is already
-        linked. An arc that would close a cycle is dropped with a warning,
-        so one bad hypothesis cannot stop the layer from being built."""
+        """Add an arc unless the pair is already linked."""
         self._check_unsealed()
-        if origin == extremity or extremity in self._succ.get(origin, ()):
-            return
-        try:
+        if extremity not in self._succ.get(origin, ()):
             self.add_arc(origin, extremity, weight)
-        except WouldCreateCycle:
-            log.warning("dropped arc %s->%s on %s: would create a cycle",
-                        origin, extremity, self.name)
-
-    def _reaches(self, start: int, goal: int) -> bool:
-        stack, seen = [start], set()
-        while stack:
-            cur = stack.pop()
-            if cur == goal:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._succ.get(cur, ()))
-        return False
 
     def add_grey_node(self, rule: str, inputs, outputs) -> int:
         self._check_unsealed()
@@ -253,10 +235,10 @@ class Layer:
         """Wire the virtual endpoints to the sources and sinks and freeze
         the layer.
 
-        Every arc passed :meth:`add_arc`'s cycle check, so the layer is
-        loop-free, and the wiring leaves the initial endpoint as its only
-        first node, the final one as its only last node, and every white
-        node on an initial-to-final path.
+        Every arc runs forward in time, so the layer is loop-free, and the
+        wiring leaves the initial endpoint as its only first node, the
+        final one as its only last node, and every white node on an
+        initial-to-final path.
         """
         if self.sealed:
             return self._seal_report
@@ -391,9 +373,9 @@ def from_json(text: str) -> Whiteboard:
     and arc is then written again through its layer's writer under its
     exported id, so an import checks what a build checks: legal labels,
     one node per packing key, known nodes, grey nodes on their layer and
-    the layers it depends on, and arcs that close no cycle. Ids must be
-    unique, and each node must have readings and the score and readings
-    they build. Layers exported sealed are sealed again.
+    the layers it depends on, and arcs that run forward in time. Ids must
+    be unique, and each node must have readings and the score and
+    readings they build. Layers exported sealed are sealed again.
     """
     doc = json.loads(text)
     _check_fields(doc, "board")

@@ -27,7 +27,11 @@ for inactive-edge and node records, and `Layer.add_arc_once` for arc
 records. So a repeated edge or arc record leaves the board as it was. A
 node record's source ids must name nodes of the binding's input layers;
 they become the derivation's children, as a translation's syntax node
-does in `translate.translate_layer`.
+does in `translate.translate_layer`. Arcs run forward in time, so an arc
+record whose extremity begins before its origin, or ends no later, is
+refused by the board and noted as the binding's error, like any other
+rejected record; the demo ends the utterance at the first round that
+notes one.
 
 Every connection operation in the pump is non-blocking: a busy manager
 makes a binding wait until the next round, never the whole pipeline. A

@@ -24,7 +24,8 @@ connections, one socket each, so a round starts as soon as a manager has
 written a result, or there is room for the rest of a batch the last round
 could not write whole. Nothing else ends the wait but the utterance's
 `max_wall` deadline: the only timed behaviour in the pipeline is the
-source's pace (`sleep_time`), the gap between the pieces of its reply. A
+source's pace (`sleep_time`), its reply's piece k falling due k paces
+after the first piece, on a clock that a late piece does not set back. A
 manager that dies hangs up its connections, taken or not, which wakes the
 wait, and the next round notes it as the binding's error. A manager that
 refuses a connection sends a component error before it hangs up, and a
@@ -75,7 +76,8 @@ class DemoConfig:
     topk: int = 3
     threshold_syntax: float | None = None
     threshold_ww: float | None = None
-    # the source's pace: seconds between the pieces of its reply
+    # the source's pace: its reply's piece k falls due k * sleep_time
+    # seconds after the first piece
     sleep_time: float = 0.05
     export_format: str = "json"
     step: bool = False

@@ -58,8 +58,9 @@ class CrossLayerArc(WhiteboardError):
     layer its own does not depend on."""
 
 
-class WouldCreateCycle(WhiteboardError):
-    pass
+class BackwardArc(WhiteboardError):
+    """An arc that does not run forward in time: its extremity begins
+    before its origin begins, or ends no later than its origin ends."""
 
 
 class EmptyEndpointList(WhiteboardError):

@@ -31,10 +31,11 @@ The client-side `Connection` does that counting and strips the records, so
 its callers see exactly what the component produced.
 
 A manager given a pace delivers each reply piecewise in end-time order,
-split by `partition_by_end`, and each piece goes `pace` seconds after the
-one before, the pace of the simulated speech. That is how the paper's
-managers make a batch component look incremental to its client, and the
-only timed behaviour of the transport.
+split by `partition_by_end`, at the pace of the simulated speech: piece k
+falls due `k * pace` seconds after the first piece went, and no piece goes
+before it falls due, so a late wake-up delays one piece, not every piece
+after it. That is how the paper's managers make a batch component look
+incremental to its client, and the only timed behaviour of the transport.
 
 Every other wait is an event: a readable connection or request box wakes
 its reader, and a writer holding the tail of a frame waits until its
@@ -338,8 +339,8 @@ class _Manager:
         ends the connection. A batch that does not parse, or is not UTF-8,
         is answered with `import-parse-error`, an open request with
         `open-error`, which refuses the connection. A reply's first frame is
-        due at once, each later piece of a paced reply `pace` seconds after
-        the one before. A frame's tail that did not fit goes first."""
+        due at once, piece k of a paced reply `k * pace` seconds after the
+        first went. A frame's tail that did not fit goes first."""
         if not served.channel.flush():
             return
         if not served.owed:
@@ -364,7 +365,9 @@ class _Manager:
                 or not served.channel.try_deposit(served.owed[0])):
             return
         del served.owed[0]
-        served.release_at = now + self.pace if served.owed else 0.0
+        # a fixed clock: a late piece does not push back the ones after it
+        served.release_at = ((served.release_at or now) + self.pace
+                             if served.owed else 0.0)
 
     def _open(self, served: _Served, records) -> list[str]:
         """Build a connection's component from its first frame, its open
@@ -421,10 +424,11 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
     in a single loop on the calling thread, which waits between cycles on
     the request box and the connections. With `pace` None each reply goes
     in one frame; with a number it is split by `partition_by_end` and its
-    pieces go `pace` seconds apart, and only a piece falling due ends a
-    wait by time. A waiting manager sees `stop_event` at its next wake-up,
-    so whoever sets it connects to the request box too, and closes what
-    it gets (`Mailbox(request_root).try_deposit()`), to stop it.
+    piece k falls due `k * pace` seconds after the first went, and only a
+    piece falling due ends a wait by time. A waiting manager sees
+    `stop_event` at its next wake-up, so whoever sets it connects to the
+    request box too, and closes what it gets
+    (`Mailbox(request_root).try_deposit()`), to stop it.
 
     `factory` is called once per connection with the input its open
     request named (None for `-`) and returns that connection's component,

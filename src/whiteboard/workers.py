@@ -30,8 +30,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     source = roles.add_parser("source")
     source.add_argument("--topk", type=int, default=3)
     source.add_argument("--sleep", type=float, default=0.05,
-                        help="seconds between the pieces of the source's "
-                             "reply, the pace of the simulated speech")
+                        help="the pace of the simulated speech: piece k "
+                             "of the source's reply falls due k times this "
+                             "many seconds after the first")
     syntax = roles.add_parser("parser")
     syntax.add_argument("--grammar", required=True, type=Path)
     syntax.add_argument("--beam", type=int, default=16)

@@ -38,6 +38,18 @@ def grid_lattice_oracle(nodes, max_gap: int, max_overlap: int, layer) -> None:
                 layer.add_arc(n.id, m.id)
 
 
+def forward_pair(rng: random.Random, layer,
+                 ids: list[int]) -> tuple[int, int] | None:
+    """Draw two of a layer's white nodes and order them so an arc between
+    them runs forward in time: the second begins no earlier than the first
+    and ends strictly later. None when neither order runs forward."""
+    a, b = (layer.white_nodes[rng.choice(ids)] for _ in range(2))
+    for n, m in ((a, b), (b, a)):
+        if n.span.begin <= m.span.begin and n.span.end < m.span.end:
+            return n.id, m.id
+    return None
+
+
 def dfs_paths(layer) -> list[tuple[tuple[str, ...], float]]:
     """Every source-to-sink path over a layer's real arcs, by naive DFS.
 

@@ -28,7 +28,6 @@ from whiteboard import (
 )
 from whiteboard import coordinator
 from whiteboard.demo import DemoConfig, demo_run
-from whiteboard.errors import WouldCreateCycle
 from whiteboard.grid import PhonemeMatrix
 from whiteboard.mailbox import Mailbox
 from whiteboard.manager import partition_by_end
@@ -38,6 +37,7 @@ from oracles import (
     connected_oracle,
     dfs_paths,
     enumerate_paths,
+    forward_pair,
     random_grammar,
     valid_lattice,
 )
@@ -86,11 +86,9 @@ def test_02_lattice_invariants_and_path_oracle():
                 round(rng.uniform(-1, 1), 3))
             ids.append(node_id)
         for _ in range(rng.randint(0, 2 * len(ids))):
-            try:
-                layer.add_arc(rng.choice(ids), rng.choice(ids),
-                              round(rng.uniform(-0.5, 0.5), 3))
-            except WouldCreateCycle:
-                pass
+            pair = forward_pair(rng, layer, ids)
+            if pair is not None:
+                layer.add_arc(*pair, round(rng.uniform(-0.5, 0.5), 3))
         layer.seal()
         assert valid_lattice(layer)  # independent oracle over the sealed graph
         got = sorted((p.labels, round(p.score, 6))

@@ -9,22 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whiteboard import (
-    GridNode,
-    Layer,
-    Thresholds,
     TimeSpan,
     Whiteboard,
     boards_isomorphic,
     canonical_form,
     filter_slice,
     from_json,
-    grid_to_lattice,
     load_dictionary,
     load_grammar,
     to_dot,
     to_json,
 )
 from whiteboard.errors import (
+    BackwardArc,
     CrossLayerArc,
     DependencyCycle,
     DuplicateLayer,
@@ -36,9 +33,8 @@ from whiteboard.errors import (
     NotSealed,
     UnknownDependency,
     UnknownNode,
-    WouldCreateCycle,
 )
-from oracles import dfs_paths, enumerate_paths, valid_lattice
+from oracles import dfs_paths, enumerate_paths, forward_pair, valid_lattice
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 
@@ -147,18 +143,25 @@ def test_packing_uniqueness_for_random_insert_sequences(inserts):
 
 # -- arcs ----------------------------------------------------------------------
 
-def test_add_arc_and_cycle_rejection():
+def test_add_arc_refuses_backward_same_span_and_self_loop_arcs():
     layer = make_layer()
     a, _ = layer.add_white_node(span(0, 1), "A", 0.1)
     b, _ = layer.add_white_node(span(1, 2), "B", 0.2)
+    twin, _ = layer.add_white_node(span(1, 2), "C", 0.3)
+    outer, _ = layer.add_white_node(span(0, 3), "D", 0.4)
     layer.add_arc(a, b)
-    with pytest.raises(WouldCreateCycle):
-        layer.add_arc(b, a)
-    with pytest.raises(WouldCreateCycle):
-        layer.add_arc(a, a)
+    layer.add_arc(a, outer)  # the same begin and a later end: forward
+    # (b, outer) ends later but begins earlier, so it runs backward too
+    for origin, extremity in [(b, a), (b, twin), (twin, b), (a, a),
+                              (b, outer)]:
+        with pytest.raises(BackwardArc,
+                           match=f"arc {origin}->{extremity} does not run"):
+            layer.add_arc(origin, extremity)
+    assert [(x.origin, x.extremity) for x in layer.arcs.values()] == [
+        (a, b), (a, outer)]
 
 
-def test_add_arc_once_skips_duplicates_and_self_loops_and_drops_cycles(caplog):
+def test_add_arc_once_skips_a_linked_pair_and_refuses_a_backward_arc():
     layer = make_layer()
     a, _ = layer.add_white_node(span(0, 1), "A", 0.1)
     b, _ = layer.add_white_node(span(1, 2), "B", 0.2)
@@ -166,59 +169,14 @@ def test_add_arc_once_skips_duplicates_and_self_loops_and_drops_cycles(caplog):
     layer.add_arc_once(a, b, 0.7)
     assert [(x.origin, x.extremity, x.weight) for x in layer.arcs.values()] == [
         (a, b, 0.5)]
-    layer.add_arc_once(a, a)
-    assert len(layer.arcs) == 1 and not caplog.records
-    with caplog.at_level("WARNING", logger="whiteboard"):
-        layer.add_arc_once(b, a)
+    for origin, extremity in [(a, a), (b, a)]:
+        with pytest.raises(BackwardArc):
+            layer.add_arc_once(origin, extremity)
     assert len(layer.arcs) == 1
-    [record] = caplog.records
-    assert record.getMessage().startswith("dropped arc")
     layer.seal()
     assert valid_lattice(layer)
     with pytest.raises(LayerSealed):
         layer.add_arc_once(a, b)
-
-
-def test_a_time_monotone_arc_can_still_close_a_cycle(caplog):
-    # arcs need not run forward in time, so "extremity ends later" alone
-    # does not let an arc skip the cycle check
-    layer = make_layer()
-    early, _ = layer.add_white_node(span(0, 1), "A", 0.1)
-    late, _ = layer.add_white_node(span(1, 2), "B", 0.2)
-    layer.add_arc(late, early)
-    with caplog.at_level("WARNING", logger="whiteboard"):
-        layer.add_arc_once(early, late)
-    assert [(x.origin, x.extremity) for x in layer.arcs.values()] == [
-        (late, early)]
-    [record] = caplog.records
-    assert record.getMessage().startswith("dropped arc")
-
-
-def test_the_cycle_search_runs_only_once_an_arc_has_run_backward(monkeypatch):
-    searches = []
-    reaches = Layer._reaches
-
-    def counted(layer, start, goal):
-        searches.append((start, goal))
-        return reaches(layer, start, goal)
-
-    monkeypatch.setattr(Layer, "_reaches", counted)
-    rng = random.Random(29)
-    layer = make_layer()
-    nodes = [GridNode(span(b, b + rng.randint(1, 4)), rng.choice("ab"),
-                      round(rng.random(), 3))
-             for b in (rng.randint(0, 30) for _ in range(60))]
-    grid_to_lattice(nodes, Thresholds(2, 2), layer)
-    # grid arcs all run up the (begin, end) order, so none is searched
-    assert len(layer.arcs) > 50 and searches == []
-    first, second, third = (layer.add_white_node(span(b, b + 1), "c", 0.5)[0]
-                            for b in (100, 102, 104))
-    layer.add_arc(second, first)  # down the order: searched, and so is
-    layer.add_arc(second, third)  # every arc after it
-    layer.add_arc(first, third)
-    assert searches == [(first, second), (third, second), (third, first)]
-    layer.seal()
-    assert valid_lattice(layer)
 
 
 def test_negative_weight_accepted():
@@ -409,11 +367,9 @@ def test_random_lattices_match_dfs_oracle(data):
             span(b, b + rng.randint(0, 4)), f"L{k}", rng.uniform(-1, 1))
         ids.append(node_id)
     for _ in range(rng.randint(0, 3 * len(ids))):
-        try:
-            layer.add_arc(rng.choice(ids), rng.choice(ids),
-                          rng.uniform(-0.5, 0.5))
-        except WouldCreateCycle:
-            pass
+        pair = forward_pair(rng, layer, ids)
+        if pair is not None:
+            layer.add_arc(*pair, rng.uniform(-0.5, 0.5))
     layer.seal()
     got = sorted((p.labels, round(p.score, 9)) for p in enumerate_paths(layer))
     expected = sorted((labels, round(score, 9))
@@ -555,8 +511,8 @@ def all_ids(board):
 
 def random_board(rng):
     """Dependent layers written in interleaved order: legal labels, packed
-    readings with payloads, grey nodes across layers, arcs (cycle-closing
-    ones dropped by add_arc_once), and some layers sealed."""
+    readings with payloads, grey nodes across layers, forward arcs (a
+    linked pair skipped by add_arc_once), and some layers sealed."""
     board = Whiteboard()
     for k in range(rng.randint(1, 4)):
         deps = {f"l{d}" for d in range(k) if rng.random() < 0.5}
@@ -574,8 +530,9 @@ def random_board(rng):
                                  rng.choice("abc"), rng.uniform(-1, 1),
                                  rng.choice(payloads))
         elif roll < 0.85:
-            layer.add_arc_once(rng.choice(ids), rng.choice(ids),
-                               rng.uniform(-0.5, 0.5))
+            pair = forward_pair(rng, layer, ids)
+            if pair is not None:
+                layer.add_arc_once(*pair, rng.uniform(-0.5, 0.5))
         else:
             inputs = [i for name in (layer.name, *sorted(layer.depends_on))
                       for i in board.layers[name].white_nodes]
@@ -630,7 +587,7 @@ def small_export():
     return json.loads(to_json(board))
 
 
-def close_cycle(layer_doc):
+def run_backward(layer_doc):
     layer_doc["arcs"].append(
         {"id": 99, "origin": 4, "extremity": 3, "weight": 0.0})
 
@@ -640,7 +597,7 @@ def repeat_packing_key(layer_doc):
 
 
 BAD_EXPORTS = [
-    (close_cycle, WouldCreateCycle, "arc 4->3 would close a cycle"),
+    (run_backward, BackwardArc, "arc 4->3 does not run forward in time"),
     (lambda d: d["nodes"][1].update(label="x"), IllegalLabel, "'x' not legal"),
     (repeat_packing_key, InvalidExport,
      "node 99 repeats the packing key of node 3"),
@@ -661,7 +618,7 @@ BAD_EXPORTS = [
 
 @pytest.mark.parametrize(
     "spoil, error, reason", BAD_EXPORTS,
-    ids=["cycle", "illegal-label", "packing-key", "repeated-id",
+    ids=["backward-arc", "illegal-label", "packing-key", "repeated-id",
          "no-readings", "score", "string-begin", "string-score",
          "arcs-not-a-list"])
 def test_from_json_rejects_what_no_build_makes(spoil, error, reason):

@@ -95,7 +95,7 @@ def test_lattice_show_rejects_an_export_no_build_makes(tmp_path, capsys):
     assert main(["lattice", "show", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"arc {desu}->{hai} would close a cycle" in captured.err
+    assert f"arc {desu}->{hai} does not run forward in time" in captured.err
 
 
 def test_demo_run_bad_fixture_exits_2(tmp_path, capsys):

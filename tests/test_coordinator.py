@@ -320,34 +320,54 @@ def test_node_record_sources_must_be_input_layer_nodes(host):
     assert not ww.arcs
 
 
-def test_arc_records_skip_repeats_and_self_loops_and_drop_cycles(
-        host, caplog):
+def arc_source(*arcs):
+    """A source component writing nodes 1 ([0,3] "a") and 2 ([3,6] "b")
+    and then the given arc records."""
     def source(records):
         return [wire.NodeRecord(1, 0, 3, "a", 0.5),
-                wire.NodeRecord(2, 3, 6, "b", 0.5),
-                wire.ArcRecord(10, 1, 2, 0.0),
-                wire.ArcRecord(10, 1, 2, 0.0),   # verbatim repeat
-                wire.ArcRecord(11, 1, 2, 0.3),   # same pair, new record id
-                wire.ArcRecord(12, 2, 2, 0.0),   # self-loop
-                wire.ArcRecord(13, 2, 1, 0.0)]   # would close a cycle
+                wire.NodeRecord(2, 3, 6, "b", 0.5), *arcs]
+    return source
 
+
+def test_arc_records_skip_repeats(host):
+    source = arc_source(wire.ArcRecord(10, 1, 2, 0.0),
+                        wire.ArcRecord(10, 1, 2, 0.0),   # verbatim repeat
+                        wire.ArcRecord(11, 1, 2, 0.3))   # same pair, new id
     board = make_board()
     coordinator = host.coordinator(board)
     coordinator.register(ComponentBinding(
         "source", host("source", source),
         [], "phonemes", params("node-v1", "node-v1")))
-    with caplog.at_level("WARNING", logger="whiteboard"):
-        pump_until(coordinator, coordinator.settled)
+    pump_until(coordinator, coordinator.settled)
     layer = board.layers["phonemes"]
     assert [(layer.white_nodes[a.origin].label,
              layer.white_nodes[a.extremity].label, a.weight)
             for a in layer.arcs.values()] == [("a", "b", 0.0)]
-    dropped = [r.getMessage() for r in caplog.records
-               if r.getMessage().startswith("dropped arc")]
-    assert len(dropped) == 1
     assert coordinator.bound["source"].errors == []
     layer.seal()
     assert valid_lattice(layer)
+
+
+@pytest.mark.parametrize("origin, extremity", [(2, 2), (2, 1)],
+                         ids=["self-loop", "reversed"])
+def test_a_backward_arc_record_is_rejected(host, origin, extremity):
+    source = arc_source(wire.ArcRecord(10, 1, 2, 0.0),
+                        wire.ArcRecord(13, origin, extremity, 0.0))
+    board = make_board()
+    coordinator = host.coordinator(board)
+    coordinator.register(ComponentBinding(
+        "source", host("source", source),
+        [], "phonemes", params("node-v1", "node-v1")))
+    pump_until(coordinator, coordinator.settled)
+    bound = coordinator.bound["source"]
+    node_of = bound.node_of_record
+    spans = {1: "[0,3]", 2: "[3,6]"}
+    assert bound.errors == [
+        f"record rejected: arc {node_of[origin]}->{node_of[extremity]} does "
+        f"not run forward in time: {spans[origin]} to {spans[extremity]}"]
+    layer = board.layers["phonemes"]
+    assert [(a.origin, a.extremity) for a in layer.arcs.values()] == [
+        (node_of[1], node_of[2])]
 
 
 def test_repeated_edge_record_packs_into_one_node(host):

@@ -2,6 +2,7 @@
 processes, with fresh connections, components and boards per utterance."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -161,8 +162,8 @@ def test_a_matrix_path_that_is_not_a_wire_token_is_a_config_error(
 FAILING_WORKER = Path(__file__).parent / "_failing_worker.py"
 
 
-def test_a_component_error_fails_the_utterance_even_with_ww_nodes(
-        tmp_path, fixtures_dir, monkeypatch):
+def spawn_faulty_translator(monkeypatch, fault):
+    """Make the demo spawn its translator as a failing worker with `fault`."""
     spawn = demo._spawn_worker
 
     def spawn_failing_translator(role, request_root, config):
@@ -170,12 +171,17 @@ def test_a_component_error_fails_the_utterance_even_with_ww_nodes(
             return spawn(role, request_root, config)
         popen = subprocess.Popen
         with monkeypatch.context() as patch:
-            # the same arguments, to the worker whose component fails once
+            # the same arguments, to the worker whose component misbehaves
             patch.setattr(subprocess, "Popen", lambda cmd: popen(
-                [sys.executable, str(FAILING_WORKER), *cmd[3:]]))
+                [sys.executable, str(FAILING_WORKER), fault, *cmd[3:]]))
             return spawn(role, request_root, config)
 
     monkeypatch.setattr(demo, "_spawn_worker", spawn_failing_translator)
+
+
+def test_a_component_error_fails_the_utterance_even_with_ww_nodes(
+        tmp_path, fixtures_dir, monkeypatch):
+    spawn_faulty_translator(monkeypatch, "second-batch")
     # two words, so ww keeps what the translator's other batches gave
     matrix, _, _ = spliced_utterances(fixtures_dir, tmp_path / "spliced")
     assert matrix.name == "0-iie-mizu.mat"
@@ -188,6 +194,21 @@ def test_a_component_error_fails_the_utterance_even_with_ww_nodes(
     assert utterance.board.layers["ww"].white_nodes  # not an empty ww
     assert "binding translator noted 1 errors" in utterance.error
     assert "second_batch_refused" in utterance.error
+
+
+def test_a_component_arc_that_runs_backward_fails_the_utterance(
+        tmp_path, fixtures_dir, monkeypatch):
+    spawn_faulty_translator(monkeypatch, "same-span-arc")
+    # hai has four meanings, all on the span of the syntax node
+    result = demo_run(DemoConfig(matrices=fixtures_dir / "hai.mat",
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=tmp_path / "boards", sleep_time=0.01))
+    [utterance] = result.utterances
+    assert result.exit_code == 1
+    assert "binding translator noted 1 errors" in utterance.error
+    assert re.search(r"record rejected: arc \d+->\d+ does not run forward "
+                     r"in time: \[0,9\] to \[0,9\]", utterance.error)
 
 
 def test_a_dictionary_word_that_is_not_a_wire_token_is_a_config_error(

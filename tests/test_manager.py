@@ -555,12 +555,16 @@ def test_a_round_trip_takes_well_under_a_second(tmp_path):
         assert time.monotonic() - start < 0.3
 
 
-def test_a_paced_manager_keeps_its_pieces_one_pace_apart(
-        tmp_path, monkeypatch):
-    pace = 0.05
-    released = []  # when the manager began each frame it wrote
+PACE = 0.05
+
+
+def paced_pieces(tmp_path, monkeypatch, wake_others):
+    """When a manager paced by PACE began writing each of the six pieces
+    of its reply to one batch. With `wake_others` the client wakes the
+    manager after each piece, as other connections' traffic would."""
+    released = []
     deposit = Channel.try_deposit
-    manager = hosted_manager(tmp_path, identity_component, pace=pace)
+    manager = hosted_manager(tmp_path, identity_component, pace=PACE)
 
     def timed_deposit(channel, text):
         start = time.monotonic()
@@ -574,14 +578,39 @@ def test_a_paced_manager_keeps_its_pieces_one_pace_apart(
         conn = request_connection(root, params())
         conn.deposit(edges(*range(6)), timeout=5.0)
         while conn.outstanding:
-            assert conn.collect(timeout=5.0)  # as soon as the frame lands
-            # wakes the manager, as other connections' traffic would
-            Mailbox(root).try_deposit().close()
+            assert conn.collect(timeout=5.0)
+            if wake_others:
+                Mailbox(root).try_deposit().close()
         conn.close(timeout=5.0)
     pieces = released[:-1]  # all but the close's reply
     assert len(pieces) == 6
-    gaps = [b - a for a, b in zip(pieces, pieces[1:])]
-    assert min(gaps) >= 0.045, gaps
+    return pieces
+
+
+def assert_none_early(pieces):
+    # piece k is due k paces after the manager's clock read before the
+    # first went, a moment before `pieces[0]`
+    early = [k for k, at in enumerate(pieces)
+             if at < pieces[0] + k * PACE - 0.001]
+    assert not early, pieces
+
+
+def test_a_paced_manager_keeps_its_pieces_one_pace_apart(
+        tmp_path, monkeypatch):
+    assert_none_early(paced_pieces(tmp_path, monkeypatch, wake_others=True))
+
+
+def test_a_paced_manager_waking_late_keeps_its_clock(tmp_path, monkeypatch):
+    def oversleeping(readers, writers=(), timeout=None):
+        ready = wait_ready(readers, writers, timeout)
+        time.sleep(0.01)
+        return ready
+
+    monkeypatch.setattr("whiteboard.manager.wait_ready", oversleeping)
+    pieces = paced_pieces(tmp_path, monkeypatch, wake_others=False)
+    assert_none_early(pieces)
+    # each wake is 10 ms late, but the lateness does not add up
+    assert pieces[-1] - pieces[0] <= 5 * PACE + 0.02, pieces
 
 
 @pytest.mark.parametrize("pace", [None, 0.05])
