@@ -143,7 +143,9 @@ def test_packing_uniqueness_for_random_insert_sequences(inserts):
 
 # -- arcs ----------------------------------------------------------------------
 
-def test_add_arc_refuses_backward_same_span_and_self_loop_arcs():
+def test_add_arc_and_cycle_rejection():
+    # an arc must run forward in time, so no arc can close a cycle: a
+    # backward, same-span or self-loop arc is refused
     layer = make_layer()
     a, _ = layer.add_white_node(span(0, 1), "A", 0.1)
     b, _ = layer.add_white_node(span(1, 2), "B", 0.2)
@@ -159,6 +161,23 @@ def test_add_arc_refuses_backward_same_span_and_self_loop_arcs():
             layer.add_arc(origin, extremity)
     assert [(x.origin, x.extremity) for x in layer.arcs.values()] == [
         (a, b), (a, outer)]
+
+
+def test_a_time_monotone_arc_can_still_close_a_cycle():
+    # the cycle late->early->late cannot be built: its backward half is
+    # refused whichever half comes first, and the forward half alone stays
+    layer = make_layer()
+    early, _ = layer.add_white_node(span(0, 1), "A", 0.1)
+    late, _ = layer.add_white_node(span(1, 2), "B", 0.2)
+    with pytest.raises(BackwardArc):
+        layer.add_arc(late, early)
+    layer.add_arc_once(early, late)
+    with pytest.raises(BackwardArc):
+        layer.add_arc_once(late, early)
+    assert [(x.origin, x.extremity) for x in layer.arcs.values()] == [
+        (early, late)]
+    layer.seal()
+    assert valid_lattice(layer)
 
 
 def test_add_arc_once_skips_a_linked_pair_and_refuses_a_backward_arc():
