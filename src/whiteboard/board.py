@@ -336,34 +336,40 @@ def _node_dict(n: WhiteNode) -> dict:
     }
 
 
-def _layer_dict(layer: Layer) -> dict:
-    return {
-        "name": layer.name,
-        "depends_on": sorted(layer.depends_on),
-        "legal_labels": (sorted(layer.legal_labels)
-                         if layer.legal_labels is not None else None),
-        "sealed": layer.sealed,
-        "nodes": [_node_dict(n) for n in
-                  sorted(layer.white_nodes.values(), key=lambda n: n.id)],
-        "grey": [
-            {"id": g.id, "rule": g.rule,
-             "inputs": list(g.inputs), "outputs": list(g.outputs)}
-            for g in sorted(layer.grey_nodes.values(), key=lambda g: g.id)
-        ],
-        "arcs": [
-            {"id": a.id, "origin": a.origin,
-             "extremity": a.extremity, "weight": a.weight}
-            for a in sorted(layer.arcs.values(), key=lambda a: a.id)
-        ],
-    }
-
-
 def to_json(board: Whiteboard) -> str:
     """Deterministic compact JSON image of the board (virtual endpoints
-    omitted)."""
-    doc = {"layers": [_layer_dict(board.layers[name])
-                      for name in board.dependency_order()]}
-    return json.dumps(doc, separators=(",", ":"))
+    omitted), the text one `json.dumps` of the whole document writes.
+
+    Each layer's scalar fields, nodes, grey nodes and arcs are encoded in
+    turn, and each list is dropped before the next is built, so the
+    scratch memory is bounded by the largest section, not the document."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    parts = ['{"layers":[']
+    for name in board.dependency_order():
+        layer = board.layers[name]
+        if len(parts) > 1:
+            parts.append(",")
+        parts += [
+            encode({"name": layer.name,
+                    "depends_on": sorted(layer.depends_on),
+                    "legal_labels": (sorted(layer.legal_labels)
+                                     if layer.legal_labels is not None else None),
+                    "sealed": layer.sealed})[:-1],  # the object stays open
+            ',"nodes":',
+            encode([_node_dict(n) for n in
+                    sorted(layer.white_nodes.values(), key=lambda n: n.id)]),
+            ',"grey":',
+            encode([{"id": g.id, "rule": g.rule,
+                     "inputs": list(g.inputs), "outputs": list(g.outputs)}
+                    for g in sorted(layer.grey_nodes.values(), key=lambda g: g.id)]),
+            ',"arcs":',
+            encode([{"id": a.id, "origin": a.origin,
+                     "extremity": a.extremity, "weight": a.weight}
+                    for a in sorted(layer.arcs.values(), key=lambda a: a.id)]),
+            "}",
+        ]
+    parts.append("]}")
+    return "".join(parts)
 
 
 def from_json(text: str) -> Whiteboard:

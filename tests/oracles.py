@@ -6,6 +6,7 @@ package's data structures and algorithms, so agreement is meaningful.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 
@@ -243,3 +244,33 @@ def identity_component(records) -> list:
     """The echo component: its reply to a batch is the batch itself, so a
     protocol test knows exactly what each connection must get back."""
     return list(records)
+
+
+def whole_document_json(board) -> str:
+    """The board's JSON export as one document: every layer's fields, nodes
+    with their readings, grey nodes and arcs, sorted by id, in one compact
+    `json.dumps` call."""
+    def layer_doc(layer):
+        return {
+            "name": layer.name,
+            "depends_on": sorted(layer.depends_on),
+            "legal_labels": (sorted(layer.legal_labels)
+                             if layer.legal_labels is not None else None),
+            "sealed": layer.sealed,
+            "nodes": [{"id": n.id, "begin": n.span.begin, "end": n.span.end,
+                       "label": n.label, "score": n.score,
+                       "readings": [{"payload": r.payload, "score": r.score}
+                                    for r in n.readings]}
+                      for n in sorted(layer.white_nodes.values(),
+                                      key=lambda n: n.id)],
+            "grey": [{"id": g.id, "rule": g.rule,
+                      "inputs": list(g.inputs), "outputs": list(g.outputs)}
+                     for g in sorted(layer.grey_nodes.values(),
+                                     key=lambda g: g.id)],
+            "arcs": [{"id": a.id, "origin": a.origin,
+                      "extremity": a.extremity, "weight": a.weight}
+                     for a in sorted(layer.arcs.values(), key=lambda a: a.id)],
+        }
+    doc = {"layers": [layer_doc(board.layers[name])
+                      for name in board.dependency_order()]}
+    return json.dumps(doc, separators=(",", ":"))

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,9 +35,11 @@ from whiteboard.errors import (
     UnknownDependency,
     UnknownNode,
 )
-from oracles import dfs_paths, enumerate_paths, forward_pair, valid_lattice
+from oracles import (dfs_paths, enumerate_paths, forward_pair, valid_lattice,
+                     whole_document_json)
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workload  # noqa: E402  (the in-process demo build)
 
@@ -451,6 +454,15 @@ def test_filter_slice_does_not_modify_layer():
 
 # -- export / import -----------------------------------------------------------------
 
+def assert_exports_as_one_document(board):
+    """`to_json` writes, byte for byte, what one `json.dumps` of the whole
+    document writes, and so does its import's export."""
+    text = to_json(board)
+    assert text == whole_document_json(board)
+    again = from_json(text)
+    assert to_json(again) == whole_document_json(again)
+
+
 def test_export_empty_board():
     assert to_json(Whiteboard()) == '{"layers":[]}'  # compact
     assert to_dot(Whiteboard()).startswith("digraph")
@@ -485,6 +497,7 @@ def test_json_roundtrip_is_identity():
     c, _ = two.add_white_node(span(0, 6), "W", 1.7)
     two.add_grey_node("R1", [a, b], [c])
     two.seal()
+    assert_exports_as_one_document(board)
     text = to_json(board)
     again = from_json(text)
     assert to_json(again) == text
@@ -500,11 +513,15 @@ def test_json_roundtrip_is_identity():
         again.layers["two"].add_white_node(span(6, 9), "W", 0.5)
 
 
-def test_json_export_of_a_demo_board_is_a_fixed_point(fixtures_dir):
-    board = workload.build_board(
-        (fixtures_dir / "hai.mat").read_text(),
+def demo_board(fixtures_dir, stem):
+    return workload.build_board(
+        (fixtures_dir / f"{stem}.mat").read_text(),
         load_grammar((fixtures_dir / "words.grammar").read_text()),
         load_dictionary((fixtures_dir / "words.dict").read_text()))
+
+
+def test_json_export_of_a_demo_board_is_a_fixed_point(fixtures_dir):
+    board = demo_board(fixtures_dir, "hai")
     # the translations' grey nodes point across layers into syntax
     greys = board.layers["ww"].grey_nodes.values()
     assert len(greys) == 4
@@ -517,6 +534,30 @@ def test_json_export_of_a_demo_board_is_a_fixed_point(fixtures_dir):
     for name, layer in board.layers.items():
         assert ([p.node_ids for p in enumerate_paths(again.layers[name])]
                 == [p.node_ids for p in enumerate_paths(layer)])
+
+
+@pytest.mark.parametrize("stem", ["hai", "iie", "mizu"])
+def test_a_demo_board_exports_as_one_document(fixtures_dir, stem):
+    assert_exports_as_one_document(demo_board(fixtures_dir, stem))
+
+
+def test_the_export_of_a_long_board_needs_little_scratch_memory(tmp_path):
+    """Encoding section by section holds one section's objects at a time:
+    one `json.dumps` of the whole document peaks at about 16 times its
+    output on a 30-word board."""
+    utterances, grammar, dictionary = workload.write_inputs(
+        ROOT, tmp_path, "long", 1, 1)
+    board = workload.build_board(
+        utterances[0].path.read_text(), load_grammar(grammar.read_text()),
+        load_dictionary(dictionary.read_text()))
+    tracemalloc.start()
+    try:
+        text = to_json(board)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 100_000  # a long board, not a demo one
+    assert peak <= 8 * len(text), f"peak {peak} B for {len(text)} B of JSON"
 
 
 def all_ids(board):
@@ -568,6 +609,7 @@ def random_board(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_random_boards_are_json_fixed_points(seed):
     board = random_board(random.Random(seed))
+    assert_exports_as_one_document(board)
     text = to_json(board)
     again = from_json(text)
     assert to_json(again) == text
