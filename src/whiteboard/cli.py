@@ -91,6 +91,8 @@ def _cmd_demo_run(args) -> int:
         beam=args.beam,
     )
     result = demo_run(config)
+    if result.stop_error is not None:
+        print(f"error: stopping workers: {result.stop_error}", file=sys.stderr)
     if result.config_error is not None:
         print(f"error: {result.config_error}", file=sys.stderr)
         return 2

@@ -2,9 +2,10 @@
 
 A run spawns one manager process per component (matrix source, island
 parser, word-for-word translator) and keeps this trio for all of its
-utterances, stopping it when the run ends. For each utterance the driver
-declares a fresh three-layer board (phonemes, syntax, target words), opens
-fresh connections to the three managers at once, the source's naming the
+utterances, stopping it when the run ends by closing each worker's stdin,
+its manager's stop. For each utterance the driver declares a fresh
+three-layer board (phonemes, syntax, target words), opens fresh
+connections to the three managers at once, the source's naming the
 utterance's matrix file, and pumps until the coordinator has settled:
 every batch it deposited has come back with its `done` record and nothing
 is left to forward. It then closes the connections one after another,
@@ -101,14 +102,14 @@ class UtteranceResult:
 class DemoResult:
     utterances: list[UtteranceResult] = field(default_factory=list)
     config_error: str | None = None
+    stop_error: str | None = None  # each worker that did not exit 0
 
     @property
     def exit_code(self) -> int:
         if self.config_error is not None:
             return 2
-        if not self.utterances or not all(u.ok for u in self.utterances):
-            return 1
-        return 0
+        ok = self.utterances and all(u.ok for u in self.utterances)
+        return 0 if ok and self.stop_error is None else 1
 
 
 def _utterance_files(matrices: Path) -> list[Path]:
@@ -142,7 +143,7 @@ def _spawn_worker(role: str, request_root: Path,
                 "--max-overlap", str(config.thresholds.max_overlap)]
     else:
         cmd += ["--dict", str(config.dictionary), "--grammar", str(config.grammar)]
-    return subprocess.Popen(cmd)
+    return subprocess.Popen(cmd, stdin=subprocess.PIPE)
 
 
 def _declare_layers(board: Whiteboard, alphabet: set[str], grammar,
@@ -157,16 +158,18 @@ def _declare_layers(board: Whiteboard, alphabet: set[str], grammar,
     board.declare_layer("ww", legal_labels=ww_labels, depends_on={"syntax"})
 
 
-def _stop_workers(processes: dict[str, subprocess.Popen]) -> None:
+def _stop_workers(processes: dict[str, subprocess.Popen]) -> str | None:
+    """Stop each worker by closing its stdin; name each that did not exit 0."""
     for proc in processes.values():
-        if proc.poll() is None:
-            proc.terminate()
+        proc.stdin.close()
     for proc in processes.values():
         try:
             proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+    return ", ".join(f"{role} exited {proc.returncode}"
+                     for role, proc in processes.items() if proc.returncode) or None
 
 
 def _bindings(mailbox_root: Path, config: DemoConfig,
@@ -378,6 +381,6 @@ def demo_run(config: DemoConfig, control_lines=None,
             if config.step:
                 break  # step mode drives a single utterance
     finally:
-        _stop_workers(processes)
+        result.stop_error = _stop_workers(processes)
         shutil.rmtree(mailbox_root, ignore_errors=True)
     return result

@@ -42,14 +42,14 @@ its reader, and a writer holding the tail of a frame waits until its
 connection is writable. A party whose peer closed its end, or died, gets
 `PeerGone` at once, whether or not the manager had taken the connection;
 a client whose box nobody listens on gets `ManagerUnavailable` at once. A
-manager removes its box when it stops.
+manager serves until its stop descriptor is readable, then hangs up its
+connections and removes its box.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
@@ -268,8 +268,9 @@ class _Served:
 
 class _Manager:
     def __init__(self, factory, request_root: Path, name: str,
-                 pace: float | None):
+                 pace: float | None, *, stop):
         self.factory = factory
+        self.stop = stop
         self.request_root = Path(request_root)
         self.name = name
         self.pace = pace
@@ -278,23 +279,21 @@ class _Manager:
         self.served: dict[int, _Served] = {}
         self._numbers = itertools.count(1)
 
-    def serve(self, stop_event: threading.Event | None = None):
+    def serve(self):
         """One loop: each cycle takes the connections queued at the request
         box, then writes every connection's next owed frame that is due or,
         owing none, takes its next frame or its hang-up. Between cycles the
-        loop waits (`_wait`) for one of them to be ready, or for the next
-        piece of a paced reply to fall due.
+        loop waits (`_wait`) for one of them to be ready, for the next
+        piece of a paced reply to fall due, or for `stop`, which ends it.
 
         The request box is removed however the loop ends, when every
         connection's end is closed too. A client whose connection was
         queued but not taken yet then reads a reset."""
-        if stop_event is None:
-            stop_event = threading.Event()  # never set: serve until exit
         self.request_root.parent.mkdir(parents=True, exist_ok=True)
         self.requests.open()
         try:
             log.info("manager %s serving at %s", self.name, self.request_root)
-            while not stop_event.is_set():
+            while True:
                 while (channel := self.requests.try_collect()) is not None:
                     name = next(self._numbers)
                     self.served[name] = _Served(channel, name)
@@ -311,17 +310,19 @@ class _Manager:
                     del self.served[name]
                     log.info("manager %s: connection %s dropped, %s",
                              self.name, name, why)
-                self._wait()
+                if self.stop in self._wait():
+                    return
         finally:
             for served in self.served.values():
                 served.channel.close()
             self.requests.close()
 
-    def _wait(self) -> None:
-        """Wait for the request box or a connection that owes nothing to be
-        readable, or one holding a frame's tail to be writable. The wait
-        has no timeout unless an owed frame falls due."""
-        readers, writers, due = [self.requests], [], []
+    def _wait(self) -> list:
+        """Wait for `stop`, the request box or a connection that owes
+        nothing to be readable, or one holding a frame's tail to be
+        writable. Returns those that are ready. The wait has no timeout
+        unless an owed frame falls due."""
+        readers, writers, due = [self.stop, self.requests], [], []
         for served in self.served.values():
             if served.channel.pending:
                 writers.append(served.channel)
@@ -329,8 +330,8 @@ class _Manager:
                 due.append(served.release_at)
             else:
                 readers.append(served.channel)
-        wait_ready(readers, writers, max(0.0, min(due) - time.monotonic())
-                   if due else None)
+        return wait_ready(readers, writers, max(0.0, min(due) - time.monotonic())
+                          if due else None)
 
     def _step(self, served: _Served) -> None:
         """Write the next frame owed on a connection once it is due, first
@@ -418,17 +419,15 @@ class _Manager:
 
 
 def run_manager(factory, request_root: Path | str, *, name: str = "manager",
-                pace: float | None = None,
-                stop_event: threading.Event | None = None) -> None:
-    """Serve connections until the process exits, or `stop_event` is set,
-    in a single loop on the calling thread, which waits between cycles on
-    the request box and the connections. With `pace` None each reply goes
-    in one frame; with a number it is split by `partition_by_end` and its
-    piece k falls due `k * pace` seconds after the first went, and only a
-    piece falling due ends a wait by time. A waiting manager sees
-    `stop_event` at its next wake-up, so whoever sets it connects to the
-    request box too, and closes what it gets
-    (`Mailbox(request_root).try_deposit()`), to stop it.
+                pace: float | None = None, stop) -> None:
+    """Serve connections until `stop`, a descriptor or an object with
+    `fileno()`, is readable, in a single loop on the calling thread, which
+    waits between cycles on `stop`, the request box and the connections.
+    With `pace` None each reply goes in one frame; with a number it is
+    split by `partition_by_end` and its piece k falls due `k * pace`
+    seconds after the first went, and only a piece falling due ends a wait
+    by time. A readable `stop` ends the wait at once: the manager hangs up
+    its connections, removes its box and returns.
 
     `factory` is called once per connection with the input its open
     request named (None for `-`) and returns that connection's component,
@@ -451,4 +450,4 @@ def run_manager(factory, request_root: Path | str, *, name: str = "manager",
     manager then closes its end. A connection whose client has gone is
     dropped at the manager's next write there.
     """
-    _Manager(factory, Path(request_root), name, pace).serve(stop_event)
+    _Manager(factory, Path(request_root), name, pace, stop=stop).serve()

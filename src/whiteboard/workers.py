@@ -7,7 +7,10 @@ the connections it takes. Each role takes only its own flags. A worker
 lives for the whole demo run and builds a fresh component for every
 connection: the parser and translator from the grammar and dictionary it
 loaded at start, the source from the matrix file its connection's open
-request names. Only the source is paced.
+request names. Only the source is paced. A worker serves until its stdin
+is readable: the demo closes the pipe it holds there to stop it, and so
+does its death. One started by hand stops when its stdin closes, so at
+once under `</dev/null`.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def main(argv=None) -> int:
         stream=sys.stderr, level=logging.INFO,
         format=f"%(asctime)s {args.role}: %(message)s")
     factory, pace = build_factory(args)
-    run_manager(factory, args.request_box, name=args.role, pace=pace)
+    run_manager(factory, args.request_box, name=args.role, pace=pace,
+                stop=sys.stdin)
     return 0
 
 

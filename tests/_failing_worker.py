@@ -3,9 +3,10 @@
 Usage: python _failing_worker.py FAULT ROLE --request-box PATH ... (FAULT,
 then the arguments of `python -m whiteboard.workers`). Each connection's
 component is the one the real worker builds, changed by FAULT:
-`second-batch` makes its second call raise, and `same-span-arc` adds to
-each reply an arc record between its first two nodes of one span, an arc
-that does not run forward in time.
+`second-batch` makes its second call raise; `same-span-arc` adds to each
+reply an arc record between its first two nodes of one span, an arc that
+does not run forward in time; `unclean-exit` leaves it as it is, but the
+worker exits 1 once its manager has stopped.
 """
 
 import sys
@@ -51,11 +52,14 @@ def adding_a_same_span_arc(factory):
 
 
 FAULTS = {"second-batch": failing_on_second_batch,
-          "same-span-arc": adding_a_same_span_arc}
+          "same-span-arc": adding_a_same_span_arc,
+          "unclean-exit": lambda factory: factory}
 
 
 if __name__ == "__main__":
     fault = FAULTS[sys.argv[1]]
     args = build_arg_parser().parse_args(sys.argv[2:])
     factory, pace = build_factory(args)
-    run_manager(fault(factory), args.request_box, name=args.role, pace=pace)
+    run_manager(fault(factory), args.request_box, name=args.role, pace=pace,
+                stop=sys.stdin)
+    sys.exit(1 if sys.argv[1] == "unclean-exit" else 0)

@@ -1,31 +1,29 @@
-"""A stop event for manager threads that wakes them as well."""
+"""The stop of manager threads: a pipe whose read end they wait on."""
 
-import threading
-
-from whiteboard.errors import PeerGone
-from whiteboard.mailbox import Mailbox
+import os
 
 
-class WakingStop(threading.Event):
-    """The `stop_event` of manager threads. A manager waits on its request
-    box between cycles, with no timeout, so `set` also connects to the box
-    of every manager named by `add`, and closes the connection; the
-    manager then wakes and stops at once."""
+class PipeStop:
+    """Pass it as `run_manager`'s `stop`. `set` closes the pipe's write
+    end, so every manager given it sees an end of file and stops."""
 
     def __init__(self):
-        super().__init__()
-        self.request_roots = []
+        self.reader, self.writer = os.pipe()
 
-    def add(self, request_root):
-        self.request_roots.append(request_root)
-        return request_root
+    def fileno(self) -> int:
+        return self.reader
 
     def set(self):
-        super().set()
-        for request_root in self.request_roots:
-            try:
-                channel = Mailbox(request_root).try_deposit()
-            except (FileNotFoundError, PeerGone):
-                continue  # no manager serves there: none to wake
-            if channel is not None:  # a full box wakes its manager anyway
-                channel.close()
+        if self.writer != -1:
+            os.close(self.writer)
+            self.writer = -1
+
+    def join(self, *threads):
+        """Stop the managers and join their threads. The read end is closed
+        once they have all ended, so no manager waits on a closed one."""
+        self.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+        if self.reader != -1 and not any(t.is_alive() for t in threads):
+            os.close(self.reader)
+            self.reader = -1

@@ -35,7 +35,7 @@ from whiteboard.errors import (
 )
 from whiteboard.mailbox import Mailbox
 from oracles import identity_component, valid_lattice
-from stopping import WakingStop
+from stopping import PipeStop
 from utterances import spliced_utterances
 
 REPO = Path(__file__).parent.parent
@@ -53,7 +53,7 @@ class Hosts:
 
     def __init__(self, root):
         self.root = root
-        self.stop = WakingStop()
+        self.stop = PipeStop()
         self.threads: list[threading.Thread] = []
         self.coordinators: list[Coordinator] = []
 
@@ -61,11 +61,11 @@ class Hosts:
         """Serve `component`, one instance for every connection, or a
         fresh one per connection from `factory`, its replies paced by
         `pace`."""
-        request_root = self.stop.add(self.root / name / "request")
+        request_root = self.root / name / "request"
         thread = threading.Thread(
             target=run_manager,
             args=(factory or (lambda _input: component), request_root),
-            kwargs={"pace": pace, "name": name, "stop_event": self.stop},
+            kwargs={"pace": pace, "name": name, "stop": self.stop},
             daemon=True)
         thread.start()
         self.threads.append(thread)
@@ -83,9 +83,7 @@ class Hosts:
                     if conn.channel.fileno() != -1:
                         conn.close(timeout=5.0)
         finally:
-            self.stop.set()
-            for thread in self.threads:
-                thread.join(timeout=5.0)
+            self.stop.join(*self.threads)
 
 
 @pytest.fixture
@@ -878,7 +876,7 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
         [sys.executable, "-m", "whiteboard.workers", "parser",
          "--request-box", str(root),
          "--grammar", str(fixtures_dir / "words.grammar")],
-        stderr=subprocess.DEVNULL)
+        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     try:
         coordinator = host.coordinator(make_board())
         coordinator.register(
@@ -892,6 +890,7 @@ def test_closing_reports_a_dead_manager_and_still_closes_the_others(
         # the dead manager hung up without `(closed)`: its close fails at once
         error = _close_connections(coordinator)
     finally:
+        worker.stdin.close()
         if worker.poll() is None:
             worker.kill()
             worker.wait(timeout=10)
@@ -1006,7 +1005,7 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
         [sys.executable, "-m", "whiteboard.workers", "parser",
          "--request-box", str(root),
          "--grammar", str(fixtures_dir / "words.grammar")],
-        stderr=subprocess.DEVNULL)
+        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     board = make_board()
     board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
     coordinator = host.coordinator(board)
@@ -1035,6 +1034,7 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
     finally:
         timer.cancel()
         release.set()
+        worker.stdin.close()
         if worker.poll() is None:
             worker.kill()
         worker.wait(timeout=10)
@@ -1055,7 +1055,7 @@ def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
     worker = subprocess.Popen(
         [sys.executable, "-m", "whiteboard.workers", "source",
          "--request-box", str(root), "--sleep", str(SLEEP)],
-        stderr=subprocess.DEVNULL)
+        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     coordinator = Coordinator(make_board())
     try:
         coordinator.register(ComponentBinding(
@@ -1069,6 +1069,7 @@ def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
         with pytest.raises(ManagerUnavailable, match="without acknowledging"):
             coordinator.bound["source"].conn.close(timeout=5.0)
     finally:
+        worker.stdin.close()
         worker.kill()
         worker.wait(timeout=10)
     assert error == ("binding source noted 1 errors, the first: component "
@@ -1084,11 +1085,11 @@ def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
     def source(_records):  # six pieces, one pace apart
         return [wire.EdgeRecord(i, i + 1, "h", 0.5) for i in range(6)]
 
-    stop = WakingStop()
-    root = stop.add(tmp_path / "source" / "request")
+    stop = PipeStop()
+    root = tmp_path / "source" / "request"
     thread = threading.Thread(
         target=run_manager, args=(lambda _input: source, root),
-        kwargs={"pace": 5.0, "name": "source", "stop_event": stop},
+        kwargs={"pace": 5.0, "name": "source", "stop": stop},
         daemon=True)
     thread.start()
     coordinator = Coordinator(make_board())
@@ -1111,8 +1112,7 @@ def test_a_manager_that_hangs_up_mid_utterance_ends_the_pump_loop_at_once(
             coordinator.bound["source"].conn.close(timeout=5.0)
     finally:
         timer.cancel()
-        stop.set()
-        thread.join(timeout=5.0)
+        stop.join(thread)
     assert error == "binding source noted 1 errors, the first: its manager hung up"
     assert returned - stopped[0] < 1.0
     assert len(coordinator.board.layers["phonemes"].white_nodes) == 1

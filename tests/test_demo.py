@@ -4,6 +4,7 @@ processes, with fresh connections, components and boards per utterance."""
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import pytest
 from whiteboard import (
     Coordinator,
     canonical_form,
+    cli,
     coordinator,
     demo,
     from_json,
@@ -33,8 +35,21 @@ REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
 import workload  # noqa: E402  (the benchmark's in-process build is the reference)
-from stopping import WakingStop  # noqa: E402
+from stopping import PipeStop  # noqa: E402
 from utterances import spliced_utterances  # noqa: E402
+
+
+def spawned_workers(monkeypatch) -> list:
+    """Each worker the demo spawns, as (role, process)."""
+    spawned = []
+    spawn = demo._spawn_worker
+
+    def recording_spawn(role, *args):
+        spawned.append((role, spawn(role, *args)))
+        return spawned[-1][1]
+
+    monkeypatch.setattr(demo, "_spawn_worker", recording_spawn)
+    return spawned
 
 
 def test_one_trio_serves_every_utterance_of_a_run(tmp_path, fixtures_dir,
@@ -48,14 +63,15 @@ def test_one_trio_serves_every_utterance_of_a_run(tmp_path, fixtures_dir,
             REPO, tmp_path / f"{words}-words", "long", 23, 1, words)
         shutil.copy(utterance.path, matrices / f"phrase-{words}.mat")
 
-    spawned = []
-    spawn = demo._spawn_worker
+    spawned = spawned_workers(monkeypatch)
+    left = []  # what the mailbox root holds when demo_run removes it
+    rmtree = shutil.rmtree
 
-    def counting_spawn(role, *args, **kwargs):
-        spawned.append(role)
-        return spawn(role, *args, **kwargs)
+    def removing(root, **kwargs):
+        left.extend(sorted(str(path.relative_to(root)) for path in root.rglob("*")))
+        rmtree(root, **kwargs)
 
-    monkeypatch.setattr(demo, "_spawn_worker", counting_spawn)
+    monkeypatch.setattr(demo.shutil, "rmtree", removing)
     hooked = defaultdict(list)
     out = tmp_path / "boards"
     result = demo_run(DemoConfig(matrices=matrices, grammar=grammar_path,
@@ -65,11 +81,14 @@ def test_one_trio_serves_every_utterance_of_a_run(tmp_path, fixtures_dir,
     assert result.exit_code == 0, [u.error for u in result.utterances]
     names = ["hai", "iie", "mizu", "phrase-3", "phrase-4", "phrase-5"]
     assert [u.name for u in result.utterances] == names
-    assert sorted(spawned) == sorted(demo.ROLES)
+    assert sorted(role for role, _ in spawned) == sorted(demo.ROLES)
     for role in demo.ROLES:
         assert len(hooked[role]) == len(names)
         assert all(proc is hooked[role][0] for proc in hooked[role])
-        assert hooked[role][0].poll() is not None  # stopped with the run
+    # stopped with the run, each manager removing its box on the way out
+    assert [proc.returncode for _, proc in spawned] == [0, 0, 0]
+    assert result.stop_error is None
+    assert left == sorted(demo.ROLES)
     # a parser or translator id carried over from the previous utterance
     # would lose or misplace records on the next board
     grammar = load_grammar(grammar_path.read_text())
@@ -172,8 +191,8 @@ def spawn_faulty_translator(monkeypatch, fault):
         popen = subprocess.Popen
         with monkeypatch.context() as patch:
             # the same arguments, to the worker whose component misbehaves
-            patch.setattr(subprocess, "Popen", lambda cmd: popen(
-                [sys.executable, str(FAILING_WORKER), fault, *cmd[3:]]))
+            patch.setattr(subprocess, "Popen", lambda cmd, **kwargs: popen(
+                [sys.executable, str(FAILING_WORKER), fault, *cmd[3:]], **kwargs))
             return spawn(role, request_root, config)
 
     monkeypatch.setattr(demo, "_spawn_worker", spawn_failing_translator)
@@ -326,14 +345,13 @@ def test_a_failed_utterance_waits_for_no_manager(tmp_path, fixtures_dir):
         "parser": lambda _input: held,
         "translator": lambda _input: WordForWordTranslator(
             dictionary, grammar.lexical_labels)}
-    stop = WakingStop()
+    stop = PipeStop()
     threads = []
     for role in ROLES:
         (tmp_path / role).mkdir()
         threads.append(threading.Thread(
-            target=run_manager,
-            args=(factories[role], stop.add(tmp_path / role / "request")),
-            kwargs={"name": role, "stop_event": stop}, daemon=True))
+            target=run_manager, args=(factories[role], tmp_path / role / "request"),
+            kwargs={"name": role, "stop": stop}, daemon=True))
         threads[-1].start()
     config = DemoConfig(matrices=fixtures_dir / "hai.mat",
                         grammar=fixtures_dir / "words.grammar",
@@ -347,34 +365,119 @@ def test_a_failed_utterance_waits_for_no_manager(tmp_path, fixtures_dir):
         elapsed = time.monotonic() - start
     finally:
         release.set()
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=5.0)
+        stop.join(*threads)
     assert elapsed < config.max_wall + 1.0  # not the 5 s of a settled close
     assert result.error == ("pipeline did not settle within 0.3s: "
                             "parser has 1 outstanding batches")
 
 
-def test_a_worker_that_ignores_terminate_is_killed():
+def test_a_worker_that_does_not_stop_is_killed():
     class Stubborn:
-        """A worker process that ignores SIGTERM."""
+        """A worker process that does not stop when its stdin closes."""
         def __init__(self):
             self.calls = []
-
-        def poll(self):
-            return None
-
-        def terminate(self):
-            self.calls.append("terminate")
+            self.returncode = None
+            self.stdin = SimpleNamespace(close=lambda: self.calls.append("close"))
 
         def wait(self, timeout=None):
             self.calls.append(("wait", timeout))
             if timeout is not None:
                 raise subprocess.TimeoutExpired("worker", timeout)
+            self.returncode = -9
 
         def kill(self):
             self.calls.append("kill")
 
     worker = Stubborn()
-    _stop_workers({"parser": worker})
-    assert worker.calls == ["terminate", ("wait", 5), "kill", ("wait", None)]
+    assert _stop_workers({"parser": worker}) == "parser exited -9"
+    assert worker.calls == ["close", ("wait", 5), "kill", ("wait", None)]
+
+
+def test_workers_stopped_before_their_start_up_ends_exit_0(
+        tmp_path, fixtures_dir, monkeypatch):
+    spawned = spawned_workers(monkeypatch)
+    matrix = tmp_path / "no-e.mat"
+    matrix.write_text("(0 3 h 0.9)\n(3 6 a 0.95)\n(6 9 i 0.85)\n")
+    result = demo_run(DemoConfig(matrices=matrix,
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=tmp_path / "boards"))
+    assert result.config_error == "no-e.mat: rule R2: unknown terminal 'e'"
+    assert result.stop_error is None
+    assert [proc.returncode for _, proc in spawned] == [0, 0, 0]
+
+
+def test_a_worker_that_does_not_exit_0_fails_the_run(
+        tmp_path, fixtures_dir, monkeypatch, capsys):
+    spawn_faulty_translator(monkeypatch, "unclean-exit")
+    results = []
+    monkeypatch.setattr(cli, "demo_run",
+                        lambda config: results.append(demo_run(config)) or results[-1])
+    code = cli.main(["demo", "run", "--matrices", str(fixtures_dir / "hai.mat"),
+                     "--grammar", str(fixtures_dir / "words.grammar"),
+                     "--dict", str(fixtures_dir / "words.dict"),
+                     "--out", str(tmp_path / "hai.json"), "--sleep", "10"])
+    [result] = results
+    assert [u.ok for u in result.utterances] == [True]
+    assert code == result.exit_code == 1
+    assert result.stop_error == "translator exited 1"
+    assert "error: stopping workers: translator exited 1" in capsys.readouterr().err
+
+
+def running(pid: int) -> bool:
+    """The process is there and not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def workers_under(root: Path) -> list[int]:
+    """The worker processes whose request box lies under `root`."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            args = (entry / "cmdline").read_bytes().decode().split("\0")
+        except (OSError, NotADirectoryError):
+            continue
+        if "whiteboard.workers" in args and any(str(root) in a for a in args):
+            pids.append(int(entry.name))
+    return pids
+
+
+def test_a_demo_that_dies_takes_its_workers_with_it(tmp_path, fixtures_dir):
+    tmp = tmp_path / "tmp"  # where the demo makes its mailbox root
+    tmp.mkdir()
+    run = subprocess.Popen(
+        [sys.executable, "-m", "whiteboard", "demo", "run",
+         "--matrices", str(fixtures_dir),
+         "--grammar", str(fixtures_dir / "words.grammar"),
+         "--dict", str(fixtures_dir / "words.dict"),
+         "--out", str(tmp_path / "boards"), "--sleep", "200"],
+        env={**os.environ, "TMPDIR": str(tmp)},
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30.0
+        while len(list(tmp.glob("whiteboard-*/*/request"))) < len(ROLES):
+            assert time.monotonic() < deadline, "the workers never served"
+            time.sleep(0.01)
+        pids = workers_under(tmp)
+        assert len(pids) == len(ROLES)
+        time.sleep(0.1)  # into the first utterance, paced 200 ms a piece
+        run.kill()
+        run.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [pid for pid in pids if running(pid)] == []
+        assert list(tmp.glob("whiteboard-*/*/request")) == []
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait(timeout=10)
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -28,7 +28,7 @@ from whiteboard.manager import (
 )
 from whiteboard.mailbox import Channel, Mailbox, wait_ready
 from oracles import identity_component
-from stopping import WakingStop
+from stopping import PipeStop
 from utterances import spliced_utterances
 
 SLEEP = 0.005
@@ -42,12 +42,11 @@ class hosted_manager:
     def __init__(self, tmp_path, component=None, pace=None, name="m",
                  factory=None):
         self.root = tmp_path / name / "request"
-        self.stop = WakingStop()
-        self.stop.add(self.root)
+        self.stop = PipeStop()
         self.thread = threading.Thread(
             target=run_manager,
             args=(factory or (lambda _input: component), self.root),
-            kwargs={"pace": pace, "name": name, "stop_event": self.stop},
+            kwargs={"pace": pace, "name": name, "stop": self.stop},
             daemon=True)
 
     def __enter__(self):
@@ -55,8 +54,7 @@ class hosted_manager:
         return self.root
 
     def __exit__(self, *exc):
-        self.stop.set()
-        self.thread.join(timeout=5.0)
+        self.stop.join(self.thread)
         return False
 
 
@@ -667,7 +665,7 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         [sys.executable, "-m", "whiteboard.workers", "parser",
          "--request-box", str(root),
          "--grammar", str(fixtures_dir / "words.grammar")],
-        stderr=subprocess.DEVNULL)
+        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     try:
         wait_for_request_box(root, timeout=30.0)
         conn = request_connection(root, params())
@@ -684,6 +682,7 @@ def test_a_killed_manager_process_fails_opens_and_closes_at_once(
         assert time.monotonic() - start < 1.0
         assert list(root.parent.iterdir()) == [root]  # the dead one's box
     finally:
+        worker.stdin.close()
         if worker.poll() is None:
             worker.kill()
             worker.wait(timeout=10)
@@ -711,12 +710,11 @@ def test_a_manager_gone_before_it_took_the_open_fails_every_wait_at_once(
 
 def served_by_hand(tmp_path, pace=None):
     """A manager serving on a daemon thread, whose connections the test can
-    see, and its stop event."""
+    see, and its stop."""
+    stop = PipeStop()
     manager = _Manager(lambda _input: identity_component,
-                       tmp_path / "m" / "request", "m", pace)
-    stop = WakingStop()
-    stop.add(manager.request_root)
-    thread = threading.Thread(target=manager.serve, args=(stop,), daemon=True)
+                       tmp_path / "m" / "request", "m", pace, stop=stop)
+    thread = threading.Thread(target=manager.serve, daemon=True)
     thread.start()
     wait_for_request_box(manager.request_root)
     return manager, stop, thread
@@ -765,8 +763,7 @@ def test_a_full_in_channel_of_a_manager_that_hung_up_fails_its_close_at_once(
         assert conn.channel.fileno() == -1
         holding.close(timeout=5.0)
     finally:
-        stop.set()
-        thread.join(timeout=5.0)
+        stop.join(thread)
     assert not thread.is_alive()
 
 
@@ -786,8 +783,7 @@ def test_batches_written_before_the_manager_opened_in_are_served(tmp_path):
         assert early.close(timeout=5.0) == []
         assert holding.close(timeout=5.0) == edges(0)
     finally:
-        stop.set()
-        thread.join(timeout=5.0)
+        stop.join(thread)
     assert not thread.is_alive()
 
 
@@ -807,8 +803,7 @@ def test_the_opens_a_stopped_manager_had_not_taken_fail_at_once(tmp_path):
         with pytest.raises(ManagerUnavailable, match="without acknowledging"):
             holding.close(timeout=5.0)
     finally:
-        stop.set()
-        thread.join(timeout=5.0)
+        stop.join(thread)
     assert not list(manager.request_root.parent.iterdir())
 
 
@@ -833,8 +828,7 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
             time.sleep(SLEEP)
         holding.close(timeout=5.0)
     finally:
-        stop.set()
-        thread.join(timeout=5.0)
+        stop.join(thread)
     assert not thread.is_alive()
     # on a failure pytest shows the whole list, not only that none matched
     dropped = [r.getMessage() for r in caplog.records
@@ -870,8 +864,7 @@ def test_a_client_that_leaves_an_opened_connection_is_dropped_at_once(tmp_path):
             time.sleep(SLEEP)
         assert not manager.served  # its hang-up woke the manager
     finally:
-        stop.set()
-        thread.join(timeout=5.0)
+        stop.join(thread)
     assert not thread.is_alive()
 
 
