@@ -138,8 +138,10 @@ def grid_to_lattice(nodes: list[GridNode], th: Thresholds, layer: Layer) -> None
 
 def parse_matrix_file(text: str) -> list[PhonemeMatrix]:
     """Parse an utterance fixture: one `(begin end phoneme score)` cell per
-    line, blank lines and `;` comments ignored. Each line goes through the
-    wire's compiled reader, and an error names the file's line."""
+    line, blank lines, `;` comments and the spaces around a cell ignored.
+    Each cell goes through the wire's reader, so it must be spaced as the
+    wire writes it, one space between fields: `(0  3 h 0.9)` is refused.
+    An error names the file's line and column."""
     cells: list[EdgeRecord] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split(";", 1)[0].strip()

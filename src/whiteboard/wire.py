@@ -1,17 +1,17 @@
 """Line-oriented parenthesized wire records exchanged over sockets.
 
 Grammar (bit-exact): one record per line, LF endings; a record is a
-parenthesized, space-separated field list; nested parentheses hold integer
-lists; ids and frames are decimal integers, scores and weights decimal
-floats, labels unquoted tokens without whitespace or parentheses.
+parenthesized list of fields, one space between two and none next to a
+parenthesis; nested parentheses hold integer lists; ids and frames are
+decimal integers, scores and weights decimal floats, labels unquoted
+tokens without whitespace or parentheses.
 
 The table `_GRAMMAR` is the grammar. Each row compiles, once at import,
 the writer of its record kind and its reader: a regex for the line as the
-writer gives it, whose groups go through the fields' converters. A line
-that no row's regex takes, spaced otherwise or malformed, goes to a
-scanner that reads any row's fields in one loop, or names the fault with
-its line and column. The two readers give the same record for every line
-that both take.
+writer gives it, whose groups go through the fields' converters. The wire
+takes only what the writer writes: a line no row's regex takes, spaced
+otherwise or malformed, is refused, and one error pass names its line,
+column and field.
 
     edge-v1           (begin end phoneme score)
     node-v1           (node-id begin end label score (source-ids))
@@ -32,16 +32,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import islice
-from typing import Union
+from typing import NoReturn, Union
 
 from .errors import ParseError, UnknownFormatCode
 
 FORMAT_CODES = ("edge-v1", "node-v1", "inactive-edge-v1")
 
 _TOKEN_RE = re.compile(r"[^\s()]+")
-_LEXEME_RE = re.compile(r"[()]|[^\s()]+")
-_INT_RE = re.compile(r"[-+]?\d+")  # a data record's first field
+_LIST_RE = re.compile(r"\([^()]*\)")  # an id list, for the error pass
 
 NO_INPUT = "-"  # an open request's input field when the component takes none
 
@@ -144,32 +142,6 @@ def check_input(value: str) -> str:
     return _fmt_token(value)
 
 
-def _reader(convert, noun: str):
-    """The reader of a one-token field, which `convert` maps to its value.
-    A plain function, not a partial: the interpreter inlines its calls."""
-    article = "an" if noun == "integer" else "a"
-
-    def read(field, lineno: int, name: str):
-        text, col = field
-        if text.__class__ is list:
-            raise ParseError(f"{name}: expected {noun}, got list", lineno, col)
-        try:
-            value = convert(text)
-        except ValueError:
-            raise ParseError(f"{name}: not {article} {noun}: {text}", lineno, col) from None
-        if value.__class__ is float and not math.isfinite(value):
-            raise ParseError(f"{name}: non-finite number", lineno, col)
-        return value
-    return read
-
-
-def _read_ids(field, lineno: int, name: str) -> tuple[int, ...]:
-    items, col = field
-    if items.__class__ is not list:
-        raise ParseError(f"{name}: expected id list", lineno, col)
-    return tuple([_read_int(item, lineno, name) for item in items])
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if math.isinf(value):  # digits past the largest float
@@ -181,31 +153,28 @@ def _input(text: str) -> str | None:
     return None if text == NO_INPUT else text
 
 
-_read_int = _reader(int, "integer")
-_read_token = _reader(str, "token")
-
 _TOKEN = r"([^\s()]+)"
 
-# kind: (writer, scanner's reader, pattern, converter). A writer raises
-# ValueError for what the wire cannot carry, a reader a ParseError naming
-# the field. A row's template formats ints. The pattern takes the field as
-# the writer gives it, in one group, which the converter maps to its value
-# (None: the text is the value); the ValueError of a converter leaves the
-# line to the scanner.
+# kind: (writer, pattern, converter, noun). A writer raises ValueError for
+# what the wire cannot carry. A row's template formats ints. The pattern
+# takes the field exactly as the writer gives it and nothing else, in one
+# group, which the converter maps to its value (None: the text is the value).
+# A line spaced otherwise is refused, and so is a line whose converter raises
+# ValueError: an int past the digit limit, a float past the range. The noun
+# names the kind in a ParseError.
 _KINDS = {
-    "int": (int, _read_int, r"(-?[0-9]+)", int),
-    "float": (_fmt_float, _reader(float, "number"),
-              r"(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?)", _finite),
-    "token": (_fmt_token, _read_token, _TOKEN, None),
+    "int": (int, r"(-?[0-9]+)", int, "an integer"),
+    "float": (_fmt_float, r"(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?)", _finite,
+              "a number"),
+    "token": (_fmt_token, _TOKEN, None, "a token"),
     "ids": (lambda ids: "(" + " ".join([str(int(i)) for i in ids]) + ")",
-            _read_ids, r"\(((?:-?[0-9]+(?: -?[0-9]+)*)?)\)",
-            lambda text: tuple([int(i) for i in text.split()])),
-    # the scanner checks a format field once the row has read it
-    "format": (_fmt_token, _read_token,
-               "(%s)" % "|".join(map(re.escape, FORMAT_CODES)), None),
+            r"\(((?:-?[0-9]+(?: -?[0-9]+)*)?)\)",
+            lambda text: tuple([int(i) for i in text.split()]), "an id list"),
+    # a token naming no format code raises UnknownFormatCode
+    "format": (_fmt_token, _TOKEN, check_format_code, "a format code"),
     "input": (lambda value: NO_INPUT if value is None else check_input(value),
-              _reader(_input, "token"), _TOKEN, _input),
-    "message": (sanitize_token, _read_token, _TOKEN, None),
+              _TOKEN, _input, "a token"),
+    "message": (sanitize_token, _TOKEN, None, "a token"),
 }
 
 # The grammar: per record class, its head (a control keyword, or the format
@@ -227,14 +196,13 @@ _GRAMMAR = {
 
 class _Row:
     """A row of `_GRAMMAR`: its record's writer and compiled reader, and its
-    fields' readers for the scanner."""
+    fields for the error pass."""
 
     def __init__(self, cls: type, row: str):
         self.cls = cls
         self.head, *spec = row.split()
         names = [field.split(":")[0] for field in spec]
-        kind_names = [field.split(":")[1] for field in spec]
-        kinds = [_KINDS[kind] for kind in kind_names]
+        kinds = [_KINDS[field.split(":")[1]] for field in spec]
         self.control = self.head not in FORMAT_CODES
         self.formats = FORMAT_CODES if self.control else (self.head,)
         template = "(%s)" % " ".join([self.head] * self.control + ["%s"] * len(spec))
@@ -244,10 +212,13 @@ class _Row:
         values = "".join(f"w{i}(r.{f.name}), " for i, f in enumerate(fields(cls)))
         self.write = eval(f"lambda r: {template!r} % ({values})", writers)
         self.pattern = r"\(%s\)" % " ".join(
-            [re.escape(self.head)] * self.control + [kind[2] for kind in kinds])
-        self.converters = [kind[3] for kind in kinds]
-        self.readers = [(kind[1], name) for kind, name in zip(kinds, names)]
-        self.codes = kind_names.count("format")
+            [re.escape(self.head)] * self.control + [kind[1] for kind in kinds])
+        self.converters = [kind[2] for kind in kinds]
+        # per field, for the error pass: its name, its pattern, which takes
+        # the field only if no token character follows, its converter and
+        # its kind's noun
+        self.fields = [(name, re.compile(kind[1] + r"(?![^\s()])"), *kind[2:])
+                       for name, kind in zip(names, kinds)]
 
     def reader(self, first: int):
         """The function taking a match of the row's pattern, whose fields
@@ -258,6 +229,46 @@ class _Row:
                            else f"c{i}(m[{first + i}])"
                            for i, convert in enumerate(self.converters))
         return eval(f"lambda m: cls({values})", scope)
+
+    def fault(self, line: str, pos: int) -> tuple[int, str]:
+        """The first fault of `line` read as this row, whose fields start at
+        `pos`: its column and message. The fields are matched one by one,
+        spaced as the writer spaces them, and each goes through its
+        converter, which raises UnknownFormatCode for a format field."""
+        for i, (name, pattern, convert, noun) in enumerate(self.fields):
+            if i or self.control:
+                if line.startswith(")", pos):
+                    return pos + 1, self._arity_fault(i)
+                if not line.startswith(" ", pos):
+                    return pos + 1, f"expected ' ' before {name}, got {_what(line, pos)}"
+                pos += 1
+            match = pattern.match(line, pos)
+            if match is None:
+                return pos + 1, f"{name}: not {noun}: {_what(line, pos)}"
+            try:
+                convert and convert(match[1])
+            except ValueError:
+                return pos + 1, f"{name}: out of range"
+            pos = match.end()
+        if line.startswith(" ", pos):
+            return pos + 1, self._arity_fault(f"above {len(self.fields)}")
+        if not line.startswith(")", pos):
+            return pos + 1, f"expected ')', got {_what(line, pos)}"
+        return pos + 2, "trailing text after record"
+
+    def _arity_fault(self, arity) -> str:
+        if self.control:
+            n = len(self.fields)
+            return f"{self.head}: expected {n} argument" + "s" * (n != 1)
+        return f"record of arity {arity} not legal under format {self.head}"
+
+
+def _what(line: str, pos: int) -> str:
+    """What stands at `pos` in a line, for an error message."""
+    token = _TOKEN_RE.match(line, pos) or _LIST_RE.match(line, pos)
+    if token:
+        return token[0]
+    return repr(line[pos]) if pos < len(line) else "end of line"
 
 
 def _compile_reader(rows):
@@ -284,11 +295,12 @@ def _compile_reader(rows):
 
 _ROWS = {cls: _Row(cls, row) for cls, row in _GRAMMAR.items()}
 _BY_KEYWORD = {row.head: row for row in _ROWS.values() if row.control}
-_BY_FORMAT = {(r.head, len(r.readers)): r for r in _ROWS.values() if not r.control}
-# per format context (None for none): its data rows, then every control row
-_READERS = {code: _compile_reader(
-    [row for row in _ROWS.values() if row.head == code]
-    + list(_BY_KEYWORD.values())) for code in (None, *FORMAT_CODES)}
+# per format context (None for none): its data rows
+_DATA_ROWS = {code: [row for row in _ROWS.values() if row.head == code]
+              for code in (None, *FORMAT_CODES)}
+# per format context: the reader of its data rows and every control row
+_READERS = {code: _compile_reader(rows + list(_BY_KEYWORD.values()))
+            for code, rows in _DATA_ROWS.items()}
 
 
 def serialize_record(record: WireRecord) -> str:
@@ -307,86 +319,49 @@ def serialize(records, format_code: str | None = None) -> str:
     lines = []
     for record in records:
         row = _ROWS.get(type(record))
-        if format_code is not None and format_code not in getattr(row, "formats", ()):
-            raise ValueError(f"{type(record).__name__} not legal under format {format_code}")
         if row is None:
             raise TypeError(f"not a wire record: {record!r}")
+        if format_code is not None and format_code not in row.formats:
+            raise ValueError(f"{type(record).__name__} not legal under format {format_code}")
         lines.append(row.write(record))
     return "".join([line + "\n" for line in lines])
 
 
-def _scan(line: str, lineno: int) -> list | None:
-    """The fields of one record line, None for a blank one: (token, column)
-    pairs, and (fields, column) pairs for parenthesized lists."""
-    record = current = None
-    outer: list[list] = []  # the lists enclosing `current`
-    for match in _LEXEME_RE.finditer(line):
-        text, col = match[0], match.start() + 1
-        if current is None:
-            if record is not None:
-                raise ParseError("trailing text after record", lineno, col)
-            if text != "(":
-                raise ParseError("record must start with '('", lineno, col)
-            record = current = []
-        elif text == "(":
-            outer.append(current)
-            current = []
-            outer[-1].append((current, col))
-        elif text == ")":
-            current = outer.pop() if outer else None
-        else:
-            current.append((text, col))
-    if current is not None:
-        raise ParseError("record not closed", lineno, col)
-    return record
+def _fault(line: str, lineno: int, format_code: str | None) -> NoReturn:
+    """Raise the error of a line the format context's compiled reader
+    refused. A control keyword picks the row; else the context's data row
+    of the line's arity, or the one whose fields match furthest."""
+    if not line.startswith("("):
+        raise ParseError("record must start with '('", lineno, 1)
+    head = _TOKEN_RE.match(line, 1)
+    row = _BY_KEYWORD.get(head and head[0])
+    rows = _DATA_ROWS[format_code]
+    if row:
+        pos = head.end()
+    elif not rows:
+        raise ParseError("unknown record head outside a format context: "
+                         + _what(line, 1), lineno, 2)
+    else:
+        arity = _LIST_RE.sub("", line[1:]).count(" ") + 1  # an id list's spaces aside
+        row, pos = max(rows, key=lambda row: (len(row.fields) == arity,
+                                              row.fault(line, 1)[0])), 1
+    column, message = row.fault(line, pos)
+    raise ParseError(message, lineno, column)
 
 
 def parse_line(line: str, lineno: int, format_code: str | None) -> WireRecord:
-    """One record line. The format context's compiled reader takes a line
-    as `serialize` writes it; any other line, and a line under an unknown
-    format code, goes to the scanner, which reads it or names its fault."""
-    read = _READERS.get(format_code)
-    return (read and read(line)) or _parse_scanned(line, lineno, format_code)
-
-
-def _parse_scanned(line: str, lineno: int, format_code: str | None) -> WireRecord:
-    """One record line, through the scanner: the row is picked by keyword
-    or by (format code, arity), and its fields are read in one loop."""
-    args = _scan(line, lineno)
-    if not args:
-        raise ParseError("empty record", lineno, 1)
-    head, col = args[0]
-    if head.__class__ is list or _INT_RE.fullmatch(head):
-        if format_code is None:
-            raise ParseError("data record outside any format context", lineno, col)
-        row = _BY_FORMAT.get((check_format_code(format_code), len(args)))
-        if row is None:
-            raise ParseError(f"record of arity {len(args)} not legal under "
-                             f"format {format_code}", lineno, col)
-    else:
-        row = _BY_KEYWORD.get(head)
-        if row is None:
-            raise ParseError(f"unknown record head: {head}", lineno, col)
-        args = args[1:]
-        n = len(row.readers)
-        if len(args) != n:
-            raise ParseError(f"{head}: expected {n} argument" + "s" * (n != 1), lineno, col)
-    pending = zip(row.readers, args)
-    values = []
-    if row.codes:  # format-code fields lead the row: check them before the rest
-        values = [read(field, lineno, name)
-                  for (read, name), field in islice(pending, row.codes)]
-        for code in values:
-            check_format_code(code)
-    values += [read(field, lineno, name) for (read, name), field in pending]
-    return row.cls(*values)
+    """One record line, read as `parse` reads each line of its text."""
+    if format_code is not None:
+        check_format_code(format_code)
+    return _READERS[format_code](line) or _fault(line, lineno, format_code)
 
 
 def parse(text: str, format_code: str | None = None) -> list[WireRecord]:
-    """Parse a batch of wire text. Inverse of :func:`serialize`."""
+    """Parse a batch of wire text. Inverse of :func:`serialize`: a line is
+    read only as `serialize` writes it, else its error is raised."""
     if format_code is not None:
         check_format_code(format_code)
     read = _READERS[format_code]
-    return [read(line) or _parse_scanned(line, lineno, format_code)
+    return [read(line) or _fault(line, lineno, format_code)
             for lineno, line in enumerate(text.split("\n"), start=1)
             if line.strip()]

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 
 from whiteboard import TimeSpan, Whiteboard, demo, filter_slice, to_json
@@ -262,3 +263,29 @@ def test_corrupt_grammar_is_a_config_error(tmp_path, fixtures_dir):
     result = demo_run(config)
     assert result.exit_code == 2
     assert result.config_error is not None
+
+
+def test_a_matrix_line_spaced_otherwise_fails_the_run_at_its_column(
+        tmp_path, fixtures_dir, capsys):
+    hai = (fixtures_dir / "hai.mat").read_text(encoding="utf-8").split("\n")
+    assert hai[3] == "(3 6 a 0.95)"
+    run = ["demo", "run", "--grammar", str(fixtures_dir / "words.grammar"),
+           "--dict", str(fixtures_dir / "words.dict"), "--sleep", "10"]
+    misspaced = tmp_path / "misspaced" / "hai.mat"
+    misspaced.parent.mkdir()
+    misspaced.write_text("\n".join(hai[:3] + ["(3  6 a 0.95)"] + hai[4:]),
+                         encoding="utf-8")
+    assert main(run + ["--matrices", str(misspaced),
+                       "--out", str(tmp_path / "misspaced.json")]) == 2
+    assert ("error: hai.mat: line 4, column 4: end: not an integer: ' '"
+            in capsys.readouterr().err)
+    # scores with four decimals, as the benchmark writes them, and comments
+    four = tmp_path / "four" / "hai.mat"
+    four.parent.mkdir()
+    four.write_text("\n".join(
+        re.sub(r" (\d\.\d+)\)", lambda m: " %.4f) ; cell" % float(m[1]), line)
+        for line in hai), encoding="utf-8")
+    assert "(3 6 a 0.9500) ; cell" in four.read_text(encoding="utf-8")
+    assert main(run + ["--matrices", str(four),
+                       "--out", str(tmp_path / "four.json")]) == 0
+    assert "hai: ok" in capsys.readouterr().out

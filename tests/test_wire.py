@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -63,6 +64,9 @@ def test_format_codes_are_enforced_on_serialize():
         wire.serialize([edge], "node-v1")
     with pytest.raises(UnknownFormatCode):
         wire.serialize([edge], "bogus-v9")
+    for fmt in (None, "edge-v1"):  # a non-record is no record, whatever the format
+        with pytest.raises(TypeError, match="not a wire record: 'junk'"):
+            wire.serialize(["junk"], fmt)
     with pytest.raises(UnknownFormatCode):
         wire.parse("(1 2 3 -0.5)\n", "arc-v1")
 
@@ -228,13 +232,9 @@ def outcome(parse):
         return ("UnknownFormatCode", str(exc))
 
 
-def scanned(text, fmt):
-    return [wire._parse_scanned(line, lineno, fmt)
-            for lineno, line in enumerate(text.split("\n"), start=1)
-            if line.strip()]
-
-
-def test_the_compiled_reader_and_the_scanner_agree_on_every_line():
+def test_a_line_is_read_as_written_or_refused_at_a_column_of_its_own():
+    """`parse` gives exactly the compiled reader's records, or refuses the
+    first line that reader does not take, at a column of that line."""
     rng = random.Random(29)
     lines = [wire.serialize_record(record) for record in VALID]
     lines += [wire.serialize_record(wire.NodeRecord(1, 2, 3, "x", -0.0, ())),
@@ -242,19 +242,60 @@ def test_the_compiled_reader_and_the_scanner_agree_on_every_line():
               wire.serialize_record(wire.InactiveEdgeRecord(
                   4, 3, 9, "NP", 123456789.0, (1, 22, -333))),
               "(1 2 h 1e999)", "(1 2 h %s)" % ("9" * 5000), "(00 +1 h 0.5)",
-              "(1  2 h 0.5)", " (1 2 h 0.5)", "(1 2 h 0.5)\r", "(done 1)\t"]
-    compiled = 0
+              "(1  2 h 0.5)", " (1 2 h 0.5)", "(1 2 h 0.5)\r", "(done 1)\t",
+              "(open bogus-v9 edge-v1 -)", "(7 0 6 x 0.9 (3  12))", "()", "("]
     for _ in range(600):
         line = rng.choice(lines[:len(VALID)])
         for _ in range(rng.randint(0, 3)):
             line = mutate(line, rng)
         lines.append(line)
         lines.append(line + "\n" + rng.choice(lines[:len(VALID)]))
+    read_all = refused = 0
     for text in lines:
+        text_lines = text.split("\n")
         for fmt in (None, *wire.FORMAT_CODES):
+            read = wire._READERS[fmt]
             got = outcome(lambda: wire.parse(text, fmt))
-            assert got == outcome(lambda: scanned(text, fmt)), (text, fmt)
-            if "\n" not in text and text.strip():
+            if got[0] == "ParseError":
+                _, _, lineno, column = got
+                line = text_lines[lineno - 1]
+                assert read(line) is None, (text, fmt)
+                assert all(read(before) for before in text_lines[:lineno - 1]
+                           if before.strip()), (text, fmt)
+                assert 1 <= column <= len(line) + 1, (text, fmt, got)
+                refused += 1
+            elif got[0] != "UnknownFormatCode":
+                assert got == outcome(lambda: [
+                    read(line) for line in text_lines if line.strip()]), (text, fmt)
+                read_all += 1
+            if len(text_lines) == 1 and text.strip():
                 assert got == outcome(lambda: [wire.parse_line(text, 1, fmt)])
-            compiled += wire._READERS[fmt](text.split("\n")[0]) is not None
-    assert compiled > 1000  # the compiled reader took a share of the lines
+    assert read_all > 1000 and refused > 1000
+
+
+# per field kind, a text the kind's pattern does not take
+SPOILED = {"int": "x", "float": "x", "ids": "x",
+           "token": "", "format": "", "input": "", "message": ""}
+SAMPLES = {type(record): record for record in VALID}
+FIELDS = [(cls, i, field) for cls, row in wire._GRAMMAR.items()
+          for i, field in enumerate(row.split()[1:])]
+
+
+@pytest.mark.parametrize("cls, i, field", FIELDS,
+                         ids=[f"{cls.__name__}-{field}" for cls, _, field in FIELDS])
+def test_a_spoiled_field_is_named_at_its_start_column(cls, i, field):
+    head, *spec = wire._GRAMMAR[cls].split()
+    record = SAMPLES[cls]
+    texts = [str(wire._KINDS[kind.split(":")[1]][0](getattr(record, attr.name)))
+             for kind, attr in zip(spec, dataclasses.fields(cls))]
+    lead = [head] if head not in wire.FORMAT_CODES else []
+    assert "(" + " ".join(lead + texts) + ")" == wire.serialize_record(record)
+    name, kind = field.split(":")
+    column = len("(" + " ".join(lead + texts[:i] + [""])) + 1
+    texts[i] = SPOILED[kind]
+    line = "(" + " ".join(lead + texts) + ")"
+    for fmt in [head] if not lead else (None, *wire.FORMAT_CODES):
+        with pytest.raises(ParseError) as err:
+            wire.parse(line, fmt)
+        assert (err.value.line, err.value.column) == (1, column), line
+        assert str(err.value).startswith(f"line 1, column {column}: {name}: "), line
