@@ -16,7 +16,6 @@ from .board import (
     GreyNode,
     Layer,
     PackingKey,
-    Reading,
     SealReport,
     TimeSpan,
     WhiteNode,
@@ -64,7 +63,7 @@ __all__ = [
     "Arc", "Chart", "ComponentBinding", "Connection", "ConnectionParams",
     "Coordinator", "Dictionary", "DictionaryEntry", "Edge", "Grammar",
     "GreyNode", "GridNode", "Layer", "PackingKey",
-    "PhonemeMatrix", "PumpReport", "RankedMatrix", "Reading", "Rule",
+    "PhonemeMatrix", "PumpReport", "RankedMatrix", "Rule",
     "SealReport", "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
     "add_derivation", "add_grid_node", "boards_isomorphic", "canonical_form",
     "chart_from_cells", "chart_to_lattice", "filter_slice", "from_json",

@@ -3,8 +3,9 @@
 A :class:`Whiteboard` holds named layers arranged in a loop-free dependency
 graph. Each layer is a lattice of white nodes (packed hypotheses keyed by
 end frame, segment length and label) joined by explicit sequencing arcs,
-plus grey connector nodes that record how white nodes were built without
-taking part in the lattice structure itself.
+plus grey connector nodes, one per derivation, that record how white nodes
+were built, and with what score, without taking part in the lattice
+structure itself.
 
 Everything enters a layer through :meth:`Layer.add_white_node`,
 :meth:`Layer.add_grey_node` and :meth:`Layer.add_arc`, import included, so
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BackwardArc,
@@ -71,30 +72,23 @@ class PackingKey:
 
 
 @dataclass(slots=True)
-class Reading:
-    """One derivation packed into a white node."""
-
-    payload: object
-    score: float
-
-
-@dataclass(slots=True)
 class WhiteNode:
     id: int
     span: TimeSpan
     label: str
     score: float
-    readings: list[Reading] = field(default_factory=list)
 
 
 @dataclass(slots=True)
 class GreyNode:
-    """Rule-instance connector: inputs were combined into outputs."""
+    """Rule-instance connector: inputs were combined into outputs, a
+    derivation scoring `score`."""
 
     id: int
     rule: str
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
+    score: float
 
 
 @dataclass(slots=True)
@@ -139,12 +133,13 @@ class Layer:
 
     # -- mutation ----------------------------------------------------------
 
-    def add_white_node(self, span: TimeSpan, label: str, score: float,
-                       reading: object = None) -> tuple[int, bool]:
+    def add_white_node(self, span: TimeSpan, label: str,
+                       score: float) -> tuple[int, bool]:
         """Add (or pack) a hypothesis; returns (node id, packed flag).
 
-        A node already holding the packing key absorbs the new reading and
-        keeps the max score; otherwise a fresh node is created.
+        A node already holding the packing key keeps the max score;
+        otherwise a fresh node is created. How a node was built is told
+        by the grey nodes that output to it, not by the node.
         """
         self._check_unsealed()
         if self.legal_labels is not None and label not in self.legal_labels:
@@ -154,15 +149,10 @@ class Layer:
         target = self._by_key.get(key)
         if target is not None:
             node = self.white_nodes[target]
-            if not any(r.payload == reading and r.score == score
-                       for r in node.readings):
-                node.readings.append(Reading(reading, score))
-            if score > node.score:
-                node.score = score
+            node.score = max(node.score, score)
             return target, True
         node_id = self.board._new_id()
-        self.white_nodes[node_id] = WhiteNode(node_id, span, label, score,
-                                              [Reading(reading, score)])
+        self.white_nodes[node_id] = WhiteNode(node_id, span, label, score)
         self.board._node_layer[node_id] = self.name
         self._by_key[key] = node_id
         self._by_begin.setdefault(span.begin, []).append(node_id)
@@ -209,20 +199,33 @@ class Layer:
         if extremity not in self._succ.get(origin, ()):
             self.add_arc(origin, extremity, weight)
 
-    def add_grey_node(self, rule: str, inputs, outputs) -> int:
+    def add_grey_node(self, rule: str, inputs, outputs, score: float) -> int:
+        """Record a derivation scoring `score`: `inputs`, nodes of this
+        layer or of one it depends on, were combined into `outputs`, nodes
+        of this layer. Each output's score is raised to at least `score`,
+        which is how a derivation packs into its node."""
         self._check_unsealed()
         inputs = tuple(inputs)
         outputs = tuple(outputs)
         if not inputs or not outputs:
             raise EmptyEndpointList("grey node needs non-empty inputs and outputs")
-        for node_id in inputs + outputs:
+        for node_id in inputs:
             owner = self.board.node_layer(node_id)
             if owner != self.name and owner not in self.depends_on:
                 raise CrossLayerArc(
                     f"grey node on {self.name!r} names node {node_id} of "
                     f"layer {owner!r}, which {self.name!r} does not depend on")
+        for node_id in outputs:
+            if node_id not in self.white_nodes:
+                raise CrossLayerArc(
+                    f"grey node on {self.name!r} outputs to node {node_id} "
+                    f"of layer {self.board.node_layer(node_id)!r}")
+        score = float(score)
+        for node_id in outputs:
+            node = self.white_nodes[node_id]
+            node.score = max(node.score, score)
         grey_id = self.board._new_id()
-        self.grey_nodes[grey_id] = GreyNode(grey_id, rule, inputs, outputs)
+        self.grey_nodes[grey_id] = GreyNode(grey_id, rule, inputs, outputs, score)
         return grey_id
 
     def _check_unsealed(self):
@@ -325,17 +328,6 @@ def filter_slice(nodes: list[WhiteNode], arcs: list[Arc],
 
 # -- export / import ---------------------------------------------------------
 
-def _node_dict(n: WhiteNode) -> dict:
-    return {
-        "id": n.id,
-        "begin": n.span.begin,
-        "end": n.span.end,
-        "label": n.label,
-        "score": n.score,
-        "readings": [{"payload": r.payload, "score": r.score} for r in n.readings],
-    }
-
-
 def to_json(board: Whiteboard) -> str:
     """Deterministic compact JSON image of the board (virtual endpoints
     omitted), the text one `json.dumps` of the whole document writes.
@@ -356,11 +348,12 @@ def to_json(board: Whiteboard) -> str:
                                      if layer.legal_labels is not None else None),
                     "sealed": layer.sealed})[:-1],  # the object stays open
             ',"nodes":',
-            encode([_node_dict(n) for n in
-                    sorted(layer.white_nodes.values(), key=lambda n: n.id)]),
+            encode([{"id": n.id, "begin": n.span.begin, "end": n.span.end,
+                     "label": n.label, "score": n.score}
+                    for n in sorted(layer.white_nodes.values(), key=lambda n: n.id)]),
             ',"grey":',
-            encode([{"id": g.id, "rule": g.rule,
-                     "inputs": list(g.inputs), "outputs": list(g.outputs)}
+            encode([{"id": g.id, "rule": g.rule, "inputs": list(g.inputs),
+                     "outputs": list(g.outputs), "score": g.score}
                     for g in sorted(layer.grey_nodes.values(), key=lambda g: g.id)]),
             ',"arcs":',
             encode([{"id": a.id, "origin": a.origin,
@@ -375,13 +368,14 @@ def to_json(board: Whiteboard) -> str:
 def from_json(text: str) -> Whiteboard:
     """Rebuild a board from :func:`to_json` output.
 
-    Every field must be present with its JSON type. Every node, grey node
-    and arc is then written again through its layer's writer under its
-    exported id, so an import checks what a build checks: legal labels,
-    one node per packing key, known nodes, grey nodes on their layer and
-    the layers it depends on, and arcs that run forward in time. Ids must
-    be unique, and each node must have readings and the score and
-    readings they build. Layers exported sealed are sealed again.
+    Every field must be present with its JSON type, and no other field
+    may be. Every node, grey node and arc is then written again through
+    its layer's writer under its exported id, so an import checks what a
+    build checks: legal labels, one node per packing key, known nodes,
+    grey nodes on their layer and the layers it depends on, and arcs that
+    run forward in time. Ids must be unique, and no grey node may raise
+    the exported score of a node it outputs to. Layers exported sealed
+    are sealed again.
     """
     doc = json.loads(text)
     _check_fields(doc, "board")
@@ -404,11 +398,24 @@ def from_json(text: str) -> Whiteboard:
     # are written before its grey nodes name them
     for layer, layer_doc in zip(layers, layer_docs):
         for node_doc in layer_doc["nodes"]:
-            _replay_node(layer, node_doc)
+            board._next_id = node_id = node_doc["id"]
+            got, _ = layer.add_white_node(
+                TimeSpan(node_doc["begin"], node_doc["end"]),
+                node_doc["label"], node_doc["score"])
+            if got != node_id:
+                raise InvalidExport(
+                    f"node {node_id} repeats the packing key of node {got}")
+        scores = {n["id"]: n["score"] for n in layer_doc["nodes"]}
         for grey_doc in layer_doc["grey"]:
             board._next_id = grey_doc["id"]
             layer.add_grey_node(grey_doc["rule"], grey_doc["inputs"],
-                                grey_doc["outputs"])
+                                grey_doc["outputs"], grey_doc["score"])
+            for node_id in grey_doc["outputs"]:
+                if layer.white_nodes[node_id].score != scores[node_id]:
+                    raise InvalidExport(
+                        f"grey node {grey_doc['id']} scores "
+                        f"{grey_doc['score']!r}, above the {scores[node_id]!r} "
+                        f"of node {node_id} it outputs to")
         for arc_doc in layer_doc["arcs"]:
             board._next_id = arc_doc["id"]
             layer.add_arc(arc_doc["origin"], arc_doc["extremity"],
@@ -429,9 +436,9 @@ _FIELDS = {
     "layers": {"name": str, "depends_on": [str], "legal_labels": ([str], None),
                "sealed": bool, "nodes": [dict], "grey": [dict], "arcs": [dict]},
     "nodes": {"id": int, "begin": int, "end": int, "label": str,
-              "score": _NUMBER, "readings": [dict]},
-    "readings": {"payload": object, "score": _NUMBER},
-    "grey": {"id": int, "rule": str, "inputs": [int], "outputs": [int]},
+              "score": _NUMBER},
+    "grey": {"id": int, "rule": str, "inputs": [int], "outputs": [int],
+             "score": _NUMBER},
     "arcs": {"id": int, "origin": int, "extremity": int, "weight": _NUMBER},
 }
 
@@ -445,16 +452,21 @@ def _has_type(value, spec) -> bool:
         return (isinstance(value, list)
                 and all(_has_type(item, spec[0]) for item in value))
     if isinstance(value, bool):  # JSON's true is no number
-        return spec in (bool, object)
+        return spec is bool
     return isinstance(value, spec)
 
 
 def _check_fields(doc, kind: str) -> None:
     """Raise `InvalidExport` unless `doc` is an object of this kind with
-    every field present and of its type, the objects it holds included."""
+    every field present and of its type and no other field, the objects
+    it holds included."""
     if not isinstance(doc, dict):
         raise InvalidExport(f"expected a {kind} object, got {doc!r}")
-    for key, spec in _FIELDS[kind].items():
+    fields = _FIELDS[kind]
+    unknown = [key for key in doc if key not in fields]
+    if unknown:
+        raise InvalidExport(f"a {kind} object has the unknown field {unknown[0]!r}")
+    for key, spec in fields.items():
         if key not in doc:
             raise InvalidExport(f"a {kind} object has no {key!r} field")
         if not _has_type(doc[key], spec):
@@ -462,25 +474,6 @@ def _check_fields(doc, kind: str) -> None:
         if spec == [dict]:
             for item in doc[key]:
                 _check_fields(item, key)
-
-
-def _replay_node(layer: Layer, doc: dict) -> None:
-    """Write an exported node's readings through
-    :meth:`Layer.add_white_node`, the first under the node's id."""
-    node_id = doc["id"]
-    if not doc["readings"]:
-        raise InvalidExport(f"node {node_id} has no readings")
-    layer.board._next_id = node_id
-    span = TimeSpan(doc["begin"], doc["end"])
-    for reading in doc["readings"]:
-        got, _ = layer.add_white_node(span, doc["label"], reading["score"],
-                                      reading["payload"])
-        if got != node_id:
-            raise InvalidExport(
-                f"node {node_id} repeats the packing key of node {got}")
-    if _node_dict(layer.white_nodes[node_id]) != doc:
-        raise InvalidExport(
-            f"node {node_id} differs from what its readings build")
 
 
 def _dot_quote(text: str) -> str:
@@ -552,15 +545,13 @@ def canonical_form(board: Whiteboard):
             node = board.node(node_id)
             return (owner, node.span.begin, node.span.end, node.label)
 
-        nodes = sorted(
-            (key_of[n.id], round(n.score, 9),
-             tuple(sorted(json.dumps([r.payload, round(r.score, 9)],
-                                     sort_keys=True) for r in n.readings)))
-            for n in lay.white_nodes.values())
+        nodes = sorted((key_of[n.id], round(n.score, 9))
+                       for n in lay.white_nodes.values())
         arcs = sorted((key_of[a.origin], key_of[a.extremity],
                        round(a.weight, 9)) for a in lay.arcs.values())
         greys = sorted((g.rule, tuple(global_key(i) for i in g.inputs),
-                        tuple(global_key(o) for o in g.outputs))
+                        tuple(global_key(o) for o in g.outputs),
+                        round(g.score, 9))
                        for g in lay.grey_nodes.values())
         form.append((name, tuple(sorted(lay.depends_on)),
                      tuple(nodes), tuple(arcs), tuple(greys)))

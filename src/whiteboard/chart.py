@@ -335,18 +335,16 @@ def add_derivation(layer: Layer, span: TimeSpan, category: str, score: float,
     `children` are the ids of white nodes already on the board, in
     order, on this layer or one it depends on (a translation's one child
     is the syntax node it translates). The structure becomes a packed
-    white node whose reading lists its children as [begin, end, label];
-    a node without children has a None reading. A built structure also
-    gets one grey node tagged `category<-l1.l2...` and an arc between
-    each pair of adjacent siblings. Returns the white node's id.
+    white node scoring at least `score`. A built structure also gets one
+    grey node tagged `category<-l1.l2...` that names its children and
+    carries `score`, and an arc between each pair of adjacent siblings;
+    a node without children is a leaf and gets neither. Returns the
+    white node's id.
     """
-    nodes = [layer.board.node(c) for c in children]
-    payload = ({"children": [[n.span.begin, n.span.end, n.label] for n in nodes]}
-               if nodes else None)
-    node_id, _ = layer.add_white_node(span, category, score, payload)
-    if nodes:
-        rule_tag = f"{category}<-" + ".".join(n.label for n in nodes)
-        layer.add_grey_node(rule_tag, tuple(children), (node_id,))
+    rule = f"{category}<-" + ".".join(layer.board.node(c).label for c in children)
+    node_id, _ = layer.add_white_node(span, category, score)
+    if children:
+        layer.add_grey_node(rule, children, (node_id,), score)
         for left, right in zip(children, children[1:]):
             layer.add_arc_once(left, right)
     return node_id

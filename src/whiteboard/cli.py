@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +24,14 @@ from .board import from_json, to_dot
 from .demo import DemoConfig, demo_run
 from .errors import WhiteboardError
 from .grid import Thresholds
+
+
+def finite(text: str) -> float:
+    """A float option's type: argparse exits 2 on NaN or infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -42,11 +51,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-gap", type=int, default=2)
     run.add_argument("--max-overlap", type=int, default=2)
     run.add_argument("--topk", type=int, default=3)
-    run.add_argument("--threshold-syntax", type=float, default=None,
+    run.add_argument("--threshold-syntax", type=finite, default=None,
                      help="score filter on slices forwarded to the parser")
-    run.add_argument("--threshold-ww", type=float, default=None,
+    run.add_argument("--threshold-ww", type=finite, default=None,
                      help="score filter on slices forwarded to the translator")
-    run.add_argument("--sleep", type=float, default=50.0,
+    run.add_argument("--sleep", type=finite, default=50.0,
                      help="milliseconds between the source's pieces, the "
                           "pace of the simulated speech")
     run.add_argument("--export", choices=["dot", "json"], default="json")
@@ -61,7 +70,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     show = lattice_cmds.add_parser("show", help="render a JSON export as DOT")
     show.add_argument("file", type=Path)
     show.add_argument("--layer", default=None)
-    show.add_argument("--threshold", type=float, default=None)
+    show.add_argument("--threshold", type=finite, default=None)
     show.add_argument("--hide-grey", action="store_true")
     return parser
 
@@ -72,10 +81,12 @@ def _cmd_demo_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.sleep <= 0 or args.topk < 1:
-        print("error: --sleep must be positive and --topk at least 1",
-              file=sys.stderr)
-        return 2
+    for flag, bad, what in (("--sleep", args.sleep <= 0, "positive"),
+                            ("--topk", args.topk < 1, "at least 1"),
+                            ("--beam", args.beam < 0, "0 (unbounded) or more")):
+        if bad:
+            print(f"error: {flag} must be {what}", file=sys.stderr)
+            return 2
     config = DemoConfig(
         matrices=args.matrices,
         grammar=args.grammar,
@@ -114,6 +125,11 @@ def _cmd_lattice_show(args) -> int:
         board = from_json(args.file.read_text(encoding="utf-8"))
     except (OSError, ValueError, WhiteboardError) as exc:
         print(f"error: cannot load {args.file}: {exc}", file=sys.stderr)
+        return 2
+    if args.layer is not None and args.layer not in board.layers:
+        print(f"error: --layer {args.layer}: {args.file} has no such layer; "
+              f"its layers are {', '.join(board.layers) or 'none'}",
+              file=sys.stderr)
         return 2
     sys.stdout.write(to_dot(board, layer=args.layer, threshold=args.threshold,
                             hide_grey=args.hide_grey))

@@ -100,10 +100,6 @@ class PumpReport:
     deposited: int = 0
     errors: int = 0
 
-    @property
-    def progress(self) -> int:
-        return self.collected + self.deposited
-
 
 class _Bound:
     """Per-binding runtime state."""
@@ -316,10 +312,10 @@ class Coordinator:
             if not bound.triggered and bound.conn.try_deposit([]):
                 bound.triggered = True
             return bound.triggered
-        if self._newest_id(bound) <= bound.cursor:
+        cursor = self._newest_id(bound)
+        if cursor <= bound.cursor:
             return True  # nothing new on its input layers
         nodes, arcs = self._new_slice(bound)
-        cursor = max((item.id for item in (*nodes, *arcs)), default=bound.cursor)
         kept, _ = filter_slice(nodes, [], binding.filter_threshold)
         turned_away = {n.id for n in nodes}.difference(n.id for n in kept)
         rejected = bound.rejected | turned_away if turned_away else bound.rejected
@@ -342,14 +338,16 @@ class Coordinator:
                    for items in (layers[name].white_nodes, layers[name].arcs))
 
     def _new_slice(self, bound: _Bound) -> tuple[list[WhiteNode], list[Arc]]:
-        """The nodes and arcs of the input layers above the binding's cursor,
-        in ascending id order. Ids grow in creation order, so only the
-        newest end of each layer is walked."""
+        """The nodes and arcs (none for edge-v1, which has no arc record) of
+        the input layers above the binding's cursor, in ascending id order.
+        Ids grow in creation order, so only the newest end is walked."""
+        with_arcs = bound.binding.params.import_format != "edge-v1"
         nodes: list[WhiteNode] = []
         arcs: list[Arc] = []
         for name in bound.binding.input_layers:
             layer = self.board.layers[name]
-            for items, into in ((layer.white_nodes, nodes), (layer.arcs, arcs)):
+            for items, into in ((layer.white_nodes, nodes),
+                                (layer.arcs if with_arcs else {}, arcs)):
                 into.extend(reversed(list(takewhile(
                     lambda item: item.id > bound.cursor,
                     reversed(items.values())))))

@@ -44,9 +44,9 @@ class EmptyLayer(WhiteboardError):
 
 
 class InvalidExport(WhiteboardError):
-    """A JSON export that no build can produce: a missing or wrongly
-    typed field, a repeated id or packing key, or a node whose readings
-    do not build it."""
+    """A JSON export that no build can produce: a missing, unknown or
+    wrongly typed field, a repeated id or packing key, or a grey node
+    scoring above a node it outputs to."""
 
 
 class UnknownNode(WhiteboardError):

@@ -3,10 +3,10 @@
 Each lexical node of the syntactic layer fans out into one target node per
 dictionary meaning, all sharing the source node's span and score. A
 translation is a one-child derivation written by
-:func:`whiteboard.chart.add_derivation`: its reading names the syntax node
-as `{"children": [[begin, end, source]]}`, and one grey node
-`target<-source` ties it to that node. Arcs between translated source
-nodes are mirrored pairwise.
+:func:`whiteboard.chart.add_derivation`: one grey node `target<-source`,
+carrying the score, takes the syntax node as its input and the target
+node as its output. Arcs between translated source nodes are mirrored
+pairwise.
 """
 
 from __future__ import annotations

@@ -303,11 +303,6 @@ _READERS = {code: _compile_reader(rows + list(_BY_KEYWORD.values()))
             for code, rows in _DATA_ROWS.items()}
 
 
-def serialize_record(record: WireRecord) -> str:
-    """One record, without the trailing newline."""
-    return serialize([record])[:-1]
-
-
 def serialize(records, format_code: str | None = None) -> str:
     """Serialize a batch, one record per line. Empty batch gives empty text.
 

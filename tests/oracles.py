@@ -247,8 +247,8 @@ def identity_component(records) -> list:
 
 
 def whole_document_json(board) -> str:
-    """The board's JSON export as one document: every layer's fields, nodes
-    with their readings, grey nodes and arcs, sorted by id, in one compact
+    """The board's JSON export as one document: every layer's fields, nodes,
+    grey nodes with their scores and arcs, sorted by id, in one compact
     `json.dumps` call."""
     def layer_doc(layer):
         return {
@@ -258,13 +258,11 @@ def whole_document_json(board) -> str:
                              if layer.legal_labels is not None else None),
             "sealed": layer.sealed,
             "nodes": [{"id": n.id, "begin": n.span.begin, "end": n.span.end,
-                       "label": n.label, "score": n.score,
-                       "readings": [{"payload": r.payload, "score": r.score}
-                                    for r in n.readings]}
+                       "label": n.label, "score": n.score}
                       for n in sorted(layer.white_nodes.values(),
                                       key=lambda n: n.id)],
-            "grey": [{"id": g.id, "rule": g.rule,
-                      "inputs": list(g.inputs), "outputs": list(g.outputs)}
+            "grey": [{"id": g.id, "rule": g.rule, "inputs": list(g.inputs),
+                      "outputs": list(g.outputs), "score": g.score}
                      for g in sorted(layer.grey_nodes.values(),
                                      key=lambda g: g.id)],
             "arcs": [{"id": a.id, "origin": a.origin,

@@ -116,8 +116,8 @@ def test_03_packing_uniqueness_and_two_way_ambiguity():
                 same = (n.label == m.label and n.span.end == m.span.end
                         and n.span.length == m.span.length)
                 assert not same, "two white nodes share a packing key"
-    # same span and label reached through two rules: one node, two readings,
-    # two rule-instance connectors
+    # same span and label reached through two rules: one node, two
+    # rule-instance connectors, each with the score of its derivation
     cells = [(0, 3, "a", 0.4), (3, 6, "b", 0.4), (0, 6, "c", 0.7)]
     grammar = load_grammar("NP -> a b\nNP -> c\n")
     chart = chart_from_cells(cells, Thresholds(0, 0))
@@ -127,10 +127,13 @@ def test_03_packing_uniqueness_and_two_way_ambiguity():
     chart_to_lattice(derived, syn)
     np_nodes = [n for n in syn.white_nodes.values() if n.label == "NP"]
     assert len(np_nodes) == 1
-    assert len(np_nodes[0].readings) == 2
-    assert len(syn.grey_nodes) == 2
+    scores = sorted(round(g.score, 9) for g in syn.grey_nodes.values()
+                    if g.outputs == (np_nodes[0].id,))
+    assert len(syn.grey_nodes) == len(scores) == 2
+    assert np_nodes[0].score == max(scores)
     ok(3, "packing keys unique over 200 random sequences; "
-          "two-way ambiguity packs into 1 node / 2 readings / 2 connectors")
+          "two-way ambiguity packs into 1 node / 2 connectors scoring "
+          f"{scores[0]:g} and {scores[1]:g}")
 
 
 def test_04_parser_matches_exhaustive_closure():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from whiteboard import (
     TimeSpan,
     Whiteboard,
+    add_derivation,
     boards_isomorphic,
     canonical_form,
     filter_slice,
@@ -96,18 +97,26 @@ def test_dependency_cycle_rejected():
 
 def test_two_derivations_pack_into_one_node():
     layer = make_layer()
-    id1, packed1 = layer.add_white_node(span(0, 3), "NP", 0.5, {"rule": "R1"})
-    id2, packed2 = layer.add_white_node(span(0, 3), "NP", 0.4, {"rule": "R2"})
+    id1, packed1 = layer.add_white_node(span(0, 3), "NP", 0.5)
+    id2, packed2 = layer.add_white_node(span(0, 3), "NP", 0.4)
     assert id1 == id2
     assert (packed1, packed2) == (False, True)
-    assert len(layer.white_nodes[id1].readings) == 2
+    a, _ = layer.add_white_node(span(0, 1), "a", 0.1)
+    b, _ = layer.add_white_node(span(1, 3), "b", 0.1)
+    assert add_derivation(layer, span(0, 3), "NP", 0.3, [a, b]) == id1
+    assert add_derivation(layer, span(0, 3), "NP", 0.7, [b]) == id1
+    # one grey node per derivation, each with its own score
+    assert [(g.rule, g.inputs, g.outputs, g.score)
+            for g in layer.grey_nodes.values()] == [
+        ("NP<-a.b", (a, b), (id1,), 0.3), ("NP<-b", (b,), (id1,), 0.7)]
+    assert layer.white_nodes[id1].score == 0.7
 
 
 def test_packed_score_is_max():
     layer = make_layer()
-    node_id, _ = layer.add_white_node(span(0, 3), "NP", 0.4, "a")
-    layer.add_white_node(span(0, 3), "NP", 0.9, "b")
-    layer.add_white_node(span(0, 3), "NP", 0.2, "c")
+    node_id, _ = layer.add_white_node(span(0, 3), "NP", 0.4)
+    layer.add_white_node(span(0, 3), "NP", 0.9)
+    layer.add_white_node(span(0, 3), "NP", 0.2)
     assert layer.white_nodes[node_id].score == 0.9
 
 
@@ -118,11 +127,16 @@ def test_distinct_keys_make_distinct_nodes():
     assert id1 != id2
 
 
-def test_identical_readings_are_not_duplicated():
+def test_a_grey_node_raises_its_outputs_to_its_score():
     layer = make_layer()
-    node_id, _ = layer.add_white_node(span(0, 3), "NP", 0.4, {"rule": "R1"})
-    layer.add_white_node(span(0, 3), "NP", 0.4, {"rule": "R1"})
-    assert len(layer.white_nodes[node_id].readings) == 1
+    a, _ = layer.add_white_node(span(0, 1), "a", 0.1)
+    b, _ = layer.add_white_node(span(1, 2), "b", 0.2)
+    c, _ = layer.add_white_node(span(0, 2), "C", 0.5)
+    d, _ = layer.add_white_node(span(0, 2), "D", 0.9)
+    grey = layer.add_grey_node("R1", [a, b], [c, d], 0.7)
+    assert layer.grey_nodes[grey].score == 0.7
+    assert [layer.white_nodes[i].score for i in (a, b, c, d)] == [
+        0.1, 0.2, 0.7, 0.9]
 
 
 def test_illegal_label_rejected():
@@ -229,7 +243,7 @@ def test_grey_nodes_are_path_transparent():
     b, _ = layer.add_white_node(span(1, 2), "X2", 0.2)
     c, _ = layer.add_white_node(span(0, 2), "Y1", 0.3)
     layer.add_arc(a, b)
-    layer.add_grey_node("R1", [a, b], [c])
+    layer.add_grey_node("R1", [a, b], [c], 0.3)
     layer.seal()
     with_grey = [(p.labels, p.score) for p in enumerate_paths(layer)]
     assert sorted(p[0] for p in with_grey) == [("X1", "X2"), ("Y1",)]
@@ -239,12 +253,14 @@ def test_grey_node_m_to_n_and_empty_endpoints():
     layer = make_layer()
     ids = [layer.add_white_node(span(i, i + 1), f"X{i}", 0.1)[0]
            for i in range(5)]
-    grey = layer.add_grey_node("R9", ids[:3], ids[3:])
+    grey = layer.add_grey_node("R9", ids[:3], ids[3:], 0.1)
     assert layer.grey_nodes[grey].inputs == tuple(ids[:3])
     with pytest.raises(EmptyEndpointList):
-        layer.add_grey_node("R1", [], ids[:1])
+        layer.add_grey_node("R1", [], ids[:1], 0.1)
     with pytest.raises(UnknownNode):
-        layer.add_grey_node("R1", [999], ids[:1])
+        layer.add_grey_node("R1", [999], ids[:1], 0.1)
+    with pytest.raises(UnknownNode):
+        layer.add_grey_node("R1", ids[:1], [999], 0.1)
 
 
 def test_grey_node_names_its_layer_and_its_dependencies_only():
@@ -256,10 +272,15 @@ def test_grey_node_names_its_layer_and_its_dependencies_only():
     b, _ = two.add_white_node(span(0, 1), "B", 0.2)
     c, _ = three.add_white_node(span(0, 1), "C", 0.3)
     with pytest.raises(CrossLayerArc, match="'one' does not depend on"):
-        one.add_grey_node("R1", [b], [b])
+        one.add_grey_node("R1", [b], [b], 0.2)
     with pytest.raises(CrossLayerArc):
-        three.add_grey_node("R1", [a, b], [c])
-    three.add_grey_node("R1", [a], [c])
+        three.add_grey_node("R1", [a, b], [c], 0.3)
+    # a grey node raises the score of what it outputs to, so it outputs
+    # to its own layer only
+    with pytest.raises(CrossLayerArc, match="outputs to node"):
+        three.add_grey_node("R1", [c], [a], 0.3)
+    assert one.white_nodes[a].score == 0.1 and not three.grey_nodes
+    three.add_grey_node("R1", [a], [c], 0.3)
     doc = json.loads(to_json(board))
     [grey_doc] = doc["layers"][2]["grey"]
     grey_doc["inputs"] = [b]  # an import replays through the same check
@@ -471,17 +492,17 @@ def test_export_empty_board():
 def test_json_schema_field_names():
     board = Whiteboard()
     layer = board.declare_layer("phonemes")
-    a, _ = layer.add_white_node(span(0, 3), "h", 0.9, {"why": "test"})
+    a, _ = layer.add_white_node(span(0, 3), "h", 0.9)
     b, _ = layer.add_white_node(span(3, 6), "a", 0.8)
     layer.add_arc(a, b, 0.25)
-    layer.add_grey_node("R1", [a], [b])
+    layer.add_grey_node("R1", [a], [b], 0.5)
     doc = json.loads(to_json(board))
     [layer_doc] = doc["layers"]
     assert set(layer_doc) == {"name", "depends_on", "legal_labels",
                               "sealed", "nodes", "grey", "arcs"}
-    assert set(layer_doc["nodes"][0]) == {
-        "id", "begin", "end", "label", "score", "readings"}
-    assert set(layer_doc["grey"][0]) == {"id", "rule", "inputs", "outputs"}
+    assert set(layer_doc["nodes"][0]) == {"id", "begin", "end", "label", "score"}
+    assert set(layer_doc["grey"][0]) == {"id", "rule", "inputs", "outputs",
+                                         "score"}
     assert set(layer_doc["arcs"][0]) == {"id", "origin", "extremity", "weight"}
     assert [n["id"] for n in layer_doc["nodes"]] == sorted(
         n["id"] for n in layer_doc["nodes"])
@@ -490,12 +511,13 @@ def test_json_schema_field_names():
 def test_json_roundtrip_is_identity():
     board = Whiteboard()
     one = board.declare_layer("one", legal_labels={"h", "a"})
-    a, _ = one.add_white_node(span(0, 3), "h", 0.9, {"k": [1, 2]})
-    b, _ = one.add_white_node(span(3, 6), "a", 0.8, "payload")
+    a, _ = one.add_white_node(span(0, 3), "h", 0.9)
+    b, _ = one.add_white_node(span(3, 6), "a", 0.8)
     one.add_arc(a, b, -0.5)
     two = board.declare_layer("two", depends_on={"one"})
     c, _ = two.add_white_node(span(0, 6), "W", 1.7)
-    two.add_grey_node("R1", [a, b], [c])
+    two.add_grey_node("R1", [a, b], [c], 1.7)
+    two.add_grey_node("R2", [a], [c], 0.4)
     two.seal()
     assert_exports_as_one_document(board)
     text = to_json(board)
@@ -571,34 +593,41 @@ def all_ids(board):
 
 def random_board(rng):
     """Dependent layers written in interleaved order: legal labels, packed
-    readings with payloads, grey nodes across layers, forward arcs (a
-    linked pair skipped by add_arc_once), and some layers sealed."""
+    leaf nodes, derivations whose grey nodes name nodes across layers and
+    output to a new node or to one already derived (two derivations
+    then pack into it), forward arcs (a linked pair skipped by
+    add_arc_once), and some layers sealed."""
     board = Whiteboard()
     for k in range(rng.randint(1, 4)):
         deps = {f"l{d}" for d in range(k) if rng.random() < 0.5}
         labels = rng.choice([None, {"a", "b", "c"}])
         board.declare_layer(f"l{k}", legal_labels=labels, depends_on=deps)
     names = list(board.layers)
-    payloads = [None, "p", 3, [1, "x"], {"rule": "R1"}]
     for _ in range(rng.randint(1, 40)):
         layer = board.layers[rng.choice(names)]
         ids = list(layer.white_nodes)
         roll = rng.random()
-        if roll < 0.5 or not ids:
-            b = rng.randint(0, 6)
+        b = rng.randint(0, 6)
+        if roll < 0.4 or not ids:
             layer.add_white_node(span(b, b + rng.randint(0, 3)),
-                                 rng.choice("abc"), rng.uniform(-1, 1),
-                                 rng.choice(payloads))
-        elif roll < 0.85:
+                                 rng.choice("abc"), rng.uniform(-1, 1))
+        elif roll < 0.7:
             pair = forward_pair(rng, layer, ids)
             if pair is not None:
                 layer.add_arc_once(*pair, rng.uniform(-0.5, 0.5))
         else:
             inputs = [i for name in (layer.name, *sorted(layer.depends_on))
                       for i in board.layers[name].white_nodes]
+            derived = [g.outputs[0] for g in layer.grey_nodes.values()]
+            if derived and rng.random() < 0.5:
+                output = rng.choice(derived)
+            else:
+                output, _ = layer.add_white_node(
+                    span(b, b + rng.randint(0, 3)), rng.choice("abc"),
+                    rng.uniform(-1, 1))
             layer.add_grey_node(f"R{rng.randint(1, 3)}",
                                 rng.sample(inputs, min(2, len(inputs))),
-                                [rng.choice(ids)])
+                                [output], rng.uniform(-1, 1))
     for layer in board.layers.values():
         if layer.white_nodes and rng.random() < 0.5:
             layer.seal()
@@ -609,6 +638,9 @@ def random_board(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_random_boards_are_json_fixed_points(seed):
     board = random_board(random.Random(seed))
+    for layer in board.layers.values():
+        for g in layer.grey_nodes.values():
+            assert all(layer.white_nodes[o].score >= g.score for o in g.outputs)
     assert_exports_as_one_document(board)
     text = to_json(board)
     again = from_json(text)
@@ -628,7 +660,7 @@ def test_imported_ids_are_unique_across_every_kind():
     # exported ids of one's nodes
     two = board.declare_layer("two", depends_on={"one"})
     c, _ = two.add_white_node(span(0, 2), "C", 0.3)
-    two.add_grey_node("R1", [a, b], [c])
+    two.add_grey_node("R1", [a, b], [c], 0.3)
     two.seal()
     again = from_json(to_json(board))
     ids = all_ids(again)
@@ -639,12 +671,14 @@ def test_imported_ids_are_unique_across_every_kind():
 
 
 def small_export():
-    """One layer: nodes 3 and 4 (the endpoints took 1 and 2), arc 5."""
+    """One layer: nodes 3 and 4 (the endpoints took 1 and 2), arc 5, and
+    grey node 6, which derives node 4 from node 3 with node 4's score."""
     board = Whiteboard()
     layer = board.declare_layer("l", legal_labels={"h", "a"})
-    h, _ = layer.add_white_node(span(0, 3), "h", 0.9, "r1")
+    h, _ = layer.add_white_node(span(0, 3), "h", 0.9)
     a, _ = layer.add_white_node(span(3, 6), "a", 0.8)
     layer.add_arc(h, a)
+    layer.add_grey_node("a<-h", [h], [a], 0.8)
     return json.loads(to_json(board))
 
 
@@ -657,6 +691,15 @@ def repeat_packing_key(layer_doc):
     layer_doc["nodes"].append(dict(layer_doc["nodes"][0], id=99))
 
 
+def parent_format(layer_doc):
+    """The export format that gave each node its readings, and grey nodes
+    no score."""
+    for node in layer_doc["nodes"]:
+        node["readings"] = [{"payload": None, "score": node["score"]}]
+    for grey in layer_doc["grey"]:
+        del grey["score"]
+
+
 BAD_EXPORTS = [
     (run_backward, BackwardArc, "arc 4->3 does not run forward in time"),
     (lambda d: d["nodes"][1].update(label="x"), IllegalLabel, "'x' not legal"),
@@ -664,14 +707,16 @@ BAD_EXPORTS = [
      "node 99 repeats the packing key of node 3"),
     (lambda d: d["arcs"][0].update(id=3), InvalidExport,
      "id 3 is used more than once"),
-    (lambda d: d["nodes"][0].update(readings=[]), InvalidExport,
-     "node 3 has no readings"),
-    (lambda d: d["nodes"][0].update(score=5.0), InvalidExport,
-     "node 3 differs from what its readings build"),
+    (parent_format, InvalidExport,
+     "a nodes object has the unknown field 'readings'"),
+    (lambda d: d["grey"][0].update(score=0.95), InvalidExport,
+     "grey node 6 scores 0.95, above the 0.8 of node 4 it outputs to"),
+    (lambda d: d["nodes"][1].update(score=0.5), InvalidExport,
+     "grey node 6 scores 0.8, above the 0.5 of node 4 it outputs to"),
     (lambda d: d["nodes"][0].update(begin="0"), InvalidExport,
      "field 'begin' has the wrong type: '0'"),
-    (lambda d: d["nodes"][0]["readings"][0].update(score="0.9"), InvalidExport,
-     "field 'score' has the wrong type: '0.9'"),
+    (lambda d: d["grey"][0].update(score="0.8"), InvalidExport,
+     "field 'score' has the wrong type: '0.8'"),
     (lambda d: d.update(arcs={}), InvalidExport,
      "field 'arcs' has the wrong type: {}"),
 ]
@@ -680,8 +725,8 @@ BAD_EXPORTS = [
 @pytest.mark.parametrize(
     "spoil, error, reason", BAD_EXPORTS,
     ids=["backward-arc", "illegal-label", "packing-key", "repeated-id",
-         "no-readings", "score", "string-begin", "string-score",
-         "arcs-not-a-list"])
+         "readings", "grey-score", "score", "string-begin",
+         "string-score", "arcs-not-a-list"])
 def test_from_json_rejects_what_no_build_makes(spoil, error, reason):
     doc = small_export()
     spoil(doc["layers"][0])
@@ -707,7 +752,7 @@ def test_dot_styles_white_and_grey_nodes():
     a, _ = layer.add_white_node(span(0, 1), "A", 0.5)
     b, _ = layer.add_white_node(span(1, 2), "B", 0.5)
     layer.add_arc(a, b, 0.25)
-    layer.add_grey_node("R1", [a], [b])
+    layer.add_grey_node("R1", [a], [b], 0.5)
     dot = to_dot(board)
     assert "shape=box" in dot
     assert "shape=diamond, style=dashed" in dot

@@ -288,9 +288,13 @@ def test_two_derivations_pack_with_two_grey_nodes():
     syn = board.declare_layer("syntax")
     chart_to_lattice(derived, syn)
     np_nodes = [n for n in syn.white_nodes.values() if n.label == "NP"]
-    assert len(np_nodes) == 1
-    assert len(np_nodes[0].readings) == 2
-    assert len(syn.grey_nodes) == 2
+    [np] = np_nodes
+    # one grey node per derivation, each with the score of its edge
+    key = {n.id: n.label for n in syn.white_nodes.values()}
+    assert sorted((g.rule, tuple(key[i] for i in g.inputs), g.outputs,
+                   round(g.score, 9)) for g in syn.grey_nodes.values()) == [
+        ("NP<-a.b", ("a", "b"), (np.id,), 0.8), ("NP<-c", ("c",), (np.id,), 0.7)]
+    assert np.score == max(g.score for g in syn.grey_nodes.values())
 
 
 def test_empty_parse_leaves_layer_empty():

@@ -15,7 +15,7 @@ def export_file(tmp_path):
     a, _ = layer.add_white_node(TimeSpan(0, 3), "hai", 0.9)
     b, _ = layer.add_white_node(TimeSpan(3, 6), "desu", 0.2)
     layer.add_arc(a, b)
-    layer.add_grey_node("R1", [a], [b])
+    layer.add_grey_node("R1", [a], [b], 0.2)
     path = tmp_path / "board.json"
     path.write_text(to_json(board), encoding="utf-8")
     return path, board
@@ -99,6 +99,37 @@ def test_lattice_show_rejects_an_export_no_build_makes(tmp_path, capsys):
     assert f"arc {desu}->{hai} does not run forward in time" in captured.err
 
 
+def test_lattice_show_refuses_a_layer_the_export_lacks(tmp_path, capsys):
+    path, _ = export_file(tmp_path)
+    assert main(["lattice", "show", str(path), "--layer", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--layer nope" in captured.err
+    assert "its layers are syntax" in captured.err
+
+
+def exit_code(argv) -> int:
+    """`main`'s exit code, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_a_threshold_must_be_a_finite_number(tmp_path, capsys):
+    path, _ = export_file(tmp_path)
+    demo_run = ["demo", "run", "--matrices", "m", "--grammar", "g",
+                "--dict", "d", "--out", str(tmp_path / "o")]
+    for argv, flag in ((["lattice", "show", str(path)], "--threshold"),
+                       (demo_run, "--threshold-syntax"),
+                       (demo_run, "--threshold-ww")):
+        for value in ("nan", "inf", "-inf"):
+            assert exit_code(argv + [f"{flag}={value}"]) == 2, (flag, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {flag}: not a finite number" in captured.err
+
+
 def test_demo_run_bad_fixture_exits_2(tmp_path, capsys):
     out = tmp_path / "out.json"
     code = main(["demo", "run", "--matrices", str(tmp_path / "nowhere"),
@@ -106,11 +137,13 @@ def test_demo_run_bad_fixture_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_demo_run_rejects_bad_knobs(tmp_path):
+def test_demo_run_rejects_bad_knobs(tmp_path, capsys):
     base = ["demo", "run", "--matrices", "m", "--grammar", "g",
             "--dict", "d", "--out", str(tmp_path / "o")]
-    assert main(base + ["--sleep", "0"]) == 2
-    assert main(base + ["--topk", "0"]) == 2
+    for flags in (["--sleep", "0"], ["--sleep", "nan"], ["--topk", "0"],
+                  ["--beam", "-1"]):
+        assert exit_code(base + flags) == 2, flags
+        assert flags[0] in capsys.readouterr().err, flags
     assert main(base + ["--max-gap", "-1"]) == 2
 
 

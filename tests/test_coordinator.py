@@ -186,7 +186,7 @@ def test_pump_without_pending_data_reports_zero(host):
     coordinator.register(ComponentBinding(
         "echo", root, ["phonemes"], "syntax", params("edge-v1", "edge-v1")))
     report = coordinator.pump()
-    assert report.progress == 0
+    assert report.collected + report.deposited == 0
 
 
 def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, pace):
@@ -225,7 +225,8 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, pace):
         pump_until(coordinator, coordinator.settled)
         for _ in range(3):
             report = coordinator.pump()
-            assert report.progress == 0 and coordinator.settled()
+            assert report.collected + report.deposited == 0
+            assert coordinator.settled()
             time.sleep(pace)
         assert coordinator.status()["per_binding"]["parser"]["errors"] == []
         return board, coordinator.status()
@@ -268,7 +269,7 @@ def test_full_pipeline_in_process(tmp_path, fixtures_dir):
                                          dictionary)
         where = f"{matrix_file.name} at a {pace:.4f}s pace"
         # every layer is written by the same functions either way: white
-        # nodes, readings, grey nodes and arcs all agree
+        # nodes, grey nodes with their scores and arcs all agree
         assert canonical_form(board) == canonical_form(reference), where
         assert board.layers["ww"].white_nodes, where
         if grammar_ is phrase_grammar:
@@ -308,13 +309,11 @@ def test_node_record_sources_must_be_input_layer_nodes(host):
     errors = coordinator.status()["per_binding"]["translator"]["errors"]
     assert len(errors) == 2 and all("record rejected" in e for e in errors)
     ww = board.layers["ww"]
-    # the rejected records wrote nothing, not even a reading of `own`
-    assert len(ww.white_nodes[own].readings) == 1
+    # the rejected records wrote nothing, not even a derivation of `own`
     [(node_id, ashes)] = [(i, n) for i, n in ww.white_nodes.items() if i != own]
-    assert ashes.readings[0].payload == {"children": [[0, 9, "hai"]]}
     [grey] = ww.grey_nodes.values()
-    assert (grey.rule, grey.inputs, grey.outputs) == ("ashes<-hai", (word,),
-                                                       (node_id,))
+    assert (grey.rule, grey.inputs, grey.outputs, grey.score) == (
+        "ashes<-hai", (word,), (node_id,), 2.7)
     assert not ww.arcs
 
 
@@ -399,7 +398,10 @@ def test_repeated_edge_record_packs_into_one_node(host):
 
     board = build(repeat=True)
     [node] = board.layers["phonemes"].white_nodes.values()
-    assert len(node.readings) == 1
+    assert node.score == 0.5
+    # the higher scores the repeated records carried were dropped with them
+    for name in ("syntax", "ww"):
+        assert [n.score for n in board.layers[name].white_nodes.values()] == [0.5]
     # a repeated inactive-edge or node record leaves the board as it was
     assert canonical_form(board) == canonical_form(build(repeat=False))
 
@@ -659,6 +661,47 @@ def test_a_busy_in_channel_retries_the_same_slice(tmp_path):
     assert coordinator.settled()
 
 
+def test_an_edge_binding_is_sent_no_arcs_and_its_cursor_passes_them(tmp_path):
+    class Recording:
+        """A connection that takes every batch."""
+        outstanding = 0
+
+        def __init__(self):
+            self.batches = []
+
+        def try_collect(self):
+            return None
+
+        def flush(self):
+            return True
+
+        def try_deposit(self, records):
+            self.batches.append(list(records))
+            return True
+
+    board = make_board()
+    layer = board.layers["phonemes"]
+    h, _ = layer.add_white_node(TimeSpan(0, 3), "h", 0.9)
+    a, _ = layer.add_white_node(TimeSpan(3, 6), "a", 0.8)
+    coordinator = Coordinator(board)
+    conn = Recording()
+    bound = coordinator.bound["parser"] = _Bound(ComponentBinding(
+        "parser", tmp_path, ["phonemes"], "syntax",
+        params("edge-v1", "edge-v1")), conn)
+    coordinator.pump()
+    assert [[r.phoneme for r in batch] for batch in conn.batches] == [["h", "a"]]
+    # a round whose only new items are arcs sends nothing, yet moves past them
+    arc = layer.add_arc(h, a)
+    coordinator.pump()
+    assert len(conn.batches) == 1 and bound.cursor == arc
+    # a later node goes alone
+    layer.add_white_node(TimeSpan(6, 9), "i", 0.7)
+    coordinator.pump()
+    assert [[r.phoneme for r in batch] for batch in conn.batches] == [
+        ["h", "a"], ["i"]]
+    assert coordinator.settled()
+
+
 def test_a_slice_larger_than_a_channel_holds_goes_over_whole(host):
     release = threading.Event()
 
@@ -732,7 +775,7 @@ def test_settled_waits_out_a_component_slower_than_the_old_quiet_window(
         if slow_conn.outstanding:
             rounds_outstanding += 1
             assert not coordinator.settled()
-        if report.progress or not slow_conn.outstanding:
+        if report.collected or report.deposited or not slow_conn.outstanding:
             quiet_since = None
         elif quiet_since is None:
             quiet_since = now

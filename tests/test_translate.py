@@ -105,9 +105,10 @@ def test_unknown_word_copied_through_untranslated():
     translate_layer(syn, load_dictionary("hai : yes\n"), ww, {"naruhodo"})
     [node] = ww.white_nodes.values()
     assert node.label == "naruhodo"
-    assert node.readings[0].payload == {"children": [[0, 4, "naruhodo"]]}
     [grey] = ww.grey_nodes.values()
     assert grey.rule == "naruhodo<-naruhodo"
+    assert (grey.inputs, grey.outputs, grey.score) == (
+        tuple(syn.white_nodes), (node.id,), 0.3)
 
 
 def test_fan_out_law_and_span_preservation():
@@ -139,6 +140,5 @@ def test_grey_nodes_link_sources_to_translations():
     assert [g.rule for g in greys] == ["x<-a", "y<-a"]
     assert all(g.inputs == (source_id,) for g in greys)
     assert [g.outputs for g in greys] == [(t,) for t in mapping[source_id]]
-    # each translation's reading names the syntax node it was built from
-    assert all(ww.white_nodes[t].readings[0].payload == {"children": [[0, 2, "a"]]}
-               for t in mapping[source_id])
+    # each translation's grey node carries the syntax node's score
+    assert [g.score for g in greys] == [0.1, 0.1]

@@ -13,6 +13,11 @@ def roundtrip(records, fmt):
     return wire.parse(wire.serialize(records, fmt), fmt)
 
 
+def serialize_record(record) -> str:
+    """One record, without the trailing newline."""
+    return wire.serialize([record])[:-1]
+
+
 def test_node_record_roundtrip_literal():
     text = "(7 0 6 hai 0.9 (3 12))\n"
     [record] = wire.parse(text, "node-v1")
@@ -210,7 +215,7 @@ def test_mutated_lines_are_rejected_or_round_trip():
     parsed_some = 0
     for _ in range(400):
         for record in VALID:
-            line = mutate(wire.serialize_record(record), rng)
+            line = mutate(serialize_record(record), rng)
             for fmt in (None, *wire.FORMAT_CODES):
                 try:
                     records = wire.parse(line, fmt)
@@ -236,10 +241,10 @@ def test_a_line_is_read_as_written_or_refused_at_a_column_of_its_own():
     """`parse` gives exactly the compiled reader's records, or refuses the
     first line that reader does not take, at a column of that line."""
     rng = random.Random(29)
-    lines = [wire.serialize_record(record) for record in VALID]
-    lines += [wire.serialize_record(wire.NodeRecord(1, 2, 3, "x", -0.0, ())),
-              wire.serialize_record(wire.ArcRecord(-1, 2, 3, 1.5e+300)),
-              wire.serialize_record(wire.InactiveEdgeRecord(
+    lines = [serialize_record(record) for record in VALID]
+    lines += [serialize_record(wire.NodeRecord(1, 2, 3, "x", -0.0, ())),
+              serialize_record(wire.ArcRecord(-1, 2, 3, 1.5e+300)),
+              serialize_record(wire.InactiveEdgeRecord(
                   4, 3, 9, "NP", 123456789.0, (1, 22, -333))),
               "(1 2 h 1e999)", "(1 2 h %s)" % ("9" * 5000), "(00 +1 h 0.5)",
               "(1  2 h 0.5)", " (1 2 h 0.5)", "(1 2 h 0.5)\r", "(done 1)\t",
@@ -289,7 +294,7 @@ def test_a_spoiled_field_is_named_at_its_start_column(cls, i, field):
     texts = [str(wire._KINDS[kind.split(":")[1]][0](getattr(record, attr.name)))
              for kind, attr in zip(spec, dataclasses.fields(cls))]
     lead = [head] if head not in wire.FORMAT_CODES else []
-    assert "(" + " ".join(lead + texts) + ")" == wire.serialize_record(record)
+    assert "(" + " ".join(lead + texts) + ")" == serialize_record(record)
     name, kind = field.split(":")
     column = len("(" + " ".join(lead + texts[:i] + [""])) + 1
     texts[i] = SPOILED[kind]
