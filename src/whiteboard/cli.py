@@ -1,10 +1,6 @@
-"""Command line interface.
+"""Command line interface; `-h` lists a command's options.
 
-    whiteboard demo run --matrices DIR --grammar FILE --dict FILE \
-        [--max-gap N] [--max-overlap N] [--topk K] \
-        [--threshold-syntax S] [--threshold-ww S] [--sleep MS] \
-        [--export dot|json] --out PATH [--step]
-
+    whiteboard demo run --matrices DIR --grammar FILE --dict FILE --out PATH
     whiteboard lattice show FILE [--layer NAME] [--threshold S] [--hide-grey]
 
 Exit codes: 0 success, 1 pipeline failure (an utterance fails too when
@@ -16,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -24,14 +19,7 @@ from .board import from_json, to_dot
 from .demo import DemoConfig, demo_run
 from .errors import WhiteboardError
 from .grid import Thresholds
-
-
-def finite(text: str) -> float:
-    """A float option's type: argparse exits 2 on NaN or infinity."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+from .workers import AT_LEAST_1, FINITE, NATURAL, POSITIVE, STAGES
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -42,66 +30,49 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     demo = groups.add_parser("demo", help="demo pipeline commands")
     demo_cmds = demo.add_subparsers(dest="command", required=True)
+    # each option lands under its DemoConfig field, or `Thresholds`'s, or
+    # in milliseconds; one left out is not set, so it keeps its default
     run = demo_cmds.add_parser(
-        "run", help="run the speech-translation demo pipeline")
+        "run", help="run the speech-translation demo pipeline",
+        argument_default=argparse.SUPPRESS)
     run.add_argument("--matrices", required=True, type=Path,
                      help="directory of utterance *.mat files (or one file)")
     run.add_argument("--grammar", required=True, type=Path)
     run.add_argument("--dict", dest="dictionary", required=True, type=Path)
-    run.add_argument("--max-gap", type=int, default=2)
-    run.add_argument("--max-overlap", type=int, default=2)
-    run.add_argument("--topk", type=int, default=3)
-    run.add_argument("--threshold-syntax", type=finite, default=None,
-                     help="score filter on slices forwarded to the parser")
-    run.add_argument("--threshold-ww", type=finite, default=None,
-                     help="score filter on slices forwarded to the translator")
-    run.add_argument("--sleep", type=finite, default=50.0,
+    run.add_argument("--max-gap", type=NATURAL)
+    run.add_argument("--max-overlap", type=NATURAL)
+    run.add_argument("--topk", type=AT_LEAST_1)
+    for role, stage in STAGES.items():
+        if stage.threshold is not None:  # its field names its option
+            run.add_argument("--" + stage.threshold.replace("_", "-"), type=FINITE,
+                             help=f"score filter on slices forwarded to the {role}")
+    run.add_argument("--sleep", dest="sleep_ms", type=POSITIVE,
                      help="milliseconds between the source's pieces, the "
                           "pace of the simulated speech")
-    run.add_argument("--export", choices=["dot", "json"], default="json")
+    run.add_argument("--export", dest="export_format", choices=["dot", "json"])
     run.add_argument("--out", required=True, type=Path)
     run.add_argument("--step", action="store_true",
                      help="drive pump rounds from stdin (step/status/quit)")
-    run.add_argument("--beam", type=int, default=16,
-                     help="parser beam; 0 for unbounded")
+    run.add_argument("--beam", type=NATURAL, help="parser beam; 0 for unbounded")
 
     lattice = groups.add_parser("lattice", help="inspect exported boards")
     lattice_cmds = lattice.add_subparsers(dest="command", required=True)
     show = lattice_cmds.add_parser("show", help="render a JSON export as DOT")
     show.add_argument("file", type=Path)
     show.add_argument("--layer", default=None)
-    show.add_argument("--threshold", type=finite, default=None)
+    show.add_argument("--threshold", type=FINITE, default=None)
     show.add_argument("--hide-grey", action="store_true")
     return parser
 
 
 def _cmd_demo_run(args) -> int:
-    try:
-        thresholds = Thresholds(args.max_gap, args.max_overlap)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for flag, bad, what in (("--sleep", args.sleep <= 0, "positive"),
-                            ("--topk", args.topk < 1, "at least 1"),
-                            ("--beam", args.beam < 0, "0 (unbounded) or more")):
-        if bad:
-            print(f"error: {flag} must be {what}", file=sys.stderr)
-            return 2
-    config = DemoConfig(
-        matrices=args.matrices,
-        grammar=args.grammar,
-        dictionary=args.dictionary,
-        out=args.out,
-        thresholds=thresholds,
-        topk=args.topk,
-        threshold_syntax=args.threshold_syntax,
-        threshold_ww=args.threshold_ww,
-        sleep_time=args.sleep / 1000.0,
-        export_format=args.export,
-        step=args.step,
-        beam=args.beam,
-    )
-    result = demo_run(config)
+    fields = {name: value for name, value in vars(args).items()
+              if name not in ("group", "command")}
+    gaps = {name: fields.pop(name) for name in ("max_gap", "max_overlap")
+            if name in fields}
+    if "sleep_ms" in fields:
+        fields["sleep_time"] = fields.pop("sleep_ms") / 1000.0
+    result = demo_run(DemoConfig(thresholds=Thresholds(**gaps), **fields))
     if result.stop_error is not None:
         print(f"error: stopping workers: {result.stop_error}", file=sys.stderr)
     if result.config_error is not None:
@@ -109,9 +80,8 @@ def _cmd_demo_run(args) -> int:
         return 2
     for utterance in result.utterances:
         if utterance.ok:
-            ww = utterance.status["per_layer"]["ww"]
-            print(f"{utterance.name}: ok "
-                  f"({ww['nodes']} target nodes, "
+            *_, (last, counts) = utterance.status["per_layer"].items()
+            print(f"{utterance.name}: ok ({counts['nodes']} {last} nodes, "
                   f"{utterance.status['rounds']} rounds)")
         else:
             print(f"{utterance.name}: FAILED: {utterance.error}",

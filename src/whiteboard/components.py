@@ -23,7 +23,7 @@ class MatrixSource:
     loads one utterance's phoneme matrices, ranks them, and emits every
     ranked cell as an edge record in end-time order."""
 
-    def __init__(self, matrix_file: Path | str, k: int = 3):
+    def __init__(self, matrix_file: Path | str, k: int):
         self.matrix_file = Path(matrix_file)
         self.k = k
         self.fired = False
@@ -56,7 +56,7 @@ class IslandParser:
     """
 
     def __init__(self, grammar: Grammar, thresholds: Thresholds,
-                 beam: int | None = 16):
+                 beam: int | None):
         self.grammar = grammar
         self.thresholds = thresholds
         self.beam = beam

@@ -1,20 +1,20 @@
 """End-to-end demo: simulated incremental speech translation.
 
-A run spawns one manager process per component (matrix source, island
-parser, word-for-word translator) and keeps this trio for all of its
-utterances, stopping it when the run ends by closing each worker's stdin,
-its manager's stop. For each utterance the driver declares a fresh
-three-layer board (phonemes, syntax, target words), opens fresh
-connections to the three managers at once, the source's naming the
-utterance's matrix file, and pumps until the coordinator has settled:
-every batch it deposited has come back with its `done` record and nothing
-is left to forward. It then closes the connections one after another,
-fails the utterance if any of them still held results, and seals and
-exports the layers. A failed utterance closes its connections without
-waiting for any manager, and ends the run.
+A run spawns one manager process per row of `workers.STAGES` (matrix
+source, island parser, word-for-word translator) and keeps them for all
+of its utterances, stopping them when the run ends by closing each
+worker's stdin, its manager's stop. For each utterance the driver
+declares a fresh board, a layer per row, opens fresh connections to the
+managers at once, naming the utterance's matrix file to the row that
+reads no layer, and pumps until the coordinator has settled: every batch
+it deposited has come back with its `done` record and nothing is left to
+forward. It then closes the connections one after another, fails the
+utterance if any of them still held results, and seals and exports the
+layers; an empty layer cannot be sealed. A failed utterance closes its
+connections without waiting for any manager, and ends the run.
 
 The first pump round that notes an error on a binding ends the
-utterance, whatever its `ww` layer holds: a component's error record, a
+utterance, whatever its last layer holds: a component's error record, a
 batch that did not parse, a record the board refused, or a manager that
 hung up. The failure names each binding that noted an error, and its
 first. A dictionary word or grammar symbol that is not a legal wire token
@@ -52,7 +52,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import wire
+from . import wire, workers
 from .board import Whiteboard, to_dot, to_json
 from .chart import load_grammar
 from .coordinator import ComponentBinding, Coordinator
@@ -64,7 +64,6 @@ from .translate import load_dictionary
 log = logging.getLogger(__name__)
 
 MATRIX_SUFFIX = ".mat"
-ROLES = ("source", "parser", "translator")
 
 
 @dataclass
@@ -133,29 +132,15 @@ def _utterance_files(matrices: Path) -> list[Path]:
 def _spawn_worker(role: str, request_root: Path,
                   config: DemoConfig) -> subprocess.Popen:
     """One role's worker, given only the flags that role takes."""
-    cmd = [sys.executable, "-m", "whiteboard.workers", role,
-           "--request-box", str(request_root)]
-    if role == "source":
-        cmd += ["--topk", str(config.topk), "--sleep", str(config.sleep_time)]
-    elif role == "parser":
-        cmd += ["--grammar", str(config.grammar), "--beam", str(config.beam),
-                "--max-gap", str(config.thresholds.max_gap),
-                "--max-overlap", str(config.thresholds.max_overlap)]
-    else:
-        cmd += ["--dict", str(config.dictionary), "--grammar", str(config.grammar)]
-    return subprocess.Popen(cmd, stdin=subprocess.PIPE)
+    return subprocess.Popen(workers.command(role, request_root, config),
+                            stdin=subprocess.PIPE)
 
 
 def _declare_layers(board: Whiteboard, alphabet: set[str], grammar,
                     dictionary) -> None:
-    syntax_labels = alphabet | grammar.nonterminals
-    ww_labels = grammar.lexical_labels | {
-        word for entry in dictionary.entries.values()
-        for word, _ in entry.targets}
-    board.declare_layer("phonemes", legal_labels=alphabet)
-    board.declare_layer("syntax", legal_labels=syntax_labels,
-                        depends_on={"phonemes"})
-    board.declare_layer("ww", legal_labels=ww_labels, depends_on={"syntax"})
+    for stage in workers.STAGES.values():
+        board.declare_layer(stage.output, depends_on=stage.inputs,
+                            legal_labels=stage.labels(alphabet, grammar, dictionary))
 
 
 def _stop_workers(processes: dict[str, subprocess.Popen]) -> str | None:
@@ -174,18 +159,12 @@ def _stop_workers(processes: dict[str, subprocess.Popen]) -> str | None:
 
 def _bindings(mailbox_root: Path, config: DemoConfig,
               matrix_file: Path) -> list[ComponentBinding]:
-    return [
-        ComponentBinding("source", mailbox_root / "source" / "request",
-                         [], "phonemes",
-                         ConnectionParams("edge-v1", "edge-v1", str(matrix_file))),
-        ComponentBinding("parser", mailbox_root / "parser" / "request",
-                         ["phonemes"], "syntax",
-                         ConnectionParams("edge-v1", "inactive-edge-v1"),
-                         filter_threshold=config.threshold_syntax),
-        ComponentBinding("translator", mailbox_root / "translator" / "request",
-                         ["syntax"], "ww", ConnectionParams("node-v1", "node-v1"),
-                         filter_threshold=config.threshold_ww),
-    ]
+    """One per row; a row that reads no layer reads the matrix file."""
+    return [ComponentBinding(
+        role, mailbox_root / role / "request", list(stage.inputs), stage.output,
+        ConnectionParams(*stage.formats, None if stage.inputs else str(matrix_file)),
+        filter_threshold=getattr(config, stage.threshold) if stage.threshold else None)
+        for role, stage in workers.STAGES.items()]
 
 
 def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
@@ -200,8 +179,8 @@ def _run_utterance(matrix_file: Path, config: DemoConfig, grammar, dictionary,
     _declare_layers(board, alphabet, grammar, dictionary)
     coordinator = Coordinator(board, config.thresholds)
     if process_hook is not None:
-        for role in ROLES:
-            process_hook(role, processes[role])
+        for role, proc in processes.items():
+            process_hook(role, proc)
 
     try:
         coordinator.register(*_bindings(mailbox_root, config, matrix_file))
@@ -325,8 +304,6 @@ def _seal_layers(board: Whiteboard) -> str | None:
             board.layers[name].seal()
         except WhiteboardError as exc:
             return f"layer {name} cannot be sealed: {exc}"
-    if not board.layers["ww"].white_nodes:
-        return "final ww layer is empty"
     return None
 
 
@@ -346,9 +323,9 @@ def demo_run(config: DemoConfig, control_lines=None,
              process_hook=None) -> DemoResult:
     """Run the pipeline over every utterance under `config.matrices`.
 
-    The manager trio is spawned once and stopped when the run ends, however
-    it ends. `process_hook(role, proc)` is called for each role before
-    every utterance, with the run's long-lived process."""
+    A manager per row of `workers.STAGES` is spawned once and stopped when
+    the run ends, however it ends. `process_hook(role, proc)` is called for
+    each before every utterance, with the run's long-lived process."""
     result = DemoResult()
     try:
         files = _utterance_files(config.matrices)
@@ -361,7 +338,7 @@ def demo_run(config: DemoConfig, control_lines=None,
     mailbox_root = Path(tempfile.mkdtemp(prefix="whiteboard-"))
     processes: dict[str, subprocess.Popen] = {}
     try:
-        for role in ROLES:
+        for role in workers.STAGES:
             processes[role] = _spawn_worker(role, mailbox_root / role / "request",
                                             config)
         for matrix_file in files:

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from whiteboard import workers
+from whiteboard.demo import DemoConfig
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURES = Path(__file__).parent.parent / "src" / "whiteboard" / "fixtures"
@@ -15,6 +18,15 @@ ACCEPTANCE_LINES: list[str] = []
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def worker_command(role: str, request_box: Path, **settings) -> list[str]:
+    """The command line the demo spawns `role`'s worker with, serving at
+    `request_box`, for a run over the shipped fixtures with the
+    `DemoConfig` fields in `settings` changed."""
+    return workers.command(role, request_box, DemoConfig(
+        matrices=FIXTURES, grammar=FIXTURES / "words.grammar",
+        dictionary=FIXTURES / "words.dict", out=Path("boards"), **settings))
 
 
 def _manager_thread(thread: threading.Thread) -> bool:

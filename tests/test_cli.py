@@ -2,10 +2,11 @@ import gc
 import json
 import re
 import weakref
+from pathlib import Path
 
 from whiteboard import TimeSpan, Whiteboard, demo, filter_slice, to_json
 from whiteboard.cli import build_arg_parser, main
-from whiteboard.demo import DemoConfig, demo_run
+from whiteboard.demo import DemoConfig, DemoResult, demo_run
 from whiteboard.grid import Thresholds
 
 
@@ -141,10 +142,29 @@ def test_demo_run_rejects_bad_knobs(tmp_path, capsys):
     base = ["demo", "run", "--matrices", "m", "--grammar", "g",
             "--dict", "d", "--out", str(tmp_path / "o")]
     for flags in (["--sleep", "0"], ["--sleep", "nan"], ["--topk", "0"],
-                  ["--beam", "-1"]):
+                  ["--beam", "-1"], ["--max-gap", "-1"], ["--max-overlap", "-1"]):
         assert exit_code(base + flags) == 2, flags
-        assert flags[0] in capsys.readouterr().err, flags
-    assert main(base + ["--max-gap", "-1"]) == 2
+        assert f"argument {flags[0]}: not a " in capsys.readouterr().err, flags
+
+
+def test_demo_run_leaves_each_option_not_given_at_the_configs_default(
+        monkeypatch):
+    configs = []
+    monkeypatch.setattr("whiteboard.cli.demo_run",
+                        lambda config: configs.append(config) or DemoResult())
+    required = {"matrices": "m", "grammar": "g", "dictionary": "d", "out": "o"}
+    main(["demo", "run", "--matrices", "m", "--grammar", "g", "--dict", "d",
+          "--out", "o"])
+    main(["demo", "run", "--matrices", "m", "--grammar", "g", "--dict", "d",
+          "--out", "o", "--max-gap", "1", "--max-overlap", "3", "--topk", "2",
+          "--threshold-syntax", "0.5", "--threshold-ww", "0.1", "--sleep", "25",
+          "--export", "dot", "--step", "--beam", "0"])
+    paths = {name: Path(value) for name, value in required.items()}
+    assert configs == [
+        DemoConfig(**paths),
+        DemoConfig(**paths, thresholds=Thresholds(1, 3), topk=2,
+                   threshold_syntax=0.5, threshold_ww=0.1, sleep_time=0.025,
+                   export_format="dot", step=True, beam=0)]
 
 
 def test_step_mode_runs_exactly_n_rounds(tmp_path, fixtures_dir):

@@ -69,9 +69,9 @@ def test_island_parser_fed_one_cell_per_batch_emits_each_record_once(
         return list(key_of.values())
 
     # the source emits cells in end-frame order, so scores agree as well
-    parser = IslandParser(grammar, Thresholds(2, 2))
+    parser = IslandParser(grammar, Thresholds(2, 2), 16)
     piecewise = keyed([out for record in records for out in parser([record])])
-    whole = keyed(IslandParser(grammar, Thresholds(2, 2))(records))
+    whole = keyed(IslandParser(grammar, Thresholds(2, 2), 16)(records))
     assert len(set(piecewise)) == len(piecewise)
     assert sorted(piecewise) == sorted(whole)
     assert any(key[2] == "P" for key in whole)
@@ -88,10 +88,10 @@ def test_island_parser_makes_the_same_admissions_piecewise_as_at_once(
         return admit(chart, *args, **kwargs)
 
     monkeypatch.setattr(Chart, "_admit", counting_admit)
-    IslandParser(grammar, Thresholds(2, 2))(records)
+    IslandParser(grammar, Thresholds(2, 2), 16)(records)
     at_once = len(admitted)
     admitted.clear()
-    parser = IslandParser(grammar, Thresholds(2, 2))
+    parser = IslandParser(grammar, Thresholds(2, 2), 16)
     for record in records:
         parser([record])
     assert len(admitted) == at_once

@@ -34,6 +34,7 @@ from whiteboard.errors import (
     UnknownFormatCode,
 )
 from whiteboard.mailbox import Mailbox
+from conftest import worker_command
 from oracles import identity_component, valid_lattice
 from stopping import PipeStop
 from utterances import spliced_utterances
@@ -205,7 +206,7 @@ def run_pipeline(run_dir, matrix_file, grammar, dictionary, thresholds, pace):
     try:
         bind("source", MatrixSource(matrix_file, 3), [], "phonemes",
              "edge-v1", "edge-v1", pace)
-        bind("parser", IslandParser(grammar, thresholds), ["phonemes"],
+        bind("parser", IslandParser(grammar, thresholds, 16), ["phonemes"],
              "syntax", "edge-v1", "inactive-edge-v1")
         bind("translator",
              WordForWordTranslator(dictionary, grammar.lexical_labels),
@@ -911,15 +912,12 @@ def test_results_handed_over_on_close_after_settling_fail_the_run(host):
 
 
 def test_closing_reports_a_dead_manager_and_still_closes_the_others(
-        host, tmp_path, fixtures_dir):
+        host, tmp_path):
     from whiteboard.demo import _close_connections
 
     root = tmp_path / "parser" / "request"
-    worker = subprocess.Popen(
-        [sys.executable, "-m", "whiteboard.workers", "parser",
-         "--request-box", str(root),
-         "--grammar", str(fixtures_dir / "words.grammar")],
-        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    worker = subprocess.Popen(worker_command("parser", root),
+                              stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     try:
         coordinator = host.coordinator(make_board())
         coordinator.register(
@@ -1030,7 +1028,7 @@ def test_a_component_error_ends_the_pump_loop_at_once(host, tmp_path):
 
 
 def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
-        host, tmp_path, fixtures_dir):
+        host, tmp_path):
     from whiteboard.demo import (
         DemoConfig,
         _close_connections,
@@ -1044,11 +1042,8 @@ def test_a_manager_killed_while_idle_fails_the_pump_loop_at_once(
         return records
 
     root = tmp_path / "parser" / "request"
-    worker = subprocess.Popen(
-        [sys.executable, "-m", "whiteboard.workers", "parser",
-         "--request-box", str(root),
-         "--grammar", str(fixtures_dir / "words.grammar")],
-        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    worker = subprocess.Popen(worker_command("parser", root),
+                              stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     board = make_board()
     board.layers["phonemes"].add_white_node(TimeSpan(0, 3), "h", 0.9)
     coordinator = host.coordinator(board)
@@ -1095,10 +1090,8 @@ def test_a_refusing_manager_fails_the_pump_loop_at_once(tmp_path):
     from whiteboard.demo import DemoConfig, _pump_loop
     root = tmp_path / "source" / "request"
     # the source's factory raises: the connection names no matrix file
-    worker = subprocess.Popen(
-        [sys.executable, "-m", "whiteboard.workers", "source",
-         "--request-box", str(root), "--sleep", str(SLEEP)],
-        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    worker = subprocess.Popen(worker_command("source", root, sleep_time=SLEEP),
+                              stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     coordinator = Coordinator(make_board())
     try:
         coordinator.register(ComponentBinding(

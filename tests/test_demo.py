@@ -17,6 +17,8 @@ import pytest
 
 from whiteboard import (
     Coordinator,
+    TimeSpan,
+    Whiteboard,
     canonical_form,
     cli,
     coordinator,
@@ -24,10 +26,18 @@ from whiteboard import (
     from_json,
     load_dictionary,
     load_grammar,
+    parse_matrix_file,
     workers,
 )
 from whiteboard.components import MatrixSource, WordForWordTranslator
-from whiteboard.demo import ROLES, DemoConfig, _run_utterance, _stop_workers, demo_run
+from whiteboard.demo import (
+    DemoConfig,
+    _declare_layers,
+    _run_utterance,
+    _seal_layers,
+    _stop_workers,
+    demo_run,
+)
 from whiteboard.mailbox import Mailbox
 from whiteboard.manager import run_manager
 
@@ -35,6 +45,8 @@ REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
 import workload  # noqa: E402  (the benchmark's in-process build is the reference)
+from _echo_stage import ECHO  # noqa: E402
+from conftest import worker_command  # noqa: E402
 from stopping import PipeStop  # noqa: E402
 from utterances import spliced_utterances  # noqa: E402
 
@@ -81,14 +93,14 @@ def test_one_trio_serves_every_utterance_of_a_run(tmp_path, fixtures_dir,
     assert result.exit_code == 0, [u.error for u in result.utterances]
     names = ["hai", "iie", "mizu", "phrase-3", "phrase-4", "phrase-5"]
     assert [u.name for u in result.utterances] == names
-    assert sorted(role for role, _ in spawned) == sorted(demo.ROLES)
-    for role in demo.ROLES:
+    assert sorted(role for role, _ in spawned) == sorted(workers.STAGES)
+    for role in workers.STAGES:
         assert len(hooked[role]) == len(names)
         assert all(proc is hooked[role][0] for proc in hooked[role])
     # stopped with the run, each manager removing its box on the way out
     assert [proc.returncode for _, proc in spawned] == [0, 0, 0]
     assert result.stop_error is None
-    assert left == sorted(demo.ROLES)
+    assert left == sorted(workers.STAGES)
     # a parser or translator id carried over from the previous utterance
     # would lose or misplace records on the next board
     grammar = load_grammar(grammar_path.read_text())
@@ -102,6 +114,96 @@ def test_one_trio_serves_every_utterance_of_a_run(tmp_path, fixtures_dir,
         if name.startswith("phrase"):
             phrase_ww_arcs += len(board.layers["ww"].arcs)
     assert phrase_ww_arcs > 0
+
+
+def test_a_stage_added_by_one_table_row_runs_through_the_demo(
+        tmp_path, monkeypatch):
+    monkeypatch.setitem(workers.STAGES, "echo", ECHO)
+    spawn_as(monkeypatch, "echo", str(ECHO_WORKER))
+    spawned = spawned_workers(monkeypatch)
+    hooked = []
+    # phrases, so ww has arcs for the echo to copy
+    utterances, grammar_path, dict_path = workload.write_inputs(
+        REPO, tmp_path, "long", 5, 2, 3)
+    matrices = [u.path for u in utterances]
+    out = tmp_path / "boards"
+    result = demo_run(DemoConfig(matrices=tmp_path / "mat", grammar=grammar_path,
+                                 dictionary=dict_path, out=out, sleep_time=0.01),
+                      process_hook=lambda role, proc: hooked.append(role))
+
+    assert result.exit_code == 0, [u.error for u in result.utterances]
+    assert [role for role, _ in spawned] == [
+        "source", "parser", "translator", "echo"]
+    assert hooked == len(matrices) * [role for role, _ in spawned]
+    assert [proc.returncode for _, proc in spawned] == [0, 0, 0, 0]
+    echoed_arcs = 0
+    for matrix in matrices:
+        board = from_json((out / f"{matrix.stem}.json").read_text())
+        assert list(board.layers) == ["phonemes", "syntax", "ww", "echo"]
+        ww, echoed = board.layers["ww"], board.layers["echo"]
+        assert echoed.depends_on == {"ww"}
+        assert echoed.legal_labels == ww.legal_labels
+        key = {n.id: (n.span.begin, n.span.end, n.label)
+               for layer in (ww, echoed) for n in layer.white_nodes.values()}
+
+        def image(layer):
+            return (sorted((key[n.id], n.score) for n in layer.white_nodes.values()),
+                    sorted((key[a.origin], key[a.extremity], a.weight)
+                           for a in layer.arcs.values()))
+        assert image(echoed) == image(ww)
+        # each copy is derived from the node it copies
+        assert sorted((key[g.inputs[0]], key[g.outputs[0]])
+                      for g in echoed.grey_nodes.values()) == sorted(
+            (key[n.id], key[n.id]) for n in ww.white_nodes.values())
+        echoed_arcs += len(echoed.arcs)
+    assert echoed_arcs > 0
+
+
+def test_an_added_stage_whose_layer_stays_empty_fails_the_seal(
+        monkeypatch, fixtures_dir):
+    grammar = load_grammar((fixtures_dir / "words.grammar").read_text())
+    dictionary = load_dictionary((fixtures_dir / "words.dict").read_text())
+
+    def board_with_a_node_on(*names):
+        board = Whiteboard()
+        _declare_layers(board, {"h", "a", "i"}, grammar, dictionary)
+        for name, label in zip(names, ["h", "a", "yes"]):
+            board.layers[name].add_white_node(TimeSpan(0, 3), label, 0.9)
+        return board
+
+    assert _seal_layers(board_with_a_node_on("phonemes", "syntax", "ww")) is None
+    assert _seal_layers(board_with_a_node_on("phonemes", "syntax")) == (
+        "layer ww cannot be sealed: layer 'ww' has no white nodes")
+    monkeypatch.setitem(workers.STAGES, "echo", ECHO)
+    assert _seal_layers(board_with_a_node_on("phonemes", "syntax", "ww")) == (
+        "layer echo cannot be sealed: layer 'echo' has no white nodes")
+
+
+def declared_layers(declare, matrix_file, grammar, dictionary):
+    board = Whiteboard()
+    alphabet = {m.phoneme for m in parse_matrix_file(matrix_file.read_text())}
+    declare(board, alphabet, grammar, dictionary)
+    return [(name, layer.depends_on, layer.legal_labels)
+            for name, layer in board.layers.items()]
+
+
+def test_the_benchmarks_copy_of_the_layers_matches_the_stage_table(
+        tmp_path, fixtures_dir):
+    """`perfbench/workload.py` declares the layers of its reference build
+    by hand; it must declare what the demo derives from the table."""
+    [utterance], grammar_path, dict_path = workload.write_inputs(
+        REPO, tmp_path, "long", 1, 1)
+    for matrix_files, grammar_file, dict_file in (
+            (sorted(fixtures_dir.glob("*.mat")), fixtures_dir / "words.grammar",
+             fixtures_dir / "words.dict"),
+            ([utterance.path], grammar_path, dict_path)):
+        grammar = load_grammar(grammar_file.read_text())
+        dictionary = load_dictionary(dict_file.read_text())
+        for matrix_file in matrix_files:
+            want = declared_layers(_declare_layers, matrix_file, grammar, dictionary)
+            assert [name for name, _, _ in want] == ["phonemes", "syntax", "ww"]
+            assert declared_layers(workload.declare_layers, matrix_file, grammar,
+                                   dictionary) == want, matrix_file.name
 
 
 def test_a_worker_lost_between_utterances_fails_the_next_one_at_once(
@@ -152,14 +254,37 @@ def test_the_demo_waits_on_events_until_its_deadline(tmp_path, fixtures_dir,
 
 
 @pytest.mark.parametrize("role, foreign", [
-    (["parser", "--request-box", "b", "--grammar", "g"], ["--sleep", "0.05"]),
-    (["source", "--request-box", "b"], ["--max-gap", "1"])])
+    (worker_command("parser", Path("b"))[3:], ["--sleep", "0.05"]),
+    (worker_command("source", Path("b"))[3:], ["--max-gap", "1"])])
 def test_a_worker_role_refuses_another_roles_flag(role, foreign):
     parser = workers.build_arg_parser()
     assert parser.parse_args(role).role == role[0]
     with pytest.raises(SystemExit) as exited:
         parser.parse_args(role + foreign)
     assert exited.value.code == 2
+
+
+@pytest.mark.parametrize("role, flag, value", [
+    ("parser", "--beam", "-5"), ("source", "--topk", "0"),
+    ("source", "--sleep", "-1"), ("source", "--sleep", "nan"),
+    ("parser", "--max-gap", "-1"), ("parser", "--max-overlap", "-1")])
+def test_a_worker_refuses_a_flag_out_of_range(role, flag, value, capsys):
+    """The bounds of `demo run`: a demo config made through the API
+    reaches the worker unchecked."""
+    argv = worker_command(role, Path("b"))[3:]
+    with pytest.raises(SystemExit) as exited:
+        workers.build_arg_parser().parse_args(argv + [flag, value])
+    assert exited.value.code == 2
+    assert f"argument {flag}: not a " in capsys.readouterr().err
+
+
+def test_a_worker_spawned_from_a_config_out_of_range_exits_2(tmp_path):
+    worker = subprocess.run(worker_command("parser", tmp_path / "request", beam=-1),
+                            stdin=subprocess.DEVNULL, capture_output=True,
+                            text=True, timeout=30)
+    assert worker.returncode == 2
+    assert "argument --beam: not a whole number of 0 or more: '-1'" in worker.stderr
+    assert list(tmp_path.iterdir()) == []  # it never served
 
 
 @pytest.mark.parametrize("directory, name", [("two words", "hai.mat"),
@@ -179,23 +304,29 @@ def test_a_matrix_path_that_is_not_a_wire_token_is_a_config_error(
 
 
 FAILING_WORKER = Path(__file__).parent / "_failing_worker.py"
+ECHO_WORKER = Path(__file__).parent / "_echo_stage.py"
+
+
+def spawn_as(monkeypatch, role, *script):
+    """Make the demo spawn `role`'s worker as `script`, given the arguments
+    of `python -m whiteboard.workers` after it."""
+    spawn = demo._spawn_worker
+
+    def spawning(role_, request_root, config):
+        if role_ != role:
+            return spawn(role_, request_root, config)
+        popen = subprocess.Popen
+        with monkeypatch.context() as patch:
+            patch.setattr(subprocess, "Popen", lambda cmd, **kwargs: popen(
+                [sys.executable, *script, *cmd[3:]], **kwargs))
+            return spawn(role_, request_root, config)
+
+    monkeypatch.setattr(demo, "_spawn_worker", spawning)
 
 
 def spawn_faulty_translator(monkeypatch, fault):
     """Make the demo spawn its translator as a failing worker with `fault`."""
-    spawn = demo._spawn_worker
-
-    def spawn_failing_translator(role, request_root, config):
-        if role != "translator":
-            return spawn(role, request_root, config)
-        popen = subprocess.Popen
-        with monkeypatch.context() as patch:
-            # the same arguments, to the worker whose component misbehaves
-            patch.setattr(subprocess, "Popen", lambda cmd, **kwargs: popen(
-                [sys.executable, str(FAILING_WORKER), fault, *cmd[3:]], **kwargs))
-            return spawn(role, request_root, config)
-
-    monkeypatch.setattr(demo, "_spawn_worker", spawn_failing_translator)
+    spawn_as(monkeypatch, "translator", str(FAILING_WORKER), fault)
 
 
 def test_a_component_error_fails_the_utterance_even_with_ww_nodes(
@@ -299,7 +430,7 @@ def test_a_failed_utterance_leaves_no_descriptor_open(
         killer.join(timeout=20.0)
     [utterance] = result.utterances
     assert not utterance.ok
-    assert len(conns) == len(ROLES)
+    assert len(conns) == len(workers.STAGES)
     assert all(conn.channel.fileno() == -1 for conn in conns)
     assert len(os.listdir("/proc/self/fd")) == before
 
@@ -310,7 +441,8 @@ def test_open_requests_nobody_takes_fail_the_utterance(tmp_path, fixtures_dir):
         def poll(self):
             return None
 
-    for role in ROLES:  # request boxes nobody listens on, as if each manager hung
+    # request boxes nobody listens on, as if each manager hung
+    for role in workers.STAGES:
         (tmp_path / role).mkdir()
         Mailbox(tmp_path / role / "request").open()._sock.close()
     config = DemoConfig(matrices=fixtures_dir / "hai.mat",
@@ -322,11 +454,12 @@ def test_open_requests_nobody_takes_fail_the_utterance(tmp_path, fixtures_dir):
         config.matrices, config,
         load_grammar(config.grammar.read_text(encoding="utf-8")),
         load_dictionary(config.dictionary.read_text(encoding="utf-8")),
-        tmp_path, {role: Alive() for role in ROLES})
+        tmp_path, {role: Alive() for role in workers.STAGES})
     assert time.monotonic() - start < 1.0
     assert result.error.startswith("pipeline failed: manager at ")
     assert "did not take the open request: nobody listens" in result.error
-    assert sorted(tmp_path.iterdir()) == [tmp_path / role for role in sorted(ROLES)]
+    assert sorted(tmp_path.iterdir()) == [tmp_path / role
+                                          for role in sorted(workers.STAGES)]
 
 
 def test_a_failed_utterance_waits_for_no_manager(tmp_path, fixtures_dir):
@@ -347,7 +480,7 @@ def test_a_failed_utterance_waits_for_no_manager(tmp_path, fixtures_dir):
             dictionary, grammar.lexical_labels)}
     stop = PipeStop()
     threads = []
-    for role in ROLES:
+    for role in workers.STAGES:
         (tmp_path / role).mkdir()
         threads.append(threading.Thread(
             target=run_manager, args=(factories[role], tmp_path / role / "request"),
@@ -361,7 +494,7 @@ def test_a_failed_utterance_waits_for_no_manager(tmp_path, fixtures_dir):
     try:
         result = _run_utterance(config.matrices, config, grammar, dictionary,
                                 tmp_path, {role: SimpleNamespace(poll=lambda: None)
-                                           for role in ROLES})
+                                           for role in workers.STAGES})
         elapsed = time.monotonic() - start
     finally:
         release.set()
@@ -461,11 +594,11 @@ def test_a_demo_that_dies_takes_its_workers_with_it(tmp_path, fixtures_dir):
     pids = []
     try:
         deadline = time.monotonic() + 30.0
-        while len(list(tmp.glob("whiteboard-*/*/request"))) < len(ROLES):
+        while len(list(tmp.glob("whiteboard-*/*/request"))) < len(workers.STAGES):
             assert time.monotonic() < deadline, "the workers never served"
             time.sleep(0.01)
         pids = workers_under(tmp)
-        assert len(pids) == len(ROLES)
+        assert len(pids) == len(workers.STAGES)
         time.sleep(0.1)  # into the first utterance, paced 200 ms a piece
         run.kill()
         run.wait(timeout=10)

@@ -4,7 +4,6 @@ import signal
 import stat
 import struct
 import subprocess
-import sys
 import threading
 import time
 
@@ -27,6 +26,7 @@ from whiteboard.manager import (
     run_manager,
 )
 from whiteboard.mailbox import Channel, Mailbox, wait_ready
+from conftest import worker_command
 from oracles import identity_component
 from stopping import PipeStop
 from utterances import spliced_utterances
@@ -132,7 +132,7 @@ def test_interleaved_connections_to_one_parser_manager_keep_apart(
     thresholds = Thresholds(2, 2)
 
     def parser(_input):
-        return IslandParser(grammar, thresholds)
+        return IslandParser(grammar, thresholds, 16)
 
     # each utterance's cells in the pieces its source would deliver
     first, second = (partition_by_end(MatrixSource(path, 3)([]))
@@ -658,14 +658,10 @@ def test_connections_leave_no_descriptor_and_a_stopped_manager_no_request_box(
     assert list(root.parent.iterdir()) == []
 
 
-def test_a_killed_manager_process_fails_opens_and_closes_at_once(
-        tmp_path, fixtures_dir):
+def test_a_killed_manager_process_fails_opens_and_closes_at_once(tmp_path):
     root = tmp_path / "parser" / "request"
-    worker = subprocess.Popen(
-        [sys.executable, "-m", "whiteboard.workers", "parser",
-         "--request-box", str(root),
-         "--grammar", str(fixtures_dir / "words.grammar")],
-        stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    worker = subprocess.Popen(worker_command("parser", root),
+                              stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     try:
         wait_for_request_box(root, timeout=30.0)
         conn = request_connection(root, params())
