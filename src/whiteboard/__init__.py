@@ -16,11 +16,9 @@ from .board import (
     GreyNode,
     Layer,
     PackingKey,
-    SealReport,
     TimeSpan,
     WhiteNode,
     Whiteboard,
-    boards_isomorphic,
     canonical_form,
     filter_slice,
     from_json,
@@ -64,8 +62,8 @@ __all__ = [
     "Coordinator", "Dictionary", "DictionaryEntry", "Edge", "Grammar",
     "GreyNode", "GridNode", "Layer", "PackingKey",
     "PhonemeMatrix", "PumpReport", "RankedMatrix", "Rule",
-    "SealReport", "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
-    "add_derivation", "add_grid_node", "boards_isomorphic", "canonical_form",
+    "Thresholds", "TimeSpan", "WhiteNode", "Whiteboard",
+    "add_derivation", "add_grid_node", "canonical_form",
     "chart_from_cells", "chart_to_lattice", "filter_slice", "from_json",
     "grid_connected", "grid_to_lattice", "island_parse", "load_dictionary",
     "load_grammar", "parse_matrix_file", "partition_by_end",

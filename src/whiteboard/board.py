@@ -13,10 +13,9 @@ every layer holds one node per exact packing key, legal labels only, and
 arcs that run forward in time: an arc's extremity begins no earlier than
 its origin begins and ends strictly later than its origin ends. End
 frames rise along every path, so a layer is loop-free by construction.
-Layers are mutable until sealed. Sealing wires two virtual endpoint nodes
-to the sources and sinks of that loop-free graph, which gives it one
-first node, one last node and every node on an initial-to-final path, and
-freezes the layer.
+Layers are mutable until sealed. Sealing freezes a layer that holds a
+white node: it takes no further write, and it drops the indexes that only
+writers read.
 """
 
 from __future__ import annotations
@@ -99,14 +98,6 @@ class Arc:
     weight: float
 
 
-@dataclass
-class SealReport:
-    node_count: int
-    arc_count: int
-    wired_to_initial: list[int]
-    wired_to_final: list[int]
-
-
 class Layer:
     """One whiteboard layer; create through :meth:`Whiteboard.declare_layer`."""
 
@@ -118,18 +109,14 @@ class Layer:
         self.legal_labels = set(legal_labels) if legal_labels is not None else None
         self.depends_on = depends_on
         self.sealed = False
-        self._seal_report: SealReport | None = None
         self.white_nodes: dict[int, WhiteNode] = {}
         self.grey_nodes: dict[int, GreyNode] = {}
         self.arcs: dict[int, Arc] = {}
-        self._wiring_arcs: dict[int, Arc] = {}
         self._by_key: dict[PackingKey, int] = {}
         # white-node ids by begin frame and by end frame, in creation order
         self._by_begin: dict[int, list[int]] = {}
         self._by_end: dict[int, list[int]] = {}
         self._succ: dict[int, list[int]] = {}
-        self.virtual_initial = board._new_id()
-        self.virtual_final = board._new_id()
 
     # -- mutation ----------------------------------------------------------
 
@@ -232,46 +219,20 @@ class Layer:
         if self.sealed:
             raise LayerSealed(f"layer {self.name!r} is sealed")
 
-    # -- sealing and traversal ----------------------------------------------
-
-    def seal(self) -> SealReport:
-        """Wire the virtual endpoints to the sources and sinks and freeze
-        the layer.
-
-        Every arc runs forward in time, so the layer is loop-free, and the
-        wiring leaves the initial endpoint as its only first node, the
-        final one as its only last node, and every white node on an
-        initial-to-final path.
-        """
+    def seal(self) -> None:
+        """Freeze the layer; sealing a sealed layer does nothing. A layer
+        with no white node cannot be sealed (`EmptyLayer`)."""
         if self.sealed:
-            return self._seal_report
+            return
         if not self.white_nodes:
             raise EmptyLayer(f"layer {self.name!r} has no white nodes")
-        sources = sorted(set(self.white_nodes).difference(
-            a.extremity for a in self.arcs.values()))
-        sinks = sorted(n for n in self.white_nodes if not self._succ[n])
-        vi, vf = self.virtual_initial, self.virtual_final
-        self._succ[vi] = list(sources)
-        self._succ[vf] = []
-        for n in sources:
-            arc_id = self.board._new_id()
-            self._wiring_arcs[arc_id] = Arc(arc_id, vi, n, 0.0)
-        for n in sinks:
-            arc_id = self.board._new_id()
-            self._wiring_arcs[arc_id] = Arc(arc_id, n, vf, 0.0)
-            self._succ[n].append(vf)
         self.sealed = True
-        # only writers read the packing and frame indexes, and a sealed
-        # layer takes no writes
+        # only writers read the packing, frame and successor indexes, and a
+        # sealed layer takes no writes
         self._by_key.clear()
         self._by_begin.clear()
         self._by_end.clear()
-        self._seal_report = SealReport(len(self.white_nodes), len(self.arcs),
-                                       sources, sinks)
-        return self._seal_report
-
-    def successors(self, node_id: int) -> list[int]:
-        return list(self._succ.get(node_id, ()))
+        self._succ.clear()
 
 
 class Whiteboard:
@@ -329,8 +290,8 @@ def filter_slice(nodes: list[WhiteNode], arcs: list[Arc],
 # -- export / import ---------------------------------------------------------
 
 def to_json(board: Whiteboard) -> str:
-    """Deterministic compact JSON image of the board (virtual endpoints
-    omitted), the text one `json.dumps` of the whole document writes.
+    """Deterministic compact JSON image of the board, the text one
+    `json.dumps` of the whole document writes.
 
     Each layer's scalar fields, nodes, grey nodes and arcs are encoded in
     turn, and each list is dropped before the next is built, so the
@@ -387,13 +348,9 @@ def from_json(text: str) -> Whiteboard:
     if repeated:
         raise InvalidExport(f"id {repeated[0]} is used more than once")
     board = Whiteboard()
-    # the virtual endpoints and the seal's wiring arcs take ids above
-    # every exported one
-    board._next_id = max(uses, default=0) + 1
     layers = [board.declare_layer(d["name"], legal_labels=d["legal_labels"],
                                   depends_on=d["depends_on"])
               for d in layer_docs]
-    fresh = board._next_id
     # a layer is declared after the layers it depends on, so their nodes
     # are written before its grey nodes name them
     for layer, layer_doc in zip(layers, layer_docs):
@@ -420,7 +377,8 @@ def from_json(text: str) -> Whiteboard:
             board._next_id = arc_doc["id"]
             layer.add_arc(arc_doc["origin"], arc_doc["extremity"],
                           arc_doc["weight"])
-    board._next_id = fresh
+    # a later write takes an id above every exported one
+    board._next_id = max(uses, default=0) + 1
     for layer, layer_doc in zip(layers, layer_docs):
         if layer_doc["sealed"]:
             layer.seal()
@@ -556,8 +514,3 @@ def canonical_form(board: Whiteboard):
         form.append((name, tuple(sorted(lay.depends_on)),
                      tuple(nodes), tuple(arcs), tuple(greys)))
     return tuple(form)
-
-
-def boards_isomorphic(a: Whiteboard, b: Whiteboard) -> bool:
-    """Structural equality up to identifier renaming."""
-    return canonical_form(a) == canonical_form(b)

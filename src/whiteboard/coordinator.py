@@ -416,6 +416,8 @@ class Coordinator:
 
     def unsettled(self) -> str:
         """What keeps the pipeline from settling, binding by binding."""
+        if not self.rounds:
+            return "no round has run"
         parts = [f"{name} has {bound.conn.outstanding} outstanding batches"
                  for name, bound in self.bound.items() if bound.conn.outstanding]
         parts += [f"{name} has records left to forward" for name in self.backlog]

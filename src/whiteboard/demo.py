@@ -3,15 +3,18 @@
 A run spawns one manager process per row of `workers.STAGES` (matrix
 source, island parser, word-for-word translator) and keeps them for all
 of its utterances, stopping them when the run ends by closing each
-worker's stdin, its manager's stop. For each utterance the driver
-declares a fresh board, a layer per row, opens fresh connections to the
-managers at once, naming the utterance's matrix file to the row that
-reads no layer, and pumps until the coordinator has settled: every batch
-it deposited has come back with its `done` record and nothing is left to
-forward. It then closes the connections one after another, fails the
-utterance if any of them still held results, and seals and exports the
-layers; an empty layer cannot be sealed. A failed utterance closes its
-connections without waiting for any manager, and ends the run.
+worker's stdin, its manager's stop. A worker that exits before it serves
+its request box, such as one refusing a flag, is a configuration error.
+For each utterance the driver declares a fresh board, a layer per row,
+opens fresh connections to the managers at once, naming the utterance's
+matrix file to the row that reads no layer, and pumps until the
+coordinator has settled: every batch it deposited has come back with its
+`done` record and nothing is left to forward. It then closes the
+connections one after another, fails the utterance if any of them still
+held results, and seals and exports the layers; an empty layer cannot be
+sealed. A failed utterance closes its connections without waiting for
+any manager, and ends the run. So does a step session that quits, or
+runs out of commands, before it settled.
 
 The first pump round that notes an error on a binding ends the
 utterance, whatever its last layer holds: a component's error record, a
@@ -58,7 +61,7 @@ from .chart import load_grammar
 from .coordinator import ComponentBinding, Coordinator
 from .errors import ManagerUnavailable, WhiteboardError
 from .grid import Thresholds, parse_matrix_file
-from .manager import ConnectionParams
+from .manager import OPEN_TIMEOUT, RETRY_SLEEP, ConnectionParams
 from .translate import load_dictionary
 
 log = logging.getLogger(__name__)
@@ -134,6 +137,22 @@ def _spawn_worker(role: str, request_root: Path,
     """One role's worker, given only the flags that role takes."""
     return subprocess.Popen(workers.command(role, request_root, config),
                             stdin=subprocess.PIPE)
+
+
+def _await_workers(processes: dict[str, subprocess.Popen],
+                   mailbox_root: Path) -> str | None:
+    """Wait, as long as an open would, until every worker serves its request
+    box. Returns why the run cannot start: a worker that exited first, with
+    its exit status, or one whose box never came."""
+    deadline = time.monotonic() + OPEN_TIMEOUT
+    for role, proc in processes.items():
+        while not (mailbox_root / role / "request").exists():
+            if proc.poll() is not None:
+                return f"the {role} worker exited {proc.returncode} before it served"
+            if time.monotonic() >= deadline:
+                return f"the {role} worker served no box within {OPEN_TIMEOUT}s"
+            time.sleep(RETRY_SLEEP)
+    return None
 
 
 def _declare_layers(board: Whiteboard, alphabet: set[str], grammar,
@@ -245,7 +264,8 @@ def _pump_loop(coordinator: Coordinator, config: DemoConfig) -> str | None:
 
 def _step_loop(coordinator: Coordinator, control_lines) -> str | None:
     """Consume step/status/quit commands, one pump per step. The first
-    step that notes an error ends the loop."""
+    step that notes an error ends the loop, and so does a quit, or the end
+    of the commands, which fail the utterance unless it has settled."""
     lines = control_lines if control_lines is not None else sys.stdin
     for raw in lines:
         command = raw.strip().lower()
@@ -260,20 +280,20 @@ def _step_loop(coordinator: Coordinator, control_lines) -> str | None:
             break
         else:
             print(f"unknown command: {command}", flush=True)
-    return None
+    if coordinator.settled():
+        return None
+    return (f"quit after {coordinator.rounds} rounds, before the pipeline "
+            f"settled: {coordinator.unsettled()}")
 
 
 def _close_connections(coordinator: Coordinator,
                        timeout: float = 5.0) -> str | None:
     """Close each connection in turn, each close waiting up to `timeout`
     seconds for its manager's `(closed)`. Every connection is closed,
-    whatever fails; the failures are reported.
-
-    Once the pipeline has settled nothing may still be in flight, so
-    results handed over on close fail the utterance. A step-mode run quit
-    early has not settled, and its leftovers are only logged.
+    whatever fails; the failures are reported. They count only once the
+    pipeline has settled, when nothing may be in flight, so results handed
+    over on close are a failure too.
     """
-    settled = coordinator.settled()
     problems = []
     for name, conn in coordinator.connections().items():
         try:
@@ -281,12 +301,9 @@ def _close_connections(coordinator: Coordinator,
         except WhiteboardError as exc:
             problems.append(f"closing {name}: {exc}")
             continue
-        if leftovers and settled:
+        if leftovers:
             problems.append(f"binding {name} handed over {len(leftovers)} "
                             f"records on close, after the pipeline settled")
-        elif leftovers:
-            log.info("binding %s: %d records dropped on close",
-                     name, len(leftovers))
     return "; ".join(problems) or None
 
 
@@ -341,6 +358,9 @@ def demo_run(config: DemoConfig, control_lines=None,
         for role in workers.STAGES:
             processes[role] = _spawn_worker(role, mailbox_root / role / "request",
                                             config)
+        result.config_error = _await_workers(processes, mailbox_root)
+        if result.config_error is not None:
+            return result
         for matrix_file in files:
             if result.utterances:
                 result.utterances[-1].board = None

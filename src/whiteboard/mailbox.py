@@ -16,16 +16,17 @@ the box's directory, held only for the call.
 
 A connection is one connected socket, whose two ends are channels: each
 carries the batches of one party to the other, each batch one frame, its
-UTF-8 text behind its length. An empty batch is a frame too. The writer
-writes without blocking and keeps the tail that did not fit, to be written
-first. The reader reads exactly one frame at a time, so whatever it has
-not read stays in the socket, and a readable socket is its reader's
-wake-up: a channel is its own doorbell. A party that is done writing
-shuts its end for writing; its peer reads every frame whole, then the end
-of file. When either party goes, or dies, whether or not its peer has
-accepted the connection, the other gets `PeerGone` at its next read,
-after the frames that arrived whole, and at its next write: the kernel
-reports an end of file, `ECONNRESET` or `EPIPE` at once.
+UTF-8 text behind its length. An empty batch is a frame too. A write
+never blocks: `try_deposit` writes what fits and keeps the tail, which
+`flush` writes first; only a `hang_up` and a `collect` wait. The reader
+reads exactly one frame at a time, so whatever it has not read stays in
+the socket, and a readable socket is its reader's wake-up: a channel is
+its own doorbell. A party that is done writing shuts its end for
+writing; its peer reads every frame whole, then the end of file. When
+either party goes, or dies, whether or not its peer has accepted the
+connection, the other gets `PeerGone` at its next read, after the frames
+that arrived whole, and at its next write: the kernel reports an end of
+file, `ECONNRESET` or `EPIPE` at once.
 """
 
 from __future__ import annotations
@@ -206,14 +207,6 @@ class Channel:
                 raise PeerGone("the channel's peer has gone") from None
             self._tail = self._tail[written:]
         return True
-
-    def deposit(self, text: str, timeout: float | None = None) -> None:
-        """Block until the whole frame is written."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.try_deposit(text):
-            self._wait(deadline, "deposit")
-        while not self.flush():
-            self._wait(deadline, "deposit")
 
     def hang_up(self, timeout: float | None = None) -> None:
         """Write out the last frame's tail, then shut this end for

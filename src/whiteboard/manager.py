@@ -1,13 +1,14 @@
 """Managers: serve components to clients through a request box and connections.
 
 A manager is a long-lived server. It owns a request box, the socket at
-``<root>/<name>/request`` that it listens on, and it serves any number of
-connections, one after another or at once. A client connects to the box
-(see `whiteboard.mailbox`) and sends its open request as the connection's
-first frame; then it writes work on the same connection and reads results
-from it. The open request fixes the connection's formats and names its
-input, and the manager builds a fresh component for it from its factory,
-so no component state is shared between connections.
+``<root>/<name>/request`` that it listens on, and it serves any number
+of connections, one after another or at once. A client connects to the
+box (see `whiteboard.mailbox`) and sends its open request as the
+connection's first frame; then it hands work over on the same
+connection, never blocking, and reads results from it. The open request
+fixes the connection's formats and names its input, and the manager
+builds a fresh component for it from its factory, so no component state
+is shared between connections.
 
 A connection is live once asked for. The client may write batches right
 behind its open request: the socket keeps them until the manager, taking
@@ -69,8 +70,9 @@ from .mailbox import Channel, Mailbox, wait_ready
 log = logging.getLogger(__name__)
 
 # a client's pause before it asks again, while no manager serves the
-# request box yet or the box's queue is full
+# request box yet or the box's queue is full, and how long it asks
 RETRY_SLEEP = 0.01
+OPEN_TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class ConnectionParams:
 
 
 class Connection:
-    """Client-side handle: deposit work, collect results.
+    """Client-side handle: hand work over without blocking, collect results.
 
     `channel` is the client's end of the connection to the manager serving
     `request_root`. `outstanding` counts the batches deposited whose
@@ -105,11 +107,6 @@ class Connection:
         self.request_root = request_root
         self.outstanding = 0
         self.done_frame = 0
-
-    def deposit(self, records, timeout: float | None = None) -> None:
-        text = wire.serialize(records, self.params.import_format)
-        self.channel.deposit(text, timeout=timeout)
-        self.outstanding += 1
 
     def try_deposit(self, records) -> bool:
         """Hand a batch over without blocking. Returns False, taking
@@ -185,7 +182,7 @@ class Connection:
 
 
 def request_connection(request_root: Path | str, params: ConnectionParams,
-                       timeout: float = 10.0) -> Connection:
+                       timeout: float = OPEN_TIMEOUT) -> Connection:
     """Connect to the manager serving `request_root` and send it the open
     request, as the connection's first frame. The connection is live at
     once: it keeps what is deposited until the manager takes it.

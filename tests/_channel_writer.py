@@ -22,6 +22,7 @@ import time
 from whiteboard import wire
 from whiteboard.errors import PeerGone
 from whiteboard.mailbox import Mailbox, wait_ready
+from blocking import deposit
 
 
 def big_text() -> str:
@@ -51,11 +52,11 @@ def main() -> int:
             wait_ready([], [channel])
     elif mode == "odd":
         for text in odd_texts():
-            channel.deposit(text, timeout=10.0)
+            deposit(channel, text, timeout=10.0)
     elif mode == "gone":
         sys.stdin.readline()
         try:
-            channel.deposit("late\n", timeout=10.0)
+            deposit(channel, "late\n", timeout=10.0)
         except PeerGone:
             print("PeerGone", flush=True)
     channel.close()

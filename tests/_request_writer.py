@@ -19,6 +19,7 @@ import sys
 import time
 
 from whiteboard.mailbox import Mailbox
+from blocking import deposit
 
 
 def main() -> int:
@@ -35,7 +36,7 @@ def main() -> int:
                 print("stopped", flush=True)
                 os.kill(os.getpid(), signal.SIGSTOP)
             made += 1
-            channel.deposit(f"{tag} {seq}\n", timeout=10.0)
+            deposit(channel, f"{tag} {seq}\n", timeout=10.0)
             channel.close()
     return 0
 

@@ -89,22 +89,43 @@ class LatticePath:
     node_ids: tuple[int, ...]
 
 
+# the two endpoints an oracle wires around a layer; board ids start at 1
+INITIAL, FINAL = 0, -1
+
+
+def wired_successors(layer) -> dict[int, list[int]]:
+    """A layer's successor lists over its arcs, with two endpoints of the
+    oracle's own: INITIAL goes before every white node that no arc enters,
+    and FINAL after every one that no arc leaves."""
+    succ: dict[int, list[int]] = {n: [] for n in layer.white_nodes}
+    for arc in layer.arcs.values():
+        succ[arc.origin].append(arc.extremity)
+    entered = {arc.extremity for arc in layer.arcs.values()}
+    succ[INITIAL] = [n for n in layer.white_nodes if n not in entered]
+    for outs in list(succ.values()):
+        if not outs:
+            outs.append(FINAL)
+    succ[FINAL] = []
+    return succ
+
+
 def enumerate_paths(layer) -> list[LatticePath]:
-    """Every initial-to-final label sequence of a sealed layer, walking its
-    successor lists through the seal's wiring, with additive scores.
-    Exponential in the layer's size, so only small layers are walked."""
+    """Every initial-to-final label sequence of a sealed layer, walking the
+    oracle's own wiring around its arcs, with additive scores. Exponential
+    in the layer's size, so only small layers are walked."""
     if not layer.sealed:
         raise NotSealed(f"layer {layer.name!r} is not sealed")
+    succ = wired_successors(layer)
     weight_of = {(arc.origin, arc.extremity): arc.weight
                  for arc in layer.arcs.values()}
     paths: list[LatticePath] = []
 
     def walk(node_id: int, labels: list[str], ids: list[int], score: float):
-        if node_id == layer.virtual_final:
+        if node_id == FINAL:
             paths.append(LatticePath(tuple(labels), score, tuple(ids)))
             return
-        for nxt in sorted(layer.successors(node_id)):
-            step = weight_of.get((node_id, nxt), 0.0)  # wiring arcs weigh 0
+        for nxt in sorted(succ[node_id]):
+            step = weight_of.get((node_id, nxt), 0.0)  # the wiring weighs 0
             node = layer.white_nodes.get(nxt)
             if node is None:  # the final endpoint
                 walk(nxt, labels, ids, score + step)
@@ -112,24 +133,23 @@ def enumerate_paths(layer) -> list[LatticePath]:
                 walk(nxt, labels + [node.label], ids + [nxt],
                      score + step + node.score)
 
-    walk(layer.virtual_initial, [], [], 0.0)
+    walk(INITIAL, [], [], 0.0)
     return paths
 
 
 def valid_lattice(layer) -> bool:
-    """A sealed layer's graph, endpoints included, is acyclic (Kahn), has
-    the virtual endpoints as its only first and last nodes, and puts every
+    """A layer's graph, wired to the oracle's endpoints, is acyclic (Kahn),
+    has the endpoints as its only first and last nodes, and puts every
     white node on an initial-to-final path."""
-    nodes = list(layer.white_nodes) + [layer.virtual_initial,
-                                       layer.virtual_final]
-    succ = {n: list(layer.successors(n)) for n in nodes}
+    succ = wired_successors(layer)
+    nodes = list(succ)
     indeg = {n: 0 for n in nodes}
     for outs in succ.values():
         for m in outs:
             indeg[m] += 1
     firsts = [n for n in nodes if indeg[n] == 0]
     lasts = [n for n in nodes if not succ[n]]
-    if firsts != [layer.virtual_initial] or lasts != [layer.virtual_final]:
+    if firsts != [INITIAL] or lasts != [FINAL]:
         return False
     queue = list(firsts)
     seen = 0
@@ -146,8 +166,8 @@ def valid_lattice(layer) -> bool:
     for n, outs in succ.items():
         for m in outs:
             pred.setdefault(m, []).append(n)
-    forward = _closure(layer.virtual_initial, succ)
-    backward = _closure(layer.virtual_final, pred)
+    forward = _closure(INITIAL, succ)
+    backward = _closure(FINAL, pred)
     return all(n in forward and n in backward for n in layer.white_nodes)
 
 

@@ -16,7 +16,7 @@ from whiteboard import (
     Thresholds,
     TimeSpan,
     Whiteboard,
-    boards_isomorphic,
+    canonical_form,
     chart_from_cells,
     chart_to_lattice,
     from_json,
@@ -31,6 +31,7 @@ from whiteboard.demo import DemoConfig, demo_run
 from whiteboard.grid import PhonemeMatrix
 from whiteboard.mailbox import Mailbox
 from whiteboard.manager import partition_by_end
+from blocking import deposit
 from conftest import ACCEPTANCE_LINES
 from oracles import (
     closure_oracle,
@@ -207,7 +208,7 @@ def test_06_mailbox_exactly_once_across_processes(tmp_path):
             digest = hashlib.sha256(
                 wire.serialize(data, "edge-v1").encode("utf-8")).hexdigest()[:16]
             batch = data + [wire.EdgeRecord(seq, 0, "x" + digest, 0.0)]
-            channel.deposit(wire.serialize(batch, "edge-v1"), timeout=120.0)
+            deposit(channel, wire.serialize(batch, "edge-v1"), timeout=120.0)
 
     try:
         assert consumer.stdout.readline() == "ready\n"
@@ -293,7 +294,8 @@ def test_08_end_to_end_demo_on_hai(tmp_path):
     assert sorted(n["label"] for n in ww["nodes"]) == [
         "ashes", "the-lungs", "yes", "yes-sir"]
     assert {(n["begin"], n["end"]) for n in ww["nodes"]} == {(0, 9)}
-    assert boards_isomorphic(from_json(exports[0]), from_json(exports[1]))
+    first, second = (canonical_form(from_json(text)) for text in exports)
+    assert first == second
     ok(8, "hai demo yields exactly yes/yes-sir/the-lungs/ashes over the "
           "source span, deterministically, under 10s per run")
 

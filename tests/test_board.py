@@ -13,7 +13,6 @@ from whiteboard import (
     TimeSpan,
     Whiteboard,
     add_derivation,
-    boards_isomorphic,
     canonical_form,
     filter_slice,
     from_json,
@@ -297,10 +296,9 @@ def test_seal_chain():
     c, _ = layer.add_white_node(span(2, 3), "C", 0.3)
     layer.add_arc(a, b)
     layer.add_arc(b, c)
-    report = layer.seal()
+    layer.seal()
     assert valid_lattice(layer)
-    assert report.wired_to_initial == [a]
-    assert report.wired_to_final == [c]
+    assert [p.node_ids for p in enumerate_paths(layer)] == [(a, b, c)]
     with pytest.raises(LayerSealed):
         layer.add_white_node(span(0, 1), "Z", 0.1)
 
@@ -313,10 +311,9 @@ def test_seal_parallel_chains_share_endpoints():
     d, _ = layer.add_white_node(span(1, 2), "D", 0.4)
     layer.add_arc(a, b)
     layer.add_arc(c, d)
-    report = layer.seal()
+    layer.seal()
     assert valid_lattice(layer)
-    assert report.wired_to_initial == sorted([a, c])
-    assert report.wired_to_final == sorted([b, d])
+    assert sorted(p.node_ids for p in enumerate_paths(layer)) == [(a, b), (c, d)]
 
 
 def test_seal_wires_isolated_node_as_parallel_path():
@@ -341,8 +338,11 @@ def test_seal_empty_layer_rejected():
 def test_seal_is_idempotent():
     layer = make_layer()
     layer.add_white_node(span(0, 1), "A", 0.1)
-    first = layer.seal()
-    assert layer.seal() is first
+    layer.seal()
+    layer.seal()
+    assert layer.sealed
+    with pytest.raises(LayerSealed):
+        layer.add_white_node(span(1, 2), "B", 0.1)
 
 
 # -- path enumeration ----------------------------------------------------------------
@@ -523,7 +523,7 @@ def test_json_roundtrip_is_identity():
     text = to_json(board)
     again = from_json(text)
     assert to_json(again) == text
-    assert boards_isomorphic(board, again)
+    assert canonical_form(again) == canonical_form(board)
     # the layers come back whole: legal labels, packing keys and seal
     with pytest.raises(IllegalLabel):
         again.layers["one"].add_white_node(span(6, 9), "W", 0.5)
@@ -551,11 +551,28 @@ def test_json_export_of_a_demo_board_is_a_fixed_point(fixtures_dir):
     text = to_json(board)
     again = from_json(text)
     assert to_json(again) == text
-    assert boards_isomorphic(board, again)
+    assert canonical_form(again) == canonical_form(board)
     # the imported arcs are indexed too: the sealed layers read the same
     for name, layer in board.layers.items():
         assert ([p.node_ids for p in enumerate_paths(again.layers[name])]
                 == [p.node_ids for p in enumerate_paths(layer)])
+
+
+def test_an_export_whose_ids_start_at_7_loads_with_its_ids_kept(fixtures_dir):
+    """The demo's `hai` export as written while sealing gave each layer two
+    endpoint ids, taken when it was declared, so its three layers' nodes
+    start at 7. It loads, and exports again byte for byte with its ids
+    kept. A new build's ids start at 1, and its export round-trips too;
+    both are the same board."""
+    text = (Path(__file__).parent / "exports" / "hai-ids-from-7.json").read_text(
+        encoding="utf-8")
+    old = from_json(text)
+    assert min(all_ids(old)) == 7
+    assert to_json(old) == text
+    new = demo_board(fixtures_dir, "hai")
+    assert min(all_ids(new)) == 1
+    assert to_json(from_json(to_json(new))) == to_json(new)
+    assert canonical_form(old) == canonical_form(new)
 
 
 @pytest.mark.parametrize("stem", ["hai", "iie", "mizu"])
@@ -583,12 +600,9 @@ def test_the_export_of_a_long_board_needs_little_scratch_memory(tmp_path):
 
 
 def all_ids(board):
-    """Every id the board has handed out, virtual endpoints and the seal's
-    wiring arcs included."""
+    """Every id the board has handed out: its nodes, grey nodes and arcs."""
     return [i for layer in board.layers.values()
-            for i in (*layer.white_nodes, *layer.grey_nodes, *layer.arcs,
-                      *layer._wiring_arcs, layer.virtual_initial,
-                      layer.virtual_final)]
+            for i in (*layer.white_nodes, *layer.grey_nodes, *layer.arcs)]
 
 
 def random_board(rng):
@@ -656,8 +670,7 @@ def test_imported_ids_are_unique_across_every_kind():
     a, _ = one.add_white_node(span(0, 1), "A", 0.1)
     b, _ = one.add_white_node(span(1, 2), "B", 0.2)
     one.add_arc(a, b)
-    # declared after nodes were written: its endpoints must not take the
-    # exported ids of one's nodes
+    # declared after nodes were written
     two = board.declare_layer("two", depends_on={"one"})
     c, _ = two.add_white_node(span(0, 2), "C", 0.3)
     two.add_grey_node("R1", [a, b], [c], 0.3)
@@ -671,8 +684,8 @@ def test_imported_ids_are_unique_across_every_kind():
 
 
 def small_export():
-    """One layer: nodes 3 and 4 (the endpoints took 1 and 2), arc 5, and
-    grey node 6, which derives node 4 from node 3 with node 4's score."""
+    """One layer: nodes 1 and 2, arc 3, and grey node 4, which derives
+    node 2 from node 1 with node 2's score."""
     board = Whiteboard()
     layer = board.declare_layer("l", legal_labels={"h", "a"})
     h, _ = layer.add_white_node(span(0, 3), "h", 0.9)
@@ -684,7 +697,7 @@ def small_export():
 
 def run_backward(layer_doc):
     layer_doc["arcs"].append(
-        {"id": 99, "origin": 4, "extremity": 3, "weight": 0.0})
+        {"id": 99, "origin": 2, "extremity": 1, "weight": 0.0})
 
 
 def repeat_packing_key(layer_doc):
@@ -701,18 +714,18 @@ def parent_format(layer_doc):
 
 
 BAD_EXPORTS = [
-    (run_backward, BackwardArc, "arc 4->3 does not run forward in time"),
+    (run_backward, BackwardArc, "arc 2->1 does not run forward in time"),
     (lambda d: d["nodes"][1].update(label="x"), IllegalLabel, "'x' not legal"),
     (repeat_packing_key, InvalidExport,
-     "node 99 repeats the packing key of node 3"),
-    (lambda d: d["arcs"][0].update(id=3), InvalidExport,
-     "id 3 is used more than once"),
+     "node 99 repeats the packing key of node 1"),
+    (lambda d: d["arcs"][0].update(id=1), InvalidExport,
+     "id 1 is used more than once"),
     (parent_format, InvalidExport,
      "a nodes object has the unknown field 'readings'"),
     (lambda d: d["grey"][0].update(score=0.95), InvalidExport,
-     "grey node 6 scores 0.95, above the 0.8 of node 4 it outputs to"),
+     "grey node 4 scores 0.95, above the 0.8 of node 2 it outputs to"),
     (lambda d: d["nodes"][1].update(score=0.5), InvalidExport,
-     "grey node 6 scores 0.8, above the 0.5 of node 4 it outputs to"),
+     "grey node 4 scores 0.8, above the 0.5 of node 2 it outputs to"),
     (lambda d: d["nodes"][0].update(begin="0"), InvalidExport,
      "field 'begin' has the wrong type: '0'"),
     (lambda d: d["grey"][0].update(score="0.8"), InvalidExport,
@@ -797,7 +810,7 @@ def test_isomorphism_ignores_id_renaming():
     plain = build(0)
     shifted = build(3)
     del shifted.layers["scratch"]
-    assert boards_isomorphic(plain, shifted)
+    assert canonical_form(plain) == canonical_form(shifted)
     other = build(0)
     other.layers["l"].add_white_node(span(5, 6), "C", 0.5)
-    assert not boards_isomorphic(plain, other)
+    assert canonical_form(plain) != canonical_form(other)

@@ -4,9 +4,9 @@ import re
 import weakref
 from pathlib import Path
 
-from whiteboard import TimeSpan, Whiteboard, demo, filter_slice, to_json
+from whiteboard import PumpReport, TimeSpan, Whiteboard, demo, filter_slice, to_json
 from whiteboard.cli import build_arg_parser, main
-from whiteboard.demo import DemoConfig, DemoResult, demo_run
+from whiteboard.demo import DemoConfig, DemoResult, _step_loop, demo_run
 from whiteboard.grid import Thresholds
 
 
@@ -183,6 +183,35 @@ def test_step_mode_runs_exactly_n_rounds(tmp_path, fixtures_dir):
     # three rounds cannot bring the translator's reply back: quitting here
     # leaves batches in flight, whatever closing drains afterwards
     assert utterance.status["settled"] is False
+    assert utterance.error.startswith(
+        "quit after 3 rounds, before the pipeline settled: ")
+    assert "outstanding batches" in utterance.error
+    assert result.exit_code == 1
+
+
+def test_a_step_session_ending_unsettled_fails_whatever_its_layers_hold():
+    """A quit, or the end of the commands, before the pipeline settled
+    fails the utterance, even with a node on every layer."""
+    class Unsettled:
+        rounds = 0
+
+        def pump(self):
+            self.rounds += 1
+            return PumpReport()
+
+        def status(self):
+            return {"rounds": self.rounds}
+
+        def settled(self):
+            return False
+
+        def unsettled(self):
+            return "translator has 1 outstanding batches"
+
+    for commands in (["step", "status", "step", "quit", "step"], ["step", "s"]):
+        assert _step_loop(Unsettled(), iter(commands)) == (
+            "quit after 2 rounds, before the pipeline settled: "
+            "translator has 1 outstanding batches")
 
 
 def test_step_mode_notes_a_dead_manager_on_its_binding(tmp_path, fixtures_dir):

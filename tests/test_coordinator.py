@@ -34,6 +34,7 @@ from whiteboard.errors import (
     UnknownFormatCode,
 )
 from whiteboard.mailbox import Mailbox
+from blocking import deposit
 from conftest import worker_command
 from oracles import identity_component, valid_lattice
 from stopping import PipeStop
@@ -466,10 +467,10 @@ def test_an_unparseable_frame_is_noted_and_the_frames_after_it_are_read(
         coordinator.bound["played"] = _Bound(ComponentBinding(
             "played", box.path, [], "phonemes", params("edge-v1", "edge-v1")),
             conn)
-        served.deposit("(0 3 h\n", timeout=5.0)
+        deposit(served, "(0 3 h\n", timeout=5.0)
         served._sock.sendall(b"\x00\x00\x00\x02\xff\n")  # not UTF-8
-        served.deposit(wire.serialize([wire.EdgeRecord(0, 3, "h", 0.5)],
-                                      "edge-v1"), timeout=5.0)
+        deposit(served, wire.serialize([wire.EdgeRecord(0, 3, "h", 0.5)],
+                                       "edge-v1"), timeout=5.0)
         # one frame a round
         reports = [coordinator.pump() for _ in range(3)]
     finally:
@@ -904,8 +905,8 @@ def test_results_handed_over_on_close_after_settling_fail_the_run(host):
     # a batch slipped past the coordinator's accounting: its reply is
     # still in flight when the connections close
     conn = coordinator.bound["echo"].conn
-    conn.channel.deposit(wire.serialize([wire.EdgeRecord(3, 6, "a", 0.5)],
-                                    "edge-v1"), timeout=5.0)
+    deposit(conn.channel, wire.serialize([wire.EdgeRecord(3, 6, "a", 0.5)],
+                                         "edge-v1"), timeout=5.0)
     error = _close_connections(coordinator)
     assert error is not None
     assert "echo" in error and "1 records" in error

@@ -287,6 +287,22 @@ def test_a_worker_spawned_from_a_config_out_of_range_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []  # it never served
 
 
+def test_a_worker_that_exits_at_start_is_a_config_error_at_once(
+        tmp_path, fixtures_dir):
+    """The parser refuses a beam of -1 with exit 2 before it serves; the
+    run waits for no open, which would ask for the missing box for 10 s."""
+    start = time.monotonic()
+    result = demo_run(DemoConfig(matrices=fixtures_dir / "hai.mat",
+                                 grammar=fixtures_dir / "words.grammar",
+                                 dictionary=fixtures_dir / "words.dict",
+                                 out=tmp_path / "hai.json", beam=-1))
+    assert time.monotonic() - start < 2.0
+    assert result.exit_code == 2
+    assert result.config_error == "the parser worker exited 2 before it served"
+    assert result.utterances == []
+    assert not (tmp_path / "hai.json").exists()
+
+
 @pytest.mark.parametrize("directory, name", [("two words", "hai.mat"),
                                              ("plain", "hai(1).mat")])
 def test_a_matrix_path_that_is_not_a_wire_token_is_a_config_error(

@@ -22,6 +22,7 @@ from whiteboard import wire
 from whiteboard.errors import MailboxTimeout, ParseError, PeerGone
 from whiteboard.mailbox import Mailbox, wait_ready
 from _channel_writer import big_text, odd_texts
+from blocking import deposit
 
 SLEEP = 0.005
 
@@ -51,7 +52,7 @@ def test_deposit_then_collect_roundtrip(tmp_path):
         assert box.try_collect() is None
         for tag in "ab":
             channels.append(connect(box))
-            channels[-1].deposit(f"(open {tag})\n")
+            deposit(channels[-1], f"(open {tag})\n")
         # every connection that has queued, in the order made
         taken = [box.try_collect(), box.try_collect()]
         assert box.try_collect() is None
@@ -127,7 +128,7 @@ def test_sequential_handoffs_preserve_order(tmp_path):
         for line in lines:
             while (channel := client.try_deposit()) is None:
                 time.sleep(SLEEP)
-            channel.deposit(line, timeout=5.0)
+            deposit(channel, line, timeout=5.0)
             channel.close()
 
     thread = threading.Thread(target=writer)
@@ -161,7 +162,7 @@ def test_an_orphaned_request_box_is_one_nobody_reads(tmp_path):
     replaced = Mailbox(path).open()  # a new manager replaces the dead one's box
     try:
         client = connect(replaced)
-        client.deposit("(y)\n")
+        deposit(client, "(y)\n")
         taken = replaced.try_collect()
         assert taken.collect(timeout=5.0) == "(y)\n"
         client.close()
@@ -194,7 +195,7 @@ def test_a_reader_gone_between_open_and_write_is_peer_gone(tmp_path):
     try:
         start = time.monotonic()
         with pytest.raises(PeerGone):
-            client.deposit("(x)\n", timeout=5.0)
+            deposit(client, "(x)\n", timeout=5.0)
         with pytest.raises(PeerGone):
             client.collect(timeout=5.0)
         assert time.monotonic() - start < 1.0
@@ -209,7 +210,7 @@ def test_a_box_whose_path_is_longer_than_sun_path_binds_and_connects(tmp_path):
     try:
         assert len(os.fsencode(box.path)) > 107  # more than `sun_path` holds
         client = connect(box)
-        client.deposit("(x)\n")
+        deposit(client, "(x)\n")
         taken = box.try_collect()
         assert taken.collect(timeout=5.0) == "(x)\n"
         client.close()
@@ -263,7 +264,7 @@ def test_timeouts_raise(tmp_path):
             reader.collect(timeout=3 * SLEEP)
         assert writer.try_deposit("x" * 1_000_000)  # more than it holds
         with pytest.raises(MailboxTimeout):
-            writer.deposit("y\n", timeout=3 * SLEEP)
+            deposit(writer, "y\n", timeout=3 * SLEEP)
     finally:
         reader.close()
         writer.close()
@@ -281,7 +282,7 @@ def test_a_channel_returns_every_frame_whole_once_and_in_order(tmp_path):
         thread = threading.Thread(target=read_all)
         thread.start()
         for text in texts:
-            writer.deposit(text, timeout=10.0)
+            deposit(writer, text, timeout=10.0)
         thread.join(timeout=10.0)
         assert received == texts
         assert reader.try_collect() is None
@@ -315,13 +316,13 @@ def test_a_read_before_any_writer_is_nothing_yet_and_a_hang_up_is_peer_gone(
     try:
         assert reader.try_collect() is None  # nothing written yet
         assert not wait_ready([reader], timeout=0.01)
-        writer.deposit("last\n")
+        deposit(writer, "last\n")
         writer.hang_up()
         assert wait_ready([reader], timeout=0.01)
         assert reader.try_collect() == "last\n"  # frames first, then the end
         with pytest.raises(PeerGone):
             reader.try_collect()
-        reader.deposit("reply\n")  # the end that hung up still reads
+        deposit(reader, "reply\n")  # the end that hung up still reads
         assert writer.collect(timeout=5.0) == "reply\n"
         reader.close()
         with pytest.raises(PeerGone):  # and then nobody holds the other end
@@ -335,7 +336,7 @@ def test_a_writer_that_hangs_up_before_its_reader_opens_keeps_its_frames(
         tmp_path):
     box = make_box(tmp_path)
     writer = connect(box)
-    writer.deposit("first\n")
+    deposit(writer, "first\n")
     writer.hang_up()
     reader = box.try_collect()  # taken after its client hung up
     try:
@@ -351,7 +352,7 @@ def test_a_writer_that_hangs_up_before_its_reader_opens_keeps_its_frames(
 def test_a_reader_that_opens_after_a_writer_that_died_gets_peer_gone(tmp_path):
     box = make_box(tmp_path)
     writer = connect(box)
-    writer.deposit("lost\n")
+    deposit(writer, "lost\n")
     writer.close()  # as a client that died before its connection was taken
     reader = box.try_collect()
     try:
@@ -387,7 +388,7 @@ def test_a_frame_that_is_not_utf8_is_taken_whole_as_a_parse_error(tmp_path):
     reader, writer = make_channel(tmp_path)
     try:
         writer._sock.sendall(b"\x00\x00\x00\x02\xff\n")
-        writer.deposit("after\n")
+        deposit(writer, "after\n")
         with pytest.raises(ParseError, match="not UTF-8"):
             reader.collect(timeout=5.0)
         assert reader.collect(timeout=5.0) == "after\n"  # the next frame whole
@@ -399,7 +400,7 @@ def test_a_frame_that_is_not_utf8_is_taken_whole_as_a_parse_error(tmp_path):
 def test_a_blocking_collect_wakes_on_the_deposit_not_the_poll(tmp_path):
     reader, writer = make_channel(tmp_path)
     try:
-        timer = threading.Timer(0.05, writer.deposit, args=("late\n",))
+        timer = threading.Timer(0.05, deposit, args=(writer, "late\n"))
         start = time.monotonic()
         timer.start()
         assert reader.collect(timeout=10.0) == "late\n"
@@ -550,7 +551,7 @@ def test_a_killed_writer_leaves_nothing_the_reader_sees(tmp_path):
         taker.drain(lambda: not taker.waiting)
         assert taker.seen == [("a", seq) for seq in range(5)]
         client = connect(taker.box)  # and the box serves on
-        client.deposit("after 0\n")
+        deposit(client, "after 0\n")
         client.close()
         taker.drain(lambda: len(taker.seen) == 6)
     finally:

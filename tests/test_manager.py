@@ -26,6 +26,7 @@ from whiteboard.manager import (
     run_manager,
 )
 from whiteboard.mailbox import Channel, Mailbox, wait_ready
+from blocking import deposit
 from conftest import worker_command
 from oracles import identity_component
 from stopping import PipeStop
@@ -97,7 +98,7 @@ def test_a_request_box_whose_path_is_longer_than_sun_path_serves(tmp_path):
     with hosted_manager(tmp_path / ("d" * 100), identity_component) as root:
         assert len(os.fsencode(root)) > 107
         conn = request_connection(root, params())
-        conn.deposit(edges(0), timeout=5.0)
+        deposit(conn, edges(0), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(0)
         assert conn.close(timeout=5.0) == []
     assert list(root.parent.iterdir()) == []
@@ -121,7 +122,7 @@ def test_the_factory_builds_each_connection_its_component_from_its_input(tmp_pat
                      root, ConnectionParams("edge-v1", "edge-v1", source))
                  for source in ("a.mat", "b.mat")}
         for source, conn in conns.items():
-            conn.deposit([], timeout=5.0)
+            deposit(conn, [], timeout=5.0)
             assert conn.collect(timeout=5.0) == [wire.ErrorRecord(source)]
             conn.close(timeout=5.0)
 
@@ -142,7 +143,7 @@ def test_interleaved_connections_to_one_parser_manager_keep_apart(
     def replies(conn, batches):
         out = []
         for batch in batches:
-            conn.deposit(batch, timeout=5.0)
+            deposit(conn, batch, timeout=5.0)
             out.append(conn.collect(timeout=5.0))
         conn.close(timeout=5.0)
         return out
@@ -161,7 +162,7 @@ def test_interleaved_connections_to_one_parser_manager_keep_apart(
         for i in range(max(len(first), len(second))):
             for conn, batches, out in zip(conns, (first, second), shared):
                 if i < len(batches):
-                    conn.deposit(batches[i], timeout=5.0)
+                    deposit(conn, batches[i], timeout=5.0)
                     out.append(conn.collect(timeout=5.0))
         for conn in conns:
             conn.close(timeout=5.0)
@@ -176,7 +177,7 @@ def test_open_creates_fresh_boxes_and_echo_works(tmp_path):
         assert stat.S_ISSOCK(root.stat().st_mode)
         assert conn.channel.try_collect() is None  # nothing in flight
         batch = edges(0, 1, 2)
-        conn.deposit(batch, timeout=5.0)
+        deposit(conn, batch, timeout=5.0)
         assert conn.collect(timeout=5.0) == batch
         assert conn.close(timeout=5.0) == []
 
@@ -186,7 +187,7 @@ def test_every_deposited_batch_reappears(tmp_path):
         conn = request_connection(root, params())
         for i in range(5):
             batch = edges(i)
-            conn.deposit(batch, timeout=5.0)
+            deposit(conn, batch, timeout=5.0)
             assert conn.collect(timeout=5.0) == batch
         assert conn.close(timeout=5.0) == []
 
@@ -196,8 +197,8 @@ def test_two_connections_are_independent(tmp_path):
         a = request_connection(root, params())
         b = request_connection(root, params())
         assert a.channel.fileno() != b.channel.fileno()
-        a.deposit(edges(1), timeout=5.0)
-        b.deposit(edges(2), timeout=5.0)
+        deposit(a, edges(1), timeout=5.0)
+        deposit(b, edges(2), timeout=5.0)
         assert b.collect(timeout=5.0) == edges(2)
         assert a.collect(timeout=5.0) == edges(1)
         for conn in (a, b):
@@ -223,7 +224,7 @@ def test_close_acknowledges_and_removes_boxes(tmp_path):
         with pytest.raises(AlreadyClosed):
             conn.close(timeout=5.0)
         with pytest.raises(AlreadyClosed):
-            conn.deposit(edges(0), timeout=5.0)
+            deposit(conn, edges(0), timeout=5.0)
 
 
 @pytest.mark.parametrize("paced", [False, True])
@@ -231,7 +232,7 @@ def test_close_delivers_pending_content_first(tmp_path, paced):
     with hosted_manager(tmp_path, identity_component,
                         pace=SLEEP if paced else None) as root:
         conn = request_connection(root, params())
-        conn.deposit(edges(0, 1, 2), timeout=5.0)  # three end frames
+        deposit(conn, edges(0, 1, 2), timeout=5.0)  # three end frames
         # do not collect; close must hand the undelivered reply over, every
         # piece in order, before its acknowledgment
         leftovers = conn.close(timeout=5.0)
@@ -247,7 +248,7 @@ def test_clients_sharing_a_manager_get_only_their_own_replies(tmp_path):
             for trial in range(10):
                 conn = request_connection(root, params())
                 batch = edges(100 * tag + trial)
-                conn.deposit(batch, timeout=5.0)
+                deposit(conn, batch, timeout=5.0)
                 assert conn.collect(timeout=5.0) == batch
                 assert conn.close(timeout=5.0) == []
         except Exception as exc:
@@ -286,7 +287,7 @@ def test_a_first_frame_that_is_not_one_open_request_is_refused(tmp_path, caplog)
                 channel.close()
         # and serves on
         conn = request_connection(root, params())
-        conn.deposit(edges(0), timeout=5.0)
+        deposit(conn, edges(0), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(0)
         conn.close(timeout=5.0)
         assert list(root.parent.iterdir()) == [root]
@@ -326,7 +327,7 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
 
     with hosted_manager(tmp_path, held, name="held") as root:
         conn = request_connection(root, params())
-        conn.deposit(edges(0), timeout=5.0)
+        deposit(conn, edges(0), timeout=5.0)
         try:
             with pytest.raises(MailboxTimeout):
                 conn.close(timeout=0.1)
@@ -345,11 +346,11 @@ def test_a_client_that_gives_up_removes_its_connection(tmp_path, caplog):
     # the manager drops a connection whose client hung up, and serves on
     with hosted_manager(tmp_path, identity_component) as root:
         gone, kept = (request_connection(root, params()) for _ in range(2))
-        gone.deposit(edges(9), timeout=5.0)  # answered once the open is taken
+        deposit(gone, edges(9), timeout=5.0)  # answered once the open is taken
         assert gone.collect(timeout=5.0) == edges(9)
         gone.channel.close()  # as a client that died would
         for i in range(3):
-            kept.deposit(edges(i), timeout=5.0)
+            deposit(kept, edges(i), timeout=5.0)
             assert kept.collect(timeout=5.0) == edges(i)
         # the manager numbers its connections as it takes them
         assert any(r.getMessage().startswith("manager m: connection 1 dropped")
@@ -368,11 +369,11 @@ def test_component_fault_becomes_error_record_and_service_continues(tmp_path):
 
     with hosted_manager(tmp_path, flaky) as root:
         conn = request_connection(root, params())
-        conn.deposit(edges(0), timeout=5.0)
+        deposit(conn, edges(0), timeout=5.0)
         [error] = conn.collect(timeout=5.0)
         assert isinstance(error, wire.ErrorRecord)
         assert "component-error" in error.message
-        conn.deposit(edges(1), timeout=5.0)
+        deposit(conn, edges(1), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(1)
         assert conn.close(timeout=5.0) == []
 
@@ -380,14 +381,14 @@ def test_component_fault_becomes_error_record_and_service_continues(tmp_path):
 def test_manager_survives_unparseable_batch(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn.channel.deposit("(not a record\n", timeout=5.0)
+        deposit(conn.channel, "(not a record\n", timeout=5.0)
         [error] = conn.collect(timeout=5.0)
         assert error.message.startswith("import-parse-error")
         # a frame that is not UTF-8 is taken whole, and answered the same way
         conn.channel._sock.sendall(b"\x00\x00\x00\x02\xff\n")
         [error] = conn.collect(timeout=5.0)
         assert error.message.startswith("import-parse-error")
-        conn.deposit(edges(3), timeout=5.0)
+        deposit(conn, edges(3), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(3)
         assert conn.close(timeout=5.0) == []
 
@@ -434,7 +435,7 @@ def test_incremental_manager_delivers_multiple_batches(tmp_path):
 
     with hosted_manager(tmp_path, source, pace=SLEEP) as root:
         conn = request_connection(root, params())
-        conn.deposit([], timeout=5.0)
+        deposit(conn, [], timeout=5.0)
         got = []
         for _ in range(3):
             got.extend(conn.collect(timeout=5.0))
@@ -458,7 +459,7 @@ def assert_nothing_more(conn):
 def test_done_ends_a_non_incremental_reply(tmp_path):
     with hosted_manager(tmp_path, identity_component) as root:
         conn = request_connection(root, params())
-        conn.channel.deposit(wire.serialize(edges(0, 4, 2), "edge-v1"))
+        deposit(conn.channel, wire.serialize(edges(0, 4, 2), "edge-v1"))
         [reply] = raw_replies(conn, 1)
         assert reply == edges(0, 4, 2) + [wire.DoneRecord(5)]
         assert_nothing_more(conn)
@@ -471,7 +472,7 @@ def test_done_rides_on_the_last_incremental_piece(tmp_path):
 
     with hosted_manager(tmp_path, source, pace=SLEEP) as root:
         conn = request_connection(root, params())
-        conn.channel.deposit("")
+        deposit(conn.channel, "")
         pieces = raw_replies(conn, 3)
         assert pieces == [edges(0), edges(1), edges(2) + [wire.DoneRecord(3)]]
         assert_nothing_more(conn)
@@ -481,7 +482,7 @@ def test_done_rides_on_the_last_incremental_piece(tmp_path):
 def test_done_alone_answers_an_empty_output(tmp_path):
     with hosted_manager(tmp_path, lambda records: []) as root:
         conn = request_connection(root, params())
-        conn.channel.deposit(wire.serialize(edges(0, 1, 2), "edge-v1"))
+        deposit(conn.channel, wire.serialize(edges(0, 1, 2), "edge-v1"))
         [reply] = raw_replies(conn, 1)
         assert reply == [wire.DoneRecord(3)]  # the inputs' last end frame
         assert_nothing_more(conn)
@@ -494,7 +495,7 @@ def test_done_follows_a_component_error(tmp_path):
 
     with hosted_manager(tmp_path, broken, pace=SLEEP) as root:
         conn = request_connection(root, params())
-        conn.channel.deposit(wire.serialize(edges(6), "edge-v1"))
+        deposit(conn.channel, wire.serialize(edges(6), "edge-v1"))
         [[error, done]] = raw_replies(conn, 1)
         assert isinstance(error, wire.ErrorRecord)
         assert "component-error" in error.message
@@ -513,8 +514,8 @@ def test_connection_counts_outstanding_batches(tmp_path):
     with hosted_manager(tmp_path, gated) as root:
         conn = request_connection(root, params())
         assert (conn.outstanding, conn.done_frame) == (0, 0)
-        conn.deposit(edges(2), timeout=5.0)
-        conn.deposit(edges(8), timeout=5.0)
+        deposit(conn, edges(2), timeout=5.0)
+        deposit(conn, edges(8), timeout=5.0)
         assert conn.outstanding == 2
         release.set()
         assert conn.collect(timeout=5.0) == edges(2)  # done stripped
@@ -547,7 +548,7 @@ def test_a_round_trip_takes_well_under_a_second(tmp_path):
         wait_for_request_box(root)
         start = time.monotonic()
         conn = request_connection(root, params())
-        conn.deposit(edges(0, 1), timeout=5.0)
+        deposit(conn, edges(0, 1), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(0, 1)
         conn.close(timeout=5.0)
         assert time.monotonic() - start < 0.3
@@ -561,12 +562,12 @@ def paced_pieces(tmp_path, monkeypatch, wake_others):
     of its reply to one batch. With `wake_others` the client wakes the
     manager after each piece, as other connections' traffic would."""
     released = []
-    deposit = Channel.try_deposit
+    try_deposit = Channel.try_deposit
     manager = hosted_manager(tmp_path, identity_component, pace=PACE)
 
     def timed_deposit(channel, text):
         start = time.monotonic()
-        done = deposit(channel, text)
+        done = try_deposit(channel, text)
         if done and threading.current_thread() is manager.thread:
             released.append(start)
         return done
@@ -574,7 +575,7 @@ def paced_pieces(tmp_path, monkeypatch, wake_others):
     monkeypatch.setattr(Channel, "try_deposit", timed_deposit)
     with manager as root:
         conn = request_connection(root, params())
-        conn.deposit(edges(*range(6)), timeout=5.0)
+        deposit(conn, edges(*range(6)), timeout=5.0)
         while conn.outstanding:
             assert conn.collect(timeout=5.0)
             if wake_others:
@@ -624,7 +625,7 @@ def test_a_manager_waits_untimed_unless_a_paced_piece_falls_due(
     with hosted_manager(tmp_path, identity_component, pace=pace) as root:
         conn = request_connection(root, params())
         for i in range(3):
-            conn.deposit(edges(i, i + 1, i + 2), timeout=5.0)
+            deposit(conn, edges(i, i + 1, i + 2), timeout=5.0)
             while conn.outstanding:
                 conn.collect(timeout=5.0)
         assert conn.close(timeout=5.0) == []
@@ -649,7 +650,7 @@ def test_connections_leave_no_descriptor_and_a_stopped_manager_no_request_box(
         before = open_fds()
         for i in range(20):
             conn = request_connection(root, params())
-            conn.deposit(edges(i), timeout=5.0)
+            deposit(conn, edges(i), timeout=5.0)
             assert conn.collect(timeout=5.0) == edges(i)
             conn.close(timeout=5.0)
         assert open_fds() == before
@@ -696,7 +697,7 @@ def test_a_manager_gone_before_it_took_the_open_fails_every_wait_at_once(
     with pytest.raises(PeerGone):
         conn.collect(timeout=5.0)
     with pytest.raises(PeerGone):
-        conn.deposit(edges(*range(20_000)), timeout=5.0)  # more than it holds
+        deposit(conn, edges(*range(20_000)), timeout=5.0)  # more than it holds
     assert conn.channel.pending
     with pytest.raises(ManagerUnavailable, match="without acknowledging"):
         conn.close(timeout=5.0)  # its tail never goes
@@ -729,7 +730,7 @@ def held_up(manager):
 
     factory, manager.factory = manager.factory, (lambda _input: held)
     conn = request_connection(manager.request_root, params())
-    conn.deposit(edges(0), timeout=5.0)
+    deposit(conn, edges(0), timeout=5.0)
     assert entered.wait(timeout=5.0)
     manager.factory = factory  # the manager waits in `held` meanwhile
     return release, conn
@@ -768,9 +769,9 @@ def test_batches_written_before_the_manager_opened_in_are_served(tmp_path):
     try:
         release, holding = held_up(manager)
         early = request_connection(manager.request_root, params())
-        early.deposit(edges(1), timeout=5.0)
+        deposit(early, edges(1), timeout=5.0)
         closed = request_connection(manager.request_root, params())
-        closed.deposit(edges(2), timeout=5.0)
+        deposit(closed, edges(2), timeout=5.0)
         closed.channel.hang_up(timeout=5.0)  # hung up before the open, too
         assert len(manager.served) == 1  # neither open is taken yet
         release.set()
@@ -811,7 +812,7 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
         release, holding = held_up(manager)
         before = open_fds()
         conn = request_connection(manager.request_root, params())
-        conn.deposit(edges(1), timeout=5.0)
+        deposit(conn, edges(1), timeout=5.0)
         conn.channel.close()  # the client dies before the open is taken
         release.set()
         assert holding.collect(timeout=5.0) == edges(0)
@@ -835,8 +836,8 @@ def test_a_connection_abandoned_before_its_in_channel_opened_is_dropped(
 def test_a_client_that_hangs_up_in_gets_every_owed_reply_then_closed(tmp_path):
     with hosted_manager(tmp_path, identity_component, pace=SLEEP) as root:
         conn = request_connection(root, params())
-        conn.deposit(edges(0, 1), timeout=5.0)
-        conn.deposit(edges(4), timeout=5.0)
+        deposit(conn, edges(0, 1), timeout=5.0)
+        deposit(conn, edges(4), timeout=5.0)
         conn.channel.hang_up()  # no `close`: the client reads on
         assert raw_replies(conn, 4) == [
             edges(0), edges(1) + [wire.DoneRecord(2)],
@@ -871,7 +872,7 @@ def test_an_open_whose_in_channel_no_writer_holds_is_a_hang_up(tmp_path, caplog)
         # a client that shuts its connection for writing behind its open
         channel = Mailbox(root).try_deposit()
         try:
-            channel.deposit(wire.serialize(
+            deposit(channel, wire.serialize(
                 [wire.OpenRequest("edge-v1", "edge-v1", None)]), timeout=5.0)
             channel.hang_up()
             assert wire.parse(channel.collect(timeout=5.0)) == [
@@ -892,11 +893,11 @@ def test_an_export_error_answers_the_batch_and_service_continues(tmp_path):
 
     with hosted_manager(tmp_path, spaced) as root:
         conn = request_connection(root, params())
-        conn.deposit(edges(0), timeout=5.0)
+        deposit(conn, edges(0), timeout=5.0)
         [error] = conn.collect(timeout=5.0)
         assert isinstance(error, wire.ErrorRecord)
         assert error.message.startswith("export-error")
         assert (conn.outstanding, conn.done_frame) == (0, 1)
-        conn.deposit(edges(1), timeout=5.0)
+        deposit(conn, edges(1), timeout=5.0)
         assert conn.collect(timeout=5.0) == edges(1)
         assert conn.close(timeout=5.0) == []
